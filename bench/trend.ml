@@ -9,9 +9,9 @@
    newest snapshot is compared against the *best* (minimum) wall time
    any earlier snapshot achieved — a creeping regression that stays
    under a pairwise threshold between adjacent PRs still trips the gate
-   once it drifts past threshold x best-so-far. The same noise floor as
-   compare.exe applies (50 ms absolute, relative below that), so fast
-   experiments gate on real doublings, not jitter. The analysis itself
+   once it drifts past threshold x best-so-far. A noise floor applies
+   (50 ms absolute, relative below that), so fast experiments gate on
+   real doublings, not jitter. The analysis itself
    lives in [Trend_core] (unit-tested); this file is IO and rendering.
 
    Exit 0 unless --gate is given and a regression is found (exit 1);

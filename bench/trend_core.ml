@@ -2,7 +2,7 @@
    series of --emit-bench snapshots, separated from file IO / printing
    so it can be unit-tested. *)
 
-(* Same noise floor as compare.exe: 50 ms absolute, relative below it.
+(* Noise floor: 50 ms absolute, relative below it.
    A regression must clear both the ratio threshold and this floor, so
    microsecond-scale experiments gate on real doublings, not jitter. *)
 let noise_floor best = if best >= 0.05 then 0.05 else Float.max 0.01 best

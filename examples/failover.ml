@@ -45,29 +45,36 @@ let () =
 
   (* Updates keep flowing while we kill the container. *)
   let t0 = Engine.now eng in
-  Format.printf "@.t=0.000s  injecting container failure...@.";
-  Tensor.Deploy.inject_container_failure dep svc;
-  ignore
-    (Engine.schedule_after eng (Time.ms 800) (fun () ->
-         Format.printf
-           "t=0.800s  peer announces 200 more routes mid-outage@.";
-         Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
-           (Workload.Prefixes.distinct_from ~base:700_000 200)));
-  Engine.run_for eng (Time.sec 30);
+  let (), orch =
+    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+        Format.printf "@.t=0.000s  injecting container failure...@.";
+        Tensor.Deploy.inject_container_failure dep svc;
+        ignore
+          (Engine.schedule_after eng (Time.ms 800) (fun () ->
+               Format.printf
+                 "t=0.800s  peer announces 200 more routes mid-outage@.";
+               Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
+                 (Workload.Prefixes.distinct_from ~base:700_000 200)));
+        Engine.run_for eng (Time.sec 30))
+  in
 
-  (* Timeline from the traces. *)
-  let rel trace cat =
-    match Trace.first trace ~category:cat with
-    | Some e -> Time.to_sec_f (Time.diff e.Trace.at t0)
+  (* Timeline from the orchestration events on the telemetry bus. *)
+  let rel milestone =
+    match
+      List.find_opt (fun (e : Telemetry.Bus.entry) -> milestone e.event) orch
+    with
+    | Some e -> Time.to_sec_f (Time.diff e.at t0)
     | None -> nan
   in
-  let ctl = Orch.Controller.trace dep.Tensor.Deploy.ctrl in
   Format.printf "@.recovery timeline (seconds after injection):@.";
-  Format.printf "  %-28s %.3f@." "failure localized" (rel ctl "detect");
-  Format.printf "  %-28s %.3f@." "migration initiated" (rel ctl "initiate");
-  Format.printf "  %-28s %.3f@." "backup resumed" (rel ctl "migrate");
+  Format.printf "  %-28s %.3f@." "failure localized"
+    (rel (function Telemetry.Event.Failure_detected _ -> true | _ -> false));
+  Format.printf "  %-28s %.3f@." "migration initiated"
+    (rel (function Telemetry.Event.Migration_initiated _ -> true | _ -> false));
+  Format.printf "  %-28s %.3f@." "backup resumed"
+    (rel (function Telemetry.Event.Migration_done _ -> true | _ -> false));
   Format.printf "  %-28s %.3f@." "TCP fully re-synced"
-    (rel dep.Tensor.Deploy.trace "tcp-synced");
+    (rel (function Telemetry.Event.Tcp_synced _ -> true | _ -> false));
 
   Format.printf "@.after recovery: primary=%s/%s@."
     (Orch.Container.host_name (Tensor.Deploy.service_container svc))

@@ -38,19 +38,27 @@ let () =
      would be frozen-out; here they are simply delivered to the new
      instance (TCP holds them while the primary is quiesced). *)
   let t0 = Engine.now eng in
-  Tensor.Deploy.planned_migration dep svc;
-  ignore
-    (Engine.schedule_after eng (Time.ms 200) (fun () ->
-         Format.printf "  (peer announces 250 routes mid-upgrade)@.";
-         Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
-           (Workload.Prefixes.distinct_from ~base:600_000 250)));
-  Engine.run_for eng (Time.sec 30);
+  let (), orch =
+    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+        Tensor.Deploy.planned_migration dep svc;
+        ignore
+          (Engine.schedule_after eng (Time.ms 200) (fun () ->
+               Format.printf "  (peer announces 250 routes mid-upgrade)@.";
+               Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
+                 (Workload.Prefixes.distinct_from ~base:600_000 250)));
+        Engine.run_for eng (Time.sec 30))
+  in
 
   Format.printf "upgrade finished in %a: now on %s/%s@." Time.pp
     (match
-       Trace.first dep.Tensor.Deploy.trace ~category:"tcp-synced"
+       List.find_opt
+         (fun (e : Telemetry.Bus.entry) ->
+           match e.event with
+           | Telemetry.Event.Tcp_synced _ -> true
+           | _ -> false)
+         orch
      with
-    | Some e -> Time.diff e.Trace.at t0
+    | Some e -> Time.diff e.at t0
     | None -> 0)
     (Orch.Container.host_name (Tensor.Deploy.service_container svc))
     (Orch.Container.id (Tensor.Deploy.service_container svc));

@@ -57,27 +57,35 @@ let () =
   Format.printf "t=%a  partitioning %s from the cluster@." Time.pp
     (Engine.now eng) (Orch.Host.name h0);
   let t0 = Engine.now eng in
-  Tensor.Deploy.inject_host_network_failure dep svc;
-
-  (* Watch the fence land before the controller's declaration. *)
-  let fence_at = ref None and declared_at = ref None in
-  let rec watch () =
-    if Orch.Host.is_fenced h0 && !fence_at = None then
-      fence_at := Some (Time.diff (Engine.now eng) t0);
-    (match
-       Trace.first (Orch.Controller.trace dep.Tensor.Deploy.ctrl)
-         ~category:"host-failed"
-     with
-    | Some e when !declared_at = None ->
-        declared_at := Some (Time.diff e.Trace.at t0)
-    | _ -> ());
-    if !fence_at = None || !declared_at = None then
-      ignore (Engine.schedule_after eng (Time.ms 100) watch)
+  (* Watch the fence land before the controller's declaration (the
+     quarantine entry appears together with the [Host_failed] event). *)
+  let fence_at = ref None in
+  let declared () =
+    List.mem (Orch.Host.name h0)
+      (Orch.Controller.quarantined dep.Tensor.Deploy.ctrl)
   in
-  watch ();
-  Engine.run_for eng (Time.sec 20);
+  let (), orch =
+    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+        Tensor.Deploy.inject_host_network_failure dep svc;
+        let rec watch () =
+          if Orch.Host.is_fenced h0 && !fence_at = None then
+            fence_at := Some (Time.diff (Engine.now eng) t0);
+          if !fence_at = None || not (declared ()) then
+            ignore (Engine.schedule_after eng (Time.ms 100) watch)
+        in
+        watch ();
+        Engine.run_for eng (Time.sec 20))
+  in
+  let declared_at =
+    List.find_map
+      (fun (e : Telemetry.Bus.entry) ->
+        match e.event with
+        | Telemetry.Event.Host_failed _ -> Some (Time.diff e.at t0)
+        | _ -> None)
+      orch
+  in
 
-  (match (!fence_at, !declared_at) with
+  (match (!fence_at, declared_at) with
   | Some f, Some d ->
       Format.printf
         "old primary self-fenced at +%a; controller declared the host dead at +%a@."

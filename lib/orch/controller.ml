@@ -84,7 +84,6 @@ type t = {
   eng : Engine.t;
   cfg : config;
   ep : Rpc.endpoint;
-  tr : Trace.t;
   mutable hosts : host_entry list;
   mutable agents : Agent.t list;
   managed_tbl : (string, managed) Hashtbl.t;
@@ -110,7 +109,6 @@ type t = {
 
 let node t = t.cnode
 let addr t = t.caddr
-let trace t = t.tr
 let report_endpoint_service = "report"
 let quarantined t = t.quarantine
 
@@ -171,29 +169,32 @@ let proceed_migration t m reason =
       | App_failure | Container_failure -> t.cfg.initiate_container
     in
     Telemetry.Registry.incr m_failures;
-    Telemetry.Bus.emit ~legacy:t.tr t.eng
-      (Telemetry.Event.Failure_detected
-         {
-           id = m.mid;
-           kind = Format.asprintf "%a" pp_failure_kind reason;
-         });
+    if Telemetry.Gate.on () then
+      Telemetry.Bus.emit t.eng
+        (Telemetry.Event.Failure_detected
+           {
+             id = m.mid;
+             kind = Format.asprintf "%a" pp_failure_kind reason;
+           });
     ignore
       (Engine.schedule_after t.eng ~label:"orch.migrate" initiate_delay
          (fun () ->
            if m.mig_epoch = epoch then begin
-             Telemetry.Bus.emit ~legacy:t.tr t.eng
-               (Telemetry.Event.Migration_initiated { id = m.mid });
+             if Telemetry.Gate.on () then
+               Telemetry.Bus.emit t.eng
+                 (Telemetry.Event.Migration_initiated { id = m.mid });
              t.migrator ~reason ~id:m.mid ~failed:m.cont
                ~done_:(fun replacement ->
                  if m.mig_epoch = epoch then begin
                    Telemetry.Registry.incr m_migrations;
-                   Telemetry.Bus.emit ~legacy:t.tr t.eng
-                     (Telemetry.Event.Migration_done
-                        {
-                          id = m.mid;
-                          host = Container.host_name replacement;
-                          container = Container.id replacement;
-                        });
+                   if Telemetry.Gate.on () then
+                     Telemetry.Bus.emit t.eng
+                       (Telemetry.Event.Migration_done
+                          {
+                            id = m.mid;
+                            host = Container.host_name replacement;
+                            container = Container.id replacement;
+                          });
                    index_move t m replacement;
                    m.cont <- replacement;
                    m.phase <- `Healthy;
@@ -217,9 +218,10 @@ let start_migration t m reason =
          newer transition) took the instance over while we were parked,
          this chain is stale and must die — proceeding would migrate a
          healthy instance a second time. *)
-      Telemetry.Bus.emit ~legacy:t.tr t.eng
-        (Telemetry.Event.Migration_deferred
-           { id = m.mid; reason = "store-unreachable" });
+      if Telemetry.Gate.on () then
+        Telemetry.Bus.emit t.eng
+          (Telemetry.Event.Migration_deferred
+             { id = m.mid; reason = "store-unreachable" });
       let rec wait () =
         ignore
           (Engine.schedule_after t.eng ~label:"orch.migrate" t.cfg.grpc_interval
@@ -257,8 +259,9 @@ let declare_host_failed t (he : host_entry) =
   he.hphase <- `Failed;
   t.quarantine <- Host.name he.host :: t.quarantine;
   Telemetry.Registry.incr m_hosts_failed;
-  Telemetry.Bus.emit ~legacy:t.tr t.eng
-    (Telemetry.Event.Host_failed { host = Host.name he.host });
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng
+      (Telemetry.Event.Host_failed { host = Host.name he.host });
   (* Best-effort fence; unreachable hosts fence themselves via the
      lease. *)
   Rpc.call t.ep ~timeout:t.cfg.host_ctl_timeout ~dst:(Host.addr he.host)
@@ -283,8 +286,9 @@ let declare_host_failed t (he : host_entry) =
 let suspect_host t (he : host_entry) =
   if he.hphase = `Healthy then begin
     he.hphase <- `Confirming;
-    Telemetry.Bus.emit ~legacy:t.tr t.eng
-      (Telemetry.Event.Host_suspect { host = Host.name he.host });
+    if Telemetry.Gate.on () then
+      Telemetry.Bus.emit t.eng
+        (Telemetry.Event.Host_suspect { host = Host.name he.host });
     (* The 3-second confirmation timer starts at suspicion; verification
        runs concurrently and can clear the suspicion early, so transient
        network jitter never triggers migration (§3.3.3). *)
@@ -509,7 +513,6 @@ let create net ~fabric ?(config = default_config) cname =
       eng = Network.engine net;
       cfg = config;
       ep = Rpc.endpoint cnode;
-      tr = Trace.create ();
       hosts = [];
       agents = [];
       managed_tbl = Hashtbl.create 32;

@@ -20,8 +20,9 @@
       a move. Once a host is declared failed it is fenced and quarantined
       until a manual reset.
 
-    Every step is timestamped in a {!Sim.Trace.t} with categories
-    ["detect"], ["initiate"], ["migrate"] and ["recovered"] — the raw
+    Every step is emitted on the telemetry bus as an [Orch] event —
+    [Failure_detected], [Migration_initiated], [Migration_done], plus
+    [Host_suspect] / [Host_failed] for host-level localization — the raw
     material of Table 1. *)
 
 type failure_kind =
@@ -64,7 +65,6 @@ val create :
 
 val node : t -> Netsim.Node.t
 val addr : t -> Netsim.Addr.t
-val trace : t -> Sim.Trace.t
 
 val register_host : ?region:string -> t -> Host.t -> unit
 (** Starts heartbeating the host (which also feeds its fencing lease).

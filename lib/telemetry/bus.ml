@@ -115,12 +115,7 @@ let push r ~cap:want e =
     true
   end
 
-let emit ?legacy eng event =
-  (match legacy with
-  | Some tr ->
-      let cat, msg = Event.legacy event in
-      Sim.Trace.emit tr eng cat msg
-  | None -> ());
+let emit eng event =
   if Gate.on () then begin
     let st = state () in
     st.seq_counter <- st.seq_counter + 1;
@@ -199,10 +194,6 @@ let set_category_capacity c n =
 let category_capacity c =
   let st = state () in
   match st.cat_capacity.(cat_index c) with Some n -> n | None -> st.capacity
-
-let pp_entry fmt e =
-  let cat, msg = Event.legacy e.event in
-  Format.fprintf fmt "#%d [%a] %s: %s" e.seq Sim.Time.pp e.at cat msg
 
 let to_jsonl buf =
   List.iter

@@ -7,16 +7,14 @@
     categories, including events emitted at the same simulated instant
     (emission order wins, matching the engine's FIFO tie-break).
 
-    Recording is gated on {!Gate}; the [?legacy] mirror is NOT gated:
-    an event carrying a legacy trace always lands in that trace, so
-    pre-existing [Sim.Trace] consumers behave identically whether
-    telemetry is on, off, or never touched. *)
+    Recording is gated on {!Gate}: with telemetry off, {!emit} is a
+    no-op. Callers that need specific events regardless of the gate
+    (experiment milestones) use {!Control.capture}. *)
 
 type entry = { seq : int; at : Sim.Time.t; event : Event.t }
 
-val emit : ?legacy:Sim.Trace.t -> Sim.Engine.t -> Event.t -> unit
-(** Records [event] at the engine's current instant (when {!Gate.on})
-    and mirrors its {!Event.legacy} rendering into [legacy] (always). *)
+val emit : Sim.Engine.t -> Event.t -> unit
+(** Records [event] at the engine's current instant (when {!Gate.on}). *)
 
 val events : ?category:Event.category -> unit -> entry list
 (** Buffered entries, oldest first (globally ordered by [seq]). *)
@@ -68,8 +66,6 @@ val category_capacity : Event.category -> int
 
 val clear : unit -> unit
 (** Drops all buffered entries and resets counters. *)
-
-val pp_entry : Format.formatter -> entry -> unit
 
 val to_jsonl : Buffer.t -> unit
 (** Appends one JSON object per buffered entry:

@@ -11,6 +11,23 @@ let reset () =
   Span.clear ();
   Registry.reset_values ()
 
+(* Entries reach [capture] through a live subscription rather than a
+   ring read, so a ring sized too small for the run cannot overwrite a
+   milestone before the caller sees it. *)
+let capture ?category f =
+  let was_on = Gate.on () in
+  let rev = ref [] in
+  let sub = Bus.subscribe ?category (fun e -> rev := e :: !rev) in
+  Gate.set true;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Bus.unsubscribe sub;
+        Gate.set was_on)
+      f
+  in
+  (result, List.rev !rev)
+
 let write_file path content =
   let oc = open_out path in
   output_string oc content;

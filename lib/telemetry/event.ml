@@ -297,34 +297,6 @@ let fields = function
       ]
   | Generic { detail; _ } -> [ ("detail", Str detail) ]
 
-(* The first group must stay byte-identical to the Trace.emitf strings
-   they replaced: experiments and examples query these categories. *)
-let legacy ev =
-  match ev with
-  | Failure_detected { id; kind } -> ("detect", id ^ " " ^ kind)
-  | Migration_initiated { id } -> ("initiate", id)
-  | Migration_done { id; host; container } ->
-      ("migrate", Printf.sprintf "%s -> %s/%s" id host container)
-  | Host_suspect { host } -> ("host-suspect", host)
-  | Host_failed { host } -> ("host-failed", host)
-  | Failure_injected { service; kind } -> ("inject", service ^ " " ^ kind)
-  | Planned_migration { service } -> ("planned", service)
-  | Tcp_synced { service; vrf } -> ("tcp-synced", service ^ "/" ^ vrf)
-  | Generic { name; detail; _ } -> (name, detail)
-  | _ ->
-      ( category_name (category ev),
-        String.concat " "
-          (name ev
-          :: List.map
-               (fun (k, v) ->
-                 k ^ "="
-                 ^
-                 match v with
-                 | Int i -> string_of_int i
-                 | Float f -> Printf.sprintf "%g" f
-                 | Str s -> s)
-               (fields ev)) )
-
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

@@ -4,12 +4,9 @@
     the fields the paper's evaluation reads off (node, peer, sequence
     numbers, byte counts, durations) instead of a formatted string.
     Events are grouped into per-subsystem categories; the bus keeps one
-    ring buffer per category.
-
-    [legacy] renders an event to the exact [(category, message)] pair
-    the old stringly {!Sim.Trace} call sites produced, which is what
-    keeps existing trace queries (e.g. Table 1's ["detect"] /
-    ["tcp-synced"] lookups) working unchanged. *)
+    ring buffer per category. Table 1's phase boundaries are the [Orch]
+    events [Failure_detected], [Migration_initiated], [Migration_done]
+    and [Tcp_synced]. *)
 
 type category = Tcp | Bgp | Bfd | Netfilter | Replicator | Orch | Store | Fleet
 
@@ -130,11 +127,6 @@ type field = Int of int | Float of float | Str of string
 
 val fields : t -> (string * field) list
 (** The event's payload as a flat field list, for JSON export. *)
-
-val legacy : t -> string * string
-(** [(trace_category, message)] — byte-identical to the strings the
-    replaced [Trace.emitf] call sites used to emit, for the events that
-    replaced one; a readable rendering for the rest. *)
 
 val to_json : t -> string
 (** One JSON object: [{"cat":...,"ev":...,"f":{...}}]. *)

@@ -11,7 +11,6 @@ type t = {
   store_server : Store.Server.t;
   store_addr : Addr.t;
   store_replica_server : Store.Server.t option;
-  trace : Trace.t;
   warm_boot : Time.span;
   cold_boot : Time.span;
   mutable picker :
@@ -48,7 +47,6 @@ let services_key : (string, service) Hashtbl.t Domain.DLS.key =
 
 let services () = Domain.DLS.get services_key
 
-let migration_trace t = t.trace
 let set_service_picker t pick = t.picker <- Some pick
 
 (* --- Migrator ---------------------------------------------------------------- *)
@@ -154,8 +152,9 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
             ~your_disc:(Bfd.your_disc session)
       | None -> ());
   App.on_tcp_synced app (fun ~vrf ->
-      Telemetry.Bus.emit ~legacy:t.trace t.eng
-        (Telemetry.Event.Tcp_synced { service = svc.sid; vrf });
+      if Telemetry.Gate.on () then
+        Telemetry.Bus.emit t.eng
+          (Telemetry.Event.Tcp_synced { service = svc.sid; vrf });
       match Telemetry.Span.ambient () with
       | Some root ->
           Telemetry.Span.finish t.eng root;
@@ -199,9 +198,10 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
                 (Orch.Host.create_container host ~boot_span
                    (Printf.sprintf "%s-g%d" svc.sid svc.generation))
           | None ->
-              Telemetry.Bus.emit ~legacy:t.trace t.eng
-                (Telemetry.Event.Migration_deferred
-                   { id = svc.sid; reason = "no-healthy-host" });
+              if Telemetry.Gate.on () then
+                Telemetry.Bus.emit t.eng
+                  (Telemetry.Event.Migration_deferred
+                     { id = svc.sid; reason = "no-healthy-host" });
               ignore
                 (Engine.schedule_after t.eng ~label:"deploy.defer_placement"
                    (Time.sec 1) acquire)
@@ -263,7 +263,6 @@ let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
       store_server;
       store_addr = Store.Server.addr store_server;
       store_replica_server;
-      trace = Trace.create ();
       warm_boot;
       cold_boot;
       picker = None;
@@ -273,9 +272,6 @@ let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
       match Hashtbl.find_opt (services ()) id with
       | Some svc -> migrate t svc ~reason ~done_
       | None -> ());
-  (* Mirror the controller's trace into the deployment trace lazily: the
-     controller already timestamps detect/initiate/migrate; experiments
-     read both. *)
   t
 
 (* --- Peers ----------------------------------------------------------------------- *)
@@ -396,8 +392,9 @@ let planned_migration t ?done_ svc =
     let sp = Telemetry.Span.start t.eng "planned_migration" in
     Telemetry.Span.set_ambient (Some sp)
   end;
-  Telemetry.Bus.emit ~legacy:t.trace t.eng
-    (Telemetry.Event.Planned_migration { service = svc.sid });
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng
+      (Telemetry.Event.Planned_migration { service = svc.sid });
   Orch.Controller.begin_planned t.ctrl ~id:svc.sid;
   App.freeze_for_migration svc.app (fun () ->
       migrate t svc ~reason:Orch.Controller.App_failure
@@ -416,20 +413,24 @@ let start_failover_span t =
 
 let inject_app_failure t svc =
   start_failover_span t;
-  Telemetry.Bus.emit ~legacy:t.trace t.eng
-    (Telemetry.Event.Failure_injected { service = svc.sid; kind = "app" });
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng
+      (Telemetry.Event.Failure_injected { service = svc.sid; kind = "app" });
   App.crash_bgp svc.app
 
 let inject_container_failure t svc =
   start_failover_span t;
-  Telemetry.Bus.emit ~legacy:t.trace t.eng
-    (Telemetry.Event.Failure_injected { service = svc.sid; kind = "container" });
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng
+      (Telemetry.Event.Failure_injected
+         { service = svc.sid; kind = "container" });
   Orch.Container.fail svc.primary
 
 let inject_host_failure t svc =
   start_failover_span t;
-  Telemetry.Bus.emit ~legacy:t.trace t.eng
-    (Telemetry.Event.Failure_injected { service = svc.sid; kind = "host" });
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng
+      (Telemetry.Event.Failure_injected { service = svc.sid; kind = "host" });
   let name = Orch.Container.host_name svc.primary in
   Array.iter
     (fun h -> if String.equal (Orch.Host.name h) name then Orch.Host.fail h)
@@ -437,9 +438,10 @@ let inject_host_failure t svc =
 
 let inject_host_network_failure t svc =
   start_failover_span t;
-  Telemetry.Bus.emit ~legacy:t.trace t.eng
-    (Telemetry.Event.Failure_injected
-       { service = svc.sid; kind = "host-network" });
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng
+      (Telemetry.Event.Failure_injected
+         { service = svc.sid; kind = "host-network" });
   let name = Orch.Container.host_name svc.primary in
   Array.iter
     (fun h ->

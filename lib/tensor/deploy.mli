@@ -25,7 +25,6 @@ type t = {
   store_replica_server : Store.Server.t option;
       (** Present when [build ~store_replica:true]: the synchronous
           replica, exposed so chaos scenarios can crash/promote it. *)
-  trace : Sim.Trace.t;
   warm_boot : Sim.Time.span;
       (** Backup container boot for app/container failures (1 s). *)
   cold_boot : Sim.Time.span;
@@ -53,8 +52,10 @@ val build :
     [store_replica] (default false) attaches a synchronous replica on a
     second store server — the paper's "Redis set up on multiple local
     servers". [ctrl_config] overrides the controller's timers (fleet
-    sweeps vary probe cadence with controller placement). The trace
-    records every migration milestone. *)
+    sweeps vary probe cadence with controller placement). Migration
+    milestones ([Failure_injected], [Tcp_synced] per VRF, the
+    controller's [Orch] events) go to the telemetry bus; read them with
+    {!Telemetry.Control.capture}. *)
 
 val set_service_picker :
   t -> (service_id:string -> avoid:string list -> Orch.Host.t option) -> unit
@@ -162,11 +163,5 @@ val inject_app_failure : t -> service -> unit
 val inject_container_failure : t -> service -> unit
 val inject_host_failure : t -> service -> unit
 val inject_host_network_failure : t -> service -> unit
-
-(** {1 Observability} *)
-
-val migration_trace : t -> Sim.Trace.t
-(** Alias of [trace]: categories ["detect"], ["initiate"], ["migrate"],
-    ["tcp-synced"] (per VRF), plus the controller's own entries. *)
 
 val service_routes : service -> vrf:string -> int

@@ -24,10 +24,18 @@ let one_migration ~backup_mode =
       (Workload.Prefixes.distinct 300);
     Engine.run_for eng (Time.sec 10);
     let t0 = Engine.now eng in
-    Deploy.inject_container_failure dep svc;
-    Engine.run_for eng (Time.sec 30);
-    match Trace.first dep.Deploy.trace ~category:"tcp-synced" with
-    | Some e -> Time.to_sec_f (Time.diff e.Trace.at t0)
+    let (), orch =
+      Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+          Deploy.inject_container_failure dep svc;
+          Engine.run_for eng (Time.sec 30))
+    in
+    match
+      List.find_opt
+        (fun (e : Telemetry.Bus.entry) ->
+          match e.event with Telemetry.Event.Tcp_synced _ -> true | _ -> false)
+        orch
+    with
+    | Some e -> Time.to_sec_f (Time.diff e.at t0)
     | None -> nan
   end
 
@@ -63,6 +71,12 @@ type sync_result = {
 let flood_updates = 100_000
 
 let one_mode ~mode ~store_delay ~ack_hold =
+  (* The ACK-hold mean is the registry histogram's growth over this
+     deployment's lifetime: only its replicator observes into it before
+     the read point. *)
+  let hold = Telemetry.Registry.histogram "replicator.ack_hold_s" in
+  let hold_n0 = Telemetry.Registry.hist_count hold in
+  let hold_sum0 = Telemetry.Registry.hist_sum hold in
   let dep = Deploy.build ~store_delay () in
   let eng = dep.Deploy.eng in
   let peer = Deploy.add_peer_as dep ~asn:65010 "peer" in
@@ -152,9 +166,12 @@ let one_mode ~mode ~store_delay ~ack_hold =
     in
     let mean_ack_hold_ms =
       match App.replicator (Deploy.service_app svc) ~vrf:"v0" with
-      | Some repl ->
-          let s = Replicator.hold_samples repl in
-          if Metrics.n s = 0 then 0.0 else Metrics.mean s *. 1e3
+      | Some _ ->
+          let n = Telemetry.Registry.hist_count hold - hold_n0 in
+          if n = 0 then 0.0
+          else
+            (Telemetry.Registry.hist_sum hold -. hold_sum0)
+            /. float_of_int n *. 1e3
       | None -> nan
     in
     (* A second flood with a crash in the middle of the stream. With

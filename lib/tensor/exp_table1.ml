@@ -50,23 +50,37 @@ let scenario kind =
   let drops = ref 0 in
   Bgp.Speaker.on_peer_down peer_handle (fun _ -> incr drops);
   let t0 = Engine.now eng in
-  (match kind with
-  | Orch.Controller.App_failure -> Deploy.inject_app_failure dep svc
-  | Orch.Controller.Container_failure -> Deploy.inject_container_failure dep svc
-  | Orch.Controller.Host_failure -> Deploy.inject_host_failure dep svc
-  | Orch.Controller.Host_network_failure ->
-      Deploy.inject_host_network_failure dep svc);
-  Engine.run_for eng (Time.sec 40);
-  let ctl_trace = Orch.Controller.trace dep.Deploy.ctrl in
-  let at category trace =
-    match Trace.first trace ~category with
-    | Some e -> Time.to_sec_f (Time.diff e.Trace.at t0)
+  let (), orch =
+    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+        (match kind with
+        | Orch.Controller.App_failure -> Deploy.inject_app_failure dep svc
+        | Orch.Controller.Container_failure ->
+            Deploy.inject_container_failure dep svc
+        | Orch.Controller.Host_failure -> Deploy.inject_host_failure dep svc
+        | Orch.Controller.Host_network_failure ->
+            Deploy.inject_host_network_failure dep svc);
+        Engine.run_for eng (Time.sec 40))
+  in
+  (* Each phase ends at the first milestone event of its kind. *)
+  let at milestone =
+    match
+      List.find_opt (fun (e : Telemetry.Bus.entry) -> milestone e.event) orch
+    with
+    | Some e -> Time.to_sec_f (Time.diff e.at t0)
     | None -> nan
   in
-  let detect = at "detect" ctl_trace in
-  let initiate = at "initiate" ctl_trace in
-  let migrate_done = at "migrate" ctl_trace in
-  let tcp_synced = at "tcp-synced" dep.Deploy.trace in
+  let detect =
+    at (function Telemetry.Event.Failure_detected _ -> true | _ -> false)
+  in
+  let initiate =
+    at (function Telemetry.Event.Migration_initiated _ -> true | _ -> false)
+  in
+  let migrate_done =
+    at (function Telemetry.Event.Migration_done _ -> true | _ -> false)
+  in
+  let tcp_synced =
+    at (function Telemetry.Event.Tcp_synced _ -> true | _ -> false)
+  in
   let baseline = Baseline.recovery_for kind in
   {
     kind;

@@ -54,7 +54,6 @@ type t = {
   mutable wm_target : int; (* highest durable ack, pending confirmation *)
   mutable confirm_inflight : bool;
   held : (int * Time.t * (Netfilter.verdict -> unit)) Queue.t;
-  holds : Metrics.samples;
   mutable in_seq : int;
   unapplied : in_state Queue.t; (* in| records awaiting apply + durability *)
   (* Send side. *)
@@ -103,7 +102,6 @@ let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
     wm_target = 0;
     confirm_inflight = false;
     held = Queue.create ();
-    holds = Metrics.samples "ack-hold";
     in_seq = 0;
     unapplied = Queue.create ();
     written = 0;
@@ -126,7 +124,6 @@ let ecid t = Keys.epoch_cid t.cid t.epoch
 let epoch t = t.epoch
 let watermark t = t.wm
 let held_segments t = Queue.length t.held
-let hold_samples t = t.holds
 let bytes_written t = t.written
 let pending_unapplied t = Queue.length t.unapplied
 let degraded t = t.degraded
@@ -233,7 +230,6 @@ let submit_bulk t op =
 let release_one t =
   let ack, since, reinject = Queue.pop t.held in
   let held_s = Time.to_sec_f (Time.diff (Engine.now t.eng) since) in
-  Metrics.record t.holds held_s;
   Telemetry.Registry.incr m_acks_released;
   Telemetry.Registry.observe m_hold_s held_s;
   if Telemetry.Gate.on () then

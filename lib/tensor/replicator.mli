@@ -118,12 +118,10 @@ val watermark : t -> int option
 (** The replicated-ACK watermark (None before establishment). *)
 
 val held_segments : t -> int
-(** Segments currently held by the tcp_queue. *)
-
-val hold_samples : t -> Sim.Metrics.samples
-(** How long each held segment waited before release, in seconds — the
-    effective acknowledgment delay TENSOR introduces (compare with the
-    Figure 5(a) thresholds). *)
+(** Segments currently held by the tcp_queue. How long each one waited
+    before release — the acknowledgment delay TENSOR introduces (compare
+    with the Figure 5(a) thresholds) — is observed, in seconds, into the
+    [replicator.ack_hold_s] registry histogram. *)
 
 val bytes_written : t -> int
 val pending_unapplied : t -> int

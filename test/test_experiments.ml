@@ -100,18 +100,39 @@ let test_fig6d_linear () =
 
 (* --- Table 1 ------------------------------------------------------------------ *)
 
+(* The phase columns exactly as Table 1 prints them (detect, init,
+   migrate, TCP, total): the simulation is deterministic, so any change
+   in how the phases are measured shows up as a changed string. *)
+let phase_strings (r : Tensor.Exp_table1.timeline) =
+  String.concat " "
+    (List.map (Printf.sprintf "%.2f")
+       [ r.detect_s; r.initiate_s; r.migrate_s; r.tcp_s; r.total_s ])
+
+let check_phases kind expected =
+  match Tensor.Exp_table1.run ~kinds:[ kind ] () with
+  | [ r ] ->
+      checki "zero session drops" 0 r.Tensor.Exp_table1.peer_session_drops;
+      checki "zero routes lost" 0 r.Tensor.Exp_table1.peer_routes_lost;
+      Alcotest.(check string) "printed phases" expected (phase_strings r);
+      r
+  | rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows)
+
 let test_table1_app_failure_row () =
-  let rows =
-    Tensor.Exp_table1.run ~kinds:[ Orch.Controller.App_failure ] ()
-  in
-  let r = List.hd rows in
-  checki "zero session drops" 0 r.Tensor.Exp_table1.peer_session_drops;
-  checki "zero routes lost" 0 r.Tensor.Exp_table1.peer_routes_lost;
+  let r = check_phases Orch.Controller.App_failure "0.01 0.10 1.00 1.00 2.11" in
   checkb "detect ~10ms" true (r.Tensor.Exp_table1.detect_s < 0.1);
   checkb "total in the paper's ballpark (2.26)" true
     (r.Tensor.Exp_table1.total_s > 1.5 && r.Tensor.Exp_table1.total_s < 3.5);
   checkb "faster than the baseline" true
     (r.Tensor.Exp_table1.total_s < r.Tensor.Exp_table1.baseline_total_s)
+
+let test_table1_other_rows () =
+  List.iter
+    (fun (kind, expected) -> ignore (check_phases kind expected))
+    [
+      (Orch.Controller.Container_failure, "0.27 0.10 1.00 1.00 2.37");
+      (Orch.Controller.Host_failure, "3.58 0.20 4.40 1.00 9.18");
+      (Orch.Controller.Host_network_failure, "3.58 0.20 4.40 1.00 9.18");
+    ]
 
 (* --- Multi-AS parallelism ------------------------------------------------------- *)
 
@@ -170,7 +191,10 @@ let () =
           Alcotest.test_case "6d linear" `Quick test_fig6d_linear;
         ] );
       ( "table1",
-        [ Alcotest.test_case "app failure row" `Quick test_table1_app_failure_row ] );
+        [
+          Alcotest.test_case "app failure row" `Quick test_table1_app_failure_row;
+          Alcotest.test_case "other failure rows" `Quick test_table1_other_rows;
+        ] );
       ( "multias",
         [ Alcotest.test_case "parallel speedup" `Slow test_multias_speedup ] );
       ( "fig7",

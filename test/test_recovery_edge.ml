@@ -164,12 +164,18 @@ let test_preheat_faster_than_cold () =
       (Workload.Prefixes.distinct 200);
     Engine.run_for eng (Time.sec 10);
     let t0 = Engine.now eng in
-    Tensor.Deploy.inject_container_failure dep svc;
-    Engine.run_for eng (Time.sec 30);
+    let (), orch =
+      Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+          Tensor.Deploy.inject_container_failure dep svc;
+          Engine.run_for eng (Time.sec 30))
+    in
     match
-      Trace.first dep.Tensor.Deploy.trace ~category:"tcp-synced"
+      List.find_opt
+        (fun (e : Telemetry.Bus.entry) ->
+          match e.event with Telemetry.Event.Tcp_synced _ -> true | _ -> false)
+        orch
     with
-    | Some e -> Time.to_sec_f (Time.diff e.Trace.at t0)
+    | Some e -> Time.to_sec_f (Time.diff e.at t0)
     | None -> Alcotest.fail "no recovery"
   in
   let cold = run `Cold in

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event engine, RNG, time and metrics. *)
+(* Tests for the discrete-event engine, RNG and time. *)
 
 open Sim
 
@@ -215,105 +215,6 @@ let test_rng_shuffle_permutation () =
     (Array.init 50 (fun i -> i))
     sorted
 
-(* --- Metrics ----------------------------------------------------------- *)
-
-let test_metrics_counter () =
-  let c = Metrics.counter "c" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  checki "count" 5 (Metrics.count c);
-  Metrics.reset c;
-  checki "reset" 0 (Metrics.count c)
-
-let test_metrics_mean_stddev () =
-  let s = Metrics.samples "s" in
-  List.iter (Metrics.record s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  checkf "mean" 5.0 (Metrics.mean s);
-  checkf "stddev" 2.0 (Metrics.stddev s);
-  checki "n" 8 (Metrics.n s)
-
-let test_metrics_quantiles () =
-  let s = Metrics.samples "s" in
-  for i = 1 to 101 do
-    Metrics.record s (float_of_int i)
-  done;
-  checkf "median" 51.0 (Metrics.median s);
-  checkf "q0" 1.0 (Metrics.quantile s 0.0);
-  checkf "q1" 101.0 (Metrics.quantile s 1.0);
-  checkf "p90" 91.0 (Metrics.quantile s 0.9)
-
-let test_metrics_quantile_interpolates () =
-  let s = Metrics.samples "s" in
-  Metrics.record s 0.0;
-  Metrics.record s 10.0;
-  checkf "interpolated" 2.5 (Metrics.quantile s 0.25)
-
-let test_metrics_empty () =
-  let s = Metrics.samples "s" in
-  checkb "mean nan" true (Float.is_nan (Metrics.mean s));
-  checkb "quantile nan" true (Float.is_nan (Metrics.quantile s 0.5));
-  check (Alcotest.list (Alcotest.pair (Alcotest.float 0.0) (Alcotest.float 0.0)))
-    "cdf empty" [] (Metrics.cdf s 10)
-
-let test_metrics_cdf () =
-  let s = Metrics.samples "s" in
-  for i = 1 to 100 do
-    Metrics.record s (float_of_int i)
-  done;
-  let cdf = Metrics.cdf s 4 in
-  checki "points" 4 (List.length cdf);
-  let _, last_p = List.nth cdf 3 in
-  checkf "last prob" 1.0 last_p
-
-let test_metrics_span_recorder () =
-  let eng = Engine.create () in
-  let r = Metrics.span_recorder "lat" in
-  Metrics.span_start r eng 1;
-  ignore
-    (Engine.schedule_after eng (Time.ms 250) (fun () ->
-         Metrics.span_stop r eng 1));
-  Engine.run eng;
-  let s = Metrics.span_samples r in
-  checki "one span" 1 (Metrics.n s);
-  checkf "duration" 0.25 (Metrics.mean s)
-
-let test_metrics_span_unknown_stop () =
-  let eng = Engine.create () in
-  let r = Metrics.span_recorder "lat" in
-  Metrics.span_stop r eng 99;
-  checki "no samples" 0 (Metrics.n (Metrics.span_samples r))
-
-(* --- Trace ------------------------------------------------------------- *)
-
-let test_trace_basic () =
-  let eng = Engine.create () in
-  let tr = Trace.create () in
-  ignore
-    (Engine.schedule_after eng (Time.ms 1) (fun () ->
-         Trace.emit tr eng "bgp" "session up"));
-  ignore
-    (Engine.schedule_after eng (Time.ms 2) (fun () ->
-         Trace.emitf tr eng "bgp" "routes %d" 42));
-  Engine.run eng;
-  checki "two entries" 2 (List.length (Trace.entries tr));
-  (match Trace.first tr ~category:"bgp" with
-  | Some e ->
-      checki "first at 1ms" (Time.ms 1) e.Trace.at;
-      check Alcotest.string "message" "session up" e.Trace.message
-  | None -> Alcotest.fail "missing first");
-  match Trace.last tr ~category:"bgp" with
-  | Some e -> check Alcotest.string "formatted" "routes 42" e.Trace.message
-  | None -> Alcotest.fail "missing last"
-
-let test_trace_disabled () =
-  let eng = Engine.create () in
-  let tr = Trace.create ~enabled:false () in
-  Trace.emit tr eng "x" "y";
-  checki "nothing recorded" 0 (List.length (Trace.entries tr));
-  Trace.enable tr true;
-  Trace.emit tr eng "x" "y";
-  checki "recorded after enable" 1 (List.length (Trace.entries tr))
-
 (* --- Property tests ---------------------------------------------------- *)
 
 let prop_heap_ordering =
@@ -333,20 +234,6 @@ let prop_heap_ordering =
       let times = List.rev !fired in
       List.length times = List.length delays
       && List.for_all2 ( = ) (List.sort compare times) times)
-
-let prop_quantile_monotone =
-  QCheck.Test.make ~name:"quantile is monotone in q" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_inclusive 1000.0))
-    (fun vals ->
-      let s = Metrics.samples "q" in
-      List.iter (Metrics.record s) vals;
-      let qs = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ] in
-      let rec ok = function
-        | a :: (b :: _ as rest) ->
-            Metrics.quantile s a <= Metrics.quantile s b +. 1e-9 && ok rest
-        | _ -> true
-      in
-      ok qs)
 
 let prop_cancel_safety =
   QCheck.Test.make ~name:"random cancellations never fire and never leak"
@@ -424,30 +311,11 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick
             test_rng_shuffle_permutation;
         ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counter" `Quick test_metrics_counter;
-          Alcotest.test_case "mean and stddev" `Quick test_metrics_mean_stddev;
-          Alcotest.test_case "quantiles" `Quick test_metrics_quantiles;
-          Alcotest.test_case "quantile interpolates" `Quick
-            test_metrics_quantile_interpolates;
-          Alcotest.test_case "empty samples" `Quick test_metrics_empty;
-          Alcotest.test_case "cdf" `Quick test_metrics_cdf;
-          Alcotest.test_case "span recorder" `Quick test_metrics_span_recorder;
-          Alcotest.test_case "span unknown stop" `Quick
-            test_metrics_span_unknown_stop;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "basic" `Quick test_trace_basic;
-          Alcotest.test_case "disabled" `Quick test_trace_disabled;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_heap_ordering;
             prop_cancel_safety;
-            prop_quantile_monotone;
             prop_rng_int_uniformish;
           ]
       );

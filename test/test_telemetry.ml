@@ -1,12 +1,13 @@
 (* The structured telemetry layer: event bus ordering, span trees and
-   orphan handling, histogram bucket boundaries, the legacy Trace
-   mirror, and the disabled-mode no-op guarantees. *)
+   orphan handling, histogram buckets and quantiles, milestone capture,
+   and the disabled-mode no-op guarantees. *)
 
 open Sim
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
+let checkf = Alcotest.(check (float 1e-9))
 
 (* Every test starts from a clean, enabled slate and leaves telemetry
    disabled for whoever runs next. *)
@@ -117,16 +118,6 @@ let test_jsonl_escaping_roundtrip () =
                   Monitor.Json.to_str))
       | _ -> Alcotest.fail "expected two parsed lines"))
 
-let test_legacy_mirror () =
-  with_telemetry (fun () ->
-      let eng = Engine.create () in
-      let tr = Trace.create () in
-      Telemetry.Bus.emit ~legacy:tr eng
-        (Telemetry.Event.Failure_detected { id = "svc1"; kind = "host-machine" });
-      match Trace.first tr ~category:"detect" with
-      | Some e -> checks "legacy string" "svc1 host-machine" e.Trace.message
-      | None -> Alcotest.fail "legacy trace entry missing")
-
 (* --- Spans ---------------------------------------------------------------- *)
 
 let test_span_nesting () =
@@ -164,6 +155,22 @@ let test_span_nesting () =
             (s.Telemetry.Span.stop_at = Some (Time.ms 65))
       | _ -> Alcotest.fail "no failover span");
       checki "one root" 1 (List.length (Telemetry.Span.roots ())))
+
+let test_span_stop_unknown () =
+  with_telemetry (fun () ->
+      let eng = Engine.create () in
+      Telemetry.Span.finish eng 99;
+      let s = Telemetry.Span.start eng "once" in
+      Engine.run_for eng (Time.ms 10);
+      Telemetry.Span.finish eng s;
+      Engine.run_for eng (Time.ms 10);
+      (* A second finish must not move the recorded stop. *)
+      Telemetry.Span.finish eng s;
+      match Telemetry.Span.spans () with
+      | [ sp ] ->
+          checkb "stopped at the first finish" true
+            (sp.Telemetry.Span.stop_at = Some (Time.ms 10))
+      | l -> Alcotest.failf "expected 1 span, got %d" (List.length l))
 
 let test_span_orphans () =
   with_telemetry (fun () ->
@@ -221,7 +228,6 @@ let test_histogram_buckets () =
    not the power-of-two bucket bounds they fall into. *)
 let test_quantile_extremes () =
   with_telemetry (fun () ->
-      let checkf = Alcotest.(check (float 1e-9)) in
       let h = Telemetry.Registry.histogram "test.quant" in
       List.iter (Telemetry.Registry.observe h) [ 0.37; 5.25; 1.9; 0.62 ];
       checkf "q=0 is the observed minimum" 0.37
@@ -232,12 +238,65 @@ let test_quantile_extremes () =
          high quantile can never exceed the true maximum even though its
          bucket's upper bound (8.0) does. *)
       checkb "q=0.99 clamped to the maximum" true
-        (Telemetry.Registry.quantile h 0.99 <= 5.25);
-      checkb "nan argument is nan" true
-        (Float.is_nan (Telemetry.Registry.quantile h Float.nan));
-      let e = Telemetry.Registry.histogram "test.quant.empty" in
-      checkb "empty histogram q=0 is nan" true
-        (Float.is_nan (Telemetry.Registry.quantile e 0.0)))
+        (Telemetry.Registry.quantile h 0.99 <= 5.25))
+
+(* Edge cases of the log-bucketed quantile estimate. *)
+
+let test_quantile_empty () =
+  with_telemetry (fun () ->
+      let h = Telemetry.Registry.histogram "test.q.empty" in
+      checkb "q=0 of empty is nan" true
+        (Float.is_nan (Telemetry.Registry.quantile h 0.0));
+      checkb "median of empty is nan" true
+        (Float.is_nan (Telemetry.Registry.quantile h 0.5));
+      checkb "min of empty is nan" true
+        (Float.is_nan (Telemetry.Registry.hist_min h));
+      checkb "max of empty is nan" true
+        (Float.is_nan (Telemetry.Registry.hist_max h)))
+
+let test_quantile_single () =
+  with_telemetry (fun () ->
+      let h = Telemetry.Registry.histogram "test.q.one" in
+      Telemetry.Registry.observe h 42.0;
+      List.iter
+        (fun q -> checkf (Printf.sprintf "q=%g" q) 42.0
+            (Telemetry.Registry.quantile h q))
+        [ 0.0; 0.5; 1.0 ])
+
+let test_quantile_bounds () =
+  with_telemetry (fun () ->
+      let h = Telemetry.Registry.histogram "test.q.bounds" in
+      List.iter (Telemetry.Registry.observe h) [ 3.0; 1.0; 2.0; 4.0 ];
+      (* Out-of-range arguments clamp rather than raise or index out of
+         bounds. *)
+      checkf "q<0 clamps to the minimum" 1.0
+        (Telemetry.Registry.quantile h (-0.3));
+      checkf "q>1 clamps to the maximum" 4.0
+        (Telemetry.Registry.quantile h 1.7))
+
+let test_quantile_nan () =
+  with_telemetry (fun () ->
+      let h = Telemetry.Registry.histogram "test.q.nan" in
+      List.iter (Telemetry.Registry.observe h) [ 1.0; 2.0 ];
+      checkb "nan q yields nan" true
+        (Float.is_nan (Telemetry.Registry.quantile h nan)))
+
+let prop_quantile_monotone =
+  QCheck.Test.make ~name:"quantile is monotone in q" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_inclusive 1000.0))
+    (fun vals ->
+      with_telemetry (fun () ->
+          let h = Telemetry.Registry.histogram "test.q.prop" in
+          List.iter (Telemetry.Registry.observe h) vals;
+          let qs = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ] in
+          let rec ok = function
+            | a :: (b :: _ as rest) ->
+                Telemetry.Registry.quantile h a
+                <= Telemetry.Registry.quantile h b +. 1e-9
+                && ok rest
+            | _ -> true
+          in
+          ok qs))
 
 let test_registry_idempotent () =
   with_telemetry (fun () ->
@@ -256,20 +315,65 @@ let test_registry_idempotent () =
 let test_disabled_noop () =
   with_telemetry ~enabled:false (fun () ->
       let eng = Engine.create () in
-      let tr = Trace.create () in
       Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Tcp "quiet" "x");
-      Telemetry.Bus.emit ~legacy:tr eng
+      Telemetry.Bus.emit eng
         (Telemetry.Event.Planned_migration { service = "svc9" });
       checki "no events buffered" 0 (List.length (Telemetry.Bus.events ()));
-      (* The legacy mirror still fires: Trace consumers must behave
-         identically with telemetry off. *)
-      (match Trace.first tr ~category:"planned" with
-      | Some e -> checks "legacy mirror not gated" "svc9" e.Trace.message
-      | None -> Alcotest.fail "legacy mirror was gated off");
       let s = Telemetry.Span.start eng "ghost" in
       checkb "span id is none" true (s = Telemetry.Span.none);
       Telemetry.Span.finish eng s;
       checki "no spans recorded" 0 (List.length (Telemetry.Span.spans ())))
+
+(* --- Capture ---------------------------------------------------------------- *)
+
+let capture_is_transparent ~enabled () =
+  with_telemetry ~enabled (fun () ->
+      let subs = Telemetry.Bus.subscriber_count () in
+      let inside, _ = Telemetry.Control.capture Telemetry.Gate.on in
+      checkb "recording on inside" true inside;
+      checkb "gate restored" enabled (Telemetry.Gate.on ());
+      checki "subscription released" subs (Telemetry.Bus.subscriber_count ()))
+
+let test_capture_filters_in_order () =
+  with_telemetry (fun () ->
+      let eng = Engine.create () in
+      let orch name = ev_generic Telemetry.Event.Orch name "" in
+      Telemetry.Bus.emit eng (orch "before");
+      let (), got =
+        Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+            Telemetry.Bus.emit eng (orch "a");
+            Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Tcp "tcp" "");
+            ignore
+              (Engine.schedule_after eng (Time.ms 3) (fun () ->
+                   Telemetry.Bus.emit eng (orch "c")));
+            Telemetry.Bus.emit eng (orch "b");
+            Engine.run_for eng (Time.ms 5))
+      in
+      Telemetry.Bus.emit eng (orch "after");
+      checks "orch events of the call, in emission order" "a,b,c"
+        (String.concat ","
+           (List.map (fun e -> Telemetry.Event.name e.Telemetry.Bus.event) got));
+      let seqs = List.map (fun e -> e.Telemetry.Bus.seq) got in
+      checkb "seq strictly increasing" true
+        (List.for_all2 ( < ) seqs (List.tl seqs @ [ max_int ]));
+      checkb "timestamps kept" true
+        (List.map (fun e -> e.Telemetry.Bus.at) got
+        = [ Time.zero; Time.zero; Time.ms 3 ]);
+      (* Capture reads a subscription, not the rings, and never clears
+         them: the surrounding run keeps every event. *)
+      checki "rings untouched" 5
+        (List.length (Telemetry.Bus.events ~category:Telemetry.Event.Orch ())))
+
+let test_capture_restores_on_raise () =
+  with_telemetry ~enabled:false (fun () ->
+      let subs = Telemetry.Bus.subscriber_count () in
+      (match
+         Telemetry.Control.capture (fun () -> failwith "body failed")
+       with
+      | _ -> Alcotest.fail "exception swallowed"
+      | exception Failure _ -> ());
+      checkb "gate restored" false (Telemetry.Gate.on ());
+      checki "subscription released" subs (Telemetry.Bus.subscriber_count ()))
 
 (* --- End-to-end: failover scenario produces the span tree ----------------- *)
 
@@ -310,7 +414,6 @@ let () =
             test_simultaneous_ordering;
           Alcotest.test_case "category-filter-overflow" `Quick
             test_category_filter_and_overflow;
-          Alcotest.test_case "legacy-mirror" `Quick test_legacy_mirror;
           Alcotest.test_case "jsonl-escaping-roundtrip" `Quick
             test_jsonl_escaping_roundtrip;
         ] );
@@ -318,6 +421,7 @@ let () =
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "orphans" `Quick test_span_orphans;
+          Alcotest.test_case "stop-unknown" `Quick test_span_stop_unknown;
         ] );
       ( "registry",
         [
@@ -325,9 +429,29 @@ let () =
           Alcotest.test_case "quantile-extremes" `Quick test_quantile_extremes;
           Alcotest.test_case "idempotent" `Quick test_registry_idempotent;
         ] );
+      ( "quantile",
+        [
+          Alcotest.test_case "empty" `Quick test_quantile_empty;
+          Alcotest.test_case "single" `Quick test_quantile_single;
+          Alcotest.test_case "bounds" `Quick test_quantile_bounds;
+          Alcotest.test_case "nan-q" `Quick test_quantile_nan;
+        ] );
+      ( "capture",
+        [
+          Alcotest.test_case "restores gate from off" `Quick
+            (capture_is_transparent ~enabled:false);
+          Alcotest.test_case "restores gate from on" `Quick
+            (capture_is_transparent ~enabled:true);
+          Alcotest.test_case "category filter and order" `Quick
+            test_capture_filters_in_order;
+          Alcotest.test_case "restores on raise" `Quick
+            test_capture_restores_on_raise;
+        ] );
       ( "modes",
         [ Alcotest.test_case "disabled-noop" `Quick test_disabled_noop ] );
       ( "end-to-end",
         [ Alcotest.test_case "failover-span-tree" `Quick test_failover_span_tree ]
       );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_quantile_monotone ] );
     ]

@@ -305,11 +305,25 @@ let run_failure_scenario ~inject ?(post_failure_span = Time.sec 30) () =
   let drops = watch_peer_continuity w in
   checki "peer has all routes pre-failure" 700 (Bgp.Rib.size (peer_rib w));
   let t0 = Engine.now (eng w) in
-  inject w;
-  Engine.run_for (eng w) post_failure_span;
-  (w, drops, t0)
+  let (), orch =
+    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+        inject w;
+        Engine.run_for (eng w) post_failure_span)
+  in
+  (* Injection to TCP re-synchronization: the whole migration. *)
+  let total =
+    match
+      List.find_opt
+        (fun (e : Telemetry.Bus.entry) ->
+          match e.event with Telemetry.Event.Tcp_synced _ -> true | _ -> false)
+        orch
+    with
+    | Some e -> Time.to_sec_f (Time.diff e.at t0)
+    | None -> nan
+  in
+  (w, drops, total)
 
-let assert_zero_downtime (w, drops, _t0) =
+let assert_zero_downtime (w, drops, _total) =
   checki "peer session never dropped" 0 !drops;
   checkb "peer session still established" true
     (Bgp.Speaker.peer_state w.peer_handle = Bgp.Session.Established);
@@ -323,50 +337,41 @@ let assert_zero_downtime (w, drops, _t0) =
   checkb "migrated off the original container" true
     (Orch.Container.id (Tensor.Deploy.service_container w.svc) <> "svc1")
 
-let migration_total_seconds w t0 =
-  match Trace.first w.dep.Tensor.Deploy.trace ~category:"tcp-synced" with
-  | Some e -> Time.to_sec_f (Time.diff e.Trace.at t0)
-  | None -> Alcotest.fail "no tcp-synced trace"
-
 let test_nsr_app_failure () =
-  let ((w, _, t0) as r) =
+  let ((_, _, total) as r) =
     run_failure_scenario ~inject:(fun w -> Tensor.Deploy.inject_app_failure w.dep w.svc) ()
   in
   assert_zero_downtime r;
-  let total = migration_total_seconds w t0 in
   checkb (Printf.sprintf "app failure total %.2fs (paper 2.26)" total) true
     (total > 1.0 && total < 5.0)
 
 let test_nsr_container_failure () =
-  let ((w, _, t0) as r) =
+  let ((_, _, total) as r) =
     run_failure_scenario
       ~inject:(fun w -> Tensor.Deploy.inject_container_failure w.dep w.svc) ()
   in
   assert_zero_downtime r;
-  let total = migration_total_seconds w t0 in
   checkb (Printf.sprintf "container failure total %.2fs (paper 2.61)" total)
     true
     (total > 1.0 && total < 6.0)
 
 let test_nsr_host_failure () =
-  let ((w, _, t0) as r) =
+  let ((_, _, total) as r) =
     run_failure_scenario
       ~inject:(fun w -> Tensor.Deploy.inject_host_failure w.dep w.svc)
       ~post_failure_span:(Time.sec 40) ()
   in
   assert_zero_downtime r;
-  let total = migration_total_seconds w t0 in
   checkb (Printf.sprintf "host failure total %.2fs (paper 9.05)" total) true
     (total > 6.0 && total < 13.0)
 
 let test_nsr_host_network_failure () =
-  let ((w, _, t0) as r) =
+  let ((_, _, total) as r) =
     run_failure_scenario
       ~inject:(fun w -> Tensor.Deploy.inject_host_network_failure w.dep w.svc)
       ~post_failure_span:(Time.sec 40) ()
   in
   assert_zero_downtime r;
-  let total = migration_total_seconds w t0 in
   checkb (Printf.sprintf "host network total %.2fs (paper 9.17)" total) true
     (total > 6.0 && total < 13.0)
 
