@@ -21,11 +21,12 @@
        equality and reports per-domain throughput + true speedup in the
        snapshot's "parallel" section
 
-   Experiment ids: fig5a fig5b fig6a fig6b fig6c fig6d table1 fig7a fig7b
-   table2 micro campaign fleet (campaign and fleet are opt-in: they are
-   excluded from the default set so seed-vs-PR comparisons keep their
-   experiment list; fleet sweeps the stock correlated campaign across
-   controller placements).
+   Experiment ids: the paper experiments of Tensor.Experiments (fig5a
+   fig5b fig6a fig6b fig6c fig6d table1 multias scale ablations fig7a
+   fig7b table2, also run by `tensor-cli experiment`), then the
+   bench-only micro and campaign (campaign is opt-in: it is excluded
+   from the default set so seed-vs-PR comparisons keep their experiment
+   list).
    Simulated measurements are deterministic (fixed seeds); only `micro`
    and the campaign wall times measure host wall-clock. *)
 
@@ -36,14 +37,10 @@ let profile = ref false
 let timeseries = ref None
 let jobs = ref 1
 
-(* Experiments that never touch the engine: pure analytic / workload-model
-   code. Schema v2 marks them [non_sim] so the throughput fields are
-   omitted instead of reported as a misleading zero. *)
-let non_sim_ids = [ "fig7a"; "fig7b"; "table2" ]
-
 (* Per-experiment measurements for the --emit-bench snapshot. *)
 type bench_row = {
   br_id : string;
+  br_engine : bool; (* false: the throughput fields are omitted *)
   br_wall : float;
   br_events : int;
   br_alloc_bytes : float;
@@ -80,11 +77,10 @@ let write_bench_snapshot file ~total_wall =
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      let non_sim = List.mem r.br_id non_sim_ids in
       Printf.bprintf buf "{\"id\":\"%s\",\"wall_s\":%.6f,\"non_sim\":%b"
         (Telemetry.Event.json_escape r.br_id)
-        r.br_wall non_sim;
-      if not non_sim then
+        r.br_wall (not r.br_engine);
+      if r.br_engine then
         Printf.bprintf buf
           ",\"sim_events\":%d,\"sim_events_per_s\":%.1f,\"allocs_per_event\":%.1f"
           r.br_events
@@ -140,69 +136,6 @@ let write_bench_snapshot file ~total_wall =
   output_char oc '\n';
   close_out oc
 
-let fig5a () =
-  let results =
-    if !quick then
-      Tensor.Exp_fig5a.run ~packet_sizes:[ 100; 500; 2000 ]
-        ~delays_ms:[ 0.; 2.; 5.; 20.; 50. ]
-        ~measure_span:(Sim.Time.ms 200) ()
-    else Tensor.Exp_fig5a.run ()
-  in
-  Tensor.Exp_fig5a.print results
-
-let fig5b () =
-  let counts = if !quick then [ 1; 10; 70; 1_000; 10_000 ] else
-      [ 1; 10; 70; 100; 500; 1_000; 5_000; 10_000 ] in
-  Tensor.Exp_fig5b.print (Tensor.Exp_fig5b.run ~counts ())
-
-let fig6a () =
-  let counts =
-    if !quick then [ 100; 10_000; 100_000 ]
-    else [ 100; 1_000; 10_000; 100_000; 500_000 ]
-  in
-  Tensor.Exp_fig6.print_receive (Tensor.Exp_fig6.run_receive ~counts ())
-
-let fig6b () =
-  let counts =
-    if !quick then [ 100; 10_000; 100_000 ]
-    else [ 100; 1_000; 10_000; 100_000; 500_000 ]
-  in
-  Tensor.Exp_fig6.print_send (Tensor.Exp_fig6.run_send ~counts ())
-
-let fig6c () =
-  let peer_counts =
-    if !quick then [ 50; 200; 700 ] else [ 50; 100; 200; 300; 400; 500; 600; 700 ]
-  in
-  Tensor.Exp_fig6.print_multi_peer
-    (Tensor.Exp_fig6.run_multi_peer ~peer_counts ())
-
-let fig6d () =
-  Tensor.Exp_fig6.print_scale (Tensor.Exp_fig6.run_scale ())
-
-let table1 () = Tensor.Exp_table1.print (Tensor.Exp_table1.run ())
-
-let multias () =
-  let ases = if !quick then 10 else 50 in
-  Tensor.Exp_parallel.print (Tensor.Exp_parallel.run ~ases ())
-
-let scale () =
-  let r =
-    if !quick then Tensor.Exp_scale.run ~hosts:5 ~services:20 ()
-    else
-      Tensor.Exp_scale.run ~hosts:40 ~services:400 ~routes_per_service:100 ()
-  in
-  Tensor.Exp_scale.print r
-
-let ablations () =
-  Tensor.Exp_ablations.print_preheat (Tensor.Exp_ablations.run_preheat ());
-  Tensor.Exp_ablations.print_replication_modes
-    (Tensor.Exp_ablations.run_replication_modes ());
-  Tensor.Exp_ablations.print_hook_overhead
-    (Tensor.Exp_ablations.run_hook_overhead ())
-let fig7a () = Tensor.Exp_fig7.print_cdf (Tensor.Exp_fig7.run_cdf ())
-let fig7b () = Tensor.Exp_fig7.print_timeline (Tensor.Exp_fig7.run_timeline ())
-let table2 () = Tensor.Exp_table2.print ()
-
 (* --- Parallel chaos campaign ------------------------------------------------ *)
 
 (* The multi-seed experiment behind `--jobs N`: one fixed-seed campaign
@@ -211,8 +144,8 @@ let table2 () = Tensor.Exp_table2.print ()
    the whole point (domain count must never affect any digest), so a
    mismatch fails the harness; the wall-time ratio is the true speedup
    recorded in the snapshot. *)
-let campaign () =
-  let runs = if !quick then 60 else 200 in
+let campaign ~quick =
+  let runs = if quick then 60 else 200 in
   let seed = 42 in
   let jobs = max 1 !jobs in
   Tensor.Report.section
@@ -275,78 +208,9 @@ let campaign () =
     failwith
       "campaign: --jobs 1 and --jobs N diverged (summary or per-run digests)"
 
-(* --- Fleet centralization sweep --------------------------------------------- *)
-
-(* Opt-in like [campaign]: the stock correlated fleet campaign (one host
-   kill + one regional store outage) swept across controller placements —
-   per-host, regional, global — to measure what centralizing the control
-   plane costs in failover latency. Every variant must pass all ten
-   checkers; a violation fails the harness, since the sweep's numbers
-   are meaningless over a broken run. *)
-let fleet () =
-  let instances = if !quick then 20 else 100 in
-  let regions = if !quick then 2 else 4 in
-  let hosts = if !quick then 8 else 16 in
-  let faults =
-    match Chaos.Descriptor.faults_of_string Fleet.Campaign.default_campaign with
-    | Ok fs -> fs
-    | Error e -> failwith ("fleet: bad stock campaign: " ^ e)
-  in
-  Tensor.Report.section
-    (Printf.sprintf
-       "Fleet centralization sweep (%d instances, %d regions, %s)" instances
-       regions Fleet.Campaign.default_campaign);
-  let variants = [ ("per-host", 50); ("regional", 500); ("global", 5_000) ] in
-  let rows =
-    List.map
-      (fun (vname, ctrl_delay_us) ->
-        let spec =
-          {
-            Fleet.Campaign.default_spec with
-            Fleet.Campaign.hosts;
-            regions;
-            instances;
-            faults;
-            ctrl_delay_us;
-          }
-        in
-        let t0 = Prof.Clock.now_s () in
-        let o = Fleet.Campaign.run spec in
-        let wall = Prof.Clock.now_s () -. t0 in
-        if not (Fleet.Campaign.ok o) then
-          failwith
-            (Printf.sprintf "fleet: %s variant failed:\n%s" vname
-               (Fleet.Campaign.summary o));
-        let r = o.Fleet.Campaign.slo in
-        [
-          vname;
-          Printf.sprintf "%d" ctrl_delay_us;
-          Printf.sprintf "%.2f" o.Fleet.Campaign.convergence_s;
-          Printf.sprintf "%.3f"
-            (Fleet.Slo.percentile r.Fleet.Slo.failover_s 0.95);
-          Printf.sprintf "%.3f"
-            (Fleet.Slo.percentile r.Fleet.Slo.failover_s 1.0);
-          Printf.sprintf "%d" o.Fleet.Campaign.events;
-          Printf.sprintf "%.2f" wall;
-        ])
-      variants
-  in
-  Tensor.Report.table
-    ~header:
-      [
-        "controller";
-        "uplink us";
-        "converge s";
-        "failover p95 s";
-        "failover max s";
-        "events";
-        "wall s";
-      ]
-    rows
-
 (* --- Bechamel micro-benchmarks of hot paths -------------------------------- *)
 
-let micro () =
+let micro ~quick:_ =
   let open Bechamel in
   let open Toolkit in
   Tensor.Report.section "Micro-benchmarks (host wall-clock, Bechamel)";
@@ -443,28 +307,17 @@ let micro () =
 
 (* --- Dispatch ----------------------------------------------------------------- *)
 
-let all_ids =
-  [
-    ("fig5a", fig5a);
-    ("fig5b", fig5b);
-    ("fig6a", fig6a);
-    ("fig6b", fig6b);
-    ("fig6c", fig6c);
-    ("fig6d", fig6d);
-    ("table1", table1);
-    ("multias", multias);
-    ("scale", scale);
-    ("ablations", ablations);
-    ("fig7a", fig7a);
-    ("fig7b", fig7b);
-    ("table2", table2);
-    ("micro", micro);
-  ]
+(* The paper experiments, then the bench-only host-wall-clock entries.
+   [campaign] is runnable by id but excluded from the default set, so
+   seed-vs-PR snapshot comparisons keep a stable experiment list (and
+   the default bench run stays single-domain). *)
+let default_set =
+  Tensor.Experiments.all
+  @ [ { Tensor.Experiments.id = "micro"; engine = true; run = micro } ]
 
-(* Opt-in experiments: runnable by id but excluded from the default
-   set, so seed-vs-PR snapshot comparisons keep a stable experiment
-   list (and the default bench run stays single-domain). *)
-let optin_ids = [ ("campaign", campaign); ("fleet", fleet) ]
+let runnable =
+  default_set
+  @ [ { Tensor.Experiments.id = "campaign"; engine = true; run = campaign } ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -504,18 +357,20 @@ let () =
   let args = strip_flags [] args in
   let selected =
     match args with
-    | [] -> all_ids
+    | [] -> default_set
     | ids ->
         List.map
           (fun id ->
             match
-              List.assoc_opt id (all_ids @ optin_ids)
+              List.find_opt
+                (fun (e : Tensor.Experiments.t) -> String.equal e.id id)
+                runnable
             with
-            | Some f -> (id, f)
+            | Some e -> e
             | None ->
                 Printf.eprintf "unknown experiment %S; known: %s\n" id
                   (String.concat " "
-                     (List.map fst (all_ids @ optin_ids)));
+                     (List.map (fun (e : Tensor.Experiments.t) -> e.id) runnable));
                 exit 2)
           ids
   in
@@ -525,13 +380,13 @@ let () =
   let t0 = Prof.Clock.now_s () in
   let sampler = Option.map (fun _ -> Causal.Series.attach ()) !timeseries in
   List.iter
-    (fun (id, f) ->
+    (fun (e : Tensor.Experiments.t) ->
       if !profile then Prof.Profiler.attach ();
       let t = Prof.Clock.now_s () in
       let e0 = Sim.Engine.global_processed_events () in
       let a0 = Gc.allocated_bytes () in
       let g0 = Gc.quick_stat () in
-      f ();
+      e.run ~quick:!quick;
       let wall = Prof.Clock.now_s () -. t in
       let g1 = Gc.quick_stat () in
       let subsystems =
@@ -549,7 +404,8 @@ let () =
       in
       bench_rows :=
         {
-          br_id = id;
+          br_id = e.id;
+          br_engine = e.engine;
           br_wall = wall;
           br_events = Sim.Engine.global_processed_events () - e0;
           br_alloc_bytes = Gc.allocated_bytes () -. a0;
@@ -558,7 +414,7 @@ let () =
           br_subsystems = subsystems;
         }
         :: !bench_rows;
-      Format.printf "@.[%s done in %.1fs wall]@." id wall)
+      Format.printf "@.[%s done in %.1fs wall]@." e.id wall)
     selected;
   let total_wall = Prof.Clock.now_s () -. t0 in
   Format.printf "@.All selected experiments done in %.1fs wall.@." total_wall;

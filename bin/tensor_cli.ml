@@ -8,59 +8,15 @@
      tensor-cli metrics                       # registered metrics after a failover
      tensor-cli cdf --links 6000              # Figure 7(a) population
      tensor-cli profile fig5a --out DIR       # engine cost attribution
-     tensor-cli list                          # experiment ids *)
+     tensor-cli fleet --sweep                 # controller-placement sweep
+     tensor-cli list                          # experiment ids
+
+   Experiment ids and parameters come from Tensor.Experiments, the
+   registry bench/main.exe dispatches through too; trace, metrics,
+   check, health and causal run the checked scenarios of
+   Tensor.Check. *)
 
 open Cmdliner
-
-let experiment_ids =
-  [ "fig5a"; "fig5b"; "fig6a"; "fig6b"; "fig6c"; "fig6d"; "table1"; "multias";
-    "scale"; "ablations"; "fig7a"; "fig7b"; "table2" ]
-
-let run_experiment ~quick id =
-  match id with
-  | "fig5a" ->
-      Tensor.Exp_fig5a.print
-        (if quick then
-           Tensor.Exp_fig5a.run ~packet_sizes:[ 100; 500; 2000 ]
-             ~delays_ms:[ 0.; 2.; 5.; 20.; 50. ]
-             ~measure_span:(Sim.Time.ms 200) ()
-         else Tensor.Exp_fig5a.run ())
-  | "fig5b" -> Tensor.Exp_fig5b.print (Tensor.Exp_fig5b.run ())
-  | "fig6a" ->
-      Tensor.Exp_fig6.print_receive
-        (Tensor.Exp_fig6.run_receive
-           ~counts:(if quick then [ 100; 10_000 ] else [ 100; 1_000; 10_000; 100_000; 500_000 ])
-           ())
-  | "fig6b" ->
-      Tensor.Exp_fig6.print_send
-        (Tensor.Exp_fig6.run_send
-           ~counts:(if quick then [ 100; 10_000 ] else [ 100; 1_000; 10_000; 100_000; 500_000 ])
-           ())
-  | "fig6c" ->
-      Tensor.Exp_fig6.print_multi_peer
-        (Tensor.Exp_fig6.run_multi_peer
-           ~peer_counts:(if quick then [ 50; 700 ] else [ 50; 100; 200; 300; 400; 500; 600; 700 ])
-           ())
-  | "fig6d" -> Tensor.Exp_fig6.print_scale (Tensor.Exp_fig6.run_scale ())
-  | "table1" -> Tensor.Exp_table1.print (Tensor.Exp_table1.run ())
-  | "multias" ->
-      Tensor.Exp_parallel.print
-        (Tensor.Exp_parallel.run ~ases:(if quick then 10 else 50) ())
-  | "scale" ->
-      Tensor.Exp_scale.print
-        (if quick then Tensor.Exp_scale.run ~hosts:5 ~services:20 ()
-         else Tensor.Exp_scale.run ())
-  | "ablations" ->
-      Tensor.Exp_ablations.print_preheat (Tensor.Exp_ablations.run_preheat ());
-      Tensor.Exp_ablations.print_replication_modes
-        (Tensor.Exp_ablations.run_replication_modes ());
-      Tensor.Exp_ablations.print_hook_overhead
-        (Tensor.Exp_ablations.run_hook_overhead ())
-  | "fig7a" -> Tensor.Exp_fig7.print_cdf (Tensor.Exp_fig7.run_cdf ())
-  | "fig7b" ->
-      Tensor.Exp_fig7.print_timeline (Tensor.Exp_fig7.run_timeline ())
-  | "table2" -> Tensor.Exp_table2.print ()
-  | other -> Printf.eprintf "unknown experiment %S\n" other
 
 (* --- experiment command ------------------------------------------------- *)
 
@@ -70,15 +26,31 @@ let quick_flag =
 let ids_arg =
   Arg.(
     value
-    & pos_all string experiment_ids
+    & pos_all string Tensor.Experiments.ids
     & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
+
+(* Resolves every id before running any, so a typo fails fast with the
+   known ids instead of after minutes of earlier experiments. *)
+let find_experiments ids =
+  List.map
+    (fun id ->
+      match Tensor.Experiments.find id with
+      | Some e -> e
+      | None ->
+          Printf.eprintf "unknown experiment %S; known: %s\n" id
+            (String.concat " " Tensor.Experiments.ids);
+          exit 2)
+    ids
 
 let experiment_cmd =
   let doc = "Regenerate the paper's tables and figures." in
   Cmd.v
     (Cmd.info "experiment" ~doc)
     Term.(
-      const (fun quick ids -> List.iter (run_experiment ~quick) ids)
+      const (fun quick ids ->
+          List.iter
+            (fun (e : Tensor.Experiments.t) -> e.run ~quick)
+            (find_experiments ids))
       $ quick_flag $ ids_arg)
 
 (* --- failover command --------------------------------------------------- *)
@@ -146,101 +118,41 @@ let out_dir_opt =
     & info [ "out"; "o" ] ~docv:"DIR"
         ~doc:"Directory for the JSONL/CSV telemetry export.")
 
-(* A minimal §4.4 planned upgrade: one service, one peer AS, migrate
-   while healthy. *)
-let run_planned () =
-  let open Sim in
-  let dep = Tensor.Deploy.build () in
-  let eng = dep.Tensor.Deploy.eng in
-  let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peer" in
-  let vip = Netsim.Addr.of_string "203.0.113.10" in
-  ignore (Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
-  let svc =
-    Tensor.Deploy.deploy_service dep ~id:"gw" ~local_asn:64900
-      [
-        Tensor.App.vrf_spec ~vrf:"v0" ~vip
-          ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:65010 ();
-      ]
-  in
-  if not (Tensor.Deploy.wait_established dep svc ()) then begin
-    Printf.eprintf "planned scenario: session never established\n";
-    exit 1
-  end;
-  Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
-    (Workload.Prefixes.distinct 1_000);
-  Engine.run_for eng (Time.sec 10);
-  Tensor.Deploy.planned_migration dep svc;
-  Engine.run_for eng (Time.sec 30)
-
-let run_traced_scenario scenario kind =
-  Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
-  (match scenario with
-  | "failover" -> ignore (Tensor.Exp_table1.run ~kinds:[ kind ] ())
-  | "planned" -> run_planned ()
-  | other ->
-      Printf.eprintf "unknown scenario %S (expected: failover | planned)\n"
-        other;
-      exit 2);
-  Telemetry.Control.set_enabled false
-
-(* Extract the scenario's recovery critical path from the recorded DAG,
-   if the scenario closed a root span and the recorder saw its events. *)
-let critical_of_scenario scenario =
-  match Tensor.Check.root_span scenario with
-  | None -> None
-  | Some name -> (
-      match Causal.Critical.of_span ~name () with
-      | Ok c -> Some c
-      | Error _ -> None)
+(* Runs a checked scenario with telemetry on (its buffers stay readable
+   afterwards) and returns its health report; an unknown scenario
+   exits 2. *)
+let run_checked scenario kind =
+  match Tensor.Check.run ~kind scenario with
+  | Ok report -> report
+  | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
 
 let trace_cmd =
   let scenario =
     Arg.(
       value
       & pos 0 string "failover"
-      & info [] ~docv:"SCENARIO" ~doc:"failover | planned")
+      & info [] ~docv:"SCENARIO"
+          ~doc:(String.concat " | " Tensor.Check.scenarios))
   in
-  let perfetto =
-    Arg.(
-      value & flag
-      & info [ "perfetto" ]
-          ~doc:
-            "Also record the causal event DAG and write \
-             $(i,DIR)/trace.perfetto.json for ui.perfetto.dev \
-             (simulated-time, one process per engine, one thread per \
-             subsystem, recovery critical path overlaid).")
-  in
-  let run scenario kind out perfetto =
-    if perfetto then begin
-      Causal.Recorder.reset ();
-      Causal.Recorder.attach ()
-    end;
-    run_traced_scenario scenario kind;
-    if perfetto then Causal.Recorder.detach ();
+  let run scenario kind out =
+    ignore (run_checked scenario kind);
     Format.printf "Causal spans (simulated time):@.@.%a@." Telemetry.Span.pp_tree
       ();
     Format.printf "Events: %d buffered@."
       (List.length (Telemetry.Bus.events ()));
     Telemetry.Control.export_dir out;
     Format.printf "Telemetry written to %s/ (spans.jsonl, events.jsonl, metrics.csv, metrics.json)@."
-      out;
-    if perfetto then begin
-      let critical = critical_of_scenario scenario in
-      let path = Filename.concat out "trace.perfetto.json" in
-      Causal.Perfetto.write ?critical path;
-      Format.printf "Perfetto trace written to %s (%d events%s)@." path
-        (Causal.Recorder.node_count ())
-        (if Option.is_some critical then ", critical path overlaid" else "")
-    end
+      out
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run one scenario with telemetry on; print the causal span tree and \
-          export spans/events as JSONL (plus a Perfetto trace with \
-          $(b,--perfetto)).")
-    Term.(const run $ scenario $ kind_opt $ out_dir_opt $ perfetto)
+         "Run one checked scenario with telemetry on; print the causal span \
+          tree and export spans/events as JSONL. For a Perfetto trace of \
+          the same run use $(b,check --trace-dir).")
+    Term.(const run $ scenario $ kind_opt $ out_dir_opt)
 
 (* --- metrics command ---------------------------------------------------------- *)
 
@@ -255,7 +167,7 @@ let metrics_cmd =
           ~doc:"List registered metrics without running a scenario.")
   in
   let run json no_run kind =
-    if not no_run then run_traced_scenario "failover" kind;
+    if not no_run then ignore (run_checked "failover" kind);
     if json then print_endline (Telemetry.Registry.to_json ())
     else begin
       Format.printf "%-34s %-10s %12s %16s@." "name" "kind" "count" "sum/value";
@@ -317,31 +229,26 @@ let check_cmd =
              run observes the whole scenario. *)
           Some (Causal.Series.attach ())
     in
-    let result = Tensor.Check.run ~kind scenario in
+    let report = run_checked scenario kind in
     if Option.is_some trace_dir then Causal.Recorder.detach ();
     Option.iter Causal.Series.detach sampler;
-    match result with
-    | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-    | Ok report ->
-        (match (trace_dir, sampler) with
-        | Some dir, Some s ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            let perfetto = Filename.concat dir "trace.perfetto.json" in
-            Causal.Perfetto.write
-              ?critical:report.Monitor.Health.critical_path perfetto;
-            Causal.Series.write s (Filename.concat dir "timeseries.jsonl");
-            Format.printf
-              "Trace artifacts written to %s/ (trace.perfetto.json: %d \
-               events; timeseries.jsonl: %d samples)@."
-              dir
-              (Causal.Recorder.node_count ())
-              (Causal.Series.sample_count s)
-        | _ -> ());
-        if json then print_endline (Monitor.Health.to_json report)
-        else print_string (Monitor.Health.to_text report);
-        if not (Monitor.Health.ok report) then exit 1
+    (match (trace_dir, sampler) with
+    | Some dir, Some s ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        let perfetto = Filename.concat dir "trace.perfetto.json" in
+        Causal.Perfetto.write ?critical:report.Monitor.Health.critical_path
+          perfetto;
+        Causal.Series.write s (Filename.concat dir "timeseries.jsonl");
+        Format.printf
+          "Trace artifacts written to %s/ (trace.perfetto.json: %d events; \
+           timeseries.jsonl: %d samples)@."
+          dir
+          (Causal.Recorder.node_count ())
+          (Causal.Series.sample_count s)
+    | _ -> ());
+    if json then print_endline (Monitor.Health.to_json report)
+    else print_string (Monitor.Health.to_text report);
+    if not (Monitor.Health.ok report) then exit 1
   in
   Cmd.v
     (Cmd.info "check"
@@ -414,33 +321,27 @@ let causal_cmd =
         exit 2);
     Causal.Recorder.reset ();
     Causal.Recorder.attach ();
-    let result = Tensor.Check.run ~kind scenario in
+    let report = run_checked scenario kind in
     Causal.Recorder.detach ();
-    match result with
+    let name = Option.get (Tensor.Check.root_span scenario) in
+    (match Causal.Critical.of_span ?from_label ?to_label ~name () with
     | Error msg ->
-        Printf.eprintf "%s\n" msg;
+        Printf.eprintf "critical path: %s\n" msg;
         exit 2
-    | Ok report ->
-        let name = Option.get (Tensor.Check.root_span scenario) in
-        (match Causal.Critical.of_span ?from_label ?to_label ~name () with
-        | Error msg ->
-            Printf.eprintf "critical path: %s\n" msg;
-            exit 2
-        | Ok cp ->
-            if json then print_endline (Causal.Critical.to_json cp)
-            else begin
-              Format.printf
-                "Recovery critical path of %S (%d traced events, %d on \
-                 path):@.@."
-                scenario
-                (Causal.Recorder.node_count ())
-                cp.Causal.Critical.events;
-              print_string (Causal.Critical.to_text cp)
-            end);
-        if not (Monitor.Health.ok report) then begin
-          Printf.eprintf "note: the checked run itself was UNHEALTHY\n";
-          exit 1
-        end
+    | Ok cp ->
+        if json then print_endline (Causal.Critical.to_json cp)
+        else begin
+          Format.printf
+            "Recovery critical path of %S (%d traced events, %d on path):@.@."
+            scenario
+            (Causal.Recorder.node_count ())
+            cp.Causal.Critical.events;
+          print_string (Causal.Critical.to_text cp)
+        end);
+    if not (Monitor.Health.ok report) then begin
+      Printf.eprintf "note: the checked run itself was UNHEALTHY\n";
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "causal"
@@ -639,15 +540,11 @@ let profile_cmd =
       & info [ "top"; "k" ] ~docv:"K" ~doc:"Rows in the handler cost table.")
   in
   let run experiment out top quick =
-    if not (List.mem experiment experiment_ids) then begin
-      Printf.eprintf "unknown experiment %S; known: %s\n" experiment
-        (String.concat " " experiment_ids);
-      exit 2
-    end;
+    let e = List.hd (find_experiments [ experiment ]) in
     Telemetry.Control.reset ();
     Telemetry.Control.set_enabled true;
     Prof.Profiler.attach ();
-    run_experiment ~quick experiment;
+    e.run ~quick;
     Prof.Profiler.detach ();
     Telemetry.Control.set_enabled false;
     let total_ev = Prof.Profiler.total_events () in
@@ -821,12 +718,13 @@ let fleet_sweep spec ~jobs ~json =
         let fo = o.Fleet.Campaign.slo.Fleet.Slo.failover_s in
         Printf.printf
           "%-9s ctrl=%5dus convergence=%6.2fs failover p95=%.3fs max=%.3fs \
-           %s digest=%s\n"
+           events=%d %s digest=%s\n"
           (fst variants.(i))
           (snd variants.(i))
           o.Fleet.Campaign.convergence_s
           (Fleet.Slo.percentile fo 0.95)
           (Fleet.Slo.percentile fo 1.0)
+          o.Fleet.Campaign.events
           (if Fleet.Campaign.ok o then "PASS" else "FAIL")
           o.Fleet.Campaign.digest)
       results;
@@ -930,7 +828,7 @@ let fleet_cmd =
 let list_cmd =
   Cmd.v
     (Cmd.info "list" ~doc:"List experiment ids.")
-    Term.(const (fun () -> List.iter print_endline experiment_ids) $ const ())
+    Term.(const (fun () -> List.iter print_endline Tensor.Experiments.ids) $ const ())
 
 let () =
   let doc = "TENSOR (SIGCOMM '23) reproduction toolkit" in

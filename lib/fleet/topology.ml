@@ -181,16 +181,7 @@ let wait_all_established ?(timeout = Time.sec 120) t =
       (fun inst -> App.session_established (Deploy.service_app inst.svc) ~vrf)
       t.instances
   in
-  let rec loop () =
-    if ok () then true
-    else if Engine.now eng >= deadline then false
-    else begin
-      Engine.run_until eng
-        (min deadline (Time.add (Engine.now eng) (Time.ms 250)));
-      loop ()
-    end
-  in
-  loop ()
+  Engine.run_until_cond eng ~slice:(Time.ms 250) ~deadline ok
 
 (* One store prober per region, on the fleet telemetry cadence: on the
    down edge every Running instance of the region sheds

@@ -236,6 +236,18 @@ let run_until t limit =
   if limit > t.clock then t.clock <- limit
 
 let run_for t span = run_until t (Time.add t.clock span)
+
+let run_until_cond t ~slice ~deadline cond =
+  let rec loop () =
+    if cond () then true
+    else if t.clock >= deadline then false
+    else begin
+      run_until t (Int.min deadline (Time.add t.clock slice));
+      loop ()
+    end
+  in
+  loop ()
+
 let pending_events t = t.live
 let processed_events t = t.processed
 let global_processed_events () = (dls ()).dls_processed

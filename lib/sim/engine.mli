@@ -69,6 +69,14 @@ val run_until : t -> Time.t -> unit
 val run_for : t -> Time.span -> unit
 (** [run_for t span] is [run_until t (now t + span)]. *)
 
+val run_until_cond :
+  t -> slice:Time.span -> deadline:Time.t -> (unit -> bool) -> bool
+(** [run_until_cond t ~slice ~deadline cond] polls [cond], running the
+    engine one [slice] at a time (never past [deadline]) until [cond]
+    holds or the clock reaches [deadline]. Returns whether [cond] held.
+    The clock stops on a slice boundary, so the slice length is part of
+    a caller's simulated output. *)
+
 val pending_events : t -> int
 (** Number of live (non-cancelled) queued events. *)
 

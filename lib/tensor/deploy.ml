@@ -373,16 +373,7 @@ let wait_established t svc ?(timeout = Time.sec 30) () =
         App.session_established svc.app ~vrf:spec.App.vrf)
       svc.scfg.App.vrfs
   in
-  let rec loop () =
-    if ok () then true
-    else if Engine.now t.eng >= deadline then false
-    else begin
-      Engine.run_until t.eng
-        (min deadline (Time.add (Engine.now t.eng) (Time.ms 100)));
-      loop ()
-    end
-  in
-  loop ()
+  Engine.run_until_cond t.eng ~slice:(Time.ms 100) ~deadline ok
 
 let service_routes svc ~vrf = App.routes svc.app ~vrf
 

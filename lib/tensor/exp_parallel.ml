@@ -8,17 +8,9 @@ type result = {
   containerized_s : float;
 }
 
-let run_until_cond eng ~deadline cond =
-  let rec loop () =
-    if cond () then true
-    else if Engine.now eng >= deadline then false
-    else begin
-      Engine.run_until eng
-        (min deadline (Time.add (Engine.now eng) (Time.ms 100)));
-      loop ()
-    end
-  in
-  loop ()
+(* Poll slice of the bring-up and learning waits; part of the output,
+   as in Exp_fig6. *)
+let slice = Time.ms 100
 
 let make_peer net fabric i =
   let node = Network.add_node net (Printf.sprintf "as%d" i) in
@@ -86,7 +78,7 @@ let monolithic ~ases ~updates_per_as =
       (fun p -> Bgp.Speaker.peer_state p = Bgp.Session.Established)
       (Bgp.Speaker.peers spk_dut)
   in
-  if not (run_until_cond eng ~deadline all_up) then nan
+  if not (Engine.run_until_cond eng ~slice ~deadline all_up) then nan
   else begin
     Engine.run_for eng (Time.sec 1);
     let t0 = Engine.now eng in
@@ -98,7 +90,7 @@ let monolithic ~ases ~updates_per_as =
     let target = ases * updates_per_as in
     let deadline = Time.add t0 (Time.minutes 10) in
     if
-      run_until_cond eng ~deadline (fun () ->
+      Engine.run_until_cond eng ~slice ~deadline (fun () ->
           Bgp.Speaker.updates_learned spk_dut >= target)
     then Time.to_sec_f (Time.diff (Bgp.Speaker.last_rx_applied spk_dut) t0)
     else nan
@@ -193,7 +185,7 @@ let containerized ~ases ~updates_per_as =
           (Bgp.Speaker.peers spk_dut))
       duts
   in
-  if not (run_until_cond eng ~deadline all_up) then nan
+  if not (Engine.run_until_cond eng ~slice ~deadline all_up) then nan
   else begin
     Engine.run_for eng (Time.sec 1);
     let t0 = Engine.now eng in
@@ -209,7 +201,7 @@ let containerized ~ases ~updates_per_as =
           Bgp.Speaker.updates_learned spk_dut >= updates_per_as)
         duts
     in
-    if run_until_cond eng ~deadline all_learned then
+    if Engine.run_until_cond eng ~slice ~deadline all_learned then
       List.fold_left
         (fun acc (spk_dut, _, _, _) ->
           Float.max acc

@@ -12,7 +12,7 @@ type result = {
   wall_s : float;
 }
 
-let run ?(hosts = 10) ?(services = 60) ?(routes_per_service = 200) () =
+let run ~hosts ~services ~routes_per_service =
   let wall0 = Prof.Clock.now_s () in
   let dep = Deploy.build ~hosts () in
   let eng = dep.Deploy.eng in

@@ -21,5 +21,8 @@ type result = {
   wall_s : float;
 }
 
-val run : ?hosts:int -> ?services:int -> ?routes_per_service:int -> unit -> result
+val run : hosts:int -> services:int -> routes_per_service:int -> result
+(** [hosts] machines (the last starts empty), [services] services with
+    one peering AS each, every AS originating [routes_per_service]. *)
+
 val print : result -> unit

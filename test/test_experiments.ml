@@ -174,6 +174,45 @@ let test_table2_ratios () =
   checki "11x maintenance" 11
     (nsr.maintenance_mh_per_month / tensor.maintenance_mh_per_month)
 
+(* --- Deployment scale ----------------------------------------------------------- *)
+
+let test_scale_host_loss () =
+  let r = Tensor.Exp_scale.run ~hosts:3 ~services:6 ~routes_per_service:50 in
+  checki "no peer saw a drop" 0 r.Tensor.Exp_scale.peer_drops;
+  checkb "the host loss migrated services" true
+    (r.Tensor.Exp_scale.host_failure_migrated >= 1)
+
+(* --- Registry ------------------------------------------------------------------ *)
+
+let test_registry_ids () =
+  let ids = Tensor.Experiments.ids in
+  Alcotest.(check (list string))
+    "tensor-cli list order"
+    [ "fig5a"; "fig5b"; "fig6a"; "fig6b"; "fig6c"; "fig6d"; "table1";
+      "multias"; "scale"; "ablations"; "fig7a"; "fig7b"; "table2" ]
+    ids;
+  checki "unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids))
+
+(* The engine flag decides whether a bench snapshot reports event
+   throughput, so it must match what a quick run actually dispatches. *)
+let test_registry_engine_flag () =
+  let advances id =
+    let e = Option.get (Tensor.Experiments.find id) in
+    let before = Sim.Engine.global_processed_events () in
+    e.Tensor.Experiments.run ~quick:true;
+    (e.Tensor.Experiments.engine, Sim.Engine.global_processed_events () > before)
+  in
+  List.iter
+    (fun id ->
+      let flag, moved = advances id in
+      checkb (id ^ " flagged engine-free") false flag;
+      checkb (id ^ " dispatched no events") false moved)
+    [ "fig7a"; "fig7b"; "table2" ];
+  let flag, moved = advances "fig5b" in
+  checkb "fig5b flagged engine" true flag;
+  checkb "fig5b dispatched events" true moved
+
 let () =
   Alcotest.run "experiments"
     [
@@ -200,4 +239,11 @@ let () =
       ( "fig7",
         [ Alcotest.test_case "7a statistics" `Quick test_fig7a_statistics ] );
       ( "table2", [ Alcotest.test_case "ratios" `Quick test_table2_ratios ] );
+      ( "scale",
+        [ Alcotest.test_case "host loss is invisible" `Quick test_scale_host_loss ] );
+      ( "registry",
+        [
+          Alcotest.test_case "ids" `Quick test_registry_ids;
+          Alcotest.test_case "engine flag" `Quick test_registry_engine_flag;
+        ] );
     ]

@@ -102,6 +102,32 @@ let test_engine_run_until () =
   Engine.run eng;
   checki "second fired" 2 !hits
 
+(* run_until_cond polls between slices: the clock only ever stops at
+   the start, on a slice boundary, or at the deadline. *)
+let test_run_until_cond_already_true () =
+  let eng = Engine.create () in
+  Engine.run_until eng (Time.ms 7);
+  checkb "holds" true
+    (Engine.run_until_cond eng ~slice:(Time.ms 50) ~deadline:(Time.sec 1)
+       (fun () -> true));
+  checki "clock unmoved" (Time.ms 7) (Engine.now eng)
+
+let test_run_until_cond_deadline () =
+  let eng = Engine.create () in
+  checkb "times out" false
+    (Engine.run_until_cond eng ~slice:(Time.ms 50) ~deadline:(Time.ms 120)
+       (fun () -> false));
+  checki "clock at deadline" (Time.ms 120) (Engine.now eng)
+
+let test_run_until_cond_mid_run () =
+  let eng = Engine.create () in
+  let flag = ref false in
+  ignore (Engine.schedule_after eng (Time.ms 120) (fun () -> flag := true));
+  checkb "holds" true
+    (Engine.run_until_cond eng ~slice:(Time.ms 50) ~deadline:(Time.sec 1)
+       (fun () -> !flag));
+  checki "first slice boundary after the event" (Time.ms 150) (Engine.now eng)
+
 let test_engine_past_rejected () =
   let eng = Engine.create () in
   ignore
@@ -286,6 +312,12 @@ let () =
             test_engine_nested_scheduling;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
+          Alcotest.test_case "run_until_cond already true" `Quick
+            test_run_until_cond_already_true;
+          Alcotest.test_case "run_until_cond deadline" `Quick
+            test_run_until_cond_deadline;
+          Alcotest.test_case "run_until_cond mid-run" `Quick
+            test_run_until_cond_mid_run;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "negative span rejected" `Quick
             test_engine_negative_span;
