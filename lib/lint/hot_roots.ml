@@ -57,6 +57,13 @@ let hot_paths =
       rt_fns = [ "transmit" ];
       rt_label = "packet delivery";
     };
+    (* Every Loc-RIB change writes one checkpoint record and key; the
+       out| records hex-encode every sent frame. *)
+    {
+      rt_file = "lib/tensor/keys.ml";
+      rt_fns = [ "encode_rib_entry"; "encode_rib_entry_with"; "rib_key"; "hex" ];
+      rt_label = "replicator checkpoint codec";
+    };
     (* Fleet-scale per-event entry points: the SLO aggregator sees every
        bus entry of a campaign, and the store probers tick per region
        every 500 ms across hundreds of instances. *)

@@ -24,12 +24,39 @@ let of_string s =
       | _ -> invalid_arg (Printf.sprintf "Addr.of_string: %S" s))
   | _ -> invalid_arg (Printf.sprintf "Addr.of_string: %S" s)
 
+(* Dotted-quad formatting writes straight into one right-sized [Bytes]:
+   store keys and checkpoint records format an address or prefix per
+   route, so no format interpreter and no intermediate strings. *)
+let octet t i = (t lsr (24 - (8 * i))) land 0xFF
+
+(* Decimal width of an octet (0-255) or a prefix length (0-32). *)
+let digits v = if v >= 100 then 3 else if v >= 10 then 2 else 1
+
+let put_dec b pos v =
+  let n = digits v in
+  if n = 3 then Bytes.unsafe_set b pos (Char.unsafe_chr (48 + (v / 100)));
+  if n >= 2 then
+    Bytes.unsafe_set b (pos + n - 2) (Char.unsafe_chr (48 + (v / 10 mod 10)));
+  Bytes.unsafe_set b (pos + n - 1) (Char.unsafe_chr (48 + (v mod 10)));
+  pos + n
+
+let width t =
+  digits (octet t 0) + digits (octet t 1) + digits (octet t 2)
+  + digits (octet t 3) + 3
+
+let put_addr b pos t =
+  let pos = put_dec b pos (octet t 0) in
+  Bytes.unsafe_set b pos '.';
+  let pos = put_dec b (pos + 1) (octet t 1) in
+  Bytes.unsafe_set b pos '.';
+  let pos = put_dec b (pos + 1) (octet t 2) in
+  Bytes.unsafe_set b pos '.';
+  put_dec b (pos + 1) (octet t 3)
+
 let to_string t =
-  Printf.sprintf "%d.%d.%d.%d"
-    ((t lsr 24) land 0xFF)
-    ((t lsr 16) land 0xFF)
-    ((t lsr 8) land 0xFF)
-    (t land 0xFF)
+  let b = Bytes.create (width t) in
+  ignore (put_addr b 0 t);
+  Bytes.unsafe_to_string b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let compare = Int.compare
@@ -56,7 +83,13 @@ let prefix_of_string s =
       | Some len -> prefix addr len
       | None -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s))
 
-let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.base) p.len
+let prefix_to_string p =
+  let b = Bytes.create (width p.base + 1 + digits p.len) in
+  let pos = put_addr b 0 p.base in
+  Bytes.unsafe_set b pos '/';
+  ignore (put_dec b (pos + 1) p.len);
+  Bytes.unsafe_to_string b
+
 let pp_prefix fmt p = Format.pp_print_string fmt (prefix_to_string p)
 
 let compare_prefix p q =

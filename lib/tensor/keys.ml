@@ -9,20 +9,54 @@ let conn_id ~service ~vrf = service ^ "|" ^ vrf
    recovery time. Epoch 0 maps to the bare conn id, which keeps fresh
    bring-up keys (and every pre-epoch store dump) unchanged. *)
 let epoch_cid cid epoch =
-  if epoch = 0 then cid else Printf.sprintf "%s@%d" cid epoch
+  if epoch = 0 then cid else String.concat "@" [ cid; string_of_int epoch ]
 
 let meta_key cid = "meta|" ^ cid
 let ack_key cid = "ack|" ^ cid
-let in_key cid seq = Printf.sprintf "in|%s|%012d" cid seq
+
+(* Blits [s] into [b] at [pos]; the position after it. *)
+let put b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* [tag ^ cid ^ "|"] followed by [n] as [Printf]'s [%012d] renders it
+   (zeros go between the sign and the digits), in one [Bytes]: the
+   padding keeps the store's lexicographic scan order numeric. *)
+let padded_key tag cid n =
+  let s = string_of_int n in
+  let sl = String.length s and sign = if n < 0 then 1 else 0 in
+  let w = max 12 sl in
+  let b = Bytes.create (String.length tag + String.length cid + 1 + w) in
+  let pos = put b 0 tag in
+  let pos = put b pos cid in
+  let pos = put b pos "|" in
+  let pos = put b pos (if n < 0 then "-" else "") in
+  Bytes.fill b pos (w - sl) '0';
+  Bytes.blit_string s sign b (pos + w - sl) (sl - sign);
+  Bytes.unsafe_to_string b
+
+let in_key cid seq = padded_key "in|" cid seq
 let in_prefix cid = "in|" ^ cid ^ "|"
-let out_key cid off = Printf.sprintf "out|%s|%012d" cid off
+let out_key cid off = padded_key "out|" cid off
 let out_prefix cid = "out|" ^ cid ^ "|"
 let outtrim_key cid = "outtrim|" ^ cid
 let bfd_key cid = "bfd|" ^ cid
 let part_key cid = "part|" ^ cid
 
 let rib_key ~service ~vrf prefix =
-  Printf.sprintf "rib|%s|%s|%s" service vrf (Netsim.Addr.prefix_to_string prefix)
+  let p = Netsim.Addr.prefix_to_string prefix in
+  let b =
+    Bytes.create
+      (String.length "rib|||" + String.length service + String.length vrf
+     + String.length p)
+  in
+  let pos = put b 0 "rib|" in
+  let pos = put b pos service in
+  let pos = put b pos "|" in
+  let pos = put b pos vrf in
+  let pos = put b pos "|" in
+  ignore (put b pos p);
+  Bytes.unsafe_to_string b
 
 let rib_prefix ~service = "rib|" ^ service ^ "|"
 
@@ -52,20 +86,51 @@ let vrf_prefix_of_rib_key ~service key =
 
 (* --- Hex ----------------------------------------------------------------- *)
 
+let hex_digits = "0123456789abcdef"
+
+(* The two lowercase hex digits of byte [v] at [b.[pos]], [b.[pos+1]]. *)
+let put_hex_byte b pos v =
+  Bytes.unsafe_set b pos (String.unsafe_get hex_digits ((v lsr 4) land 0xF));
+  Bytes.unsafe_set b (pos + 1) (String.unsafe_get hex_digits (v land 0xF))
+
+(* Hex of [s.[off .. off+len)] into [b] from [pos]. *)
+let blit_hex s off b pos len =
+  for i = 0 to len - 1 do
+    put_hex_byte b (pos + (2 * i)) (Char.code (String.unsafe_get s (off + i)))
+  done
+
 let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  blit_hex s 0 b 0 n;
+  Bytes.unsafe_to_string b
+
+(* Strictly [0-9a-fA-F]; anything else (a sign, a space, OCaml's [_]
+   digit separator) is -1. *)
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
 
 let unhex s =
   let n = String.length s in
   if n mod 2 <> 0 then Error "odd hex length"
-  else
-    try
-      Ok
-        (String.init (n / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> Error "bad hex"
+  else begin
+    let b = Bytes.create (n / 2) in
+    let rec go i =
+      if i = n / 2 then Ok (Bytes.unsafe_to_string b)
+      else
+        let hi = hex_value s.[2 * i] and lo = hex_value s.[(2 * i) + 1] in
+        if hi < 0 || lo < 0 then Error "bad hex"
+        else begin
+          Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
+  end
 
 (* --- Meta ---------------------------------------------------------------- *)
 
@@ -171,19 +236,107 @@ let decode_in_record s =
 
 (* --- RIB entries ------------------------------------------------------------ *)
 
-let encode_rib_entry (src : Bgp.Rib.source) prefix attrs =
-  let update =
-    Bgp.Msg.Update { withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
+(* A record is "sk=<key>;pasn=<asn>;paddr=<addr>;rid=<addr>;ebgp=<0|1>;u="
+   followed by the hex of the route's one-prefix UPDATE frame. *)
+
+(* The record's source fields and the hex of [frame.[0 .. upto)], in one
+   right-sized [Bytes]. *)
+let rib_record (src : Bgp.Rib.source) frame ~upto =
+  let pasn = string_of_int src.Bgp.Rib.peer_asn in
+  let paddr = Netsim.Addr.to_string src.Bgp.Rib.peer_addr in
+  let rid = Netsim.Addr.to_string src.Bgp.Rib.router_id in
+  let fields =
+    String.length "sk=;pasn=;paddr=;rid=;ebgp=0;u="
+    + String.length src.Bgp.Rib.key + String.length pasn
+    + String.length paddr + String.length rid
   in
-  String.concat ";"
-    [
-      "sk=" ^ src.Bgp.Rib.key;
-      "pasn=" ^ string_of_int src.Bgp.Rib.peer_asn;
-      "paddr=" ^ Netsim.Addr.to_string src.Bgp.Rib.peer_addr;
-      "rid=" ^ Netsim.Addr.to_string src.Bgp.Rib.router_id;
-      "ebgp=" ^ (if src.Bgp.Rib.ebgp then "1" else "0");
-      "u=" ^ hex (Bgp.Msg.encode update);
-    ]
+  let b = Bytes.create (fields + (2 * upto)) in
+  let pos = put b 0 "sk=" in
+  let pos = put b pos src.Bgp.Rib.key in
+  let pos = put b pos ";pasn=" in
+  let pos = put b pos pasn in
+  let pos = put b pos ";paddr=" in
+  let pos = put b pos paddr in
+  let pos = put b pos ";rid=" in
+  let pos = put b pos rid in
+  let pos = put b pos (if src.Bgp.Rib.ebgp then ";ebgp=1;u=" else ";ebgp=0;u=") in
+  blit_hex frame 0 b pos upto;
+  b
+
+let rib_frame prefix attrs =
+  let nlri =
+    (* lint: allow h1 — the record's own one-prefix UPDATE: one cons per uncached record or per encoder head rebuild, never per cached record *)
+    [ prefix ]
+  in
+  Bgp.Msg.encode (Bgp.Msg.Update { withdrawn = []; attrs = Some attrs; nlri })
+
+(* NLRI bytes of a one-prefix UPDATE: the length octet and the
+   significant octets of the base. *)
+let nlri_size (prefix : Netsim.Addr.prefix) = 1 + ((prefix.Netsim.Addr.len + 7) / 8)
+
+let encode_rib_entry src prefix attrs =
+  let frame = rib_frame prefix attrs in
+  Bytes.unsafe_to_string (rib_record src frame ~upto:(String.length frame))
+
+(* Every prefix of one UPDATE shares its source and attributes, so the
+   record up to the NLRI is the same for all of them but the frame's
+   length field. The encoder keeps that head for the last
+   (source, attributes) pair it saw and writes, per prefix, only the
+   length and the NLRI. Physical equality is the hit test: a structurally
+   equal but distinct attribute set rebuilds the head, which is correct,
+   just not cheaper. *)
+type rib_head = {
+  h_src : Bgp.Rib.source;
+  h_attrs : Bgp.Attrs.t;
+  h_bytes : string; (* record up to the NLRI; length digits rewritten *)
+  h_len_at : int; (* offset of the frame length's four hex digits *)
+  h_frame : int; (* frame bytes before the NLRI *)
+}
+
+type rib_encoder = { mutable last : rib_head option }
+
+let rib_encoder () = { last = None }
+
+let marker_hex = 2 * 16
+
+let rib_head src prefix attrs =
+  let frame = rib_frame prefix attrs in
+  let upto = String.length frame - nlri_size prefix in
+  let head = Bytes.unsafe_to_string (rib_record src frame ~upto) in
+  {
+    h_src = src;
+    h_attrs = attrs;
+    h_bytes = head;
+    h_len_at = String.length head - (2 * upto) + marker_hex;
+    h_frame = upto;
+  }
+
+let encode_rib_entry_with enc src (prefix : Netsim.Addr.prefix) attrs =
+  let h =
+    match enc.last with
+    | Some h when h.h_src == src && h.h_attrs == attrs -> h
+    | Some _ | None ->
+        let h = rib_head src prefix attrs in
+        enc.last <- Some h;
+        h
+  in
+  let nlri = nlri_size prefix in
+  let total = h.h_frame + nlri in
+  if total > Bgp.Msg.max_size then
+    invalid_arg
+      (Printf.sprintf "Msg.encode: %d bytes exceeds max %d" total
+         Bgp.Msg.max_size);
+  let hl = String.length h.h_bytes in
+  let b = Bytes.create (hl + (2 * nlri)) in
+  Bytes.blit_string h.h_bytes 0 b 0 hl;
+  put_hex_byte b h.h_len_at (total lsr 8);
+  put_hex_byte b (h.h_len_at + 2) total;
+  put_hex_byte b hl prefix.Netsim.Addr.len;
+  let base = Netsim.Addr.to_int prefix.Netsim.Addr.base in
+  for i = 0 to nlri - 2 do
+    put_hex_byte b (hl + 2 + (2 * i)) (base lsr (24 - (8 * i)))
+  done;
+  Bytes.unsafe_to_string b
 
 let decode_rib_entry s =
   let f = fields s in

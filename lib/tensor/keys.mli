@@ -85,6 +85,22 @@ val decode_in_record : string -> (int * string, string) result
 (** [(inferred_ack, raw_frame)]. *)
 
 val encode_rib_entry : Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t -> string
+(** The checkpoint record of one Loc-RIB best path: its source fields and
+    the hex of the one-prefix UPDATE that re-announces it. *)
+
+type rib_encoder
+(** A one-entry cache for {!encode_rib_entry_with}: the record head of
+    the last (source, attributes) pair, compared physically. Each owner
+    (one per replicator) creates its own; there is no shared state. *)
+
+val rib_encoder : unit -> rib_encoder
+
+val encode_rib_entry_with :
+  rib_encoder -> Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t -> string
+(** Byte-identical to {!encode_rib_entry}. When the source and attributes
+    are physically those of the previous call — every prefix of one
+    UPDATE — only the frame length and the NLRI are encoded. *)
+
 val decode_rib_entry :
   string -> (Bgp.Rib.source * Netsim.Addr.prefix * Bgp.Attrs.t, string) result
 
@@ -97,4 +113,8 @@ val encode_part : offset:int -> bytes:string -> string
 val decode_part : string -> (int * string, string) result
 
 val hex : string -> string
+(** Lowercase, two digits per byte. *)
+
 val unhex : string -> (string, string) result
+(** Inverse of {!hex}; accepts upper- and lowercase digits and nothing
+    else. [Error "odd hex length"] or [Error "bad hex"] otherwise. *)

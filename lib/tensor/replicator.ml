@@ -19,8 +19,20 @@ type op =
   | Set of (string * string) list * (unit -> unit) list
   | Del of string list
 
+(* A queued op still open to coalescing. Set pairs and callbacks
+   accumulate reversed and are put back in order once, when the pump
+   takes the batch, so a batch of n writes costs O(n) to build. *)
+type batch =
+  | Sets of {
+      mutable rev_pairs : (string * string) list;
+      mutable n_pairs : int;
+      mutable rev_ks : (unit -> unit) list;
+    }
+  | Dels of { mutable keys : string list; mutable n_keys : int }
+
 type lane = {
-  mutable queue : op list; (* reversed *)
+  queue : batch Queue.t; (* oldest first *)
+  mutable newest : batch option; (* the queue's last batch, the coalescing target *)
   mutable inflight : bool;
   mutable current : op option; (* the op the pump holds, for shedding *)
   mutable blocked_since : Time.t option; (* first unanswered store attempt *)
@@ -39,6 +51,7 @@ type t = {
   client : Store.Client.t;
   cid : Keys.conn_id;
   service : string;
+  rib_enc : Keys.rib_encoder; (* checkpoint record heads, per UPDATE *)
   mutable stopped : bool;
   (* Two write pumps, like two pipelined connections to Redis: the
      control lane carries everything the ACK watermark and message
@@ -85,6 +98,15 @@ type t = {
   mutable on_store_healed : unit -> unit;
 }
 
+let new_lane () =
+  {
+    queue = Queue.create ();
+    newest = None;
+    inflight = false;
+    current = None;
+    blocked_since = None;
+  }
+
 let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
     ~client ~conn_id ~service () =
   {
@@ -96,8 +118,9 @@ let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
     cid = conn_id;
     service;
     stopped = false;
-    ctl = { queue = []; inflight = false; current = None; blocked_since = None };
-    bulk = { queue = []; inflight = false; current = None; blocked_since = None };
+    rib_enc = Keys.rib_encoder ();
+    ctl = new_lane ();
+    bulk = new_lane ();
     wm = None;
     wm_target = 0;
     confirm_inflight = false;
@@ -132,18 +155,39 @@ let set_on_store_healed t f = t.on_store_healed <- f
 (* --- Write pump ------------------------------------------------------------ *)
 
 let enqueue_op t lane op =
-  (* Coalesce with the most recent queued op of the same kind, bounded so
-     the accumulated batch never makes coalescing quadratic (a mass
-     withdrawal can queue 100K+ checkpoint deletions at once). Deletions
-     are unordered within a batch, so new keys go in front. *)
-  match (op, lane.queue) with
-  | Set (pairs, ks), Set (pairs0, ks0) :: rest
-    when List.length pairs0 < t.max_batch ->
-      lane.queue <- Set (pairs0 @ pairs, ks0 @ ks) :: rest
-  | Del keys, Del keys0 :: rest
-    when List.length keys < 64 && List.length keys0 < 8 * t.max_batch ->
-      lane.queue <- Del (List.rev_append keys keys0) :: rest
-  | _ -> lane.queue <- op :: lane.queue
+  (* Coalesce with the newest queued op of the same kind: sets while the
+     batch holds fewer than [max_batch] pairs, short deletions while it
+     holds fewer than [8 * max_batch] keys (a mass withdrawal can queue
+     100K+ checkpoint deletions at once). The bounds fix the batch
+     boundaries, and with them the store's per-request cost; merging
+     costs the same at any batch size. Deletions are unordered within a
+     batch, so new keys go in front. *)
+  let push b =
+    Queue.push b lane.queue;
+    lane.newest <- Some b
+  in
+  match (op, lane.newest) with
+  | Set (pairs, ks), Some (Sets s) when s.n_pairs < t.max_batch ->
+      s.rev_pairs <- List.rev_append pairs s.rev_pairs;
+      s.n_pairs <- s.n_pairs + List.length pairs;
+      s.rev_ks <- List.rev_append ks s.rev_ks
+  | Del keys, Some (Dels d)
+    when List.compare_length_with keys 64 < 0 && d.n_keys < 8 * t.max_batch ->
+      d.keys <- List.rev_append keys d.keys;
+      d.n_keys <- d.n_keys + List.length keys
+  | Set (pairs, ks), _ ->
+      push
+        (Sets
+           {
+             rev_pairs = List.rev pairs;
+             n_pairs = List.length pairs;
+             rev_ks = List.rev ks;
+           })
+  | Del keys, _ -> push (Dels { keys; n_keys = List.length keys })
+
+let op_of_batch = function
+  | Sets s -> Set (List.rev s.rev_pairs, List.rev s.rev_ks)
+  | Dels d -> Del d.keys
 
 (* Each operation is retried until the store acknowledges it: a request
    lost to transient network trouble must neither block the lane for a
@@ -152,10 +196,11 @@ let enqueue_op t lane op =
    never actually happened. *)
 let rec pump t lane =
   if (not lane.inflight) && (not t.stopped) && not t.degraded then
-    match List.rev lane.queue with
-    | [] -> ()
-    | op :: rest ->
-        lane.queue <- List.rev rest;
+    match Queue.take_opt lane.queue with
+    | None -> ()
+    | Some batch ->
+        if Queue.is_empty lane.queue then lane.newest <- None;
+        let op = op_of_batch batch in
         lane.inflight <- true;
         lane.current <- Some op;
         (* A degrade entry (or re-arm) orphans this op: its store
@@ -342,9 +387,10 @@ let shed_lane lane =
     | Del _ -> ()
   in
   (match lane.current with Some op -> fire op | None -> ());
-  List.iter fire (List.rev lane.queue);
+  Queue.iter (fun b -> fire (op_of_batch b)) lane.queue;
   lane.current <- None;
-  lane.queue <- [];
+  Queue.clear lane.queue;
+  lane.newest <- None;
   lane.inflight <- false;
   lane.blocked_since <- None
 
@@ -699,8 +745,8 @@ let on_rib_change t ~vrf change =
           (Set
              ( [
                  ( Keys.rib_key ~service:t.service ~vrf prefix,
-                   Keys.encode_rib_entry path.Bgp.Rib.source prefix
-                     path.Bgp.Rib.attrs );
+                   Keys.encode_rib_entry_with t.rib_enc path.Bgp.Rib.source
+                     prefix path.Bgp.Rib.attrs );
                ],
                [] ))
     | Bgp.Rib.Best_withdrawn prefix ->
@@ -729,7 +775,8 @@ let note_snd_una t ~iss ~snd_una =
 let drain t k =
   let rec poll () =
     if
-      t.ctl.queue = [] && t.bulk.queue = []
+      Queue.is_empty t.ctl.queue
+      && Queue.is_empty t.bulk.queue
       && (not t.ctl.inflight)
       && not t.bulk.inflight
     then k ()

@@ -13,6 +13,8 @@ type rig = {
   server : Store.Server.t;
   repl : Tensor.Replicator.t;
   cid : Tensor.Keys.conn_id;
+  link : Link.t; (* replicator <-> store *)
+  db_addr : Addr.t;
 }
 
 let make_rig ?(replicate = true) ?(ack_hold = true) () =
@@ -20,7 +22,7 @@ let make_rig ?(replicate = true) ?(ack_hold = true) () =
   let net = Network.create eng in
   let app = Network.add_node net "app" in
   let db = Network.add_node net "db" in
-  let _, _, db_addr = Network.connect net ~delay:(Time.us 100) app db in
+  let link, _, db_addr = Network.connect net ~delay:(Time.us 100) app db in
   let server = Store.Server.create ~cost:Store.free_cost_model db in
   let client = Store.Client.create app ~server:db_addr in
   let cid = Tensor.Keys.conn_id ~service:"rig" ~vrf:"v0" in
@@ -28,7 +30,7 @@ let make_rig ?(replicate = true) ?(ack_hold = true) () =
     Tensor.Replicator.create ~replicate ~ack_hold ~engine:eng ~client
       ~conn_id:cid ~service:"rig" ()
   in
-  { eng; server; repl; cid }
+  { eng; server; repl; cid; link; db_addr }
 
 let keepalive = Bgp.Msg.Keepalive
 
@@ -156,6 +158,169 @@ let test_rib_checkpoint_roundtrip () =
   Engine.run r.eng;
   checkb "withdrawn entry deleted" true (Store.Server.peek r.server key = None)
 
+(* --- Checkpoint batching --------------------------------------------------------
+
+   The write lane coalesces consecutive sets (and consecutive deletes)
+   into batches. Batch boundaries decide the store's per-request cost, so
+   the lane must cut exactly where its original list-append version did.
+   That version is kept here as the reference. *)
+
+type ref_op = R_set of (string * string) list | R_del of string list
+
+let ref_enqueue ~max_batch queue op =
+  match (op, queue) with
+  | R_set pairs, R_set pairs0 :: rest when List.length pairs0 < max_batch ->
+      R_set (pairs0 @ pairs) :: rest
+  | R_del keys, R_del keys0 :: rest
+    when List.length keys < 64 && List.length keys0 < 8 * max_batch ->
+      R_del (List.rev_append keys keys0) :: rest
+  | _ -> op :: queue
+
+(* Ops submitted back to back to an idle lane: the first goes out at
+   once, the rest queue behind it and coalesce. *)
+let ref_batches ~max_batch = function
+  | [] -> []
+  | first :: rest ->
+      first :: List.rev (List.fold_left (ref_enqueue ~max_batch) [] rest)
+
+let src_a =
+  {
+    Bgp.Rib.key = "v0/10.0.0.2";
+    peer_asn = 65010;
+    peer_addr = Addr.of_string "10.0.0.2";
+    router_id = Addr.of_string "9.9.9.9";
+    ebgp = true;
+  }
+
+(* The [j]-th /24 of 100.0.0.0/8. *)
+let pfx24 j = Netsim.Addr.prefix (Netsim.Addr.of_octets 100 (j / 256) (j mod 256) 0) 24
+
+(* [n] Loc-RIB changes shaped like a route flood: blocks of 50 prefixes
+   share one attribute set (one UPDATE each), prefixes repeat every 100
+   changes — so one batch can hold two writes of a key, the later one
+   winning — and every 150 changes a run of 10 withdrawals interrupts
+   the sets. *)
+let flood n =
+  let attrs =
+    Array.init ((n / 50) + 1) (fun b ->
+        Bgp.Attrs.make ~med:b ~as_path:[ Bgp.Attrs.Seq [ 65010; 7018 + b ] ]
+          ~next_hop:(Addr.of_string "10.0.0.2") ())
+  in
+  List.init n (fun i ->
+      let p = pfx24 (i mod 100) in
+      if i mod 150 >= 100 && i mod 150 < 110 then Bgp.Rib.Best_withdrawn p
+      else
+        Bgp.Rib.Best_changed
+          (p, { Bgp.Rib.source = src_a; attrs = attrs.(i / 50); stale = false }))
+
+let ref_op_of_change = function
+  | Bgp.Rib.Best_changed (p, path) ->
+      R_set
+        [
+          ( Tensor.Keys.rib_key ~service:"rig" ~vrf:"v0" p,
+            Tensor.Keys.encode_rib_entry path.Bgp.Rib.source p path.Bgp.Rib.attrs );
+        ]
+  | Bgp.Rib.Best_withdrawn p -> R_del [ Tensor.Keys.rib_key ~service:"rig" ~vrf:"v0" p ]
+
+let sorted_table tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let test_batches_match_reference () =
+  let r = make_rig () in
+  let changes = flood 1_000 in
+  (* What the store must see: per request, its wire size and the table
+     state it lands on. *)
+  let expected_batches =
+    ref_batches ~max_batch:128 (List.map ref_op_of_change changes)
+  in
+  let model = Hashtbl.create 128 in
+  let expected =
+    List.map
+      (fun op ->
+        let before = sorted_table model in
+        let size =
+          match op with
+          | R_set pairs ->
+              List.iter (fun (k, v) -> Hashtbl.replace model k v) pairs;
+              List.fold_left
+                (fun a (k, v) -> a + String.length k + String.length v)
+                64 pairs
+          | R_del keys ->
+              List.iter (Hashtbl.remove model) keys;
+              List.fold_left (fun a k -> a + String.length k) 64 keys
+        in
+        (size, before))
+      expected_batches
+  in
+  (* What it does see: requests are pipelined depth one, so when a
+     request arrives the previous one has been applied. *)
+  let snapshot () =
+    Store.Server.keys_with_prefix r.server "rib|"
+    |> List.map (fun k -> (k, Option.get (Store.Server.peek r.server k)))
+    |> List.sort compare
+  in
+  let seen = ref [] in
+  Link.tap r.link (fun _ pkt ->
+      if Addr.equal pkt.Packet.dst r.db_addr then
+        seen := (pkt.Packet.size, snapshot ()) :: !seen);
+  List.iter (Tensor.Replicator.on_rib_change r.repl ~vrf:"v0") changes;
+  Engine.run r.eng;
+  let seen = List.rev !seen in
+  checki "requests" (List.length expected) (List.length seen);
+  List.iteri
+    (fun i ((esize, estate), (size, state)) ->
+      checki (Printf.sprintf "request %d size" i) esize size;
+      checkb (Printf.sprintf "store state before request %d" i) true (estate = state))
+    (List.combine expected seen);
+  checkb "final store state" true (sorted_table model = snapshot ())
+
+let test_release_callbacks_in_order () =
+  (* Releases ride the control lane's set batches; across batch
+     boundaries they must still fire in submission order. *)
+  let r = make_rig () in
+  let released = ref [] in
+  for i = 0 to 299 do
+    Tensor.Replicator.on_tx_message r.repl ~raw:(String.make 7 'x')
+      ~release:(fun () -> released := i :: !released)
+  done;
+  Engine.run r.eng;
+  Alcotest.(check (list int)) "release order" (List.init 300 Fun.id)
+    (List.rev !released)
+
+(* Minor-heap words per checkpointed route, for a flood whose UPDATEs
+   each carry 500 prefixes under one attribute set. The key and record
+   strings and the lane's cons cells come to 47.6 words (OCaml 5, 64-bit);
+   formatting through Printf, copying the pending batch per route or
+   re-encoding the attributes per route each cost more than that again.
+   The bound is about twice the measured value; allocation is
+   deterministic, so this is not flaky. *)
+let rib_change_words_bound = 100.
+
+let test_rib_change_allocation () =
+  let r = make_rig () in
+  let n = 2_000 in
+  let attrs =
+    Array.init (n / 500) (fun u ->
+        Bgp.Attrs.make ~med:u
+          ~as_path:[ Bgp.Attrs.Seq [ 65010; 7018; 3356 ] ]
+          ~communities:[ (65010, u) ]
+          ~next_hop:(Addr.of_string "10.0.0.2") ())
+  in
+  let changes =
+    List.init n (fun i ->
+        Bgp.Rib.Best_changed
+          (pfx24 i, { Bgp.Rib.source = src_a; attrs = attrs.(i / 500); stale = false }))
+  in
+  let w0 = Gc.minor_words () in
+  List.iter (Tensor.Replicator.on_rib_change r.repl ~vrf:"v0") changes;
+  let per_route = (Gc.minor_words () -. w0) /. float_of_int n in
+  Engine.run r.eng;
+  checki "all checkpointed" n
+    (List.length (Store.Server.keys_with_prefix r.server "rib|"));
+  if per_route > rib_change_words_bound then
+    Alcotest.failf "on_rib_change allocates %.1f words/route (bound %.0f)"
+      per_route rib_change_words_bound
+
 let test_replicate_false_is_inert () =
   let r = make_rig ~replicate:false () in
   let released = ref false in
@@ -251,6 +416,12 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "rib roundtrip" `Quick test_rib_checkpoint_roundtrip;
+          Alcotest.test_case "batches match reference" `Quick
+            test_batches_match_reference;
+          Alcotest.test_case "release callbacks in order" `Quick
+            test_release_callbacks_in_order;
+          Alcotest.test_case "allocation per route" `Quick
+            test_rib_change_allocation;
         ] );
       ( "lifecycle",
         [

@@ -109,6 +109,238 @@ let prop_meta_roundtrip =
       in
       Tensor.Keys.decode_meta (Tensor.Keys.encode_meta m) = Ok m)
 
+(* --- Codec byte-equality oracle ---------------------------------------------
+
+   The store's cost model charges per value byte and recovery decodes
+   what earlier versions wrote, so every key and record must stay
+   byte-identical to the original Printf-based formatting. These are
+   those original implementations, kept as the reference. *)
+
+module Ref = struct
+  let addr_to_string a =
+    let t = Addr.to_int a in
+    Printf.sprintf "%d.%d.%d.%d"
+      ((t lsr 24) land 0xFF)
+      ((t lsr 16) land 0xFF)
+      ((t lsr 8) land 0xFF)
+      (t land 0xFF)
+
+  let prefix_to_string (p : Addr.prefix) =
+    Printf.sprintf "%s/%d" (addr_to_string p.Addr.base) p.Addr.len
+
+  let hex s =
+    let b = Buffer.create (2 * String.length s) in
+    String.iter
+      (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
+      s;
+    Buffer.contents b
+
+  let epoch_cid cid epoch =
+    if epoch = 0 then cid else Printf.sprintf "%s@%d" cid epoch
+
+  let in_key cid seq = Printf.sprintf "in|%s|%012d" cid seq
+  let out_key cid off = Printf.sprintf "out|%s|%012d" cid off
+
+  let rib_key ~service ~vrf prefix =
+    Printf.sprintf "rib|%s|%s|%s" service vrf (prefix_to_string prefix)
+
+  let encode_rib_entry (src : Bgp.Rib.source) prefix attrs =
+    let update =
+      Bgp.Msg.Update { withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
+    in
+    String.concat ";"
+      [
+        "sk=" ^ src.Bgp.Rib.key;
+        "pasn=" ^ string_of_int src.Bgp.Rib.peer_asn;
+        "paddr=" ^ addr_to_string src.Bgp.Rib.peer_addr;
+        "rid=" ^ addr_to_string src.Bgp.Rib.router_id;
+        "ebgp=" ^ (if src.Bgp.Rib.ebgp then "1" else "0");
+        "u=" ^ hex (Bgp.Msg.encode update);
+      ]
+end
+
+let gen_addr = QCheck.Gen.(map Addr.of_int (int_bound 0xFFFFFFFF))
+
+let gen_prefix =
+  QCheck.Gen.(map2 (fun a len -> Addr.prefix a len) gen_addr (int_bound 32))
+
+(* Session keys look like "v0/10.0.0.2"; the record's field syntax has
+   no escaping, so a key never contains ';'. *)
+let gen_source_key =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneof
+           [ char_range 'a' 'z'; char_range '0' '9'; oneofl [ '/'; '.'; '|'; '-' ] ])
+      (int_bound 24))
+
+let gen_source =
+  QCheck.Gen.(
+    map
+      (fun (key, peer_asn, (peer_addr, router_id), ebgp) ->
+        { Bgp.Rib.key; peer_asn; peer_addr; router_id; ebgp })
+      (quad gen_source_key (int_bound 0xFFFFFFFF) (pair gen_addr gen_addr) bool))
+
+let gen_u16 = QCheck.Gen.int_bound 0xFFFF
+let gen_u32 = QCheck.Gen.int_bound 0xFFFFFFFF
+
+let gen_attrs =
+  QCheck.Gen.(
+    let segment =
+      map2
+        (fun set asns -> if set then Bgp.Attrs.Set asns else Bgp.Attrs.Seq asns)
+        bool
+        (list_size (int_range 1 8) gen_u32)
+    in
+    map
+      (fun ((origin, as_path, next_hop), (med, local_pref), (atomic, communities)) ->
+        Bgp.Attrs.make ~origin ~as_path ?med ?local_pref
+          ~atomic_aggregate:atomic ~communities ~next_hop ())
+      (triple
+         (triple
+            (oneofl [ Bgp.Attrs.Igp; Bgp.Attrs.Egp; Bgp.Attrs.Incomplete ])
+            (list_size (int_bound 6) segment)
+            gen_addr)
+         (pair (opt gen_u32) (opt gen_u32))
+         (pair bool (list_size (int_bound 12) (pair gen_u16 gen_u16)))))
+
+let arb_route =
+  QCheck.make
+    ~print:(fun (src, p, a) ->
+      Format.asprintf "%s %s %a" src.Bgp.Rib.key (Ref.prefix_to_string p)
+        Bgp.Attrs.pp a)
+    QCheck.Gen.(triple gen_source gen_prefix gen_attrs)
+
+let prop_codec_matches_printf =
+  QCheck.Test.make ~name:"keys and records byte-equal the Printf originals"
+    ~count:300 arb_route (fun (src, p, attrs) ->
+      let service = src.Bgp.Rib.key and vrf = "v0" in
+      String.equal (Addr.to_string p.Addr.base) (Ref.addr_to_string p.Addr.base)
+      && String.equal (Addr.prefix_to_string p) (Ref.prefix_to_string p)
+      && String.equal
+           (Tensor.Keys.rib_key ~service ~vrf p)
+           (Ref.rib_key ~service ~vrf p)
+      && String.equal
+           (Tensor.Keys.encode_rib_entry src p attrs)
+           (Ref.encode_rib_entry src p attrs))
+
+let prop_hex_matches_printf =
+  QCheck.Test.make ~name:"hex byte-equals the Printf original" ~count:200
+    QCheck.string (fun s -> String.equal (Tensor.Keys.hex s) (Ref.hex s))
+
+let prop_stream_keys_match_printf =
+  QCheck.Test.make ~name:"in/out/epoch keys byte-equal the Printf originals"
+    ~count:300
+    QCheck.(
+      triple printable_string
+        (make ~print:string_of_int
+           Gen.(oneof [ small_signed_int; int_bound 10_000_000_000_000; int ]))
+        small_nat)
+    (fun (cid, n, epoch) ->
+      String.equal (Tensor.Keys.in_key cid n) (Ref.in_key cid n)
+      && String.equal (Tensor.Keys.out_key cid n) (Ref.out_key cid n)
+      && String.equal
+           (Tensor.Keys.epoch_cid cid epoch)
+           (Ref.epoch_cid cid epoch))
+
+let test_keys_padding_edges () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "in_key %d" n) (Ref.in_key "c" n)
+        (Tensor.Keys.in_key "c" n))
+    [ 0; 1; -1; 999_999_999_999; 1_000_000_000_000; -99_999_999_999;
+      -100_000_000_000; max_int; min_int ]
+
+(* --- Cached record encoder ----------------------------------------------------- *)
+
+let roundtrips (src, p, attrs) record =
+  match Tensor.Keys.decode_rib_entry record with
+  | Ok (src', p', attrs') ->
+      src' = src && Addr.equal_prefix p p' && Bgp.Attrs.equal attrs attrs'
+  | Error _ -> false
+
+(* A physically distinct copy: structurally equal, so the record must
+   not change, but the encoder's physical hit test must miss. *)
+let copy_attrs (a : Bgp.Attrs.t) = { a with Bgp.Attrs.med = a.Bgp.Attrs.med }
+
+let prop_cached_encoder =
+  QCheck.Test.make ~name:"cached encoder equals encode_rib_entry" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          quad (pair gen_source gen_source) (pair gen_attrs gen_attrs)
+            (list_size (int_range 1 40)
+               (quad bool bool bool gen_prefix))
+            unit))
+    (fun ((s1, s2), (a1, a2), steps, ()) ->
+      (* One encoder fed a mix of repeats (hits), alternating sources and
+         attribute sets, and equal-but-distinct attribute copies. *)
+      let enc = Tensor.Keys.rib_encoder () in
+      List.for_all
+        (fun (second_src, second_attrs, copy, p) ->
+          let src = if second_src then s2 else s1 in
+          let attrs = if second_attrs then a2 else a1 in
+          let attrs = if copy then copy_attrs attrs else attrs in
+          let record = Tensor.Keys.encode_rib_entry_with enc src p attrs in
+          String.equal record (Tensor.Keys.encode_rib_entry src p attrs)
+          && roundtrips (src, p, attrs) record)
+        steps)
+
+let test_cached_encoder_invalidation () =
+  let src n =
+    {
+      Bgp.Rib.key = Printf.sprintf "v0/10.0.0.%d" n;
+      peer_asn = 65000 + n;
+      peer_addr = Addr.of_octets 10 0 0 n;
+      router_id = Addr.of_octets 9 9 9 n;
+      ebgp = n mod 2 = 0;
+    }
+  in
+  let s1 = src 1 and s2 = src 2 in
+  let a =
+    Bgp.Attrs.make ~as_path:[ Bgp.Attrs.Seq [ 65001; 7018 ] ] ~med:5
+      ~next_hop:(Addr.of_string "10.0.0.1") ()
+  in
+  let a' = copy_attrs a in
+  checkb "copy is physically distinct" true (a != a' && Bgp.Attrs.equal a a');
+  let b = Bgp.Attrs.with_med a (Some 6) in
+  let enc = Tensor.Keys.rib_encoder () in
+  List.iteri
+    (fun i (src, attrs, p) ->
+      let p = pfx p in
+      let got = Tensor.Keys.encode_rib_entry_with enc src p attrs in
+      Alcotest.(check string)
+        (Printf.sprintf "step %d" i)
+        (Ref.encode_rib_entry src p attrs)
+        got;
+      checkb (Printf.sprintf "step %d roundtrips" i) true
+        (roundtrips (src, p, attrs) got))
+    [
+      (s1, a, "100.0.0.0/24");
+      (s1, a, "100.0.1.0/24") (* hit *);
+      (s1, a, "0.0.0.0/0") (* hit, shorter NLRI *);
+      (s1, a, "100.1.2.3/32") (* hit, longer NLRI *);
+      (s2, a, "100.0.2.0/24") (* source changed *);
+      (s1, a, "100.0.3.0/24") (* and back *);
+      (s1, a', "100.0.4.0/24") (* equal attributes, distinct value *);
+      (s1, b, "100.0.5.0/24") (* different attributes *);
+      (s2, a', "100.0.6.0/22");
+      (s2, a, "100.0.7.0/25");
+    ]
+
+let test_unhex_strict () =
+  let bad = Error "bad hex" in
+  List.iter
+    (fun s ->
+      checkb (Printf.sprintf "unhex %S rejected" s) true
+        (Tensor.Keys.unhex s = bad))
+    [ "f_"; "_f"; "0x"; " 1"; "+1"; "-1"; "g0"; "0G"; "ab_c"; "\x00\x00" ];
+  checkb "odd length" true (Tensor.Keys.unhex "abc" = Error "odd hex length");
+  checkb "empty" true (Tensor.Keys.unhex "" = Ok "");
+  checkb "either case" true
+    (Tensor.Keys.unhex "00fFaB7e" = Ok "\x00\xff\xab\x7e")
+
 (* --- Full deployment helpers ---------------------------------------------- *)
 
 type world = {
@@ -492,6 +724,10 @@ let () =
           Alcotest.test_case "in record" `Quick test_keys_in_record_roundtrip;
           Alcotest.test_case "rib entry" `Quick test_keys_rib_roundtrip;
           Alcotest.test_case "key parsers" `Quick test_keys_parsers;
+          Alcotest.test_case "key zero padding" `Quick test_keys_padding_edges;
+          Alcotest.test_case "cached encoder invalidation" `Quick
+            test_cached_encoder_invalidation;
+          Alcotest.test_case "unhex is strict" `Quick test_unhex_strict;
         ] );
       ( "deployment",
         [
@@ -531,5 +767,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_hex_roundtrip; prop_meta_roundtrip ] );
+          [
+            prop_hex_roundtrip;
+            prop_meta_roundtrip;
+            prop_codec_matches_printf;
+            prop_hex_matches_printf;
+            prop_stream_keys_match_printf;
+            prop_cached_encoder;
+          ] );
     ]
