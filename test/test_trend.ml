@@ -1,7 +1,8 @@
 (* bench/trend_core: the best-so-far trajectory analysis behind
    bench/trend.exe — previously only exercised via CI. Covers best
    selection across a series, the noise floor (fast experiments gate on
-   real doublings, not jitter), and mixed schema v1/v2 snapshots. *)
+   real doublings, not jitter), mixed schema v1/v2 snapshots, and the
+   committed snapshot series CI gates on. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -143,6 +144,51 @@ let test_mixed_schema_series () =
   checkb "disagreeing flags are mixed" true
     (Trend_core.mixed_quick [ Some true; Some false ])
 
+(* --- the committed CI series ------------------------------------------------ *)
+
+let committed =
+  [ "../bench/history/BENCH_pr3_seed_v1.json"; "../BENCH_seed.json"; "../BENCH_pr9.json" ]
+
+let read_snapshot path =
+  parse (In_channel.with_open_bin path In_channel.input_all)
+
+let test_committed_series () =
+  (* The three snapshots CI's trajectory gate reads (v1, v2, v2, all
+     with a Bechamel micro row), then a v3 snapshot as bench/main.exe
+     now writes it: no micro row, alloc_bytes_per_event. Each paper id
+     sits at its best-so-far except fig5a at 10x, so the gate must flag
+     exactly fig5a. *)
+  let history = List.map (fun f -> exps (read_snapshot f)) committed in
+  let best id =
+    List.fold_left
+      (fun acc e ->
+        match List.assoc_opt id e with Some w -> Float.min acc w | None -> acc)
+      Float.infinity history
+  in
+  let newest =
+    parse
+      (Printf.sprintf
+         "{\"schema_version\":3,\"quick\":true,\"experiments\":[%s]}"
+         (String.concat ","
+            (List.map
+               (fun id ->
+                 Printf.sprintf
+                   "{\"id\":\"%s\",\"wall_s\":%.6f,\"sim_events\":10,\"alloc_bytes_per_event\":2.5}"
+                   id
+                   (if id = "fig5a" then 10.0 *. best id else best id))
+               Tensor.Experiments.ids)))
+  in
+  let rows = Trend_core.analyze ~threshold:1.5 (history @ [ exps newest ]) in
+  (match (row "micro" rows).verdict with
+  | Trend_core.Gone -> ()
+  | _ -> Alcotest.fail "micro should be Gone");
+  Alcotest.(check (list string))
+    "only the seeded fig5a regression, never the Gone micro row" [ "fig5a" ]
+    (List.map (fun (r : Trend_core.row) -> r.id) (Trend_core.regressions rows));
+  List.iter
+    (fun id -> ignore (vs_best (row id rows)))
+    Tensor.Experiments.ids
+
 let () =
   Alcotest.run "trend"
     [
@@ -153,5 +199,7 @@ let () =
           Alcotest.test_case "new and gone experiments" `Quick test_new_and_gone;
           Alcotest.test_case "noise floor" `Quick test_noise_floor;
           Alcotest.test_case "mixed v1/v2 series" `Quick test_mixed_schema_series;
+          Alcotest.test_case "committed CI series, then v3 without micro" `Quick
+            test_committed_series;
         ] );
     ]
