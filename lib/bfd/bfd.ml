@@ -29,6 +29,8 @@ type Packet.payload += Bfd of control
 
 let control_wire_size = 66 (* IP + UDP + 24-byte BFD control *)
 
+module Remotes = Hashtbl.Make (Addr)
+
 type session = {
   ep : endpoint;
   svrf : string;
@@ -40,17 +42,20 @@ type session = {
   detect_mult : int;
   mutable st : state;
   mutable tx_timer : Engine.timer option;
-  mutable detect_handle : Engine.handle option;
+  detect : Engine.deadline Lazy.t;
+  mutable detect_interval : Time.span; (* remote interval of the last arm *)
   mutable change_cb : old:state -> state -> unit;
   mutable n_in : int;
   mutable n_out : int;
-  mutable last_rx_at : Time.t option;
+  (* Flag plus instant rather than [Time.t option]: set per packet. *)
+  mutable has_rx : bool;
+  mutable last_rx_at : Time.t;
 }
 
 and endpoint = {
   node : Node.t;
   eng : Engine.t;
-  sessions : (string, session) Hashtbl.t; (* key: remote|vrf *)
+  sessions : session list Remotes.t; (* by remote; one per vrf, newest first *)
   mutable next_disc : int;
 }
 
@@ -61,7 +66,31 @@ let registry_key : (string, endpoint) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
 let registry () = Domain.DLS.get registry_key
-let session_key remote vrf = Addr.to_string remote ^ "|" ^ vrf
+
+(* Hand-rolled and closure-free: runs once per received packet. *)
+let rec find_vrf vrf = function
+  | [] -> None
+  | s :: rest -> if String.equal s.svrf vrf then Some s else find_vrf vrf rest
+
+let find_session ep remote vrf =
+  match Remotes.find_opt ep.sessions remote with
+  | None -> None
+  | Some l -> find_vrf vrf l
+
+(* At most one session per (remote, vrf): registering replaces, and
+   unregistering removes whichever session holds the slot. *)
+let unregister ep remote vrf =
+  match Remotes.find_opt ep.sessions remote with
+  | None -> ()
+  | Some l -> (
+      match List.filter (fun s -> not (String.equal s.svrf vrf)) l with
+      | [] -> Remotes.remove ep.sessions remote
+      | rest -> Remotes.replace ep.sessions remote rest)
+
+let register ep s =
+  unregister ep s.sremote s.svrf;
+  let others = Option.value ~default:[] (Remotes.find_opt ep.sessions s.sremote) in
+  Remotes.replace ep.sessions s.sremote (s :: others)
 
 let session_state s = s.st
 let on_state_change s f = s.change_cb <- f
@@ -72,7 +101,7 @@ let remote s = s.sremote
 let local s = s.slocal
 let packets_in s = s.n_in
 let packets_out s = s.n_out
-let last_rx s = s.last_rx_at
+let last_rx s = if s.has_rx then Some s.last_rx_at else None
 
 let transition s new_state =
   if s.st <> new_state then begin
@@ -100,72 +129,59 @@ let send_control ep s =
          (Bfd ctl))
   end
 
-let cancel_detect s =
-  match s.detect_handle with
-  | Some h ->
-      Engine.cancel h;
-      s.detect_handle <- None
-  | None -> ()
+let cancel_detect s = Engine.clear_deadline (Lazy.force s.detect)
+
+let detect_expired ep s =
+  if s.st = Up || s.st = Init then begin
+    s.peer_disc <- 0;
+    Telemetry.Registry.incr m_detections;
+    if Telemetry.Gate.on () then begin
+      let now = Engine.now ep.eng in
+      if s.has_rx then
+        ignore
+          (Telemetry.Span.add ep.eng "bfd_detect" ~start_at:s.last_rx_at
+             ~stop_at:now);
+      let silent_s =
+        if s.has_rx then Time.to_sec_f (Time.diff now s.last_rx_at) else 0.0
+      in
+      Telemetry.Bus.emit ep.eng
+        (Telemetry.Event.Bfd_down
+           {
+             node = Node.name ep.node;
+             peer = Addr.to_string s.sremote;
+             vrf = s.svrf;
+             silent_s;
+             interval_s = Time.to_sec_f s.detect_interval;
+             mult = s.detect_mult;
+           })
+    end;
+    transition s Down
+  end
 
 let arm_detect ep s ~remote_interval =
-  cancel_detect s;
   let interval = max remote_interval (Time.ms 1) in
   let window = s.detect_mult * interval in
   (* Seeded fault: detect twice as late as the advertised
      interval × multiplier bound promises. *)
   let window = if !Monitor.Faults.bfd_slow_detect then 2 * window else window in
-  s.detect_handle <-
-    Some
-      (Engine.schedule_after ep.eng ~label:"bfd.detect" window (fun () ->
-           s.detect_handle <- None;
-           if s.st = Up || s.st = Init then begin
-             s.peer_disc <- 0;
-             Telemetry.Registry.incr m_detections;
-             if Telemetry.Gate.on () then begin
-               let now = Engine.now ep.eng in
-               (match s.last_rx_at with
-               | Some last_rx ->
-                   ignore
-                     (Telemetry.Span.add ep.eng "bfd_detect" ~start_at:last_rx
-                        ~stop_at:now)
-               | None -> ());
-               let silent_s =
-                 match s.last_rx_at with
-                 | Some last_rx -> Time.to_sec_f (Time.diff now last_rx)
-                 | None -> 0.0
-               in
-               Telemetry.Bus.emit ep.eng
-                 (Telemetry.Event.Bfd_down
-                    {
-                      node = Node.name ep.node;
-                      peer = Addr.to_string s.sremote;
-                      vrf = s.svrf;
-                      silent_s;
-                      interval_s = Time.to_sec_f interval;
-                      mult = s.detect_mult;
-                    })
-             end;
-             transition s Down
-           end))
+  s.detect_interval <- interval;
+  Engine.set_deadline (Lazy.force s.detect) (Time.add (Engine.now ep.eng) window)
+
+let to_up ep s =
+  if s.st <> Up && Telemetry.Gate.on () then
+    Telemetry.Bus.emit ep.eng
+      (Telemetry.Event.Bfd_up
+         { node = Node.name ep.node; peer = Addr.to_string s.sremote; vrf = s.svrf });
+  transition s Up
 
 let handle_control ep s (ctl : control) =
   if s.st <> Admin_down then begin
     s.n_in <- s.n_in + 1;
     Telemetry.Registry.incr m_pkts_in;
-    s.last_rx_at <- Some (Engine.now ep.eng);
+    s.has_rx <- true;
+    s.last_rx_at <- Engine.now ep.eng;
     if ctl.my_disc <> 0 then s.peer_disc <- ctl.my_disc;
     arm_detect ep s ~remote_interval:ctl.tx_interval;
-    let to_up () =
-      if s.st <> Up && Telemetry.Gate.on () then
-        Telemetry.Bus.emit ep.eng
-          (Telemetry.Event.Bfd_up
-             {
-               node = Node.name ep.node;
-               peer = Addr.to_string s.sremote;
-               vrf = s.svrf;
-             });
-      transition s Up
-    in
     match (s.st, ctl.state) with
     (* RFC 5880 §6.8.6: a session held in AdminDown discards whatever the
        peer reports; only a local command re-enables it. The former
@@ -173,9 +189,9 @@ let handle_control ep s (ctl : control) =
        administratively-down session back to Down on a peer AdminDown. *)
     | Admin_down, (Admin_down | Down | Init | Up) -> ()
     | Down, Down -> transition s Init
-    | Down, Init -> to_up ()
+    | Down, Init -> to_up ep s
     | Down, Up -> (* illegal from Down; wait for the peer's Init *) ()
-    | Init, (Init | Up) -> to_up ()
+    | Init, (Init | Up) -> to_up ep s
     | Init, Down -> ()
     | Up, Down ->
         (* Peer restarted its session. *)
@@ -187,8 +203,7 @@ let handle_control ep s (ctl : control) =
 let handle_packet ep (pkt : Packet.t) =
   match pkt.payload with
   | Bfd ctl -> (
-      let key = session_key pkt.src ctl.vrf in
-      match Hashtbl.find_opt ep.sessions key with
+      match find_session ep pkt.src ctl.vrf with
       | Some s -> (
           handle_control ep s ctl;
           true)
@@ -204,7 +219,7 @@ let endpoint node =
         {
           node;
           eng = Node.engine node;
-          sessions = Hashtbl.create 8;
+          sessions = Remotes.create 8;
           next_disc = 0;
         }
       in
@@ -220,7 +235,7 @@ let stop_session s =
   | None -> ());
   cancel_detect s;
   transition s Admin_down;
-  Hashtbl.remove s.ep.sessions (session_key s.sremote s.svrf)
+  unregister s.ep s.sremote s.svrf
 
 let create_session ep ?(tx_interval = Time.ms 100) ?(detect_mult = 3) ?local
     ?resume ~vrf ~remote () =
@@ -242,7 +257,7 @@ let create_session ep ?(tx_interval = Time.ms 100) ?(detect_mult = 3) ?local
     | Some (my_disc, your_disc) -> (my_disc, your_disc, Up)
     | None -> (ep.next_disc, 0, Down)
   in
-  let s =
+  let rec s =
     {
       ep;
       svrf = vrf;
@@ -254,14 +269,19 @@ let create_session ep ?(tx_interval = Time.ms 100) ?(detect_mult = 3) ?local
       detect_mult;
       st;
       tx_timer = None;
-      detect_handle = None;
+      detect =
+        lazy
+          (Engine.deadline ep.eng ~label:"bfd.detect" (fun () ->
+               detect_expired ep s));
+      detect_interval = 0;
       change_cb = (fun ~old:_ _ -> ());
       n_in = 0;
       n_out = 0;
-      last_rx_at = None;
+      has_rx = false;
+      last_rx_at = Time.zero;
     }
   in
-  Hashtbl.replace ep.sessions (session_key remote vrf) s;
+  register ep s;
   Telemetry.Registry.incr m_sessions;
   send_control ep s;
   s.tx_timer <-

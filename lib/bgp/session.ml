@@ -84,7 +84,7 @@ type t = {
   mutable tcp : Tcp.conn option;
   mutable framer : Msg.Framer.t;
   mutable neg : negotiated option;
-  mutable hold_handle : Engine.handle option;
+  hold : Engine.deadline Lazy.t;
   mutable keepalive_timer : Engine.timer option;
   mutable pre_send : Msg.t -> string -> (unit -> unit) -> unit;
   mutable on_message : Msg.t -> size:int -> unit;
@@ -156,12 +156,7 @@ let send_internal t msg =
   let raw = Msg.encode ~as4:(as4_wire t) msg in
   t.pre_send msg raw (fun () -> raw_write t msg)
 
-let cancel_hold t =
-  match t.hold_handle with
-  | Some h ->
-      Engine.cancel h;
-      t.hold_handle <- None
-  | None -> ()
+let cancel_hold t = Engine.clear_deadline (Lazy.force t.hold)
 
 let stop_keepalive t =
   match t.keepalive_timer with
@@ -209,17 +204,13 @@ let send_notification_and_die t code subcode =
   raw_write t (Msg.Notification n);
   teardown t (Notification_sent n)
 
-let rec arm_hold t seconds =
-  cancel_hold t;
+let arm_hold t seconds =
   if seconds > 0 then
-    t.hold_handle <-
-      Some
-        (Engine.schedule_after t.eng ~label:"bgp.hold" (Time.sec seconds)
-           (fun () ->
-             t.hold_handle <- None;
-             send_notification_and_die t 4 0))
+    Engine.set_deadline (Lazy.force t.hold)
+      (Time.add (Engine.now t.eng) (Time.sec seconds))
+  else cancel_hold t
 
-and reset_hold t =
+let reset_hold t =
   match t.neg with
   | Some n when n.hold_time > 0 -> arm_hold t n.hold_time
   | Some _ -> ()
@@ -347,27 +338,34 @@ let bind_tcp t c =
       if t.st <> Down then teardown t (Transport_failed Tcp.Closed_normally))
 
 let make_t stack cfg cb =
-  {
-    cfg;
-    eng = Tcp.stack_engine stack;
-    stack;
-    st = Idle;
-    tcp = None;
-    framer = Msg.Framer.create ~as4:true ();
-    neg = None;
-    hold_handle = None;
-    keepalive_timer = None;
-    pre_send = (fun _ _ k -> k ());
-    on_message = (fun _ ~size:_ -> ());
-    cb;
-    parsed = 0;
-    n_in = 0;
-    n_out = 0;
-    upd_in = 0;
-    upd_out = 0;
-    ka_in = 0;
-    last_write_at = Time.zero;
-  }
+  let eng = Tcp.stack_engine stack in
+  let rec t =
+    {
+      cfg;
+      eng;
+      stack;
+      st = Idle;
+      tcp = None;
+      framer = Msg.Framer.create ~as4:true ();
+      neg = None;
+      hold =
+        lazy
+          (Engine.deadline eng ~label:"bgp.hold" (fun () ->
+               send_notification_and_die t 4 0));
+      keepalive_timer = None;
+      pre_send = (fun _ _ k -> k ());
+      on_message = (fun _ ~size:_ -> ());
+      cb;
+      parsed = 0;
+      n_in = 0;
+      n_out = 0;
+      upd_in = 0;
+      upd_out = 0;
+      ka_in = 0;
+      last_write_at = Time.zero;
+    }
+  in
+  t
 
 let begin_handshake t =
   send_internal t (my_open t.cfg);

@@ -19,7 +19,8 @@ let hot_paths =
   [
     {
       rt_file = "lib/sim/engine.ml";
-      rt_fns = [ "exec"; "step"; "run"; "run_until"; "schedule_at" ];
+      rt_fns =
+        [ "exec"; "step"; "run"; "run_until"; "schedule_at"; "set_deadline" ];
       rt_label = "engine dispatch";
     };
     {
@@ -56,6 +57,13 @@ let hot_paths =
       rt_file = "lib/netsim/link.ml";
       rt_fns = [ "transmit" ];
       rt_label = "packet delivery";
+    };
+    (* Every BFD session sends and receives a control packet per
+       100 ms interval, and each receive re-arms the detect deadline. *)
+    {
+      rt_file = "lib/bfd/bfd.ml";
+      rt_fns = [ "handle_packet"; "send_control" ];
+      rt_label = "bfd rx/tx";
     };
     (* Every Loc-RIB change writes one checkpoint record and key; the
        out| records hex-encode every sent frame. *)

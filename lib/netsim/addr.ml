@@ -96,7 +96,8 @@ let compare_prefix p q =
   match Int.compare p.base q.base with 0 -> Int.compare p.len q.len | c -> c
 
 let equal_prefix p q = p.base = q.base && p.len = q.len
-let contains p a = a land netmask p.len = p.base
+let mask a len = a land netmask len
+let contains p a = mask a p.len = p.base
 
 let subsumes p q = q.len >= p.len && contains p q.base
 

@@ -50,6 +50,10 @@ val pp_prefix : Format.formatter -> prefix -> unit
 val compare_prefix : prefix -> prefix -> int
 val equal_prefix : prefix -> prefix -> bool
 
+val mask : t -> int -> t
+(** [mask a len] clears all but the top [len] bits of [a]: the base of
+    the [len]-bit prefix containing [a]. [len] must be in [0, 32]. *)
+
 val contains : prefix -> t -> bool
 (** [contains p a] is [true] when [a] falls inside [p]. *)
 

@@ -7,13 +7,22 @@ type iface = {
   remote : Addr.t;
 }
 
+module Tbl = Hashtbl.Make (Int)
+
+(* Forwarding state is hashed so that each packet hop costs O(1): the
+   fabric router of a fleet holds a hundred or more addresses,
+   interfaces and routes, and a list scan per lookup would dominate
+   delivery. The ordered lists stay for the accessors. *)
 type t = {
   nname : string;
   eng : Engine.t;
   mutable addrs : Addr.t list;
+  addr_set : unit Tbl.t;
   mutable handlers : (Packet.t -> bool) list;
   mutable ifs : iface list;
-  mutable routes : (Addr.prefix * Addr.t) list;
+  by_remote : iface Tbl.t; (* newest interface per remote address *)
+  routes : Addr.t Tbl.t; (* [route_key len base] to gateway, newest wins *)
+  mutable route_lens : int list; (* distinct prefix lengths, longest first *)
   mutable up : bool;
   forwarding : bool;
   mutable unrouted : int;
@@ -25,9 +34,13 @@ let create eng ?(forwarding = false) nname =
     nname;
     eng;
     addrs = [];
+    (* Size 1: chaos builds many small nodes. *)
+    addr_set = Tbl.create 1;
     handlers = [];
     ifs = [];
-    routes = [];
+    by_remote = Tbl.create 1;
+    routes = Tbl.create 1;
+    route_lens = [];
     up = true;
     forwarding;
     unrouted = 0;
@@ -36,27 +49,34 @@ let create eng ?(forwarding = false) nname =
 
 let name t = t.nname
 let engine t = t.eng
-let add_address t a = if not (List.mem a t.addrs) then t.addrs <- a :: t.addrs
+let has_address t a = Tbl.mem t.addr_set (Addr.to_int a)
+
+let add_address t a =
+  if not (has_address t a) then begin
+    t.addrs <- a :: t.addrs;
+    Tbl.replace t.addr_set (Addr.to_int a) ()
+  end
 
 let remove_address t a =
-  t.addrs <- List.filter (fun x -> not (Addr.equal x a)) t.addrs
+  t.addrs <- List.filter (fun x -> not (Addr.equal x a)) t.addrs;
+  Tbl.remove t.addr_set (Addr.to_int a)
+
 let addresses t = t.addrs
 let ifaces t = t.ifs
-(* Hand-rolled and top-level: [List.exists (Addr.equal a)] builds a
-   closure per call, and this runs once per packet on both the emit and
-   rx paths (h1 hot-path allocation budget). *)
-let rec addr_mem a = function
-  | [] -> false
-  | x :: rest -> Addr.equal a x || addr_mem a rest
 
-let has_address t a = addr_mem a t.addrs
+(* One int per (length, masked base): no tuple per lookup. *)
+let route_key len base = (len lsl 32) lor Addr.to_int base
 
-let add_route t prefix gateway =
-  (* Keep routes sorted by decreasing length: lookup is then first-match. *)
-  t.routes <-
-    List.sort
-      (fun (p, _) (q, _) -> Int.compare q.Addr.len p.Addr.len)
-      ((prefix, gateway) :: t.routes)
+let rec insert_len len = function
+  | [] -> [ len ]
+  | l :: rest as lens ->
+      if len > l then len :: lens
+      else if len = l then lens
+      else l :: insert_len len rest
+
+let add_route t (prefix : Addr.prefix) gateway =
+  Tbl.replace t.routes (route_key prefix.len prefix.base) gateway;
+  t.route_lens <- insert_len prefix.len t.route_lens
 
 let add_handler t f = t.handlers <- t.handlers @ [ f ]
 
@@ -66,25 +86,25 @@ let rec offer t pkt = function
 
 let deliver_local t pkt = offer t pkt t.handlers
 
-(* Same closure-free treatment as [addr_mem]: these three lookups ran
-   one [find_opt] closure each per forwarded packet. *)
-let rec iface_to a = function
-  | [] -> None
-  | i :: rest -> if Addr.equal i.remote a then Some i else iface_to a rest
+let iface_to t a = Tbl.find_opt t.by_remote (Addr.to_int a)
 
-let rec route_gw dst = function
+(* Longest prefix first. The first length that matches decides: a
+   gateway with no interface drops the packet rather than falling back
+   to a shorter prefix. *)
+let rec route_gw t dst = function
   | [] -> None
-  | (p, gw) :: rest ->
-      if Addr.contains p dst then Some gw else route_gw dst rest
+  | len :: rest -> (
+      match Tbl.find_opt t.routes (route_key len (Addr.mask dst len)) with
+      | Some _ as gw -> gw
+      | None -> route_gw t dst rest)
 
 let iface_for t dst =
-  match iface_to dst t.ifs with
+  match iface_to t dst with
   | Some _ as found -> found
   | None -> (
-      (* Longest prefix first thanks to the sorted insert. *)
-      match route_gw dst t.routes with
+      match route_gw t dst t.route_lens with
       | None -> None
-      | Some gw -> iface_to gw t.ifs)
+      | Some gw -> iface_to t gw)
 
 let rec emit t pkt =
   if not t.up then ()
@@ -110,7 +130,9 @@ let send = emit
 
 let attach t link side ~local ~remote =
   add_address t local;
-  t.ifs <- { link; side; local; remote } :: t.ifs;
+  let i = { link; side; local; remote } in
+  t.ifs <- i :: t.ifs;
+  Tbl.replace t.by_remote (Addr.to_int remote) i;
   Link.set_receiver link side (fun pkt -> rx t pkt)
 
 let is_up t = t.up

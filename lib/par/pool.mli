@@ -44,8 +44,8 @@ val speedup : stats -> float
     approaches [jobs] under perfect scaling. Busy time is wall time
     spent inside tasks, so when domains outnumber cores preemption
     inflates it — for a true speedup, compare [elapsed_s] against a
-    [jobs:1] run of the same workload (the bench campaign experiment
-    does exactly that). *)
+    [jobs:1] run of the same workload ([tensor-cli fuzz --jobs N]
+    prints this accounting on stderr for either). *)
 
 val run :
   ?jobs:int ->

@@ -5,7 +5,7 @@ type event = {
   seq : int; (* tie-breaker: FIFO among same-instant events; doubles as
                 the event's unique id within its engine *)
   action : unit -> unit;
-  mutable cancelled : bool;
+  mutable state : int; (* [queued], [dead] or [wake], below *)
   owner : t;
   label : string; (* cost-attribution label, see [schedule_at] *)
   sched_at : Time.t; (* enqueue instant: dwell = time - sched_at *)
@@ -50,6 +50,13 @@ and dls_state = {
 }
 
 type handle = event
+
+(* Event states. A [wake] entry is a deadline's wake-up: [step] hands it
+   back to its deadline, which either re-queues it silently (the
+   deadline moved later) or dispatches the deadline's action. *)
+let queued = 0
+let dead = 1
+let wake = 2
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
@@ -128,6 +135,14 @@ let rng t = t.root_rng
 let current_label t = t.current_label
 let current_event_id t = t.current_id
 
+let push t e =
+  match t.heap with
+  | Some h -> Heap.push h e
+  | None ->
+      let h = Heap.create_with e in
+      t.heap <- Some h;
+      Heap.push h e
+
 let schedule_at t ?label instant action =
   if instant < t.clock then
     invalid_arg
@@ -139,7 +154,7 @@ let schedule_at t ?label instant action =
       time = instant;
       seq = t.next_seq;
       action;
-      cancelled = false;
+      state = queued;
       owner = t;
       label;
       sched_at = t.clock;
@@ -148,15 +163,7 @@ let schedule_at t ?label instant action =
   in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  let h =
-    match t.heap with
-    | Some h -> h
-    | None ->
-        let h = Heap.create_with e in
-        t.heap <- Some h;
-        h
-  in
-  Heap.push h e;
+  push t e;
   e
 
 let schedule_after t ?label span action =
@@ -164,12 +171,12 @@ let schedule_after t ?label span action =
   schedule_at t ?label (Time.add t.clock span) action
 
 let cancel (e : handle) =
-  if not e.cancelled then begin
-    e.cancelled <- true;
+  if e.state = queued then begin
+    e.state <- dead;
     e.owner.live <- e.owner.live - 1
   end
 
-let is_pending (e : handle) = not e.cancelled
+let is_pending (e : handle) = e.state = queued
 
 (* The attribution hook (Prof.Profiler installs itself here). When set,
    every event dispatch is routed through it with the event's label and
@@ -190,8 +197,10 @@ let profiling () = (dls ()).dls_profile_hook <> None
 let set_trace_hook h = (dls ()).dls_trace_hook <- h
 let tracing () = (dls ()).dls_trace_hook <> None
 
-let exec t e =
-  e.cancelled <- true;
+(* [action] is [e.action], except for a due deadline, whose queued entry
+   carries the deadline's wake-up instead. *)
+let exec t e action =
+  e.state <- dead;
   t.live <- t.live - 1;
   t.clock <- e.time;
   t.processed <- t.processed + 1;
@@ -204,9 +213,8 @@ let exec t e =
       hook ~eng:t ~id:e.seq ~parent:e.caused_by ~label:e.label
         ~sched_at:e.sched_at ~exec_at:e.time);
   (match t.dls.dls_profile_hook with
-  | None -> e.action ()
-  | Some hook ->
-      hook ~label:e.label ~dwell:(Time.diff e.time e.sched_at) e.action);
+  | None -> action ()
+  | Some hook -> hook ~label:e.label ~dwell:(Time.diff e.time e.sched_at) action);
   t.current_id <- -1
 
 let step t =
@@ -216,7 +224,8 @@ let step t =
       if h.size = 0 then false
       else begin
         let e = Heap.pop h in
-        if not e.cancelled then exec t e;
+        if e.state = queued then exec t e e.action
+        else if e.state = wake then e.action ();
         true
       end
 
@@ -249,6 +258,7 @@ let run_until_cond t ~slice ~deadline cond =
   loop ()
 
 let pending_events t = t.live
+let queued_events t = match t.heap with Some h -> h.size | None -> 0
 let processed_events t = t.processed
 let global_processed_events () = (dls ()).dls_processed
 
@@ -291,3 +301,98 @@ let stop_timer timer =
       cancel h;
       timer.pending <- None
   | None -> ()
+
+(* A liveness timer (BFD detect, BGP hold) moves later on every packet
+   it watches. Cancel-and-reschedule would leave one dead heap entry
+   per packet; a deadline keeps one wake-up queued instead and lets it
+   follow the deadline when it fires. Each [set_deadline] still takes
+   the sequence number a fresh schedule would have taken, and the entry
+   that finally dispatches carries it, with the enqueue instant and
+   causal parent of that last set: dispatch order, event ids and what
+   the hooks see are those of cancel-and-reschedule. *)
+type deadline = {
+  d_eng : t;
+  d_label : string;
+  d_action : unit -> unit;
+  d_wake : unit -> unit; (* the queued entry's action: [on_wake] *)
+  mutable d_armed : bool;
+  mutable d_at : Time.t;
+  mutable d_seq : int;
+  mutable d_sched_at : Time.t;
+  mutable d_caused_by : int;
+  mutable d_entry : event option; (* the queued wake-up, in state [wake] *)
+}
+
+let queue_wake d =
+  let e =
+    {
+      time = d.d_at;
+      seq = d.d_seq;
+      action = d.d_wake;
+      state = wake;
+      owner = d.d_eng;
+      label = d.d_label;
+      sched_at = d.d_sched_at;
+      caused_by = d.d_caused_by;
+    }
+  in
+  d.d_entry <- Some e;
+  push d.d_eng e
+
+(* Runs when [step] pops the queued entry. A lazily cleared deadline
+   drops it; one moved later re-queues at its current instant without a
+   dispatch; a due one dispatches its action. *)
+let on_wake d =
+  match d.d_entry with
+  | None -> ()
+  | Some e ->
+      e.state <- dead;
+      d.d_entry <- None;
+      if d.d_armed then
+        if d.d_seq = e.seq then begin
+          d.d_armed <- false;
+          exec d.d_eng e d.d_action
+        end
+        else queue_wake d
+
+let deadline t ~label action =
+  let rec d =
+    {
+      d_eng = t;
+      d_label = label;
+      d_action = action;
+      d_wake = (fun () -> on_wake d);
+      d_armed = false;
+      d_at = Time.zero;
+      d_seq = 0;
+      d_sched_at = Time.zero;
+      d_caused_by = -1;
+      d_entry = None;
+    }
+  in
+  d
+
+let set_deadline d instant =
+  let t = d.d_eng in
+  if instant < t.clock then invalid_arg "Engine.set_deadline: instant in the past";
+  if not d.d_armed then begin
+    d.d_armed <- true;
+    t.live <- t.live + 1
+  end;
+  d.d_at <- instant;
+  d.d_seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  d.d_sched_at <- t.clock;
+  d.d_caused_by <- t.current_id;
+  match d.d_entry with
+  | Some e when e.time <= instant -> () (* it fires first, then follows *)
+  | Some e ->
+      e.state <- dead;
+      queue_wake d
+  | None -> queue_wake d
+
+let clear_deadline d =
+  if d.d_armed then begin
+    d.d_armed <- false;
+    d.d_eng.live <- d.d_eng.live - 1
+  end

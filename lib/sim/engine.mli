@@ -78,7 +78,13 @@ val run_until_cond :
     a caller's simulated output. *)
 
 val pending_events : t -> int
-(** Number of live (non-cancelled) queued events. *)
+(** Number of live (non-cancelled) queued events. An armed {!deadline}
+    counts as one. *)
+
+val queued_events : t -> int
+(** Number of entries in the event heap, including cancelled events and
+    stale deadline wake-ups not yet popped: [queued_events t -
+    pending_events t] is what lazy cancellation costs in heap size. *)
 
 val processed_events : t -> int
 (** Total number of events executed so far. *)
@@ -148,3 +154,29 @@ val every : t -> ?label:string -> ?jitter:float -> Time.span -> (unit -> unit) -
 
 val stop_timer : timer -> unit
 (** Stops the periodic timer; the pending firing is cancelled. *)
+
+(** {2 Re-armable deadlines}
+
+    A one-shot timer for a liveness check that is pushed later on every
+    packet it watches (BFD detection, the BGP hold timer). Setting a
+    deadline behaves exactly like cancelling the previous event and
+    scheduling a fresh one — same dispatch order among same-instant
+    events, same event id, label, dwell and causal parent — but keeps at
+    most one wake-up in the heap. Pushing the deadline later only
+    updates a field; the queued wake-up follows the new instant when it
+    pops, without a dispatch. Moving it earlier replaces the wake-up.
+    Clearing is lazy. *)
+
+type deadline
+
+val deadline : t -> label:string -> (unit -> unit) -> deadline
+(** [deadline t ~label f] is an unarmed deadline that runs [f] when it
+    expires, attributed to [label] as in {!schedule_after}. *)
+
+val set_deadline : deadline -> Time.t -> unit
+(** [set_deadline d instant] (re-)arms [d] to expire at [instant],
+    replacing any earlier setting. An instant in the past is an
+    [Invalid_argument]. *)
+
+val clear_deadline : deadline -> unit
+(** Disarms the deadline; a no-op when it is not armed. *)

@@ -74,7 +74,13 @@ type t = {
   mutable outtrim : int; (* stream offset known acked *)
   mutable out_records : (int * int) list; (* (offset, len), oldest first *)
   mutable tail_source : (unit -> (int * int * string) option) option;
-  mutable watchdog : Engine.timer option;
+  (* The stall/degrade watchdog ticks on a 25 ms grid from the first
+     [ensure_watchdog], but only while something can age: an ACK held
+     or the control lane blocked. See [arm_watchdog]. *)
+  mutable wd_started : bool;
+  mutable wd_origin : Time.t;
+  mutable wd_tick : Engine.handle option; (* pending or running tick *)
+  mutable wd_fire : unit -> unit; (* the tick, set by [ensure_watchdog] *)
   mutable part_written : bool;
   (* Connection epoch: rolls forward each time the replicated session's
      transport dies, so every successor connection writes its
@@ -131,7 +137,10 @@ let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
     outtrim = 0;
     out_records = [];
     tail_source = None;
-    watchdog = None;
+    wd_started = false;
+    wd_origin = Time.zero;
+    wd_tick = None;
+    wd_fire = ignore;
     part_written = false;
     epoch = 0;
     degrade_after = None;
@@ -189,6 +198,37 @@ let op_of_batch = function
   | Sets s -> Set (List.rev s.rev_pairs, List.rev s.rev_ks)
   | Dels d -> Del d.keys
 
+(* --- The watchdog's grid ------------------------------------------------------
+
+   The watchdog ticks on a 25 ms grid, as a poll from its first arming
+   would, but a tick acts only on an ACK held or a control-lane write
+   blocked, so it runs only while one of them exists. From idle, the
+   first tick goes to the next grid instant (the current one included).
+   That tick finds everything younger than 25 ms — below the 30 ms
+   stall threshold and below a degrade deadline of at least one tick —
+   so it acts as the poll's tick would, and it re-arms where the poll
+   did, keeping later ticks' queue order. A shorter degrade deadline
+   would let that first tick act, so the watchdog then polls without
+   pause ([must_poll]). *)
+
+let watchdog_period = Time.ms 25
+
+let busy t = (not (Queue.is_empty t.held)) || t.ctl.blocked_since <> None
+
+let must_poll t =
+  match t.degrade_after with Some d -> d < watchdog_period | None -> false
+
+let arm_watchdog t =
+  if t.wd_started && t.wd_tick = None && not t.stopped then begin
+    let since = Time.diff (Engine.now t.eng) t.wd_origin in
+    let k = max 1 ((since + watchdog_period - 1) / watchdog_period) in
+    t.wd_tick <-
+      Some
+        (Engine.schedule_at t.eng ~label:"repl.watchdog"
+           (Time.add t.wd_origin (k * watchdog_period))
+           t.wd_fire)
+  end
+
 (* Each operation is retried until the store acknowledges it: a request
    lost to transient network trouble must neither block the lane for a
    long client timeout (stalled keepalive releases would let the peer's
@@ -217,8 +257,10 @@ let rec pump t lane =
         in
         let miss attempt =
           if live () then begin
-            if lane.blocked_since = None then
+            if lane.blocked_since = None then begin
               lane.blocked_since <- Some (Engine.now t.eng);
+              if lane == t.ctl then arm_watchdog t
+            end;
             Telemetry.Registry.incr m_store_retries;
             ignore
               (Engine.schedule_after t.eng ~label:"repl.retry" (Time.ms 100)
@@ -579,6 +621,7 @@ let attach_output_chain t chain ~local ~remote =
                     Queue.push
                       (seg.Tcp.Segment.ack, Engine.now t.eng, reinject)
                       t.held;
+                    arm_watchdog t;
                     Telemetry.Registry.incr m_acks_held;
                     if Telemetry.Gate.on () then
                       Telemetry.Bus.emit t.eng
@@ -657,13 +700,26 @@ let check_degrade t =
         if held_over || ctl_over then enter_degraded t
       end
 
+(* Re-arms where [Engine.every] did, after the checks, so back-to-back
+   ticks keep the poll's queue order. A tick in progress stays in
+   [wd_tick], which keeps [arm_watchdog] from arming a second one. *)
+let watchdog_tick t =
+  check_stall t;
+  check_degrade t;
+  t.wd_tick <-
+    (if (not t.stopped) && (busy t || must_poll t) then
+       Some
+         (Engine.schedule_after t.eng ~label:"repl.watchdog" watchdog_period
+            t.wd_fire)
+     else None)
+
 let ensure_watchdog t =
-  if t.watchdog = None then
-    t.watchdog <-
-      Some
-        (Engine.every t.eng ~label:"repl.watchdog" (Time.ms 25) (fun () ->
-             check_stall t;
-             check_degrade t))
+  if not t.wd_started then begin
+    t.wd_started <- true;
+    t.wd_origin <- Engine.now t.eng;
+    t.wd_fire <- (fun () -> watchdog_tick t);
+    if busy t || must_poll t then arm_watchdog t
+  end
 
 let set_tail_source t source =
   t.tail_source <- Some source;
@@ -672,7 +728,11 @@ let set_tail_source t source =
 let set_degrade_after t span =
   t.degrade_after <- span;
   (* The deadline must be watched even before a tail source exists. *)
-  match span with Some _ -> ensure_watchdog t | None -> ()
+  match span with
+  | Some _ ->
+      ensure_watchdog t;
+      if must_poll t then arm_watchdog t
+  | None -> ()
 
 (* --- Receive replication ----------------------------------------------------- *)
 
@@ -788,10 +848,10 @@ let drain t k =
 let stop t =
   t.stopped <- true;
   stop_heal_probe t;
-  (match t.watchdog with
-  | Some w ->
-      Engine.stop_timer w;
-      t.watchdog <- None
+  (match t.wd_tick with
+  | Some h ->
+      Engine.cancel h;
+      t.wd_tick <- None
   | None -> ());
   while not (Queue.is_empty t.held) do
     let ack, _, reinject = Queue.pop t.held in

@@ -150,6 +150,74 @@ let test_peer_detects_without_relay () =
       checkb "sub-500ms detection" true (Time.diff t t0 <= Time.ms 500)
   | None -> Alcotest.fail "not detected"
 
+(* Detection fires exactly [mult x interval] after the last packet
+   received: the deadline each packet pushes later is the one that
+   expires. *)
+let test_detect_at_last_rx () =
+  let eng, _, a, b, _, addr_a, addr_b = pair () in
+  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
+  ignore (Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a ());
+  Engine.run_for eng (Time.sec 1);
+  let down_at = ref None in
+  Bfd.on_state_change sa (fun ~old:_ st ->
+      if st = Bfd.Down && !down_at = None then down_at := Some (Engine.now eng));
+  Node.set_up b false;
+  Engine.run_for eng (Time.sec 2);
+  match (!down_at, Bfd.last_rx sa) with
+  | Some t, Some last -> checki "last rx + 3 x 100 ms" (Time.add last (Time.ms 300)) t
+  | _ -> Alcotest.fail "not detected"
+
+(* A peer that shortens its interval moves the detection deadline
+   earlier: silenced right after its first short-interval packet lands,
+   it is detected [mult x new interval] later, well before the old
+   deadline. *)
+let test_shorter_interval_rearms_earlier () =
+  let eng, _, a, b, _, addr_a, addr_b = pair () in
+  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
+  let sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
+  Engine.run_for eng (Time.sec 1);
+  let down_at = ref None in
+  Bfd.on_state_change sa (fun ~old:_ st ->
+      if st = Bfd.Down && !down_at = None then down_at := Some (Engine.now eng));
+  Bfd.set_tx_interval sb (Time.ms 20);
+  (* Let anything sent at the old interval land first. *)
+  Engine.run_for eng (Time.ms 1);
+  let n0 = Bfd.packets_in sa in
+  while Bfd.packets_in sa = n0 do
+    Engine.run_for eng (Time.us 100)
+  done;
+  Node.set_up b false;
+  match Bfd.last_rx sa with
+  | None -> Alcotest.fail "nothing received"
+  | Some last ->
+      Engine.run_until eng (Time.add last (Time.ms 60));
+      Alcotest.(check (option int))
+        "down at last rx + 3 x 20 ms"
+        (Some (Time.add last (Time.ms 60)))
+        !down_at
+
+(* Each received packet re-arms the detect deadline in place, so the
+   heap stays the size of the live timer set. Cancel-and-reschedule
+   kept one dead entry per packet received within the last detection
+   window: about [detect_mult] per session. *)
+let test_heap_stays_flat () =
+  let eng, _, a, b, _, addr_a, addr_b = pair () in
+  ignore
+    (Bfd.create_session (Bfd.endpoint a) ~detect_mult:20 ~vrf:"v0"
+       ~remote:addr_b ());
+  ignore
+    (Bfd.create_session (Bfd.endpoint b) ~detect_mult:20 ~vrf:"v0"
+       ~remote:addr_a ());
+  let worst = ref 0 in
+  for _ = 1 to 100 do
+    Engine.run_for eng (Time.ms 100);
+    worst :=
+      max !worst (Engine.queued_events eng - Engine.pending_events eng)
+  done;
+  checkb
+    (Printf.sprintf "at most 2 stale heap entries (saw %d)" !worst)
+    true (!worst <= 2)
+
 let prop_detection_scales_with_interval =
   QCheck.Test.make ~name:"detection time ~ detect_mult * interval" ~count:10
     QCheck.(pair (int_range 20 200) (int_range 2 5))
@@ -196,6 +264,14 @@ let () =
           Alcotest.test_case "vrf isolation" `Quick test_vrf_isolation;
           Alcotest.test_case "admin stop" `Quick
             test_admin_stop_no_callbacks_after;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "fires at last rx + mult x interval" `Quick
+            test_detect_at_last_rx;
+          Alcotest.test_case "shorter interval re-arms earlier" `Quick
+            test_shorter_interval_rearms_earlier;
+          Alcotest.test_case "heap stays flat" `Quick test_heap_stays_flat;
         ] );
       ( "relay",
         [

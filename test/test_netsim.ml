@@ -451,6 +451,130 @@ let prop_prefix_contains_base =
       let k = min (size - 1) 3 in
       Addr.contains p (Addr.host_in p k))
 
+(* The list-based lookup the hashed forwarding tables replaced, kept as
+   the reference: a direct neighbour first (the newest interface wins),
+   then the longest matching prefix (the newest route wins among equal
+   prefixes), whose gateway must itself be a neighbour — a gateway with
+   no interface drops the packet, with no fallback to a shorter
+   prefix. *)
+let rec ref_iface_to a = function
+  | [] -> None
+  | (i : Node.iface) :: rest ->
+      if Addr.equal i.remote a then Some i else ref_iface_to a rest
+
+let rec ref_route_gw dst = function
+  | [] -> None
+  | (p, gw) :: rest ->
+      if Addr.contains p dst then Some gw else ref_route_gw dst rest
+
+let ref_iface_for ifs routes dst =
+  match ref_iface_to dst ifs with
+  | Some _ as found -> found
+  | None -> (
+      match ref_route_gw dst routes with
+      | None -> None
+      | Some gw -> ref_iface_to gw ifs)
+
+(* Addresses the router's interfaces, routes and destinations draw from,
+   dense enough that prefixes overlap, repeat and shadow each other.
+   The last five are the router's own interface addresses. *)
+let fwd_pool =
+  Array.map Addr.of_string
+    [|
+      "10.0.0.1"; "10.0.0.2"; "10.0.0.6"; "10.0.1.9"; "10.0.1.10";
+      "10.1.0.1"; "172.16.0.1"; "192.168.7.3"; "0.0.0.0"; "255.255.255.255";
+      "10.9.0.1"; "10.9.1.1"; "10.9.2.1"; "10.9.3.1"; "10.9.4.1";
+    |]
+
+let fwd_lens = [| 0; 8; 16; 24; 30; 30; 32; 32 |]
+
+type fwd_op =
+  | Route of int * int * int (* length index, base, gateway *)
+  | Remove_address of int
+  | Add_address of int
+
+let pp_fwd_op = function
+  | Route (l, b, g) -> Printf.sprintf "route %d/%d via %d" b fwd_lens.(l) g
+  | Remove_address a -> Printf.sprintf "remove %d" a
+  | Add_address a -> Printf.sprintf "add %d" a
+
+let fwd_case =
+  let open QCheck.Gen in
+  let idx = int_bound (Array.length fwd_pool - 1) in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun l b g -> Route (l, b, g))
+            (int_bound (Array.length fwd_lens - 1))
+            idx idx );
+        (1, map (fun a -> Remove_address a) idx);
+        (1, map (fun a -> Add_address a) idx);
+      ]
+  in
+  let dst =
+    oneof [ map (fun i -> fwd_pool.(i)) idx; map Addr.of_int (int_bound 0x3FFFFFFF) ]
+  in
+  (* Five links whose remote ends repeat, so a remote can have two
+     interfaces. *)
+  triple (list_repeat 5 (int_bound 5)) (list_size (0 -- 14) op)
+    (list_size (1 -- 20) dst)
+
+let prop_forwarding_matches_lists =
+  QCheck.Test.make ~name:"hashed forwarding = list-based lookup" ~count:300
+    (QCheck.make fwd_case ~print:(fun (remotes, ops, dsts) ->
+         String.concat "; "
+           (List.map string_of_int remotes
+           @ List.map pp_fwd_op ops
+           @ List.map Addr.to_string dsts)))
+    (fun (remotes, ops, dsts) ->
+      let eng = Engine.create () in
+      let r = Node.create eng ~forwarding:true "r" in
+      let links =
+        Array.of_list
+          (List.mapi
+             (fun i remote ->
+               let l = Link.create eng () in
+               Node.attach r l Link.A ~local:fwd_pool.(10 + i)
+                 ~remote:fwd_pool.(remote);
+               l)
+             remotes)
+      in
+      let routes = ref [] in
+      List.iter
+        (function
+          | Route (l, b, g) ->
+              let p = Addr.prefix fwd_pool.(b) fwd_lens.(l) in
+              Node.add_route r p fwd_pool.(g);
+              routes :=
+                List.sort
+                  (fun (p, _) (q, _) -> Int.compare q.Addr.len p.Addr.len)
+                  ((p, fwd_pool.(g)) :: !routes)
+          | Remove_address a -> Node.remove_address r fwd_pool.(a)
+          | Add_address a -> Node.add_address r fwd_pool.(a))
+        ops;
+      let tx () = Array.map Link.tx_packets links in
+      List.for_all
+        (fun dst ->
+          let tx0 = tx () and unrouted0 = Node.unrouted_packets r in
+          Node.send r
+            (Packet.make ~src:fwd_pool.(10) ~dst ~size:64 (Packet.Raw "x"));
+          let sent =
+            List.filter
+              (fun i -> (tx ()).(i) > tx0.(i))
+              (List.init (Array.length links) Fun.id)
+          in
+          let unrouted = Node.unrouted_packets r - unrouted0 in
+          if List.mem dst (Node.addresses r) then sent = [] && unrouted = 0
+          else
+            match ref_iface_for (Node.ifaces r) !routes dst with
+            | None -> sent = [] && unrouted = 1
+            | Some i -> (
+                unrouted = 0
+                && match sent with [ k ] -> links.(k) == i.Node.link | _ -> false))
+        dsts)
+
 let prop_addr_string_roundtrip =
   QCheck.Test.make ~name:"addr to_string/of_string roundtrip" ~count:500
     QCheck.(int_bound 0xFFFFFFF)
@@ -519,5 +643,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_prefix_contains_base; prop_addr_string_roundtrip ] );
+          [
+            prop_prefix_contains_base;
+            prop_addr_string_roundtrip;
+            prop_forwarding_matches_lists;
+          ] );
     ]

@@ -363,6 +363,17 @@ let test_drain_fires_when_quiet () =
   Engine.run r.eng;
   checkb "drained" true !drained
 
+let held_seg ack =
+  {
+    Tcp.Segment.src_port = 179;
+    dst_port = 179;
+    seq = 0;
+    ack;
+    window = 1000;
+    payload = "";
+    flags = Tcp.Segment.flag_ack;
+  }
+
 let test_stop_releases_held () =
   (* A held reinjection must not be wedged by stop. *)
   let r = make_rig () in
@@ -371,26 +382,96 @@ let test_stop_releases_held () =
     ~local:(Addr.of_string "1.1.1.1") ~remote:(Addr.of_string "2.2.2.2");
   Tensor.Replicator.session_established r.repl ~irs:1000;
   (* A segment acking beyond the watermark gets held. *)
-  let seg =
-    {
-      Tcp.Segment.src_port = 179;
-      dst_port = 179;
-      seq = 0;
-      ack = 99_999;
-      window = 1000;
-      payload = "";
-      flags = Tcp.Segment.flag_ack;
-    }
-  in
   let emitted = ref 0 in
   Netfilter.traverse chain
     (Packet.make ~src:(Addr.of_string "1.1.1.1") ~dst:(Addr.of_string "2.2.2.2")
-       ~size:40 (Tcp.Segment.Tcp seg))
+       ~size:40 (Tcp.Segment.Tcp (held_seg 99_999)))
     ~emit:(fun _ -> incr emitted);
   checki "held" 1 (Tensor.Replicator.held_segments r.repl);
   Tensor.Replicator.stop r.repl;
   checki "released on stop" 0 (Tensor.Replicator.held_segments r.repl);
   checki "emitted" 1 !emitted
+
+(* --- Watchdog --------------------------------------------------------------- *)
+
+(* Dispatches of [label] while [f] runs, counted through the engine's
+   trace hook. *)
+let count_dispatches label f =
+  let n = ref 0 in
+  Engine.set_trace_hook
+    (Some
+       (fun ~eng:_ ~id:_ ~parent:_ ~label:l ~sched_at:_ ~exec_at:_ ->
+         if String.equal l label then incr n));
+  Fun.protect ~finally:(fun () -> Engine.set_trace_hook None) f;
+  !n
+
+let test_idle_watchdog_is_silent () =
+  let r = make_rig () in
+  Tensor.Replicator.session_established r.repl ~irs:1000;
+  Tensor.Replicator.set_tail_source r.repl (fun () -> None);
+  Tensor.Replicator.set_degrade_after r.repl (Some (Time.ms 100));
+  let ticks =
+    count_dispatches "repl.watchdog" (fun () -> Engine.run_for r.eng (Time.sec 10))
+  in
+  checki "no watchdog tick while nothing is held" 0 ticks
+
+(* A held ACK the store cannot cover is shed at a tick of the 25 ms grid
+   that starts when the watchdog is first armed: the first grid instant
+   at which the ACK has aged [degrade_after]. A polling watchdog ticked
+   on that grid all along; the event-driven one must shed at the same
+   instant. Returns the grid origin and the instants of the shed and of
+   [Degraded_enter]; the ACK is held [hold_at] after the origin. *)
+let shed_instant ~degrade_after ~hold_at =
+  let r = make_rig () in
+  let chain = Netfilter.create () in
+  let local = Addr.of_string "1.1.1.1" and remote = Addr.of_string "2.2.2.2" in
+  Tensor.Replicator.attach_output_chain r.repl chain ~local ~remote;
+  Engine.run_for r.eng (Time.ms 7);
+  let origin = Engine.now r.eng in
+  Tensor.Replicator.set_degrade_after r.repl (Some degrade_after);
+  Tensor.Replicator.session_established r.repl ~irs:1000;
+  Engine.run_until r.eng (Time.add origin hold_at);
+  (* The store goes away; the next message's write cannot land. *)
+  Link.set_up r.link false;
+  Tensor.Replicator.on_rx_message r.repl keepalive ~inferred_ack:1020;
+  let released = ref None in
+  let (), entries =
+    Telemetry.Control.capture ~category:Telemetry.Event.Replicator (fun () ->
+        Netfilter.traverse chain
+          (Packet.make ~src:local ~dst:remote ~size:40
+             (Tcp.Segment.Tcp (held_seg 1020)))
+          ~emit:(fun _ -> released := Some (Engine.now r.eng));
+        checki "held" 1 (Tensor.Replicator.held_segments r.repl);
+        Engine.run_for r.eng (Time.sec 1))
+  in
+  let entered =
+    List.filter_map
+      (fun (e : Telemetry.Bus.entry) ->
+        match e.event with
+        | Telemetry.Event.Degraded_enter _ -> Some e.at
+        | _ -> None)
+      entries
+  in
+  checkb "degraded" true (Tensor.Replicator.degraded r.repl);
+  (origin, !released, entered)
+
+let check_shed ~degrade_after ~hold_at ~expect =
+  let origin, released, entered = shed_instant ~degrade_after ~hold_at in
+  let expect = Time.add origin expect in
+  Alcotest.(check (option int)) "shed at the grid tick" (Some expect) released;
+  Alcotest.(check (list int)) "Degraded_enter at the same tick" [ expect ] entered
+
+(* Held between ticks at +1006 ms, aged 100 ms at +1106: the next tick is
+   +1125. *)
+let test_shed_on_grid () =
+  check_shed ~degrade_after:(Time.ms 100) ~hold_at:(Time.ms 1_006)
+    ~expect:(Time.ms 1_125)
+
+(* [degrade_after] = 0, from a negotiated hold time of 0: the first tick
+   that sees the ACK sheds it. Held at +1025 ms, just after that
+   instant's tick ran, the poll shed at the next tick, +1050. *)
+let test_shed_at_zero_deadline () =
+  check_shed ~degrade_after:0 ~hold_at:(Time.ms 1_025) ~expect:(Time.ms 1_050)
 
 let () =
   Alcotest.run "replicator"
@@ -431,5 +512,13 @@ let () =
             test_resume_continues_counters;
           Alcotest.test_case "drain" `Quick test_drain_fires_when_quiet;
           Alcotest.test_case "stop releases held" `Quick test_stop_releases_held;
+        ] );
+      ( "watchdog",
+        [
+          Alcotest.test_case "idle watchdog is silent" `Quick
+            test_idle_watchdog_is_silent;
+          Alcotest.test_case "shed on the 25 ms grid" `Quick test_shed_on_grid;
+          Alcotest.test_case "degrade_after = 0 sheds next tick" `Quick
+            test_shed_at_zero_deadline;
         ] );
     ]

@@ -280,6 +280,82 @@ let prop_cancel_safety =
       Engine.run eng;
       !fired = !expected && Engine.pending_events eng = 0)
 
+(* --- Deadlines ----------------------------------------------------------- *)
+
+(* Records the instants a deadline fires at. *)
+let deadline_rig () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let d =
+    Engine.deadline eng ~label:"test" (fun () -> fired := Engine.now eng :: !fired)
+  in
+  (eng, d, fired)
+
+let instants = Alcotest.(list int)
+
+let test_deadline_pushed_later () =
+  let eng, d, fired = deadline_rig () in
+  Engine.set_deadline d (Time.ms 10);
+  Engine.run_until eng (Time.ms 5);
+  Engine.set_deadline d (Time.ms 20);
+  Engine.run_until eng (Time.ms 15);
+  Engine.set_deadline d (Time.ms 30);
+  Engine.run eng;
+  Alcotest.check instants "fires once, at the final instant" [ Time.ms 30 ]
+    !fired;
+  checki "nothing left" 0 (Engine.pending_events eng);
+  checki "heap empty" 0 (Engine.queued_events eng)
+
+let test_deadline_moved_earlier () =
+  let eng, d, fired = deadline_rig () in
+  Engine.set_deadline d (Time.ms 30);
+  Engine.set_deadline d (Time.ms 10);
+  Engine.run_until eng (Time.ms 10);
+  Alcotest.check instants "fires at the earlier instant" [ Time.ms 10 ] !fired;
+  Engine.run eng;
+  Alcotest.check instants "and only then" [ Time.ms 10 ] !fired
+
+let test_deadline_cleared () =
+  let eng, d, fired = deadline_rig () in
+  Engine.set_deadline d (Time.ms 10);
+  checki "armed counts as live" 1 (Engine.pending_events eng);
+  Engine.clear_deadline d;
+  checki "cleared" 0 (Engine.pending_events eng);
+  checki "lazily: the wake-up stays queued" 1 (Engine.queued_events eng);
+  Engine.run eng;
+  Alcotest.check instants "never fires" [] !fired;
+  (* Re-armed after a clear, it fires once more. *)
+  Engine.set_deadline d (Time.ms 40);
+  Engine.run eng;
+  Alcotest.check instants "re-armed" [ Time.ms 40 ] !fired
+
+(* Setting a deadline orders it exactly like cancelling the old event
+   and scheduling a fresh one: behind every event scheduled before the
+   set at the same instant, ahead of every event scheduled after. *)
+let test_deadline_orders_like_reschedule () =
+  let eng = Engine.create () in
+  let order = ref [] in
+  let tag x () = order := x :: !order in
+  let d = Engine.deadline eng ~label:"test" (tag "deadline") in
+  Engine.set_deadline d (Time.ms 10);
+  ignore (Engine.schedule_at eng (Time.ms 10) (tag "before"));
+  Engine.set_deadline d (Time.ms 10);
+  ignore (Engine.schedule_at eng (Time.ms 10) (tag "after"));
+  Engine.run eng;
+  check (Alcotest.list Alcotest.string) "fifo of the last set"
+    [ "before"; "deadline"; "after" ] (List.rev !order);
+  checki "one dispatch per firing" 3 (Engine.processed_events eng)
+
+let test_queued_counts_cancelled () =
+  let eng = Engine.create () in
+  let h = Engine.schedule_after eng (Time.ms 1) ignore in
+  ignore (Engine.schedule_after eng (Time.ms 2) ignore);
+  Engine.cancel h;
+  checki "live" 1 (Engine.pending_events eng);
+  checki "queued keeps the cancelled entry" 2 (Engine.queued_events eng);
+  Engine.run eng;
+  checki "drained" 0 (Engine.queued_events eng)
+
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"rng ints hit every bucket" ~count:20
     QCheck.(int_range 2 20)
@@ -326,6 +402,17 @@ let () =
             test_engine_periodic_stop_inside;
           Alcotest.test_case "processed count" `Quick
             test_engine_processed_count;
+          Alcotest.test_case "queued counts cancelled" `Quick
+            test_queued_counts_cancelled;
+        ] );
+      ( "deadline",
+        [
+          Alcotest.test_case "pushed later fires once" `Quick
+            test_deadline_pushed_later;
+          Alcotest.test_case "moved earlier" `Quick test_deadline_moved_earlier;
+          Alcotest.test_case "cleared never fires" `Quick test_deadline_cleared;
+          Alcotest.test_case "orders like reschedule" `Quick
+            test_deadline_orders_like_reschedule;
         ] );
       ( "rng",
         [
