@@ -17,11 +17,15 @@ let m_rib_withdrawals = Telemetry.Registry.counter "bgp.rib_withdrawals"
 
 type entry = { mutable paths : path list; mutable best : path option }
 
+(* One int, no tuple: the length (at most 32) takes the low 6 bits. *)
+let prefix_hash (p : Netsim.Addr.prefix) =
+  Netsim.Addr.hash_int ((Netsim.Addr.to_int p.base lsl 6) lor p.len)
+
 module PrefixTbl = Hashtbl.Make (struct
   type t = Netsim.Addr.prefix
 
   let equal = Netsim.Addr.equal_prefix
-  let hash (p : Netsim.Addr.prefix) = Hashtbl.hash (Netsim.Addr.to_int p.base, p.len)
+  let hash = prefix_hash
 end)
 
 type t = { table : entry PrefixTbl.t; mutable npaths : int }

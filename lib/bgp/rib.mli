@@ -44,6 +44,10 @@ val best : t -> Netsim.Addr.prefix -> path option
 val candidates : t -> Netsim.Addr.prefix -> path list
 (** All paths for the prefix, best first. *)
 
+val prefix_hash : Netsim.Addr.prefix -> int
+(** The Loc-RIB table's hash: base and length packed into one int and
+    mixed by {!Netsim.Addr.hash_int}. *)
+
 val size : t -> int
 (** Prefixes with at least one path. *)
 

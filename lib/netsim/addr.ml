@@ -61,7 +61,16 @@ let to_string t =
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let compare = Int.compare
 let equal = Int.equal
-let hash = Hashtbl.hash
+(* An integer finalizer for hash tables keyed by addresses or by ints
+   built from them: far cheaper than the polymorphic [Hashtbl.hash] on
+   the per-packet path. [Hashtbl] keeps the low bits, so the high bits
+   are folded down after each multiply. *)
+let[@inline] hash_int x =
+  let x = (x lxor (x lsr 32)) * 0x45D9F3B3335B369 in
+  let x = (x lxor (x lsr 29)) * 0x2545F4914F6CDD1D in
+  (x lxor (x lsr 32)) land max_int
+
+let hash = hash_int
 let succ t = (t + 1) land mask32
 let offset t n = (t + n) land mask32
 

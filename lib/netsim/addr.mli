@@ -26,6 +26,11 @@ val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** [hash a] is [hash_int (to_int a)]. *)
+
+val hash_int : int -> int
+(** A non-negative integer mix with well-spread low bits: the hash of
+    every table keyed by an address, or by an int built from one. *)
 
 val succ : t -> t
 (** Next address, wrapping at 2^32. *)

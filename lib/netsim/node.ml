@@ -7,7 +7,12 @@ type iface = {
   remote : Addr.t;
 }
 
-module Tbl = Hashtbl.Make (Int)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Addr.hash_int
+end)
 
 (* Forwarding state is hashed so that each packet hop costs O(1): the
    fabric router of a fleet holds a hundred or more addresses,

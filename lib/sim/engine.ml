@@ -13,11 +13,22 @@ type event = {
                       scheduled; -1 when scheduled from outside dispatch *)
 }
 
-and heap = { mutable arr : event array; mutable size : int }
+(* The event queue: a 4-ary min-heap ordered by (time, seq), a strict
+   total order since seqs are unique. Each entry's key lives in two int
+   arrays beside the event array, so sifting compares plain ints and
+   never dereferences an event record. Slots at and beyond [size] hold
+   [sentinel], so a dispatched event is unreachable from the heap. *)
+and heap = {
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable evs : event array;
+  mutable size : int;
+  sentinel : event;
+}
 
 and t = {
   mutable clock : Time.t;
-  mutable heap : heap option; (* created with the first event *)
+  heap : heap;
   mutable next_seq : int;
   mutable live : int; (* queued and not cancelled *)
   mutable processed : int;
@@ -64,84 +75,122 @@ let dls_key =
 
 let dls () = Domain.DLS.get dls_key
 
-(* A classic array-backed binary min-heap ordered by (time, seq). The
-   [dummy] slot filler is the first event ever pushed; it is never read as
-   a live element because [size] bounds all accesses. *)
 module Heap = struct
-  let create_with e = { arr = Array.make 256 e; size = 0 }
-  let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
+  (* The arrays start empty and take 256 slots on the first push. *)
   let grow h =
-    let arr = Array.make (2 * Array.length h.arr) h.arr.(0) in
-    Array.blit h.arr 0 arr 0 h.size;
-    h.arr <- arr
+    let n = Int.max 256 (2 * Array.length h.evs) in
+    let extend a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 h.size;
+      b
+    in
+    h.times <- extend h.times 0;
+    h.seqs <- extend h.seqs 0;
+    h.evs <- extend h.evs h.sentinel
 
+  (* Sift by moving a hole: parents slide down into it until the new
+     key's slot is found, then the entry is written once. *)
   let push h e =
-    if h.size = Array.length h.arr then grow h;
+    if h.size = Array.length h.evs then grow h;
+    let times = h.times and seqs = h.seqs and evs = h.evs in
+    let time = e.time and seq = e.seq in
     let i = ref h.size in
     h.size <- h.size + 1;
-    h.arr.(!i) <- e;
     let continue = ref true in
     while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if lt h.arr.(!i) h.arr.(parent) then begin
-        let tmp = h.arr.(parent) in
-        h.arr.(parent) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := parent
-      end
-      else continue := false
-    done
-
-  (* Precondition: [h.size > 0] — callers branch on [size] themselves
-     so the dispatch loop never allocates a [Some] per event. *)
-  let pop h =
-    let top = h.arr.(0) in
-    h.size <- h.size - 1;
-    h.arr.(0) <- h.arr.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && lt h.arr.(l) h.arr.(!smallest) then smallest := l;
-      if r < h.size && lt h.arr.(r) h.arr.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = h.arr.(!smallest) in
-        h.arr.(!smallest) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := !smallest
+      let p = (!i - 1) lsr 2 in
+      let pt = times.(p) in
+      if time < pt || (time = pt && seq < seqs.(p)) then begin
+        times.(!i) <- pt;
+        seqs.(!i) <- seqs.(p);
+        evs.(!i) <- evs.(p);
+        i := p
       end
       else continue := false
     done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    evs.(!i) <- e
+
+  (* Precondition: [h.size > 0] — callers branch on [size] themselves
+     so the dispatch loop never allocates a [Some] per event. The last
+     entry fills the hole left at the root: the smallest of the hole's
+     up to four children moves up until the last entry fits. *)
+  let pop h =
+    let times = h.times and seqs = h.seqs and evs = h.evs in
+    let top = evs.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    let time = times.(n) and seq = seqs.(n) and e = evs.(n) in
+    evs.(n) <- h.sentinel;
+    if n > 0 then begin
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let c = (4 * !i) + 1 in
+        if c >= n then continue := false
+        else begin
+          let m = ref c and mt = ref times.(c) and ms = ref seqs.(c) in
+          for k = c + 1 to Int.min (c + 3) (n - 1) do
+            let kt = times.(k) in
+            if kt < !mt || (kt = !mt && seqs.(k) < !ms) then begin
+              m := k;
+              mt := kt;
+              ms := seqs.(k)
+            end
+          done;
+          if !mt < time || (!mt = time && !ms < seq) then begin
+            times.(!i) <- !mt;
+            seqs.(!i) <- !ms;
+            evs.(!i) <- evs.(!m);
+            i := !m
+          end
+          else continue := false
+        end
+      done;
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      evs.(!i) <- e
+    end;
     top
 end
 
 let create ?(seed = 42) () =
-  {
-    clock = Time.zero;
-    heap = None;
-    next_seq = 0;
-    live = 0;
-    processed = 0;
-    current_label = "main";
-    current_id = -1;
-    root_rng = Rng.create seed;
-    dls = dls ();
-  }
+  let root_rng = Rng.create seed and dls = dls () in
+  let rec t =
+    {
+      clock = Time.zero;
+      heap;
+      next_seq = 0;
+      live = 0;
+      processed = 0;
+      current_label = "main";
+      current_id = -1;
+      root_rng;
+      dls;
+    }
+  and heap = { times = [||]; seqs = [||]; evs = [||]; size = 0; sentinel }
+  (* The heap's slot filler: a dead event that is never dispatched. *)
+  and sentinel =
+    {
+      time = Time.zero;
+      seq = -1;
+      action = ignore;
+      state = dead;
+      owner = t;
+      label = "";
+      sched_at = Time.zero;
+      caused_by = -1;
+    }
+  in
+  t
 
 let now t = t.clock
 let rng t = t.root_rng
 let current_label t = t.current_label
 let current_event_id t = t.current_id
 
-let push t e =
-  match t.heap with
-  | Some h -> Heap.push h e
-  | None ->
-      let h = Heap.create_with e in
-      t.heap <- Some h;
-      Heap.push h e
+let push t e = Heap.push t.heap e
 
 let schedule_at t ?label instant action =
   if instant < t.clock then
@@ -218,29 +267,22 @@ let exec t e action =
   t.current_id <- -1
 
 let step t =
-  match t.heap with
-  | None -> false
-  | Some h ->
-      if h.size = 0 then false
-      else begin
-        let e = Heap.pop h in
-        if e.state = queued then exec t e e.action
-        else if e.state = wake then e.action ();
-        true
-      end
+  if t.heap.size = 0 then false
+  else begin
+    let e = Heap.pop t.heap in
+    if e.state = queued then exec t e e.action
+    else if e.state = wake then e.action ();
+    true
+  end
 
 let run t = while step t do () done
 
 let run_until t limit =
-  let continue = ref true in
-  while !continue do
-    match t.heap with
-    | None -> continue := false
-    | Some h ->
-        (* Peek inline: an option-returning peek would allocate a [Some]
-           per loop iteration, once per event under [run_until]. *)
-        if h.size > 0 && h.arr.(0).time <= limit then ignore (step t)
-        else continue := false
+  let h = t.heap in
+  (* Peek inline: an option-returning peek would allocate a [Some] per
+     loop iteration, once per event under [run_until]. *)
+  while h.size > 0 && h.times.(0) <= limit do
+    ignore (step t)
   done;
   if limit > t.clock then t.clock <- limit
 
@@ -258,7 +300,7 @@ let run_until_cond t ~slice ~deadline cond =
   loop ()
 
 let pending_events t = t.live
-let queued_events t = match t.heap with Some h -> h.size | None -> 0
+let queued_events t = t.heap.size
 let processed_events t = t.processed
 let global_processed_events () = (dls ()).dls_processed
 

@@ -1,23 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: reading and writing it
+   through [Bytes.get/set_int64_ne] and inlining the mixer keeps every
+   intermediate in a register, so a draw that returns an [int] or a
+   [bool] allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (Int64.of_int seed)
 
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (mix64 (bits64 t))
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -30,7 +37,7 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform mantissa bits. *)
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0)

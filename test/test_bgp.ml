@@ -203,6 +203,18 @@ let attrs ?(path = [ 65010 ]) ?lp ?med ?(nh = "192.0.2.1") () =
     ~as_path:[ Bgp.Attrs.Seq path ]
     ?local_pref:lp ?med ~next_hop:(ip nh) ()
 
+(* Aligned prefixes share their low bits; the table keeps only the low
+   bits of a hash, so the mix must spread them or they pile into one
+   bucket. *)
+let test_rib_hash_spreads_aligned () =
+  let buckets = Hashtbl.create 4096 in
+  for i = 0 to 9_999 do
+    let p = Addr.prefix (Addr.of_int (i lsl 8)) 24 in
+    Hashtbl.replace buckets (Bgp.Rib.prefix_hash p land 4095) ()
+  done;
+  let used = Hashtbl.length buckets in
+  checkb (Printf.sprintf "%d of 4096 buckets used" used) true (used >= 1_000)
+
 let test_rib_install_withdraw () =
   let rib = Bgp.Rib.create () in
   let s = src "p1" "10.0.0.2" in
@@ -935,6 +947,8 @@ let () =
           Alcotest.test_case "ebgp over ibgp" `Quick test_rib_ebgp_over_ibgp;
           Alcotest.test_case "remove source" `Quick test_rib_remove_source;
           Alcotest.test_case "stale lifecycle" `Quick test_rib_stale_lifecycle;
+          Alcotest.test_case "hash spreads aligned prefixes" `Quick
+            test_rib_hash_spreads_aligned;
         ] );
       ( "policy",
         [

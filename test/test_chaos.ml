@@ -425,6 +425,37 @@ let test_corpus_digests_pinned () =
             (Option.value r.Chaos.Corpus.parse_error ~default:"no outcome"))
     pinned_digests
 
+(* The benchmark's chaos pool pins a digest for each of its 200
+   descriptors. Every 10th one replays here, so a change that moves any
+   simulated outcome fails tier-1, not only the benchmark run. The file
+   is read, never written. *)
+let test_chaos_pool_digests_pinned () =
+  let path =
+    List.find Sys.file_exists
+      [ "perfsuite/golden/chaos_pool.txt"; "../perfsuite/golden/chaos_pool.txt" ]
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  checki "pool size" 200 (List.length lines);
+  List.iteri
+    (fun i line ->
+      if i mod 10 = 0 then
+        match String.index_opt line ' ' with
+        | None -> Alcotest.failf "pool line %d has no digest" i
+        | Some sp -> (
+            let pinned = String.sub line 0 sp in
+            let text = String.sub line (sp + 1) (String.length line - sp - 1) in
+            match Chaos.Descriptor.of_string text with
+            | Error e -> Alcotest.failf "pool line %d: %s" i e
+            | Ok d ->
+                let o = Chaos.Runner.run d in
+                checkb (Printf.sprintf "pool line %d green" i) true (Chaos.Runner.ok o);
+                checks (Printf.sprintf "pool line %d digest" i) pinned o.Chaos.Runner.digest))
+    lines
+
 let test_corpus_replay_detects_failure () =
   (* A replay must fail loudly for an entry whose bug has regressed —
      simulated here with a seeded product fault instead of a code
@@ -513,6 +544,8 @@ let () =
             test_corpus_replay_detects_failure;
           Alcotest.test_case "committed digests pinned" `Slow
             test_corpus_digests_pinned;
+          Alcotest.test_case "benchmark pool digests pinned" `Slow
+            test_chaos_pool_digests_pinned;
         ] );
       ( "campaign",
         [

@@ -356,6 +356,360 @@ let test_queued_counts_cancelled () =
   Engine.run eng;
   checki "drained" 0 (Engine.queued_events eng)
 
+(* --- Dispatched events are collectable ----------------------------------- *)
+
+(* Schedules an event whose closure captures a fresh payload, and records
+   the payload weakly. Out of line, so no stack slot of the caller keeps
+   the payload alive. *)
+let[@inline never] schedule_payload eng w slot at =
+  let payload = Bytes.make 64 'p' in
+  Weak.set w slot (Some payload);
+  ignore (Engine.schedule_at eng at (fun () -> ignore (Bytes.length payload)))
+
+(* Neither the heap's slot filler nor the slot an entry vacates may keep
+   a dispatched event's closure alive while its engine lives. *)
+let test_dispatched_event_unreachable () =
+  let eng = Engine.create () in
+  let w = Weak.create 2 in
+  schedule_payload eng w 0 (Time.ms 1);
+  for i = 2 to 9 do
+    ignore (Engine.schedule_at eng (Time.ms i) ignore)
+  done;
+  schedule_payload eng w 1 (Time.ms 10);
+  Engine.run eng;
+  Gc.full_major ();
+  checkb "first event's payload collected" false (Weak.check w 0);
+  checkb "last event's payload collected" false (Weak.check w 1);
+  checki "engine still live" 10 (Engine.processed_events eng)
+
+(* --- Heap equivalence against a sorted-list reference -------------------- *)
+
+(* A script of engine calls. Delays are mostly tiny, so same-instant
+   ties are common; a long prefix of schedules pushes the heap past its
+   initial 256 slots. *)
+type child =
+  | No_child
+  | Child of int (* the action schedules a plain event this far ahead *)
+  | Push of int * int (* the action sets deadline [k] this far ahead *)
+
+type op =
+  | Sched of int * child
+  | Cancel of int (* a handle index, modulo the handles issued *)
+  | Set of int * int (* deadline, delay *)
+  | Clear of int
+  | Run of int (* run_until now + n *)
+
+let ndeadlines = 3
+
+let gen_delay = QCheck.Gen.(frequency [ (4, int_bound 3); (1, int_bound 500) ])
+
+let gen_child =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return No_child);
+        (1, map (fun d -> Child d) gen_delay);
+        (1, map2 (fun k d -> Push (k, d)) (int_bound (ndeadlines - 1)) gen_delay);
+      ])
+
+let gen_sched = QCheck.Gen.(map2 (fun d c -> Sched (d, c)) gen_delay gen_child)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, gen_sched);
+        (2, map (fun i -> Cancel i) nat);
+        (2, map2 (fun k d -> Set (k, d)) (int_bound (ndeadlines - 1)) gen_delay);
+        (1, map (fun k -> Clear k) (int_bound (ndeadlines - 1)));
+        (1, map (fun n -> Run n) (int_bound 40));
+      ])
+
+let gen_script =
+  QCheck.Gen.(
+    map2 ( @ )
+      (list_size (int_range 0 400) gen_sched)
+      (list_size (int_range 0 400) gen_op))
+
+let show_op = function
+  | Sched (d, No_child) -> Printf.sprintf "S%d" d
+  | Sched (d, Child c) -> Printf.sprintf "S%d>%d" d c
+  | Sched (d, Push (k, c)) -> Printf.sprintf "S%d>d%d+%d" d k c
+  | Cancel i -> Printf.sprintf "C%d" i
+  | Set (k, d) -> Printf.sprintf "D%d+%d" k d
+  | Clear k -> Printf.sprintf "X%d" k
+  | Run n -> Printf.sprintf "R%d" n
+
+(* The reference: heap entries in a list kept sorted by (time, seq),
+   with lazy cancellation and deadline wake-ups modelled as the engine
+   documents them. *)
+module Model = struct
+  type kind = Plain of int * child (* handle index *) | Wake of int
+
+  type entry = { time : int; seq : int; label : string; kind : kind }
+
+  type dl = {
+    mutable armed : bool;
+    mutable at : int;
+    mutable dseq : int;
+    mutable entry : (int * int) option; (* the queued wake-up's (time, seq) *)
+  }
+
+  type t = {
+    mutable clock : int;
+    mutable next_seq : int;
+    mutable queue : entry list;
+    live : (int, unit) Hashtbl.t; (* handles queued and not cancelled *)
+    mutable nhandles : int;
+    dls : dl array;
+    mutable trace : (int * int * string) list; (* newest first *)
+  }
+
+  let create () =
+    {
+      clock = 0;
+      next_seq = 0;
+      queue = [];
+      live = Hashtbl.create 64;
+      nhandles = 0;
+      dls = Array.init ndeadlines (fun _ -> { armed = false; at = 0; dseq = 0; entry = None });
+      trace = [];
+    }
+
+  let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let rec insert e = function
+    | [] -> [ e ]
+    | x :: rest as l -> if before e x then e :: l else x :: insert e rest
+
+  let cancel m h = Hashtbl.remove m.live h
+
+  let schedule m label delay child =
+    let h = m.nhandles in
+    m.queue <-
+      insert { time = m.clock + delay; seq = m.next_seq; label; kind = Plain (h, child) } m.queue;
+    m.next_seq <- m.next_seq + 1;
+    Hashtbl.replace m.live h ();
+    m.nhandles <- h + 1
+
+  let queue_wake m k =
+    let d = m.dls.(k) in
+    d.entry <- Some (d.at, d.dseq);
+    m.queue <-
+      insert { time = d.at; seq = d.dseq; label = Printf.sprintf "d%d" k; kind = Wake k } m.queue
+
+  let set_deadline m k instant =
+    let d = m.dls.(k) in
+    d.armed <- true;
+    d.at <- instant;
+    d.dseq <- m.next_seq;
+    m.next_seq <- m.next_seq + 1;
+    match d.entry with
+    | Some (t, _) when t <= instant -> ()
+    | _ -> queue_wake m k
+
+  let clear_deadline m k = m.dls.(k).armed <- false
+
+  let dispatch m e =
+    m.clock <- e.time;
+    m.trace <- (e.seq, e.time, e.label) :: m.trace
+
+  let run_child m label = function
+    | No_child -> ()
+    | Child delay -> schedule m label delay No_child
+    | Push (k, delay) -> set_deadline m k (m.clock + delay)
+
+  let rec run_until m limit =
+    match m.queue with
+    | e :: rest when e.time <= limit ->
+        m.queue <- rest;
+        (match e.kind with
+        | Plain (h, child) ->
+            if Hashtbl.mem m.live h then begin
+              cancel m h;
+              dispatch m e;
+              run_child m e.label child
+            end
+        | Wake k ->
+            let d = m.dls.(k) in
+            if d.entry = Some (e.time, e.seq) then begin
+              d.entry <- None;
+              if d.armed then
+                if d.dseq = e.seq then begin
+                  d.armed <- false;
+                  dispatch m e
+                end
+                else queue_wake m k
+            end);
+        run_until m limit
+    | _ -> if limit > m.clock then m.clock <- limit
+
+  let pending m =
+    Hashtbl.length m.live
+    + Array.fold_left (fun n d -> if d.armed then n + 1 else n) 0 m.dls
+
+  let queued m = List.length m.queue
+end
+
+let run_script script =
+  let eng = Engine.create () in
+  let m = Model.create () in
+  let trace = ref [] in
+  let record () =
+    trace := (Engine.current_event_id eng, Engine.now eng, Engine.current_label eng) :: !trace
+  in
+  let deadlines =
+    Array.init ndeadlines (fun k ->
+        Engine.deadline eng ~label:(Printf.sprintf "d%d" k) record)
+  in
+  let handles = Hashtbl.create 64 in
+  let add_handle h = Hashtbl.replace handles (Hashtbl.length handles) h in
+  let action = function
+    | No_child -> record
+    | Child delay ->
+        fun () ->
+          record ();
+          (* No label: the child inherits the running event's. *)
+          add_handle (Engine.schedule_after eng delay record)
+    | Push (k, delay) ->
+        fun () ->
+          record ();
+          Engine.set_deadline deadlines.(k) (Engine.now eng + delay)
+  in
+  let ok = ref true in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Sched (delay, child) ->
+          let label = Printf.sprintf "e%d" (i mod 3) in
+          add_handle (Engine.schedule_after eng ~label delay (action child));
+          Model.schedule m label delay child
+      | Cancel i ->
+          let n = Hashtbl.length handles in
+          if n > 0 then begin
+            Engine.cancel (Hashtbl.find handles (i mod n));
+            Model.cancel m (i mod n)
+          end
+      | Set (k, delay) ->
+          Engine.set_deadline deadlines.(k) (Engine.now eng + delay);
+          Model.set_deadline m k (m.Model.clock + delay)
+      | Clear k ->
+          Engine.clear_deadline deadlines.(k);
+          Model.clear_deadline m k
+      | Run n ->
+          Engine.run_until eng (Engine.now eng + n);
+          Model.run_until m (m.Model.clock + n));
+      ok :=
+        !ok
+        && Engine.pending_events eng = Model.pending m
+        && Engine.queued_events eng = Model.queued m)
+    script;
+  Engine.run eng;
+  Model.run_until m max_int;
+  !ok && !trace = m.Model.trace && Engine.queued_events eng = 0
+
+let prop_heap_matches_reference =
+  QCheck.Test.make ~name:"dispatch trace and counts match a sorted-list reference"
+    ~count:60
+    (QCheck.make ~print:(fun s -> String.concat " " (List.map show_op s)) gen_script)
+    run_script
+
+(* --- RNG: the unboxed state draws the boxed generator's streams ---------- *)
+
+(* The generator as it was with its state in a mutable [int64] field:
+   every stream of [Rng] must stay bit-identical to it. *)
+module Ref = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix64 z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = Int64.of_int seed }
+
+  let bits64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix64 t.state
+
+  let split t =
+    let seed = bits64 t in
+    { state = mix64 seed }
+
+  let copy t = { state = t.state }
+
+  let int t bound =
+    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+    v mod bound
+
+  let int_in t lo hi = lo + int t (hi - lo + 1)
+
+  let float t bound =
+    let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+    bound *. (v /. 9007199254740992.0)
+
+  let bool t = Int64.logand (bits64 t) 1L = 1L
+  let bernoulli t p = float t 1.0 < p
+
+  let shuffle t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+end
+
+(* One round of every draw, compared bit for bit; [false] on the first
+   difference. *)
+let same_draws r q =
+  let bits f = Int64.bits_of_float f in
+  Rng.bits64 r = Ref.bits64 q
+  && Rng.int r 1_000_003 = Ref.int q 1_000_003
+  && Rng.int r max_int = Ref.int q max_int
+  && Rng.int_in r (-50) 50 = Ref.int_in q (-50) 50
+  && bits (Rng.float r 1.0) = bits (Ref.float q 1.0)
+  && bits (Rng.float r 2.5e9) = bits (Ref.float q 2.5e9)
+  && Rng.bool r = Ref.bool q
+  && Rng.bernoulli r 0.0 = Ref.bernoulli q 0.0
+  && Rng.bernoulli r 0.3 = Ref.bernoulli q 0.3
+  && Rng.bernoulli r 1.0 = Ref.bernoulli q 1.0
+
+let prop_rng_matches_boxed_reference =
+  QCheck.Test.make ~name:"rng streams match the boxed-state generator"
+    ~count:50 QCheck.int
+    (fun seed ->
+      let r = Rng.create seed and q = Ref.create seed in
+      let rec rounds n r q = n = 0 || (same_draws r q && rounds (n - 1) r q) in
+      let shuffled shuffle rng =
+        let a = Array.init 40 Fun.id in
+        shuffle rng a;
+        a
+      in
+      rounds 50 r q
+      && rounds 50 (Rng.split r) (Ref.split q)
+      && rounds 50 (Rng.copy r) (Ref.copy q)
+      (* The copies above leave the originals where they were. *)
+      && rounds 10 r q
+      && shuffled Rng.shuffle r = shuffled Ref.shuffle q
+      && rounds 10 r q)
+
+(* [int] and [bernoulli] draws allocate nothing: each [Link.transmit]
+   draws once and each jittered timer firing once more. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create 21 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  checkf "bernoulli" 0.0 (words (fun () -> ignore (Rng.bernoulli r 0.3)));
+  checkf "int" 0.0 (words (fun () -> ignore (Rng.int r 1_000)))
+
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"rng ints hit every bucket" ~count:20
     QCheck.(int_range 2 20)
@@ -404,6 +758,8 @@ let () =
             test_engine_processed_count;
           Alcotest.test_case "queued counts cancelled" `Quick
             test_queued_counts_cancelled;
+          Alcotest.test_case "dispatched events unreachable" `Quick
+            test_dispatched_event_unreachable;
         ] );
       ( "deadline",
         [
@@ -429,13 +785,17 @@ let () =
             test_rng_lognormal_median;
           Alcotest.test_case "shuffle is a permutation" `Quick
             test_rng_shuffle_permutation;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_heap_ordering;
             prop_cancel_safety;
+            prop_heap_matches_reference;
             prop_rng_int_uniformish;
+            prop_rng_matches_boxed_reference;
           ]
       );
     ]
