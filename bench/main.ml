@@ -6,9 +6,9 @@
      dune exec bench/main.exe -- --quick   # everything, reduced ranges
      dune exec bench/main.exe -- fig6a table1 ...   # a subset
      dune exec bench/main.exe -- --csv-dir out fig6a  # also write CSVs
-     dune exec bench/main.exe -- --telemetry-dir out fig6a  # + telemetry export
-     dune exec bench/main.exe -- --timeseries ts.jsonl fig6a  # simulated-time
-       metric series (one JSONL row per simulated second, see lib/trace)
+     dune exec bench/main.exe -- --telemetry-dir out fig6a  # + telemetry
+       export and out/timeseries.jsonl, the simulated-time metric series
+       (one JSONL row per simulated second, see lib/trace)
      dune exec bench/main.exe -- --emit-bench BENCH_rev.json  # perf snapshot
        (diff two snapshots with: dune exec bench/trend.exe -- OLD NEW;
         gate a series with: dune exec bench/trend.exe -- --gate OLD... NEW)
@@ -24,7 +24,6 @@
 let quick = ref false
 let telemetry_dir = ref None
 let emit_bench = ref None
-let timeseries = ref None
 
 (* Per-experiment measurements for the --emit-bench snapshot. *)
 type bench_row = {
@@ -92,12 +91,6 @@ let () =
     | "--emit-bench" :: file :: rest ->
         emit_bench := Some file;
         strip_flags acc rest
-    | "--timeseries" :: file :: rest ->
-        timeseries := Some file;
-        (* The sampler is a bus subscriber: it only observes while
-           telemetry is enabled, so enable it like --telemetry-dir. *)
-        Telemetry.Control.set_enabled true;
-        strip_flags acc rest
     | a :: rest -> strip_flags (a :: acc) rest
   in
   let args = strip_flags [] args in
@@ -123,7 +116,11 @@ let () =
     "TENSOR reproduction — benchmark harness (%s mode)@."
     (if !quick then "quick" else "full");
   let t0 = Prof.Clock.now_s () in
-  let sampler = Option.map (fun _ -> Causal.Series.attach ()) !timeseries in
+  (* The series sampler is a bus subscriber that schedules nothing, so
+     attaching it moves no simulated output. *)
+  let sampler =
+    Option.map (fun dir -> (dir, Causal.Series.attach ())) !telemetry_dir
+  in
   List.iter
     (fun (e : Tensor.Experiments.t) ->
       let t = Prof.Clock.now_s () in
@@ -148,20 +145,18 @@ let () =
     selected;
   let total_wall = Prof.Clock.now_s () -. t0 in
   Format.printf "@.All selected experiments done in %.1fs wall.@." total_wall;
-  (match (sampler, !timeseries) with
-  | Some s, Some file ->
-      Causal.Series.detach s;
-      Causal.Series.write s file;
-      Format.printf "Metric series written to %s (%d samples, %d quiet windows skipped)@."
-        file (Causal.Series.sample_count s) (Causal.Series.skipped_windows s)
-  | _ -> ());
   (match !emit_bench with
   | Some file ->
       write_bench_snapshot file ~total_wall;
       Format.printf "Bench snapshot written to %s@." file
   | None -> ());
-  match !telemetry_dir with
-  | Some dir ->
+  match sampler with
+  | Some (dir, s) ->
+      Causal.Series.detach s;
       Telemetry.Control.export_dir dir;
-      Format.printf "Telemetry written to %s/@." dir
+      Causal.Series.write s (Filename.concat dir "timeseries.jsonl");
+      Format.printf
+        "Telemetry written to %s/ (timeseries.jsonl: %d samples, %d quiet \
+         windows skipped)@."
+        dir (Causal.Series.sample_count s) (Causal.Series.skipped_windows s)
   | None -> ()

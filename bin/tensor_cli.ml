@@ -2,19 +2,17 @@
 
      tensor-cli experiment fig6a table1 ...   # regenerate paper artifacts
      tensor-cli failover --kind host          # one failure scenario, verbose
-     tensor-cli trace failover --kind host    # causal span tree + JSONL export
-     tensor-cli causal failover --json        # recovery critical path
-     tensor-cli check failover --trace-dir t  # + Perfetto trace & time series
-     tensor-cli metrics                       # registered metrics after a failover
+     tensor-cli check failover planned        # checked scenarios, health reports
+     tensor-cli check failover --out DIR      # + every artifact of the run
      tensor-cli cdf --links 6000              # Figure 7(a) population
      tensor-cli profile fig5a --out DIR       # engine cost attribution
      tensor-cli fleet --sweep                 # controller-placement sweep
      tensor-cli list                          # experiment ids
 
    Experiment ids and parameters come from Tensor.Experiments, the
-   registry bench/main.exe dispatches through too; trace, metrics,
-   check, health and causal run the checked scenarios of
-   Tensor.Check. *)
+   registry bench/main.exe dispatches through too; check runs the
+   checked scenarios of Tensor.Check, which also attaches the observers
+   and writes the artifacts for --out. *)
 
 open Cmdliner
 
@@ -65,14 +63,13 @@ let failure_kind_conv =
   in
   Arg.conv (parse, Orch.Controller.pp_failure_kind)
 
+let kind_opt =
+  Arg.(
+    value
+    & opt failure_kind_conv Orch.Controller.Container_failure
+    & info [ "kind"; "k" ] ~docv:"KIND" ~doc:"app | container | host | host-network")
+
 let failover_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt failure_kind_conv Orch.Controller.Container_failure
-      & info [ "kind"; "k" ] ~docv:"KIND"
-          ~doc:"app | container | host | host-network")
-  in
   let run kind =
     let rows = Tensor.Exp_table1.run ~kinds:[ kind ] () in
     Tensor.Exp_table1.print rows;
@@ -87,7 +84,7 @@ let failover_cmd =
   in
   Cmd.v
     (Cmd.info "failover" ~doc:"Run one failure scenario and verify NSR.")
-    Term.(const run $ kind)
+    Term.(const run $ kind_opt)
 
 (* --- cdf command ----------------------------------------------------------- *)
 
@@ -103,255 +100,68 @@ let cdf_cmd =
           Tensor.Exp_fig7.print_cdf (Tensor.Exp_fig7.run_cdf ~links ~seed ()))
       $ links $ seed)
 
-(* --- trace command ------------------------------------------------------------ *)
+(* --- check command ------------------------------------------------------------- *)
 
-let kind_opt =
-  Arg.(
-    value
-    & opt failure_kind_conv Orch.Controller.Container_failure
-    & info [ "kind"; "k" ] ~docv:"KIND" ~doc:"app | container | host | host-network")
-
-let out_dir_opt =
-  Arg.(
-    value
-    & opt string "telemetry-out"
-    & info [ "out"; "o" ] ~docv:"DIR"
-        ~doc:"Directory for the JSONL/CSV telemetry export.")
-
-(* Runs a checked scenario with telemetry on (its buffers stay readable
-   afterwards) and returns its health report; an unknown scenario
-   exits 2. *)
-let run_checked scenario kind =
-  match Tensor.Check.run ~kind scenario with
-  | Ok report -> report
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
-let trace_cmd =
-  let scenario =
+let check_cmd =
+  let scenarios =
     Arg.(
       value
-      & pos 0 string "failover"
+      & pos_all
+          (enum
+             (("split_brain", "split-brain")
+             :: List.map (fun s -> (s, s)) Tensor.Check.scenarios))
+          [ "failover" ]
       & info [] ~docv:"SCENARIO"
           ~doc:(String.concat " | " Tensor.Check.scenarios))
   in
-  let run scenario kind out =
-    ignore (run_checked scenario kind);
-    Format.printf "Causal spans (simulated time):@.@.%a@." Telemetry.Span.pp_tree
-      ();
-    Format.printf "Events: %d buffered@."
-      (List.length (Telemetry.Bus.events ()));
-    Telemetry.Control.export_dir out;
-    Format.printf "Telemetry written to %s/ (spans.jsonl, events.jsonl, metrics.csv, metrics.json)@."
-      out
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one checked scenario with telemetry on; print the causal span \
-          tree and export spans/events as JSONL. For a Perfetto trace of \
-          the same run use $(b,check --trace-dir).")
-    Term.(const run $ scenario $ kind_opt $ out_dir_opt)
-
-(* --- metrics command ---------------------------------------------------------- *)
-
-let metrics_cmd =
   let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the registry as JSON.")
-  in
-  let no_run =
     Arg.(
       value & flag
-      & info [ "no-run" ]
-          ~doc:"List registered metrics without running a scenario.")
+      & info [ "json" ] ~doc:"Print each health report as one line of JSON.")
   in
-  let run json no_run kind =
-    if not no_run then ignore (run_checked "failover" kind);
-    if json then print_endline (Telemetry.Registry.to_json ())
-    else begin
-      Format.printf "%-34s %-10s %12s %16s@." "name" "kind" "count" "sum/value";
-      List.iter
-        (fun m ->
-          match m with
-          | Telemetry.Registry.Counter (n, c) ->
-              Format.printf "%-34s %-10s %12d %16s@." n "counter"
-                (Telemetry.Registry.value c) ""
-          | Telemetry.Registry.Gauge (n, g) ->
-              Format.printf "%-34s %-10s %12s %16g@." n "gauge" ""
-                (Telemetry.Registry.gauge_value g)
-          | Telemetry.Registry.Histogram (n, h) ->
-              Format.printf "%-34s %-10s %12d %16g@." n "histogram"
-                (Telemetry.Registry.hist_count h)
-                (Telemetry.Registry.hist_sum h))
-        (Telemetry.Registry.all ());
-      Format.printf "@.%d metrics registered.@."
-        (List.length (Telemetry.Registry.all ()))
-    end
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Exercise one failover and print every registered metric (counters, \
-          gauges, histograms).")
-    Term.(const run $ json $ no_run $ kind_opt)
-
-(* --- check / health commands -------------------------------------------------- *)
-
-let json_flag =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the health report as JSON.")
-
-let check_cmd =
-  let scenario =
-    Arg.(
-      value
-      & pos 0 string "failover"
-      & info [] ~docv:"SCENARIO" ~doc:"failover | planned | split-brain")
-  in
-  let trace_dir =
+  let out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "trace-dir" ] ~docv:"DIR"
+      & info [ "out"; "o" ] ~docv:"DIR"
           ~doc:
-            "Record the causal event DAG and a simulated-time metric \
-             series during the checked run; write \
-             $(i,DIR)/trace.perfetto.json and $(i,DIR)/timeseries.jsonl.")
+            "Attach the causal recorder, the metric-series sampler and the \
+             engine profiler, and write each scenario's artifacts to \
+             $(i,DIR)/$(i,SCENARIO)/: health.json (verdict, critical path \
+             and cost ledger), spans.jsonl, spans.txt, events.jsonl, \
+             metrics.csv, metrics.json, trace.perfetto.json, \
+             timeseries.jsonl and the four $(b,profile) files.")
   in
-  let run scenario kind json trace_dir =
-    let sampler =
-      match trace_dir with
-      | None -> None
-      | Some _ ->
-          Causal.Recorder.reset ();
-          Causal.Recorder.attach ();
-          (* Subscribers survive Control.reset, so attaching before the
-             run observes the whole scenario. *)
-          Some (Causal.Series.attach ())
+  let run scenarios kind json out =
+    let healthy =
+      List.fold_left
+        (fun healthy scenario ->
+          match Tensor.Check.run ~kind ?out scenario with
+          | Error msg ->
+              Printf.eprintf "%s\n" msg;
+              exit 2
+          | Ok report ->
+              Option.iter
+                (fun dir ->
+                  Printf.eprintf "Artifacts written to %s/\n%!"
+                    (Filename.concat dir scenario))
+                out;
+              if json then print_endline (Monitor.Health.to_json report)
+              else print_string (Monitor.Health.to_text report);
+              healthy && Monitor.Health.ok report)
+        true scenarios
     in
-    let report = run_checked scenario kind in
-    if Option.is_some trace_dir then Causal.Recorder.detach ();
-    Option.iter Causal.Series.detach sampler;
-    (match (trace_dir, sampler) with
-    | Some dir, Some s ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let perfetto = Filename.concat dir "trace.perfetto.json" in
-        Causal.Perfetto.write ?critical:report.Monitor.Health.critical_path
-          perfetto;
-        Causal.Series.write s (Filename.concat dir "timeseries.jsonl");
-        Format.printf
-          "Trace artifacts written to %s/ (trace.perfetto.json: %d events; \
-           timeseries.jsonl: %d samples)@."
-          dir
-          (Causal.Recorder.node_count ())
-          (Causal.Series.sample_count s)
-    | _ -> ());
-    if json then print_endline (Monitor.Health.to_json report)
-    else print_string (Monitor.Health.to_text report);
-    if not (Monitor.Health.ok report) then exit 1
+    if not healthy then exit 1
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Run one scenario with the runtime verifier attached: every NSR \
-          invariant (no peer-visible reset, stream continuity, held-ACK \
+         "Run checked scenarios with the runtime verifier attached: every \
+          NSR invariant (no peer-visible reset, stream continuity, held-ACK \
           safety, BFD bound, RIB convergence, split-brain exclusion, flap \
           absence, queue drain) is checked live against the telemetry bus. \
           Non-zero exit on any violation or SLO miss.")
-    Term.(const run $ scenario $ kind_opt $ json_flag $ trace_dir)
-
-let health_cmd =
-  let run json =
-    let reports =
-      List.filter_map
-        (fun s -> match Tensor.Check.run s with Ok r -> Some r | Error _ -> None)
-        Tensor.Check.scenarios
-    in
-    if json then
-      print_endline
-        ("[" ^ String.concat "," (List.map Monitor.Health.to_json reports) ^ "]")
-    else
-      List.iter (fun r -> print_string (Monitor.Health.to_text r)) reports;
-    if not (List.for_all Monitor.Health.ok reports) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "Run every checked scenario and report aggregate invariant/SLO \
-          health. Non-zero exit if any scenario is unhealthy.")
-    Term.(const run $ json_flag)
-
-(* --- causal command ----------------------------------------------------------- *)
-
-let causal_cmd =
-  let scenario =
-    Arg.(
-      value
-      & pos 0 string "failover"
-      & info [] ~docv:"SCENARIO" ~doc:"failover | planned | split-brain")
-  in
-  let from_label =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from" ] ~docv:"LABEL"
-          ~doc:
-            "Truncate the causal walk at the first ancestor whose label \
-             matches (exact or dotted prefix, e.g. $(b,bfd) matches \
-             $(b,bfd.detect)).")
-  in
-  let to_label =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "to" ] ~docv:"LABEL"
-          ~doc:
-            "Re-anchor the path endpoint at the last in-window event \
-             whose label matches, instead of the event that closed the \
-             span.")
-  in
-  let run scenario kind from_label to_label json =
-    (match Tensor.Check.root_span scenario with
-    | Some _ -> ()
-    | None ->
-        Printf.eprintf
-          "scenario %S records no recovery root span (try: failover | \
-           planned | split-brain)\n"
-          scenario;
-        exit 2);
-    Causal.Recorder.reset ();
-    Causal.Recorder.attach ();
-    let report = run_checked scenario kind in
-    Causal.Recorder.detach ();
-    let name = Option.get (Tensor.Check.root_span scenario) in
-    (match Causal.Critical.of_span ?from_label ?to_label ~name () with
-    | Error msg ->
-        Printf.eprintf "critical path: %s\n" msg;
-        exit 2
-    | Ok cp ->
-        if json then print_endline (Causal.Critical.to_json cp)
-        else begin
-          Format.printf
-            "Recovery critical path of %S (%d traced events, %d on path):@.@."
-            scenario
-            (Causal.Recorder.node_count ())
-            cp.Causal.Critical.events;
-          print_string (Causal.Critical.to_text cp)
-        end);
-    if not (Monitor.Health.ok report) then begin
-      Printf.eprintf "note: the checked run itself was UNHEALTHY\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "causal"
-       ~doc:
-         "Run one checked scenario with the causal event recorder attached \
-          and print the critical path of its recovery span: the handler \
-          chain that bounded recovery, decomposed into per-label segments \
-          whose durations sum exactly to the span duration. $(b,--from) / \
-          $(b,--to) restrict the walk to a label window.")
-    Term.(const run $ scenario $ kind_opt $ from_label $ to_label $ json_flag)
+    Term.(const run $ scenarios $ kind_opt $ json $ out)
 
 (* --- fuzz command ------------------------------------------------------------- *)
 
@@ -577,19 +387,7 @@ let profile_cmd =
             st.dwell_max_s)
         (Prof.Profiler.top ~by:Prof.Profiler.By_wall top)
     end;
-    if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-    Prof.Export.write_folded
-      (Filename.concat out "engine.folded")
-      (Prof.Export.folded_wall ());
-    Prof.Export.write_folded
-      (Filename.concat out "engine_allocs.folded")
-      (Prof.Export.folded_alloc ());
-    Prof.Export.write_folded
-      (Filename.concat out "spans.folded")
-      (Prof.Export.folded_spans ());
-    Prof.Export.write_speedscope
-      ~name:("tensor " ^ experiment)
-      (Filename.concat out "profile.speedscope.json");
+    Prof.Export.write_dir ~name:("tensor " ^ experiment) out;
     Printf.printf
       "\nProfiles written to %s/: engine.folded, engine_allocs.folded, \
        spans.folded (flamegraph.pl input), profile.speedscope.json \
@@ -836,6 +634,5 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "tensor-cli" ~version:"1.0.0" ~doc)
-          [ experiment_cmd; failover_cmd; trace_cmd; metrics_cmd; cdf_cmd;
-            check_cmd; health_cmd; causal_cmd; fuzz_cmd; fleet_cmd;
-            profile_cmd; list_cmd ]))
+          [ experiment_cmd; failover_cmd; cdf_cmd; check_cmd; fuzz_cmd;
+            fleet_cmd; profile_cmd; list_cmd ]))

@@ -88,7 +88,7 @@ let () =
   let _, victim = List.nth services 0 in
   let _, neighbour = List.nth services 3 in
   Format.printf "@.crashing gw0's BGP process (application failure)...@.";
-  Tensor.Deploy.inject_app_failure dep victim;
+  Tensor.Deploy.inject_failure dep victim Orch.Controller.App_failure;
   Engine.run_for eng (Time.sec 15);
   Format.printf "gw0 recovered on %s with %d routes; gw3 untouched (%d routes)@."
     (Orch.Container.host_name (Tensor.Deploy.service_container victim))
@@ -111,7 +111,7 @@ let () =
       services
   in
   Format.printf "@.failing host1 (machine failure)...@.";
-  Tensor.Deploy.inject_host_failure dep on_h1;
+  Tensor.Deploy.inject_failure dep on_h1 Orch.Controller.Host_failure;
   Engine.run_for eng (Time.sec 30);
   let migrated =
     List.filter

@@ -48,7 +48,7 @@ let () =
   let (), orch =
     Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
         Format.printf "@.t=0.000s  injecting container failure...@.";
-        Tensor.Deploy.inject_container_failure dep svc;
+        Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
         ignore
           (Engine.schedule_after eng (Time.ms 800) (fun () ->
                Format.printf

@@ -66,7 +66,7 @@ let () =
   in
   let (), orch =
     Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
-        Tensor.Deploy.inject_host_network_failure dep svc;
+        Tensor.Deploy.inject_failure dep svc Orch.Controller.Host_network_failure;
         let rec watch () =
           if Orch.Host.is_fenced h0 && !fence_at = None then
             fence_at := Some (Time.diff (Engine.now eng) t0);

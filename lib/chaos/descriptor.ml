@@ -1,7 +1,5 @@
-type kill_kind = Kill_app | Kill_container | Kill_host | Kill_host_network
-
 type fault =
-  | Kill of { at_ms : int; kind : kill_kind }
+  | Kill of { at_ms : int; kind : Orch.Controller.failure_kind }
   | Planned of { at_ms : int }
   | Heal of { at_ms : int }
   | Flap of { at_ms : int; vrf : int; dur_ms : int }
@@ -52,11 +50,11 @@ let fault_at = function
   | Rolling_upgrade { at_ms; _ } ->
       at_ms
 
-let kill_kind_name = function
-  | Kill_app -> "app"
-  | Kill_container -> "container"
-  | Kill_host -> "host"
-  | Kill_host_network -> "hostnet"
+let kill_kind_name : Orch.Controller.failure_kind -> string = function
+  | App_failure -> "app"
+  | Container_failure -> "container"
+  | Host_failure -> "host"
+  | Host_network_failure -> "hostnet"
 
 let fault_kind_name = function
   | Kill { kind; _ } -> "kill." ^ kill_kind_name kind
@@ -279,10 +277,10 @@ let fault_of_string tok =
       | "kill" ->
           let* k =
             match arg with
-            | Some "app" -> Ok Kill_app
-            | Some "container" -> Ok Kill_container
-            | Some "host" -> Ok Kill_host
-            | Some "hostnet" -> Ok Kill_host_network
+            | Some "app" -> Ok Orch.Controller.App_failure
+            | Some "container" -> Ok Orch.Controller.Container_failure
+            | Some "host" -> Ok Orch.Controller.Host_failure
+            | Some "hostnet" -> Ok Orch.Controller.Host_network_failure
             | _ -> Error (Printf.sprintf "fault %S: unknown kill kind" tok)
           in
           let* at_ms = at () in
@@ -544,12 +542,12 @@ let generate ~seed =
   let heavy at =
     match Sim.Rng.int_in rng 0 4 with
     | 0 -> [ Planned { at_ms = at } ]
-    | 1 -> [ Kill { at_ms = at; kind = Kill_app } ]
-    | 2 -> [ Kill { at_ms = at; kind = Kill_container } ]
-    | 3 -> [ Kill { at_ms = at; kind = Kill_host } ]
+    | 1 -> [ Kill { at_ms = at; kind = App_failure } ]
+    | 2 -> [ Kill { at_ms = at; kind = Container_failure } ]
+    | 3 -> [ Kill { at_ms = at; kind = Host_failure } ]
     | _ ->
         let heal = clamp (at + Sim.Rng.int_in rng 6_000 10_000) in
-        [ Kill { at_ms = at; kind = Kill_host_network }; Heal { at_ms = heal } ]
+        [ Kill { at_ms = at; kind = Host_network_failure }; Heal { at_ms = heal } ]
   in
   let n_heavy = Sim.Rng.int_in rng 0 2 in
   let heavies = ref [] in
@@ -566,9 +564,9 @@ let generate ~seed =
   let heavies =
     List.filter
       (function
-        | Kill { kind = Kill_host; _ } ->
+        | Kill { kind = Host_failure; _ } ->
             if !seen_host then false else (seen_host := true; true)
-        | Kill { kind = Kill_host_network; _ } ->
+        | Kill { kind = Host_network_failure; _ } ->
             if !seen_hostnet then false else (seen_hostnet := true; true)
         | _ -> true)
       (List.rev !heavies)
@@ -584,7 +582,7 @@ let generate ~seed =
           Kill
             {
               at_ms = clamp (at_ms + Sim.Rng.int_in rng 200 1_500);
-              kind = Kill_container;
+              kind = Container_failure;
             };
         ]
     | _ -> []

@@ -11,17 +11,15 @@
     and factors in percent) so that [of_string (to_string d) = Ok d]
     holds exactly, with no float round-tripping. *)
 
-type kill_kind = Kill_app | Kill_container | Kill_host | Kill_host_network
-
 type fault =
-  | Kill of { at_ms : int; kind : kill_kind }
+  | Kill of { at_ms : int; kind : Orch.Controller.failure_kind }
       (** Inject the corresponding failure on the service's current
           primary (app crash / container kill / host kill / host network
           partition). *)
   | Planned of { at_ms : int }  (** Planned switchover (§4.4). *)
   | Heal of { at_ms : int }
       (** [Orch.Host.network_recover] every host partitioned by an
-          earlier [Kill Kill_host_network] (the split-brain probe). *)
+          earlier [Kill Host_network_failure] (the split-brain probe). *)
   | Flap of { at_ms : int; vrf : int; dur_ms : int }
       (** Peer link down for [dur_ms] (drops in-flight packets). *)
   | Loss of { at_ms : int; vrf : int; dur_ms : int; loss_pct : int }

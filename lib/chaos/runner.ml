@@ -159,22 +159,18 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
   in
   let apply () =
     match f with
-    | Descriptor.Kill { kind; _ } -> (
-        match kind with
-        | Descriptor.Kill_app -> Deploy.inject_app_failure dep ctx.svc
-        | Descriptor.Kill_container ->
-            Deploy.inject_container_failure dep ctx.svc
-        | Descriptor.Kill_host -> Deploy.inject_host_failure dep ctx.svc
-        | Descriptor.Kill_host_network ->
-            let name =
-              Orch.Container.host_name (Deploy.service_container ctx.svc)
-            in
-            Array.iter
-              (fun h ->
-                if String.equal (Orch.Host.name h) name then
-                  partitioned := h :: !partitioned)
-              dep.Deploy.hosts;
-            Deploy.inject_host_network_failure dep ctx.svc)
+    | Descriptor.Kill { kind; _ } ->
+        if kind = Orch.Controller.Host_network_failure then begin
+          let name =
+            Orch.Container.host_name (Deploy.service_container ctx.svc)
+          in
+          Array.iter
+            (fun h ->
+              if String.equal (Orch.Host.name h) name then
+                partitioned := h :: !partitioned)
+            dep.Deploy.hosts
+        end;
+        Deploy.inject_failure dep ctx.svc kind
     | Descriptor.Planned _ -> Deploy.planned_migration dep ctx.svc
     | Descriptor.Heal _ ->
         List.iter Orch.Host.network_recover !partitioned;
@@ -246,7 +242,8 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
        one-service equivalent, so any fleet campaign line also runs (and
        shrinks) under the ordinary chaos runner. Their correlated
        semantics live in [Fleet.Campaign]. *)
-    | Descriptor.Host_kill _ -> Deploy.inject_host_failure dep ctx.svc
+    | Descriptor.Host_kill _ ->
+        Deploy.inject_failure dep ctx.svc Orch.Controller.Host_failure
     | Descriptor.Region_store_outage { dur_ms; _ } ->
         let n = Store.Server.node dep.Deploy.store_server in
         Netsim.Node.set_up n false;

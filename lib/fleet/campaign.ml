@@ -157,15 +157,8 @@ let schedule_fault topo (f : Descriptor.fault) =
     | Descriptor.Rolling_upgrade { bound; _ } ->
         note "rolling_upgrade" (string_of_int bound);
         ignore (Waves.start topo ~bound)
-    | Descriptor.Kill { kind; _ } -> (
-        let inst = topo.Topology.instances.(0) in
-        match kind with
-        | Descriptor.Kill_app -> Deploy.inject_app_failure dep inst.Topology.svc
-        | Descriptor.Kill_container ->
-            Deploy.inject_container_failure dep inst.Topology.svc
-        | Descriptor.Kill_host -> Deploy.inject_host_failure dep inst.Topology.svc
-        | Descriptor.Kill_host_network ->
-            Deploy.inject_host_network_failure dep inst.Topology.svc)
+    | Descriptor.Kill { kind; _ } ->
+        Deploy.inject_failure dep topo.Topology.instances.(0).Topology.svc kind
     | Descriptor.Planned _ ->
         Deploy.planned_migration dep topo.Topology.instances.(0).Topology.svc
     | _ -> ()

@@ -83,11 +83,14 @@ let slos_of_spans ?(budgets = default_budgets) () =
             })
     budgets
 
-(* Critical-path section: only meaningful when the causal recorder saw
-   the run. Without [?root_span] the recovery roots are tried in order;
-   scenarios without any of them just omit the section. *)
+(* Critical-path section: only meaningful when the causal recorder is
+   attached for the run. A detached recorder keeps an earlier run's DAG
+   readable, and that DAG must not be read against this run's spans.
+   Without [?root_span] the recovery roots are tried in order; scenarios
+   without any of them just omit the section. *)
 let critical_path_of_run ?root_span () =
-  if Causal.Recorder.node_count () = 0 then None
+  if Causal.Recorder.node_count () = 0 || not (Causal.Recorder.enabled ())
+  then None
   else
     let candidates =
       match root_span with

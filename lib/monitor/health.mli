@@ -45,10 +45,10 @@ type report = {
   engine : engine_cost option;  (** Engine-cost section, when measured. *)
   critical_path : Causal.Critical.t option;
       (** Recovery critical path, present when the causal recorder
-          ([Causal.Recorder]) captured the run and a recovery root span
-          (["failover"], else ["planned_migration"], or the [?root_span]
-          given to {!make}) finished. Informational: never affects
-          {!ok}. *)
+          ([Causal.Recorder]) is attached as the report is cut and a
+          recovery root span (["failover"], else ["planned_migration"],
+          or the [?root_span] given to {!make}) finished.
+          Informational: never affects {!ok}. *)
   faults : string list;  (** Seeded faults active when the report was cut. *)
 }
 

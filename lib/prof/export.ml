@@ -87,13 +87,6 @@ let folded_to_string entries =
     (List.sort compare entries);
   Buffer.contents buf
 
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
-let write_folded path entries = write_file path (folded_to_string entries)
-
 (* --- speedscope ----------------------------------------------------------- *)
 
 (* One "sampled" profile per source, sharing a frame table. Each folded
@@ -148,5 +141,13 @@ let standard_profiles () =
     ("causal spans (simulated)", "microseconds", folded_spans ());
   ]
 
-let write_speedscope ~name path =
-  write_file path (speedscope ~name (standard_profiles ()))
+let write_dir ~name dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let write file content =
+    Out_channel.with_open_text (Filename.concat dir file) (fun oc ->
+        output_string oc content)
+  in
+  write "engine.folded" (folded_to_string (folded_wall ()));
+  write "engine_allocs.folded" (folded_to_string (folded_alloc ()));
+  write "spans.folded" (folded_to_string (folded_spans ()));
+  write "profile.speedscope.json" (speedscope ~name (standard_profiles ()))

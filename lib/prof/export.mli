@@ -22,9 +22,6 @@ val folded_spans : unit -> folded
 
 val folded_to_string : folded -> string
 
-val write_folded : string -> folded -> unit
-(** [write_folded path entries] writes one folded-stack line per entry. *)
-
 val speedscope :
   name:string -> (string * string * folded) list -> string
 (** [speedscope ~name profiles] renders [(profile_name, unit, entries)]
@@ -33,5 +30,9 @@ val speedscope :
 val standard_profiles : unit -> (string * string * folded) list
 (** The three standard views: engine wall, engine allocations, spans. *)
 
-val write_speedscope : name:string -> string -> unit
-(** Writes {!standard_profiles} as a speedscope file. *)
+val write_dir : name:string -> string -> unit
+(** [write_dir ~name dir] writes the run's four profile files into [dir]
+    (created if missing): [engine.folded], [engine_allocs.folded] and
+    [spans.folded] ({!folded_wall}, {!folded_alloc}, {!folded_spans}),
+    and [profile.speedscope.json] ({!standard_profiles}, titled
+    [name]). *)

@@ -147,12 +147,7 @@ let with_monitor ?(ack_deadline_s = 0.) ~scenario body =
 let failover ?(kind = Orch.Controller.Container_failure) () =
   with_monitor ~scenario:("failover/" ^ kind_name kind) @@ fun mon ->
   let dep, peer, vip, svc = setup mon in
-  (match kind with
-  | Orch.Controller.App_failure -> Deploy.inject_app_failure dep svc
-  | Orch.Controller.Container_failure -> Deploy.inject_container_failure dep svc
-  | Orch.Controller.Host_failure -> Deploy.inject_host_failure dep svc
-  | Orch.Controller.Host_network_failure ->
-      Deploy.inject_host_network_failure dep svc);
+  Deploy.inject_failure dep svc kind;
   Engine.run_for dep.Deploy.eng (Time.sec 40);
   emit_rib_snapshots dep peer svc ~vip
 
@@ -168,7 +163,7 @@ let split_brain () =
   let dep, peer, vip, svc = setup mon in
   let eng = dep.Deploy.eng in
   let h0 = dep.Deploy.hosts.(0) in
-  Deploy.inject_host_network_failure dep svc;
+  Deploy.inject_failure dep svc Orch.Controller.Host_network_failure;
   Engine.run_for eng (Time.sec 20);
   (* Heal the partition: the old host returns with its container state
      intact — the checker watches that no second promotion or peer-visible
@@ -200,23 +195,62 @@ let degraded () =
   Engine.run_for eng (Time.sec 60);
   emit_rib_snapshots dep peer svc ~vip
 
-(* The recovery root span each scenario records, for critical-path
-   queries: failover-shaped scenarios (including split-brain, whose
-   migration is a failover) close a "failover" span, planned migration
-   its own; degraded deliberately never migrates, so it has no recovery
-   root. *)
-let root_span = function
-  | "failover" | "split-brain" | "split_brain" -> Some "failover"
-  | "planned" -> Some "planned_migration"
-  | _ -> None
+(* --- Observed runs ---------------------------------------------------- *)
 
-let run ?kind name =
-  match name with
-  | "failover" -> Ok (failover ?kind ())
-  | "planned" -> Ok (planned ())
-  | "split-brain" | "split_brain" -> Ok (split_brain ())
-  | "degraded" -> Ok (degraded ())
-  | other ->
+let write_file path content =
+  Out_channel.with_open_text path (fun oc -> output_string oc content)
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+(* Runs [scenario] with the causal recorder, the metric-series sampler
+   and the engine profiler attached, then writes every artifact of the
+   run into [dir]. All three are observation-only, so the report is the
+   bare run's plus its [critical_path] and [engine.profiled] sections.
+   [with_monitor] leaves the telemetry buffers readable, so the exports
+   cover the whole run. *)
+let observed ~dir ~name scenario =
+  Causal.Recorder.reset ();
+  Causal.Recorder.attach ();
+  (* Bus subscribers survive [Telemetry.Control.reset], so attaching
+     before the run observes the whole scenario. *)
+  let series = Causal.Series.attach () in
+  Prof.Profiler.attach ();
+  let report =
+    Fun.protect scenario ~finally:(fun () ->
+        Prof.Profiler.detach ();
+        Causal.Series.detach series;
+        Causal.Recorder.detach ())
+  in
+  mkdir_p dir;
+  let file = Filename.concat dir in
+  write_file (file "health.json") (Monitor.Health.to_json report ^ "\n");
+  Telemetry.Control.export_dir dir;
+  write_file (file "spans.txt")
+    (Format.asprintf "%a" Telemetry.Span.pp_tree ());
+  Causal.Perfetto.write ?critical:report.Monitor.Health.critical_path
+    (file "trace.perfetto.json");
+  Causal.Series.write series (file "timeseries.jsonl");
+  Prof.Export.write_dir ~name:("tensor check " ^ name) dir;
+  report
+
+let run ?kind ?out name =
+  let scenario =
+    match name with
+    | "failover" -> Some (failover ?kind)
+    | "planned" -> Some planned
+    | "split-brain" | "split_brain" -> Some split_brain
+    | "degraded" -> Some degraded
+    | _ -> None
+  in
+  match (scenario, out) with
+  | None, _ ->
       Error
-        (Printf.sprintf "unknown scenario %S (expected: %s)" other
+        (Printf.sprintf "unknown scenario %S (expected: %s)" name
            (String.concat " | " scenarios))
+  | Some f, None -> Ok (f ())
+  | Some f, Some root ->
+      Ok (observed ~dir:(Filename.concat root name) ~name f)

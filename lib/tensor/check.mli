@@ -48,12 +48,24 @@ val degraded : unit -> Monitor.Health.report
 
 val run :
   ?kind:Orch.Controller.failure_kind ->
+  ?out:string ->
   string ->
   (Monitor.Health.report, string) result
-(** Dispatch by scenario name ([?kind] applies to ["failover"]). *)
+(** Dispatch by scenario name ([?kind] applies to ["failover"]).
 
-val root_span : string -> string option
-(** The recovery root span a scenario records, for critical-path
-    queries: ["failover"] and ["split-brain"] close a ["failover"]
-    span, ["planned"] a ["planned_migration"]; ["degraded"] (which
-    never migrates) has none. *)
+    With [?out], the run also attaches the causal recorder, the
+    metric-series sampler and the engine profiler, and writes every
+    artifact into [out/<name>/], creating it if needed:
+    - [health.json]: {!Monitor.Health.to_json} of the report, which then
+      also carries the recovery [critical_path] (the three recovery
+      scenarios; ["degraded"] never migrates) and the profiled
+      [engine] rows — the verdict, critical path and cost ledger of the
+      run in one file;
+    - [spans.jsonl], [events.jsonl], [metrics.csv], [metrics.json]
+      ({!Telemetry.Control.export_dir}) and [spans.txt] (the span
+      tree);
+    - [trace.perfetto.json] and [timeseries.jsonl];
+    - the four profile files of {!Prof.Export.write_dir}.
+
+    The observers change no simulated outcome: apart from those two
+    sections the report equals the bare run's. *)

@@ -402,39 +402,28 @@ let start_failover_span t =
     Telemetry.Span.set_ambient (Some sp)
   end
 
-let inject_app_failure t svc =
-  start_failover_span t;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Failure_injected { service = svc.sid; kind = "app" });
-  App.crash_bgp svc.app
+let on_primary_host t svc f =
+  let name = Orch.Container.host_name svc.primary in
+  Array.iter (fun h -> if String.equal (Orch.Host.name h) name then f h) t.hosts
 
-let inject_container_failure t svc =
+(* The [Failure_injected] kind strings are part of the telemetry stream,
+   so replay digests pin them; they are not [pp_failure_kind]'s names. *)
+let inject_failure t svc (kind : Orch.Controller.failure_kind) =
   start_failover_span t;
   if Telemetry.Gate.on () then
     Telemetry.Bus.emit t.eng
       (Telemetry.Event.Failure_injected
-         { service = svc.sid; kind = "container" });
-  Orch.Container.fail svc.primary
-
-let inject_host_failure t svc =
-  start_failover_span t;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Failure_injected { service = svc.sid; kind = "host" });
-  let name = Orch.Container.host_name svc.primary in
-  Array.iter
-    (fun h -> if String.equal (Orch.Host.name h) name then Orch.Host.fail h)
-    t.hosts
-
-let inject_host_network_failure t svc =
-  start_failover_span t;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Failure_injected
-         { service = svc.sid; kind = "host-network" });
-  let name = Orch.Container.host_name svc.primary in
-  Array.iter
-    (fun h ->
-      if String.equal (Orch.Host.name h) name then Orch.Host.network_fail h)
-    t.hosts
+         {
+           service = svc.sid;
+           kind =
+             (match kind with
+             | App_failure -> "app"
+             | Container_failure -> "container"
+             | Host_failure -> "host"
+             | Host_network_failure -> "host-network");
+         });
+  match kind with
+  | App_failure -> App.crash_bgp svc.app
+  | Container_failure -> Orch.Container.fail svc.primary
+  | Host_failure -> on_primary_host t svc Orch.Host.fail
+  | Host_network_failure -> on_primary_host t svc Orch.Host.network_fail

@@ -159,9 +159,9 @@ val planned_migration :
 
 (** {1 Failure injection (Table 1 scenarios)} *)
 
-val inject_app_failure : t -> service -> unit
-val inject_container_failure : t -> service -> unit
-val inject_host_failure : t -> service -> unit
-val inject_host_network_failure : t -> service -> unit
+val inject_failure : t -> service -> Orch.Controller.failure_kind -> unit
+(** Opens a ["failover"] span, emits [Failure_injected], then fails the
+    service's current primary: its BGP app, its container, its host, or
+    its host's network (a partition that leaves the host running). *)
 
 val service_routes : service -> vrf:string -> int

@@ -26,7 +26,7 @@ let one_migration ~backup_mode =
     let t0 = Engine.now eng in
     let (), orch =
       Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
-          Deploy.inject_container_failure dep svc;
+          Deploy.inject_failure dep svc Orch.Controller.Container_failure;
           Engine.run_for eng (Time.sec 30))
     in
     match
@@ -219,7 +219,7 @@ let one_mode ~mode ~store_delay ~ack_hold =
       end
     in
     wait_window ();
-    Deploy.inject_container_failure dep svc;
+    Deploy.inject_failure dep svc Orch.Controller.Container_failure;
     (* The broken (asynchronous) case surfaces when the peer next sends
        data: its first keepalive after the resume lands beyond the
        backup's receive point, can never be acknowledged, and the

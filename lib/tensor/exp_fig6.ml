@@ -39,56 +39,78 @@ let originate_grouped spk ~vrf ~next_hop ~groups n =
       | [] -> ())
     tbl
 
-(* --- Panel (a): receive and learn --------------------------------------- *)
+(* --- Panels (a) and (b): one peer, N updates ----------------------------- *)
 
-(* A plain speaker pair: FRR-profile announcer -> DUT with [profile]. *)
-let baseline_receive ~profile n =
+(* Panel (a) times the DUT receiving and learning N updates; panel (b)
+   times it generating and sending them. The DUT is the measured speaker
+   either way: [Receive] waits for it to learn N routes (the last applied
+   receive), [Send] for it to hand N updates to TCP. *)
+type direction = Receive | Send
+
+let time_to_n eng ~t0 direction spk n =
+  let count, stamp =
+    match direction with
+    | Receive -> (Bgp.Speaker.updates_learned, Bgp.Speaker.last_rx_applied)
+    | Send -> (Bgp.Speaker.updates_sent, Bgp.Speaker.last_tx_handoff)
+  in
+  let deadline = Time.add t0 (Time.minutes 10) in
+  if Engine.run_until_cond eng ~slice ~deadline (fun () -> count spk >= n)
+  then Time.to_sec_f (Time.diff (stamp spk) t0)
+  else nan
+
+(* A plain speaker pair, the DUT with [profile] against an FRR-profile
+   peer. The announcer (the peer for [Receive], the DUT for [Send]) is
+   built first and opens the session; the other side is passive. *)
+let baseline_pair ~profile direction n =
   let eng = Engine.create () in
   let net = Network.create eng in
-  let peer = Network.add_node net "peer" in
-  let dut = Network.add_node net "dut" in
-  let _, peer_addr, dut_addr = Network.connect net ~delay:(Time.us 200) peer dut in
-  let s_peer = Tcp.create_stack peer and s_dut = Tcp.create_stack dut in
-  let spk_peer =
-    Bgp.Speaker.create ~profile:Baseline.frr ~stack:s_peer ~local_asn:65010
-      ~router_id:peer_addr ()
+  let dut = ("dut", profile, 64900) and peer = ("peer", Baseline.frr, 65010) in
+  let (a_name, a_profile, a_asn), (b_name, b_profile, b_asn) =
+    match direction with Receive -> (peer, dut) | Send -> (dut, peer)
   in
-  let spk_dut =
-    Bgp.Speaker.create ~profile ~stack:s_dut ~local_asn:64900
-      ~router_id:dut_addr ()
+  let a = Network.add_node net a_name in
+  let b = Network.add_node net b_name in
+  let _, a_addr, b_addr = Network.connect net ~delay:(Time.us 200) a b in
+  let s_a = Tcp.create_stack a and s_b = Tcp.create_stack b in
+  let spk_a =
+    Bgp.Speaker.create ~profile:a_profile ~stack:s_a ~local_asn:a_asn
+      ~router_id:a_addr ()
+  in
+  let spk_b =
+    Bgp.Speaker.create ~profile:b_profile ~stack:s_b ~local_asn:b_asn
+      ~router_id:b_addr ()
   in
   ignore
-    (Bgp.Speaker.add_peer spk_peer
-       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:dut_addr ()) with
-         Bgp.Speaker.remote_asn = Some 64900 });
+    (Bgp.Speaker.add_peer spk_a
+       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:b_addr ()) with
+         Bgp.Speaker.remote_asn = Some b_asn });
   ignore
-    (Bgp.Speaker.add_peer spk_dut
+    (Bgp.Speaker.add_peer spk_b
        {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:peer_addr ()) with
-         Bgp.Speaker.remote_asn = Some 65010;
+         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:a_addr ()) with
+         Bgp.Speaker.remote_asn = Some a_asn;
          passive = true;
        });
-  Bgp.Speaker.start spk_peer;
-  Bgp.Speaker.start spk_dut;
+  Bgp.Speaker.start spk_a;
+  Bgp.Speaker.start spk_b;
   Engine.run_for eng (Time.sec 3);
   let t0 = Engine.now eng in
-  originate_grouped spk_peer ~vrf:"v0" ~next_hop:peer_addr
-    ~groups:(groups_for n) n;
-  let deadline = Time.add t0 (Time.minutes 10) in
-  let ok =
-    Engine.run_until_cond eng ~slice ~deadline (fun () ->
-        Bgp.Speaker.updates_learned spk_dut >= n)
-  in
-  if not ok then nan
-  else Time.to_sec_f (Time.diff (Bgp.Speaker.last_rx_applied spk_dut) t0)
+  originate_grouped spk_a ~vrf:"v0" ~next_hop:a_addr ~groups:(groups_for n) n;
+  time_to_n eng ~t0 direction
+    (match direction with Receive -> spk_b | Send -> spk_a)
+    n
 
-let tensor_receive n =
+(* The Figure 3 deployment with live replication: the peer AS announces
+   for [Receive], the service (next hop: its VIP) for [Send]. *)
+let tensor_deployment direction n =
   let dep = Deploy.build () in
   let peer = Deploy.add_peer_as dep ~asn:65010 "peerAS" in
   let vip = Addr.of_string "203.0.113.10" in
   ignore (Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
   let svc =
-    Deploy.deploy_service dep ~id:"fig6a" ~local_asn:64900
+    Deploy.deploy_service dep
+      ~id:(match direction with Receive -> "fig6a" | Send -> "fig6b")
+      ~local_asn:64900
       [
         App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
           ~peer_asn:65010 ~run_bfd:false ();
@@ -105,18 +127,16 @@ let tensor_receive n =
       | None -> failwith "no speaker"
     in
     let t0 = Engine.now eng in
-    originate_grouped peer.Deploy.pa_speaker ~vrf:"v0"
-      ~next_hop:peer.Deploy.pa_addr ~groups:(groups_for n) n;
-    let deadline = Time.add t0 (Time.minutes 10) in
-    let ok =
-      Engine.run_until_cond eng ~slice ~deadline (fun () ->
-          Bgp.Speaker.updates_learned spk_dut >= n)
+    let announcer, next_hop =
+      match direction with
+      | Receive -> (peer.Deploy.pa_speaker, peer.Deploy.pa_addr)
+      | Send -> (spk_dut, vip)
     in
-    if not ok then nan
-    else Time.to_sec_f (Time.diff (Bgp.Speaker.last_rx_applied spk_dut) t0)
+    originate_grouped announcer ~vrf:"v0" ~next_hop ~groups:(groups_for n) n;
+    time_to_n eng ~t0 direction spk_dut n
   end
 
-let run_receive ?(counts = [ 100; 1_000; 10_000; 100_000; 500_000 ]) () =
+let run_one_peer direction counts =
   List.map
     (fun n ->
       {
@@ -126,106 +146,18 @@ let run_receive ?(counts = [ 100; 1_000; 10_000; 100_000; 500_000 ]) () =
             (fun (name, kind) ->
               let seconds =
                 match kind with
-                | `Baseline profile -> baseline_receive ~profile n
-                | `Tensor -> tensor_receive n
+                | `Baseline profile -> baseline_pair ~profile direction n
+                | `Tensor -> tensor_deployment direction n
               in
               { impl = name; seconds })
             impls;
       })
     counts
 
-(* --- Panel (b): generate and send ----------------------------------------- *)
+let default_counts = [ 100; 1_000; 10_000; 100_000; 500_000 ]
 
-let baseline_send ~profile n =
-  let eng = Engine.create () in
-  let net = Network.create eng in
-  let dut = Network.add_node net "dut" in
-  let peer = Network.add_node net "peer" in
-  let _, dut_addr, peer_addr = Network.connect net ~delay:(Time.us 200) dut peer in
-  let s_dut = Tcp.create_stack dut and s_peer = Tcp.create_stack peer in
-  let spk_dut =
-    Bgp.Speaker.create ~profile ~stack:s_dut ~local_asn:64900
-      ~router_id:dut_addr ()
-  in
-  let spk_peer =
-    Bgp.Speaker.create ~profile:Baseline.frr ~stack:s_peer ~local_asn:65010
-      ~router_id:peer_addr ()
-  in
-  ignore
-    (Bgp.Speaker.add_peer spk_dut
-       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:peer_addr ()) with
-         Bgp.Speaker.remote_asn = Some 65010 });
-  ignore
-    (Bgp.Speaker.add_peer spk_peer
-       {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:dut_addr ()) with
-         Bgp.Speaker.remote_asn = Some 64900;
-         passive = true;
-       });
-  Bgp.Speaker.start spk_dut;
-  Bgp.Speaker.start spk_peer;
-  Engine.run_for eng (Time.sec 3);
-  let t0 = Engine.now eng in
-  originate_grouped spk_dut ~vrf:"v0" ~next_hop:dut_addr
-    ~groups:(groups_for n) n;
-  let deadline = Time.add t0 (Time.minutes 10) in
-  let ok =
-    Engine.run_until_cond eng ~slice ~deadline (fun () ->
-        Bgp.Speaker.updates_sent spk_dut >= n)
-  in
-  if not ok then nan
-  else Time.to_sec_f (Time.diff (Bgp.Speaker.last_tx_handoff spk_dut) t0)
-
-let tensor_send n =
-  let dep = Deploy.build () in
-  let peer = Deploy.add_peer_as dep ~asn:65010 "peerAS" in
-  let vip = Addr.of_string "203.0.113.10" in
-  ignore (Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
-  let svc =
-    Deploy.deploy_service dep ~id:"fig6b" ~local_asn:64900
-      [
-        App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
-          ~peer_asn:65010 ~run_bfd:false ();
-      ]
-  in
-  if not (Deploy.wait_established dep svc ()) then nan
-  else begin
-    let eng = dep.Deploy.eng in
-    Engine.run_for eng (Time.sec 2);
-    let spk_dut =
-      match App.speaker (Deploy.service_app svc) with
-      | Some s -> s
-      (* lint: allow p2 — harness precondition: the deployed service must expose a speaker; abort loudly, not a product path *)
-      | None -> failwith "no speaker"
-    in
-    let t0 = Engine.now eng in
-    originate_grouped spk_dut ~vrf:"v0" ~next_hop:vip ~groups:(groups_for n) n;
-    let deadline = Time.add t0 (Time.minutes 10) in
-    let ok =
-      Engine.run_until_cond eng ~slice ~deadline (fun () ->
-          Bgp.Speaker.updates_sent spk_dut >= n)
-    in
-    if not ok then nan
-    else Time.to_sec_f (Time.diff (Bgp.Speaker.last_tx_handoff spk_dut) t0)
-  end
-
-let run_send ?(counts = [ 100; 1_000; 10_000; 100_000; 500_000 ]) () =
-  List.map
-    (fun n ->
-      {
-        x = n;
-        values =
-          List.map
-            (fun (name, kind) ->
-              let seconds =
-                match kind with
-                | `Baseline profile -> baseline_send ~profile n
-                | `Tensor -> tensor_send n
-              in
-              { impl = name; seconds })
-            impls;
-      })
-    counts
+let run_receive ?(counts = default_counts) () = run_one_peer Receive counts
+let run_send ?(counts = default_counts) () = run_one_peer Send counts
 
 (* --- Panel (c): sending to many peers --------------------------------------- *)
 
@@ -332,13 +264,7 @@ let multi_peer_run ~profile ~with_replication peers updates =
     let target = peers * updates in
     let t0 = Engine.now eng in
     originate_grouped spk_dut ~vrf:"v0" ~next_hop:dut_addr ~groups:4 updates;
-    let deadline = Time.add t0 (Time.minutes 10) in
-    let ok =
-      Engine.run_until_cond eng ~slice ~deadline (fun () ->
-          Bgp.Speaker.updates_sent spk_dut >= target)
-    in
-    if not ok then nan
-    else Time.to_sec_f (Time.diff (Bgp.Speaker.last_tx_handoff spk_dut) t0)
+    time_to_n eng ~t0 Send spk_dut target
   end
 
 let run_multi_peer ?(peer_counts = [ 50; 100; 200; 300; 400; 500; 600; 700 ])

@@ -57,7 +57,7 @@ let run ~hosts ~services ~routes_per_service =
       rigs
   in
   (match on_victim with
-  | (_, _, svc) :: _ -> Deploy.inject_host_failure dep svc
+  | (_, _, svc) :: _ -> Deploy.inject_failure dep svc Orch.Controller.Host_failure
   | [] -> ());
   Engine.run_for eng (Time.sec 40);
   let migrated =

@@ -52,13 +52,7 @@ let scenario kind =
   let t0 = Engine.now eng in
   let (), orch =
     Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
-        (match kind with
-        | Orch.Controller.App_failure -> Deploy.inject_app_failure dep svc
-        | Orch.Controller.Container_failure ->
-            Deploy.inject_container_failure dep svc
-        | Orch.Controller.Host_failure -> Deploy.inject_host_failure dep svc
-        | Orch.Controller.Host_network_failure ->
-            Deploy.inject_host_network_failure dep svc);
+        Deploy.inject_failure dep svc kind;
         Engine.run_for eng (Time.sec 40))
   in
   (* Each phase ends at the first milestone event of its kind. *)

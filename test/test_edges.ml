@@ -196,7 +196,7 @@ let test_store_deploy_replica_mirrors () =
   Engine.run_for eng (Time.sec 10);
   checki "routes flowed" 300 (Tensor.Deploy.service_routes svc ~vrf:"v0");
   (* The primary store has the checkpoint; NSR still works. *)
-  Tensor.Deploy.inject_container_failure dep svc;
+  Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
   Engine.run_for eng (Time.sec 30);
   checki "recovered with replicated store" 300
     (Tensor.Deploy.service_routes svc ~vrf:"v0")

@@ -110,7 +110,7 @@ let test_recovery_with_large_inflight_flood () =
     end
   in
   wait ();
-  Tensor.Deploy.inject_container_failure dep svc;
+  Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
   Engine.run_for eng (Time.sec 60);
   checki "peer session never dropped" 0 !drops;
   checki "every update recovered" 30_000
@@ -133,7 +133,7 @@ let test_partial_tail_replication_under_stall () =
   Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
     (Workload.Prefixes.distinct_from ~base:600_000 500);
   Engine.run_for eng (Time.ms 30);
-  Tensor.Deploy.inject_container_failure dep svc;
+  Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
   Engine.run_for eng (Time.sec 90);
   checki "no drops" 0 !drops;
   checki "all routes present" 20_500 (Tensor.Deploy.service_routes svc ~vrf:"v0");
@@ -166,7 +166,7 @@ let test_preheat_faster_than_cold () =
     let t0 = Engine.now eng in
     let (), orch =
       Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
-          Tensor.Deploy.inject_container_failure dep svc;
+          Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
           Engine.run_for eng (Time.sec 30))
     in
     match
@@ -192,9 +192,9 @@ let test_preheat_standby_replaced_after_use () =
   let drops = ref 0 in
   Bgp.Speaker.on_peer_down peer_handle (fun _ -> incr drops);
   (* Two failures in a row: the second must also find a standby. *)
-  Tensor.Deploy.inject_container_failure dep svc;
+  Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
   Engine.run_for eng (Time.sec 20);
-  Tensor.Deploy.inject_container_failure dep svc;
+  Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
   Engine.run_for eng (Time.sec 20);
   checki "zero drops across two preheated migrations" 0 !drops;
   checkb "service healthy" true

@@ -73,8 +73,8 @@ let run_stress ~seed () =
     announce_more dep r (50 + Rng.int rng 400);
     Engine.run_for eng (Time.ms (100 + Rng.int rng 500));
     (match Rng.int rng 4 with
-    | 0 -> Tensor.Deploy.inject_app_failure dep r.svc
-    | 1 -> Tensor.Deploy.inject_container_failure dep r.svc
+    | 0 -> Tensor.Deploy.inject_failure dep r.svc Orch.Controller.App_failure
+    | 1 -> Tensor.Deploy.inject_failure dep r.svc Orch.Controller.Container_failure
     | 2 ->
         (* Transient jitter: must NOT trigger anything at all. *)
         let hname =

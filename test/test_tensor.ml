@@ -569,9 +569,11 @@ let assert_zero_downtime (w, drops, _total) =
   checkb "migrated off the original container" true
     (Orch.Container.id (Tensor.Deploy.service_container w.svc) <> "svc1")
 
+let inject kind w = Tensor.Deploy.inject_failure w.dep w.svc kind
+
 let test_nsr_app_failure () =
   let ((_, _, total) as r) =
-    run_failure_scenario ~inject:(fun w -> Tensor.Deploy.inject_app_failure w.dep w.svc) ()
+    run_failure_scenario ~inject:(inject Orch.Controller.App_failure) ()
   in
   assert_zero_downtime r;
   checkb (Printf.sprintf "app failure total %.2fs (paper 2.26)" total) true
@@ -580,7 +582,7 @@ let test_nsr_app_failure () =
 let test_nsr_container_failure () =
   let ((_, _, total) as r) =
     run_failure_scenario
-      ~inject:(fun w -> Tensor.Deploy.inject_container_failure w.dep w.svc) ()
+      ~inject:(inject Orch.Controller.Container_failure) ()
   in
   assert_zero_downtime r;
   checkb (Printf.sprintf "container failure total %.2fs (paper 2.61)" total)
@@ -590,7 +592,7 @@ let test_nsr_container_failure () =
 let test_nsr_host_failure () =
   let ((_, _, total) as r) =
     run_failure_scenario
-      ~inject:(fun w -> Tensor.Deploy.inject_host_failure w.dep w.svc)
+      ~inject:(inject Orch.Controller.Host_failure)
       ~post_failure_span:(Time.sec 40) ()
   in
   assert_zero_downtime r;
@@ -600,7 +602,7 @@ let test_nsr_host_failure () =
 let test_nsr_host_network_failure () =
   let ((_, _, total) as r) =
     run_failure_scenario
-      ~inject:(fun w -> Tensor.Deploy.inject_host_network_failure w.dep w.svc)
+      ~inject:(inject Orch.Controller.Host_network_failure)
       ~post_failure_span:(Time.sec 40) ()
   in
   assert_zero_downtime r;
@@ -615,7 +617,7 @@ let test_updates_survive_migration () =
   Bgp.Speaker.originate w.peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
     (Workload.Prefixes.distinct 100);
   Engine.run_for (eng w) (Time.sec 5);
-  Tensor.Deploy.inject_container_failure w.dep w.svc;
+  inject Orch.Controller.Container_failure w;
   (* While the primary is dead, the peer announces more routes. *)
   ignore
     (Engine.schedule_after (eng w) (Time.ms 500) (fun () ->
@@ -629,10 +631,10 @@ let test_double_failure_second_migration () =
   (* The replacement can itself fail and be migrated again. *)
   let ((w, drops, _) as r) =
     run_failure_scenario
-      ~inject:(fun w -> Tensor.Deploy.inject_container_failure w.dep w.svc) ()
+      ~inject:(inject Orch.Controller.Container_failure) ()
   in
   assert_zero_downtime r;
-  Tensor.Deploy.inject_container_failure w.dep w.svc;
+  inject Orch.Controller.Container_failure w;
   Engine.run_for (eng w) (Time.sec 30);
   checki "still zero drops after second failure" 0 !drops;
   checkb "re-established again" true
@@ -694,7 +696,7 @@ let test_two_vrf_container_migration () =
   let drops = ref 0 in
   Bgp.Speaker.on_peer_down h1 (fun _ -> incr drops);
   Bgp.Speaker.on_peer_down h2 (fun _ -> incr drops);
-  Tensor.Deploy.inject_container_failure dep svc;
+  Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
   Engine.run_for eng (Time.sec 30);
   checki "neither peer dropped" 0 !drops;
   checki "vrf v1 intact and isolated" 100

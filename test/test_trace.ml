@@ -314,6 +314,101 @@ let test_digests_identical_with_tracer () =
               (Causal.Recorder.node_count () > 0))
     entries
 
+(* --- observed checked runs (tensor-cli check --out) ------------------------- *)
+
+let report_of scenario = function
+  | Ok r -> r
+  | Error e -> Alcotest.failf "check %s: %s" scenario e
+
+(* The observers add exactly two sections: the critical path and the
+   profiled engine rows. Everything else must be the bare run's. *)
+let without_observations (r : Monitor.Health.report) =
+  Monitor.Health.to_json
+    {
+      r with
+      critical_path = None;
+      engine =
+        Option.map
+          (fun (e : Monitor.Health.engine_cost) -> { e with profiled = [] })
+          r.engine;
+    }
+
+let profiled (r : Monitor.Health.report) =
+  match r.engine with Some e -> e.profiled | None -> []
+
+let test_observed_matches_bare () =
+  fresh ();
+  let out = Filename.temp_dir "tensor-check" "" in
+  (* Bare and observed runs alternate, so every bare run after the first
+     follows an observed one in the same process. *)
+  List.iter
+    (fun scenario ->
+      let bare = report_of scenario (Tensor.Check.run scenario) in
+      let seen = report_of scenario (Tensor.Check.run ~out scenario) in
+      checks
+        (scenario ^ ": same report apart from the observed sections")
+        (without_observations bare) (without_observations seen);
+      checkb (scenario ^ ": healthy") true (Monitor.Health.ok seen);
+      checkb (scenario ^ ": bare run has no critical path") true
+        (bare.Monitor.Health.critical_path = None);
+      checkb (scenario ^ ": bare run has no profiled rows") true
+        (profiled bare = []);
+      checkb (scenario ^ ": profiled engine rows") true (profiled seen <> []);
+      match (scenario, seen.Monitor.Health.critical_path) with
+      | "degraded", None -> ()
+      | "degraded", Some _ ->
+          Alcotest.fail "degraded never migrates, so it has no critical path"
+      | _, None -> Alcotest.failf "%s: no critical path" scenario
+      | _, Some cp ->
+          checki
+            (scenario ^ ": segments sum to the recovery span")
+            cp.Causal.Critical.total
+            (Causal.Critical.segment_sum cp))
+    Tensor.Check.scenarios
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let parses what text =
+  match Monitor.Json.parse text with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s is not valid JSON: %s" what e
+
+let test_out_writes_artifacts () =
+  fresh ();
+  let out = Filename.temp_dir "tensor-check" "" in
+  ignore (report_of "failover" (Tensor.Check.run ~out "failover"));
+  let dir = Filename.concat out "failover" in
+  let expected =
+    [
+      "engine.folded"; "engine_allocs.folded"; "events.jsonl"; "health.json";
+      "metrics.csv"; "metrics.json"; "profile.speedscope.json";
+      "spans.folded"; "spans.jsonl"; "spans.txt"; "timeseries.jsonl";
+      "trace.perfetto.json";
+    ]
+  in
+  Alcotest.(check (list string))
+    "the full file set" expected
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)));
+  List.iter
+    (fun file ->
+      let text = read_file (Filename.concat dir file) in
+      checkb (file ^ " is not empty") true (text <> "");
+      if Filename.check_suffix file ".jsonl" then
+        List.iter
+          (fun line -> if line <> "" then parses (file ^ " line") line)
+          (String.split_on_char '\n' text)
+      else if Filename.check_suffix file ".json" then parses file text)
+    expected;
+  let health =
+    Monitor.Json.parse_exn (read_file (Filename.concat dir "health.json"))
+  in
+  checkb "health.json links the critical path" true
+    (Monitor.Json.member "critical_path" health <> None);
+  checkb "health.json carries the cost ledger" true
+    (match Monitor.Json.path [ "engine"; "profiled" ] health with
+    | Some (Monitor.Json.List (_ :: _)) -> true
+    | _ -> false)
+
 (* --- bus sizing ------------------------------------------------------------- *)
 
 let test_per_category_capacity () =
@@ -376,5 +471,12 @@ let () =
         [
           Alcotest.test_case "per-category capacity override" `Quick
             test_per_category_capacity;
+        ] );
+      ( "check --out",
+        [
+          Alcotest.test_case "observed runs match bare runs" `Slow
+            test_observed_matches_bare;
+          Alcotest.test_case "writes the full artifact set" `Slow
+            test_out_writes_artifacts;
         ] );
     ]
