@@ -14,10 +14,17 @@ module Tbl = Hashtbl.Make (struct
   let hash = Addr.hash_int
 end)
 
+(* What a node does with a packet for a destination: take it, send it
+   out of an interface, or count it unrouted. *)
+type decision = Local | Via of iface | Unrouted
+
 (* Forwarding state is hashed so that each packet hop costs O(1): the
    fabric router of a fleet holds a hundred or more addresses,
    interfaces and routes, and a list scan per lookup would dominate
-   delivery. The ordered lists stay for the accessors. *)
+   delivery. The ordered lists stay for the accessors. [decisions]
+   caches one {!decision} per destination; every change to addresses,
+   interfaces or routes empties it. Up/down and link state are not
+   cached: they are checked per packet. *)
 type t = {
   nname : string;
   eng : Engine.t;
@@ -28,6 +35,7 @@ type t = {
   by_remote : iface Tbl.t; (* newest interface per remote address *)
   routes : Addr.t Tbl.t; (* [route_key len base] to gateway, newest wins *)
   mutable route_lens : int list; (* distinct prefix lengths, longest first *)
+  decisions : decision Tbl.t;
   mutable up : bool;
   forwarding : bool;
   mutable unrouted : int;
@@ -46,6 +54,7 @@ let create eng ?(forwarding = false) nname =
     by_remote = Tbl.create 1;
     routes = Tbl.create 1;
     route_lens = [];
+    decisions = Tbl.create 1;
     up = true;
     forwarding;
     unrouted = 0;
@@ -59,12 +68,14 @@ let has_address t a = Tbl.mem t.addr_set (Addr.to_int a)
 let add_address t a =
   if not (has_address t a) then begin
     t.addrs <- a :: t.addrs;
-    Tbl.replace t.addr_set (Addr.to_int a) ()
+    Tbl.replace t.addr_set (Addr.to_int a) ();
+    Tbl.clear t.decisions
   end
 
 let remove_address t a =
   t.addrs <- List.filter (fun x -> not (Addr.equal x a)) t.addrs;
-  Tbl.remove t.addr_set (Addr.to_int a)
+  Tbl.remove t.addr_set (Addr.to_int a);
+  Tbl.clear t.decisions
 
 let addresses t = t.addrs
 let ifaces t = t.ifs
@@ -81,7 +92,8 @@ let rec insert_len len = function
 
 let add_route t (prefix : Addr.prefix) gateway =
   Tbl.replace t.routes (route_key prefix.len prefix.base) gateway;
-  t.route_lens <- insert_len prefix.len t.route_lens
+  t.route_lens <- insert_len prefix.len t.route_lens;
+  Tbl.clear t.decisions
 
 let add_handler t f = t.handlers <- t.handlers @ [ f ]
 
@@ -111,33 +123,51 @@ let iface_for t dst =
       | None -> None
       | Some gw -> iface_to t gw)
 
-let rec emit t pkt =
-  if not t.up then ()
-  else if has_address t pkt.Packet.dst then
-    (* Loopback: deliver via a fresh event so senders never observe
-       reentrant receive callbacks. *)
-    ignore (Engine.schedule_after t.eng ~label:"net.loopback" 0 (fun () -> rx t pkt))
-  else
-    match iface_for t pkt.Packet.dst with
-    | None -> t.unrouted <- t.unrouted + 1
-    | Some i -> Link.transmit i.link ~from:i.side pkt
+(* The cache miss path. *)
+let decide t dst =
+  if has_address t dst then Local
+  else match iface_for t dst with None -> Unrouted | Some i -> Via i
 
+let decision t dst =
+  let k = Addr.to_int dst in
+  match Tbl.find t.decisions k with
+  | d -> d
+  | exception Not_found ->
+      let d = decide t dst in
+      Tbl.replace t.decisions k d;
+      d
+
+let rec emit t pkt = function
+  | Local ->
+      (* Loopback: deliver via a fresh event so senders never observe
+         reentrant receive callbacks. *)
+      ignore (Engine.schedule_after t.eng ~label:"net.loopback" 0 (fun () -> rx t pkt))
+  | Via i -> Link.transmit i.link ~from:i.side pkt
+  | Unrouted -> t.unrouted <- t.unrouted + 1
+
+(* A forwarded packet keeps its destination, so the decision that
+   routed it here also sends it on. Its TTL is checked first: an
+   expired packet is dropped silently, not counted unrouted. *)
 and rx t pkt =
   if not t.up then ()
-  else if has_address t pkt.Packet.dst then deliver_local t pkt
-  else if t.forwarding then
-    match Packet.decrement_ttl pkt with
-    | None -> ()
-    | Some pkt -> emit t pkt
-  else t.unrouted <- t.unrouted + 1
+  else
+    match decision t pkt.Packet.dst with
+    | Local -> deliver_local t pkt
+    | d ->
+        if t.forwarding then
+          match Packet.decrement_ttl pkt with
+          | None -> ()
+          | Some pkt -> emit t pkt d
+        else t.unrouted <- t.unrouted + 1
 
-let send = emit
+let send t pkt = if t.up then emit t pkt (decision t pkt.Packet.dst)
 
 let attach t link side ~local ~remote =
   add_address t local;
   let i = { link; side; local; remote } in
   t.ifs <- i :: t.ifs;
   Tbl.replace t.by_remote (Addr.to_int remote) i;
+  Tbl.clear t.decisions;
   Link.set_receiver link side (fun pkt -> rx t pkt)
 
 let is_up t = t.up

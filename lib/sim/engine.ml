@@ -13,11 +13,12 @@ type event = {
                       scheduled; -1 when scheduled from outside dispatch *)
 }
 
-(* The event queue: a 4-ary min-heap ordered by (time, seq), a strict
-   total order since seqs are unique. Each entry's key lives in two int
-   arrays beside the event array, so sifting compares plain ints and
-   never dereferences an event record. Slots at and beyond [size] hold
-   [sentinel], so a dispatched event is unreachable from the heap. *)
+(* One tier of the event queue: a 4-ary min-heap ordered by (time,
+   seq), a strict total order since seqs are unique. Each entry's key
+   lives in two int arrays beside the event array, so sifting compares
+   plain ints and never dereferences an event record. Slots at and
+   beyond [size] hold [sentinel], so a dispatched event is unreachable
+   from the heap. *)
 and heap = {
   mutable times : int array;
   mutable seqs : int array;
@@ -26,9 +27,16 @@ and heap = {
   sentinel : event;
 }
 
+(* The queue has two tiers: [near] holds the entries due less than
+   [near_window] after the clock when they were pushed (packet hops,
+   loopbacks, zero-delay hand-offs), [far] holds everything else
+   (timers, leases, deadlines). The next event is the smaller of the
+   two roots by (time, seq), so dispatch order is that of one heap; the
+   split only keeps the small, fast-churning near heap shallow. *)
 and t = {
   mutable clock : Time.t;
-  heap : heap;
+  near : heap;
+  far : heap;
   mutable next_seq : int;
   mutable live : int; (* queued and not cancelled *)
   mutable processed : int;
@@ -160,7 +168,8 @@ let create ?(seed = 42) () =
   let rec t =
     {
       clock = Time.zero;
-      heap;
+      near;
+      far;
       next_seq = 0;
       live = 0;
       processed = 0;
@@ -169,7 +178,8 @@ let create ?(seed = 42) () =
       root_rng;
       dls;
     }
-  and heap = { times = [||]; seqs = [||]; evs = [||]; size = 0; sentinel }
+  and near = { times = [||]; seqs = [||]; evs = [||]; size = 0; sentinel }
+  and far = { times = [||]; seqs = [||]; evs = [||]; size = 0; sentinel }
   (* The heap's slot filler: a dead event that is never dispatched. *)
   and sentinel =
     {
@@ -190,7 +200,25 @@ let rng t = t.root_rng
 let current_label t = t.current_label
 let current_event_id t = t.current_id
 
-let push t e = Heap.push t.heap e
+(* Fleet packet hops are due 5-50 us ahead and its timers 25 ms-1 s. An
+   entry stays in the tier it was pushed to; the clock only moves
+   forward, so a near entry never becomes far. *)
+let near_window = Time.ms 1
+
+let push t e =
+  if e.time - t.clock < near_window then Heap.push t.near e
+  else Heap.push t.far e
+
+(* The tier whose root dispatches next; an empty tier when both are.
+   Returning the heap rather than its root keeps the dispatch loop free
+   of a [Some] per event. *)
+let next_tier t =
+  let n = t.near and f = t.far in
+  if f.size = 0 then n
+  else if n.size = 0 then f
+  else
+    let nt = n.times.(0) and ft = f.times.(0) in
+    if nt < ft || (nt = ft && n.seqs.(0) < f.seqs.(0)) then n else f
 
 let schedule_at t ?label instant action =
   if instant < t.clock then
@@ -266,25 +294,29 @@ let exec t e action =
   | Some hook -> hook ~label:e.label ~dwell:(Time.diff e.time e.sched_at) action);
   t.current_id <- -1
 
+(* Pops and dispatches the root of the non-empty tier [h]. *)
+let dispatch t h =
+  let e = Heap.pop h in
+  if e.state = queued then exec t e e.action
+  else if e.state = wake then e.action ()
+
 let step t =
-  if t.heap.size = 0 then false
+  let h = next_tier t in
+  if h.size = 0 then false
   else begin
-    let e = Heap.pop t.heap in
-    if e.state = queued then exec t e e.action
-    else if e.state = wake then e.action ();
+    dispatch t h;
     true
   end
 
 let run t = while step t do () done
 
-let run_until t limit =
-  let h = t.heap in
-  (* Peek inline: an option-returning peek would allocate a [Some] per
-     loop iteration, once per event under [run_until]. *)
-  while h.size > 0 && h.times.(0) <= limit do
-    ignore (step t)
-  done;
-  if limit > t.clock then t.clock <- limit
+let rec run_until t limit =
+  let h = next_tier t in
+  if h.size > 0 && h.times.(0) <= limit then begin
+    dispatch t h;
+    run_until t limit
+  end
+  else if limit > t.clock then t.clock <- limit
 
 let run_for t span = run_until t (Time.add t.clock span)
 
@@ -300,7 +332,7 @@ let run_until_cond t ~slice ~deadline cond =
   loop ()
 
 let pending_events t = t.live
-let queued_events t = t.heap.size
+let queued_events t = t.near.size + t.far.size
 let processed_events t = t.processed
 let global_processed_events () = (dls ()).dls_processed
 
@@ -322,16 +354,16 @@ let every t ?label ?(jitter = 0.0) period f =
         let d = float_of_int period *. (1.0 +. j) in
         max 1 (int_of_float d)
   in
-  let rec arm () =
+  (* One firing closure per timer, re-scheduled on every firing. *)
+  let rec fire () =
+    timer.pending <- None;
+    if not timer.stopped then begin
+      f ();
+      arm ()
+    end
+  and arm () =
     if not timer.stopped then
-      timer.pending <-
-        Some
-          (schedule_after t ?label (next_delay ()) (fun () ->
-               timer.pending <- None;
-               if not timer.stopped then begin
-                 f ();
-                 arm ()
-               end))
+      timer.pending <- Some (schedule_after t ?label (next_delay ()) fire)
   in
   arm ();
   timer

@@ -3,8 +3,11 @@
     An engine owns a virtual clock and an event queue. Callbacks scheduled
     at future instants run in nondecreasing time order; events at the same
     instant run in scheduling order (FIFO), which makes runs fully
-    deterministic. All simulated subsystems (links, TCP, BGP timers, the
-    orchestrator) are driven by one engine.
+    deterministic. The queue keeps events due soon (packet hops) apart
+    from timers, but the next event is always the earliest by (instant,
+    scheduling order) across both, so the split never changes order.
+    All simulated subsystems (links, TCP, BGP timers, the orchestrator)
+    are driven by one engine.
 
     The engine is single-threaded by design: concurrency in the modelled
     system (threads of a BGP process, containers on many hosts) is
@@ -82,9 +85,11 @@ val pending_events : t -> int
     counts as one. *)
 
 val queued_events : t -> int
-(** Number of entries in the event heap, including cancelled events and
-    stale deadline wake-ups not yet popped: [queued_events t -
-    pending_events t] is what lazy cancellation costs in heap size. *)
+(** Number of entries in the event queue — both tiers, the near one
+    for events due under 1 ms after the clock when queued and the far
+    one for the rest — including cancelled events and stale deadline
+    wake-ups not yet popped: [queued_events t - pending_events t] is
+    what lazy cancellation costs in queue size. *)
 
 val processed_events : t -> int
 (** Total number of events executed so far. *)
@@ -121,9 +126,12 @@ val profiling : unit -> bool
     outside dispatch, e.g. harness setup code), its attribution label,
     and its enqueue/execution instants — immediately before the action
     runs. Causal parentage mirrors label inheritance: the parent is the
-    event executing at scheduling time. The hook must be transparent:
-    no simulation state, telemetry, or RNG access — replay digests are
-    byte-identical with the hook installed or not. *)
+    event executing at scheduling time. Both hooks see dispatches in
+    the engine's one dispatch order — nondecreasing instant, scheduling
+    order among same-instant events — whichever queue tier held each
+    event. The hook must be transparent: no simulation state,
+    telemetry, or RNG access — replay digests are byte-identical with
+    the hook installed or not. *)
 
 type trace_hook =
   eng:t ->

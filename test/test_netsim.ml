@@ -492,57 +492,97 @@ type fwd_op =
   | Route of int * int * int (* length index, base, gateway *)
   | Remove_address of int
   | Add_address of int
+  | Attach of int * int (* a new link: local, remote *)
+  | Send of Addr.t (* sent by the router itself *)
+  | Forward of Addr.t * int (* received by the router with this TTL *)
 
 let pp_fwd_op = function
   | Route (l, b, g) -> Printf.sprintf "route %d/%d via %d" b fwd_lens.(l) g
   | Remove_address a -> Printf.sprintf "remove %d" a
   | Add_address a -> Printf.sprintf "add %d" a
+  | Attach (l, r) -> Printf.sprintf "attach %d-%d" l r
+  | Send d -> Printf.sprintf "send %s" (Addr.to_string d)
+  | Forward (d, ttl) -> Printf.sprintf "forward %s ttl %d" (Addr.to_string d) ttl
 
+(* Sends are interleaved with every kind of table change, so a decision
+   cached before a change and not dropped by it would be caught. *)
 let fwd_case =
   let open QCheck.Gen in
   let idx = int_bound (Array.length fwd_pool - 1) in
+  let dst =
+    frequency
+      [ (3, map (fun i -> fwd_pool.(i)) idx); (1, map Addr.of_int (int_bound 0x3FFFFFFF)) ]
+  in
   let op =
     frequency
       [
-        ( 6,
+        ( 3,
           map3
             (fun l b g -> Route (l, b, g))
             (int_bound (Array.length fwd_lens - 1))
             idx idx );
         (1, map (fun a -> Remove_address a) idx);
         (1, map (fun a -> Add_address a) idx);
+        (* Mostly on an interface address the router already has, so
+           the attach itself is what changes its decisions. *)
+        (1, map2 (fun l r -> Attach (l, r)) (frequency [ (3, int_range 10 14); (1, idx) ]) idx);
+        (5, map (fun d -> Send d) dst);
+        (3, map2 (fun d ttl -> Forward (d, ttl)) dst (int_range 1 2));
       ]
-  in
-  let dst =
-    oneof [ map (fun i -> fwd_pool.(i)) idx; map Addr.of_int (int_bound 0x3FFFFFFF) ]
   in
   (* Five links whose remote ends repeat, so a remote can have two
      interfaces. *)
-  triple (list_repeat 5 (int_bound 5)) (list_size (0 -- 14) op)
-    (list_size (1 -- 20) dst)
+  pair (list_repeat 5 (int_bound 5)) (list_size (1 -- 60) op)
+
+(* A host outside the pool sits behind the router's first link and
+   hands it the packets it forwards. *)
+let fwd_host_addr = Addr.of_string "200.0.0.1"
 
 let prop_forwarding_matches_lists =
   QCheck.Test.make ~name:"hashed forwarding = list-based lookup" ~count:300
-    (QCheck.make fwd_case ~print:(fun (remotes, ops, dsts) ->
+    (QCheck.make fwd_case ~print:(fun (remotes, ops) ->
          String.concat "; "
-           (List.map string_of_int remotes
-           @ List.map pp_fwd_op ops
-           @ List.map Addr.to_string dsts)))
-    (fun (remotes, ops, dsts) ->
+           (List.map string_of_int remotes @ List.map pp_fwd_op ops)))
+    (fun (remotes, ops) ->
       let eng = Engine.create () in
       let r = Node.create eng ~forwarding:true "r" in
-      let links =
-        Array.of_list
-          (List.mapi
-             (fun i remote ->
-               let l = Link.create eng () in
-               Node.attach r l Link.A ~local:fwd_pool.(10 + i)
-                 ~remote:fwd_pool.(remote);
-               l)
-             remotes)
+      (* The router holds side A of every link, so a delivery to side B
+         is a packet it sent. *)
+      let sent = ref [] in
+      let attach local remote =
+        let l = Link.create eng () in
+        Node.attach r l Link.A ~local ~remote;
+        Link.tap l (fun side _ -> if side = Link.B then sent := l :: !sent);
+        l
       in
+      let links = List.mapi (fun i remote -> attach fwd_pool.(10 + i) fwd_pool.(remote)) remotes in
+      let h = Node.create eng "h" in
+      Node.attach h (List.hd links) Link.B ~local:fwd_host_addr ~remote:fwd_pool.(10);
+      Node.add_route h (Addr.prefix (Addr.of_string "0.0.0.0") 0) fwd_pool.(10);
       let routes = ref [] in
-      List.iter
+      (* Runs [inject] and the events it causes; checks the links the
+         router sent on and its counters against the lists. *)
+      let hop ~dst ~ttl inject =
+        let unrouted0 = Node.unrouted_packets r
+        and unclaimed0 = Node.unclaimed_packets r in
+        sent := [];
+        inject ();
+        Engine.run eng;
+        let unrouted = Node.unrouted_packets r - unrouted0
+        and unclaimed = Node.unclaimed_packets r - unclaimed0 in
+        if List.mem dst (Node.addresses r) then !sent = [] && unrouted = 0 && unclaimed = 1
+        else if ttl = 1 then
+          (* Expired in transit: dropped before the route lookup. *)
+          !sent = [] && unrouted = 0 && unclaimed = 0
+        else
+          unclaimed = 0
+          &&
+          match ref_iface_for (Node.ifaces r) !routes dst with
+          | None -> !sent = [] && unrouted = 1
+          | Some i -> (
+              unrouted = 0 && match !sent with [ l ] -> l == i.Node.link | _ -> false)
+      in
+      List.for_all
         (function
           | Route (l, b, g) ->
               let p = Addr.prefix fwd_pool.(b) fwd_lens.(l) in
@@ -550,30 +590,25 @@ let prop_forwarding_matches_lists =
               routes :=
                 List.sort
                   (fun (p, _) (q, _) -> Int.compare q.Addr.len p.Addr.len)
-                  ((p, fwd_pool.(g)) :: !routes)
-          | Remove_address a -> Node.remove_address r fwd_pool.(a)
-          | Add_address a -> Node.add_address r fwd_pool.(a))
-        ops;
-      let tx () = Array.map Link.tx_packets links in
-      List.for_all
-        (fun dst ->
-          let tx0 = tx () and unrouted0 = Node.unrouted_packets r in
-          Node.send r
-            (Packet.make ~src:fwd_pool.(10) ~dst ~size:64 (Packet.Raw "x"));
-          let sent =
-            List.filter
-              (fun i -> (tx ()).(i) > tx0.(i))
-              (List.init (Array.length links) Fun.id)
-          in
-          let unrouted = Node.unrouted_packets r - unrouted0 in
-          if List.mem dst (Node.addresses r) then sent = [] && unrouted = 0
-          else
-            match ref_iface_for (Node.ifaces r) !routes dst with
-            | None -> sent = [] && unrouted = 1
-            | Some i -> (
-                unrouted = 0
-                && match sent with [ k ] -> links.(k) == i.Node.link | _ -> false))
-        dsts)
+                  ((p, fwd_pool.(g)) :: !routes);
+              true
+          | Remove_address a ->
+              Node.remove_address r fwd_pool.(a);
+              true
+          | Add_address a ->
+              Node.add_address r fwd_pool.(a);
+              true
+          | Attach (l, rm) ->
+              ignore (attach fwd_pool.(l) fwd_pool.(rm));
+              true
+          | Send dst ->
+              hop ~dst ~ttl:64 (fun () ->
+                  Node.send r (Packet.make ~src:fwd_pool.(10) ~dst ~size:64 (Packet.Raw "x")))
+          | Forward (dst, ttl) ->
+              hop ~dst ~ttl (fun () ->
+                  Node.send h
+                    (Packet.make ~ttl ~src:fwd_host_addr ~dst ~size:64 (Packet.Raw "x"))))
+        ops)
 
 let prop_addr_string_roundtrip =
   QCheck.Test.make ~name:"addr to_string/of_string roundtrip" ~count:500

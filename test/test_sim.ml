@@ -56,6 +56,30 @@ let test_engine_fifo_same_instant () =
   check (Alcotest.list Alcotest.int) "fifo" (List.init 100 (fun i -> i + 1))
     (List.rev !order)
 
+(* Packet-scale events (due under 1 ms ahead) and timers sit in
+   different tiers of the queue; same-instant entries still fire in
+   scheduling order whichever tier holds them. *)
+let test_engine_tiers_fire_in_seq_order () =
+  let eng = Engine.create () in
+  let order = ref [] in
+  let note s () = order := s :: !order in
+  (* A plain timer, then a packet hop for the same instant. *)
+  ignore (Engine.schedule_at eng (Time.ms 2) (note "timer"));
+  Engine.run_until eng (Time.us 1_500);
+  ignore (Engine.schedule_at eng (Time.ms 2) (note "hop"));
+  (* A deadline set before a timer for the same instant. Its wake-up
+     pops at 4.5 ms and re-queues near, since the clock is already at
+     4.2 ms, while the timer waits far. *)
+  let d = Engine.deadline eng ~label:"d" (note "deadline") in
+  Engine.set_deadline d (Time.us 4_500);
+  Engine.set_deadline d (Time.ms 5);
+  ignore (Engine.schedule_at eng (Time.us 4_200) (note "tick"));
+  ignore (Engine.schedule_at eng (Time.ms 5) (note "late timer"));
+  Engine.run eng;
+  check (Alcotest.list Alcotest.string) "seq order across tiers"
+    [ "timer"; "hop"; "tick"; "deadline"; "late timer" ]
+    (List.rev !order)
+
 let test_engine_clock_advances () =
   let eng = Engine.create () in
   let seen = ref Time.zero in
@@ -370,7 +394,10 @@ let[@inline never] schedule_payload eng w slot at =
    a dispatched event's closure alive while its engine lives. *)
 let test_dispatched_event_unreachable () =
   let eng = Engine.create () in
-  let w = Weak.create 2 in
+  let w = Weak.create 3 in
+  (* The first payload is due under 1 ms ahead, the others further:
+     both tiers of the queue are covered. *)
+  schedule_payload eng w 2 (Time.us 500);
   schedule_payload eng w 0 (Time.ms 1);
   for i = 2 to 9 do
     ignore (Engine.schedule_at eng (Time.ms i) ignore)
@@ -378,15 +405,18 @@ let test_dispatched_event_unreachable () =
   schedule_payload eng w 1 (Time.ms 10);
   Engine.run eng;
   Gc.full_major ();
+  checkb "near event's payload collected" false (Weak.check w 2);
   checkb "first event's payload collected" false (Weak.check w 0);
   checkb "last event's payload collected" false (Weak.check w 1);
-  checki "engine still live" 10 (Engine.processed_events eng)
+  checki "engine still live" 11 (Engine.processed_events eng)
 
 (* --- Heap equivalence against a sorted-list reference -------------------- *)
 
 (* A script of engine calls. Delays are mostly tiny, so same-instant
    ties are common; a long prefix of schedules pushes the heap past its
-   initial 256 slots. *)
+   initial 256 slots. The rest straddle the engine's 1 ms split between
+   its near and far tiers, or lie well past it, so entries of both
+   tiers tie, deadlines move across the split and cancels hit both. *)
 type child =
   | No_child
   | Child of int (* the action schedules a plain event this far ahead *)
@@ -401,7 +431,17 @@ type op =
 
 let ndeadlines = 3
 
-let gen_delay = QCheck.Gen.(frequency [ (4, int_bound 3); (1, int_bound 500) ])
+let split = 1_000_000
+
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_bound 3);
+        (2, int_range 497 503);
+        (1, oneofl [ split - 1; split; split + 1 ]);
+        (1, map (fun d -> (10 * split) + d) (int_bound 3));
+      ])
 
 let gen_child =
   QCheck.Gen.(
@@ -423,6 +463,7 @@ let gen_op =
         (2, map2 (fun k d -> Set (k, d)) (int_bound (ndeadlines - 1)) gen_delay);
         (1, map (fun k -> Clear k) (int_bound (ndeadlines - 1)));
         (1, map (fun n -> Run n) (int_bound 40));
+        (1, map (fun n -> Run n) gen_delay);
       ])
 
 let gen_script =
@@ -737,6 +778,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "fifo at same instant" `Quick
             test_engine_fifo_same_instant;
+          Alcotest.test_case "tiers fire in seq order" `Quick
+            test_engine_tiers_fire_in_seq_order;
           Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
           Alcotest.test_case "nested scheduling" `Quick
             test_engine_nested_scheduling;
