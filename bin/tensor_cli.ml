@@ -551,8 +551,8 @@ let fleet_cmd =
       & info [ "campaign" ] ~docv:"TOKENS"
           ~doc:
             "Comma-separated fault tokens (chaos grammar): \
-             $(b,host_kill\\@T), $(b,region_store_outage\\@T+D), \
-             $(b,rolling_upgrade\\@T:K), $(b,kill.*\\@T), $(b,planned\\@T). \
+             $(b,host_kill@T), $(b,region_store_outage@T+D), \
+             $(b,rolling_upgrade@T:K), $(b,kill.*@T), $(b,planned@T). \
              $(b,-) is the empty schedule.")
   in
   let window =

@@ -41,14 +41,20 @@ let apply_action attrs = function
       let rec go attrs n = if n = 0 then attrs else go (Attrs.prepend attrs asn) (n - 1) in
       go attrs (max 0 times)
 
-let apply t prefix attrs =
-  let rec eval = function
-    | [] -> ( match t.default with `Accept -> Some attrs | `Reject -> None)
-    | rule :: rest ->
-        if List.for_all (cond_holds prefix attrs) rule.conds then
-          match rule.decision with
-          | `Reject -> None
-          | `Accept actions -> Some (List.fold_left apply_action attrs actions)
-        else eval rest
-  in
-  eval t.rules
+(* Top-level, so [apply] builds no closure: it runs once per prefix on
+   export and on receive, and the empty policy allocates only the [Some]
+   around the caller's own attrs. *)
+let rec conds_hold prefix attrs = function
+  | [] -> true
+  | c :: rest -> cond_holds prefix attrs c && conds_hold prefix attrs rest
+
+let rec eval default prefix attrs = function
+  | [] -> ( match default with `Accept -> Some attrs | `Reject -> None)
+  | rule :: rest ->
+      if conds_hold prefix attrs rule.conds then
+        match rule.decision with
+        | `Reject -> None
+        | `Accept actions -> Some (List.fold_left apply_action attrs actions)
+      else eval default prefix attrs rest
+
+let apply t prefix attrs = eval t.default prefix attrs t.rules

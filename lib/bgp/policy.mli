@@ -42,6 +42,8 @@ val reject_rule : cond list -> rule
 
 val apply : t -> Netsim.Addr.prefix -> Attrs.t -> Attrs.t option
 (** [apply t prefix attrs] is [None] when rejected, or the rewritten
-    attributes. *)
+    attributes. A route accepted without actions (the empty policy
+    included) gets [attrs] itself back, physically, so update packing
+    finds its group by [==]. *)
 
 val rule_count : t -> int

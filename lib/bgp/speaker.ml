@@ -207,26 +207,71 @@ let export_attrs p (path : Rib.path) =
     in
     Some attrs
 
-(* Group advertisements by identical attributes (update packing). *)
+(* [export_attrs p] remembering its last answer: the changes of one
+   origination or received UPDATE share their path's source and attrs
+   physically, so a batch pays the rewrite once per attribute set. Both
+   are keys because the iBGP and local-source rules read the source. Make
+   one per target and batch: the session's eBGP-ness and local address
+   are fixed within it. *)
+let export_memo p =
+  let last = ref None in
+  fun (path : Rib.path) ->
+    match !last with
+    | Some (source, attrs, out) when source == path.source && attrs == path.attrs
+      ->
+        out
+    | _ ->
+        let out = export_attrs p path in
+        last := Some (path.source, path.attrs, out);
+        out
+
+(* The attributes [pfx] goes out with, or None. [Policy.apply] stays per
+   prefix: its rules can match on the prefix. *)
+let exported export p pfx path =
+  match export path with
+  | Some attrs -> Policy.apply p.pcfg.policy_out pfx attrs
+  | None -> None
+
+(* An open update-packing group: one attribute set, its prefixes newest
+   first. *)
+type group = { g_attrs : Attrs.t; mutable g_rev : Netsim.Addr.prefix list }
+
+(* Group advertisements by identical attributes (update packing): groups
+   in [Attrs.compare] order, each holding its prefixes in input order and
+   standing for them with its first advert's attrs. That is what a stable
+   sort of the adverts followed by run-grouping gives, but only the groups
+   are sorted. An advert joins the group the previous advert joined when
+   its attrs are the same ([==], then [Attrs.equal]), else opens a group:
+   a batch mostly repeats one attribute set. Equal groups split by another
+   set in between are merged back after the sort. *)
 let group_by_attrs adverts =
-  let sorted =
-    List.sort (fun (_, a) (_, b) -> Attrs.compare a b) adverts
-  in
-  let rec go groups current_attrs current_pfx = function
-    | [] ->
-        if current_pfx = [] then List.rev groups
-        else List.rev ((current_attrs, List.rev current_pfx) :: groups)
+  let rec add groups last = function
+    | [] -> groups
     | (pfx, attrs) :: rest ->
-        if Attrs.equal attrs current_attrs then
-          go groups current_attrs (pfx :: current_pfx) rest
+        if last.g_attrs == attrs || Attrs.equal last.g_attrs attrs then begin
+          last.g_rev <- pfx :: last.g_rev;
+          add groups last rest
+        end
         else
-          go
-            ((current_attrs, List.rev current_pfx) :: groups)
-            attrs [ pfx ] rest
+          let g = { g_attrs = attrs; g_rev = [ pfx ] } in
+          add (g :: groups) g rest
   in
-  match sorted with
+  match adverts with
   | [] -> []
-  | (pfx, attrs) :: rest -> go [] attrs [ pfx ] rest
+  | (pfx, attrs) :: rest ->
+      let first = { g_attrs = attrs; g_rev = [ pfx ] } in
+      (* [add] returns the groups newest first; sorted descending and
+         stably, equal groups stay newest first, so the fold emits them
+         merged oldest first and the result ascending. *)
+      add [ first ] first rest
+      |> List.stable_sort (fun a b -> Attrs.compare b.g_attrs a.g_attrs)
+      |> List.fold_left
+           (fun acc g ->
+             match acc with
+             | (attrs, pfxs) :: older when Attrs.equal attrs g.g_attrs ->
+                 (g.g_attrs, List.rev_append g.g_rev pfxs) :: older
+             | _ -> (g.g_attrs, List.rev g.g_rev) :: acc)
+           []
 
 (* Maximum NLRI per message so the frame stays under 4096 bytes. *)
 let nlri_capacity attrs =
@@ -239,6 +284,7 @@ let withdraw_capacity = (Msg.max_size - 32) / 5
 
 let rec chunks n = function
   | [] -> []
+  | l when List.compare_length_with l n <= 0 -> [ l ]
   | l ->
       let rec take k acc = function
         | rest when k = 0 -> (List.rev acc, rest)
@@ -318,21 +364,17 @@ let export_changes t vrf changes ~exclude =
     in
     List.iteri
       (fun i p ->
-        let adverts, withdraws =
-          List.fold_left
-            (fun (a, w) change ->
-              match change with
-              | Rib.Best_changed (pfx, path) -> (
-                  match export_attrs p path with
-                  | Some attrs -> (
-                      match Policy.apply p.pcfg.policy_out pfx attrs with
-                      | Some attrs -> ((pfx, attrs) :: a, w)
-                      | None -> (a, w))
-                  | None -> (a, w))
-              | Rib.Best_withdrawn pfx -> (a, pfx :: w))
-            ([], []) changes
-        in
-        let msgs = build_messages (List.rev adverts) (List.rev withdraws) in
+        let export = export_memo p in
+        let adverts = ref [] and withdraws = ref [] in
+        List.iter
+          (function
+            | Rib.Best_changed (pfx, path) -> (
+                match exported export p pfx path with
+                | Some attrs -> adverts := (pfx, attrs) :: !adverts
+                | None -> ())
+            | Rib.Best_withdrawn pfx -> withdraws := pfx :: !withdraws)
+          changes;
+        let msgs = build_messages (List.rev !adverts) (List.rev !withdraws) in
         dispatch_messages t p msgs ~first_copy:(i = 0))
       targets
   end
@@ -341,15 +383,13 @@ let export_changes t vrf changes ~exclude =
 let send_full_table t p =
   let vrf = p.pcfg.vrf in
   let table = rib t ~vrf in
+  let export = export_memo p in
   let adverts =
     Rib.fold_best table ~init:[] ~f:(fun acc pfx path ->
         if String.equal path.Rib.source.Rib.key p.skey then acc
         else
-          match export_attrs p path with
-          | Some attrs ->
-              (match Policy.apply p.pcfg.policy_out pfx attrs with
-              | Some attrs -> (pfx, attrs) :: acc
-              | None -> acc)
+          match exported export p pfx path with
+          | Some attrs -> (pfx, attrs) :: acc
           | None -> acc)
   in
   let msgs = build_messages adverts [] @ [ Msg.end_of_rib ] in

@@ -9,6 +9,13 @@
     per-segment cost), and a {e keepalive thread} (session-internal
     keepalives that never wait behind main-thread work).
 
+    Export work is paid per attribute set and per peer: a batch of
+    changes sharing one path source and attribute set is rewritten for a
+    peer once, and packing groups the adverts without sorting them. Only
+    [Policy.apply] (whose rules can match on the prefix) and the list
+    cells run per prefix. The UPDATE frames and their order are those of
+    a stable sort of the adverts by {!Attrs.compare}, grouped into runs.
+
     The [profile] carries the per-update and per-message costs that
     distinguish FRRouting, GoBGP, BIRD and TENSOR in the paper's Figure 6,
     including whether {e update packing} (§4.2) is implemented.
@@ -176,6 +183,16 @@ val replay_update : t -> peer -> Msg.update -> unit
 (** Recovery replay: applies a replicated-but-unapplied UPDATE through
     the normal receive path (policy, RIB, checkpoint hooks) without a
     transport. Used by the backup after {!resume_peer}. *)
+
+(** {1 Update packing} *)
+
+val build_messages :
+  (Netsim.Addr.prefix * Attrs.t) list -> Netsim.Addr.prefix list -> Msg.t list
+(** [build_messages adverts withdraws] is the UPDATE sequence for one
+    export batch: the withdrawals in order, chunked to fit a message, then
+    the adverts grouped by equal attributes, groups in {!Attrs.compare}
+    order and prefixes in input order, each group chunked to fit a
+    message. Every speaker export goes through it; exposed for tests. *)
 
 (** {1 Statistics} *)
 

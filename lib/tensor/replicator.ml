@@ -72,7 +72,7 @@ type t = {
   (* Send side. *)
   mutable written : int; (* stream bytes handed to replication *)
   mutable outtrim : int; (* stream offset known acked *)
-  mutable out_records : (int * int) list; (* (offset, len), oldest first *)
+  out_records : (int * int) Queue.t; (* (offset, len), oldest first *)
   mutable tail_source : (unit -> (int * int * string) option) option;
   (* The stall/degrade watchdog ticks on a 25 ms grid from the first
      [ensure_watchdog], but only while something can age: an ACK held
@@ -135,7 +135,7 @@ let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
     unapplied = Queue.create ();
     written = 0;
     outtrim = 0;
-    out_records = [];
+    out_records = Queue.create ();
     tail_source = None;
     wd_started = false;
     wd_origin = Time.zero;
@@ -515,7 +515,7 @@ let complete_rearm t ~watermark ~stream_offset ~part_written =
     t.in_seq <- 0;
     t.written <- stream_offset;
     t.outtrim <- stream_offset;
-    t.out_records <- [];
+    Queue.clear t.out_records;
     t.part_written <- part_written;
     Queue.clear t.unapplied;
     Telemetry.Registry.observe m_degraded_s degraded_s;
@@ -567,7 +567,8 @@ let session_down t =
      the new epoch. *)
   let old = ecid t in
   let stale =
-    List.map (fun (off, _) -> Keys.out_key old off) t.out_records
+    List.rev
+      (Queue.fold (fun acc (off, _) -> Keys.out_key old off :: acc) [] t.out_records)
   in
   let stale = if t.part_written then Keys.part_key old :: stale else stale in
   let stale =
@@ -578,7 +579,7 @@ let session_down t =
   t.in_seq <- 0;
   t.written <- 0;
   t.outtrim <- 0;
-  t.out_records <- [];
+  Queue.clear t.out_records;
   t.part_written <- false;
   t.epoch <- t.epoch + 1;
   if t.replicate && not t.stopped then submit_bulk t (Del stale)
@@ -593,7 +594,8 @@ let resume_at t ~epoch ~watermark ~bytes_written ~in_seq ~outtrim ~out_records =
   t.written <- bytes_written;
   t.in_seq <- in_seq;
   t.outtrim <- outtrim;
-  t.out_records <- out_records
+  Queue.clear t.out_records;
+  List.iter (fun r -> Queue.push r t.out_records) out_records
 
 let attach_output_chain t chain ~local ~remote =
   if t.ack_hold then begin
@@ -790,7 +792,7 @@ let on_tx_message t ~raw ~release =
     let offset = t.written in
     let len = String.length raw in
     t.written <- offset + len;
-    t.out_records <- t.out_records @ [ (offset, len) ];
+    Queue.push (offset, len) t.out_records;
     submit_ctl t
       (Set ([ (Keys.out_key (ecid t) offset, Keys.hex raw) ], [ release ]))
   end
@@ -819,15 +821,20 @@ let note_snd_una t ~iss ~snd_una =
     let acked = snd_una - (iss + 1) in
     if acked > t.outtrim then begin
       t.outtrim <- acked;
-      let trimmed, kept =
-        List.partition (fun (off, len) -> off + len <= acked) t.out_records
+      let ecid = ecid t in
+      (* The records are in offset order and do not overlap, so their ends
+         rise and the acked ones are a prefix of the queue. *)
+      let rec trim acc =
+        match Queue.peek_opt t.out_records with
+        | Some (off, len) when off + len <= acked ->
+            ignore (Queue.pop t.out_records);
+            trim (Keys.out_key ecid off :: acc)
+        | _ -> List.rev acc
       in
-      t.out_records <- kept;
+      let trimmed = trim [] in
       if trimmed <> [] then begin
-        submit_bulk t
-          (Set ([ (Keys.outtrim_key (ecid t), string_of_int acked) ], []));
-        submit_bulk t
-          (Del (List.map (fun (off, _) -> Keys.out_key (ecid t) off) trimmed))
+        submit_bulk t (Set ([ (Keys.outtrim_key ecid, string_of_int acked) ], []));
+        submit_bulk t (Del trimmed)
       end
     end
   end

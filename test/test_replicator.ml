@@ -126,6 +126,55 @@ let test_note_snd_una_trims_out_records () =
     "outtrim recorded" (Some "100")
     (Store.Server.peek r.server (Tensor.Keys.outtrim_key r.cid))
 
+(* Trimming against the semantics it has always had: after each snd_una,
+   exactly the records ending at or below the highest offset acked so far
+   are gone from the store, and outtrim holds the last ack that trimmed
+   one. The acks cover a record boundary, a mid-record offset, a step
+   back, a repeat, and the whole stream. *)
+let test_trim_many_out_records () =
+  let r = make_rig () in
+  let iss = 7000 in
+  let n = 1_000 in
+  let lens = Array.init n (fun i -> 19 + (i * 37 mod 120)) in
+  let offs = Array.make n 0 in
+  for i = 1 to n - 1 do
+    offs.(i) <- offs.(i - 1) + lens.(i - 1)
+  done;
+  Array.iter
+    (fun len ->
+      Tensor.Replicator.on_tx_message r.repl ~raw:(String.make len 'u')
+        ~release:(fun () -> ()))
+    lens;
+  Engine.run r.eng;
+  let ends i = offs.(i) + lens.(i) in
+  let all = List.init n Fun.id in
+  let acked_max = ref 0 and outtrim = ref None in
+  List.iter
+    (fun acked ->
+      Tensor.Replicator.note_snd_una r.repl ~iss ~snd_una:(iss + 1 + acked);
+      Engine.run r.eng;
+      if acked > !acked_max then begin
+        if List.exists (fun i -> ends i <= acked && ends i > !acked_max) all then
+          outtrim := Some (string_of_int acked);
+        acked_max := acked
+      end;
+      let retained =
+        List.filter
+          (fun i ->
+            Store.Server.peek r.server (Tensor.Keys.out_key r.cid offs.(i)) <> None)
+          all
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "records retained after ack %d" acked)
+        (List.filter (fun i -> ends i > !acked_max) all)
+        retained;
+      Alcotest.(check (option string))
+        (Printf.sprintf "outtrim after ack %d" acked)
+        !outtrim
+        (Store.Server.peek r.server (Tensor.Keys.outtrim_key r.cid)))
+    [ offs.(10); offs.(10) + 5; offs.(10) - 1; offs.(11) + 1; offs.(11) + 1;
+      ends 500; ends 998 + 3; ends (n - 1) ]
+
 let test_rib_checkpoint_roundtrip () =
   let r = make_rig () in
   let src =
@@ -493,6 +542,8 @@ let () =
             test_tx_offsets_are_cumulative;
           Alcotest.test_case "snd_una trims" `Quick
             test_note_snd_una_trims_out_records;
+          Alcotest.test_case "trim 1,000 records" `Quick
+            test_trim_many_out_records;
         ] );
       ( "checkpoint",
         [
