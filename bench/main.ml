@@ -154,7 +154,9 @@ let () =
   | Some (dir, s) ->
       Causal.Series.detach s;
       Telemetry.Control.export_dir dir;
-      Causal.Series.write s (Filename.concat dir "timeseries.jsonl");
+      Telemetry.Control.write_file
+        (Filename.concat dir "timeseries.jsonl")
+        (Causal.Series.to_jsonl s);
       Format.printf
         "Telemetry written to %s/ (timeseries.jsonl: %d samples, %d quiet \
          windows skipped)@."

@@ -102,6 +102,9 @@ let cdf_cmd =
 
 (* --- check command ------------------------------------------------------------- *)
 
+(* Status lines go to stderr, so stdout stays byte-stable with --out. *)
+let artifacts_written dir = Printf.eprintf "Artifacts written to %s/\n%!" dir
+
 let check_cmd =
   let scenarios =
     Arg.(
@@ -142,9 +145,7 @@ let check_cmd =
               exit 2
           | Ok report ->
               Option.iter
-                (fun dir ->
-                  Printf.eprintf "Artifacts written to %s/\n%!"
-                    (Filename.concat dir scenario))
+                (fun dir -> artifacts_written (Filename.concat dir scenario))
                 out;
               if json then print_endline (Monitor.Health.to_json report)
               else print_string (Monitor.Health.to_text report);
@@ -200,13 +201,14 @@ let fuzz_replay path =
     !failed;
   if !failed > 0 then exit 1
 
-let fuzz_descriptor line =
+let fuzz_descriptor ?out line =
   match Chaos.Descriptor.of_string line with
   | Error e ->
       Printf.eprintf "bad descriptor: %s\n" e;
       exit 2
   | Ok d ->
-      let o = Chaos.Runner.run d in
+      let o = Chaos.Runner.run ?out d in
+      Option.iter artifacts_written out;
       print_string (Chaos.Runner.summary o);
       if not (Chaos.Runner.ok o) then exit 1
 
@@ -300,6 +302,15 @@ let fuzz_cmd =
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-run progress.")
   in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out"; "o" ] ~docv:"DIR"
+          ~doc:
+            "With $(b,--descriptor): observe the run and write its \
+             artifacts to $(i,DIR), the set $(b,check --out) writes.")
+  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -310,11 +321,14 @@ let fuzz_cmd =
              $(b,--jobs 1); only wall time changes. Pool accounting is \
              printed to stderr.")
   in
-  let run runs seed corpus shrink replay descriptor jobs verbose =
-    match (replay, descriptor) with
-    | Some path, _ -> fuzz_replay path
-    | None, Some line -> fuzz_descriptor line
-    | None, None -> fuzz_campaign ~runs ~seed ~shrink ~corpus ~jobs ~verbose
+  let run runs seed corpus shrink replay descriptor jobs verbose out =
+    match (replay, descriptor, out) with
+    | None, Some line, _ -> fuzz_descriptor ?out line
+    | _, _, Some _ ->
+        prerr_endline "--out applies to --descriptor only";
+        exit 2
+    | Some path, _, _ -> fuzz_replay path
+    | None, None, _ -> fuzz_campaign ~runs ~seed ~shrink ~corpus ~jobs ~verbose
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -326,7 +340,7 @@ let fuzz_cmd =
           replayable descriptor. Non-zero exit on any violation.")
     Term.(
       const run $ runs $ seed $ corpus $ shrink $ replay $ descriptor $ jobs
-      $ verbose)
+      $ verbose $ out)
 
 (* --- profile command ---------------------------------------------------------- *)
 
@@ -430,31 +444,17 @@ let fleet_spec ~hosts ~regions ~instances ~seed ~campaign ~window ~ctrl_delay =
             ctrl_delay_us = ctrl_delay;
           })
 
-let write_slo_report path (o : Fleet.Campaign.outcome) =
-  let oc = open_out path in
-  output_string oc (Fleet.Slo.to_json o.Fleet.Campaign.slo);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "SLO report written to %s\n" path
-
-let fleet_dump_events path =
-  (* Valid for --jobs 1 only: the bus is domain-local, and with one job
-     the campaign ran on this domain, so its buffers are still here. *)
-  let buf = Buffer.create 262_144 in
-  Telemetry.Bus.to_jsonl buf;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "telemetry written to %s\n" path
-
-let fleet_replicated spec ~jobs ~json ~slo_out ~events_out =
+let fleet_replicated spec ~jobs ~json ~out =
   (* [--jobs N] runs N replicas of the same campaign across N domains
      and demands byte-identical replay digests — the determinism the
      nightly job asserts. Each replica is self-contained (domain-local
-     telemetry), so a digest split is a real nondeterminism bug. *)
+     telemetry), so a digest split is a real nondeterminism bug. With
+     [--out], replica 0 runs observed and the rest bare, so the same
+     check also proves observation digest-neutral. *)
   let runs = max 1 jobs in
   let results, _ =
-    Par.Pool.run ~jobs runs (fun _ -> Fleet.Campaign.run spec)
+    Par.Pool.run ~jobs runs (fun i ->
+        Fleet.Campaign.run ?out:(if i = 0 then out else None) spec)
   in
   let o = results.(0) in
   let split =
@@ -463,6 +463,7 @@ let fleet_replicated spec ~jobs ~json ~slo_out ~events_out =
         not (String.equal r.Fleet.Campaign.digest o.Fleet.Campaign.digest))
       results
   in
+  Option.iter artifacts_written out;
   if json then print_endline (Fleet.Slo.to_json o.Fleet.Campaign.slo)
   else print_string (Fleet.Campaign.summary o);
   if runs > 1 then
@@ -474,15 +475,9 @@ let fleet_replicated spec ~jobs ~json ~slo_out ~events_out =
         results
     else
       Printf.printf "%d replicas on %d domains: digests identical\n" runs jobs;
-  Option.iter (fun path -> write_slo_report path o) slo_out;
-  Option.iter
-    (fun path ->
-      if jobs <= 1 then fleet_dump_events path
-      else Printf.eprintf "--events-out requires --jobs 1; skipped\n")
-    events_out;
   if split || not (Fleet.Campaign.ok o) then exit 1
 
-let fleet_sweep spec ~jobs ~json =
+let fleet_sweep spec ~jobs ~json ~out =
   (* Controller-centralization sweep: the same campaign under per-host,
      regional and global controller placement (uplink delay), reporting
      convergence and the failover-time distribution. *)
@@ -492,8 +487,10 @@ let fleet_sweep spec ~jobs ~json =
   let results, _ =
     Par.Pool.run ~jobs (Array.length variants) (fun i ->
         Fleet.Campaign.run
+          ?out:(if i = 0 then out else None)
           { spec with Fleet.Campaign.ctrl_delay_us = snd variants.(i) })
   in
+  Option.iter artifacts_written out;
   if json then begin
     print_string "[";
     Array.iteri
@@ -585,29 +582,28 @@ let fleet_cmd =
       & info [ "ctrl-delay" ] ~docv:"US"
           ~doc:"Controller uplink one-way delay in microseconds.")
   in
-  let slo_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slo-out" ] ~docv:"PATH" ~doc:"Write the SLO report JSON here.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the SLO report as JSON.")
   in
-  let events_out =
+  let out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "events-out" ] ~docv:"PATH"
-          ~doc:"Write the run's telemetry JSONL here (requires --jobs 1).")
+      & info [ "out"; "o" ] ~docv:"DIR"
+          ~doc:
+            "Run replica 0 (with $(b,--sweep): the first variant) observed \
+             and write its artifacts to $(i,DIR): slo.json, events.jsonl and \
+             the rest of the set $(b,check --out) writes. The other runs are \
+             bare, so the replica digest check also proves observation \
+             digest-neutral.")
   in
   let run hosts regions instances seed campaign window jobs sweep ctrl_delay
-      slo_out json events_out =
+      json out =
     let spec =
       fleet_spec ~hosts ~regions ~instances ~seed ~campaign ~window ~ctrl_delay
     in
-    if sweep then fleet_sweep spec ~jobs ~json
-    else fleet_replicated spec ~jobs ~json ~slo_out ~events_out
+    if sweep then fleet_sweep spec ~jobs ~json ~out
+    else fleet_replicated spec ~jobs ~json ~out
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -619,7 +615,7 @@ let fleet_cmd =
           Replays are byte-identical across $(b,--jobs) settings.")
     Term.(
       const run $ hosts $ regions $ instances $ seed $ campaign $ window
-      $ jobs $ sweep $ ctrl_delay $ slo_out $ json $ events_out)
+      $ jobs $ sweep $ ctrl_delay $ json $ out)
 
 (* --- list command ------------------------------------------------------------ *)
 

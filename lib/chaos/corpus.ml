@@ -26,7 +26,7 @@ let load_dir dir =
     |> List.map (fun f -> (f, load_file (Filename.concat dir f)))
 
 let save ~dir ?comment d =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Telemetry.Control.mkdir_p dir;
   let line = Descriptor.to_string d in
   let fingerprint =
     String.sub (Digest.to_hex (Digest.string line)) 0 8
@@ -36,16 +36,14 @@ let save ~dir ?comment d =
       (Printf.sprintf "seed%d-%s%s" d.Descriptor.seed fingerprint
          entry_extension)
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      (match comment with
-      | Some c ->
-          String.split_on_char '\n' c
-          |> List.iter (fun l -> output_string oc ("# " ^ l ^ "\n"))
-      | None -> ());
-      output_string oc (line ^ "\n"));
+  let header =
+    match comment with
+    | Some c ->
+        String.concat ""
+          (List.map (fun l -> "# " ^ l ^ "\n") (String.split_on_char '\n' c))
+    | None -> ""
+  in
+  Telemetry.Control.write_file path (header ^ line ^ "\n");
   path
 
 type replay = {

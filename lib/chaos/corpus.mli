@@ -18,9 +18,9 @@ val load_dir : string -> (string * (Descriptor.t, string) result) list
     directory is an empty corpus. *)
 
 val save : dir:string -> ?comment:string -> Descriptor.t -> string
-(** Writes [<dir>/seed<seed>-<fingerprint>.chaos] (creating [dir] if
-    needed) and returns the path. [comment] lines are prefixed with
-    [# ]. *)
+(** Writes [<dir>/seed<seed>-<fingerprint>.chaos] (creating [dir] and
+    its parents if needed) and returns the path. [comment] lines are
+    prefixed with [# ]. *)
 
 type replay = {
   name : string;

@@ -291,88 +291,60 @@ let end_state_check ctx =
 
 (* --- The run -------------------------------------------------------------- *)
 
-let run (d : Descriptor.t) =
+let run ?out (d : Descriptor.t) =
   let disabled = disabled_checkers d in
-  Telemetry.Control.reset ();
-  Telemetry.Span.set_ambient None;
-  Telemetry.Control.set_enabled true;
-  let peer_names = List.init d.Descriptor.peers peer_name in
-  let mon =
-    Monitor.Checker.install
-      ~cfg:
-        {
-          Monitor.Checker.default_config with
-          peers = peer_names;
-          ack_deadline_s =
-            (if has_store_fault d then degrade_frac *. hold_time_s else 0.);
-        }
-      ()
+  let cfg =
+    {
+      Monitor.Checker.default_config with
+      peers = List.init d.Descriptor.peers peer_name;
+      ack_deadline_s =
+        (if has_store_fault d then degrade_frac *. hold_time_s else 0.);
+    }
   in
-  let errors = ref [] in
-  let violations = ref [] in
-  let finalized = ref false in
-  (try
-     let ctx = build d in
-     Monitor.Checker.note_primary mon ~service:service_id
-       ~container:(Orch.Container.id (Deploy.service_container ctx.svc));
-     if not (Deploy.wait_established ctx.dep ctx.svc ()) then
-       errors := [ "sessions did not establish within 30 s" ]
-     else begin
-       let eng = ctx.dep.Deploy.eng in
-       seed_routes d ctx;
-       Engine.run_for eng (Time.sec 10);
-       schedule_churn d ctx;
-       let partitioned = ref [] in
-       List.iter (schedule_fault ctx partitioned) d.Descriptor.faults;
-       Engine.run_for eng
-         (Time.ms (d.Descriptor.window_ms + d.Descriptor.settle_ms));
-       errors := end_state_check ctx
-     end;
-     let report =
-       Monitor.Health.make ~budgets:[]
-         ~scenario:("chaos:" ^ string_of_int d.Descriptor.seed)
-         mon
-     in
-     finalized := true;
-     violations :=
-       List.filter
-         (fun (v : Monitor.Checker.violation) ->
-           not (List.mem v.Monitor.Checker.checker disabled))
-         (Monitor.Health.violations report)
-   with e ->
-     errors :=
-       Printf.sprintf "exception: %s" (Printexc.to_string e) :: !errors);
-  if not !finalized then ignore (Monitor.Checker.finalize mon);
-  let buf = Buffer.create 65_536 in
-  Telemetry.Bus.to_jsonl buf;
-  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-  let events = Monitor.Checker.events_seen mon in
-  Telemetry.Control.set_enabled false;
+  let r =
+    Tensor.Check.checked ?out ~budgets:[] ~cfg
+      ~scenario:("chaos:" ^ string_of_int d.Descriptor.seed)
+    @@ fun mon ->
+    let ctx = build d in
+    let eng = ctx.dep.Deploy.eng in
+    Monitor.Checker.note_primary mon ~service:service_id
+      ~container:(Orch.Container.id (Deploy.service_container ctx.svc));
+    if not (Deploy.wait_established ctx.dep ctx.svc ()) then
+      (eng, fun () -> [ "sessions did not establish within 30 s" ])
+    else begin
+      seed_routes d ctx;
+      Engine.run_for eng (Time.sec 10);
+      schedule_churn d ctx;
+      let partitioned = ref [] in
+      List.iter (schedule_fault ctx partitioned) d.Descriptor.faults;
+      Engine.run_for eng
+        (Time.ms (d.Descriptor.window_ms + d.Descriptor.settle_ms));
+      (eng, fun () -> end_state_check ctx)
+    end
+  in
+  (* A run that raised reports the exception alone: its checker verdicts
+     are cut mid-episode. *)
+  let violations, errors =
+    match r.value with
+    | Ok errors ->
+        ( List.filter
+            (fun (v : Monitor.Checker.violation) ->
+              not (List.mem v.Monitor.Checker.checker disabled))
+            (Monitor.Health.violations r.report),
+          errors )
+    | Error e -> ([], [ Printf.sprintf "exception: %s" (Printexc.to_string e) ])
+  in
   {
     desc = d;
-    violations = !violations;
-    errors = List.rev !errors;
+    violations;
+    errors;
     disabled;
-    digest;
-    events;
+    digest = r.digest;
+    events = r.report.Monitor.Health.events_seen;
   }
 
 let summary o =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "descriptor: %s\n" (Descriptor.to_string o.desc));
-  Buffer.add_string b
-    (Printf.sprintf "events=%d digest=%s disabled=[%s]\n" o.events o.digest
-       (String.concat ", " o.disabled));
-  if ok o then Buffer.add_string b "result: PASS\n"
-  else begin
-    List.iter
-      (fun (v : Monitor.Checker.violation) ->
-        Buffer.add_string b
-          (Printf.sprintf "violation: %s at %.3fs: %s\n" v.checker
-             (Time.to_sec_f v.at) v.detail))
-      o.violations;
-    List.iter (fun e -> Buffer.add_string b ("error: " ^ e ^ "\n")) o.errors;
-    Buffer.add_string b "result: FAIL\n"
-  end;
-  Buffer.contents b
+  Printf.sprintf "descriptor: %s\nevents=%d digest=%s disabled=[%s]\n%s"
+    (Descriptor.to_string o.desc) o.events o.digest
+    (String.concat ", " o.disabled)
+    (Tensor.Check.verdict ~violations:o.violations ~errors:o.errors)

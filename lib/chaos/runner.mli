@@ -1,8 +1,9 @@
 (** Execute one chaos descriptor under the full invariant-oracle set.
 
-    A run builds the Figure 3 deployment from the descriptor's seed and
-    topology, installs every {!Monitor.Checker} invariant plus end-state
-    RIB-digest cross-checks, replays the fault schedule, and returns the
+    A run is a body passed to {!Tensor.Check.checked}: it builds the
+    Figure 3 deployment from the descriptor's seed and topology, replays
+    the fault schedule under every {!Monitor.Checker} invariant, and
+    ends with end-state RIB-digest cross-checks. It returns the
     surviving violations together with an MD5 digest of the telemetry
     event stream. The digest is the replay-determinism oracle: running
     the same descriptor twice in one process must produce byte-identical
@@ -34,10 +35,10 @@ val disabled_checkers : Descriptor.t -> string list
     administrative Cease is not GR-eligible, so the peer legitimately
     drops the learned routes until re-establishment). *)
 
-val run : Descriptor.t -> outcome
-(** Never raises: exceptions escaping the simulation are reported as
-    [errors]. Resets global telemetry state on entry and disables the
-    gate on exit. *)
+val run : ?out:string -> Descriptor.t -> outcome
+(** Never raises: an exception is reported in [errors], without the
+    run's violations. [?out] writes the run's artifacts into that
+    directory (see {!Tensor.Check.checked}). *)
 
 val summary : outcome -> string
 (** One-paragraph human-readable failure/success description. *)

@@ -168,128 +168,113 @@ let schedule_fault topo (f : Descriptor.fault) =
        (Time.ms (Descriptor.fault_at f))
        apply)
 
-let run spec =
+(* A schedule with no fleet-scale semantics ends the body before the
+   topology is built; the run still finalizes and digests as usual. *)
+exception Rejected of string
+
+let run ?out spec =
   let spec = auto_window spec in
   let n = Topology.normalize_instances spec.instances in
-  Telemetry.Control.reset ();
-  Telemetry.Span.set_ambient None;
-  Telemetry.Control.set_enabled true;
-  let peer_names = List.init n Topology.peer_name in
-  let mon =
-    Monitor.Checker.install
-      ~cfg:
-        {
-          Monitor.Checker.default_config with
-          peers = peer_names;
-          ack_deadline_s =
-            (if has_store_outage spec then Topology.ack_deadline_s else 0.);
-        }
-      ()
+  let cfg =
+    {
+      Monitor.Checker.default_config with
+      peers = List.init n Topology.peer_name;
+      ack_deadline_s =
+        (if has_store_outage spec then Topology.ack_deadline_s else 0.);
+    }
   in
+  (* Bus subscribers survive the harness's telemetry reset. *)
   let slo = Slo.install () in
-  let errors = ref [] in
   let convergence_s = ref 0. in
-  (match check_faults spec.faults with
-  | Error e -> errors := [ e ]
-  | Ok () -> (
-      try
-        let topo =
-          Topology.build ~seed:spec.seed ~hosts:spec.hosts
-            ~regions:spec.regions ~instances:n ()
-        in
-        let dep = topo.Topology.dep in
-        let eng = dep.Deploy.eng in
-        (* The centralization knob: how far away the controller sits. *)
-        (match
-           Netsim.Network.link_between dep.Deploy.net dep.Deploy.fabric
-             (Orch.Controller.node dep.Deploy.ctrl)
-         with
-        | Some l -> Netsim.Link.set_delay l (Time.us spec.ctrl_delay_us)
-        | None -> ());
-        Array.iter
-          (fun inst ->
-            Monitor.Checker.note_primary mon ~service:inst.Topology.id
-              ~container:
-                (Orch.Container.id (Deploy.service_container inst.Topology.svc)))
-          topo.Topology.instances;
-        Topology.arm_store_probers topo;
-        if not (Topology.wait_all_established topo) then
-          errors := [ "fleet sessions did not establish within 120 s" ]
-        else begin
-          convergence_s := Time.to_sec_f (Engine.now eng);
-          Topology.seed_routes topo;
-          Engine.run_for eng (Time.sec 5);
-          List.iter (schedule_fault topo) spec.faults;
-          Engine.run_for eng (Time.ms (spec.window_ms + spec.settle_ms));
-          (* Graceful-degradation end state: every instance either runs
-             or is deferred with its region genuinely out of capacity —
-             a silent dead instance is an error even when no checker
-             names it. *)
-          Array.iter
-            (fun inst ->
-              if
-                Orch.Container.state (Deploy.service_container inst.Topology.svc)
-                <> Orch.Container.Running
-                && Option.is_some
-                     (Orch.Controller.pick_host dep.Deploy.ctrl
-                        ~region:(Topology.region_name inst.Topology.region)
-                        ())
-              then
-                errors :=
-                  Printf.sprintf
-                    "instance %s ended the run not Running with healthy \
-                     in-region capacity available"
-                    inst.Topology.id
-                  :: !errors)
-            topo.Topology.instances
-        end
-      with e ->
-        errors :=
-          Printf.sprintf "exception: %s" (Printexc.to_string e) :: !errors));
-  let checkers = Monitor.Checker.finalize mon in
-  let violations = Monitor.Checker.violations mon in
-  let slo_report = Slo.finish slo in
-  let buf = Buffer.create 262_144 in
-  Telemetry.Bus.to_jsonl buf;
-  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-  let events = Monitor.Checker.events_seen mon in
-  Telemetry.Control.set_enabled false;
+  let r =
+    Tensor.Check.checked ?out ~budgets:[] ~cfg
+      ~scenario:("fleet:" ^ string_of_int spec.seed)
+    @@ fun mon ->
+    Result.iter_error (fun e -> raise (Rejected e)) (check_faults spec.faults);
+    let topo =
+      Topology.build ~seed:spec.seed ~hosts:spec.hosts ~regions:spec.regions
+        ~instances:n ()
+    in
+    let dep = topo.Topology.dep in
+    let eng = dep.Deploy.eng in
+    (* The centralization knob: how far away the controller sits. *)
+    (match
+       Netsim.Network.link_between dep.Deploy.net dep.Deploy.fabric
+         (Orch.Controller.node dep.Deploy.ctrl)
+     with
+    | Some l -> Netsim.Link.set_delay l (Time.us spec.ctrl_delay_us)
+    | None -> ());
+    Array.iter
+      (fun inst ->
+        Monitor.Checker.note_primary mon ~service:inst.Topology.id
+          ~container:
+            (Orch.Container.id (Deploy.service_container inst.Topology.svc)))
+      topo.Topology.instances;
+    Topology.arm_store_probers topo;
+    if not (Topology.wait_all_established topo) then
+      (eng, fun () -> [ "fleet sessions did not establish within 120 s" ])
+    else begin
+      convergence_s := Time.to_sec_f (Engine.now eng);
+      Topology.seed_routes topo;
+      Engine.run_for eng (Time.sec 5);
+      List.iter (schedule_fault topo) spec.faults;
+      Engine.run_for eng (Time.ms (spec.window_ms + spec.settle_ms));
+      (* Graceful-degradation end state: every instance either runs
+         or is deferred with its region genuinely out of capacity —
+         a silent dead instance is an error even when no checker
+         names it. *)
+      ( eng,
+        fun () ->
+          Array.to_list topo.Topology.instances
+          |> List.filter_map (fun inst ->
+                 if
+                   Orch.Container.state
+                     (Deploy.service_container inst.Topology.svc)
+                   <> Orch.Container.Running
+                   && Option.is_some
+                        (Orch.Controller.pick_host dep.Deploy.ctrl
+                           ~region:(Topology.region_name inst.Topology.region)
+                           ())
+                 then
+                   Some
+                     (Printf.sprintf
+                        "instance %s ended the run not Running with healthy \
+                         in-region capacity available"
+                        inst.Topology.id)
+                 else None) )
+    end
+  in
+  let slo = Slo.finish slo in
+  Option.iter
+    (fun dir ->
+      Telemetry.Control.write_file (Filename.concat dir "slo.json")
+        (Slo.to_json slo ^ "\n"))
+    out;
   {
     spec;
-    checkers;
-    violations;
-    errors = List.rev !errors;
-    slo = slo_report;
-    digest;
-    events;
+    checkers = r.report.Monitor.Health.checkers;
+    violations = Monitor.Health.violations r.report;
+    errors =
+      (match r.value with
+      | Ok errors -> errors
+      | Error (Rejected e) -> [ e ]
+      | Error e -> [ Printf.sprintf "exception: %s" (Printexc.to_string e) ]);
+    slo;
+    digest = r.digest;
+    events = r.report.Monitor.Health.events_seen;
     convergence_s = !convergence_s;
   }
 
 let summary o =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "fleet: %d instances, %d regions, %d hosts, seed %d, ctrl %dus\n"
-       (Topology.normalize_instances o.spec.instances)
-       o.spec.regions o.spec.hosts o.spec.seed o.spec.ctrl_delay_us);
-  Buffer.add_string b
-    (Printf.sprintf "campaign: %s\n"
-       (match o.spec.faults with
-       | [] -> "-"
-       | fs -> String.concat "," (List.map Descriptor.fault_to_string fs)));
-  Buffer.add_string b
-    (Printf.sprintf "convergence=%.2fs events=%d digest=%s\n" o.convergence_s
-       o.events o.digest);
-  Buffer.add_string b (Slo.to_text o.slo);
-  if ok o then Buffer.add_string b "result: PASS\n"
-  else begin
-    List.iter
-      (fun (v : Monitor.Checker.violation) ->
-        Buffer.add_string b
-          (Printf.sprintf "violation: %s at %.3fs: %s\n" v.checker
-             (Time.to_sec_f v.at) v.detail))
-      o.violations;
-    List.iter (fun e -> Buffer.add_string b ("error: " ^ e ^ "\n")) o.errors;
-    Buffer.add_string b "result: FAIL\n"
-  end;
-  Buffer.contents b
+  Printf.sprintf
+    "fleet: %d instances, %d regions, %d hosts, seed %d, ctrl %dus\n\
+     campaign: %s\n\
+     convergence=%.2fs events=%d digest=%s\n\
+     %s%s"
+    (Topology.normalize_instances o.spec.instances)
+    o.spec.regions o.spec.hosts o.spec.seed o.spec.ctrl_delay_us
+    (match o.spec.faults with
+    | [] -> "-"
+    | fs -> String.concat "," (List.map Descriptor.fault_to_string fs))
+    o.convergence_s o.events o.digest (Slo.to_text o.slo)
+    (Tensor.Check.verdict ~violations:o.violations ~errors:o.errors)

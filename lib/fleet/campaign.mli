@@ -49,11 +49,12 @@ type outcome = {
 
 val ok : outcome -> bool
 
-val run : spec -> outcome
-(** Builds the topology, converges every session, seeds routes, executes
-    the fault schedule under all ten checkers plus the SLO aggregator,
-    and closes with a graceful-degradation end-state check: an instance
-    that ends the run not Running while healthy in-region capacity
-    exists is an error even when no checker names it. *)
+val run : ?out:string -> spec -> outcome
+(** A body passed to {!Tensor.Check.checked}: builds the topology,
+    converges every session, seeds routes, executes the fault schedule
+    under all ten checkers plus the SLO aggregator, and closes with a
+    graceful-degradation end-state check: an instance that ends the run
+    not Running while healthy in-region capacity exists is an error
+    even when no checker names it. [?out] also writes [slo.json]. *)
 
 val summary : outcome -> string

@@ -60,6 +60,7 @@ type t = {
   released : (string, int) Hashtbl.t;
   dropped : (string, int) Hashtbl.t;
   shed : (string, int) Hashtbl.t;
+  mutable outstanding_acks : int; (* held - released - dropped - shed, all conns *)
   conn_last_seq : (string, int) Hashtbl.t;
   (* degraded_mode_exclusion: connections currently in degraded
      pass-through. *)
@@ -180,6 +181,7 @@ let on_entry t (e : Telemetry.Bus.entry) =
              conn rcv_nxt (rcv_nxt - t.max_wm) t.max_wm)
   | Ack_held { conn; _ } ->
       bump t.held conn;
+      t.outstanding_acks <- t.outstanding_acks + 1;
       Hashtbl.replace t.conn_last_seq conn e.seq;
       if Hashtbl.mem t.degraded conn then
         viol "degraded_mode_exclusion"
@@ -189,6 +191,7 @@ let on_entry t (e : Telemetry.Bus.entry) =
              conn)
   | Ack_released { conn; ack; held_s } ->
       bump t.released conn;
+      t.outstanding_acks <- t.outstanding_acks - 1;
       Hashtbl.replace t.conn_last_seq conn e.seq;
       let wm = Option.value (Hashtbl.find_opt t.wm_by_conn conn) ~default:min_int in
       if ack > wm then
@@ -205,9 +208,11 @@ let on_entry t (e : Telemetry.Bus.entry) =
              conn ack held_s t.cfg.ack_deadline_s)
   | Ack_dropped { conn; _ } ->
       bump t.dropped conn;
+      t.outstanding_acks <- t.outstanding_acks - 1;
       Hashtbl.replace t.conn_last_seq conn e.seq
   | Ack_shed { conn; ack; held_s } ->
       bump t.shed conn;
+      t.outstanding_acks <- t.outstanding_acks - 1;
       Hashtbl.replace t.conn_last_seq conn e.seq;
       if over_deadline held_s then
         viol "degraded_mode_exclusion"
@@ -326,6 +331,7 @@ let install ?(cfg = default_config) () =
       released = Hashtbl.create 8;
       dropped = Hashtbl.create 8;
       shed = Hashtbl.create 8;
+      outstanding_acks = 0;
       conn_last_seq = Hashtbl.create 8;
       degraded = Hashtbl.create 8;
       queue_drop_events = 0;
@@ -349,6 +355,7 @@ let install ?(cfg = default_config) () =
 let violations t = List.rev t.violations
 let events_seen t = t.events_seen
 let queue_drop_events t = t.queue_drop_events
+let outstanding_acks t = t.outstanding_acks
 
 let check_queue_drain t =
   let keys tbl = Sim.Det.keys ~compare:String.compare tbl in

@@ -89,11 +89,11 @@ val finalize : t -> (string * result) list
     convergence) and returns every checker's verdict, in {!names}
     order. Idempotent state: call once per run. *)
 
-val violations : t -> violation list
-(** Violations recorded so far, oldest first (live view; [finalize]
-    appends the end-of-run ones). *)
-
 val events_seen : t -> int
 
 val queue_drop_events : t -> int
 (** Count of informational [Queue_dropped] entries observed. *)
+
+val outstanding_acks : t -> int
+(** The [queue_drain] ledger's open balance over every connection (held
+    minus released, dropped and shed), kept as a running count: O(1). *)

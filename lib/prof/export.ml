@@ -142,11 +142,8 @@ let standard_profiles () =
   ]
 
 let write_dir ~name dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let write file content =
-    Out_channel.with_open_text (Filename.concat dir file) (fun oc ->
-        output_string oc content)
-  in
+  Telemetry.Control.mkdir_p dir;
+  let write file = Telemetry.Control.write_file (Filename.concat dir file) in
   write "engine.folded" (folded_to_string (folded_wall ()));
   write "engine_allocs.folded" (folded_to_string (folded_alloc ()));
   write "spans.folded" (folded_to_string (folded_spans ()));

@@ -32,7 +32,7 @@ val standard_profiles : unit -> (string * string * folded) list
 
 val write_dir : name:string -> string -> unit
 (** [write_dir ~name dir] writes the run's four profile files into [dir]
-    (created if missing): [engine.folded], [engine_allocs.folded] and
-    [spans.folded] ({!folded_wall}, {!folded_alloc}, {!folded_spans}),
-    and [profile.speedscope.json] ({!standard_profiles}, titled
-    [name]). *)
+    (created with its parents if missing): [engine.folded],
+    [engine_allocs.folded] and [spans.folded] ({!folded_wall},
+    {!folded_alloc}, {!folded_spans}), and [profile.speedscope.json]
+    ({!standard_profiles}, titled [name]). *)

@@ -28,13 +28,17 @@ let capture ?category f =
   in
   (result, List.rev !rev)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc content)
 
 let export_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  mkdir_p dir;
   write_file (Filename.concat dir "metrics.csv") (Registry.to_csv ());
   write_file (Filename.concat dir "metrics.json") (Registry.to_json ());
   let buf = Buffer.create 4096 in

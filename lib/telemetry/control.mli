@@ -26,6 +26,12 @@ val capture : ?category:Event.category -> (unit -> 'a) -> 'a * Bus.entry list
     an enclosing export sees the run as usual. Experiments use it to
     read phase milestones (e.g. Table 1's [Orch] events) off the bus. *)
 
+val mkdir_p : string -> unit
+(** Creates the directory and any missing parents ([mkdir -p]). *)
+
+val write_file : string -> string -> unit
+(** [write_file path content] replaces [path]'s contents. *)
+
 val export_dir : string -> unit
 (** Writes [metrics.csv], [metrics.json], [events.jsonl] and
     [spans.jsonl] into the directory, creating it if needed. *)

@@ -94,72 +94,135 @@ let setup ?(store_resilient = false) ?(degrade_frac = 0.) mon =
   Engine.run_for eng (Time.sec 10);
   (dep, peer, vip, svc)
 
-let with_monitor ?(ack_deadline_s = 0.) ~scenario body =
+(* --- The checked-run harness ------------------------------------------- *)
+
+type 'a checked = {
+  value : ('a, exn) result;
+  report : Monitor.Health.report;
+  digest : string;
+}
+
+(* End-of-run drain. An ACK held while its store write is still in
+   flight at the horizon is not lost, only unfinished: run on in 1 ms
+   slices until the checker's ledger balances, for at most 1 s of
+   simulated time. A passing run holds nothing at the horizon and takes
+   no extra step; an ACK still held after the bound stays a
+   [queue_drain] violation. *)
+let drain_slice = Time.ms 1
+let drain_bound = Time.sec 1
+
+let quiesce mon eng =
+  if Monitor.Checker.outstanding_acks mon > 0 then
+    ignore
+      (Engine.run_until_cond eng ~slice:drain_slice
+         ~deadline:(Time.add (Engine.now eng) drain_bound)
+         (fun () -> Monitor.Checker.outstanding_acks mon <= 0))
+
+(* Engine-cost section: how many events the run dispatched, plus
+   per-label rows when the profiler is attached (by [?out], or by an
+   enclosing [tensor-cli profile] or benchmark trace run). *)
+let engine_cost ev0 =
+  {
+    Monitor.Health.ev_processed = Engine.global_processed_events () - ev0;
+    profiled =
+      (if Prof.Profiler.enabled () then
+         List.map
+           (fun (st : Prof.Profiler.stat) ->
+             {
+               Monitor.Health.er_label = st.label;
+               er_events = st.events;
+               er_wall_s = st.wall_s;
+               er_alloc_bytes = st.alloc_bytes;
+             })
+           (Prof.Profiler.top ~by:Prof.Profiler.By_wall 8)
+       else []);
+  }
+
+(* The observers of [?out]: causal recorder, metric-series sampler and
+   engine profiler, all observation-only, so the digest and the report
+   are the bare run's plus the report's [critical_path] and
+   [engine.profiled] sections. Returns the step that detaches them and
+   writes the artifacts once the report is cut; telemetry stays
+   readable after the run, so the exports cover all of it. *)
+let observe ~dir ~scenario =
+  Causal.Recorder.reset ();
+  Causal.Recorder.attach ();
+  let series = Causal.Series.attach () in
+  Prof.Profiler.attach ();
+  fun report ->
+    Prof.Profiler.detach ();
+    Causal.Series.detach series;
+    Causal.Recorder.detach ();
+    let write file = Telemetry.Control.write_file (Filename.concat dir file) in
+    Telemetry.Control.export_dir dir;
+    write "health.json" (Monitor.Health.to_json report ^ "\n");
+    write "spans.txt" (Format.asprintf "%a" Telemetry.Span.pp_tree ());
+    write "trace.perfetto.json"
+      (Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path ());
+    write "timeseries.jsonl" (Causal.Series.to_jsonl series);
+    Prof.Export.write_dir ~name:("tensor " ^ scenario) dir
+
+let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
-  let mon =
-    Monitor.Checker.install
-      ~cfg:
-        {
-          Monitor.Checker.default_config with
-          peers = [ peer_name ];
-          ack_deadline_s;
-        }
-      ()
+  let mon = Monitor.Checker.install ~cfg () in
+  let observed = Option.map (fun dir -> observe ~dir ~scenario) out in
+  let ev0 = Engine.global_processed_events () in
+  let value =
+    try
+      let eng, finish = body mon in
+      quiesce mon eng;
+      Ok (finish ())
+    with e -> Error e
   in
-  let finished = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.Control.set_enabled false;
-      if not !finished then
-        (* The scenario died mid-run; drop the live subscription. *)
-        ignore (Monitor.Checker.finalize mon))
-    (fun () ->
-      let ev0 = Engine.global_processed_events () in
-      body mon;
-      finished := true;
-      (* Engine-cost section: how many events the scenario dispatched,
-         plus per-label rows when the profiler happens to be attached
-         (e.g. under [tensor-cli profile]). *)
-      let engine =
-        {
-          Monitor.Health.ev_processed = Engine.global_processed_events () - ev0;
-          profiled =
-            (if Prof.Profiler.enabled () then
-               List.map
-                 (fun (st : Prof.Profiler.stat) ->
-                   {
-                     Monitor.Health.er_label = st.label;
-                     er_events = st.events;
-                     er_wall_s = st.wall_s;
-                     er_alloc_bytes = st.alloc_bytes;
-                   })
-                 (Prof.Profiler.top ~by:Prof.Profiler.By_wall 8)
-             else []);
-        }
-      in
-      (* [Health.make] finalizes the checker while telemetry is still
-         on, so end-of-run snapshot events are observed. *)
-      let report = Monitor.Health.make ~engine ~scenario mon in
-      Telemetry.Control.set_enabled false;
-      report)
+  (* [Health.make] finalizes the checker while telemetry is still on. *)
+  let report =
+    Monitor.Health.make ?budgets ~engine:(engine_cost ev0) ~scenario mon
+  in
+  let buf = Buffer.create 65_536 in
+  Telemetry.Bus.to_jsonl buf;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Telemetry.Control.set_enabled false;
+  Option.iter (fun write_artifacts -> write_artifacts report) observed;
+  { value; report; digest }
 
-let failover ?(kind = Orch.Controller.Container_failure) () =
-  with_monitor ~scenario:("failover/" ^ kind_name kind) @@ fun mon ->
+let verdict ~violations ~errors =
+  if violations = [] && errors = [] then "result: PASS\n"
+  else
+    String.concat ""
+      (List.map
+         (fun (v : Monitor.Checker.violation) ->
+           Printf.sprintf "violation: %s at %.3fs: %s\n" v.checker
+             (Time.to_sec_f v.at) v.detail)
+         violations
+      @ List.map (fun e -> "error: " ^ e ^ "\n") errors
+      @ [ "result: FAIL\n" ])
+
+(* --- Checked scenarios ------------------------------------------------ *)
+
+let checked_scenario ?out ?(ack_deadline_s = 0.) ~scenario body =
+  let cfg =
+    { Monitor.Checker.default_config with peers = [ peer_name ]; ack_deadline_s }
+  in
+  let r = checked ?out ~cfg ~scenario body in
+  match r.value with Ok () -> r.report | Error e -> raise e
+
+let failover ?out ?(kind = Orch.Controller.Container_failure) () =
+  checked_scenario ?out ~scenario:("failover/" ^ kind_name kind) @@ fun mon ->
   let dep, peer, vip, svc = setup mon in
   Deploy.inject_failure dep svc kind;
   Engine.run_for dep.Deploy.eng (Time.sec 40);
-  emit_rib_snapshots dep peer svc ~vip
+  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
 
-let planned () =
-  with_monitor ~scenario:"planned" @@ fun mon ->
+let planned ?out () =
+  checked_scenario ?out ~scenario:"planned" @@ fun mon ->
   let dep, peer, vip, svc = setup mon in
   Deploy.planned_migration dep svc;
   Engine.run_for dep.Deploy.eng (Time.sec 30);
-  emit_rib_snapshots dep peer svc ~vip
+  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
 
-let split_brain () =
-  with_monitor ~scenario:"split-brain" @@ fun mon ->
+let split_brain ?out () =
+  checked_scenario ?out ~scenario:"split-brain" @@ fun mon ->
   let dep, peer, vip, svc = setup mon in
   let eng = dep.Deploy.eng in
   let h0 = dep.Deploy.hosts.(0) in
@@ -170,10 +233,10 @@ let split_brain () =
      flap follows. *)
   Orch.Host.network_recover h0;
   Engine.run_for eng (Time.sec 20);
-  emit_rib_snapshots dep peer svc ~vip
+  (eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
 
-let degraded () =
-  with_monitor
+let degraded ?out () =
+  checked_scenario ?out
     ~ack_deadline_s:(degrade_frac *. hold_time_s)
     ~scenario:"degraded"
   @@ fun mon ->
@@ -193,64 +256,16 @@ let degraded () =
     (Engine.schedule_after eng (Time.sec 20) (fun () ->
          Netsim.Node.set_up store_node true));
   Engine.run_for eng (Time.sec 60);
-  emit_rib_snapshots dep peer svc ~vip
-
-(* --- Observed runs ---------------------------------------------------- *)
-
-let write_file path content =
-  Out_channel.with_open_text path (fun oc -> output_string oc content)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-(* Runs [scenario] with the causal recorder, the metric-series sampler
-   and the engine profiler attached, then writes every artifact of the
-   run into [dir]. All three are observation-only, so the report is the
-   bare run's plus its [critical_path] and [engine.profiled] sections.
-   [with_monitor] leaves the telemetry buffers readable, so the exports
-   cover the whole run. *)
-let observed ~dir ~name scenario =
-  Causal.Recorder.reset ();
-  Causal.Recorder.attach ();
-  (* Bus subscribers survive [Telemetry.Control.reset], so attaching
-     before the run observes the whole scenario. *)
-  let series = Causal.Series.attach () in
-  Prof.Profiler.attach ();
-  let report =
-    Fun.protect scenario ~finally:(fun () ->
-        Prof.Profiler.detach ();
-        Causal.Series.detach series;
-        Causal.Recorder.detach ())
-  in
-  mkdir_p dir;
-  let file = Filename.concat dir in
-  write_file (file "health.json") (Monitor.Health.to_json report ^ "\n");
-  Telemetry.Control.export_dir dir;
-  write_file (file "spans.txt")
-    (Format.asprintf "%a" Telemetry.Span.pp_tree ());
-  Causal.Perfetto.write ?critical:report.Monitor.Health.critical_path
-    (file "trace.perfetto.json");
-  Causal.Series.write series (file "timeseries.jsonl");
-  Prof.Export.write_dir ~name:("tensor check " ^ name) dir;
-  report
+  (eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
 
 let run ?kind ?out name =
-  let scenario =
-    match name with
-    | "failover" -> Some (failover ?kind)
-    | "planned" -> Some planned
-    | "split-brain" | "split_brain" -> Some split_brain
-    | "degraded" -> Some degraded
-    | _ -> None
-  in
-  match (scenario, out) with
-  | None, _ ->
+  let out = Option.map (fun root -> Filename.concat root name) out in
+  match name with
+  | "failover" -> Ok (failover ?out ?kind ())
+  | "planned" -> Ok (planned ?out ())
+  | "split-brain" | "split_brain" -> Ok (split_brain ?out ())
+  | "degraded" -> Ok (degraded ?out ())
+  | _ ->
       Error
         (Printf.sprintf "unknown scenario %S (expected: %s)" name
            (String.concat " | " scenarios))
-  | Some f, None -> Ok (f ())
-  | Some f, Some root ->
-      Ok (observed ~dir:(Filename.concat root name) ~name f)

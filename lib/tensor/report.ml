@@ -17,7 +17,7 @@ let state () = Domain.DLS.get key
 let set_csv_dir d =
   (state ()).csv_dir <- d;
   match d with
-  | Some dir -> ( try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
+  | Some dir -> Telemetry.Control.mkdir_p dir
   | None -> ()
 
 let slugify title =

@@ -95,8 +95,3 @@ let export ?critical () =
            c.start_at c.segments));
   Buffer.add_string buf "\n]}";
   Buffer.contents buf
-
-let write ?critical path =
-  let oc = open_out path in
-  output_string oc (export ?critical ());
-  close_out oc

@@ -15,6 +15,3 @@
 val export : ?critical:Critical.t -> unit -> string
 (** The trace as a JSON object
     [{"displayTimeUnit":"ms","traceEvents":[...]}]. *)
-
-val write : ?critical:Critical.t -> string -> unit
-(** [write path] writes {!export} to [path]. *)

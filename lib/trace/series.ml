@@ -106,8 +106,3 @@ let detach t =
 let sample_count t = t.samples
 let skipped_windows t = t.skipped
 let to_jsonl t = Buffer.contents t.buf
-
-let write t path =
-  let oc = open_out path in
-  output_string oc (to_jsonl t);
-  close_out oc

@@ -36,6 +36,3 @@ val to_jsonl : t -> string
 (** One row per sample:
     [{"run":..,"t_ns":..,"metrics":{"name":value,..}}] — counters as
     ints, gauges as floats, histograms as [name.count] / [name.sum]. *)
-
-val write : t -> string -> unit
-(** [write t path] writes {!to_jsonl} to [path]. *)

@@ -407,6 +407,11 @@ let pinned_digests =
     (* Re-pinned with App.halt for the same reason. *)
     ( "seed508528403378398481-3411f630.chaos",
       "c404bc43b972443696541eedbdc4cdfd" );
+    (* Held ACKs at the horizon, released by the end-of-run drain. *)
+    ( "seed616748401846420832-d9339263.chaos",
+      "08cb3eef15cf5601a965954ae77d9fe7" );
+    ( "seed3325554301254390428-8318b64e.chaos",
+      "0b94b41b5266026bfd3efc5861c0f7e1" );
   ]
 
 let test_corpus_digests_pinned () =
@@ -471,6 +476,83 @@ let test_corpus_replay_detects_failure () =
           let r = Chaos.Corpus.replay_file path in
           checkb "regressed entry fails replay" false (Chaos.Corpus.replay_ok r);
           checks "entry name" (Filename.basename path) r.Chaos.Corpus.name))
+
+(* --- The checked-run harness ----------------------------------------------- *)
+
+let descriptor line =
+  match Chaos.Descriptor.of_string line with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "descriptor %S: %s" line e
+
+(* A line of the benchmark's pinned pool whose schedule kills the app. *)
+let kill_line =
+  "chaos1 seed=2338127342049817198 peers=1 hosts=3 ppfx=97 spfx=88 churn=0 \
+   delay=545 window=21639 settle=30000 faults=kill.app@2093,bfd.0@5363x84"
+
+let kill_digest = "cf180fe483ef17c90a72b20bcffc0ac3"
+
+(* With [?out] the causal recorder, the series sampler and the profiler
+   watch the run: the outcome must be the bare run's, digest included,
+   and health.json's critical path must decompose the recovery span
+   exactly. *)
+let test_observed_run_matches_bare () =
+  let d = descriptor kill_line in
+  let bare = Chaos.Runner.run d in
+  let dir = Filename.concat (Filename.temp_dir "chaos-out" "") "nested/run" in
+  let seen = Chaos.Runner.run ~out:dir d in
+  checks "pool digest holds" kill_digest bare.Chaos.Runner.digest;
+  checks "observed digest" bare.Chaos.Runner.digest seen.Chaos.Runner.digest;
+  checki "observed events" bare.Chaos.Runner.events seen.Chaos.Runner.events;
+  checks "observed verdict" (Chaos.Runner.summary bare)
+    (Chaos.Runner.summary seen);
+  checkb "green" true (Chaos.Runner.ok seen);
+  let health =
+    Monitor.Json.parse_exn
+      (In_channel.with_open_bin (Filename.concat dir "health.json")
+         In_channel.input_all)
+  in
+  let num path j = Option.bind (Monitor.Json.path path j) Monitor.Json.to_int in
+  match
+    ( num [ "critical_path"; "total_ns" ] health,
+      Option.bind
+        (Monitor.Json.path [ "critical_path"; "segments" ] health)
+        Monitor.Json.to_list )
+  with
+  | Some total, Some (_ :: _ as segments) ->
+      checki "segments sum to the recovery span" total
+        (List.fold_left
+           (fun acc seg -> acc + Option.value ~default:0 (num [ "dur_ns" ] seg))
+           0 segments)
+  | _ -> Alcotest.fail "health.json has no critical path"
+
+(* The two shrunk queue_drain repros: a KEEPALIVE's ACK still held at
+   the horizon, released by the harness's bounded end-of-run drain. *)
+let test_horizon_acks_drained () =
+  List.iter
+    (fun line ->
+      let o = Chaos.Runner.run (descriptor line) in
+      if not (Chaos.Runner.ok o) then
+        Alcotest.failf "not drained: %s" (Chaos.Runner.summary o))
+    [
+      "chaos1 seed=616748401846420832 peers=3 hosts=3 ppfx=20 spfx=10 \
+       churn=0 delay=539 window=19916 settle=30000 faults=-";
+      "chaos1 seed=3325554301254390428 peers=3 hosts=3 ppfx=20 spfx=10 \
+       churn=0 delay=249 window=19913 settle=30000 faults=-";
+    ]
+
+(* The drain is bounded: an ACK that never leaves the hold queue is
+   still a queue_drain violation, and the only one. *)
+let test_leaked_ack_still_reported () =
+  let o =
+    Monitor.Faults.with_fault Monitor.Faults.leak_held_acks (fun () ->
+        Chaos.Runner.run (descriptor kill_line))
+  in
+  checkb "run fails" false (Chaos.Runner.ok o);
+  checkb "queue_drain reported" true (o.Chaos.Runner.violations <> []);
+  List.iter
+    (fun (v : Monitor.Checker.violation) ->
+      checks "only queue_drain trips" "queue_drain" v.Monitor.Checker.checker)
+    o.Chaos.Runner.violations
 
 (* --- Campaigns ------------------------------------------------------------- *)
 
@@ -545,6 +627,15 @@ let () =
             test_corpus_digests_pinned;
           Alcotest.test_case "benchmark pool digests pinned" `Slow
             test_chaos_pool_digests_pinned;
+        ] );
+      ( "harness",
+        [
+          Alcotest.test_case "observed run matches bare" `Quick
+            test_observed_run_matches_bare;
+          Alcotest.test_case "horizon ACKs drained" `Quick
+            test_horizon_acks_drained;
+          Alcotest.test_case "leaked ACK still reported" `Quick
+            test_leaked_ack_still_reported;
         ] );
       ( "campaign",
         [

@@ -110,6 +110,23 @@ let test_digest_identical_across_jobs () =
   in
   Array.iter (checks "domain digest matches inline" inline) results
 
+(* [?out] attaches the observers and writes the artifact set plus the
+   SLO report: the digest and the outcome must be the bare run's. *)
+let test_observed_matches_bare () =
+  let s = spec "host_kill@5000" in
+  let bare = Fleet.Campaign.run s in
+  let dir = Filename.temp_dir "fleet-out" "" in
+  let seen = Fleet.Campaign.run ~out:dir s in
+  assert_green seen;
+  checks "observed digest" bare.Fleet.Campaign.digest seen.Fleet.Campaign.digest;
+  checks "observed summary" (Fleet.Campaign.summary bare)
+    (Fleet.Campaign.summary seen);
+  List.iter
+    (fun file ->
+      checkb (file ^ " written") true
+        (Sys.file_exists (Filename.concat dir file)))
+    [ "slo.json"; "events.jsonl"; "health.json"; "trace.perfetto.json" ]
+
 (* --- Spec hygiene ------------------------------------------------------------ *)
 
 let test_rejects_non_fleet_tokens () =
@@ -146,6 +163,8 @@ let () =
             test_digest_stable_across_runs;
           Alcotest.test_case "digest identical across --jobs" `Quick
             test_digest_identical_across_jobs;
+          Alcotest.test_case "observed run matches bare" `Quick
+            test_observed_matches_bare;
         ] );
       ( "spec",
         [

@@ -375,6 +375,23 @@ let test_capture_restores_on_raise () =
       checkb "gate restored" false (Telemetry.Gate.on ());
       checki "subscription released" subs (Telemetry.Bus.subscriber_count ()))
 
+(* --- Files ---------------------------------------------------------------- *)
+
+(* Every writer of a run's artifacts creates its directory through
+   [mkdir_p], so a nested --out path that does not exist yet works. *)
+let test_mkdir_p_nested () =
+  let root = Filename.temp_dir "telemetry-mkdir" "" in
+  let dir = List.fold_left Filename.concat root [ "x"; "y"; "z" ] in
+  Telemetry.Control.mkdir_p dir;
+  checkb "nested directory created" true (Sys.is_directory dir);
+  Telemetry.Control.mkdir_p dir;
+  let file = Filename.concat dir "f.txt" in
+  Telemetry.Control.write_file file "one";
+  Telemetry.Control.write_file file "two";
+  Alcotest.(check string)
+    "write_file replaces" "two"
+    (In_channel.with_open_bin file In_channel.input_all)
+
 (* --- End-to-end: failover scenario produces the span tree ----------------- *)
 
 let test_failover_span_tree () =
@@ -449,6 +466,8 @@ let () =
         ] );
       ( "modes",
         [ Alcotest.test_case "disabled-noop" `Quick test_disabled_noop ] );
+      ( "files",
+        [ Alcotest.test_case "mkdir_p nested" `Quick test_mkdir_p_nested ] );
       ( "end-to-end",
         [ Alcotest.test_case "failover-span-tree" `Quick test_failover_span_tree ]
       );
