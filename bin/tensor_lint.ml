@@ -3,13 +3,18 @@
      tensor-lint                         # lint lib/ bin/ bench/ examples/
      tensor-lint --jobs 4                # fan the per-file scan over domains
      tensor-lint --json lib/bgp          # machine-readable report
-     tensor-lint --baseline FILE PATHS   # fail only on NEW findings
+     tensor-lint --baseline FILE PATHS   # fail on NEW findings and stale entries
      tensor-lint --update-baseline FILE  # rewrite the baseline from HEAD
      tensor-lint --github                # ::error/::warning annotations too
      tensor-lint --list-passes           # pass catalogue
      tensor-lint --explain h1            # rationale, example, suppression
 
-   Exit status: 0 clean, 1 new findings, 2 usage or I/O error. *)
+   A baseline entry under PATHS that absorbs no finding is stale: the
+   finding went away and the entry must go too, or it would absorb the
+   next finding like it.
+
+   Exit status: 0 clean, 1 new findings or stale baseline entries, 2
+   usage or I/O error. *)
 
 let default_paths = [ "lib"; "bin"; "bench"; "examples" ]
 
@@ -37,7 +42,8 @@ let () =
         "N Scan files on N domains (deterministic merge; default 1)" );
       ( "--baseline",
         Arg.String (fun f -> baseline := Some f),
-        "FILE Fail only on findings absent from FILE" );
+        "FILE Fail only on findings absent from FILE, and on FILE's \
+         entries that match no finding" );
       ( "--update-baseline",
         Arg.String (fun f -> update_baseline := Some f),
         "FILE Write the current findings to FILE and exit 0" );
@@ -89,12 +95,22 @@ let () =
         (String.concat ", " missing);
       exit 2);
   let report = Lint.Driver.run ~jobs:!jobs ~paths () in
-  let new_findings =
+  (* Only entries under the linted paths can be judged stale. *)
+  let in_scope (e : Lint.Baseline.entry) =
+    List.exists
+      (fun p ->
+        p = "." || e.b_file = p
+        || String.starts_with ~prefix:(Filename.concat p "") e.b_file)
+      paths
+  in
+  let new_findings, stale =
     match !baseline with
-    | None -> report.findings
+    | None -> (report.findings, [])
     | Some file -> (
         match Lint.Baseline.load file with
-        | Ok entries -> Lint.Baseline.diff entries report.findings
+        | Ok entries ->
+            ( Lint.Baseline.diff entries report.findings,
+              List.filter in_scope (Lint.Baseline.stale entries report.findings) )
         | Error e ->
             Printf.eprintf "tensor-lint: bad baseline: %s\n" e;
             exit 2)
@@ -115,4 +131,22 @@ let () =
      else Lint.Driver.to_text report ~new_findings);
   if !github && new_findings <> [] then
     print_endline (Lint.Driver.to_github ~new_findings);
-  exit (if new_findings = [] then 0 else 1)
+  if stale <> [] then begin
+    (* Keep a --json stdout parseable. *)
+    let out = if !json then stderr else stdout in
+    Printf.fprintf out
+      "%d stale baseline entr%s (no finding matches; remove from the \
+       baseline):\n"
+      (List.length stale)
+      (if List.length stale = 1 then "y" else "ies");
+    List.iter
+      (fun e -> Printf.fprintf out "  %s\n" (Lint.Baseline.entry_to_string e))
+      stale;
+    if !github then
+      List.iter
+        (fun e ->
+          Printf.printf "::error::stale baseline entry %s\n"
+            (Lint.Baseline.entry_to_string e))
+        stale
+  end;
+  exit (if new_findings = [] && stale = [] then 0 else 1)

@@ -92,12 +92,12 @@ val resume :
     message fragment, the stream is not message-aligned; the fragment
     must be restored into the framer so parsing continues correctly). *)
 
-val set_on_message : t -> (Msg.t -> size:int -> unit) -> unit
+val set_on_message : t -> (Msg.t -> raw:string -> unit) -> unit
 (** Observer invoked for {e every} inbound message — all five types,
-    keepalives included — after parsing and before FSM handling. This is
-    TENSOR's receive-replication tap: at the instant it fires,
-    {!parsed_bytes} already covers the message, so the inferred ACK is
-    current. *)
+    keepalives included — after parsing and before FSM handling, with
+    the message's wire frame as received. This is TENSOR's
+    receive-replication tap: at the instant it fires, {!parsed_bytes}
+    already covers the message, so the inferred ACK is current. *)
 
 val set_pre_send : t -> (Msg.t -> string -> (unit -> unit) -> unit) -> unit
 (** Replication middleware for every outgoing message. The continuation

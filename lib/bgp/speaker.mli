@@ -49,11 +49,11 @@ type t
 type peer
 
 type hooks = {
-  on_rx_replicate : peer -> Msg.t -> size:int -> inferred_ack:int -> unit;
+  on_rx_replicate : peer -> Msg.t -> raw:string -> inferred_ack:int -> unit;
       (** Invoked when a message has been parsed, {e before} main-thread
           processing (replication runs concurrently with processing;
-          §3.1.1). [inferred_ack] is the TCP ACK number covering the
-          message. *)
+          §3.1.1). [raw] is the message's wire frame as received;
+          [inferred_ack] is the TCP ACK number covering the message. *)
   on_tx_replicate : peer -> Msg.t -> string -> (unit -> unit) -> unit;
       (** Delayed sending: invoked with the encoded frame; the
           continuation releases the message to TCP. Covers keepalives. *)

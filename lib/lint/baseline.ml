@@ -44,20 +44,29 @@ let load path =
                 (Ok []) items
               |> Result.map List.rev))
 
-(* Findings not covered by the baseline (each entry absorbs one). *)
-let diff entries findings =
+(* Pairs findings with baseline entries, each entry absorbing one: the
+   findings left unabsorbed and the entries that absorbed none. *)
+let absorb entries findings =
   let remaining = ref entries in
-  List.filter
-    (fun f ->
-      let e = of_finding f in
-      let rec take acc = function
-        | [] -> None
-        | x :: rest when x = e -> Some (List.rev_append acc rest)
-        | x :: rest -> take (x :: acc) rest
-      in
-      match take [] !remaining with
-      | Some rest ->
-          remaining := rest;
-          false
-      | None -> true)
-    findings
+  let fresh =
+    List.filter
+      (fun f ->
+        let e = of_finding f in
+        let rec take acc = function
+          | [] -> None
+          | x :: rest when x = e -> Some (List.rev_append acc rest)
+          | x :: rest -> take (x :: acc) rest
+        in
+        match take [] !remaining with
+        | Some rest ->
+            remaining := rest;
+            false
+        | None -> true)
+      findings
+  in
+  (fresh, !remaining)
+
+let diff entries findings = fst (absorb entries findings)
+let stale entries findings = snd (absorb entries findings)
+
+let entry_to_string e = Printf.sprintf "[%s] %s: %s" e.b_pass e.b_file e.b_message

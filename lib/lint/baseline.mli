@@ -11,3 +11,10 @@ val load : string -> (entry list, string) result
 
 val diff : entry list -> Finding.t list -> Finding.t list
 (** Findings not absorbed by a baseline entry; multiset semantics. *)
+
+val stale : entry list -> Finding.t list -> entry list
+(** Baseline entries that absorb no finding (same multiset matching as
+    {!diff}): the finding went away, so the entry must leave the
+    baseline, or it would silently absorb the next one like it. *)
+
+val entry_to_string : entry -> string

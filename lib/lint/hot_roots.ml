@@ -45,7 +45,7 @@ let hot_paths =
     };
     {
       rt_file = "lib/bgp/rib.ml";
-      rt_fns = [ "update"; "fold_best"; "digest" ];
+      rt_fns = [ "update"; "install"; "fold_best"; "digest" ];
       rt_label = "rib fold";
     };
     {

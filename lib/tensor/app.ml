@@ -156,9 +156,9 @@ let hooks_for t =
   in
   {
     Bgp.Speaker.on_rx_replicate =
-      (fun peer msg ~size:_ ~inferred_ack ->
+      (fun peer msg ~raw ~inferred_ack ->
         match repl_of peer with
-        | Some repl -> Replicator.on_rx_message repl msg ~inferred_ack
+        | Some repl -> Replicator.on_rx_message repl ~raw msg ~inferred_ack
         | None -> ());
     on_tx_replicate =
       (fun peer _msg raw k ->
@@ -719,11 +719,13 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
             ~remote:spec.peer_addr
       | None -> ());
       (* Replay replicated-but-unapplied updates through the normal
-         receive path, then trim them from the store. *)
+         receive path, then trim them from the store. The records hold
+         the frames as received, so they decode in the session's AS4
+         mode. *)
       let replayed_keys =
         List.map
           (fun (_, key, raw) ->
-            (match Bgp.Msg.decode raw with
+            (match Bgp.Msg.decode ~as4:meta.Keys.as4 raw with
             | Ok (Bgp.Msg.Update u) -> Bgp.Speaker.replay_update spk peer u
             | Ok _ | Error _ -> ());
             key)

@@ -206,8 +206,8 @@ let multi_peer_run ~profile ~with_replication peers updates =
           (fun peer _msg raw k ->
             Replicator.on_tx_message (repl_for peer) ~raw ~release:k);
         on_rx_replicate =
-          (fun peer msg ~size:_ ~inferred_ack ->
-            Replicator.on_rx_message (repl_for peer) msg ~inferred_ack);
+          (fun peer msg ~raw ~inferred_ack ->
+            Replicator.on_rx_message (repl_for peer) ~raw msg ~inferred_ack);
       }
     end
   in

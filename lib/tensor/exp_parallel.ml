@@ -130,8 +130,8 @@ let containerized ~ases ~updates_per_as =
           {
             Bgp.Speaker.no_hooks with
             Bgp.Speaker.on_rx_replicate =
-              (fun _ msg ~size:_ ~inferred_ack ->
-                Replicator.on_rx_message repl msg ~inferred_ack);
+              (fun _ msg ~raw ~inferred_ack ->
+                Replicator.on_rx_message repl ~raw msg ~inferred_ack);
             on_tx_replicate =
               (fun _ _ raw k -> Replicator.on_tx_message repl ~raw ~release:k);
             on_rib_change =

@@ -738,10 +738,10 @@ let set_degrade_after t span =
 
 (* --- Receive replication ----------------------------------------------------- *)
 
-let on_rx_message t msg ~inferred_ack =
+let on_rx_message t ?raw msg ~inferred_ack =
   if t.replicate && (not t.stopped) && not t.degraded then begin
     Telemetry.Registry.incr m_rx_repl;
-    let raw = Bgp.Msg.encode msg in
+    let raw = match raw with Some raw -> raw | None -> Bgp.Msg.encode msg in
     let seq = t.in_seq in
     t.in_seq <- seq + 1;
     let key = Keys.in_key (ecid t) seq in

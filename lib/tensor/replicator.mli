@@ -95,10 +95,11 @@ val set_tail_source : t -> (unit -> (int * int * string) option) -> unit
     backup's framer with the fragment, so the invariant — every
     acknowledged byte is replicated — holds at byte granularity. *)
 
-val on_rx_message : t -> Bgp.Msg.t -> inferred_ack:int -> unit
+val on_rx_message : t -> ?raw:string -> Bgp.Msg.t -> inferred_ack:int -> unit
 (** The receive-replication tap: stores the message's wire frame (all
     five types; UPDATE frames are what the backup replays) keyed by a
-    receive counter, together with the inferred ACK. *)
+    receive counter, together with the inferred ACK. [raw] is the frame
+    as received; without it the message is encoded again. *)
 
 val on_rx_applied : t -> unit
 (** The oldest outstanding UPDATE was applied to the routing table: emit

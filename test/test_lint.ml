@@ -297,7 +297,15 @@ let test_baseline_gates_new_findings () =
       checki "two findings total" 2 (List.length report'.findings);
       let fresh = Lint.Baseline.diff entries report'.findings in
       checki "exactly the seeded violation is NEW" 1 (List.length fresh);
-      checks "and it is the d2 one" "d2" (List.hd fresh).Lint.Finding.pass)
+      checks "and it is the d2 one" "d2" (List.hd fresh).Lint.Finding.pass;
+      checki "no stale entry while the finding stands" 0
+        (List.length (Lint.Baseline.stale entries report'.findings));
+      (* Fix the baselined finding: its entry is now stale (the ratchet). *)
+      let _ = write "lib/bgp/old.ml" "let f () = ()\n" in
+      let report'' = Lint.Driver.run ~paths:[ root ] () in
+      match Lint.Baseline.stale entries report''.findings with
+      | [ e ] -> checks "the fixed finding's entry is stale" "d1" e.Lint.Baseline.b_pass
+      | l -> Alcotest.failf "expected one stale entry, got %d" (List.length l))
 
 (* --- call-graph resolver ---------------------------------------------------- *)
 
@@ -626,7 +634,12 @@ let test_zero_finding_repo_baseline () =
   in
   Alcotest.(check (list string))
     "every repo finding is absorbed by the committed baseline" []
-    (List.map Lint.Finding.to_string (Lint.Baseline.diff entries relocated))
+    (List.map Lint.Finding.to_string (Lint.Baseline.diff entries relocated));
+  (* The ratchet: a warning that went away takes its entry with it. *)
+  Alcotest.(check (list string))
+    "every baseline entry absorbs a repo finding" []
+    (List.map Lint.Baseline.entry_to_string
+       (Lint.Baseline.stale entries relocated))
 
 let test_single_blessed_d2_suppression () =
   (* The profiler wall clock (Prof.Clock) is the one place in lib/

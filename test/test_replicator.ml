@@ -59,6 +59,93 @@ let test_rx_message_becomes_durable () =
   checkb "watermark confirmed locally" true
     (Tensor.Replicator.watermark r.repl = Some 1100)
 
+(* A receiving speaker replicates each frame as it arrived. Over a real
+   session carrying OPEN, KEEPALIVE, UPDATE and End-of-RIB, every frame
+   equals its message encoded again, and the UPDATE in-records (kept
+   until applied; nothing applies them here) hold exactly those bytes.
+   Record sizes drive simulated time, so the two must not differ. *)
+let test_rx_frames_match_reencode () =
+  let eng = Engine.create () in
+  let net = Network.create eng in
+  let a = Network.add_node net "ra" and b = Network.add_node net "rb" in
+  let db = Network.add_node net "db" in
+  let _, addr_a, addr_b = Network.connect net ~delay:(Time.us 100) a b in
+  let _, _, db_addr = Network.connect net ~delay:(Time.us 100) b db in
+  let server = Store.Server.create ~cost:Store.free_cost_model db in
+  let cid = Tensor.Keys.conn_id ~service:"rx" ~vrf:"v0" in
+  let repl =
+    Tensor.Replicator.create ~engine:eng
+      ~client:(Store.Client.create b ~server:db_addr)
+      ~conn_id:cid ~service:"rx" ()
+  in
+  let received = ref [] in
+  let hooks =
+    {
+      Bgp.Speaker.no_hooks with
+      on_rx_replicate =
+        (fun _ msg ~raw ~inferred_ack ->
+          received := (msg, raw, inferred_ack) :: !received;
+          Tensor.Replicator.on_rx_message repl ~raw msg ~inferred_ack);
+    }
+  in
+  let spk_a =
+    Bgp.Speaker.create ~stack:(Tcp.create_stack a) ~local_asn:65001 ~router_id:addr_a ()
+  in
+  let spk_b =
+    Bgp.Speaker.create ~hooks ~stack:(Tcp.create_stack b) ~local_asn:65002
+      ~router_id:addr_b ()
+  in
+  let peer_config ~remote_addr ~remote_asn ~passive =
+    {
+      (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr ()) with
+      Bgp.Speaker.remote_asn = Some remote_asn;
+      passive;
+    }
+  in
+  ignore
+    (Bgp.Speaker.add_peer spk_a
+       (peer_config ~remote_addr:addr_b ~remote_asn:65002 ~passive:false));
+  ignore
+    (Bgp.Speaker.add_peer spk_b
+       (peer_config ~remote_addr:addr_a ~remote_asn:65001 ~passive:true));
+  Bgp.Speaker.start spk_a;
+  Bgp.Speaker.start spk_b;
+  Engine.run_for eng (Time.sec 5);
+  Bgp.Speaker.originate spk_a ~vrf:"v0"
+    ~attrs:
+      (Bgp.Attrs.make ~med:7 ~communities:[ (65001, 9) ]
+         ~as_path:[ Bgp.Attrs.Seq [ 64512 ] ] ~next_hop:addr_a ())
+    (List.init 300 (fun i -> Addr.prefix (Addr.of_octets 100 (i / 256) (i mod 256) 0) 24));
+  Engine.run_for eng (Time.sec 40);
+  let received = List.rev !received in
+  let kinds =
+    List.sort_uniq String.compare
+      (List.map
+         (fun (msg, _, _) ->
+           match msg with
+           | Bgp.Msg.Open _ -> "open"
+           | Bgp.Msg.Keepalive -> "keepalive"
+           | Bgp.Msg.Update _ when Bgp.Msg.is_end_of_rib msg -> "end-of-rib"
+           | Bgp.Msg.Update _ -> "update"
+           | Bgp.Msg.Notification _ -> "notification"
+           | Bgp.Msg.Route_refresh _ -> "route-refresh")
+         received)
+  in
+  Alcotest.(check (list string))
+    "message kinds" [ "end-of-rib"; "keepalive"; "open"; "update" ] kinds;
+  List.iteri
+    (fun seq (msg, raw, ack) ->
+      let encoded = Bgp.Msg.encode msg in
+      checkb (Printf.sprintf "frame %d is the re-encode" seq) true (String.equal raw encoded);
+      match msg with
+      | Bgp.Msg.Update _ ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "in-record %d" seq)
+            (Some (Tensor.Keys.encode_in_record ~ack ~raw:encoded))
+            (Store.Server.peek server (Tensor.Keys.in_key cid seq))
+      | _ -> ())
+    received
+
 let test_keepalive_trimmed_immediately () =
   let r = make_rig () in
   Tensor.Replicator.session_established r.repl ~irs:1000;
@@ -533,6 +620,8 @@ let () =
             test_keepalive_trimmed_immediately;
           Alcotest.test_case "update trimmed after apply" `Quick
             test_update_trimmed_only_after_applied;
+          Alcotest.test_case "frames match the re-encode" `Quick
+            test_rx_frames_match_reencode;
         ] );
       ( "send",
         [

@@ -212,8 +212,8 @@ let test_on_message_sees_all_types () =
       ~cb:(fun _ _ -> ())
   in
   let seen = ref [] in
-  Bgp.Session.set_on_message sa (fun msg ~size ->
-      checkb "size positive" true (size >= 19);
+  Bgp.Session.set_on_message sa (fun msg ~raw ->
+      checkb "frame at least a header" true (String.length raw >= 19);
       seen :=
         (match msg with
         | Bgp.Msg.Open _ -> "open"
