@@ -1,18 +1,21 @@
 (* tensor-cli: drive the TENSOR reproduction from the command line.
 
-     tensor-cli experiment fig6a table1 ...   # regenerate paper artifacts
-     tensor-cli failover --kind host          # one failure scenario, verbose
-     tensor-cli check failover planned        # checked scenarios, health reports
-     tensor-cli check failover --out DIR      # + every artifact of the run
-     tensor-cli cdf --links 6000              # Figure 7(a) population
-     tensor-cli profile fig5a --out DIR       # engine cost attribution
-     tensor-cli fleet --sweep                 # controller-placement sweep
-     tensor-cli list                          # experiment ids
+     tensor-cli experiment --quick fig6a table1  # regenerate paper artifacts
+     tensor-cli experiment --csv-dir DIR          # + one CSV per table
+     tensor-cli experiment --telemetry-dir DIR    # + telemetry export
+     tensor-cli experiment --emit-bench FILE      # + perf snapshot (bench/trend.exe)
+     tensor-cli check failover --kind host        # checked scenarios, health reports
+     tensor-cli check failover --out DIR          # + every artifact of the run
+     tensor-cli profile fig5a --out DIR           # engine cost attribution
+     tensor-cli fleet --sweep                     # controller-placement sweep
+     tensor-cli list                              # experiment ids
 
-   Experiment ids and parameters come from Tensor.Experiments, the
-   registry bench/main.exe dispatches through too; check runs the
-   checked scenarios of Tensor.Check, which also attaches the observers
-   and writes the artifacts for --out. *)
+   Experiment ids and parameters come from Tensor.Experiments; check
+   runs the checked scenarios of Tensor.Check, which also attaches the
+   observers and writes the artifacts for --out. Every simulated output
+   is deterministic (fixed seeds), so experiment stdout repeats byte for
+   byte apart from the `wall` lines; CI diffs `experiment --quick`
+   against bench/golden/quick.txt. *)
 
 open Cmdliner
 
@@ -40,18 +43,140 @@ let find_experiments ids =
           exit 2)
     ids
 
+(* One experiment's measurements for the --emit-bench snapshot. *)
+type bench_row = {
+  br_id : string;
+  br_engine : bool; (* false: the throughput fields are omitted *)
+  br_wall : float;
+  br_events : int;
+  br_alloc_bytes : float;
+  br_minor_gcs : int;
+  br_major_gcs : int;
+}
+
+(* Snapshot schema v3. v1 carried only wall_s/sim_events/sim_events_per_s;
+   v2 added allocation + GC accounting and the non_sim marker (throughput
+   fields omitted for those experiments); v3 renames v2's misnamed
+   allocs_per_event (it always held bytes) to alloc_bytes_per_event and
+   drops the subsystems and parallel sections. bench/trend.exe reads only
+   id and wall_s, so it accepts all three. *)
+let write_bench_snapshot file ~quick ~total_wall rows =
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "{\"schema_version\":3,\"quick\":%b,\"experiments\":["
+    quick;
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf ',';
+      Printf.bprintf buf "{\"id\":\"%s\",\"wall_s\":%.6f,\"non_sim\":%b"
+        (Telemetry.Event.json_escape r.br_id)
+        r.br_wall (not r.br_engine);
+      if r.br_engine then
+        Printf.bprintf buf
+          ",\"sim_events\":%d,\"sim_events_per_s\":%.1f,\"alloc_bytes_per_event\":%.1f"
+          r.br_events
+          (if r.br_wall > 1e-9 then float_of_int r.br_events /. r.br_wall
+           else 0.0)
+          (if r.br_events > 0 then
+             r.br_alloc_bytes /. float_of_int r.br_events
+           else 0.0);
+      Printf.bprintf buf
+        ",\"alloc_bytes\":%.0f,\"minor_gcs\":%d,\"major_gcs\":%d}"
+        r.br_alloc_bytes r.br_minor_gcs r.br_major_gcs)
+    rows;
+  Printf.bprintf buf "],\"total_wall_s\":%.3f,\"metrics\":%s}" total_wall
+    (Telemetry.Registry.to_json ());
+  Buffer.add_char buf '\n';
+  Telemetry.Control.write_file file (Buffer.contents buf)
+
+let run_one ~quick (e : Tensor.Experiments.t) =
+  let t = Prof.Clock.now_s () in
+  let e0 = Sim.Engine.global_processed_events () in
+  let a0 = Gc.allocated_bytes () in
+  let g0 = Gc.quick_stat () in
+  e.run ~quick;
+  let wall = Prof.Clock.now_s () -. t in
+  let g1 = Gc.quick_stat () in
+  Format.printf "@.[%s done in %.1fs wall]@." e.id wall;
+  {
+    br_id = e.id;
+    br_engine = e.engine;
+    br_wall = wall;
+    br_events = Sim.Engine.global_processed_events () - e0;
+    br_alloc_bytes = Gc.allocated_bytes () -. a0;
+    br_minor_gcs = g1.Gc.minor_collections - g0.Gc.minor_collections;
+    br_major_gcs = g1.Gc.major_collections - g0.Gc.major_collections;
+  }
+
+let run_experiments quick csv_dir telemetry_dir emit_bench ids =
+  let selected = find_experiments ids in
+  Tensor.Report.set_csv_dir csv_dir;
+  if telemetry_dir <> None then Telemetry.Control.set_enabled true;
+  Format.printf "TENSOR reproduction — benchmark harness (%s mode)@."
+    (if quick then "quick" else "full");
+  let t0 = Prof.Clock.now_s () in
+  (* The series sampler is a bus subscriber that schedules nothing, so
+     attaching it moves no simulated output. *)
+  let sampler =
+    Option.map (fun dir -> (dir, Causal.Series.attach ())) telemetry_dir
+  in
+  let rows = List.map (run_one ~quick) selected in
+  let total_wall = Prof.Clock.now_s () -. t0 in
+  Format.printf "@.All selected experiments done in %.1fs wall.@." total_wall;
+  Option.iter
+    (fun file ->
+      write_bench_snapshot file ~quick ~total_wall rows;
+      Format.printf "Bench snapshot written to %s@." file)
+    emit_bench;
+  match sampler with
+  | Some (dir, s) ->
+      Causal.Series.detach s;
+      Telemetry.Control.export_dir dir;
+      Telemetry.Control.write_file
+        (Filename.concat dir "timeseries.jsonl")
+        (Causal.Series.to_jsonl s);
+      Format.printf
+        "Telemetry written to %s/ (timeseries.jsonl: %d samples, %d quiet \
+         windows skipped)@."
+        dir (Causal.Series.sample_count s) (Causal.Series.skipped_windows s)
+  | None -> ()
+
 let experiment_cmd =
+  let csv_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv-dir" ] ~docv:"DIR"
+          ~doc:"Also write every printed table as a CSV file in $(docv).")
+  in
+  let telemetry_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "telemetry-dir" ] ~docv:"DIR"
+          ~doc:
+            "Record telemetry for the run and export it to $(docv): \
+             metrics.csv, metrics.json, events.jsonl, spans.jsonl and \
+             timeseries.jsonl, the metric series sampled once per \
+             simulated second.")
+  in
+  let emit_bench =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "emit-bench" ] ~docv:"FILE"
+          ~doc:
+            "Write a performance snapshot to $(docv): per-experiment wall \
+             time, engine events, allocation and GC counts, plus the \
+             metrics registry. Compare snapshots with bench/trend.exe.")
+  in
   let doc = "Regenerate the paper's tables and figures." in
   Cmd.v
     (Cmd.info "experiment" ~doc)
     Term.(
-      const (fun quick ids ->
-          List.iter
-            (fun (e : Tensor.Experiments.t) -> e.run ~quick)
-            (find_experiments ids))
-      $ quick_flag $ ids_arg)
+      const run_experiments $ quick_flag $ csv_dir $ telemetry_dir
+      $ emit_bench $ ids_arg)
 
-(* --- failover command --------------------------------------------------- *)
+(* --- check command ------------------------------------------------------ *)
 
 let failure_kind_conv =
   let parse = function
@@ -68,37 +193,6 @@ let kind_opt =
     value
     & opt failure_kind_conv Orch.Controller.Container_failure
     & info [ "kind"; "k" ] ~docv:"KIND" ~doc:"app | container | host | host-network")
-
-let failover_cmd =
-  let run kind =
-    let rows = Tensor.Exp_table1.run ~kinds:[ kind ] () in
-    Tensor.Exp_table1.print rows;
-    List.iter
-      (fun (r : Tensor.Exp_table1.timeline) ->
-        if r.peer_session_drops > 0 || r.peer_routes_lost > 0 then begin
-          Printf.eprintf "NSR FAILED: peer observed the outage\n";
-          exit 1
-        end)
-      rows;
-    print_endline "\nNSR verified: the remote AS observed zero downtime."
-  in
-  Cmd.v
-    (Cmd.info "failover" ~doc:"Run one failure scenario and verify NSR.")
-    Term.(const run $ kind_opt)
-
-(* --- cdf command ----------------------------------------------------------- *)
-
-let cdf_cmd =
-  let links =
-    Arg.(value & opt int 6000 & info [ "links" ] ~doc:"Population size.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  Cmd.v
-    (Cmd.info "cdf" ~doc:"Sample the Figure 7(a) traffic population.")
-    Term.(
-      const (fun links seed ->
-          Tensor.Exp_fig7.print_cdf (Tensor.Exp_fig7.run_cdf ~links ~seed ()))
-      $ links $ seed)
 
 (* --- check command ------------------------------------------------------------- *)
 
@@ -630,5 +724,5 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "tensor-cli" ~version:"1.0.0" ~doc)
-          [ experiment_cmd; failover_cmd; cdf_cmd; check_cmd; fuzz_cmd;
-            fleet_cmd; profile_cmd; list_cmd ]))
+          [ experiment_cmd; check_cmd; fuzz_cmd; fleet_cmd; profile_cmd;
+            list_cmd ]))

@@ -318,8 +318,10 @@ module Relay = struct
     mutable sent : int;
   }
 
-  let start node ?(tx_interval = Time.ms 100) ~src ~dst ~vrf ~my_disc
-      ~your_disc () =
+  (* The relay speaks at the sessions' default rate (100 ms x 3). *)
+  let tx_interval = Time.ms 100
+
+  let start node ~src ~dst ~vrf ~my_disc ~your_disc () =
     let t = { rnode = node; timer = None; sent = 0 } in
     let ctl =
       {

@@ -89,7 +89,6 @@ module Relay : sig
 
   val start :
     Netsim.Node.t ->
-    ?tx_interval:Sim.Time.span ->
     src:Netsim.Addr.t ->
     dst:Netsim.Addr.t ->
     vrf:string ->
@@ -98,8 +97,8 @@ module Relay : sig
     unit ->
     t
   (** Transmits Up-state control packets from [src] (the container's
-      address, not the agent's) every [tx_interval] (default 100 ms)
-      until {!stop}. Purely transmit-side: the relay never receives. *)
+      address, not the agent's) every 100 ms until {!stop}. Purely
+      transmit-side: the relay never receives. *)
 
   val stop : t -> unit
   val packets_sent : t -> int

@@ -507,39 +507,48 @@ module Framer = struct
   let buffered t = Buffer.length t.buf
   let buffered_bytes t = Buffer.contents t.buf
 
+  (* Frames are cut at a read offset; the consumed prefix is dropped once
+     per push, so a push of n frames copies the buffer once, not n times. *)
   let push t data =
     match t.poisoned with
     | Some e -> [ Error e ]
     | None ->
         Buffer.add_string t.buf data;
+        let avail = Buffer.length t.buf in
         let out = ref [] in
+        let pos = ref 0 in
         let continue = ref true in
-        while !continue && t.poisoned = None do
-          let avail = Buffer.length t.buf in
-          if avail < header_size then continue := false
+        while !continue do
+          if avail - !pos < header_size then continue := false
           else begin
-            let contents = Buffer.contents t.buf in
             let len =
-              (Char.code contents.[16] lsl 8) lor Char.code contents.[17]
+              (Char.code (Buffer.nth t.buf (!pos + 16)) lsl 8)
+              lor Char.code (Buffer.nth t.buf (!pos + 17))
             in
             if len < header_size || len > max_size then begin
               let e = if len > max_size then Too_long len else Bad_length len in
               t.poisoned <- Some e;
-              out := Error e :: !out
+              out := Error e :: !out;
+              continue := false
             end
-            else if avail < len then continue := false
+            else if avail - !pos < len then continue := false
             else begin
-              let frame = String.sub contents 0 len in
-              Buffer.clear t.buf;
-              Buffer.add_substring t.buf contents len (avail - len);
+              let frame = Buffer.sub t.buf !pos len in
+              pos := !pos + len;
               match decode ~as4:t.as4 frame with
               | Ok msg -> out := Ok (msg, frame) :: !out
               | Error e ->
                   t.poisoned <- Some e;
-                  out := Error e :: !out
+                  out := Error e :: !out;
+                  continue := false
             end
           end
         done;
+        if !pos > 0 then begin
+          let rest = Buffer.sub t.buf !pos (avail - !pos) in
+          Buffer.clear t.buf;
+          Buffer.add_string t.buf rest
+        end;
         List.rev !out
 end
 

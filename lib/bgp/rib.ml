@@ -406,24 +406,6 @@ let best_strings source_key t =
 
 let best_prefixes ?source_key t = Array.to_list (best_strings source_key t)
 
-(* FNV-1a over the sorted best-path prefix strings: a cheap
-   order-insensitive fingerprint for comparing two tables' coverage
-   (attributes deliberately excluded — AS paths legitimately differ
-   between the advertising and the learning side). *)
-let fnv_prime = 0x100000001b3L
-let fnv_mix h byte = Int64.mul (Int64.logxor h (Int64.of_int byte)) fnv_prime
-
-let rec fnv_string h s i =
-  if i >= String.length s then h
-  else fnv_string (fnv_mix h (Char.code (String.unsafe_get s i))) s (i + 1)
-
-let rec fnv_lines h lines i =
-  if i >= Array.length lines then h
-  else
-    fnv_lines
-      (fnv_mix (fnv_string h lines.(i) 0) (Char.code '\n'))
-      lines (i + 1)
-
 let hex_digits = "0123456789abcdef"
 
 (* [%016Lx] without the Printf machinery (h1 budget). *)
@@ -437,8 +419,28 @@ let hex16 v =
   done;
   Bytes.unsafe_to_string out
 
+(* FNV-1a over the sorted best-path prefix strings, one '\n' after each:
+   a cheap order-insensitive fingerprint for comparing two tables'
+   coverage (attributes deliberately excluded — AS paths legitimately
+   differ between the advertising and the learning side). The hash lives
+   in a local ref that never escapes, so ocamlopt keeps it unboxed and
+   the fold allocates nothing. *)
+let fnv_prime = 0x100000001b3L
+
 let digest ?source_key t =
-  hex16 (fnv_lines 0xcbf29ce484222325L (best_strings source_key t) 0)
+  let lines = best_strings source_key t in
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to Array.length lines - 1 do
+    let s = lines.(i) in
+    for j = 0 to String.length s - 1 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s j))))
+          fnv_prime
+    done;
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code '\n'))) fnv_prime
+  done;
+  hex16 !h
 
 (* Removes [key]'s paths (only its stale ones with [stale_only]) and
    reports the best-path changes in ascending prefix order. *)

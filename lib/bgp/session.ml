@@ -54,6 +54,8 @@ type config = {
   as4 : bool;
 }
 
+let default_hold_time = 90
+
 let default_config ~local_asn ~router_id ~peer_addr () =
   {
     local_asn;
@@ -61,7 +63,7 @@ let default_config ~local_asn ~router_id ~peer_addr () =
     local_addr = None;
     peer_addr;
     peer_asn = None;
-    hold_time = 90;
+    hold_time = default_hold_time;
     port = 179;
     passive = false;
     graceful_restart = Some 120;

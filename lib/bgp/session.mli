@@ -52,13 +52,18 @@ type config = {
   as4 : bool;
 }
 
+val default_hold_time : int
+(** 90 s, the hold time every speaker proposes unless configured
+    otherwise (RFC 4271 §10's suggested value). *)
+
 val default_config :
   local_asn:int ->
   router_id:Netsim.Addr.t ->
   peer_addr:Netsim.Addr.t ->
   unit ->
   config
-(** hold 90 s, port 179, active, GR advertised at 120 s, AS4 on. *)
+(** hold {!default_hold_time}, port 179, active, GR advertised at 120 s,
+    AS4 on. *)
 
 type t
 

@@ -23,6 +23,10 @@ let default_profile =
     update_packing = true;
   }
 
+(* The well-known BGP port (RFC 4271 §8.2.1): the speaker listens on it
+   and opens active sessions to it. *)
+let bgp_port = 179
+
 type t = {
   stk : Tcp.stack;
   eng : Engine.t;
@@ -30,7 +34,6 @@ type t = {
   rid : Netsim.Addr.t;
   profile : profile;
   hooks : hooks;
-  listen_port : int;
   vrf_tbl : (string, Rib.t) Hashtbl.t;
   mutable vrf_order : string list;
   mutable peer_list : peer list;
@@ -134,7 +137,7 @@ let default_peer_config ~vrf ~remote_addr () =
     local_addr = None;
     remote_asn = None;
     passive = false;
-    hold_time = 90;
+    hold_time = Session.default_hold_time;
     policy_in = Policy.empty;
     policy_out = Policy.empty;
     graceful_restart = Some 120;
@@ -560,7 +563,7 @@ and session_config t (pc : peer_config) =
     peer_addr = pc.remote_addr;
     peer_asn = pc.remote_asn;
     hold_time = pc.hold_time;
-    port = t.listen_port;
+    port = bgp_port;
     passive = pc.passive;
     graceful_restart = pc.graceful_restart;
     as4 = true;
@@ -678,8 +681,8 @@ let accept_incoming t conn =
           Tcp.abort conn
       | None -> Tcp.abort conn)
 
-let create ?(profile = default_profile) ?(hooks = no_hooks) ?(listen_port = 179)
-    ~stack ~local_asn ~router_id () =
+let create ?(profile = default_profile) ?(hooks = no_hooks) ~stack ~local_asn
+    ~router_id () =
   let t =
     {
       stk = stack;
@@ -688,7 +691,6 @@ let create ?(profile = default_profile) ?(hooks = no_hooks) ?(listen_port = 179)
       rid = router_id;
       profile;
       hooks;
-      listen_port;
       vrf_tbl = Hashtbl.create 8;
       vrf_order = [];
       peer_list = [];
@@ -700,7 +702,7 @@ let create ?(profile = default_profile) ?(hooks = no_hooks) ?(listen_port = 179)
       last_rx_apply = Time.zero;
     }
   in
-  Tcp.listen stack ~port:listen_port (fun conn -> accept_incoming t conn);
+  Tcp.listen stack ~port:bgp_port (fun conn -> accept_incoming t conn);
   t
 
 (* --- Local routes --------------------------------------------------------- *)

@@ -72,15 +72,14 @@ val no_hooks : hooks
 val create :
   ?profile:profile ->
   ?hooks:hooks ->
-  ?listen_port:int ->
   stack:Tcp.stack ->
   local_asn:int ->
   router_id:Netsim.Addr.t ->
   unit ->
   t
-(** The speaker starts listening on [listen_port] (default 179)
-    immediately; active sessions start per-peer via {!add_peer} +
-    {!start_peer} or {!start}. *)
+(** The speaker starts listening on port 179 immediately; active
+    sessions start per-peer via {!add_peer} + {!start_peer} or
+    {!start}. *)
 
 val stack : t -> Tcp.stack
 val engine : t -> Sim.Engine.t
@@ -116,7 +115,8 @@ type peer_config = {
 
 val default_peer_config :
   vrf:string -> remote_addr:Netsim.Addr.t -> unit -> peer_config
-(** Active, hold 90 s, empty policies, GR 120 s, reconnect after 5 s. *)
+(** Active, hold {!Session.default_hold_time}, empty policies, GR 120 s,
+    reconnect after 5 s. *)
 
 val add_peer : t -> peer_config -> peer
 (** Registers the peer (and its VRF if new). Does not connect yet. *)

@@ -440,7 +440,7 @@ let of_string line =
 (* A bare fault-token list (the [faults=] payload alone), validated
    under the same rules as a full descriptor — the fleet CLI's
    [--campaign] argument. *)
-let faults_of_string ?window_ms s =
+let faults_of_string s =
   let ( let* ) = Result.bind in
   let* faults =
     match String.trim s with
@@ -455,25 +455,22 @@ let faults_of_string ?window_ms s =
              (Ok [])
         |> Result.map List.rev
   in
+  (* Wide enough for every token: outage windows count their end. *)
   let window_ms =
-    match window_ms with
-    | Some w -> w
-    | None ->
-        (* Wide enough for every token: outage windows count their end. *)
-        List.fold_left
-          (fun acc f ->
-            let e =
-              match f with
-              | Store_crash { at_ms; dur_ms }
-              | Store_partition { at_ms; dur_ms }
-              | Region_store_outage { at_ms; dur_ms }
-              | Flap { at_ms; dur_ms; _ }
-              | Loss { at_ms; dur_ms; _ } ->
-                  at_ms + dur_ms
-              | f -> fault_at f
-            in
-            max acc e)
-          1000 faults
+    List.fold_left
+      (fun acc f ->
+        let e =
+          match f with
+          | Store_crash { at_ms; dur_ms }
+          | Store_partition { at_ms; dur_ms }
+          | Region_store_outage { at_ms; dur_ms }
+          | Flap { at_ms; dur_ms; _ }
+          | Loss { at_ms; dur_ms; _ } ->
+              at_ms + dur_ms
+          | f -> fault_at f
+        in
+        max acc e)
+      1000 faults
   in
   let probe =
     {

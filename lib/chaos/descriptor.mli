@@ -103,12 +103,12 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
-val faults_of_string : ?window_ms:int -> string -> (fault list, string) result
+val faults_of_string : string -> (fault list, string) result
 (** Parses a bare comma-separated fault-token list (the [faults=]
     payload alone — what [tensor-cli fleet --campaign] takes) and
-    validates it under the same structural rules as a full descriptor.
-    [window_ms] bounds fault times; when omitted it is sized to admit
-    every parsed token. [""] and ["-"] are the empty schedule. *)
+    validates it under the same structural rules as a full descriptor,
+    in a fault window sized to admit every parsed token. [""] and ["-"]
+    are the empty schedule. *)
 
 val equal : t -> t -> bool
 

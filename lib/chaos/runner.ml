@@ -42,7 +42,7 @@ let has_permanent_store_crash (d : Descriptor.t) =
    inside the peer's 90 s hold timer even when the blocked write is a
    keepalive at the 30 s mark (30 + 13.5 < 90). *)
 let degrade_frac = 0.15
-let hold_time_s = 90.
+let hold_time_s = float_of_int Bgp.Session.default_hold_time
 
 let disabled_checkers (d : Descriptor.t) =
   let has p = List.exists p d.Descriptor.faults in

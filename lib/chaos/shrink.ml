@@ -62,14 +62,14 @@ let reductions : (Descriptor.t -> Descriptor.t option) list =
       else None);
   ]
 
-let minimize ?(max_runs = 48) ?(failing = fun o -> not (Runner.ok o)) d0 =
+let minimize ?(max_runs = 48) d0 =
   let runs = ref 0 in
   let attempt d =
     if !runs >= max_runs then None
     else begin
       incr runs;
       let o = Runner.run d in
-      if failing o then Some o else None
+      if Runner.ok o then None else Some o
     end
   in
   match attempt d0 with

@@ -1,10 +1,10 @@
 (** Greedy minimization of failing descriptors.
 
-    Given a descriptor whose run fails (violations, errors, or a
-    caller-supplied predicate), [minimize] searches for a smaller
-    descriptor that still fails: first ddmin-style removal of fault
-    chunks and single faults, then topology/workload reduction (fewer
-    peers, fewer prefixes, no churn). Every candidate is re-executed, so
+    Given a descriptor whose run fails (violations or errors),
+    [minimize] searches for a smaller descriptor that still fails:
+    first ddmin-style removal of fault chunks and single faults, then
+    topology/workload reduction (fewer peers, fewer prefixes, no
+    churn). Every candidate is re-executed, so
     the result is a verified minimal repro, ready to be committed to the
     corpus as one line. *)
 
@@ -17,10 +17,8 @@ type result = {
 
 val minimize :
   ?max_runs:int ->
-  ?failing:(Runner.outcome -> bool) ->
   Descriptor.t ->
   result option
-(** [minimize d] re-runs [d] first; returns [None] if it does not fail
-    (nothing to shrink). [failing] defaults to [fun o -> not (Runner.ok
-    o)]; [max_runs] (default 48) bounds the total number of candidate
-    executions, original check included. *)
+(** [minimize d] re-runs [d] first; returns [None] if it passes
+    ({!Runner.ok}: nothing to shrink). [max_runs] (default 48) bounds the
+    total number of candidate executions, original check included. *)

@@ -21,7 +21,7 @@ let instance_vip i =
    hold time: 4.5 s, small enough that a multi-second regional store
    outage demonstrably sheds and re-arms within one campaign. *)
 let degrade_frac = 0.05
-let hold_time_s = 90.
+let hold_time_s = float_of_int Bgp.Session.default_hold_time
 let ack_deadline_s = degrade_frac *. hold_time_s
 
 let normalize_instances n = if n <= 0 then replicas else (n + 1) / 2 * 2
@@ -157,25 +157,27 @@ let build ?(seed = 42) ?ctrl_config ~hosts ~regions:nr ~instances:n () =
             ());
   t
 
-let seed_routes ?(peer_prefixes = 2) ?(svc_prefixes = 2) t =
+(* Two disjoint prefixes per peer AS and per instance: enough to check
+   convergence, small enough to keep fleet set-up cheap. *)
+let seed_routes t =
   Array.iteri
     (fun i inst ->
       Bgp.Speaker.originate inst.peer.Deploy.pa_speaker ~vrf
         (Workload.Prefixes.distinct_from
            ~base:(1_000_000 + (1_000 * i))
-           peer_prefixes);
+           2);
       match App.speaker (Deploy.service_app inst.svc) with
       | Some spk ->
           Bgp.Speaker.originate spk ~vrf
             (Workload.Prefixes.distinct_from
              ~base:(5_000_000 + (1_000 * i))
-             svc_prefixes)
+             2)
       | None -> ())
     t.instances
 
-let wait_all_established ?(timeout = Time.sec 120) t =
+let wait_all_established t =
   let eng = t.dep.Deploy.eng in
-  let deadline = Time.add (Engine.now eng) timeout in
+  let deadline = Time.add (Engine.now eng) (Time.sec 120) in
   let ok () =
     Array.for_all
       (fun inst -> App.session_established (Deploy.service_app inst.svc) ~vrf)

@@ -39,7 +39,6 @@ val ack_deadline_s : float
     regional store outage. *)
 
 val degrade_frac : float
-val hold_time_s : float
 
 type instance = {
   id : string;  (** ["s007.1"] — also the Deploy/controller service id. *)
@@ -81,13 +80,13 @@ val build :
 val instance_host : instance -> string
 (** Host name of the instance's current primary container. *)
 
-val seed_routes : ?peer_prefixes:int -> ?svc_prefixes:int -> t -> unit
-(** Originates disjoint prefixes at every peer AS and every instance
-    (defaults: 2 each). *)
+val seed_routes : t -> unit
+(** Originates two disjoint prefixes at every peer AS and every
+    instance. *)
 
-val wait_all_established : ?timeout:Sim.Time.span -> t -> bool
+val wait_all_established : t -> bool
 (** Runs the engine until every instance's session is Established
-    (default timeout 120 s of simulated time). *)
+    (false after 120 s of simulated time). *)
 
 val probe_period : Sim.Time.span
 

@@ -18,7 +18,6 @@ type t = {
   mutable completed : int;
   mutable cheated : bool;  (* exceed_wave_bound fired already *)
   mutable retry_armed : bool;
-  on_complete : unit -> unit;
 }
 
 let inflight t = t.inflight
@@ -86,7 +85,7 @@ let rec pump t =
                      wave;
                      container = Orch.Container.id cont;
                    });
-              if finished t then t.on_complete () else pump t)
+              if not (finished t) then pump t)
             inst.Topology.svc;
           pump t
     end
@@ -102,7 +101,7 @@ and arm_retry t eng =
            pump t))
   end
 
-let start ?(on_complete = fun () -> ()) topo ~bound =
+let start topo ~bound =
   let bound = max 1 bound in
   let t =
     {
@@ -115,7 +114,6 @@ let start ?(on_complete = fun () -> ()) topo ~bound =
       completed = 0;
       cheated = false;
       retry_armed = false;
-      on_complete;
     }
   in
   pump t;

@@ -13,10 +13,9 @@
 
 type t
 
-val start : ?on_complete:(unit -> unit) -> Topology.t -> bound:int -> t
+val start : Topology.t -> bound:int -> t
 (** Starts the wave over every instance, in instance order ([bound] is
-    clamped to at least 1). [on_complete] fires when the last drain's
-    replacement is back under controller monitoring. *)
+    clamped to at least 1). *)
 
 val inflight : t -> int
 val completed : t -> int

@@ -86,25 +86,20 @@ let slos_of_spans ?(budgets = default_budgets) () =
 (* Critical-path section: only meaningful when the causal recorder is
    attached for the run. A detached recorder keeps an earlier run's DAG
    readable, and that DAG must not be read against this run's spans.
-   Without [?root_span] the recovery roots are tried in order; scenarios
-   without any of them just omit the section. *)
-let critical_path_of_run ?root_span () =
+   The recovery roots are tried in order; scenarios without any of them
+   just omit the section. *)
+let critical_path_of_run () =
   if Causal.Recorder.node_count () = 0 || not (Causal.Recorder.enabled ())
   then None
   else
-    let candidates =
-      match root_span with
-      | Some name -> [ name ]
-      | None -> [ "failover"; "planned_migration" ]
-    in
     List.find_map
       (fun name ->
         match Causal.Critical.of_span ~name () with
         | Ok cp -> Some cp
         | Error _ -> None)
-      candidates
+      [ "failover"; "planned_migration" ]
 
-let make ?budgets ?engine ?root_span ~scenario checker =
+let make ?budgets ?engine ~scenario checker =
   let checkers = Checker.finalize checker in
   {
     scenario;
@@ -114,7 +109,7 @@ let make ?budgets ?engine ?root_span ~scenario checker =
     queue_drops = Checker.queue_drop_events checker;
     bus_dropped = Telemetry.Bus.dropped_total ();
     engine;
-    critical_path = critical_path_of_run ?root_span ();
+    critical_path = critical_path_of_run ();
     faults = Faults.active ();
   }
 

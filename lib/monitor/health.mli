@@ -46,8 +46,8 @@ type report = {
   critical_path : Causal.Critical.t option;
       (** Recovery critical path, present when the causal recorder
           ([Causal.Recorder]) is attached as the report is cut and a
-          recovery root span (["failover"], else ["planned_migration"],
-          or the [?root_span] given to {!make}) finished.
+          recovery root span (["failover"], else ["planned_migration"])
+          finished.
           Informational: never affects {!ok}. *)
   faults : string list;  (** Seeded faults active when the report was cut. *)
 }
@@ -59,15 +59,12 @@ val default_budgets : (string * float) list
 val make :
   ?budgets:(string * float) list ->
   ?engine:engine_cost ->
-  ?root_span:string ->
   scenario:string ->
   Checker.t ->
   report
 (** Finalizes the checker set (see {!Checker.finalize}) and evaluates
     the budgets against the current span table. [engine] attaches the
-    engine-cost section; bus drops are read from the live bus;
-    [root_span] names the span to extract the critical path from
-    (default: try ["failover"], then ["planned_migration"]). *)
+    engine-cost section; bus drops are read from the live bus. *)
 
 val ok : report -> bool
 (** No violations, every evaluated SLO within budget, and zero telemetry

@@ -12,12 +12,13 @@ type retry = {
   jitter : float;
 }
 
-let retry_policy ?(attempts = 3) ?(base_backoff = Time.ms 50)
-    ?(max_backoff = Time.sec 2) ?(jitter = 0.2) () =
-  if attempts < 1 then invalid_arg "Rpc.retry_policy: attempts must be >= 1";
-  if jitter < 0. || jitter >= 1. then
-    invalid_arg "Rpc.retry_policy: jitter must be in [0, 1)";
-  { attempts; base_backoff; max_backoff; jitter }
+let retry_policy =
+  {
+    attempts = 3;
+    base_backoff = Time.ms 50;
+    max_backoff = Time.sec 2;
+    jitter = 0.2;
+  }
 
 type Packet.payload +=
   | Request of { call_id : int; service : string; body : body }
@@ -145,8 +146,7 @@ let backoff_span ep (r : retry) ~failed =
       (Time.to_sec_f r.max_backoff)
   in
   let factor =
-    if r.jitter <= 0. then 1.0
-    else 1.0 +. (r.jitter *. ((2.0 *. Rng.float (retry_rng ep) 1.0) -. 1.0))
+    1.0 +. (r.jitter *. ((2.0 *. Rng.float (retry_rng ep) 1.0) -. 1.0))
   in
   Time.of_sec_f (capped *. factor)
 

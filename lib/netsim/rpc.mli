@@ -37,15 +37,9 @@ type retry = private {
   jitter : float;  (** Fractional perturbation in [\[0, 1)]. *)
 }
 
-val retry_policy :
-  ?attempts:int ->
-  ?base_backoff:Sim.Time.span ->
-  ?max_backoff:Sim.Time.span ->
-  ?jitter:float ->
-  unit ->
-  retry
-(** Defaults: 3 attempts, 50 ms base backoff doubling per failure,
-    capped at 2 s, ±20% jitter. *)
+val retry_policy : retry
+(** 3 attempts, 50 ms base backoff doubling per failure, capped at 2 s,
+    ±20% jitter. *)
 
 val endpoint : Node.t -> endpoint
 (** The node's RPC endpoint, created on first use (idempotent per node). *)

@@ -9,6 +9,11 @@ type Rpc.body +=
   | Host_fence
   | Host_ack
 
+(* A host that hears no controller heartbeat for [lease] fences itself;
+   a container boots in [container_boot] unless told otherwise. *)
+let lease = Time.sec 3
+let container_boot = Time.sec 1
+
 type t = {
   hname : string;
   hnet : Network.t;
@@ -16,8 +21,6 @@ type t = {
   fabric : Node.t;
   link : Link.t;
   haddr : Addr.t;
-  container_boot : Time.span;
-  lease : Time.span;
   eng : Engine.t;
   mutable cts : Container.t list;
   mutable fenced : bool;
@@ -83,14 +86,13 @@ let watch_lease t =
          match t.last_hb with
          | Some hb
            when t.up && (not t.fenced)
-                && Time.diff (Engine.now t.eng) hb > t.lease ->
+                && Time.diff (Engine.now t.eng) hb > lease ->
              (* Lost the controller: assume we are the partitioned side
                 and fence ourselves before the controller migrates. *)
              fence t
          | _ -> ()))
 
-let create net ~fabric ?(boot_span = Time.sec 1) ?(lease_timeout = Time.sec 3)
-    hname =
+let create net ~fabric hname =
   let hnode = Network.add_node net ~forwarding:true hname in
   let fabric_node = fabric in
   let link, haddr, fabric_addr =
@@ -107,8 +109,6 @@ let create net ~fabric ?(boot_span = Time.sec 1) ?(lease_timeout = Time.sec 3)
       fabric = fabric_node;
       link;
       haddr;
-      container_boot = boot_span;
-      lease = lease_timeout;
       eng = Network.engine net;
       cts = [];
       fenced = false;
@@ -152,7 +152,7 @@ let create_container t ?boot_span id =
   let c =
     Container.internal_make ~id ~host_name:t.hname ~node:cnode
       ~veth_addr:cont_side ~host_route
-      ~boot_span:(match boot_span with Some b -> b | None -> t.container_boot)
+      ~boot_span:(Option.value boot_span ~default:container_boot)
   in
   t.cts <- c :: t.cts;
   c

@@ -30,13 +30,11 @@ type t
 val create :
   Netsim.Network.t ->
   fabric:Netsim.Node.t ->
-  ?boot_span:Sim.Time.span ->
-  ?lease_timeout:Sim.Time.span ->
   string ->
   t
 (** [create net ~fabric name] creates the host, joins it to the fabric
-    node, and starts the lease watchdog ([lease_timeout] default 3 s;
-    container [boot_span] default 1 s). *)
+    node, and starts the lease watchdog: a host that hears no controller
+    heartbeat for 3 s fences itself. *)
 
 val name : t -> string
 val node : t -> Netsim.Node.t
@@ -47,8 +45,9 @@ val uplink : t -> Netsim.Link.t
 
 val create_container :
   t -> ?boot_span:Sim.Time.span -> string -> Container.t
-(** Creates (but does not boot) a container with its vEth pair. The
-    container id must be unique on the host. *)
+(** Creates (but does not boot) a container with its vEth pair; it boots
+    in [boot_span] (default 1 s). The container id must be unique on the
+    host. *)
 
 val containers : t -> Container.t list
 val find_container : t -> string -> Container.t option

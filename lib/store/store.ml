@@ -368,7 +368,7 @@ module Client = struct
     | None, None -> { ep; server; resilient = None }
     | _ ->
         let retry =
-          match retry with Some r -> r | None -> Rpc.retry_policy ()
+          match retry with Some r -> r | None -> Rpc.retry_policy
         in
         (* The idempotency-id namespace: unique per node within a run,
            deterministic across replays (the endpoint's counter dies

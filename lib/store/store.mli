@@ -107,7 +107,7 @@ module Client : sig
       ops are serialized (one outstanding at a time, preserving
       per-client FIFO order across retransmissions), tagged with an
       idempotency id the server deduplicates on, retried through the
-      policy ([Rpc.retry_policy ()] if only [?replica] was given), and —
+      policy ([Rpc.retry_policy] if only [?replica] was given), and —
       once the budget is exhausted on the primary — failed over to
       [replica] permanently (emitting [Store_failover]). Ops that fail
       on both targets yield [`Timeout]; later ops re-try the promoted

@@ -15,6 +15,12 @@ let m_repair_export = Telemetry.Registry.counter "tcp.repair_exports"
 let m_repair_import = Telemetry.Registry.counter "tcp.repair_imports"
 let m_rtt = Telemetry.Registry.histogram "tcp.rtt_s"
 
+(* Retransmission timer bounds (RFC 6298 with Linux's 200 ms floor) and
+   the retries before a connection times out. *)
+let min_rto = Time.ms 200
+let max_rto = Time.sec 60
+let max_retries = 8
+
 type state =
   | Syn_sent
   | Syn_received
@@ -55,9 +61,6 @@ type stack = {
   proc_cost : Time.span;
   proc_cost_per_kb : Time.span;
   hook_cost : Time.span;
-  min_rto : Time.span;
-  max_rto : Time.span;
-  max_retries : int;
   mutable busy_until : Time.t;
   mutable next_port : int;
   mutable frozen : bool;
@@ -193,7 +196,7 @@ let update_rtt c sample_s =
     c.srtt_v <- (0.875 *. c.srtt_v) +. (0.125 *. sample_s)
   end;
   let rto = Time.of_sec_f (c.srtt_v +. (4.0 *. c.rttvar)) in
-  c.rto <- max c.stack.min_rto (min c.stack.max_rto rto)
+  c.rto <- max min_rto (min max_rto rto)
 
 let teardown c reason =
   if c.st <> Closed then begin
@@ -232,7 +235,7 @@ let retransmit_head c =
   end
 
 let effective_rto c =
-  min c.stack.max_rto (c.rto * (1 lsl min 8 c.backoff))
+  min max_rto (c.rto * (1 lsl min 8 c.backoff))
 
 let rec arm_rto c =
   cancel_rto c;
@@ -259,7 +262,7 @@ and handle_rto c =
   | Closed -> ()
   | Syn_sent ->
       c.retries <- c.retries + 1;
-      if c.retries > c.stack.max_retries then teardown c Timed_out
+      if c.retries > max_retries then teardown c Timed_out
       else begin
         c.backoff <- c.backoff + 1;
         send_seg c ~flags:Segment.flag_syn ~seq:c.iss_v ();
@@ -267,7 +270,7 @@ and handle_rto c =
       end
   | Syn_received ->
       c.retries <- c.retries + 1;
-      if c.retries > c.stack.max_retries then teardown c Timed_out
+      if c.retries > max_retries then teardown c Timed_out
       else begin
         c.backoff <- c.backoff + 1;
         send_seg c ~flags:Segment.flag_synack ~seq:c.iss_v ();
@@ -276,7 +279,7 @@ and handle_rto c =
   | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Last_ack ->
       if c.snd_una_v < c.snd_nxt_v then begin
         c.retries <- c.retries + 1;
-        if c.retries > c.stack.max_retries then teardown c Timed_out
+        if c.retries > max_retries then teardown c Timed_out
         else begin
           Congestion.on_rto c.cc;
           c.backoff <- c.backoff + 1;
@@ -543,7 +546,7 @@ let make_conn stack quad ~mss ~rcv_wnd ~iss ~state =
     delivered = 0;
     srtt_v = 0.0;
     rttvar = 0.0;
-    rto = stack.min_rto;
+    rto = min_rto;
     backoff = 0;
     rto_recover = None;
     rtt_sampling = false;
@@ -609,8 +612,7 @@ let process_incoming stack pkt (seg : Segment.t) =
         send_rst stack ~src:pkt.Packet.dst ~dst:pkt.Packet.src seg)
 
 let create_stack ?(proc_cost = Time.us 2) ?(proc_cost_per_kb = 0)
-    ?(hook_cost = Time.ns 500) ?(min_rto = Time.ms 200)
-    ?(max_rto = Time.sec 60) ?(max_retries = 8) node =
+    ?(hook_cost = Time.ns 500) node =
   let eng = Node.engine node in
   let stack =
     {
@@ -622,9 +624,6 @@ let create_stack ?(proc_cost = Time.us 2) ?(proc_cost_per_kb = 0)
       proc_cost;
       proc_cost_per_kb;
       hook_cost;
-      min_rto;
-      max_rto;
-      max_retries;
       busy_until = Time.zero;
       next_port = 49152;
       frozen = false;
@@ -661,9 +660,9 @@ let alloc_port stack =
   stack.next_port <- stack.next_port + 1;
   p
 
-let connect stack ?src ?src_port ?(mss = default_mss)
-    ?(rcv_wnd = default_rcv_wnd) ~dst ~dst_port () =
-  let src_port = match src_port with Some p -> p | None -> alloc_port stack in
+let connect stack ?src ?(mss = default_mss) ?(rcv_wnd = default_rcv_wnd) ~dst
+    ~dst_port () =
+  let src_port = alloc_port stack in
   let local_addr =
     match src with
     | Some a ->

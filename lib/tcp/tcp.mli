@@ -50,18 +50,15 @@ val create_stack :
   ?proc_cost:Sim.Time.span ->
   ?proc_cost_per_kb:Sim.Time.span ->
   ?hook_cost:Sim.Time.span ->
-  ?min_rto:Sim.Time.span ->
-  ?max_rto:Sim.Time.span ->
-  ?max_retries:int ->
   Netsim.Node.t ->
   stack
 (** [create_stack node] attaches a TCP stack to [node]. [proc_cost] is
     the CPU time consumed per segment sent or received (default 2 µs,
     i.e. 500k segments/s); [proc_cost_per_kb] adds a payload-size
     component (default 0 — endpoints are packet-rate-limited, with a
-    byte-rate term available for experiments such as Figure 5(a));
-    [min_rto] defaults to 200 ms, [max_rto] to 60 s, [max_retries]
-    to 8. *)
+    byte-rate term available for experiments such as Figure 5(a)).
+    The RTO stays between 200 ms and 60 s, and a connection times out
+    after 8 retries. *)
 
 val stack_node : stack -> Netsim.Node.t
 val stack_engine : stack -> Sim.Engine.t
@@ -90,7 +87,6 @@ val unlisten : stack -> port:int -> unit
 val connect :
   stack ->
   ?src:Netsim.Addr.t ->
-  ?src_port:int ->
   ?mss:int ->
   ?rcv_wnd:int ->
   dst:Netsim.Addr.t ->

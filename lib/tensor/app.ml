@@ -12,8 +12,6 @@ type vrf_spec = {
   peer_asn : int option;
   passive : bool;
   run_bfd : bool;
-  policy_in : Bgp.Policy.t;
-  policy_out : Bgp.Policy.t;
   ibgp_peers : (Addr.t * bool) list;
 }
 
@@ -26,8 +24,6 @@ let vrf_spec ~vrf ~vip ~peer_addr ?peer_asn ?(passive = false)
     peer_asn;
     passive;
     run_bfd;
-    policy_in = Bgp.Policy.empty;
-    policy_out = Bgp.Policy.empty;
     ibgp_peers;
   }
 
@@ -38,19 +34,15 @@ type config = {
   store_retry : bool;
   controller_addr : Addr.t option;
   local_asn : int;
-  hold_time : int;
   degrade_frac : float;
   vrfs : vrf_spec list;
-  profile : Bgp.Speaker.profile;
   replicate : bool;
   ack_hold : bool;
-  tcp_restore_cost : Time.span;
 }
 
 let config ~service_id ~store_addr ?store_replica ?(store_retry = false)
-    ?controller_addr ~local_asn ?(hold_time = 90) ?(degrade_frac = 0.)
-    ?(profile = Baseline.tensor) ?(replicate = true) ?(ack_hold = true)
-    ?(tcp_restore_cost = Time.sec 1) vrfs =
+    ?controller_addr ~local_asn ?(degrade_frac = 0.) ?(replicate = true)
+    ?(ack_hold = true) vrfs =
   if degrade_frac < 0. || degrade_frac >= 1. then
     invalid_arg "App.config: degrade_frac must be in [0, 1)";
   {
@@ -60,16 +52,20 @@ let config ~service_id ~store_addr ?store_replica ?(store_retry = false)
     store_retry;
     controller_addr;
     local_asn;
-    hold_time;
     degrade_frac;
     vrfs;
-    profile;
     replicate;
     ack_hold;
-    tcp_restore_cost;
   }
 
 type mode = Fresh | Recover
+
+(* Modelled cost of loading the replicated TCP state back into a kernel
+   socket (TCP_REPAIR writes, NFQUEUE re-priming) plus the verification
+   probe. Our userspace stack resumes instantly, so this constant carries
+   the ~1 s "TCP recovery" phase Table 1 reports for the production
+   system. *)
+let tcp_restore_cost = Time.sec 1
 
 type per_vrf = {
   spec : vrf_spec;
@@ -532,9 +528,6 @@ let bootstrap_fresh t spk stack =
           Bgp.Speaker.remote_asn = spec.peer_asn;
           local_addr = Some spec.vip;
           passive = spec.passive;
-          hold_time = t.cfg.hold_time;
-          policy_in = spec.policy_in;
-          policy_out = spec.policy_out;
         }
       in
       let peer = Bgp.Speaker.add_peer spk pc in
@@ -557,7 +550,6 @@ let bootstrap_fresh t spk stack =
                  Bgp.Speaker.remote_asn = Some t.cfg.local_asn;
                  local_addr = Some spec.vip;
                  passive;
-                 hold_time = t.cfg.hold_time;
                }))
         spec.ibgp_peers;
       start_bfd t pv ())
@@ -680,9 +672,6 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
           with
           Bgp.Speaker.remote_asn = Some peer_open.Bgp.Msg.asn;
           local_addr = Some spec.vip;
-          hold_time = t.cfg.hold_time;
-          policy_in = spec.policy_in;
-          policy_out = spec.policy_out;
         }
       in
       (* A valid replicated fragment is exactly the gap between the last
@@ -741,7 +730,7 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
          peer re-synchronize. *)
       ignore
         (Engine.schedule_after (engine t) ~label:"app.tcp_restore"
-           t.cfg.tcp_restore_cost (fun () ->
+           tcp_restore_cost (fun () ->
              if not t.crashed then begin
                (match Bgp.Speaker.peer_session peer with
                | Some s when Bgp.Session.state s = Bgp.Session.Established ->
@@ -958,7 +947,7 @@ let bootstrap t () =
     | replica, _ ->
         (* Resilient mode: idempotent, retried, failing over to the
            replica once the primary's budget is exhausted. *)
-        Store.Client.create ?replica ~retry:(Rpc.retry_policy ()) node
+        Store.Client.create ?replica ~retry:Rpc.retry_policy node
           ~server:t.cfg.store_addr
   in
   t.stack <- Some stack;
@@ -992,7 +981,7 @@ let bootstrap t () =
     | [] -> invalid_arg "Tensor app: no VRFs configured"
   in
   let spk =
-    Bgp.Speaker.create ~profile:t.cfg.profile ~hooks:(hooks_for t) ~stack
+    Bgp.Speaker.create ~profile:Baseline.tensor ~hooks:(hooks_for t) ~stack
       ~local_asn:t.cfg.local_asn ~router_id ()
   in
   t.spk <- Some spk;

@@ -16,7 +16,10 @@
       watermark, outbound records, unapplied messages, routing-table
       checkpoint, BFD discriminators); the TCP connection and BGP session
       are resumed without any wire handshake; unapplied updates are
-      replayed; BFD resumes Up with the replicated discriminators. *)
+      replayed; BFD resumes Up with the replicated discriminators. A
+      modelled 1 s restore (TCP_REPAIR writes and the verification probe
+      of the production system) precedes the first post-recovery
+      KEEPALIVE. *)
 
 type vrf_spec = {
   vrf : string;
@@ -25,8 +28,6 @@ type vrf_spec = {
   peer_asn : int option;
   passive : bool;
   run_bfd : bool;
-  policy_in : Bgp.Policy.t;
-  policy_out : Bgp.Policy.t;
   ibgp_peers : (Netsim.Addr.t * bool) list;
       (** Additional iBGP sessions in this VRF — [(address, passive)].
           This is how a {e joint BGP container} (§3.2.4) synchronizes
@@ -46,7 +47,8 @@ val vrf_spec :
   ?ibgp_peers:(Netsim.Addr.t * bool) list ->
   unit ->
   vrf_spec
-(** Defaults: active opener, BFD on, empty policies, no iBGP peers. *)
+(** Defaults: active opener, BFD on, no iBGP peers. Sessions run
+    without routing policy. *)
 
 type config = {
   service_id : string;
@@ -59,7 +61,6 @@ type config = {
           client out of the plain one-attempt mode. *)
   controller_addr : Netsim.Addr.t option;
   local_asn : int;
-  hold_time : int;
   degrade_frac : float;
       (** Degraded-store survival: fraction of the {e negotiated} hold
           time after which unachievable durability (a held ACK or a
@@ -71,15 +72,8 @@ type config = {
           the app re-arms NSR under a fresh epoch, audits Adj-RIB-Out
           via the resync path and rewrites the rib| checkpoint. *)
   vrfs : vrf_spec list;
-  profile : Bgp.Speaker.profile;
   replicate : bool;  (** Ablation: disable replication entirely. *)
   ack_hold : bool;  (** Ablation: replicate but never delay ACKs. *)
-  tcp_restore_cost : Sim.Time.span;
-      (** Modelled cost of loading the replicated TCP state back into a
-          kernel socket (TCP_REPAIR writes, NFQUEUE re-priming) plus the
-          verification probe — our userspace stack resumes instantly, so
-          this constant carries the ~1 s "TCP recovery" phase Table 1
-          reports for the production system. *)
 }
 
 val config :
@@ -89,12 +83,9 @@ val config :
   ?store_retry:bool ->
   ?controller_addr:Netsim.Addr.t ->
   local_asn:int ->
-  ?hold_time:int ->
   ?degrade_frac:float ->
-  ?profile:Bgp.Speaker.profile ->
   ?replicate:bool ->
   ?ack_hold:bool ->
-  ?tcp_restore_cost:Sim.Time.span ->
   vrf_spec list ->
   config
 (** Raises [Invalid_argument] unless [degrade_frac] is in [\[0, 1)]. *)

@@ -19,7 +19,7 @@ let scenarios = [ "failover"; "planned"; "split-brain"; "degraded" ]
    the checker config so [degraded_mode_exclusion] verifies the same
    bound the replicator promised. *)
 let degrade_frac = 0.1
-let hold_time_s = 90.
+let hold_time_s = float_of_int Bgp.Session.default_hold_time
 
 let kind_name k = Format.asprintf "%a" Orch.Controller.pp_failure_kind k
 

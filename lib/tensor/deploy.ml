@@ -1,6 +1,11 @@
 open Sim
 open Netsim
 
+(* A host-level failure cold-starts the backup: image distribution and
+   scheduling on a non-preheated host. App and container failures boot it
+   in the host's warm container boot (1 s). *)
+let cold_boot = Time.of_ms_f 4400.
+
 type t = {
   eng : Engine.t;
   net : Network.t;
@@ -11,8 +16,6 @@ type t = {
   store_server : Store.Server.t;
   store_addr : Addr.t;
   store_replica_server : Store.Server.t option;
-  warm_boot : Time.span;
-  cold_boot : Time.span;
   mutable picker :
     (service_id:string -> avoid:string list -> Orch.Host.t option) option;
 }
@@ -29,8 +32,6 @@ type service = {
   dep : t;
   sid : string;
   scfg : App.config;
-  warm_boot : Time.span;
-  cold_boot : Time.span;
   backup_mode : [ `Cold | `Preheat ];
   mutable backup_host : int;
   mutable primary : Orch.Container.t;
@@ -110,7 +111,7 @@ let provision_standby t svc =
   | None -> () (* no healthy host: skip preheating, migrate defers later *)
   | Some host ->
       let cont =
-        Orch.Host.create_container host ~boot_span:svc.warm_boot
+        Orch.Host.create_container host
           (Printf.sprintf "%s-standby%d" svc.sid svc.generation)
       in
       Orch.Container.boot cont;
@@ -121,9 +122,8 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
   let boot_span =
     match reason with
     | Orch.Controller.Host_failure | Orch.Controller.Host_network_failure ->
-        svc.cold_boot
-    | Orch.Controller.App_failure | Orch.Controller.Container_failure ->
-        svc.warm_boot
+        Some cold_boot
+    | Orch.Controller.App_failure | Orch.Controller.Container_failure -> None
   in
   (* Fence the old instance (TKE kill): for app failures the container is
      alive but its process is dead; make sure it cannot speak again.
@@ -195,7 +195,7 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
           match choose_host t svc ~avoid:[ failed_host ] with
           | Some host ->
               continue_with
-                (Orch.Host.create_container host ~boot_span
+                (Orch.Host.create_container host ?boot_span
                    (Printf.sprintf "%s-g%d" svc.sid svc.generation))
           | None ->
               if Telemetry.Gate.on () then
@@ -210,16 +210,14 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
 
 (* --- Build --------------------------------------------------------------------- *)
 
-let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
-    ?(cold_boot = Time.of_ms_f 4400.) ?store_cost
-    ?(store_delay = Time.us 100) ?(store_replica = false) ?ctrl_config () =
+let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
+    ?(store_replica = false) ?ctrl_config () =
   let eng = Engine.create ~seed () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
   let host_arr =
     Array.init hosts (fun i ->
-        Orch.Host.create net ~fabric ~boot_span:warm_boot
-          (Printf.sprintf "host%d" i))
+        Orch.Host.create net ~fabric (Printf.sprintf "host%d" i))
   in
   let agent = Orch.Agent.create net ~fabric "agent" in
   let ctrl =
@@ -234,7 +232,7 @@ let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
     Network.connect net ~delay:store_delay fabric store_node
   in
   Node.add_route store_node (Addr.prefix_of_string "0.0.0.0/0") fabric_side;
-  let store_server = Store.Server.create ?cost:store_cost store_node in
+  let store_server = Store.Server.create store_node in
   (* The store's own fault tolerance: a synchronous replica on a second
      server (the paper treats store+primary double failures as out of
      scope, §4.1). *)
@@ -246,7 +244,7 @@ let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
       in
       Node.add_route replica_node (Addr.prefix_of_string "0.0.0.0/0")
         rep_fabric_side;
-      let replica = Store.Server.create ?cost:store_cost replica_node in
+      let replica = Store.Server.create replica_node in
       Store.Server.attach_replica store_server replica;
       Some replica
     end
@@ -263,8 +261,6 @@ let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
       store_server;
       store_addr = Store.Server.addr store_server;
       store_replica_server;
-      warm_boot;
-      cold_boot;
       picker = None;
     }
   in
@@ -276,8 +272,7 @@ let build ?(seed = 42) ?(hosts = 3) ?(warm_boot = Time.sec 1)
 
 (* --- Peers ----------------------------------------------------------------------- *)
 
-let add_peer_as t ?(profile = Baseline.frr) ?(link_delay = Time.us 200) ~asn
-    name =
+let add_peer_as t ?(link_delay = Time.us 200) ~asn name =
   let node = Network.add_node t.net name in
   let _, fabric_side, peer_side =
     Network.connect t.net ~delay:link_delay t.fabric node
@@ -285,7 +280,8 @@ let add_peer_as t ?(profile = Baseline.frr) ?(link_delay = Time.us 200) ~asn
   Node.add_route node (Addr.prefix_of_string "0.0.0.0/0") fabric_side;
   let stack = Tcp.create_stack node in
   let speaker =
-    Bgp.Speaker.create ~profile ~stack ~local_asn:asn ~router_id:peer_side ()
+    Bgp.Speaker.create ~profile:Baseline.frr ~stack ~local_asn:asn
+      ~router_id:peer_side ()
   in
   { pa_name = name; pa_node = node; pa_addr = peer_side; pa_speaker = speaker;
     pa_asn = asn }
@@ -330,8 +326,6 @@ let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
       dep = t;
       sid = id;
       scfg = cfg;
-      warm_boot = t.warm_boot;
-      cold_boot = t.cold_boot;
       backup_mode;
       backup_host;
       primary = cont;
@@ -365,8 +359,8 @@ let service_app svc = svc.app
 let service_container svc = svc.primary
 let service_id svc = svc.sid
 
-let wait_established t svc ?(timeout = Time.sec 30) () =
-  let deadline = Time.add (Engine.now t.eng) timeout in
+let wait_established t svc () =
+  let deadline = Time.add (Engine.now t.eng) (Time.sec 30) in
   let ok () =
     List.for_all
       (fun (spec : App.vrf_spec) ->

@@ -25,11 +25,6 @@ type t = {
   store_replica_server : Store.Server.t option;
       (** Present when [build ~store_replica:true]: the synchronous
           replica, exposed so chaos scenarios can crash/promote it. *)
-  warm_boot : Sim.Time.span;
-      (** Backup container boot for app/container failures (1 s). *)
-  cold_boot : Sim.Time.span;
-      (** Cold start for host-level failures: image distribution +
-          scheduling on a non-preheated host (4.4 s). *)
   mutable picker :
     (service_id:string -> avoid:string list -> Orch.Host.t option) option;
       (** Placement hook; install via {!set_service_picker}. *)
@@ -38,16 +33,16 @@ type t = {
 val build :
   ?seed:int ->
   ?hosts:int ->
-  ?warm_boot:Sim.Time.span ->
-  ?cold_boot:Sim.Time.span ->
-  ?store_cost:Store.cost_model ->
   ?store_delay:Sim.Time.span ->
   ?store_replica:bool ->
   ?ctrl_config:Orch.Controller.config ->
   unit ->
   t
-(** Defaults: 3 hosts, warm boot 1 s, cold boot 4.4 s, the calibrated
-    store cost model, and a local store (100 µs away). [store_delay]
+(** Defaults: 3 hosts and a local store (100 µs away) with the
+    calibrated store cost model. A backup container boots in 1 s after
+    an app or container failure and cold-starts in 4.4 s (image
+    distribution and scheduling on a non-preheated host) after a
+    host-level one. [store_delay]
     moves the store further (the §5 remote-replication discussion);
     [store_replica] (default false) attaches a synchronous replica on a
     second store server — the paper's "Redis set up on multiple local
@@ -82,13 +77,13 @@ type peer_as = {
 
 val add_peer_as :
   t ->
-  ?profile:Bgp.Speaker.profile ->
   ?link_delay:Sim.Time.span ->
   asn:int ->
   string ->
   peer_as
-(** A remote AS border router on the fabric (FRRouting profile by
-    default), ready to accept sessions from TENSOR services. *)
+(** A remote AS border router on the fabric (FRRouting profile), ready
+    to accept sessions from TENSOR services. [link_delay] (default
+    200 µs) is its link to the fabric. *)
 
 val peer_expects :
   peer_as -> vrf:string -> vip:Netsim.Addr.t -> local_asn:int -> Bgp.Speaker.peer
@@ -142,9 +137,9 @@ val service_app : service -> App.t
 val service_container : service -> Orch.Container.t
 val service_id : service -> string
 
-val wait_established : t -> service -> ?timeout:Sim.Time.span -> unit -> bool
+val wait_established : t -> service -> unit -> bool
 (** Runs the engine until every VRF session of the service is
-    Established (true) or the timeout elapses (false). *)
+    Established (true) or 30 s of simulated time elapse (false). *)
 
 val planned_migration :
   t -> ?done_:(Orch.Container.t -> unit) -> service -> unit

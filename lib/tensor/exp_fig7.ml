@@ -8,7 +8,11 @@ type cdf_summary = {
   cdf : (float * float) list;
 }
 
-let run_cdf ?(links = 6000) ?(seed = 42) () =
+(* Both panels draw from one fixed seed; 7(a) samples 6000 links. *)
+let seed = 42
+
+let run_cdf () =
+  let links = 6000 in
   let rng = Rng.create seed in
   let pop = Workload.Traffic.sample_population rng Workload.Traffic.default links in
   let sorted = Array.copy pop in
@@ -50,7 +54,7 @@ let print_cdf s =
     /. 1e9);
   Report.note "paper: a one-minute one-link downtime impacts ~277 GB."
 
-let run_timeline ?(seed = 42) () =
+let run_timeline () =
   Workload.Deployment.series ~rng:(Rng.create seed) Workload.Deployment.default
 
 let print_timeline months =

@@ -13,8 +13,12 @@ type cdf_summary = {
   cdf : (float * float) list;  (** (throughput_bps, cumulative prob). *)
 }
 
-val run_cdf : ?links:int -> ?seed:int -> unit -> cdf_summary
+val run_cdf : unit -> cdf_summary
+(** 6000 links sampled at seed 42. *)
+
 val print_cdf : cdf_summary -> unit
 
-val run_timeline : ?seed:int -> unit -> Workload.Deployment.month list
+val run_timeline : unit -> Workload.Deployment.month list
+(** Seed 42, like {!run_cdf}. *)
+
 val print_timeline : Workload.Deployment.month list -> unit

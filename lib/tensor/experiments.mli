@@ -2,9 +2,8 @@
 
     One entry per evaluation artifact (Fig. 5–7, Tables 1–2, and the
     §4.2/§4.4 and ablation side experiments), holding the one definition
-    of its quick and full parameters. [bench/main.exe] and
-    [tensor-cli experiment|profile|list] both dispatch through it, so
-    the two front-ends print the same tables for the same id. *)
+    of its quick and full parameters. [tensor-cli experiment|profile|list]
+    dispatches through it; no other front-end keeps a second table. *)
 
 type t = {
   id : string;  (** Command-line id, e.g. ["fig6a"]. *)

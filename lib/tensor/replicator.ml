@@ -46,7 +46,6 @@ type in_state = { in_key : string; mutable durable : bool; mutable applied : boo
 type t = {
   replicate : bool;
   ack_hold : bool;
-  max_batch : int;
   eng : Engine.t;
   client : Store.Client.t;
   cid : Keys.conn_id;
@@ -113,12 +112,11 @@ let new_lane () =
     blocked_since = None;
   }
 
-let create ?(replicate = true) ?(ack_hold = true) ?(max_batch = 128) ~engine
-    ~client ~conn_id ~service () =
+let create ?(replicate = true) ?(ack_hold = true) ~engine ~client ~conn_id
+    ~service () =
   {
     replicate;
     ack_hold = replicate && ack_hold;
-    max_batch;
     eng = engine;
     client;
     cid = conn_id;
@@ -163,7 +161,10 @@ let set_on_store_healed t f = t.on_store_healed <- f
 
 (* --- Write pump ------------------------------------------------------------ *)
 
-let enqueue_op t lane op =
+(* Pairs per coalesced set batch; deletion batches take 8x as many keys. *)
+let max_batch = 128
+
+let enqueue_op lane op =
   (* Coalesce with the newest queued op of the same kind: sets while the
      batch holds fewer than [max_batch] pairs, short deletions while it
      holds fewer than [8 * max_batch] keys (a mass withdrawal can queue
@@ -176,12 +177,12 @@ let enqueue_op t lane op =
     lane.newest <- Some b
   in
   match (op, lane.newest) with
-  | Set (pairs, ks), Some (Sets s) when s.n_pairs < t.max_batch ->
+  | Set (pairs, ks), Some (Sets s) when s.n_pairs < max_batch ->
       s.rev_pairs <- List.rev_append pairs s.rev_pairs;
       s.n_pairs <- s.n_pairs + List.length pairs;
       s.rev_ks <- List.rev_append ks s.rev_ks
   | Del keys, Some (Dels d)
-    when List.compare_length_with keys 64 < 0 && d.n_keys < 8 * t.max_batch ->
+    when List.compare_length_with keys 64 < 0 && d.n_keys < 8 * max_batch ->
       d.keys <- List.rev_append keys d.keys;
       d.n_keys <- d.n_keys + List.length keys
   | Set (pairs, ks), _ ->
@@ -298,7 +299,7 @@ let submit_ctl t op =
     | Set (_, ks) -> List.iter (fun k -> k ()) ks
     | Del _ -> ()
   else begin
-    enqueue_op t t.ctl op;
+    enqueue_op t.ctl op;
     pump t t.ctl
   end
 
@@ -308,7 +309,7 @@ let submit_bulk t op =
     | Set (_, ks) -> List.iter (fun k -> k ()) ks
     | Del _ -> ()
   else begin
-    enqueue_op t t.bulk op;
+    enqueue_op t.bulk op;
     pump t t.bulk
   end
 
@@ -862,10 +863,12 @@ let stop t =
   | None -> ());
   while not (Queue.is_empty t.held) do
     let ack, _, reinject = Queue.pop t.held in
-    (* Flushed at detach without watermark cover: report so the
-       end-of-run queue balance (held = released + dropped) closes. *)
+    (* Flushed at detach without watermark cover. A stopped (fenced or
+       dead) primary must not ACK bytes the store never confirmed, so the
+       segment is dropped, and reported so the end-of-run queue balance
+       (held = released + dropped) closes. *)
     if Telemetry.Gate.on () then
       Telemetry.Bus.emit t.eng
         (Telemetry.Event.Ack_dropped { conn = t.cid; ack });
-    reinject Netfilter.Accept
+    reinject Netfilter.Drop
   done

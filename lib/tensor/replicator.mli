@@ -37,7 +37,6 @@ type t
 val create :
   ?replicate:bool ->
   ?ack_hold:bool ->
-  ?max_batch:int ->
   engine:Sim.Engine.t ->
   client:Store.Client.t ->
   conn_id:Keys.conn_id ->
@@ -174,4 +173,6 @@ val drain : t -> (unit -> unit) -> unit
     has completed — the quiesce step of a planned migration. *)
 
 val stop : t -> unit
-(** Ceases all activity (connection gone); held segments are released. *)
+(** Ceases all activity (connection gone). Held segments are dropped,
+    each reported as [Ack_dropped]: a stopped primary never ACKs bytes
+    the store has not confirmed. *)

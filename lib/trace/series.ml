@@ -1,7 +1,7 @@
-let default_interval = Sim.Time.sec 1
+(* One row per simulated second. *)
+let interval = Sim.Time.sec 1
 
 type t = {
-  interval : Sim.Time.span;
   select : string -> bool;
   buf : Buffer.t;
   mutable sub : Telemetry.Bus.sub option;
@@ -56,30 +56,28 @@ let on_entry t (e : Telemetry.Bus.entry) =
     (* Simulated time went backwards: a fresh engine / next run. *)
     if t.dirty then sample_row t ~at:t.last_at;
     t.run <- t.run + 1;
-    t.next <- t.interval;
+    t.next <- interval;
     t.last_at <- Sim.Time.zero
   end;
   (* A pathological quiet gap could owe thousands of empty windows;
      emit one row for the stale boundary, then jump to the current
      window and count the rest as skipped. *)
-  let owed = (e.at - t.next) / t.interval in
+  let owed = (e.at - t.next) / interval in
   if owed > 2 then begin
     sample_row t ~at:t.next;
     t.skipped <- t.skipped + (owed - 1);
-    t.next <- Sim.Time.add t.next (owed * t.interval)
+    t.next <- Sim.Time.add t.next (owed * interval)
   end;
   while e.at >= t.next do
     sample_row t ~at:t.next;
-    t.next <- Sim.Time.add t.next t.interval
+    t.next <- Sim.Time.add t.next interval
   done;
   t.last_at <- e.at;
   t.dirty <- true
 
-let attach ?(interval = default_interval) ?(select = fun _ -> true) () =
-  if interval <= 0 then invalid_arg "Series.attach: interval must be positive";
+let attach ?(select = fun _ -> true) () =
   let t =
     {
-      interval;
       select;
       buf = Buffer.create 4096;
       sub = None;

@@ -1,7 +1,7 @@
 (** Simulated-time metric series.
 
-    A windowed sampler that snapshots the metrics registry every [N]
-    simulated seconds into JSONL rows — convergence curves for fig6 /
+    A windowed sampler that snapshots the metrics registry every
+    simulated second into JSONL rows — convergence curves for fig6 /
     scale experiments, instead of end-of-run totals.
 
     Implemented as a firehose {!Telemetry.Bus} subscriber (so it only
@@ -17,13 +17,9 @@
 
 type t
 
-val default_interval : Sim.Time.span
-(** 1 simulated second. *)
-
-val attach : ?interval:Sim.Time.span -> ?select:(string -> bool) -> unit -> t
+val attach : ?select:(string -> bool) -> unit -> t
 (** Subscribes a sampler to the bus firehose. [select] filters metric
-    names (default: keep all). Raises [Invalid_argument] on a
-    non-positive [interval]. *)
+    names (default: keep all). *)
 
 val detach : t -> unit
 (** Unsubscribes and flushes a final partial-window row if any entries

@@ -187,6 +187,45 @@ let test_framer_poisons_on_error () =
   checkb "poisoned" true
     (List.for_all (function Error _ -> true | Ok _ -> false) after)
 
+(* One push carrying three whole frames and the head of a fourth hands up
+   the three frames byte for byte and keeps exactly the head; the next
+   push completes the fourth and keeps the head of a fifth. *)
+let test_framer_many_frames_per_push () =
+  let frames =
+    List.map Bgp.Msg.encode
+      [
+        Bgp.Msg.Keepalive;
+        Bgp.Msg.Update
+          { withdrawn = []; attrs = Some full_attrs; nlri = [ pfx "10.0.0.0/8" ] };
+        Bgp.Msg.Keepalive;
+        Bgp.Msg.Update
+          { withdrawn = [ pfx "10.1.0.0/16" ]; attrs = None; nlri = [] };
+        Bgp.Msg.Keepalive;
+      ]
+  in
+  let f = Array.of_list frames in
+  let framer = Bgp.Msg.Framer.create () in
+  let cut = 7 in
+  let frames_of results =
+    List.map
+      (function
+        | Ok (_, raw) -> raw
+        | Error e -> Alcotest.failf "framer error %a" Bgp.Msg.pp_error e)
+      results
+  in
+  let first =
+    Bgp.Msg.Framer.push framer (f.(0) ^ f.(1) ^ f.(2) ^ String.sub f.(3) 0 cut)
+  in
+  Alcotest.(check (list string))
+    "three frames" [ f.(0); f.(1); f.(2) ] (frames_of first);
+  Alcotest.(check string)
+    "partial head held" (String.sub f.(3) 0 cut)
+    (Bgp.Msg.Framer.buffered_bytes framer);
+  let rest = String.sub f.(3) cut (String.length f.(3) - cut) in
+  let second = Bgp.Msg.Framer.push framer (rest ^ String.sub f.(4) 0 5) in
+  Alcotest.(check (list string)) "fourth frame" [ f.(3) ] (frames_of second);
+  checki "fifth's head held" 5 (Bgp.Msg.Framer.buffered framer)
+
 (* --- RIB ----------------------------------------------------------------- *)
 
 let src ?(ebgp = true) ?(asn = 65010) ?(rid = "9.9.9.9") key addr =
@@ -395,6 +434,21 @@ let test_rib_fold_best_allocation () =
   if bytes > fold_best_100k_bytes_bound then
     Alcotest.failf "fold_best allocates %.0f bytes over 100k prefixes (bound %.0f)" bytes
       fold_best_100k_bytes_bound
+
+(* [digest] hashes the strings [best_prefixes] lists, so on top of
+   building them it may allocate only its 16-byte hex result and a few
+   boxes: the FNV fold itself allocates nothing. *)
+let test_rib_digest_allocation () =
+  let rib = installed (aligned_prefixes 100_000) in
+  let a0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Bgp.Rib.best_prefixes rib));
+  let listed = Gc.allocated_bytes () -. a0 in
+  let a1 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Bgp.Rib.digest rib));
+  let hashed = Gc.allocated_bytes () -. a1 in
+  if hashed > listed +. 1024. then
+    Alcotest.failf "digest allocates %.0f bytes over 100k prefixes (bound %.0f)" hashed
+      (listed +. 1024.)
 
 (* --- The Loc-RIB against the hash-table RIB it replaced ------------------ *)
 
@@ -1566,6 +1620,8 @@ let () =
           Alcotest.test_case "max size" `Quick test_codec_max_size_enforced;
           Alcotest.test_case "framer reassembly" `Quick test_framer_reassembles;
           Alcotest.test_case "framer poisons" `Quick test_framer_poisons_on_error;
+          Alcotest.test_case "framer many frames per push" `Quick
+            test_framer_many_frames_per_push;
         ] );
       ( "rib",
         [
@@ -1582,6 +1638,7 @@ let () =
           Alcotest.test_case "live words per prefix" `Quick test_rib_live_words;
           Alcotest.test_case "fold_best allocation" `Quick
             test_rib_fold_best_allocation;
+          Alcotest.test_case "digest allocation" `Quick test_rib_digest_allocation;
           Alcotest.test_case "reserve grows no further" `Quick test_rib_reserve_size;
         ] );
       ( "policy",

@@ -146,7 +146,7 @@ let test_multias_speedup () =
 (* --- Figure 7(a) ------------------------------------------------------------------ *)
 
 let test_fig7a_statistics () =
-  let s = Tensor.Exp_fig7.run_cdf ~links:6000 () in
+  let s = Tensor.Exp_fig7.run_cdf () in
   checkb "mean > 37 Gbps" true (s.Tensor.Exp_fig7.mean_bps > 37e9);
   checkb "median > 64 Mbps" true (s.Tensor.Exp_fig7.median_bps > 64e6);
   checkb "over 30% above 1 Gbps" true (s.Tensor.Exp_fig7.frac_above_1g > 0.30);

@@ -510,8 +510,11 @@ let held_seg ack =
     flags = Tcp.Segment.flag_ack;
   }
 
+(* A held reinjection must not be wedged by stop. It is released with a
+   Drop verdict, since a fenced primary must not ACK bytes the store has
+   not confirmed, and reported as [Ack_dropped], so event and wire
+   agree. *)
 let test_stop_releases_held () =
-  (* A held reinjection must not be wedged by stop. *)
   let r = make_rig () in
   let chain = Netfilter.create () in
   Tensor.Replicator.attach_output_chain r.repl chain
@@ -524,9 +527,21 @@ let test_stop_releases_held () =
        ~size:40 (Tcp.Segment.Tcp (held_seg 99_999)))
     ~emit:(fun _ -> incr emitted);
   checki "held" 1 (Tensor.Replicator.held_segments r.repl);
-  Tensor.Replicator.stop r.repl;
+  let (), entries =
+    Telemetry.Control.capture ~category:Telemetry.Event.Replicator (fun () ->
+        Tensor.Replicator.stop r.repl)
+  in
+  let dropped =
+    List.filter_map
+      (fun (e : Telemetry.Bus.entry) ->
+        match e.event with
+        | Telemetry.Event.Ack_dropped { ack; _ } -> Some ack
+        | _ -> None)
+      entries
+  in
   checki "released on stop" 0 (Tensor.Replicator.held_segments r.repl);
-  checki "emitted" 1 !emitted
+  Alcotest.(check (list int)) "Ack_dropped for the held ACK" [ 99_999 ] dropped;
+  checki "never on the wire" 0 !emitted
 
 (* --- Watchdog --------------------------------------------------------------- *)
 

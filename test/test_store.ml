@@ -272,7 +272,7 @@ let test_promotion_after_primary_death () =
     replicated_setup ~cost:Store.free_cost_model ()
   in
   let client =
-    Store.Client.create ~replica:db2_addr ~retry:(Rpc.retry_policy ()) app
+    Store.Client.create ~replica:db2_addr ~retry:Rpc.retry_policy app
       ~server:db1_addr
   in
   let ok label r =

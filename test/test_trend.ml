@@ -154,8 +154,8 @@ let read_snapshot path =
 
 let test_committed_series () =
   (* The three snapshots CI's trajectory gate reads (v1, v2, v2, all
-     with a Bechamel micro row), then a v3 snapshot as bench/main.exe
-     now writes it: no micro row, alloc_bytes_per_event. Each paper id
+     with a Bechamel micro row), then a v3 snapshot as
+     `tensor-cli experiment --emit-bench` now writes it: no micro row, alloc_bytes_per_event. Each paper id
      sits at its best-so-far except fig5a at 10x, so the gate must flag
      exactly fig5a. *)
   let history = List.map (fun f -> exps (read_snapshot f)) committed in
