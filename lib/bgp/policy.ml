@@ -23,7 +23,6 @@ let empty = { rules = []; default = `Accept }
 let make ?(default = `Accept) rules = { rules; default }
 let accept_rule ?(conds = []) actions = { conds; decision = `Accept actions }
 let reject_rule conds = { conds; decision = `Reject }
-let rule_count t = List.length t.rules
 
 let cond_holds prefix (attrs : Attrs.t) = function
   | Match_prefix_exact p -> Netsim.Addr.equal_prefix p prefix

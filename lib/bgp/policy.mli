@@ -45,5 +45,3 @@ val apply : t -> Netsim.Addr.prefix -> Attrs.t -> Attrs.t option
     attributes. A route accepted without actions (the empty policy
     included) gets [attrs] itself back, physically, so update packing
     finds its group by [==]. *)
-
-val rule_count : t -> int

@@ -92,10 +92,6 @@ type t = {
   mutable on_message : Msg.t -> raw:string -> unit;
   mutable cb : t -> event -> unit;
   mutable parsed : int;
-  mutable n_in : int;
-  mutable n_out : int;
-  mutable upd_in : int;
-  mutable upd_out : int;
   mutable ka_in : int;
   mutable last_write_at : Time.t;
 }
@@ -106,10 +102,6 @@ let negotiated t = t.neg
 let conn t = t.tcp
 let parsed_bytes t = t.parsed
 let unparsed_tail t = Msg.Framer.buffered_bytes t.framer
-let messages_in t = t.n_in
-let messages_out t = t.n_out
-let updates_in t = t.upd_in
-let updates_out t = t.upd_out
 let keepalives_in t = t.ka_in
 let last_write t = t.last_write_at
 let set_pre_send t f = t.pre_send <- f
@@ -143,9 +135,7 @@ let raw_write t msg =
   | None -> ()
   | Some c ->
       if Tcp.state c = Tcp.Established then begin
-        t.n_out <- t.n_out + 1;
         Telemetry.Registry.incr m_msgs_out;
-        t.upd_out <- t.upd_out + Msg.update_count msg;
         Telemetry.Registry.add m_upd_out (Msg.update_count msg);
         (match msg with
         | Msg.Update _ -> t.last_write_at <- Engine.now t.eng
@@ -285,7 +275,6 @@ let establish t =
 
 let handle_message t msg raw =
   let size = String.length raw in
-  t.n_in <- t.n_in + 1;
   Telemetry.Registry.incr m_msgs_in;
   t.on_message msg ~raw;
   reset_hold t;
@@ -304,7 +293,6 @@ let handle_message t msg raw =
   | Open_confirm, _ -> send_notification_and_die t 5 0
   | Established, Msg.Keepalive -> t.ka_in <- t.ka_in + 1
   | Established, Msg.Update u ->
-      t.upd_in <- t.upd_in + List.length u.nlri + List.length u.withdrawn;
       Telemetry.Registry.add m_upd_in
         (List.length u.nlri + List.length u.withdrawn);
       t.cb t (Message_received (msg, size))
@@ -360,10 +348,6 @@ let make_t stack cfg cb =
       on_message = (fun _ ~raw:_ -> ());
       cb;
       parsed = 0;
-      n_in = 0;
-      n_out = 0;
-      upd_in = 0;
-      upd_out = 0;
       ka_in = 0;
       last_write_at = Time.zero;
     }

@@ -130,10 +130,6 @@ val parsed_bytes : t -> int
     TENSOR-inferred ACK for the last parsed message is
     [Tcp.irs conn + 1 + parsed_bytes]. *)
 
-val messages_in : t -> int
-val messages_out : t -> int
-val updates_in : t -> int
-val updates_out : t -> int
 val keepalives_in : t -> int
 
 val last_write : t -> Sim.Time.t

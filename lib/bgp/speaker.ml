@@ -94,6 +94,10 @@ let router_id t = t.rid
 let peers t = List.rev t.peer_list
 let peer_cfg p = p.pcfg
 let peer_session p = p.session
+
+let peer_conn p =
+  match p.session with Some s -> Session.conn s | None -> None
+
 let peer_source_key p = p.skey
 let on_peer_up p f = p.up_cb <- f
 let on_peer_down p f = p.down_cb <- f
@@ -180,11 +184,8 @@ let peer_is_ebgp p =
       match p.pcfg.remote_asn with Some a -> a <> p.sp.asn | None -> true)
 
 let session_local_addr p =
-  match p.session with
-  | Some s -> (
-      match Session.conn s with
-      | Some c -> (Tcp.quad c).Tcp.Quad.local_addr
-      | None -> p.sp.rid)
+  match peer_conn p with
+  | Some c -> (Tcp.quad c).Tcp.Quad.local_addr
   | None -> p.sp.rid
 
 (* Transform attributes for export to [p]; None = do not export. *)

@@ -141,6 +141,9 @@ val peers : t -> peer list
 val peer_state : peer -> Session.state
 val peer_cfg : peer -> peer_config
 val peer_session : peer -> Session.t option
+val peer_conn : peer -> Tcp.conn option
+(** The live session's transport connection, if any. *)
+
 val peer_source_key : peer -> string
 val on_peer_up : peer -> (unit -> unit) -> unit
 val on_peer_down : peer -> (Session.down_reason -> unit) -> unit

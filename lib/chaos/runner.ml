@@ -199,12 +199,7 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
         | None -> ())
     | Descriptor.Peer_rst { vrf; _ } -> (
         let _, ph = ctx.peers.(vrf) in
-        match Bgp.Speaker.peer_session ph with
-        | Some s -> (
-            match Bgp.Session.conn s with
-            | Some c -> Tcp.abort c
-            | None -> ())
-        | None -> ())
+        Option.iter Tcp.abort (Bgp.Speaker.peer_conn ph))
     | Descriptor.Peer_cease { vrf; _ } ->
         let (pa : Deploy.peer_as), ph = ctx.peers.(vrf) in
         Bgp.Speaker.stop_peer pa.Deploy.pa_speaker ph;

@@ -51,12 +51,12 @@ type t = {
 let instance_host inst =
   Orch.Container.host_name (Deploy.service_container inst.svc)
 
-let build ?(seed = 42) ?ctrl_config ~hosts ~regions:nr ~instances:n () =
+let build ?(seed = 42) ~hosts ~regions:nr ~instances:n () =
   if nr < 1 then invalid_arg "Fleet.Topology.build: regions < 1";
   if hosts < replicas * nr then
     invalid_arg "Fleet.Topology.build: need at least 2 hosts per region";
   let n = normalize_instances n in
-  let dep = Deploy.build ~seed ~hosts ?ctrl_config () in
+  let dep = Deploy.build ~seed ~hosts () in
   let eng = dep.Deploy.eng in
   let base = hosts / nr and rem = hosts mod nr in
   let regions =

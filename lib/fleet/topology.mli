@@ -66,7 +66,6 @@ type t = {
 
 val build :
   ?seed:int ->
-  ?ctrl_config:Orch.Controller.config ->
   hosts:int ->
   regions:int ->
   instances:int ->

@@ -68,7 +68,6 @@ let queue t n =
       q
 
 let set_consumer q f = q.consumer <- Some f
-let clear_consumer q = q.consumer <- None
 let backlog q = q.pending
 
 let rec apply t rules pkt ~emit =

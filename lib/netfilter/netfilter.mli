@@ -58,8 +58,6 @@ val set_consumer :
     dying FIN/RST is queued to a reader-less queue and silently dropped,
     so the remote peer observes silence rather than a connection reset. *)
 
-val clear_consumer : queue -> unit
-
 val backlog : queue -> int
 (** Packets handed to the consumer whose reinject is still pending. *)
 

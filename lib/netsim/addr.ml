@@ -99,7 +99,6 @@ let prefix_to_string p =
   ignore (put_dec b (pos + 1) p.len);
   Bytes.unsafe_to_string b
 
-let pp_prefix fmt p = Format.pp_print_string fmt (prefix_to_string p)
 
 let compare_prefix p q =
   match Int.compare p.base q.base with 0 -> Int.compare p.len q.len | c -> c

@@ -51,7 +51,6 @@ val prefix_of_string : string -> prefix
 (** Parses ["a.b.c.d/len"]. *)
 
 val prefix_to_string : prefix -> string
-val pp_prefix : Format.formatter -> prefix -> unit
 val compare_prefix : prefix -> prefix -> int
 val equal_prefix : prefix -> prefix -> bool
 

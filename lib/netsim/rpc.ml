@@ -5,20 +5,13 @@ type body += Ping | Pong
 
 type error = [ `Timeout | `Exhausted of int ]
 
-type retry = {
-  attempts : int;
-  base_backoff : Time.span;
-  max_backoff : Time.span;
-  jitter : float;
-}
-
-let retry_policy =
-  {
-    attempts = 3;
-    base_backoff = Time.ms 50;
-    max_backoff = Time.sec 2;
-    jitter = 0.2;
-  }
+(* The retry policy of [call ~retry:true]: attempts including the first,
+   the backoff before the second (doubling per failure up to the cap),
+   and its fractional jitter. *)
+let retry_attempts = 3
+let base_backoff = Time.ms 50
+let max_backoff = Time.sec 2
+let jitter = 0.2
 
 type Packet.payload +=
   | Request of { call_id : int; service : string; body : body }
@@ -121,7 +114,6 @@ let fresh_client_id ep =
   ep.next_client
 
 let serve ep ~service handler = Hashtbl.replace ep.services service handler
-let unserve ep ~service = Hashtbl.remove ep.services service
 
 let unknown_service_counts ep =
   Det.bindings ~compare:String.compare ep.unknown_hits
@@ -138,15 +130,15 @@ let retry_rng ep =
    failures, capped, then perturbed by ±jitter so synchronized callers
    spread out. The draw comes from the endpoint's split of the seeded
    engine RNG, never from ambient randomness. *)
-let backoff_span ep (r : retry) ~failed =
-  let base = Time.to_sec_f r.base_backoff in
+let backoff_span ep ~failed =
+  let base = Time.to_sec_f base_backoff in
   let capped =
     Float.min
       (base *. Float.of_int (1 lsl (failed - 1)))
-      (Time.to_sec_f r.max_backoff)
+      (Time.to_sec_f max_backoff)
   in
   let factor =
-    1.0 +. (r.jitter *. ((2.0 *. Rng.float (retry_rng ep) 1.0) -. 1.0))
+    1.0 +. (jitter *. ((2.0 *. Rng.float (retry_rng ep) 1.0) -. 1.0))
   in
   Time.of_sec_f (capped *. factor)
 
@@ -169,25 +161,25 @@ let send_attempt ep ~timeout ~size ~dst ~service body k =
   in
   Node.send ep.ep_node pkt
 
-let call ep ?(timeout = Time.sec 1) ?(size = 128) ?retry ~dst ~service body k =
-  match retry with
-  | None ->
+let call ep ?(timeout = Time.sec 1) ?(size = 128) ?(retry = false) ~dst ~service
+    body k =
+  if not retry then
       (* Default: single attempt, one timeout = one detected failure —
          exactly the pre-retry semantics liveness probes rely on. *)
-      send_attempt ep ~timeout ~size ~dst ~service body k
-  | Some r ->
-      let eng = Node.engine ep.ep_node in
-      let rec attempt n =
-        send_attempt ep ~timeout ~size ~dst ~service body (function
-          | Ok body -> k (Ok body)
-          | Error _ when n < r.attempts ->
-              let span = backoff_span ep r ~failed:n in
-              ignore
-                (Engine.schedule_after eng ~label:"rpc.retry" span (fun () ->
-                     attempt (n + 1)))
-          | Error _ -> k (Error (`Exhausted r.attempts)))
-      in
-      attempt 1
+    send_attempt ep ~timeout ~size ~dst ~service body k
+  else
+    let eng = Node.engine ep.ep_node in
+    let rec attempt n =
+      send_attempt ep ~timeout ~size ~dst ~service body (function
+        | Ok body -> k (Ok body)
+        | Error _ when n < retry_attempts ->
+            let span = backoff_span ep ~failed:n in
+            ignore
+              (Engine.schedule_after eng ~label:"rpc.retry" span (fun () ->
+                   attempt (n + 1)))
+        | Error _ -> k (Error (`Exhausted retry_attempts)))
+    in
+    attempt 1
 
 let ping ep ?timeout ~dst ~service k =
   call ep ?timeout ~dst ~service Ping (function

@@ -12,10 +12,10 @@
     retransmission: the control channels in the modelled deployment are
     engineered loss-free, and a lost or unanswerable request is precisely
     a detected failure. Callers that must survive a transiently dead or
-    partitioned server (the store path) opt into a per-call {!retry}
-    policy: a bounded attempt budget with exponential backoff whose
-    jitter is drawn from a split of the seeded engine RNG, so replays
-    stay deterministic. *)
+    partitioned server (the store path) opt into retry per call
+    ([call ~retry:true]): a bounded attempt budget with exponential
+    backoff whose jitter is drawn from a split of the seeded engine RNG,
+    so replays stay deterministic. *)
 
 type body = ..
 
@@ -27,19 +27,8 @@ type endpoint
 type error =
   [ `Timeout  (** No reply within the (single) attempt's timeout. *)
   | `Exhausted of int
-    (** Every attempt of a {!retry} policy timed out; carries the
-        attempt count. Only produced when a policy was supplied. *) ]
-
-type retry = private {
-  attempts : int;  (** Total attempts including the first ([>= 1]). *)
-  base_backoff : Sim.Time.span;  (** Backoff before the second attempt. *)
-  max_backoff : Sim.Time.span;  (** Cap on the exponential growth. *)
-  jitter : float;  (** Fractional perturbation in [\[0, 1)]. *)
-}
-
-val retry_policy : retry
-(** 3 attempts, 50 ms base backoff doubling per failure, capped at 2 s,
-    ±20% jitter. *)
+    (** Every attempt of a retried {!call} timed out; carries the
+        attempt count. Only produced with [~retry:true]. *) ]
 
 val endpoint : Node.t -> endpoint
 (** The node's RPC endpoint, created on first use (idempotent per node). *)
@@ -56,13 +45,11 @@ val serve :
     event (e.g. after a modelled processing delay); [size] is the response
     wire size (default 128 B). Re-registering replaces the handler. *)
 
-val unserve : endpoint -> service:string -> unit
-
 val call :
   endpoint ->
   ?timeout:Sim.Time.span ->
   ?size:int ->
-  ?retry:retry ->
+  ?retry:bool ->
   dst:Addr.t ->
   service:string ->
   body ->
@@ -73,12 +60,12 @@ val call :
     [Error `Timeout] after [timeout] (default 1 s). Responses arriving
     after the timeout are discarded.
 
-    With [?retry], each attempt gets its own [timeout]; a timed-out
-    attempt is retransmitted (as a fresh call id — handlers must be
-    idempotent or deduplicate) after an exponential jittered backoff,
-    and only when the budget is spent does [k] get
-    [Error (`Exhausted attempts)]. A late response to an abandoned
-    attempt is discarded, never double-delivered. *)
+    With [~retry:true], each of 3 attempts gets its own [timeout]; a
+    timed-out attempt is retransmitted (as a fresh call id — handlers
+    must be idempotent or deduplicate) after a backoff of 50 ms doubling
+    per failure (capped at 2 s, ±20% jitter), and only when the budget
+    is spent does [k] get [Error (`Exhausted 3)]. A late response to an
+    abandoned attempt is discarded, never double-delivered. *)
 
 val unknown_service_counts : endpoint -> (string * int) list
 (** Requests received for services nobody registered, counted per

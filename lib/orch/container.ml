@@ -53,7 +53,6 @@ let state t = t.st
 let veth_addr t = t.veth
 let boot_span t = t.bspan
 let on_running t f = t.hooks <- t.hooks @ [ f ]
-let service_addrs t = t.vips
 
 let assign_service_addr t vip =
   if not (List.exists (Addr.equal vip) t.vips) then begin

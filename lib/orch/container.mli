@@ -45,8 +45,6 @@ val assign_service_addr : t -> Netsim.Addr.t -> unit
     route towards the vEth. The fabric-side route is the deployment's
     responsibility. *)
 
-val service_addrs : t -> Netsim.Addr.t list
-
 val fail : t -> unit
 (** Container failure (E2): the node goes silent, state becomes Failed. *)
 

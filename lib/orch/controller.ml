@@ -21,30 +21,21 @@ let pp_failure_kind fmt k =
 
 type Rpc.body += Report_app_failure of string
 
-type config = {
-  grpc_interval : Time.span;
-  grpc_timeout : Time.span;
-  confirm_timer : Time.span;
-  initiate_container : Time.span;
-  initiate_host : Time.span;
-  ipsla_timeout : Time.span;
-  agent_timeout : Time.span;
-  host_ctl_timeout : Time.span;
-  reprobe_timeout : Time.span;
-}
-
-let default_config =
-  {
-    grpc_interval = Time.ms 300;
-    grpc_timeout = Time.ms 150;
-    confirm_timer = Time.sec 3;
-    initiate_container = Time.ms 100;
-    initiate_host = Time.ms 200;
-    ipsla_timeout = Time.ms 150;
-    agent_timeout = Time.ms 400;
-    host_ctl_timeout = Time.ms 300;
-    reprobe_timeout = Time.ms 300;
-  }
+(* The controller's timers (§3.3.3): heartbeat period and reply timeout,
+   the host-level confirmation delay, migration preparation per container
+   and per host, and the timeouts of the IP SLA probes, the agent
+   cross-check, host control-plane calls (fence, container check, kill)
+   and the direct container re-probe before declaring a virtual-network
+   failure. *)
+let grpc_interval = Time.ms 300
+let grpc_timeout = Time.ms 150
+let confirm_timer = Time.sec 3
+let initiate_container = Time.ms 100
+let initiate_host = Time.ms 200
+let ipsla_timeout = Time.ms 150
+let agent_timeout = Time.ms 400
+let host_ctl_timeout = Time.ms 300
+let reprobe_timeout = Time.ms 300
 
 type managed = {
   mid : string;
@@ -82,7 +73,6 @@ type t = {
   cnode : Node.t;
   caddr : Addr.t;
   eng : Engine.t;
-  cfg : config;
   ep : Rpc.endpoint;
   mutable hosts : host_entry list;
   mutable agents : Agent.t list;
@@ -165,8 +155,8 @@ let proceed_migration t m reason =
     let epoch = m.mig_epoch in
     let initiate_delay =
       match reason with
-      | Host_failure | Host_network_failure -> t.cfg.initiate_host
-      | App_failure | Container_failure -> t.cfg.initiate_container
+      | Host_failure | Host_network_failure -> initiate_host
+      | App_failure | Container_failure -> initiate_container
     in
     Telemetry.Registry.incr m_failures;
     if Telemetry.Gate.on () then
@@ -224,7 +214,7 @@ let start_migration t m reason =
              { id = m.mid; reason = "store-unreachable" });
       let rec wait () =
         ignore
-          (Engine.schedule_after t.eng ~label:"orch.migrate" t.cfg.grpc_interval
+          (Engine.schedule_after t.eng ~label:"orch.migrate" grpc_interval
              (fun () ->
                if m.mig_epoch = epoch then
                  if store_reachable t then proceed_migration t m reason
@@ -240,14 +230,14 @@ let verify_host t (he : host_entry) k =
   (* Independent measurements: our probe and the agent's IP SLA. All must
      fail for the host to be presumed dead. *)
   let target = Host.addr he.host in
-  Rpc.ping t.ep ~timeout:t.cfg.ipsla_timeout ~dst:target ~service:"ipsla"
+  Rpc.ping t.ep ~timeout:ipsla_timeout ~dst:target ~service:"ipsla"
     (fun own_ok ->
       if own_ok then k false
       else
         match t.agents with
         | [] -> k true
         | agent :: _ ->
-            Rpc.call t.ep ~timeout:t.cfg.agent_timeout ~dst:(Agent.addr agent)
+            Rpc.call t.ep ~timeout:agent_timeout ~dst:(Agent.addr agent)
               ~service:"agent_ctl" (Agent.Agent_check target) (function
               | Ok (Agent.Agent_check_result ok) -> k (not ok)
               | Ok _ | Error _ ->
@@ -264,7 +254,7 @@ let declare_host_failed t (he : host_entry) =
       (Telemetry.Event.Host_failed { host = Host.name he.host });
   (* Best-effort fence; unreachable hosts fence themselves via the
      lease. *)
-  Rpc.call t.ep ~timeout:t.cfg.host_ctl_timeout ~dst:(Host.addr he.host)
+  Rpc.call t.ep ~timeout:host_ctl_timeout ~dst:(Host.addr he.host)
     ~service:"host_ctl" Host.Host_fence (fun _ -> ());
   (* Migrate every managed container living there, in name order so the
      replayed migration sequence is deterministic. The host index keeps
@@ -295,7 +285,7 @@ let suspect_host t (he : host_entry) =
     verify_host t he (fun dead ->
         if not dead then he.hphase <- `Healthy);
     ignore
-      (Engine.schedule_after t.eng ~label:"orch.confirm" t.cfg.confirm_timer
+      (Engine.schedule_after t.eng ~label:"orch.confirm" confirm_timer
          (fun () ->
            if he.hphase = `Confirming then
              verify_host t he (fun still_dead ->
@@ -309,7 +299,7 @@ let check_container_via_host t m k =
   match host_entry_of t (Container.host_name m.cont) with
   | None -> k `Host_unreachable
   | Some he ->
-      Rpc.call t.ep ~timeout:t.cfg.host_ctl_timeout ~dst:(Host.addr he.host)
+      Rpc.call t.ep ~timeout:host_ctl_timeout ~dst:(Host.addr he.host)
         ~service:"host_ctl"
         (Host.Host_check_container (Container.id m.cont)) (function
         | Ok (Host.Host_container_state st) -> k (`Host_says st)
@@ -337,12 +327,12 @@ let heartbeat_miss t m =
                missed. Re-probe before concluding a virtual-network
                failure (E4): the original miss may have straddled a
                transient glitch. *)
-            Rpc.ping t.ep ~timeout:t.cfg.reprobe_timeout
+            Rpc.ping t.ep ~timeout:reprobe_timeout
               ~dst:(Container.veth_addr m.cont) ~service:"health" (fun ok ->
                 if not ok then
                   match host_entry_of t (Container.host_name m.cont) with
                   | Some he ->
-                      Rpc.call t.ep ~timeout:t.cfg.host_ctl_timeout
+                      Rpc.call t.ep ~timeout:host_ctl_timeout
                         ~dst:(Host.addr he.host) ~service:"host_ctl"
                         (Host.Host_kill_container (Container.id m.cont))
                         (fun _ -> start_migration t m Container_failure)
@@ -361,14 +351,14 @@ let start_heartbeats t m =
     | `Migrating -> ()
     | `Healthy | `Suspect ->
         let target = Container.veth_addr m.cont in
-        Rpc.ping t.ep ~timeout:t.cfg.grpc_timeout ~dst:target
+        Rpc.ping t.ep ~timeout:grpc_timeout ~dst:target
           ~service:"health" (fun ok ->
             if not ok then heartbeat_miss t m)
   in
   m.hb_timer <-
     Some
       (Engine.every t.eng ~label:"orch.heartbeat" ~jitter:0.1
-         t.cfg.grpc_interval tick)
+         grpc_interval tick)
 
 let begin_planned t ~id =
   match Hashtbl.find_opt t.managed_tbl id with
@@ -403,10 +393,10 @@ let register_host ?region t host =
   let he = { host; hphase = `Healthy; hregion = region } in
   t.hosts <- he :: t.hosts;
   ignore
-    (Engine.every t.eng ~label:"orch.host_mon" ~jitter:0.1 t.cfg.grpc_interval
+    (Engine.every t.eng ~label:"orch.host_mon" ~jitter:0.1 grpc_interval
        (fun () ->
          if he.hphase <> `Failed then
-           Rpc.ping t.ep ~timeout:t.cfg.grpc_timeout ~dst:(Host.addr host)
+           Rpc.ping t.ep ~timeout:grpc_timeout ~dst:(Host.addr host)
              ~service:"health" (fun ok ->
                if (not ok) && he.hphase = `Healthy then suspect_host t he)))
 
@@ -416,9 +406,6 @@ let set_host_region t ~host ~region =
   match host_entry_of t host with
   | Some he -> he.hregion <- Some region
   | None -> ()
-
-let host_region t ~host =
-  match host_entry_of t host with Some he -> he.hregion | None -> None
 
 (* Region-aware anti-affinity placement: healthy hosts only (probe
    phase healthy, up, unfenced, not quarantined), restricted to
@@ -467,8 +454,8 @@ let register_store t ~addr =
   t.store_probe <- Some p;
   ignore
     (Engine.every t.eng ~label:"orch.store_probe" ~jitter:0.1
-       t.cfg.grpc_interval (fun () ->
-         Rpc.ping t.ep ~timeout:t.cfg.grpc_timeout ~dst:p.saddr
+       grpc_interval (fun () ->
+         Rpc.ping t.ep ~timeout:grpc_timeout ~dst:p.saddr
            ~service:"kv_health" (fun ok ->
              if ok then begin
                (match p.down_since with
@@ -499,7 +486,7 @@ let release_quarantine t host =
   t.quarantine <-
     List.filter (fun n -> not (String.equal n (Host.name host))) t.quarantine
 
-let create net ~fabric ?(config = default_config) cname =
+let create net ~fabric cname =
   let cnode = Network.add_node net cname in
   let _, fabric_side, ctrl_side =
     Network.connect net ~delay:(Time.us 20) fabric cnode
@@ -511,7 +498,6 @@ let create net ~fabric ?(config = default_config) cname =
       cnode;
       caddr = ctrl_side;
       eng = Network.engine net;
-      cfg = config;
       ep = Rpc.endpoint cnode;
       hosts = [];
       agents = [];

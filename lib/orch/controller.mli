@@ -35,33 +35,9 @@ val pp_failure_kind : Format.formatter -> failure_kind -> unit
 
 type Netsim.Rpc.body += Report_app_failure of string  (** container id *)
 
-type config = {
-  grpc_interval : Sim.Time.span;  (** Heartbeat period (default 200 ms). *)
-  grpc_timeout : Sim.Time.span;  (** Heartbeat reply timeout (100 ms). *)
-  confirm_timer : Sim.Time.span;
-      (** Host-level confirmation delay (default 3 s, §3.3.3). *)
-  initiate_container : Sim.Time.span;
-      (** Migration preparation for one container (100 ms). *)
-  initiate_host : Sim.Time.span;
-      (** Preparation when a whole host moves (200 ms). *)
-  ipsla_timeout : Sim.Time.span;
-      (** The controller's own IP SLA probe of a suspect host (150 ms). *)
-  agent_timeout : Sim.Time.span;
-      (** Cross-check via the agent's IP SLA (400 ms). *)
-  host_ctl_timeout : Sim.Time.span;
-      (** Host control-plane calls: fence, container check, kill
-          (300 ms). *)
-  reprobe_timeout : Sim.Time.span;
-      (** Direct container re-probe before declaring a virtual-network
-          failure (300 ms). *)
-}
-
-val default_config : config
-
 type t
 
-val create :
-  Netsim.Network.t -> fabric:Netsim.Node.t -> ?config:config -> string -> t
+val create : Netsim.Network.t -> fabric:Netsim.Node.t -> string -> t
 
 val node : t -> Netsim.Node.t
 val addr : t -> Netsim.Addr.t
@@ -74,8 +50,6 @@ val register_host : ?region:string -> t -> Host.t -> unit
 val set_host_region : t -> host:string -> region:string -> unit
 (** (Re)assigns a registered host to a region. Unknown hosts are
     ignored. *)
-
-val host_region : t -> host:string -> string option
 
 val pick_host :
   t -> ?region:string -> ?avoid:string list -> unit -> Host.t option

@@ -26,7 +26,6 @@ type t = {
   mutable fenced : bool;
   mutable up : bool;
   mutable last_hb : Time.t option;
-  mutable next_subnet : int;
 }
 
 let name t = t.hname
@@ -41,9 +40,6 @@ let find_container t id =
   List.find_opt (fun c -> String.equal (Container.id c) id) t.cts
 
 let heartbeat_received t = t.last_hb <- Some (Engine.now t.eng)
-
-let last_heartbeat t =
-  match t.last_hb with Some x -> x | None -> Time.zero
 
 let fence t =
   if not t.fenced then begin
@@ -114,7 +110,6 @@ let create net ~fabric hname =
       fenced = false;
       up = true;
       last_hb = None;
-      next_subnet = 0;
     }
   in
   Node.add_route hnode (Addr.prefix_of_string "0.0.0.0/0") fabric_addr;
@@ -136,7 +131,6 @@ let create_container t ?boot_span id =
      keeps the addresses identical across repeated runs in a process,
      which chaos replay relies on). *)
   let subnet = Network.fresh_private_subnet t.hnet in
-  t.next_subnet <- t.next_subnet + 1;
   let host_side = Addr.offset veth_base ((subnet lsl 2) lor 1) in
   let cont_side = Addr.succ host_side in
   let veth = Link.create eng ~delay:(Time.us 5) ~name:(t.hname ^ "/" ^ id ^ "/veth") () in

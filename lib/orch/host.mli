@@ -87,4 +87,3 @@ val heartbeat_received : t -> unit
 (** Called by the ["health"] responder; feeds the lease watchdog. Wired
     automatically — exposed for tests. *)
 
-val last_heartbeat : t -> Sim.Time.t

@@ -70,7 +70,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))

@@ -50,7 +50,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** [choose t arr] is a uniformly random element. Raises
-    [Invalid_argument] on an empty array. *)

@@ -348,7 +348,6 @@ module Client = struct
      [(name, seq)] the server deduplicates on. *)
   type resilient = {
     name : string;
-    retry : Rpc.retry;
     mutable replica : Addr.t option; (* failover target, consumed once *)
     mutable failed : bool; (* true once failover has happened *)
     mutable seq : int;
@@ -362,35 +361,30 @@ module Client = struct
     resilient : resilient option;
   }
 
-  let create ?replica ?retry node ~server =
+  let create ?replica ?(resilient = false) node ~server =
     let ep = Rpc.endpoint node in
-    match (replica, retry) with
-    | None, None -> { ep; server; resilient = None }
-    | _ ->
-        let retry =
-          match retry with Some r -> r | None -> Rpc.retry_policy
-        in
-        (* The idempotency-id namespace: unique per node within a run,
-           deterministic across replays (the endpoint's counter dies
-           with its node). *)
-        let name =
-          Printf.sprintf "%s#%d" (Node.name node) (Rpc.fresh_client_id ep)
-        in
-        {
-          ep;
-          server;
-          resilient =
-            Some
-              {
-                name;
-                retry;
-                replica;
-                failed = false;
-                seq = 0;
-                queue = [];
-                inflight = false;
-              };
-        }
+    if replica = None && not resilient then { ep; server; resilient = None }
+    else
+      (* The idempotency-id namespace: unique per node within a run,
+         deterministic across replays (the endpoint's counter dies with
+         its node). *)
+      let name =
+        Printf.sprintf "%s#%d" (Node.name node) (Rpc.fresh_client_id ep)
+      in
+      {
+        ep;
+        server;
+        resilient =
+          Some
+            {
+              name;
+              replica;
+              failed = false;
+              seq = 0;
+              queue = [];
+              inflight = false;
+            };
+      }
 
   let server_addr t = t.server
   let failed_over t =
@@ -415,10 +409,10 @@ module Client = struct
     let seq = r.seq in
     let body = Req_idem { client = r.name; seq; inner } in
     let rec attempt_target () =
-      Rpc.call t.ep ~timeout ~size ~retry:r.retry ~dst:t.server ~service:"kv"
+      Rpc.call t.ep ~timeout ~size ~retry:true ~dst:t.server ~service:"kv"
         body (function
         | Ok resp -> k_done (Ok resp)
-        | Error _ -> (
+        | Error err -> (
             match r.replica with
             | Some addr ->
                 (* Primary declared dead after a full retry budget: fail
@@ -431,7 +425,11 @@ module Client = struct
                 Telemetry.Bus.emit
                   (Node.engine (Rpc.node t.ep))
                   (Telemetry.Event.Store_failover
-                     { client = r.name; attempts = r.retry.attempts });
+                     {
+                       client = r.name;
+                       attempts =
+                         (match err with `Exhausted n -> n | `Timeout -> 1);
+                     });
                 attempt_target ()
             | None -> k_done (Error `Timeout)))
     in

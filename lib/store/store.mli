@@ -96,18 +96,18 @@ module Client : sig
 
   val create :
     ?replica:Netsim.Addr.t ->
-    ?retry:Netsim.Rpc.retry ->
+    ?resilient:bool ->
     Netsim.Node.t ->
     server:Netsim.Addr.t ->
     t
   (** [create node ~server] is the plain client: one attempt per op,
       [`Timeout] on silence — unchanged semantics.
 
-      Passing [?retry] and/or [?replica] makes the client {e resilient}:
+      [~resilient:true] and/or [?replica] makes the client {e resilient}:
       ops are serialized (one outstanding at a time, preserving
       per-client FIFO order across retransmissions), tagged with an
-      idempotency id the server deduplicates on, retried through the
-      policy ([Rpc.retry_policy] if only [?replica] was given), and —
+      idempotency id the server deduplicates on, retried
+      ([Netsim.Rpc.call ~retry:true]), and —
       once the budget is exhausted on the primary — failed over to
       [replica] permanently (emitting [Store_failover]). Ops that fail
       on both targets yield [`Timeout]; later ops re-try the promoted

@@ -107,10 +107,7 @@ and conn = {
   mutable close_cb : close_reason -> unit;
   mutable remote_fin_cb : unit -> unit;
   (* Stats. *)
-  mutable acked : int;
   mutable rtx : int;
-  mutable n_in : int;
-  mutable n_out : int;
 }
 
 let stack_node s = s.node
@@ -169,7 +166,6 @@ let send_seg c ?(flags = Segment.flag_ack) ?seq ?(payload = "") () =
       flags;
     }
   in
-  c.n_out <- c.n_out + 1;
   Telemetry.Registry.incr m_seg_out;
   raw_send c.stack ~src:c.cquad.local_addr ~dst:c.cquad.remote_addr seg
 
@@ -425,7 +421,6 @@ let process_ack c (seg : Segment.t) =
         ~ack:seg.ack
     in
     if seg.ack > c.snd_una_v && seg.ack <= c.snd_nxt_v then begin
-      c.acked <- c.acked + (seg.ack - c.snd_una_v);
       c.snd_una_v <- seg.ack;
       Stream_buf.drop_until c.sndbuf
         (min seg.ack (Stream_buf.end_seq c.sndbuf));
@@ -478,7 +473,6 @@ let established_process c seg =
   end
 
 let conn_rx c (seg : Segment.t) =
-  c.n_in <- c.n_in + 1;
   Telemetry.Registry.incr m_seg_in;
   if seg.flags.rst then teardown c Reset
   else
@@ -558,10 +552,7 @@ let make_conn stack quad ~mss ~rcv_wnd ~iss ~state =
     data_cb = (fun _ -> ());
     close_cb = (fun _ -> ());
     remote_fin_cb = (fun () -> ());
-    acked = 0;
     rtx = 0;
-    n_in = 0;
-    n_out = 0;
   }
 
 let send_rst stack ~src ~dst (seg : Segment.t) =
@@ -653,7 +644,6 @@ let freeze_stack stack =
 let is_frozen stack = stack.frozen
 
 let listen stack ~port accept_cb = Hashtbl.replace stack.listeners port accept_cb
-let unlisten stack ~port = Hashtbl.remove stack.listeners port
 
 let alloc_port stack =
   let p = stack.next_port in
@@ -730,10 +720,7 @@ let snd_una c = c.snd_una_v
 let snd_nxt c = c.snd_nxt_v
 let rcv_nxt c = c.rcv_nxt_v
 let delivered_bytes c = c.delivered
-let bytes_acked c = c.acked
 let retransmits c = c.rtx
-let segments_in c = c.n_in
-let segments_out c = c.n_out
 (* lint: allow d3 — 0.0 is the exact "no RTT sample yet" sentinel assigned at creation, never computed *)
 let srtt c = if c.srtt_v = 0.0 then None else Some c.srtt_v
 

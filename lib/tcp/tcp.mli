@@ -82,8 +82,6 @@ val listen : stack -> port:int -> (conn -> unit) -> unit
 (** [listen stack ~port accept] invokes [accept] for each connection that
     completes the handshake on [port]. *)
 
-val unlisten : stack -> port:int -> unit
-
 val connect :
   stack ->
   ?src:Netsim.Addr.t ->
@@ -140,10 +138,7 @@ val delivered_bytes : conn -> int
 (** Cumulative stream bytes handed to the application. The inferred
     current ACK number is [irs + 1 + delivered_bytes]. *)
 
-val bytes_acked : conn -> int
 val retransmits : conn -> int
-val segments_in : conn -> int
-val segments_out : conn -> int
 val srtt : conn -> float option
 (** Smoothed RTT in seconds, once sampled. *)
 

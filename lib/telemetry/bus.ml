@@ -22,10 +22,6 @@ let ncats = List.length Event.categories
 type state = {
   mutable capacity : int;
   mutable seq_counter : int;
-  (* Per-category capacity overrides (None = use [capacity]).
-     Trace-heavy runs size up only the chatty categories instead of
-     multiplying every ring. *)
-  cat_capacity : int option array;
   rings : ring array;
   mutable sub_counter : int;
   mutable subs : sub list;
@@ -47,7 +43,6 @@ let key =
       {
         capacity = 8192;
         seq_counter = 0;
-        cat_capacity = Array.make ncats None;
         rings =
           Array.init ncats (fun _ ->
               { arr = [||]; start = 0; len = 0; total = 0 });
@@ -123,10 +118,7 @@ let emit eng event =
     let ci = cat_index cat in
     let e = { seq = st.seq_counter; at = Sim.Engine.now eng; event } in
     let r = st.rings.(ci) in
-    let cap =
-      match st.cat_capacity.(ci) with Some n -> n | None -> st.capacity
-    in
-    if push r ~cap e then Registry.incr (dropped_counter st);
+    if push r ~cap:st.capacity e then Registry.incr (dropped_counter st);
     Registry.set_max_int (hwm_gauges st).(ci) r.len;
     List.iter
       (fun s ->
@@ -174,26 +166,7 @@ let set_capacity n =
   if n <= 0 then invalid_arg "Bus.set_capacity: capacity must be positive";
   let st = state () in
   st.capacity <- n;
-  Array.fill st.cat_capacity 0 ncats None;
   clear ()
-
-let set_category_capacity c n =
-  if n <= 0 then
-    invalid_arg "Bus.set_category_capacity: capacity must be positive";
-  let st = state () in
-  let ci = cat_index c in
-  st.cat_capacity.(ci) <- Some n;
-  (* Only the resized ring is cleared; other categories keep their
-     buffered entries. *)
-  let r = st.rings.(ci) in
-  r.arr <- [||];
-  r.start <- 0;
-  r.len <- 0;
-  r.total <- 0
-
-let category_capacity c =
-  let st = state () in
-  match st.cat_capacity.(cat_index c) with Some n -> n | None -> st.capacity
 
 let to_jsonl buf =
   List.iter

@@ -52,17 +52,7 @@ val dropped_total : unit -> int
     [telemetry.ring_hwm.<cat>] high-water occupancy gauges. *)
 
 val set_capacity : int -> unit
-(** Per-category ring capacity (default 8192). Clears all buffers and
-    forgets any {!set_category_capacity} overrides. *)
-
-val set_category_capacity : Event.category -> int -> unit
-(** Overrides the ring capacity for one category (trace-heavy runs size
-    up only the chatty categories). Clears that category's buffer; other
-    categories are untouched. *)
-
-val category_capacity : Event.category -> int
-(** The effective ring capacity for [category]: its override if set,
-    else the global capacity. *)
+(** Per-category ring capacity (default 8192). Clears all buffers. *)
 
 val clear : unit -> unit
 (** Drops all buffered entries and resets counters. *)

@@ -1,11 +1,6 @@
 let set_enabled = Gate.set
 let enabled = Gate.on
 
-let set_bus_capacity ?category n =
-  match category with
-  | None -> Bus.set_capacity n
-  | Some c -> Bus.set_category_capacity c n
-
 let reset () =
   Bus.clear ();
   Span.clear ();

@@ -5,14 +5,6 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val set_bus_capacity : ?category:Event.category -> int -> unit
-(** Sizes the event-bus rings. Without [?category], sets the global
-    per-category capacity (clearing all buffers and overrides, see
-    {!Bus.set_capacity}); with it, overrides just that category's ring
-    (see {!Bus.set_category_capacity}). Trace-heavy runs (e.g. fig5a
-    with the causal tracer attached) size up the chatty categories so
-    [telemetry.bus_dropped] stays 0. *)
-
 val reset : unit -> unit
 (** Clears buffered events and spans and zeroes all registered metric
     values. Registrations survive. Call between independent runs. *)

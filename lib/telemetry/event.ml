@@ -15,17 +15,6 @@ let category_name = function
   | Store -> "store"
   | Fleet -> "fleet"
 
-let category_of_name = function
-  | "tcp" -> Some Tcp
-  | "bgp" -> Some Bgp
-  | "bfd" -> Some Bfd
-  | "netfilter" -> Some Netfilter
-  | "replicator" -> Some Replicator
-  | "orch" -> Some Orch
-  | "store" -> Some Store
-  | "fleet" -> Some Fleet
-  | _ -> None
-
 type t =
   | Seg_retransmit of { conn : string; seq : int; len : int }
   | Rto_fired of { conn : string; backoff : int; rto_s : float }

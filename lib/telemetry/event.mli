@@ -18,8 +18,6 @@ val categories : category list
 val category_name : category -> string
 (** Lower-case name, e.g. ["tcp"]. *)
 
-val category_of_name : string -> category option
-
 type t =
   (* tcp *)
   | Seg_retransmit of { conn : string; seq : int; len : int }

@@ -31,9 +31,6 @@ type metric =
   | Gauge of string * gauge
   | Histogram of string * histogram
 
-let metric_name = function
-  | Counter (n, _) | Gauge (n, _) | Histogram (n, _) -> n
-
 (* Registrations are domain-local: each domain of a parallel campaign
    grows its own registry from scratch, so two domains creating
    "tensor.failovers" concurrently each get a private cell instead of
@@ -83,7 +80,6 @@ let gauge name =
       g
 
 let set g v = g.gcell.(0) <- v
-let set_max g v = if v > g.gcell.(0) then g.gcell.(0) <- v
 let set_int g v = g.gcell.(0) <- float_of_int v
 
 let set_max_int g v =

@@ -28,16 +28,13 @@ type gauge
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-val set_max : gauge -> float -> unit
-(** [set_max g v] raises the gauge to [v] if above its current value —
-    a high-water mark. *)
-
 val set_int : gauge -> int -> unit
 (** [set g (float_of_int v)] without boxing the intermediate float —
     use on hot paths that track integer depths or counts. *)
 
 val set_max_int : gauge -> int -> unit
-(** [set_max g (float_of_int v)], allocation-free like {!set_int}. *)
+(** Raises the gauge to [v] if above its current value — a high-water
+    mark — allocation-free like {!set_int}. *)
 
 val gauge_value : gauge -> float
 
@@ -82,8 +79,6 @@ type metric =
 
 val all : unit -> metric list
 (** Every registered metric, in registration order. *)
-
-val metric_name : metric -> string
 
 val to_csv : unit -> string
 (** Header [name,kind,count,sum] — counters fill [count], gauges and

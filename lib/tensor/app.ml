@@ -69,11 +69,11 @@ let tcp_restore_cost = Time.sec 1
 
 type per_vrf = {
   spec : vrf_spec;
+  cid : Keys.conn_id; (* names the session's records in the store *)
   repl : Replicator.t;
   mutable peer : Bgp.Speaker.peer option;
   mutable bfd : Bfd.session option;
   mutable trimmer : Engine.timer option;
-  mutable established : bool;
 }
 
 type t = {
@@ -124,20 +124,55 @@ let engine t = Node.engine (Orch.Container.node t.cont)
 
 (* --- Shared plumbing -------------------------------------------------------- *)
 
-(* Control records (session metadata, BFD discriminators) must reach the
-   store even across transient network trouble: retry until
-   acknowledged. *)
-let persistent_set t client pairs =
+(* Control records (session metadata, BFD discriminators, the re-arm
+   baseline) must reach the store even across transient network trouble:
+   retry every 200 ms until acknowledged, then run [k]. Both stop once
+   the app dies or [live] turns false. *)
+let persistent_set ?(live = fun () -> true) ?(k = ignore) t client pairs =
   let rec attempt () =
-    if not t.crashed then
+    if (not t.crashed) && live () then
       Store.Client.set client ~timeout:(Time.sec 1) pairs (function
-        | Ok () -> ()
+        | Ok () -> if (not t.crashed) && live () then k ()
         | Error `Timeout ->
             ignore
               (Engine.schedule_after (engine t) ~label:"app.store_retry"
                  (Time.ms 200) attempt))
   in
   attempt ()
+
+let negotiated p =
+  Option.bind (Bgp.Speaker.peer_session p) Bgp.Session.negotiated
+
+(* One past the last received byte the session holds: the messages it
+   parsed plus the framer's unparsed fragment. *)
+let rx_position c ~parsed ~tail = Tcp.irs c + 1 + parsed + String.length tail
+
+(* The session-metadata record of a live connection. The epoch commits
+   the stream key space: recovery reads only the records this meta
+   names. *)
+let meta_record t pv ~epoch c neg =
+  let quad = Tcp.quad c in
+  let meta =
+    {
+      Keys.epoch;
+      vrf = pv.spec.vrf;
+      local_addr = quad.Tcp.Quad.local_addr;
+      local_port = quad.Tcp.Quad.local_port;
+      peer_addr = quad.Tcp.Quad.remote_addr;
+      peer_port = quad.Tcp.Quad.remote_port;
+      local_asn = t.cfg.local_asn;
+      hold_time = neg.Bgp.Session.hold_time;
+      as4 = neg.Bgp.Session.as4_in_use;
+      iss = Tcp.iss c;
+      irs = Tcp.irs c;
+      mss = Tcp.mss c;
+      rcv_wnd = 400_000;
+      peer_open_raw = Bgp.Msg.encode (Bgp.Msg.Open neg.Bgp.Session.peer_open);
+      peer_supports_gr = neg.Bgp.Session.peer_supports_gr;
+      peer_gr_restart_time = neg.Bgp.Session.peer_gr_restart_time;
+    }
+  in
+  (Keys.meta_key pv.cid, Keys.encode_meta meta)
 
 let hooks_for t =
   (* Only the VRF's external session is NSR-replicated; cluster-internal
@@ -177,25 +212,17 @@ let hooks_for t =
 (* The stall watchdog's view of the framer fragment (see Replicator). *)
 let wire_tail_source t pv =
   Replicator.set_tail_source pv.repl (fun () ->
-      if t.crashed then None
-      else
-        match pv.peer with
-        | Some p -> (
-            match Bgp.Speaker.peer_session p with
-            | Some s -> (
-                match Bgp.Session.conn s with
-                | Some c ->
-                    let tail = Bgp.Session.unparsed_tail s in
-                    if String.length tail = 0 then None
-                    else
-                      let parsed = Bgp.Session.parsed_bytes s in
-                      Some
-                        ( parsed,
-                          Tcp.irs c + 1 + parsed + String.length tail,
-                          tail )
-                | None -> None)
-            | None -> None)
-        | None -> None)
+      match pv.peer with
+      | Some p when not t.crashed -> (
+          match (Bgp.Speaker.peer_session p, Bgp.Speaker.peer_conn p) with
+          | Some s, Some c ->
+              let tail = Bgp.Session.unparsed_tail s in
+              if String.length tail = 0 then None
+              else
+                let parsed = Bgp.Session.parsed_bytes s in
+                Some (parsed, rx_position c ~parsed ~tail, tail)
+          | _ -> None)
+      | _ -> None)
 
 let start_trimmer t pv =
   if pv.trimmer = None then
@@ -203,56 +230,20 @@ let start_trimmer t pv =
       Some
         (Engine.every (engine t) ~label:"app.trimmer" (Time.ms 500) (fun () ->
              if not t.crashed then
-               match pv.peer with
-               | Some p -> (
-                   match Bgp.Speaker.peer_session p with
-                   | Some s -> (
-                       match Bgp.Session.conn s with
-                       | Some c ->
-                           Replicator.note_snd_una pv.repl ~iss:(Tcp.iss c)
-                             ~snd_una:(Tcp.snd_una c)
-                       | None -> ())
-                   | None -> ())
+               match Option.bind pv.peer Bgp.Speaker.peer_conn with
+               | Some c ->
+                   Replicator.note_snd_una pv.repl ~iss:(Tcp.iss c)
+                     ~snd_una:(Tcp.snd_una c)
                | None -> ()))
 
 let write_meta t pv =
   match (t.client, pv.peer) with
   | Some client, Some p -> (
-      match Bgp.Speaker.peer_session p with
-      | Some s -> (
-          match (Bgp.Session.conn s, Bgp.Session.negotiated s) with
-          | Some c, Some neg ->
-              let quad = Tcp.quad c in
-              let meta =
-                {
-                  (* The epoch commits the stream key space: recovery
-                     reads only the records this meta names. *)
-                  Keys.epoch = Replicator.epoch pv.repl;
-                  vrf = pv.spec.vrf;
-                  local_addr = quad.Tcp.Quad.local_addr;
-                  local_port = quad.Tcp.Quad.local_port;
-                  peer_addr = quad.Tcp.Quad.remote_addr;
-                  peer_port = quad.Tcp.Quad.remote_port;
-                  local_asn = t.cfg.local_asn;
-                  hold_time = neg.Bgp.Session.hold_time;
-                  as4 = neg.Bgp.Session.as4_in_use;
-                  iss = Tcp.iss c;
-                  irs = Tcp.irs c;
-                  mss = Tcp.mss c;
-                  rcv_wnd = 400_000;
-                  peer_open_raw =
-                    Bgp.Msg.encode (Bgp.Msg.Open neg.Bgp.Session.peer_open);
-                  peer_supports_gr = neg.Bgp.Session.peer_supports_gr;
-                  peer_gr_restart_time = neg.Bgp.Session.peer_gr_restart_time;
-                }
-              in
-              let cid =
-                Keys.conn_id ~service:t.cfg.service_id ~vrf:pv.spec.vrf
-              in
-              persistent_set t client
-                [ (Keys.meta_key cid, Keys.encode_meta meta) ]
-          | _ -> ())
-      | None -> ())
+      match (Bgp.Speaker.peer_conn p, negotiated p) with
+      | Some c, Some neg ->
+          persistent_set t client
+            [ meta_record t pv ~epoch:(Replicator.epoch pv.repl) c neg ]
+      | _ -> ())
   | _ -> ()
 
 (* Session lifecycle → replication state, shared between fresh bring-up
@@ -262,43 +253,58 @@ let write_meta t pv =
    is not held against the dead stream's sequence space. *)
 let wire_peer_lifecycle t pv peer =
   Bgp.Speaker.on_peer_up peer (fun () ->
-      pv.established <- true;
-      (match Bgp.Speaker.peer_session peer with
-      | Some s -> (
-          match Bgp.Session.conn s with
-          | Some c -> Replicator.session_established pv.repl ~irs:(Tcp.irs c)
-          | None -> ())
+      (match Bgp.Speaker.peer_conn peer with
+      | Some c -> Replicator.session_established pv.repl ~irs:(Tcp.irs c)
       | None -> ());
       (* The held-ACK deadline derives from the *negotiated* hold time:
          the degraded switch must fire well inside the peer's hold timer
          (and the default quarter-fraction also sits inside one keepalive
          interval of slack). *)
       (if t.cfg.degrade_frac > 0. then
-         match Bgp.Speaker.peer_session peer with
-         | Some s -> (
-             match Bgp.Session.negotiated s with
-             | Some neg ->
-                 Replicator.set_degrade_after pv.repl
-                   (Some
-                      (Time.of_sec_f
-                         (t.cfg.degrade_frac
-                         *. float_of_int neg.Bgp.Session.hold_time)))
-             | None -> ())
+         match negotiated peer with
+         | Some neg ->
+             Replicator.set_degrade_after pv.repl
+               (Some
+                  (Time.of_sec_f
+                     (t.cfg.degrade_frac
+                     *. float_of_int neg.Bgp.Session.hold_time)))
          | None -> ());
       write_meta t pv;
       start_trimmer t pv;
       wire_tail_source t pv);
-  Bgp.Speaker.on_peer_down peer (fun _ ->
-      pv.established <- false;
-      Replicator.session_down pv.repl)
+  Bgp.Speaker.on_peer_down peer (fun _ -> Replicator.session_down pv.repl)
+
+(* A VRF's external peer, created by [add] (fresh bring-up) or imported
+   by it (resume) from the spec: the replicator's ACK hold goes on the
+   output chain and the session lifecycle is wired. *)
+let add_vrf_peer t stack pv ~remote_asn ~passive add =
+  let spec = pv.spec in
+  let peer =
+    add
+      {
+        (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
+           ~remote_addr:spec.peer_addr ())
+        with
+        Bgp.Speaker.remote_asn;
+        local_addr = Some spec.vip;
+        passive;
+      }
+  in
+  pv.peer <- Some peer;
+  (match Tcp.output_chain stack with
+  | Some chain ->
+      Replicator.attach_output_chain pv.repl chain ~local:spec.vip
+        ~remote:spec.peer_addr
+  | None -> ());
+  wire_peer_lifecycle t pv peer;
+  peer
 
 let write_bfd_discs t pv =
   match (t.client, pv.bfd) with
   | Some client, Some session ->
-      let cid = Keys.conn_id ~service:t.cfg.service_id ~vrf:pv.spec.vrf in
       persistent_set t client
         [
-          ( Keys.bfd_key cid,
+          ( Keys.bfd_key pv.cid,
             Keys.encode_bfd ~my_disc:(Bfd.my_disc session)
               ~your_disc:(Bfd.your_disc session) );
         ]
@@ -332,6 +338,7 @@ let start_bfd t pv ?resume () =
     end
   end
 
+
 (* Poll until the resumed connection's send stream is fully acknowledged:
    the "TCP recovery" completion instant of Table 1. *)
 let watch_tcp_sync ?(span = Telemetry.Span.none) t pv =
@@ -340,34 +347,24 @@ let watch_tcp_sync ?(span = Telemetry.Span.none) t pv =
     if not t.crashed then
       match pv.peer with
       | Some p when Bgp.Speaker.peer_state p = Bgp.Session.Established -> (
-          match Bgp.Speaker.peer_session p with
-          | Some s -> (
-              match Bgp.Session.conn s with
-              | Some c ->
-                  if
-                    Tcp.state c = Tcp.Established
-                    && Tcp.snd_una c = Tcp.snd_nxt c
-                    && Tcp.snd_nxt c > Tcp.iss c + 1
-                  then begin
-                    Telemetry.Span.finish eng span;
-                    (* The stream is resynchronized; audit Adj-RIB-Out so
-                       any UPDATE the failed primary generated but never
-                       made durable (and therefore never sent) is
-                       regenerated from the checkpointed table. *)
-                    (match t.spk with
-                    | Some spk -> Bgp.Speaker.resync_adj_out spk p
-                    | None -> ());
-                    t.tcp_synced_cb ~vrf:pv.spec.vrf
-                  end
-                  else
-                    ignore
-                      (Engine.schedule_after eng ~label:"app.sync_poll"
-                         (Time.ms 50) poll)
-              | None ->
-                  ignore
-                    (Engine.schedule_after eng ~label:"app.sync_poll"
-                       (Time.ms 50) poll))
-          | None -> ())
+          match Bgp.Speaker.peer_conn p with
+          | Some c
+            when Tcp.state c = Tcp.Established
+                 && Tcp.snd_una c = Tcp.snd_nxt c
+                 && Tcp.snd_nxt c > Tcp.iss c + 1 ->
+              Telemetry.Span.finish eng span;
+              (* The stream is resynchronized; audit Adj-RIB-Out so any
+                 UPDATE the failed primary generated but never made
+                 durable (and therefore never sent) is regenerated from
+                 the checkpointed table. *)
+              (match t.spk with
+              | Some spk -> Bgp.Speaker.resync_adj_out spk p
+              | None -> ());
+              t.tcp_synced_cb ~vrf:pv.spec.vrf
+          | Some _ | None ->
+              ignore
+                (Engine.schedule_after eng ~label:"app.sync_poll" (Time.ms 50)
+                   poll))
       | Some _ | None -> (* session gone: stop polling *) ()
   in
   poll ()
@@ -423,52 +420,28 @@ let rearm_from_degraded t pv =
       match (t.client, t.spk, pv.peer) with
       | Some client, Some spk, Some p
         when Bgp.Speaker.peer_state p = Bgp.Session.Established -> (
-          match Bgp.Speaker.peer_session p with
-          | Some s -> (
-              match (Bgp.Session.conn s, Bgp.Session.negotiated s) with
-              | Some c, Some neg ->
-                  if Tcp.snd_una c = Tcp.snd_nxt c then
-                    rearm client spk p s c neg
-                  else retry ()
-              | _ -> ())
-          | None -> ())
+          match
+            (Bgp.Speaker.peer_session p, Bgp.Speaker.peer_conn p, negotiated p)
+          with
+          | Some s, Some c, Some neg ->
+              if Tcp.snd_una c = Tcp.snd_nxt c then rearm client spk p s c neg
+              else retry ()
+          | _ -> ())
       | _ -> () (* session gone: session_down already cleared degraded *)
   and retry () =
     ignore (Engine.schedule_after eng ~label:"app.rearm_poll" (Time.ms 50) poll)
   and rearm client spk p s c neg =
     let epoch = Replicator.prepare_rearm pv.repl in
-    let cid = Keys.conn_id ~service ~vrf:pv.spec.vrf in
-    let ecid = Keys.epoch_cid cid epoch in
+    let ecid = Keys.epoch_cid pv.cid epoch in
     let parsed = Bgp.Session.parsed_bytes s in
     let tail = Bgp.Session.unparsed_tail s in
     let snd_nxt0 = Tcp.snd_nxt c in
-    let watermark = Tcp.irs c + 1 + parsed + String.length tail in
+    let watermark = rx_position c ~parsed ~tail in
     let stream_offset = snd_nxt0 - (Tcp.iss c + 1) in
-    let quad = Tcp.quad c in
-    let meta =
-      {
-        Keys.epoch;
-        vrf = pv.spec.vrf;
-        local_addr = quad.Tcp.Quad.local_addr;
-        local_port = quad.Tcp.Quad.local_port;
-        peer_addr = quad.Tcp.Quad.remote_addr;
-        peer_port = quad.Tcp.Quad.remote_port;
-        local_asn = t.cfg.local_asn;
-        hold_time = neg.Bgp.Session.hold_time;
-        as4 = neg.Bgp.Session.as4_in_use;
-        iss = Tcp.iss c;
-        irs = Tcp.irs c;
-        mss = Tcp.mss c;
-        rcv_wnd = 400_000;
-        peer_open_raw = Bgp.Msg.encode (Bgp.Msg.Open neg.Bgp.Session.peer_open);
-        peer_supports_gr = neg.Bgp.Session.peer_supports_gr;
-        peer_gr_restart_time = neg.Bgp.Session.peer_gr_restart_time;
-      }
-    in
     let part_written = String.length tail > 0 in
     let pairs =
       [
-        (Keys.meta_key cid, Keys.encode_meta meta);
+        meta_record t pv ~epoch c neg;
         (Keys.ack_key ecid, string_of_int watermark);
         (Keys.outtrim_key ecid, string_of_int stream_offset);
       ]
@@ -479,38 +452,28 @@ let rearm_from_degraded t pv =
         :: pairs
       else pairs
     in
-    let rec put () =
-      if (not t.crashed) && Replicator.degraded pv.repl then
-        Store.Client.set client ~timeout:(Time.sec 1) pairs (function
-          | Ok () ->
-              if (not t.crashed) && Replicator.degraded pv.repl then begin
-                if
-                  Tcp.snd_nxt c = snd_nxt0
-                  && Tcp.snd_una c = snd_nxt0
-                  && Bgp.Session.parsed_bytes s = parsed
-                  && String.length (Bgp.Session.unparsed_tail s)
-                     = String.length tail
-                then begin
-                  Replicator.complete_rearm pv.repl ~watermark ~stream_offset
-                    ~part_written;
-                  (* Any UPDATE generated while degraded was sent without
-                     a checkpoint behind it: regenerate Adj-RIB-Out from
-                     the table, then rewrite the rib| checkpoint. *)
-                  Bgp.Speaker.resync_adj_out spk p;
-                  recheckpoint spk client
-                end
-                else
-                  (* The stream moved while the baseline was in flight:
-                     the written cursors are already stale. Snapshot
-                     again (under a fresh epoch). *)
-                  retry ()
-              end
-          | Error `Timeout ->
-              ignore
-                (Engine.schedule_after eng ~label:"app.store_retry"
-                   (Time.ms 200) put))
-    in
-    put ()
+    persistent_set t client pairs
+      ~live:(fun () -> Replicator.degraded pv.repl)
+      ~k:(fun () ->
+        if
+          Tcp.snd_nxt c = snd_nxt0
+          && Tcp.snd_una c = snd_nxt0
+          && Bgp.Session.parsed_bytes s = parsed
+          && String.length (Bgp.Session.unparsed_tail s) = String.length tail
+        then begin
+          Replicator.complete_rearm pv.repl ~watermark ~stream_offset
+            ~part_written;
+          (* Any UPDATE generated while degraded was sent without a
+             checkpoint behind it: regenerate Adj-RIB-Out from the
+             table, then rewrite the rib| checkpoint. *)
+          Bgp.Speaker.resync_adj_out spk p;
+          recheckpoint spk client
+        end
+        else
+          (* The stream moved while the baseline was in flight: the
+             written cursors are already stale. Snapshot again (under a
+             fresh epoch). *)
+          retry ())
   in
   poll ()
 
@@ -520,24 +483,9 @@ let bootstrap_fresh t spk stack =
   List.iter
     (fun pv ->
       let spec = pv.spec in
-      let pc =
-        {
-          (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-             ~remote_addr:spec.peer_addr ())
-          with
-          Bgp.Speaker.remote_asn = spec.peer_asn;
-          local_addr = Some spec.vip;
-          passive = spec.passive;
-        }
-      in
-      let peer = Bgp.Speaker.add_peer spk pc in
-      pv.peer <- Some peer;
-      (match Tcp.output_chain stack with
-      | Some chain ->
-          Replicator.attach_output_chain pv.repl chain ~local:spec.vip
-            ~remote:spec.peer_addr
-      | None -> ());
-      wire_peer_lifecycle t pv peer;
+      ignore
+        (add_vrf_peer t stack pv ~remote_asn:spec.peer_asn ~passive:spec.passive
+           (Bgp.Speaker.add_peer spk));
       (* Cluster-internal iBGP sessions (joint containers, §3.2.4). *)
       List.iter
         (fun (addr, passive) ->
@@ -665,15 +613,6 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
           as4_in_use = meta.Keys.as4;
         }
       in
-      let pc =
-        {
-          (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-             ~remote_addr:spec.peer_addr ())
-          with
-          Bgp.Speaker.remote_asn = Some peer_open.Bgp.Msg.asn;
-          local_addr = Some spec.vip;
-        }
-      in
       (* A valid replicated fragment is exactly the gap between the last
          complete message and the acknowledged watermark; anything else is
          stale and ignored. *)
@@ -685,28 +624,22 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
             bytes
         | Some _ | None -> ""
       in
-      let peer =
-        Bgp.Speaker.resume_peer spk pc ~repair ~negotiated ~framer_seed ()
-      in
-      pv.peer <- Some peer;
-      pv.established <- true;
       (* The resumed peer needs the same lifecycle wiring as a fresh one:
          without it, a later session loss leaves the replicator armed
          against a dead stream and a re-establishment never re-keys it.
-         Attached after [resume_peer], so the import itself (already
+         Wired after [resume_peer], so the import itself (already
          Established) does not clobber [resume_at]'s watermark. *)
-      wire_peer_lifecycle t pv peer;
+      let peer =
+        add_vrf_peer t stack pv ~remote_asn:(Some peer_open.Bgp.Msg.asn)
+          ~passive:false (fun pc ->
+            Bgp.Speaker.resume_peer spk pc ~repair ~negotiated ~framer_seed ())
+      in
       let in_seq =
         match List.rev r.r_in with (seq, _, _) :: _ -> seq + 1 | [] -> 0
       in
       Replicator.resume_at pv.repl ~epoch:meta.Keys.epoch ~watermark:r.r_watermark ~bytes_written
         ~in_seq ~outtrim:r.r_outtrim
         ~out_records:(List.map (fun (off, raw) -> (off, String.length raw)) r.r_out);
-      (match Tcp.output_chain stack with
-      | Some chain ->
-          Replicator.attach_output_chain pv.repl chain ~local:spec.vip
-            ~remote:spec.peer_addr
-      | None -> ());
       (* Replay replicated-but-unapplied updates through the normal
          receive path, then trim them from the store. The records hold
          the frames as received, so they decode in the session's AS4
@@ -776,14 +709,10 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
                  ignore
                    (Engine.schedule_after (engine t) ~label:"app.peer_reset"
                       (Time.sec 2) (fun () ->
-                        match Bgp.Speaker.peer_session peer with
-                        | Some s
-                          when Bgp.Session.state s = Bgp.Session.Established
-                          -> (
-                            match Bgp.Session.conn s with
-                            | Some c -> Tcp.abort c
-                            | None -> ())
-                        | _ -> ()))
+                        if
+                          Bgp.Speaker.peer_state peer
+                          = Bgp.Session.Established
+                        then Option.iter Tcp.abort (Bgp.Speaker.peer_conn peer)))
                end;
                let span = Telemetry.Span.start (engine t) "tcp_replay" in
                watch_tcp_sync ~span t pv
@@ -793,7 +722,6 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
   | Error _ -> Error "bad peer OPEN in metadata"
 
 let recover_vrf t spk stack client pv k =
-  let cid = Keys.conn_id ~service:t.cfg.service_id ~vrf:pv.spec.vrf in
   let eng = engine t in
   let t0 = Engine.now eng in
   let span = Telemetry.Span.start eng "replica_catchup" in
@@ -823,14 +751,16 @@ let recover_vrf t spk stack client pv k =
     finish_catchup (Error e);
     k (Error e)
   in
-  Store.Client.get client [ Keys.meta_key cid; Keys.bfd_key cid ]
+  Store.Client.get client [ Keys.meta_key pv.cid; Keys.bfd_key pv.cid ]
     (fun identity_reads ->
       let find key reads = Option.join (List.assoc_opt key reads) in
       let meta =
         match identity_reads with
         | Error `Timeout -> Error "store unreachable"
         | Ok reads -> (
-            match Option.map Keys.decode_meta (find (Keys.meta_key cid) reads) with
+            match
+              Option.map Keys.decode_meta (find (Keys.meta_key pv.cid) reads)
+            with
             | None -> Error "no session metadata"
             | Some (Error e) -> Error ("bad metadata: " ^ e)
             | Some (Ok m) -> Ok m)
@@ -842,12 +772,12 @@ let recover_vrf t spk stack client pv k =
             match identity_reads with
             | Error `Timeout -> None
             | Ok reads ->
-                Option.bind (find (Keys.bfd_key cid) reads) (fun v ->
+                Option.bind (find (Keys.bfd_key pv.cid) reads) (fun v ->
                     match Keys.decode_bfd v with
                     | Ok discs -> Some discs
                     | Error _ -> None)
           in
-          let ecid = Keys.epoch_cid cid meta.Keys.epoch in
+          let ecid = Keys.epoch_cid pv.cid meta.Keys.epoch in
           Store.Client.get client
             [ Keys.ack_key ecid; Keys.outtrim_key ecid; Keys.part_key ecid ]
             (fun cursor_reads ->
@@ -941,14 +871,11 @@ let bootstrap t () =
   let stack = Tcp.create_stack node in
   let chain = Netfilter.create ~eng:(Node.engine node) () in
   Tcp.set_output_chain stack (Some chain);
+  (* Resilient mode: idempotent, retried, failing over to the replica
+     once the primary's budget is exhausted. *)
   let client =
-    match (t.cfg.store_replica, t.cfg.store_retry) with
-    | None, false -> Store.Client.create node ~server:t.cfg.store_addr
-    | replica, _ ->
-        (* Resilient mode: idempotent, retried, failing over to the
-           replica once the primary's budget is exhausted. *)
-        Store.Client.create ?replica ~retry:Rpc.retry_policy node
-          ~server:t.cfg.store_addr
+    Store.Client.create ?replica:t.cfg.store_replica
+      ~resilient:t.cfg.store_retry node ~server:t.cfg.store_addr
   in
   t.stack <- Some stack;
   t.client <- Some client;
@@ -956,17 +883,17 @@ let bootstrap t () =
   t.per_vrf <-
     List.map
       (fun spec ->
+        let cid = Keys.conn_id ~service:t.cfg.service_id ~vrf:spec.vrf in
         {
           spec;
+          cid;
           repl =
             Replicator.create ~replicate:t.cfg.replicate
-              ~ack_hold:t.cfg.ack_hold ~engine:eng ~client
-              ~conn_id:(Keys.conn_id ~service:t.cfg.service_id ~vrf:spec.vrf)
+              ~ack_hold:t.cfg.ack_hold ~engine:eng ~client ~conn_id:cid
               ~service:t.cfg.service_id ();
           peer = None;
           bfd = None;
           trimmer = None;
-          established = false;
         })
       t.cfg.vrfs;
   if t.cfg.degrade_frac > 0. then

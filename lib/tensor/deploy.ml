@@ -29,7 +29,6 @@ type peer_as = {
 }
 
 type service = {
-  dep : t;
   sid : string;
   scfg : App.config;
   backup_mode : [ `Cold | `Preheat ];
@@ -211,7 +210,7 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
 (* --- Build --------------------------------------------------------------------- *)
 
 let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
-    ?(store_replica = false) ?ctrl_config () =
+    ?(store_replica = false) () =
   let eng = Engine.create ~seed () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
@@ -220,9 +219,7 @@ let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
         Orch.Host.create net ~fabric (Printf.sprintf "host%d" i))
   in
   let agent = Orch.Agent.create net ~fabric "agent" in
-  let ctrl =
-    Orch.Controller.create net ~fabric ?config:ctrl_config "controller"
-  in
+  let ctrl = Orch.Controller.create net ~fabric "controller" in
   Array.iter (fun h -> Orch.Controller.register_host ctrl h) host_arr;
   Orch.Controller.register_agent ctrl agent;
   (* The store lives on its own server joined to the fabric (Redis on a
@@ -323,7 +320,6 @@ let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
   let app = App.install cont cfg in
   let svc =
     {
-      dep = t;
       sid = id;
       scfg = cfg;
       backup_mode;

@@ -35,7 +35,6 @@ val build :
   ?hosts:int ->
   ?store_delay:Sim.Time.span ->
   ?store_replica:bool ->
-  ?ctrl_config:Orch.Controller.config ->
   unit ->
   t
 (** Defaults: 3 hosts and a local store (100 µs away) with the
@@ -46,8 +45,7 @@ val build :
     moves the store further (the §5 remote-replication discussion);
     [store_replica] (default false) attaches a synchronous replica on a
     second store server — the paper's "Redis set up on multiple local
-    servers". [ctrl_config] overrides the controller's timers (fleet
-    sweeps vary probe cadence with controller placement). Migration
+    servers". Migration
     milestones ([Failure_injected], [Tcp_synced] per VRF, the
     controller's [Orch] events) go to the telemetry bus; read them with
     {!Telemetry.Control.capture}. *)

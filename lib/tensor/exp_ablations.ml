@@ -191,11 +191,8 @@ let one_mode ~mode ~store_delay ~ack_hold =
     let peer_acked () =
       List.fold_left
         (fun acc p ->
-          match Bgp.Speaker.peer_session p with
-          | Some s -> (
-              match Bgp.Session.conn s with
-              | Some c -> max acc (Tcp.snd_una c)
-              | None -> acc)
+          match Bgp.Speaker.peer_conn p with
+          | Some c -> max acc (Tcp.snd_una c)
           | None -> acc)
         0
         (Bgp.Speaker.peers peer.Deploy.pa_speaker)

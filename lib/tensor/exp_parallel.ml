@@ -166,11 +166,8 @@ let containerized ~ases ~updates_per_as =
         in
         Replicator.attach_output_chain repl chain ~local:dut_addr ~remote:addr;
         Bgp.Speaker.on_peer_up p (fun () ->
-            match Bgp.Speaker.peer_session p with
-            | Some s -> (
-                match Bgp.Session.conn s with
-                | Some c -> Replicator.session_established repl ~irs:(Tcp.irs c)
-                | None -> ())
+            match Bgp.Speaker.peer_conn p with
+            | Some c -> Replicator.session_established repl ~irs:(Tcp.irs c)
             | None -> ());
         Bgp.Speaker.start spk_dut;
         (spk, addr))

@@ -289,31 +289,41 @@ let rec pump t lane =
         in
         attempt ()
 
+(* Run an op's completion callbacks without the store. *)
+let fire = function Set (_, ks) -> List.iter (fun k -> k ()) ks | Del _ -> ()
+
 (* While degraded the lanes are gone: a Set's callbacks (message
    releases, durability notifications — the latter inert against the
    cleared watermark) fire immediately, deletes are dropped; the re-arm
    rewrites every cursor the skipped writes would have maintained. *)
-let submit_ctl t op =
-  if t.degraded then
-    match op with
-    | Set (_, ks) -> List.iter (fun k -> k ()) ks
-    | Del _ -> ()
+let submit t lane op =
+  if t.degraded then fire op
   else begin
-    enqueue_op t.ctl op;
-    pump t t.ctl
-  end
-
-let submit_bulk t op =
-  if t.degraded then
-    match op with
-    | Set (_, ks) -> List.iter (fun k -> k ()) ks
-    | Del _ -> ()
-  else begin
-    enqueue_op t.bulk op;
-    pump t t.bulk
+    enqueue_op lane op;
+    pump t lane
   end
 
 (* --- tcp_queue: the held-ACK discipline ------------------------------------ *)
+
+(* Empty the held queue without watermark cover: [report] sees each ACK
+   and the instant it was held, then its segment gets [verdict]. *)
+let drain_held t verdict report =
+  while not (Queue.is_empty t.held) do
+    let ack, since, reinject = Queue.pop t.held in
+    report ack since;
+    reinject verdict
+  done
+
+let report_dropped t ack _since =
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng (Telemetry.Event.Ack_dropped { conn = t.cid; ack })
+
+(* Key the held-ACK discipline to a durable watermark. *)
+let arm_watermark t wm =
+  t.wm <- Some wm;
+  t.wm_target <- wm;
+  if Telemetry.Gate.on () then
+    Telemetry.Bus.emit t.eng (Telemetry.Event.Wm_durable { conn = t.cid; ack = wm })
 
 let release_one t =
   let ack, since, reinject = Queue.pop t.held in
@@ -407,8 +417,9 @@ let degraded_seconds t =
   | Some since -> Time.to_sec_f (Time.diff (Engine.now t.eng) since)
   | None -> 0.
 
-(* Leaving degraded mode without a re-arm (the transport died instead):
-   successor-session bookkeeping starts from whatever path runs next. *)
+(* Leaving degraded mode, alone when the transport died (successor-session
+   bookkeeping starts from whatever path runs next) or as the first step
+   of a completed re-arm. *)
 let clear_degraded t =
   if t.degraded then begin
     let degraded_s = degraded_seconds t in
@@ -425,10 +436,6 @@ let clear_degraded t =
   end
 
 let shed_lane lane =
-  let fire = function
-    | Set (_, ks) -> List.iter (fun k -> k ()) ks
-    | Del _ -> ()
-  in
   (match lane.current with Some op -> fire op | None -> ());
   Queue.iter (fun b -> fire (op_of_batch b)) lane.queue;
   lane.current <- None;
@@ -475,15 +482,12 @@ let enter_degraded t =
            { conn = t.cid; held = Queue.length t.held; oldest_held_s });
     (* Shed every held ACK — released to the peer without durability
        cover, which is exactly the suspension being declared. *)
-    while not (Queue.is_empty t.held) do
-      let ack, since, reinject = Queue.pop t.held in
-      let held_s = Time.to_sec_f (Time.diff now since) in
-      Telemetry.Registry.incr m_acks_shed;
-      if Telemetry.Gate.on () then
-        Telemetry.Bus.emit t.eng
-          (Telemetry.Event.Ack_shed { conn = t.cid; ack; held_s });
-      reinject Netfilter.Accept
-    done;
+    drain_held t Netfilter.Accept (fun ack since ->
+        let held_s = Time.to_sec_f (Time.diff now since) in
+        Telemetry.Registry.incr m_acks_shed;
+        if Telemetry.Gate.on () then
+          Telemetry.Bus.emit t.eng
+            (Telemetry.Event.Ack_shed { conn = t.cid; ack; held_s }));
     t.wm <- None; (* pass-through: nothing is held while degraded *)
     t.wm_target <- 0;
     shed_lane t.ctl;
@@ -503,39 +507,21 @@ let prepare_rearm t =
 
 let complete_rearm t ~watermark ~stream_offset ~part_written =
   if t.degraded then begin
-    let degraded_s = degraded_seconds t in
-    t.degraded <- false;
-    t.degraded_since <- None;
-    t.gen <- t.gen + 1;
-    t.heal_inflight <- false;
-    stop_heal_probe t;
+    clear_degraded t;
     t.ctl.blocked_since <- None;
     t.bulk.blocked_since <- None;
-    t.wm <- Some watermark;
-    t.wm_target <- watermark;
+    arm_watermark t watermark;
     t.in_seq <- 0;
     t.written <- stream_offset;
     t.outtrim <- stream_offset;
     Queue.clear t.out_records;
     t.part_written <- part_written;
     Queue.clear t.unapplied;
-    Telemetry.Registry.observe m_degraded_s degraded_s;
-    if Telemetry.Gate.on () then begin
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Degraded_exit
-           { conn = t.cid; degraded_s; epoch = t.epoch });
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Wm_durable { conn = t.cid; ack = watermark })
-    end;
     release_ready t
   end
 
 let session_established t ~irs =
-  t.wm <- Some (irs + 1);
-  t.wm_target <- irs + 1;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Wm_durable { conn = t.cid; ack = irs + 1 });
+  arm_watermark t (irs + 1);
   release_ready t
 
 let session_down t =
@@ -548,13 +534,7 @@ let session_down t =
      a stale watermark, and flush anything still held (the dead
      connection cannot ACK it out). *)
   t.wm <- None;
-  while not (Queue.is_empty t.held) do
-    let ack, _, reinject = Queue.pop t.held in
-    if Telemetry.Gate.on () then
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Ack_dropped { conn = t.cid; ack });
-    reinject Netfilter.Accept
-  done;
+  drain_held t Netfilter.Accept (report_dropped t);
   (* Retire the dead stream's send-side accounting and roll the epoch
      BEFORE a successor connection sends its first byte. Without this, a
      re-established session's tx offsets would continue where the dead
@@ -583,15 +563,11 @@ let session_down t =
   Queue.clear t.out_records;
   t.part_written <- false;
   t.epoch <- t.epoch + 1;
-  if t.replicate && not t.stopped then submit_bulk t (Del stale)
+  if t.replicate && not t.stopped then submit t t.bulk (Del stale)
 
 let resume_at t ~epoch ~watermark ~bytes_written ~in_seq ~outtrim ~out_records =
   t.epoch <- epoch;
-  t.wm <- Some watermark;
-  t.wm_target <- watermark;
-  if Telemetry.Gate.on () then
-    Telemetry.Bus.emit t.eng
-      (Telemetry.Event.Wm_durable { conn = t.cid; ack = watermark });
+  arm_watermark t watermark;
   t.written <- bytes_written;
   t.in_seq <- in_seq;
   t.outtrim <- outtrim;
@@ -658,7 +634,7 @@ let check_stall t =
           | Some (offset, inferred_ack, bytes)
             when inferred_ack > t.wm_target && String.length bytes > 0 ->
               t.part_written <- true;
-              submit_ctl t
+              submit t t.ctl
                 (Set
                    ( [
                        (Keys.part_key (ecid t), Keys.encode_part ~offset ~bytes);
@@ -752,7 +728,7 @@ let on_rx_message t ?raw msg ~inferred_ack =
     (* A completed message supersedes any replicated fragment. *)
     if t.part_written then begin
       t.part_written <- false;
-      submit_ctl t (Del [ Keys.part_key (ecid t) ])
+      submit t t.ctl (Del [ Keys.part_key (ecid t) ])
     end;
     let on_durable () =
       if inferred_ack > t.wm_target then begin
@@ -762,9 +738,9 @@ let on_rx_message t ?raw msg ~inferred_ack =
       st.durable <- true;
       (* Non-update messages carry no table state: trim immediately;
          update replicas wait until they are also applied. *)
-      if (not is_update) || st.applied then submit_bulk t (Del [ key ])
+      if (not is_update) || st.applied then submit t t.bulk (Del [ key ])
     in
-    submit_ctl t
+    submit t t.ctl
       (Set
          ( [
              (key, Keys.encode_in_record ~ack:inferred_ack ~raw);
@@ -781,7 +757,7 @@ let on_rx_applied t =
        by the apply step (same bulk lane, FIFO) — the paper's "remove
        only after applied". If the replica write is still in flight, the
        durability callback issues the delete instead. *)
-    if st.durable then submit_bulk t (Del [ st.in_key ])
+    if st.durable then submit t t.bulk (Del [ st.in_key ])
   end
 
 (* --- Delayed sending ---------------------------------------------------------- *)
@@ -794,7 +770,7 @@ let on_tx_message t ~raw ~release =
     let len = String.length raw in
     t.written <- offset + len;
     Queue.push (offset, len) t.out_records;
-    submit_ctl t
+    submit t t.ctl
       (Set ([ (Keys.out_key (ecid t) offset, Keys.hex raw) ], [ release ]))
   end
 
@@ -804,7 +780,7 @@ let on_rib_change t ~vrf change =
   if t.replicate && (not t.stopped) && not t.degraded then
     match change with
     | Bgp.Rib.Best_changed (prefix, path) ->
-        submit_bulk t
+        submit t t.bulk
           (Set
              ( [
                  ( Keys.rib_key ~service:t.service ~vrf prefix,
@@ -813,7 +789,7 @@ let on_rib_change t ~vrf change =
                ],
                [] ))
     | Bgp.Rib.Best_withdrawn prefix ->
-        submit_bulk t (Del [ Keys.rib_key ~service:t.service ~vrf prefix ])
+        submit t t.bulk (Del [ Keys.rib_key ~service:t.service ~vrf prefix ])
 
 (* --- Outbound trimming ---------------------------------------------------------- *)
 
@@ -834,8 +810,8 @@ let note_snd_una t ~iss ~snd_una =
       in
       let trimmed = trim [] in
       if trimmed <> [] then begin
-        submit_bulk t (Set ([ (Keys.outtrim_key ecid, string_of_int acked) ], []));
-        submit_bulk t (Del trimmed)
+        submit t t.bulk (Set ([ (Keys.outtrim_key ecid, string_of_int acked) ], []));
+        submit t t.bulk (Del trimmed)
       end
     end
   end
@@ -861,14 +837,8 @@ let stop t =
       Engine.cancel h;
       t.wd_tick <- None
   | None -> ());
-  while not (Queue.is_empty t.held) do
-    let ack, _, reinject = Queue.pop t.held in
-    (* Flushed at detach without watermark cover. A stopped (fenced or
-       dead) primary must not ACK bytes the store never confirmed, so the
-       segment is dropped, and reported so the end-of-run queue balance
-       (held = released + dropped) closes. *)
-    if Telemetry.Gate.on () then
-      Telemetry.Bus.emit t.eng
-        (Telemetry.Event.Ack_dropped { conn = t.cid; ack });
-    reinject Netfilter.Drop
-  done
+  (* Flushed at detach without watermark cover. A stopped (fenced or
+     dead) primary must not ACK bytes the store never confirmed, so the
+     segment is dropped, and reported so the end-of-run queue balance
+     (held = released + dropped) closes. *)
+  drain_held t Netfilter.Drop (report_dropped t)

@@ -941,13 +941,10 @@ let test_speaker_hold_timer_fires () =
   (* Stop the remote node: keepalives stop arriving but TCP does not
      reset (packets silently dropped). Note RTO may kill TCP first; both
      paths must take the session down. *)
-  (match Bgp.Speaker.peer_session peer_a with
-  | Some s -> (
-      match Bgp.Session.conn s with
-      | Some c ->
-          let peer_node_addr = (Tcp.quad c).Tcp.Quad.remote_addr in
-          ignore peer_node_addr
-      | None -> ())
+  (match Bgp.Speaker.peer_conn peer_a with
+  | Some c ->
+      let peer_node_addr = (Tcp.quad c).Tcp.Quad.remote_addr in
+      ignore peer_node_addr
   | None -> ());
   let eng_kill () =
     (* Directly abort b's transport by taking the whole node down. *)
@@ -1145,9 +1142,8 @@ let test_speaker_graceful_restart_retains_routes () =
   checki "learned" 1 (Bgp.Rib.size rib_b);
   (* Kill the transport underneath b (simulate a's crash): b marks the
      route stale instead of withdrawing. *)
-  (match Bgp.Speaker.peer_session peer_b with
-  | Some s -> (
-      match Bgp.Session.conn s with Some c -> Tcp.abort c | None -> ())
+  (match Bgp.Speaker.peer_conn peer_b with
+  | Some c -> Tcp.abort c
   | None -> Alcotest.fail "no session");
   Engine.run_for eng (Time.sec 2);
   checkb "peer session down" true

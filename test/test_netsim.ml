@@ -419,7 +419,7 @@ let test_rpc_retry_transient_outage () =
   (* Attempt 1 at t=0 times out at 100 ms; backoff 50 ms (±20%) puts
      attempt 2 around 150 ms, timing out around 250 ms; backoff 100 ms
      (±20%) lands attempt 3 past 300 ms, when [b] is back up. *)
-  Rpc.call ep_a ~timeout:(Time.ms 100) ~retry:Rpc.retry_policy ~dst:addr_b
+  Rpc.call ep_a ~timeout:(Time.ms 100) ~retry:true ~dst:addr_b
     ~service:"echo" (Echo "back") (fun r -> got := Some r);
   Engine.run eng;
   match !got with
@@ -431,7 +431,7 @@ let test_rpc_retry_exhausted () =
   let ep_a = Rpc.endpoint a in
   Node.set_up b false;
   let got = ref None in
-  Rpc.call ep_a ~timeout:(Time.ms 100) ~retry:Rpc.retry_policy ~dst:addr_b
+  Rpc.call ep_a ~timeout:(Time.ms 100) ~retry:true ~dst:addr_b
     ~service:"echo" (Echo "x") (fun r -> got := Some r);
   Engine.run eng;
   match !got with

@@ -351,15 +351,16 @@ type world = {
   peer_link : Link.t;
 }
 
-let make_world ?(replicate = true) ?(ack_hold = true) ?seed () =
+let make_world ?(replicate = true) ?(ack_hold = true) ?store_resilient
+    ?degrade_frac ?seed () =
   let dep = Tensor.Deploy.build ?seed () in
   let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peerAS" in
   let peer_handle =
     Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip:vip1 ~local_asn:64900
   in
   let svc =
-    Tensor.Deploy.deploy_service dep ~replicate ~ack_hold ~id:"svc1"
-      ~local_asn:64900
+    Tensor.Deploy.deploy_service dep ~replicate ~ack_hold ?store_resilient
+      ?degrade_frac ~id:"svc1" ~local_asn:64900
       [
         Tensor.App.vrf_spec ~vrf:"v0" ~vip:vip1
           ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:65010 ();
@@ -425,6 +426,93 @@ let test_meta_written_to_store () =
     (Store.Server.peek w.dep.Tensor.Deploy.store_server
        (Tensor.Keys.bfd_key cid)
     <> None)
+
+(* --- Degraded-store survival ------------------------------------------------- *)
+
+(* A store partition outlasting the degrade deadline, then healing. The
+   re-arm rewrites the meta record the fresh bring-up wrote, changed only
+   in its epoch, and its ack / outtrim cursors are the connection's
+   received and sent stream positions at the instant it completes. *)
+let test_rearm_rewrites_meta_and_cursors () =
+  let w = make_world ~store_resilient:true ~degrade_frac:0.1 () in
+  establish w;
+  let drops = watch_peer_continuity w in
+  let store = w.dep.Tensor.Deploy.store_server in
+  let cid = Tensor.Keys.conn_id ~service:"svc1" ~vrf:"v0" in
+  let read_meta () =
+    match Store.Server.peek store (Tensor.Keys.meta_key cid) with
+    | Some v -> (
+        match Tensor.Keys.decode_meta v with
+        | Ok m -> m
+        | Error e -> Alcotest.fail e)
+    | None -> Alcotest.fail "no meta record"
+  in
+  let cursor key =
+    match Option.bind (Store.Server.peek store key) int_of_string_opt with
+    | Some v -> v
+    | None -> Alcotest.fail ("no cursor " ^ key)
+  in
+  let conn () =
+    let spk =
+      match Tensor.App.speaker (Tensor.Deploy.service_app w.svc) with
+      | Some spk -> spk
+      | None -> Alcotest.fail "no speaker"
+    in
+    match
+      List.find_map
+        (fun p ->
+          if
+            Addr.equal (Bgp.Speaker.peer_cfg p).Bgp.Speaker.remote_addr
+              w.peer.Tensor.Deploy.pa_addr
+          then Bgp.Speaker.peer_conn p
+          else None)
+        (Bgp.Speaker.peers spk)
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "no connection"
+  in
+  let fresh = read_meta () in
+  let degrades = ref 0 and rearms = ref 0 in
+  Telemetry.Control.reset ();
+  Telemetry.Control.set_enabled true;
+  let sub =
+    Telemetry.Bus.subscribe ~category:Telemetry.Event.Replicator (fun e ->
+        match e.Telemetry.Bus.event with
+        | Telemetry.Event.Degraded_enter _ -> incr degrades
+        | Telemetry.Event.Degraded_exit { epoch; _ } ->
+            incr rearms;
+            let rearmed = read_meta () in
+            checki "meta names the re-armed epoch" epoch
+              rearmed.Tensor.Keys.epoch;
+            checkb "epoch advanced" true (epoch > fresh.Tensor.Keys.epoch);
+            checkb "meta otherwise the fresh record" true
+              (rearmed = { fresh with Tensor.Keys.epoch });
+            let c = conn () in
+            let ecid = Tensor.Keys.epoch_cid cid epoch in
+            checki "ack cursor = received position" (Tcp.rcv_nxt c)
+              (cursor (Tensor.Keys.ack_key ecid));
+            checki "outtrim cursor = sent position"
+              (Tcp.snd_nxt c - (Tcp.iss c + 1))
+              (cursor (Tensor.Keys.outtrim_key ecid))
+        | _ -> ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Bus.unsubscribe sub;
+      Telemetry.Control.set_enabled false;
+      Telemetry.Control.reset ())
+    (fun () ->
+      let store_node = Store.Server.node store in
+      Node.set_up store_node false;
+      Bgp.Speaker.originate w.peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
+        (Workload.Prefixes.distinct_from ~base:700_000 50);
+      ignore
+        (Engine.schedule_after (eng w) (Time.sec 20) (fun () ->
+             Node.set_up store_node true));
+      Engine.run_for (eng w) (Time.sec 60));
+  checki "degraded once" 1 !degrades;
+  checki "re-armed once" 1 !rearms;
+  checki "peer saw no session drop" 0 !drops
 
 (* --- The NSR safety invariant ------------------------------------------------ *)
 
@@ -737,6 +825,8 @@ let () =
           Alcotest.test_case "routes both ways" `Quick
             test_routes_propagate_both_ways;
           Alcotest.test_case "meta written" `Quick test_meta_written_to_store;
+          Alcotest.test_case "re-arm rewrites meta and cursors" `Quick
+            test_rearm_rewrites_meta_and_cursors;
         ] );
       ( "invariants",
         [

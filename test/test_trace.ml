@@ -409,36 +409,6 @@ let test_out_writes_artifacts () =
     | Some (Monitor.Json.List (_ :: _)) -> true
     | _ -> false)
 
-(* --- bus sizing ------------------------------------------------------------- *)
-
-let test_per_category_capacity () =
-  Telemetry.Control.reset ();
-  Telemetry.Control.set_bus_capacity 8192;
-  Telemetry.Control.set_bus_capacity ~category:Telemetry.Event.Tcp 4;
-  checki "override applies" 4
-    (Telemetry.Bus.category_capacity Telemetry.Event.Tcp);
-  checki "other categories keep the global capacity" 8192
-    (Telemetry.Bus.category_capacity Telemetry.Event.Bgp);
-  Telemetry.Control.set_enabled true;
-  let eng = Sim.Engine.create () in
-  for i = 1 to 10 do
-    Telemetry.Bus.emit eng
-      (Telemetry.Event.Generic
-         { cat = Telemetry.Event.Tcp; name = "t"; detail = string_of_int i });
-    Telemetry.Bus.emit eng
-      (Telemetry.Event.Generic
-         { cat = Telemetry.Event.Bgp; name = "b"; detail = string_of_int i })
-  done;
-  checki "small ring overwrites" 6 (Telemetry.Bus.dropped Telemetry.Event.Tcp);
-  checki "default-sized ring keeps everything" 0
-    (Telemetry.Bus.dropped Telemetry.Event.Bgp);
-  Telemetry.Control.set_enabled false;
-  (* Global resize forgets the override. *)
-  Telemetry.Control.set_bus_capacity 8192;
-  checki "override cleared by global resize" 8192
-    (Telemetry.Bus.category_capacity Telemetry.Event.Tcp);
-  Telemetry.Control.reset ()
-
 let () =
   Alcotest.run "trace"
     [
@@ -466,11 +436,6 @@ let () =
         [
           Alcotest.test_case "corpus digests identical with tracer on" `Slow
             test_digests_identical_with_tracer;
-        ] );
-      ( "bus",
-        [
-          Alcotest.test_case "per-category capacity override" `Quick
-            test_per_category_capacity;
         ] );
       ( "check --out",
         [
