@@ -1,21 +1,20 @@
 (* tensor-cli: drive the TENSOR reproduction from the command line.
 
      tensor-cli experiment --quick fig6a table1  # regenerate paper artifacts
-     tensor-cli experiment --csv-dir DIR          # + one CSV per table
-     tensor-cli experiment --telemetry-dir DIR    # + telemetry export
-     tensor-cli experiment --emit-bench FILE      # + perf snapshot (bench/trend.exe)
-     tensor-cli check failover --kind host        # checked scenarios, health reports
-     tensor-cli check failover --out DIR          # + every artifact of the run
-     tensor-cli profile fig5a --out DIR           # engine cost attribution
-     tensor-cli fleet --sweep                     # controller-placement sweep
-     tensor-cli list                              # experiment ids
+     tensor-cli experiment --out DIR fig5a       # + every artifact, in DIR/<id>/
+     tensor-cli experiment --emit-bench FILE     # + perf snapshot (bench/trend.exe)
+     tensor-cli check failover --kind host       # checked scenarios, health reports
+     tensor-cli check failover --out DIR         # + every artifact of the run
+     tensor-cli fleet --sweep                    # controller-placement sweep
+     tensor-cli list                             # experiment ids
 
    Experiment ids and parameters come from Tensor.Experiments; check
-   runs the checked scenarios of Tensor.Check, which also attaches the
-   observers and writes the artifacts for --out. Every simulated output
-   is deterministic (fixed seeds), so experiment stdout repeats byte for
-   byte apart from the `wall` lines; CI diffs `experiment --quick`
-   against bench/golden/quick.txt. *)
+   runs the checked scenarios of Tensor.Check. Every --out writes the
+   common artifact set of Tensor.Check.observed from one function.
+   Every simulated output is deterministic (fixed seeds), so experiment
+   stdout repeats byte for byte apart from the `wall` lines, with or
+   without --out; CI diffs `experiment --quick` against
+   bench/golden/quick.txt. *)
 
 open Cmdliner
 
@@ -107,57 +106,59 @@ let run_one ~quick (e : Tensor.Experiments.t) =
     br_major_gcs = g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
-let run_experiments quick csv_dir telemetry_dir emit_bench ids =
+(* Status lines go to stderr, so stdout stays byte-stable with --out. *)
+let artifacts_written dir = Printf.eprintf "Artifacts written to %s/\n%!" dir
+
+(* The experiment's artifacts go to [root/<id>/]. *)
+let run_observed ~quick root (e : Tensor.Experiments.t) =
+  let dir = Filename.concat root e.id in
+  let row =
+    Tensor.Check.observed ~dir ~name:("tensor " ^ e.id) (fun () ->
+        run_one ~quick e)
+  in
+  artifacts_written dir;
+  row
+
+let run_experiments quick out emit_bench ids =
   let selected = find_experiments ids in
-  Tensor.Report.set_csv_dir csv_dir;
-  if telemetry_dir <> None then Telemetry.Control.set_enabled true;
+  if out <> None && emit_bench <> None then begin
+    prerr_endline
+      "--out and --emit-bench exclude each other: the observers' cost would \
+       reach the snapshot's wall times";
+    exit 2
+  end;
   Format.printf "TENSOR reproduction — benchmark harness (%s mode)@."
     (if quick then "quick" else "full");
   let t0 = Prof.Clock.now_s () in
-  (* The series sampler is a bus subscriber that schedules nothing, so
-     attaching it moves no simulated output. *)
-  let sampler =
-    Option.map (fun dir -> (dir, Causal.Series.attach ())) telemetry_dir
+  let run =
+    match out with
+    | None -> run_one ~quick
+    | Some root -> run_observed ~quick root
   in
-  let rows = List.map (run_one ~quick) selected in
+  let rows = List.map run selected in
   let total_wall = Prof.Clock.now_s () -. t0 in
   Format.printf "@.All selected experiments done in %.1fs wall.@." total_wall;
   Option.iter
     (fun file ->
       write_bench_snapshot file ~quick ~total_wall rows;
       Format.printf "Bench snapshot written to %s@." file)
-    emit_bench;
-  match sampler with
-  | Some (dir, s) ->
-      Causal.Series.detach s;
-      Telemetry.Control.export_dir dir;
-      Telemetry.Control.write_file
-        (Filename.concat dir "timeseries.jsonl")
-        (Causal.Series.to_jsonl s);
-      Format.printf
-        "Telemetry written to %s/ (timeseries.jsonl: %d samples, %d quiet \
-         windows skipped)@."
-        dir (Causal.Series.sample_count s) (Causal.Series.skipped_windows s)
-  | None -> ()
+    emit_bench
 
 let experiment_cmd =
-  let csv_dir =
+  let out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "csv-dir" ] ~docv:"DIR"
-          ~doc:"Also write every printed table as a CSV file in $(docv).")
-  in
-  let telemetry_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry-dir" ] ~docv:"DIR"
+      & info [ "out"; "o" ] ~docv:"DIR"
           ~doc:
-            "Record telemetry for the run and export it to $(docv): \
-             metrics.csv, metrics.json, events.jsonl, spans.jsonl and \
-             timeseries.jsonl, the metric series sampled once per \
-             simulated second.")
+            "Run each experiment with telemetry on, the metric-series \
+             sampler and the engine profiler attached, and write its \
+             artifacts to $(i,DIR)/$(i,ID)/: metrics.csv, metrics.json, \
+             events.jsonl, spans.jsonl, timeseries.jsonl (the metric \
+             series per simulated second), engine_cost.txt (every event \
+             label by wall time), the four flamegraph and speedscope \
+             profile files, and one CSV per printed table. stdout is the \
+             bare run's.")
   in
   let emit_bench =
     Arg.(
@@ -167,14 +168,13 @@ let experiment_cmd =
           ~doc:
             "Write a performance snapshot to $(docv): per-experiment wall \
              time, engine events, allocation and GC counts, plus the \
-             metrics registry. Compare snapshots with bench/trend.exe.")
+             metrics registry. Compare snapshots with bench/trend.exe. \
+             Not with $(b,--out).")
   in
   let doc = "Regenerate the paper's tables and figures." in
   Cmd.v
     (Cmd.info "experiment" ~doc)
-    Term.(
-      const run_experiments $ quick_flag $ csv_dir $ telemetry_dir
-      $ emit_bench $ ids_arg)
+    Term.(const run_experiments $ quick_flag $ out $ emit_bench $ ids_arg)
 
 (* --- check command ------------------------------------------------------ *)
 
@@ -193,11 +193,6 @@ let kind_opt =
     value
     & opt failure_kind_conv Orch.Controller.Container_failure
     & info [ "kind"; "k" ] ~docv:"KIND" ~doc:"app | container | host | host-network")
-
-(* --- check command ------------------------------------------------------------- *)
-
-(* Status lines go to stderr, so stdout stays byte-stable with --out. *)
-let artifacts_written dir = Printf.eprintf "Artifacts written to %s/\n%!" dir
 
 let check_cmd =
   let scenarios =
@@ -227,7 +222,8 @@ let check_cmd =
              $(i,DIR)/$(i,SCENARIO)/: health.json (verdict, critical path \
              and cost ledger), spans.jsonl, spans.txt, events.jsonl, \
              metrics.csv, metrics.json, trace.perfetto.json, \
-             timeseries.jsonl and the four $(b,profile) files.")
+             timeseries.jsonl, engine_cost.txt and the four flamegraph \
+             and speedscope profile files.")
   in
   let run scenarios kind json out =
     let healthy =
@@ -435,82 +431,6 @@ let fuzz_cmd =
     Term.(
       const run $ runs $ seed $ corpus $ shrink $ replay $ descriptor $ jobs
       $ verbose $ out)
-
-(* --- profile command ---------------------------------------------------------- *)
-
-let profile_cmd =
-  let experiment =
-    Arg.(
-      value
-      & pos 0 string "fig5a"
-      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see $(b,list)).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "profile-out"
-      & info [ "out"; "o" ] ~docv:"DIR"
-          ~doc:"Directory for folded-stack and speedscope output.")
-  in
-  let top =
-    Arg.(
-      value & opt int 15
-      & info [ "top"; "k" ] ~docv:"K" ~doc:"Rows in the handler cost table.")
-  in
-  let run experiment out top quick =
-    let e = List.hd (find_experiments [ experiment ]) in
-    Telemetry.Control.reset ();
-    Telemetry.Control.set_enabled true;
-    Prof.Profiler.attach ();
-    e.run ~quick;
-    Prof.Profiler.detach ();
-    Telemetry.Control.set_enabled false;
-    let total_ev = Prof.Profiler.total_events () in
-    if total_ev = 0 then
-      Printf.printf
-        "\n(%s dispatched no engine events — nothing to profile; the folded \
-         output below is span-only)\n"
-        experiment
-    else begin
-      let total_wall = Prof.Profiler.total_wall_s () in
-      let total_alloc = Prof.Profiler.total_alloc_bytes () in
-      Printf.printf
-        "\nEngine cost, top %d of %d labels by wall time (%d events, %.3fs \
-         wall, %.1f MB allocated, %d minor / %d major GCs):\n\n"
-        top
-        (List.length (Prof.Profiler.stats ()))
-        total_ev total_wall (total_alloc /. 1e6)
-        (Prof.Profiler.total_minor_gcs ())
-        (Prof.Profiler.total_major_gcs ());
-      Printf.printf "%-18s %10s %10s %6s %12s %12s %12s\n" "label" "events"
-        "wall ms" "%" "bytes/event" "dwell avg" "dwell max";
-      List.iter
-        (fun (st : Prof.Profiler.stat) ->
-          Printf.printf "%-18s %10d %10.3f %5.1f%% %12.0f %11.3fs %11.3fs\n"
-            st.label st.events (st.wall_s *. 1e3)
-            (if total_wall > 1e-9 then 100.0 *. st.wall_s /. total_wall
-             else 0.0)
-            (st.alloc_bytes /. float_of_int (max 1 st.events))
-            (st.dwell_s /. float_of_int (max 1 st.events))
-            st.dwell_max_s)
-        (Prof.Profiler.top ~by:Prof.Profiler.By_wall top)
-    end;
-    Prof.Export.write_dir ~name:("tensor " ^ experiment) out;
-    Printf.printf
-      "\nProfiles written to %s/: engine.folded, engine_allocs.folded, \
-       spans.folded (flamegraph.pl input), profile.speedscope.json \
-       (speedscope.app)\n"
-      out
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run one experiment with the engine profiler attached: per-label \
-          wall time, allocation, GC and queue-dwell attribution, exported \
-          as folded stacks (flamegraph.pl) and speedscope JSON. The \
-          profiler observes dispatch only — simulated results and replay \
-          digests are identical with it on or off.")
-    Term.(const run $ experiment $ out $ top $ quick_flag)
 
 (* --- fleet command ----------------------------------------------------------- *)
 
@@ -724,5 +644,4 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "tensor-cli" ~version:"1.0.0" ~doc)
-          [ experiment_cmd; check_cmd; fuzz_cmd; fleet_cmd; profile_cmd;
-            list_cmd ]))
+          [ experiment_cmd; check_cmd; fuzz_cmd; fleet_cmd; list_cmd ]))

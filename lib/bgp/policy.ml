@@ -57,3 +57,4 @@ let rec eval default prefix attrs = function
       else eval default prefix attrs rest
 
 let apply t prefix attrs = eval t.default prefix attrs t.rules
+let accepts_all t = t.rules = [] && t.default = `Accept

@@ -45,3 +45,8 @@ val apply : t -> Netsim.Addr.prefix -> Attrs.t -> Attrs.t option
     attributes. A route accepted without actions (the empty policy
     included) gets [attrs] itself back, physically, so update packing
     finds its group by [==]. *)
+
+val accepts_all : t -> bool
+(** [true] for a policy with no rules and an [`Accept] default, such as
+    {!empty}: {!apply} returns every route's [attrs] unchanged, so a
+    caller may skip it. *)

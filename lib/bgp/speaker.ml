@@ -440,16 +440,21 @@ let apply_update t p (u : Msg.update) =
         (* One path record for the UPDATE: a prefix gets its own only
            when the import policy rewrites its attributes. The table
            grows for the whole UPDATE at once (prefixes the policy
-           rejects count too). *)
+           rejects count too). A policy that accepts everything
+           unchanged is not consulted per prefix. *)
         let path = { Rib.source = p.source; attrs; stale = false } in
+        let policy = p.pcfg.policy_in in
+        let accept_all = Policy.accepts_all policy in
         Rib.reserve table (List.length u.nlri);
         changes :=
           List.fold_left
             (fun acc pfx ->
-              match Policy.apply p.pcfg.policy_in pfx attrs with
-              | Some a when a == attrs -> Rib.install table path pfx acc
-              | Some attrs -> Rib.install table { path with attrs } pfx acc
-              | None -> acc)
+              if accept_all then Rib.install table path pfx acc
+              else
+                match Policy.apply policy pfx attrs with
+                | Some a when a == attrs -> Rib.install table path pfx acc
+                | Some attrs -> Rib.install table { path with attrs } pfx acc
+                | None -> acc)
             !changes u.nlri
   | _ -> ());
   t.learned <- t.learned + count;

@@ -141,9 +141,33 @@ let standard_profiles () =
     ("causal spans (simulated)", "microseconds", folded_spans ());
   ]
 
+let cost_table () =
+  let rows = Profiler.by_wall () in
+  let events = Profiler.total_events () and wall = Profiler.total_wall_s () in
+  let alloc =
+    List.fold_left (fun acc (st : Profiler.stat) -> acc +. st.alloc_bytes) 0.0 rows
+  in
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf
+    "Engine cost by wall time: %d labels, %d events, %.3fs wall, %.1f MB \
+     allocated\n\n"
+    (List.length rows) events wall (alloc /. 1e6);
+  Printf.bprintf buf "%-18s %10s %10s %6s %12s %12s %12s\n" "label" "events"
+    "wall ms" "%" "bytes/event" "dwell avg" "dwell max";
+  List.iter
+    (fun (st : Profiler.stat) ->
+      let per x = x /. float_of_int (max 1 st.events) in
+      Printf.bprintf buf "%-18s %10d %10.3f %5.1f%% %12.0f %11.3fs %11.3fs\n"
+        st.label st.events (st.wall_s *. 1e3)
+        (if wall > 1e-9 then 100.0 *. st.wall_s /. wall else 0.0)
+        (per st.alloc_bytes) (per st.dwell_s) st.dwell_max_s)
+    rows;
+  Buffer.contents buf
+
 let write_dir ~name dir =
   Telemetry.Control.mkdir_p dir;
   let write file = Telemetry.Control.write_file (Filename.concat dir file) in
+  write "engine_cost.txt" (cost_table ());
   write "engine.folded" (folded_to_string (folded_wall ()));
   write "engine_allocs.folded" (folded_to_string (folded_alloc ()));
   write "spans.folded" (folded_to_string (folded_spans ()));

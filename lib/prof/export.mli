@@ -30,9 +30,16 @@ val speedscope :
 val standard_profiles : unit -> (string * string * folded) list
 (** The three standard views: engine wall, engine allocations, spans. *)
 
+val cost_table : unit -> string
+(** The profiler's rows as a text table, costliest wall time first:
+    per label its events, wall milliseconds and share, bytes allocated
+    per event, and mean and maximum queue dwell, under one line of
+    totals. *)
+
 val write_dir : name:string -> string -> unit
-(** [write_dir ~name dir] writes the run's four profile files into [dir]
-    (created with its parents if missing): [engine.folded],
-    [engine_allocs.folded] and [spans.folded] ({!folded_wall},
-    {!folded_alloc}, {!folded_spans}), and [profile.speedscope.json]
-    ({!standard_profiles}, titled [name]). *)
+(** [write_dir ~name dir] writes the run's five profile files into [dir]
+    (created with its parents if missing): [engine_cost.txt]
+    ({!cost_table}), [engine.folded], [engine_allocs.folded] and
+    [spans.folded] ({!folded_wall}, {!folded_alloc}, {!folded_spans}),
+    and [profile.speedscope.json] ({!standard_profiles}, titled
+    [name]). *)

@@ -1,20 +1,18 @@
-(** Per-event-kind cost accounting hooked into [Sim.Engine] dispatch.
+(** Per-event-kind cost accounting on the [Sim.Engine] observer slot.
 
-    While attached, every event of every engine in the process books its
-    wall time, allocation delta, minor/major GC deltas and simulated
-    queue dwell against its attribution label. The profiler is
-    observation-only: it never reads or writes simulation state,
-    telemetry, or the engine RNG, so replay digests are byte-identical
-    whether it is attached or not. The measurement overhead (two [Gc]
-    reads and two clock reads per event) is included in each sample. *)
+    While attached, every event of every engine on the calling domain
+    books its wall time, allocation delta and simulated queue dwell
+    against its attribution label. The profiler is observation-only: it
+    never reads or writes simulation state, telemetry, or the engine
+    RNG, so replay digests are byte-identical whether it is attached or
+    not. The measurement overhead (two [Gc.allocated_bytes] reads and
+    two clock reads per event) is included in each sample. *)
 
 type stat = {
   label : string;
   mutable events : int;
   mutable wall_s : float;
   mutable alloc_bytes : float;
-  mutable minor_gcs : int;
-  mutable major_gcs : int;
   mutable dwell_s : float;
       (** Total simulated time events of this label spent enqueued
           before dispatch — the event-queue scheduling latency. *)
@@ -22,26 +20,21 @@ type stat = {
 }
 
 val attach : unit -> unit
-(** Clears accumulated samples and installs the engine dispatch hook. *)
+(** Clears accumulated samples and attaches the engine observer. *)
 
 val detach : unit -> unit
-(** Removes the hook; accumulated samples remain readable. *)
+(** Detaches the observer; accumulated samples remain readable. *)
 
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Clears accumulated samples without touching the hook. *)
+(** Clears accumulated samples without touching the observer. *)
 
 val stats : unit -> stat list
 (** All rows, sorted by label (deterministic output order). *)
 
-type order = By_wall | By_alloc | By_events | By_dwell
-
-val top : ?by:order -> int -> stat list
-(** [top ~by k] is the [k] costliest rows, descending (ties by label). *)
+val by_wall : unit -> stat list
+(** All rows, costliest wall time first (ties by label). *)
 
 val total_events : unit -> int
 val total_wall_s : unit -> float
-val total_alloc_bytes : unit -> float
-val total_minor_gcs : unit -> int
-val total_major_gcs : unit -> int

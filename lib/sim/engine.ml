@@ -1,5 +1,3 @@
-type profile_hook = label:string -> dwell:Time.span -> (unit -> unit) -> unit
-
 type event = {
   time : Time.t;
   seq : int; (* tie-breaker: FIFO among same-instant events; doubles as
@@ -43,7 +41,7 @@ and t = {
   mutable current_label : string; (* label of the executing event *)
   mutable current_id : int; (* seq of the executing event; -1 outside *)
   root_rng : Rng.t;
-  dls : dls_state; (* the creating domain's shared meter/hook cell *)
+  dls : dls_state; (* the creating domain's meter and observer slot *)
 }
 
 and trace_hook =
@@ -55,17 +53,20 @@ and trace_hook =
   exec_at:Time.t ->
   unit
 
+and observer = { before : trace_hook; after : unit -> unit }
+
 (* Domain-local engine state: the cross-engine throughput meter and the
-   dispatch hooks. One record per domain, captured into [t] at [create]
-   so the per-event hot path pays a field read, not a DLS lookup. Hooks
-   and meter cover every engine *this domain* creates — exactly the old
-   process-global behaviour when single-domain, and per-campaign-worker
-   isolation under [--jobs N] (a profiler attached on one domain never
-   observes, or races with, another domain's runs). *)
+   observer slot. One record per domain, captured into [t] at [create]
+   so the per-event hot path pays a field read, not a DLS lookup.
+   Observers and meter cover every engine *this domain* creates —
+   exactly the old process-global behaviour when single-domain, and
+   per-campaign-worker isolation under [--jobs N] (a profiler attached
+   on one domain never observes, or races with, another domain's
+   runs). *)
 and dls_state = {
   mutable dls_processed : int;
-  mutable dls_profile_hook : profile_hook option;
-  mutable dls_trace_hook : trace_hook option;
+  mutable dls_observers : observer array; (* attach order, oldest first *)
+  mutable dls_hook : observer option; (* what [set_trace_hook] attached *)
 }
 
 type handle = event
@@ -79,7 +80,7 @@ let wake = 2
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      { dls_processed = 0; dls_profile_hook = None; dls_trace_hook = None })
+      { dls_processed = 0; dls_observers = [||]; dls_hook = None })
 
 let dls () = Domain.DLS.get dls_key
 
@@ -255,24 +256,24 @@ let cancel (e : handle) =
 
 let is_pending (e : handle) = e.state = queued
 
-(* The attribution hook (Prof.Profiler installs itself here). When set,
-   every event dispatch is routed through it with the event's label and
-   its queue dwell (simulated time spent enqueued). The hook wraps the
-   action but must never touch simulation state, telemetry, or the
-   engine RNG — replay digests must be byte-identical with the hook on
-   or off. Domain-wide, like the throughput meter: experiments build
-   engines internally and the profiler must see all of them. *)
-let set_profile_hook h = (dls ()).dls_profile_hook <- h
-let profiling () = (dls ()).dls_profile_hook <> None
+(* The observer slot. Observers must be transparent: no simulation
+   state, telemetry, or RNG access — replay digests are byte-identical
+   with any set attached. Attaching copies the array, so [exec] reads
+   one array per dispatch and allocates nothing. *)
+let attach o =
+  let d = dls () in
+  d.dls_observers <- Array.append d.dls_observers [| o |]
 
-(* The causal-trace hook (Causal.Recorder installs itself here). Unlike
-   the profile hook it does not wrap the action: it observes the
-   dispatch — id, causal parent, label, enqueue and execution instants —
-   before the action runs. Same transparency contract: no simulation
-   state, telemetry, or RNG access; replay digests must be
-   byte-identical with the hook installed or not. *)
-let set_trace_hook h = (dls ()).dls_trace_hook <- h
-let tracing () = (dls ()).dls_trace_hook <> None
+let detach o =
+  let d = dls () in
+  d.dls_observers <-
+    Array.of_list (List.filter (fun x -> x != o) (Array.to_list d.dls_observers))
+
+let set_trace_hook h =
+  let d = dls () in
+  Option.iter detach d.dls_hook;
+  d.dls_hook <- Option.map (fun before -> { before; after = ignore }) h;
+  Option.iter attach d.dls_hook
 
 (* [action] is [e.action], except for a due deadline, whose queued entry
    carries the deadline's wake-up instead. *)
@@ -284,14 +285,21 @@ let exec t e action =
   t.dls.dls_processed <- t.dls.dls_processed + 1;
   t.current_label <- e.label;
   t.current_id <- e.seq;
-  (match t.dls.dls_trace_hook with
-  | None -> ()
-  | Some hook ->
-      hook ~eng:t ~id:e.seq ~parent:e.caused_by ~label:e.label
-        ~sched_at:e.sched_at ~exec_at:e.time);
-  (match t.dls.dls_profile_hook with
-  | None -> action ()
-  | Some hook -> hook ~label:e.label ~dwell:(Time.diff e.time e.sched_at) action);
+  let obs = t.dls.dls_observers in
+  if Array.length obs = 0 then action ()
+  else begin
+    (* The newest observer is outermost: its [before] runs first and its
+       [after] last, so an observer attached earlier (the profiler)
+       measures the action without a later one's cost. *)
+    for i = Array.length obs - 1 downto 0 do
+      obs.(i).before ~eng:t ~id:e.seq ~parent:e.caused_by ~label:e.label
+        ~sched_at:e.sched_at ~exec_at:e.time
+    done;
+    action ();
+    for i = 0 to Array.length obs - 1 do
+      obs.(i).after ()
+    done
+  end;
   t.current_id <- -1
 
 (* Pops and dispatches the root of the non-empty tier [h]. *)
@@ -383,7 +391,7 @@ let stop_timer timer =
    the sequence number a fresh schedule would have taken, and the entry
    that finally dispatches carries it, with the enqueue instant and
    causal parent of that last set: dispatch order, event ids and what
-   the hooks see are those of cancel-and-reschedule. *)
+   the observers see are those of cancel-and-reschedule. *)
 type deadline = {
   d_eng : t;
   d_label : string;

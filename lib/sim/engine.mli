@@ -100,38 +100,27 @@ val global_processed_events : unit -> int
     engines internally. Domain-local: each worker of a parallel campaign
     meters (and resets with) its own engines. *)
 
-(** {2 Profiling hook}
+(** {2 Observer slot}
 
-    One dispatch hook per domain, installed by [Prof.Profiler]. When
-    set, every event of every engine is dispatched through it with the
-    event's attribution label and queue dwell (simulated time between
-    enqueue and execution). The hook wraps the action and must be
-    transparent: no simulation state, telemetry, or RNG access — replay
-    digests are byte-identical with the hook installed or not. *)
-
-type profile_hook = label:string -> dwell:Time.span -> (unit -> unit) -> unit
-
-val set_profile_hook : profile_hook option -> unit
-(** Installs (or clears, with [None]) the calling domain's dispatch
-    hook. It applies to every engine created on this domain. *)
-
-val profiling : unit -> bool
-(** [true] while a dispatch hook is installed. *)
-
-(** {2 Causal-trace hook}
-
-    One observation hook per domain, installed by [Causal.Recorder].
-    When set, every event dispatch of every engine is reported — its id,
-    the id of the event that scheduled it ([-1] when scheduled from
-    outside dispatch, e.g. harness setup code), its attribution label,
-    and its enqueue/execution instants — immediately before the action
-    runs. Causal parentage mirrors label inheritance: the parent is the
-    event executing at scheduling time. Both hooks see dispatches in
-    the engine's one dispatch order — nondecreasing instant, scheduling
+    One slot per domain, shared by every engine created on that domain,
+    holding any number of observers ([Prof.Profiler],
+    [Causal.Recorder], a benchmark meter). Every event dispatch calls
+    each observer's [before] with the event's id, the id of the event
+    that scheduled it ([-1] when scheduled from outside dispatch, e.g.
+    harness setup code), its attribution label, and its enqueue and
+    execution instants (dwell = exec - sched); then the action runs;
+    then each [after] (not when the action raises: that ends the run).
+    The newest observer is outermost: its [before] runs first and its
+    [after] last. Causal parentage mirrors label inheritance: the parent
+    is the event executing at scheduling time. Observers see dispatches in the
+    engine's one dispatch order — nondecreasing instant, scheduling
     order among same-instant events — whichever queue tier held each
-    event. The hook must be transparent: no simulation state,
-    telemetry, or RNG access — replay digests are byte-identical with
-    the hook installed or not. *)
+    event. Dispatch does not nest, so an observer may keep the state of
+    the running event between [before] and [after].
+
+    Observers must be transparent: no simulation state, telemetry, or
+    RNG access — replay digests are byte-identical with any set
+    attached. The slot allocates nothing per dispatch. *)
 
 type trace_hook =
   eng:t ->
@@ -142,12 +131,18 @@ type trace_hook =
   exec_at:Time.t ->
   unit
 
-val set_trace_hook : trace_hook option -> unit
-(** Installs (or clears, with [None]) the calling domain's trace hook.
-    It applies to every engine created on this domain. *)
+type observer = { before : trace_hook; after : unit -> unit }
 
-val tracing : unit -> bool
-(** [true] while a trace hook is installed. *)
+val attach : observer -> unit
+(** Adds an observer to the calling domain's slot. *)
+
+val detach : observer -> unit
+(** Removes an observer (compared physically); a no-op when absent. *)
+
+val set_trace_hook : trace_hook option -> unit
+(** Replaces the one observer this function attached, if any, with
+    [{ before = hook; after = ignore }] ([None]: with nothing). Other
+    observers stay attached. *)
 
 (** {2 Periodic timers} *)
 

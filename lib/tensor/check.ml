@@ -118,55 +118,77 @@ let quiesce mon eng =
          ~deadline:(Time.add (Engine.now eng) drain_bound)
          (fun () -> Monitor.Checker.outstanding_acks mon <= 0))
 
-(* Engine-cost section: how many events the run dispatched, plus
-   per-label rows when the profiler is attached (by [?out], or by an
-   enclosing [tensor-cli profile] or benchmark trace run). *)
+(* Engine-cost section: how many events the run dispatched, plus the
+   eight costliest labels when the profiler is attached (by [?out], or
+   by an enclosing benchmark trace run). *)
 let engine_cost ev0 =
   {
     Monitor.Health.ev_processed = Engine.global_processed_events () - ev0;
     profiled =
-      (if Prof.Profiler.enabled () then
-         List.map
-           (fun (st : Prof.Profiler.stat) ->
-             {
-               Monitor.Health.er_label = st.label;
-               er_events = st.events;
-               er_wall_s = st.wall_s;
-               er_alloc_bytes = st.alloc_bytes;
-             })
-           (Prof.Profiler.top ~by:Prof.Profiler.By_wall 8)
-       else []);
+      (if not (Prof.Profiler.enabled ()) then []
+       else
+         Prof.Profiler.by_wall ()
+         |> List.filteri (fun i _ -> i < 8)
+         |> List.map (fun (st : Prof.Profiler.stat) ->
+                {
+                  Monitor.Health.er_label = st.label;
+                  er_events = st.events;
+                  er_wall_s = st.wall_s;
+                  er_alloc_bytes = st.alloc_bytes;
+                }));
   }
 
-(* The observers of [?out]: causal recorder, metric-series sampler and
-   engine profiler, all observation-only, so the digest and the report
-   are the bare run's plus the report's [critical_path] and
-   [engine.profiled] sections. Returns the step that detaches them and
-   writes the artifacts once the report is cut; telemetry stays
-   readable after the run, so the exports cover all of it. *)
-let observe ~dir ~scenario =
-  Causal.Recorder.reset ();
-  Causal.Recorder.attach ();
+(* The one writer of the common artifact set (see [observed] in the
+   interface): it attaches the observers and returns the step that
+   detaches them and writes the files. *)
+let observe ~dir ~name =
+  Report.set_csv_dir (Some dir);
   let series = Causal.Series.attach () in
   Prof.Profiler.attach ();
-  fun report ->
+  fun () ->
     Prof.Profiler.detach ();
     Causal.Series.detach series;
-    Causal.Recorder.detach ();
-    let write file = Telemetry.Control.write_file (Filename.concat dir file) in
+    Report.set_csv_dir None;
     Telemetry.Control.export_dir dir;
+    Telemetry.Control.write_file
+      (Filename.concat dir "timeseries.jsonl")
+      (Causal.Series.to_jsonl series);
+    Prof.Export.write_dir ~name dir
+
+let observed ~dir ~name f =
+  Telemetry.Control.reset ();
+  Telemetry.Control.set_enabled true;
+  let finish = observe ~dir ~name in
+  let r = f () in
+  Telemetry.Control.set_enabled false;
+  finish ();
+  r
+
+(* The observers of [?out]: {!observe}'s, then the causal recorder,
+   attached after the profiler so the profiler's samples leave its cost
+   out. All are observation-only, so the digest and the report are the
+   bare run's plus the report's [critical_path] and [engine.profiled]
+   sections. Returns the step that detaches them and writes the
+   artifacts once the report is cut; telemetry stays readable after the
+   run, so the exports cover all of it. *)
+let observe_checked ~dir ~scenario =
+  let finish = observe ~dir ~name:("tensor " ^ scenario) in
+  Causal.Recorder.reset ();
+  Causal.Recorder.attach ();
+  fun report ->
+    Causal.Recorder.detach ();
+    finish ();
+    let write file = Telemetry.Control.write_file (Filename.concat dir file) in
     write "health.json" (Monitor.Health.to_json report ^ "\n");
     write "spans.txt" (Format.asprintf "%a" Telemetry.Span.pp_tree ());
     write "trace.perfetto.json"
-      (Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path ());
-    write "timeseries.jsonl" (Causal.Series.to_jsonl series);
-    Prof.Export.write_dir ~name:("tensor " ^ scenario) dir
+      (Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path ())
 
 let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
   let mon = Monitor.Checker.install ~cfg () in
-  let observed = Option.map (fun dir -> observe ~dir ~scenario) out in
+  let finish = Option.map (fun dir -> observe_checked ~dir ~scenario) out in
   let ev0 = Engine.global_processed_events () in
   let value =
     try
@@ -183,7 +205,7 @@ let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Bus.to_jsonl buf;
   let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   Telemetry.Control.set_enabled false;
-  Option.iter (fun write_artifacts -> write_artifacts report) observed;
+  Option.iter (fun write_artifacts -> write_artifacts report) finish;
   { value; report; digest }
 
 let verdict ~violations ~errors =

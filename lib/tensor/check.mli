@@ -28,6 +28,21 @@ val snapshot_session :
     cross-check directly. Shared by the checked scenarios and the chaos
     runner's end-state verdict. *)
 
+val observed : dir:string -> name:string -> (unit -> 'a) -> 'a
+(** [observed ~dir ~name f] runs [f] observed, as
+    [tensor-cli experiment --out] runs each experiment: telemetry is
+    reset and recording for [f] alone, the metric-series sampler and
+    the engine profiler are attached, and {!Report}'s table CSVs go to
+    [dir] (created with its parents). Afterwards [dir] holds the common
+    artifact set that every observed run writes, {!checked}'s [?out]
+    included, from one function:
+    - [metrics.csv], [metrics.json], [events.jsonl] and [spans.jsonl]
+      ({!Telemetry.Control.export_dir});
+    - [timeseries.jsonl], the metric series per simulated second;
+    - the five profile files of {!Prof.Export.write_dir}, titled
+      [name], [engine_cost.txt] among them;
+    - one CSV per table [f] printed. *)
+
 type 'a checked = {
   value : ('a, exn) result;  (** The end-state step's value, or what raised. *)
   report : Monitor.Health.report;
@@ -51,17 +66,14 @@ val checked :
 
     What the body or its end-state step raises lands in [value], and the
     report and digest are still made; only writing [?out] can raise
-    ([Sys_error]). With [?out], the causal recorder, the metric-series
-    sampler and the engine profiler watch the run, and its artifacts
-    are written into [out] (created with its parents):
+    ([Sys_error]). With [?out], {!observed}'s observers and the causal
+    recorder watch the run, and [out] gets {!observed}'s artifact set
+    plus:
     - [health.json]: the report, which then also carries the recovery
       [critical_path] (when a failover or planned migration finished)
       and the profiled [engine] rows: the verdict, critical path and
       cost ledger in one file;
-    - [spans.jsonl], [events.jsonl], [metrics.csv], [metrics.json]
-      ({!Telemetry.Control.export_dir}) and [spans.txt];
-    - [trace.perfetto.json] and [timeseries.jsonl];
-    - the four profile files of {!Prof.Export.write_dir}.
+    - [spans.txt] and [trace.perfetto.json].
 
     The observers change no simulated outcome: the digest is the bare
     run's, and so is the report apart from those two sections. *)

@@ -2,7 +2,7 @@
 
     One entry per evaluation artifact (Fig. 5–7, Tables 1–2, and the
     §4.2/§4.4 and ablation side experiments), holding the one definition
-    of its quick and full parameters. [tensor-cli experiment|profile|list]
+    of its quick and full parameters. [tensor-cli experiment|list]
     dispatches through it; no other front-end keeps a second table. *)
 
 type t = {

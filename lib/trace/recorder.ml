@@ -14,12 +14,13 @@ let default_limit = 2_000_000
    deferred to the first push, like the engine heap. *)
 type store = { mutable arr : node array; mutable len : int }
 
-(* Recorder state is domain-local, matching the engine trace hook it
+(* Recorder state is domain-local, matching the engine observer slot it
    feeds on: attaching on one domain records the event DAG of that
    domain's engines only, so parallel campaign workers never interleave
    their traces. *)
 type state = {
   store : store;
+  mutable active : bool;
   mutable node_limit : int;
   mutable dropped_count : int;
   (* (track, id) -> index into [store.arr]. Only point lookups — never
@@ -40,6 +41,7 @@ let key =
   Domain.DLS.new_key (fun () ->
       {
         store = { arr = [||]; len = 0 };
+        active = false;
         node_limit = default_limit;
         dropped_count = 0;
         index = Hashtbl.create 4096;
@@ -112,16 +114,20 @@ let span_hook =
     on_finish = (fun sid eng -> bind (state ()).span_finishes sid eng);
   }
 
-let enabled () = Sim.Engine.tracing ()
+let observer = { Sim.Engine.before = on_dispatch; after = ignore }
+let enabled () = (state ()).active
 
 let attach ?(limit = default_limit) () =
   if limit <= 0 then invalid_arg "Recorder.attach: limit must be positive";
-  (state ()).node_limit <- limit;
-  Sim.Engine.set_trace_hook (Some on_dispatch);
+  let st = state () in
+  st.node_limit <- limit;
+  if not st.active then Sim.Engine.attach observer;
+  st.active <- true;
   Telemetry.Span.set_hook (Some span_hook)
 
 let detach () =
-  Sim.Engine.set_trace_hook None;
+  (state ()).active <- false;
+  Sim.Engine.detach observer;
   Telemetry.Span.set_hook None
 
 let node_count () = (state ()).store.len

@@ -1,7 +1,7 @@
 (** The causal event recorder.
 
-    Attaches to the engine's observation-only trace hook
-    ([Sim.Engine.set_trace_hook]) and records every dispatched event as
+    Attaches to the engine's observer slot ([Sim.Engine.attach]) and
+    records every dispatched event as
     a DAG node: its id, causal parent (the event executing when it was
     scheduled, [-1] for events scheduled from harness code), attribution
     label, enqueue instant and execution instant. Engines are assigned
@@ -26,19 +26,17 @@ type node = {
   exec_at : Sim.Time.t;  (** execution instant (dwell = exec - sched) *)
 }
 
-val default_limit : int
-(** Default node-count cap (2M nodes ≈ a fig5a-scale run with room). *)
-
 val attach : ?limit:int -> unit -> unit
-(** Installs the engine trace hook and the span lifecycle hook.
-    Recording stops (and {!dropped} counts) past [limit] nodes.
+(** Attaches the engine observer and the span lifecycle hook.
+    Recording stops (and {!dropped} counts) past [limit] nodes (default
+    2M, a fig5a-scale run with room).
     Existing recorded state is kept — call {!reset} for a fresh DAG. *)
 
 val detach : unit -> unit
-(** Removes both hooks. Recorded state stays readable. *)
+(** Detaches both. Recorded state stays readable. *)
 
 val enabled : unit -> bool
-(** [true] while the engine trace hook is installed. *)
+(** [true] between {!attach} and {!detach}. *)
 
 val reset : unit -> unit
 (** Forgets all nodes, tracks, span bindings and the drop count. *)

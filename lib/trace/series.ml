@@ -8,8 +8,6 @@ type t = {
   mutable run : int;
   mutable next : Sim.Time.t; (* next window boundary to sample at *)
   mutable last_at : Sim.Time.t;
-  mutable samples : int;
-  mutable skipped : int;
   mutable dirty : bool; (* entries observed since the last sample *)
 }
 
@@ -41,7 +39,6 @@ let sample_row t ~at =
           field (name ^ ".sum") (json_float (Telemetry.Registry.hist_sum h)))
     (Telemetry.Registry.all ());
   Buffer.add_string buf "}}\n";
-  t.samples <- t.samples + 1;
   t.dirty <- false
 
 (* The sampler is deliberately a bus subscriber, not an [Engine.every]
@@ -61,11 +58,10 @@ let on_entry t (e : Telemetry.Bus.entry) =
   end;
   (* A pathological quiet gap could owe thousands of empty windows;
      emit one row for the stale boundary, then jump to the current
-     window and count the rest as skipped. *)
+     window, skipping the rest. *)
   let owed = (e.at - t.next) / interval in
   if owed > 2 then begin
     sample_row t ~at:t.next;
-    t.skipped <- t.skipped + (owed - 1);
     t.next <- Sim.Time.add t.next (owed * interval)
   end;
   while e.at >= t.next do
@@ -84,8 +80,6 @@ let attach ?(select = fun _ -> true) () =
       run = 0;
       next = interval;
       last_at = Sim.Time.zero;
-      samples = 0;
-      skipped = 0;
       dirty = false;
     }
   in
@@ -101,6 +95,4 @@ let detach t =
   (* Final flush: a run shorter than one window still yields a row. *)
   if t.dirty then sample_row t ~at:t.last_at
 
-let sample_count t = t.samples
-let skipped_windows t = t.skipped
 let to_jsonl t = Buffer.contents t.buf

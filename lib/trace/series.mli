@@ -10,8 +10,7 @@
     digests, and keep [Engine.run] from terminating). When an observed
     entry crosses one or more window boundaries, one row per owed
     boundary is emitted, stamped with the {e boundary} time; long quiet
-    gaps emit a single stale row and skip the empty windows (counted in
-    {!skipped_windows}). An entry whose simulated time runs backwards
+    gaps emit a single stale row and skip the empty windows. An entry whose simulated time runs backwards
     starts a new [run] (experiments build fresh engines); {!detach}
     flushes a final row so sub-window runs still produce data. *)
 
@@ -25,8 +24,6 @@ val detach : t -> unit
 (** Unsubscribes and flushes a final partial-window row if any entries
     were observed since the last boundary. The buffer stays readable. *)
 
-val sample_count : t -> int
-val skipped_windows : t -> int
 
 val to_jsonl : t -> string
 (** One row per sample:

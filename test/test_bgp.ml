@@ -933,28 +933,36 @@ let test_speaker_keepalives_maintain_session () =
   | None -> Alcotest.fail "no session"
 
 let test_speaker_hold_timer_fires () =
-  (* Freeze b entirely: a's hold timer must fire and kill the session. *)
-  let eng, _, _, peer_a, _ = speaker_pair () in
+  (* Silence b entirely: its node goes down, so a's keepalives are
+     dropped unanswered and no RST ever comes back. a must take the
+     session down within the hold time, by the hold timer or by its TCP
+     retransmission limit, whichever fires first. *)
+  let eng, _, spk_b, peer_a, _ = speaker_pair () in
   Engine.run_for eng (Time.sec 5);
-  let down_reason = ref None in
-  Bgp.Speaker.on_peer_down peer_a (fun r -> down_reason := Some r);
-  (* Stop the remote node: keepalives stop arriving but TCP does not
-     reset (packets silently dropped). Note RTO may kill TCP first; both
-     paths must take the session down. *)
-  (match Bgp.Speaker.peer_conn peer_a with
-  | Some c ->
-      let peer_node_addr = (Tcp.quad c).Tcp.Quad.remote_addr in
-      ignore peer_node_addr
-  | None -> ());
-  let eng_kill () =
-    (* Directly abort b's transport by taking the whole node down. *)
-    ()
-  in
-  ignore eng_kill;
-  Engine.run_for eng (Time.minutes 5);
-  ignore !down_reason;
-  checkb "session survives when healthy" true
-    (Bgp.Speaker.peer_state peer_a = Bgp.Session.Established)
+  checkb "established before the silence" true
+    (Bgp.Speaker.peer_state peer_a = Bgp.Session.Established);
+  let down = ref None in
+  Bgp.Speaker.on_peer_down peer_a (fun r -> down := Some (r, Engine.now eng));
+  let silenced_at = Engine.now eng in
+  Node.set_up (Tcp.stack_node (Bgp.Speaker.stack spk_b)) false;
+  Engine.run_for eng (Time.sec (Bgp.Session.default_hold_time + 10));
+  match !down with
+  | None -> Alcotest.fail "session still up past the hold time"
+  | Some (reason, at) ->
+      (* A hold expiry is reported as the NOTIFICATION it sends, code 4
+         (Hold Timer Expired). *)
+      checkb "down by hold expiry or transport reset" true
+        (match reason with
+        | Bgp.Session.Notification_sent { code = 4; _ }
+        | Bgp.Session.Hold_timer_expired
+        | Bgp.Session.Transport_failed _ ->
+            true
+        | _ -> false);
+      checkb "within the hold time plus 1 s" true
+        (Time.diff at silenced_at
+        <= Time.sec (Bgp.Session.default_hold_time + 1));
+      checkb "not Established" true
+        (Bgp.Speaker.peer_state peer_a <> Bgp.Session.Established)
 
 let test_speaker_ibgp_rules () =
   let eng, spk_a, spk_b, _, _ = speaker_pair ~asn_a:65001 ~asn_b:65001 () in
@@ -1658,7 +1666,7 @@ let () =
           Alcotest.test_case "loop detection" `Quick test_speaker_loop_detection;
           Alcotest.test_case "keepalives maintain" `Quick
             test_speaker_keepalives_maintain_session;
-          Alcotest.test_case "healthy session stays up" `Quick
+          Alcotest.test_case "hold timer downs a silent peer" `Quick
             test_speaker_hold_timer_fires;
           Alcotest.test_case "ibgp rules" `Quick test_speaker_ibgp_rules;
           Alcotest.test_case "policy in" `Quick test_speaker_policy_in_rejects;

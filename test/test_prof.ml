@@ -22,7 +22,7 @@ let stat label =
 
 let test_label_attribution_and_inheritance () =
   Prof.Profiler.attach ();
-  checkb "hook installed" true (Sim.Engine.profiling ());
+  checkb "observer attached" true (Prof.Profiler.enabled ());
   let eng = Sim.Engine.create () in
   (* A labeled event whose handler schedules an unlabeled child: the
      child books under the parent's label, so labeling a subsystem's
@@ -37,7 +37,7 @@ let test_label_attribution_and_inheritance () =
   ignore (Sim.Engine.schedule_after eng (Sim.Time.ms 2) (fun () -> ()));
   Sim.Engine.run eng;
   Prof.Profiler.detach ();
-  checkb "hook removed" false (Sim.Engine.profiling ());
+  checkb "observer detached" false (Prof.Profiler.enabled ());
   checki "root books parent + inherited child" 2 (stat "root").events;
   checki "other books one event" 1 (stat "other").events;
   checki "top-level default label" 1 (stat "main").events;
@@ -50,10 +50,15 @@ let test_label_attribution_and_inheritance () =
     "root dwell = 10ms + 5ms" 0.015 (stat "root").dwell_s;
   Alcotest.(check (float 1e-9))
     "root max dwell = 10ms" 0.010 (stat "root").dwell_max_s;
-  (* top is ordered and capped. *)
-  let top2 = Prof.Profiler.top ~by:Prof.Profiler.By_events 2 in
-  checki "top bounded" 2 (List.length top2);
-  checks "most events first" "root" (List.hd top2).Prof.Profiler.label;
+  (* by_wall holds every row, costliest first. *)
+  let rows = Prof.Profiler.by_wall () in
+  checki "every label" 3 (List.length rows);
+  checkb "costliest first" true
+    (List.for_all2
+       (fun (a : Prof.Profiler.stat) (b : Prof.Profiler.stat) ->
+         a.wall_s >= b.wall_s)
+       (List.filteri (fun i _ -> i < 2) rows)
+       (List.tl rows));
   Prof.Profiler.reset ();
   checki "reset clears rows" 0 (List.length (Prof.Profiler.stats ()))
 
@@ -61,6 +66,9 @@ let test_label_attribution_and_inheritance () =
 
 let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else "../corpus"
 
+(* The profiler shares the engine's observer slot with the causal
+   recorder and a [set_trace_hook] hook, attached after it: each sees
+   every dispatch, and the digest is the bare run's. *)
 let test_digests_identical_with_profiler () =
   let entries = Chaos.Corpus.load_dir (corpus_dir ()) in
   checkb "committed corpus present" true (List.length entries >= 2);
@@ -71,16 +79,31 @@ let test_digests_identical_with_profiler () =
         | Error e -> Alcotest.failf "%s: %s" name e
         | Ok desc ->
             let off = Chaos.Runner.run desc in
+            let hooked = ref 0 in
             Prof.Profiler.attach ();
+            Causal.Recorder.reset ();
+            Causal.Recorder.attach ();
+            Sim.Engine.set_trace_hook
+              (Some
+                 (fun ~eng:_ ~id:_ ~parent:_ ~label:_ ~sched_at:_ ~exec_at:_ ->
+                   incr hooked));
+            let ev0 = Sim.Engine.global_processed_events () in
             let on_ = Chaos.Runner.run desc in
+            let dispatched = Sim.Engine.global_processed_events () - ev0 in
+            Sim.Engine.set_trace_hook None;
+            Causal.Recorder.detach ();
             Prof.Profiler.detach ();
             checkb (name ^ " replays green") true
               (Chaos.Runner.ok off && Chaos.Runner.ok on_);
             checks
               (name ^ ": telemetry digest identical with profiler attached")
               off.Chaos.Runner.digest on_.Chaos.Runner.digest;
-            checkb (name ^ ": profiler saw the run") true
-              (Prof.Profiler.total_events () > 0))
+            checkb (name ^ ": the run dispatched events") true (dispatched > 0);
+            checki (name ^ ": profiler saw every dispatch") dispatched
+              (Prof.Profiler.total_events ());
+            checki (name ^ ": recorder saw every dispatch") dispatched
+              (Causal.Recorder.node_count ());
+            checki (name ^ ": hook saw every dispatch") dispatched !hooked)
     entries
 
 (* --- export formats -------------------------------------------------------- *)

@@ -545,15 +545,20 @@ let test_stop_releases_held () =
 
 (* --- Watchdog --------------------------------------------------------------- *)
 
-(* Dispatches of [label] while [f] runs, counted through the engine's
-   trace hook. *)
+(* Dispatches of [label] while [f] runs, counted by an engine
+   observer. *)
 let count_dispatches label f =
   let n = ref 0 in
-  Engine.set_trace_hook
-    (Some
-       (fun ~eng:_ ~id:_ ~parent:_ ~label:l ~sched_at:_ ~exec_at:_ ->
-         if String.equal l label then incr n));
-  Fun.protect ~finally:(fun () -> Engine.set_trace_hook None) f;
+  let o =
+    {
+      Engine.before =
+        (fun ~eng:_ ~id:_ ~parent:_ ~label:l ~sched_at:_ ~exec_at:_ ->
+          if String.equal l label then incr n);
+      after = ignore;
+    }
+  in
+  Engine.attach o;
+  Fun.protect ~finally:(fun () -> Engine.detach o) f;
   !n
 
 let test_idle_watchdog_is_silent () =
