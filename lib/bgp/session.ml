@@ -24,7 +24,6 @@ type down_reason =
   | Transport_failed of Tcp.close_reason
   | Notification_received of Msg.notification
   | Notification_sent of Msg.notification
-  | Hold_timer_expired
   | Stopped
 
 let pp_down_reason fmt = function
@@ -33,7 +32,6 @@ let pp_down_reason fmt = function
       Format.fprintf fmt "notification received %d/%d" n.Msg.code n.Msg.subcode
   | Notification_sent n ->
       Format.fprintf fmt "notification sent %d/%d" n.Msg.code n.Msg.subcode
-  | Hold_timer_expired -> Format.pp_print_string fmt "hold timer expired"
   | Stopped -> Format.pp_print_string fmt "stopped"
 
 type event =

@@ -24,7 +24,11 @@ type down_reason =
   | Transport_failed of Tcp.close_reason
   | Notification_received of Msg.notification
   | Notification_sent of Msg.notification
-  | Hold_timer_expired
+      (** Includes a hold-timer expiry: the session sends NOTIFICATION
+          code 4 (Hold Timer Expired) and goes down with that
+          notification as its reason. Under RFC 4724 a NOTIFICATION
+          ends graceful restart, so a hold expiry keeps no routes
+          stale. *)
   | Stopped  (** Administrative stop. *)
 
 val pp_down_reason : Format.formatter -> down_reason -> unit

@@ -516,7 +516,7 @@ and handle_session_down t p reason =
   let table = rib t ~vrf in
   let gr_eligible =
     (match reason with
-    | Session.Transport_failed _ | Session.Hold_timer_expired -> true
+    | Session.Transport_failed _ -> true
     | Session.Notification_received _ | Session.Notification_sent _
     | Session.Stopped ->
         false)

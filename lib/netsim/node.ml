@@ -146,19 +146,16 @@ let rec emit t pkt = function
   | Unrouted -> t.unrouted <- t.unrouted + 1
 
 (* A forwarded packet keeps its destination, so the decision that
-   routed it here also sends it on. Its TTL is checked first: an
-   expired packet is dropped silently, not counted unrouted. *)
+   routed it here also sends it on, as the same object with its TTL
+   decremented in place. The TTL is checked first: an expired packet is
+   dropped silently, not counted unrouted. *)
 and rx t pkt =
-  if not t.up then ()
-  else
+  if t.up then
     match decision t pkt.Packet.dst with
     | Local -> deliver_local t pkt
     | d ->
-        if t.forwarding then
-          match Packet.decrement_ttl pkt with
-          | None -> ()
-          | Some pkt -> emit t pkt d
-        else t.unrouted <- t.unrouted + 1
+        if not t.forwarding then t.unrouted <- t.unrouted + 1
+        else if Packet.decrement_ttl pkt then emit t pkt d
 
 let send t pkt = if t.up then emit t pkt (decision t pkt.Packet.dst)
 

@@ -6,7 +6,7 @@ type t = {
   src : Addr.t;
   dst : Addr.t;
   size : int;
-  ttl : int;
+  mutable ttl : int;
   payload : payload;
 }
 
@@ -21,7 +21,12 @@ let make ?(ttl = 64) ~src ~dst ~size payload =
   incr next_id;
   { id = !next_id; src; dst; size; ttl; payload }
 
-let decrement_ttl p = if p.ttl <= 1 then None else Some { p with ttl = p.ttl - 1 }
+let decrement_ttl p =
+  if p.ttl <= 1 then false
+  else begin
+    p.ttl <- p.ttl - 1;
+    true
+  end
 
 let pp fmt p =
   Format.fprintf fmt "#%d %a->%a (%dB)" p.id Addr.pp p.src Addr.pp p.dst p.size

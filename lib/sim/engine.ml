@@ -200,6 +200,7 @@ let now t = t.clock
 let rng t = t.root_rng
 let current_label t = t.current_label
 let current_event_id t = t.current_id
+let next_id t = t.next_seq
 
 (* Fleet packet hops are due 5-50 us ahead and its timers 25 ms-1 s. An
    entry stays in the tier it was pushed to; the clock only moves

@@ -54,6 +54,11 @@ val current_event_id : t -> int
     scheduling sequence numbers: unique per engine, assigned in
     scheduling order. *)
 
+val next_id : t -> int
+(** The id the next scheduled event will take. Every event scheduled
+    from now on has an id at least this, and every event already
+    scheduled has a smaller one. *)
+
 val cancel : handle -> unit
 (** Cancels a scheduled event. Cancelling an already-fired or cancelled
     event is a no-op. *)

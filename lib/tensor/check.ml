@@ -143,11 +143,13 @@ let engine_cost ev0 =
    detaches them and writes the files. *)
 let observe ~dir ~name =
   Report.set_csv_dir (Some dir);
-  let series = Causal.Series.attach () in
+  (* The series sampler goes in after the profiler, so the profiler's
+     samples leave its cost out. *)
   Prof.Profiler.attach ();
+  let series = Causal.Series.attach () in
   fun () ->
-    Prof.Profiler.detach ();
     Causal.Series.detach series;
+    Prof.Profiler.detach ();
     Report.set_csv_dir None;
     Telemetry.Control.export_dir dir;
     Telemetry.Control.write_file

@@ -92,7 +92,7 @@ let one_mode ~mode ~store_delay ~ack_hold =
   let peer_drops = ref 0 in
   (* Wire monitor for the NSR safety invariant. *)
   let violations = ref 0 in
-  let cid = Keys.conn_id ~service:"mode" ~vrf:"v0" in
+  let ack_key = Keys.ack_key (Keys.conn_id ~service:"mode" ~vrf:"v0") in
   (match
      Network.link_between dep.Deploy.net dep.Deploy.fabric peer.Deploy.pa_node
    with
@@ -103,9 +103,7 @@ let one_mode ~mode ~store_delay ~ack_hold =
             when Addr.equal pkt.Packet.src vip
                  && seg.Tcp.Segment.flags.Tcp.Segment.ack ->
               let durable =
-                match
-                  Store.Server.peek dep.Deploy.store_server (Keys.ack_key cid)
-                with
+                match Store.Server.peek dep.Deploy.store_server ack_key with
                 | Some v -> (
                     match int_of_string_opt v with Some a -> a | None -> 0)
                 | None -> max_int
@@ -184,7 +182,7 @@ let one_mode ~mode ~store_delay ~ack_hold =
        the peer session eventually dies - the NSR guarantee is broken. *)
     Engine.run_for eng (Time.sec 5);
     let durable () =
-      match Store.Server.peek dep.Deploy.store_server (Keys.ack_key cid) with
+      match Store.Server.peek dep.Deploy.store_server ack_key with
       | Some v -> ( match int_of_string_opt v with Some a -> a | None -> 0)
       | None -> 0
     in

@@ -4,11 +4,11 @@ let interval = Sim.Time.sec 1
 type t = {
   select : string -> bool;
   buf : Buffer.t;
-  mutable sub : Telemetry.Bus.sub option;
+  mutable observer : Sim.Engine.observer option;
   mutable run : int;
   mutable next : Sim.Time.t; (* next window boundary to sample at *)
   mutable last_at : Sim.Time.t;
-  mutable dirty : bool; (* entries observed since the last sample *)
+  mutable dirty : bool; (* events dispatched since the last sample *)
 }
 
 let json_float f =
@@ -41,34 +41,39 @@ let sample_row t ~at =
   Buffer.add_string buf "}}\n";
   t.dirty <- false
 
-(* The sampler is deliberately a bus subscriber, not an [Engine.every]
-   timer: a timer would schedule real events — changing event counts,
-   perturbing replay digests and keeping [Engine.run] alive forever.
-   Sampling on observed telemetry entries costs nothing when idle and
-   stays strictly observation-only; the trade is that a window with no
-   telemetry at all is sampled late (at the next entry), which the
-   boundary timestamps make explicit. *)
-let on_entry t (e : Telemetry.Bus.entry) =
-  if e.at < t.last_at then begin
+(* The sampler is deliberately an engine observer, not an
+   [Engine.every] timer: a timer would schedule real events — changing
+   event counts, perturbing replay digests and keeping [Engine.run]
+   alive forever. Observing dispatches costs two comparisons per event
+   and stays strictly observation-only, and it sees every layer's
+   counters move, not only those that post to the telemetry bus (TCP's
+   segment counters post nothing). The trade is that a window with no
+   event at all is sampled late (at the next event), which the boundary
+   timestamps make explicit. A boundary row is taken before the first
+   event at or past it runs. *)
+let on_dispatch t at =
+  if at < t.last_at then begin
     (* Simulated time went backwards: a fresh engine / next run. *)
     if t.dirty then sample_row t ~at:t.last_at;
     t.run <- t.run + 1;
     t.next <- interval;
     t.last_at <- Sim.Time.zero
   end;
-  (* A pathological quiet gap could owe thousands of empty windows;
-     emit one row for the stale boundary, then jump to the current
-     window, skipping the rest. *)
-  let owed = (e.at - t.next) / interval in
-  if owed > 2 then begin
-    sample_row t ~at:t.next;
-    t.next <- Sim.Time.add t.next (owed * interval)
+  if at >= t.next then begin
+    (* A pathological quiet gap could owe thousands of empty windows;
+       emit one row for the stale boundary, then jump to the current
+       window, skipping the rest. *)
+    let owed = (at - t.next) / interval in
+    if owed > 2 then begin
+      sample_row t ~at:t.next;
+      t.next <- Sim.Time.add t.next (owed * interval)
+    end;
+    while at >= t.next do
+      sample_row t ~at:t.next;
+      t.next <- Sim.Time.add t.next interval
+    done
   end;
-  while e.at >= t.next do
-    sample_row t ~at:t.next;
-    t.next <- Sim.Time.add t.next interval
-  done;
-  t.last_at <- e.at;
+  t.last_at <- at;
   t.dirty <- true
 
 let attach ?(select = fun _ -> true) () =
@@ -76,21 +81,30 @@ let attach ?(select = fun _ -> true) () =
     {
       select;
       buf = Buffer.create 4096;
-      sub = None;
+      observer = None;
       run = 0;
       next = interval;
       last_at = Sim.Time.zero;
       dirty = false;
     }
   in
-  t.sub <- Some (Telemetry.Bus.subscribe (fun e -> on_entry t e));
+  let o =
+    {
+      Sim.Engine.before =
+        (fun ~eng:_ ~id:_ ~parent:_ ~label:_ ~sched_at:_ ~exec_at ->
+          on_dispatch t exec_at);
+      after = ignore;
+    }
+  in
+  Sim.Engine.attach o;
+  t.observer <- Some o;
   t
 
 let detach t =
-  (match t.sub with
-  | Some s ->
-      Telemetry.Bus.unsubscribe s;
-      t.sub <- None
+  (match t.observer with
+  | Some o ->
+      Sim.Engine.detach o;
+      t.observer <- None
   | None -> ());
   (* Final flush: a run shorter than one window still yields a row. *)
   if t.dirty then sample_row t ~at:t.last_at

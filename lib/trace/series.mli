@@ -4,26 +4,27 @@
     simulated second into JSONL rows — convergence curves for fig6 /
     scale experiments, instead of end-of-run totals.
 
-    Implemented as a firehose {!Telemetry.Bus} subscriber (so it only
-    observes while telemetry is enabled and never schedules events —
-    an [Engine.every] timer would perturb event counts and replay
-    digests, and keep [Engine.run] from terminating). When an observed
-    entry crosses one or more window boundaries, one row per owed
-    boundary is emitted, stamped with the {e boundary} time; long quiet
-    gaps emit a single stale row and skip the empty windows. An entry whose simulated time runs backwards
-    starts a new [run] (experiments build fresh engines); {!detach}
-    flushes a final row so sub-window runs still produce data. *)
+    Implemented as an observer in the engine's observer slot
+    ({!Sim.Engine.attach}), so it sees every dispatch on the calling
+    domain and never schedules events — an [Engine.every] timer would
+    perturb event counts and replay digests, and keep [Engine.run] from
+    terminating. When a dispatched event's instant crosses one or more
+    window boundaries, one row per owed boundary is emitted before the
+    event runs, stamped with the {e boundary} time; long quiet gaps emit
+    a single stale row and skip the empty windows. An event whose
+    simulated time runs backwards starts a new [run] (experiments build
+    fresh engines); {!detach} flushes a final row so sub-window runs
+    still produce data. *)
 
 type t
 
 val attach : ?select:(string -> bool) -> unit -> t
-(** Subscribes a sampler to the bus firehose. [select] filters metric
-    names (default: keep all). *)
+(** Attaches a sampler to the calling domain's engine observer slot.
+    [select] filters metric names (default: keep all). *)
 
 val detach : t -> unit
-(** Unsubscribes and flushes a final partial-window row if any entries
-    were observed since the last boundary. The buffer stays readable. *)
-
+(** Detaches and flushes a final partial-window row if any event was
+    dispatched since the last boundary. The buffer stays readable. *)
 
 val to_jsonl : t -> string
 (** One row per sample:

@@ -954,7 +954,6 @@ let test_speaker_hold_timer_fires () =
       checkb "down by hold expiry or transport reset" true
         (match reason with
         | Bgp.Session.Notification_sent { code = 4; _ }
-        | Bgp.Session.Hold_timer_expired
         | Bgp.Session.Transport_failed _ ->
             true
         | _ -> false);

@@ -304,6 +304,62 @@ let test_network_registry () =
   | None -> Alcotest.fail "link_between missing");
   checkb "no link to self" true (Network.link_between net a a = None)
 
+(* A forwarded hop allocates its engine event record and nothing else:
+   the node decrements the packet's TTL in place and the link's arrival
+   action is shared by every packet of a direction. A second batch runs
+   after a first one has grown the queues and rings and filled the
+   forwarding caches, so only per-packet costs remain. *)
+let test_forwarded_hop_allocation () =
+  let eng = Engine.create () in
+  let net = Network.create eng in
+  let a = Network.add_node net "a" in
+  let r = Network.add_node net ~forwarding:true "r" in
+  let b = Network.add_node net "b" in
+  let _, _, addr_ra = Network.connect net a r in
+  let _, _, addr_b = Network.connect net r b in
+  Node.add_route a (Addr.prefix addr_b 24) addr_ra;
+  let got = ref 0 and ttl = ref 0 in
+  Node.add_handler b (fun p ->
+      incr got;
+      ttl := p.Packet.ttl;
+      true);
+  let n = 1000 and src = List.hd (Node.addresses a) in
+  let batch () =
+    Array.init n (fun _ -> Packet.make ~src ~dst:addr_b ~size:64 (Packet.Raw "x"))
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  (* The words of one event record: a schedule with a shared action. *)
+  let per_event =
+    let act () = () in
+    let schedule () =
+      for _ = 1 to n do
+        ignore (Engine.schedule_after eng 0 act)
+      done
+    in
+    schedule ();
+    Engine.run eng;
+    let w = words schedule in
+    Engine.run eng;
+    int_of_float w / n
+  in
+  let send pkts () =
+    Array.iter (fun p -> Node.send a p) pkts;
+    Engine.run eng
+  in
+  send (batch ()) ();
+  let w = words (send (batch ())) in
+  checki "every packet delivered" (2 * n) !got;
+  checki "one forwarding hop off the ttl" 63 !ttl;
+  let hops = 2 * n in
+  let budget = (hops * per_event) + 64 in
+  if w > float_of_int budget then
+    Alcotest.failf "%.0f words for %d hops: more than one %d-word event each (+64)"
+      w hops per_event
+
 (* --- RPC --------------------------------------------------------------- *)
 
 type Rpc.body += Echo of string
@@ -610,6 +666,210 @@ let prop_forwarding_matches_lists =
                     (Packet.make ~ttl ~src:fwd_host_addr ~dst ~size:64 (Packet.Raw "x"))))
         ops)
 
+(* The closure-per-packet link the in-flight rings replaced, kept as the
+   reference: every transmit schedules its own delivery closure, which
+   drops the packet if the link failed since (its failure epoch moved). *)
+module Ref_link = struct
+  type endpoint = {
+    mutable deliver : (Packet.t -> unit) option;
+    mutable busy_until : Time.t;
+  }
+
+  type t = {
+    eng : Engine.t;
+    a : endpoint;
+    b : endpoint;
+    mutable prop_delay : Time.span;
+    bandwidth_bps : int;
+    mutable loss : float;
+    mutable up : bool;
+    mutable epoch : int;
+    mutable taps : (Link.side -> Packet.t -> unit) list;
+    rng : Rng.t;
+    mutable tx : int;
+    mutable delivered : int;
+    mutable dropped : int;
+    mutable bytes : int;
+    mutable last_delivery : Time.t option;
+  }
+
+  let create eng ~delay ~bandwidth_bps =
+    {
+      eng;
+      a = { deliver = None; busy_until = Time.zero };
+      b = { deliver = None; busy_until = Time.zero };
+      prop_delay = delay;
+      bandwidth_bps;
+      loss = 0.0;
+      up = true;
+      epoch = 0;
+      taps = [];
+      rng = Rng.split (Engine.rng eng);
+      tx = 0;
+      delivered = 0;
+      dropped = 0;
+      bytes = 0;
+      last_delivery = None;
+    }
+
+  let endpoint t = function Link.A -> t.a | Link.B -> t.b
+  let set_receiver t side f = (endpoint t side).deliver <- Some f
+
+  let transmit t ~from pkt =
+    if (not t.up) || Rng.bernoulli t.rng t.loss then t.dropped <- t.dropped + 1
+    else begin
+      t.tx <- t.tx + 1;
+      let sender = endpoint t from in
+      let start = max (Engine.now t.eng) sender.busy_until in
+      let finish = Time.add start (pkt.Packet.size * 8 * 1_000_000_000 / t.bandwidth_bps) in
+      sender.busy_until <- finish;
+      let epoch = t.epoch and dst_side = Link.other from in
+      ignore
+        (Engine.schedule_at t.eng ~label:"net.deliver" (Time.add finish t.prop_delay)
+           (fun () ->
+             if t.up && t.epoch = epoch then begin
+               t.delivered <- t.delivered + 1;
+               t.bytes <- t.bytes + pkt.Packet.size;
+               t.last_delivery <- Some (Engine.now t.eng);
+               Option.iter (fun f -> f pkt) (endpoint t dst_side).deliver;
+               List.iter (fun tap -> tap dst_side pkt) t.taps
+             end
+             else t.dropped <- t.dropped + 1))
+    end
+
+  let set_up t flag =
+    if t.up && not flag then begin
+      t.epoch <- t.epoch + 1;
+      t.a.busy_until <- Engine.now t.eng;
+      t.b.busy_until <- Engine.now t.eng
+    end;
+    t.up <- flag
+
+  let fail_for t span =
+    set_up t false;
+    ignore (Engine.schedule_after t.eng ~label:"net.link_heal" span (fun () -> set_up t true))
+end
+
+(* What a link script does to either link. *)
+type link_under_test = {
+  transmit : from:Link.side -> Packet.t -> unit;
+  set_up : bool -> unit;
+  fail_for : Time.span -> unit;
+  set_delay : Time.span -> unit;
+  set_loss : float -> unit;
+  stats : unit -> int * int * int * int * Time.t option;
+}
+
+let link_delay = Time.us 200
+let link_bandwidth = 10_000_000 (* a 1500-byte packet serializes in 1.2 ms *)
+
+let real_link eng ~receive ~tap =
+  let l = Link.create eng ~delay:link_delay ~bandwidth_bps:link_bandwidth () in
+  Link.set_receiver l Link.A (receive Link.A);
+  Link.set_receiver l Link.B (receive Link.B);
+  Link.tap l tap;
+  {
+    transmit = Link.transmit l;
+    set_up = Link.set_up l;
+    fail_for = Link.fail_for l;
+    set_delay = Link.set_delay l;
+    set_loss = Link.set_loss l;
+    stats =
+      (fun () ->
+        ( Link.tx_packets l,
+          Link.delivered_packets l,
+          Link.dropped_packets l,
+          Link.delivered_bytes l,
+          Link.last_delivery l ));
+  }
+
+let ref_link eng ~receive ~tap =
+  let l = Ref_link.create eng ~delay:link_delay ~bandwidth_bps:link_bandwidth in
+  Ref_link.set_receiver l Link.A (receive Link.A);
+  Ref_link.set_receiver l Link.B (receive Link.B);
+  l.taps <- [ tap ];
+  {
+    transmit = Ref_link.transmit l;
+    set_up = Ref_link.set_up l;
+    fail_for = Ref_link.fail_for l;
+    set_delay = (fun d -> l.prop_delay <- d);
+    set_loss = (fun p -> l.loss <- p);
+    stats = (fun () -> (l.tx, l.delivered, l.dropped, l.bytes, l.last_delivery));
+  }
+
+type link_op =
+  | Tx of Link.side * int (* wire size *)
+  | Set_up of bool
+  | Fail_for of int (* us *)
+  | Set_loss of float
+  | Set_delay of int (* us *)
+
+let pp_link_op = function
+  | Tx (side, size) -> Printf.sprintf "tx %s %d" (if side = Link.A then "A" else "B") size
+  | Set_up up -> Printf.sprintf "up %b" up
+  | Fail_for us -> Printf.sprintf "fail_for %dus" us
+  | Set_loss p -> Printf.sprintf "loss %.1f" p
+  | Set_delay us -> Printf.sprintf "delay %dus" us
+
+(* Ops a few hundred microseconds apart, against serialization times of
+   32 us to 1.2 ms and a 200 us delay: packets queue and overlap in both
+   directions, and failures and delay changes land mid-flight. Delays
+   both rise and fall. *)
+let link_script =
+  let open QCheck.Gen in
+  let side = map (fun a -> if a then Link.A else Link.B) bool in
+  let op =
+    frequency
+      [
+        (12, map2 (fun s n -> Tx (s, n)) side (int_range 40 1500));
+        (1, map (fun up -> Set_up up) (frequencyl [ (2, true); (1, false) ]));
+        (1, map (fun us -> Fail_for us) (int_range 1 3000));
+        (1, map (fun p -> Set_loss p) (oneofl [ 0.0; 0.0; 0.2; 0.5 ]));
+        (1, map (fun us -> Set_delay us) (oneofl [ 20; 100; 200; 500; 2000 ]));
+      ]
+  in
+  list_size (1 -- 80) (pair (int_bound 400) op)
+
+(* Runs a script on a fresh engine. Deliveries and tap calls are logged
+   as (instant, arriving side, packet id). [pkts.(i)] is what op [i]
+   transmits, shared by both runs so packet ids compare. *)
+let run_link_script make script pkts =
+  let eng = Engine.create ~seed:7 () in
+  let delivered = ref [] and tapped = ref [] in
+  let log r side p = r := (Engine.now eng, side, p.Packet.id) :: !r in
+  let l = make eng ~receive:(log delivered) ~tap:(log tapped) in
+  let at = ref Time.zero in
+  List.iteri
+    (fun i (gap, op) ->
+      at := Time.add !at (Time.us gap);
+      ignore
+        (Engine.schedule_at eng !at (fun () ->
+             match op with
+             | Tx (from, _) -> l.transmit ~from pkts.(i)
+             | Set_up up -> l.set_up up
+             | Fail_for us -> l.fail_for (Time.us us)
+             | Set_loss p -> l.set_loss p
+             | Set_delay us -> l.set_delay (Time.us us))))
+    script;
+  Engine.run eng;
+  (List.rev !delivered, List.rev !tapped, l.stats ())
+
+let prop_link_matches_reference =
+  QCheck.Test.make ~name:"ring link = closure-per-packet link" ~count:1000
+    (QCheck.make link_script ~print:(fun script ->
+         String.concat "; "
+           (List.map (fun (gap, op) -> Printf.sprintf "+%dus %s" gap (pp_link_op op)) script)))
+    (fun script ->
+      let pkts =
+        Array.of_list
+          (List.map
+             (fun (_, op) ->
+               let size = match op with Tx (_, n) -> n | _ -> 1 in
+               Packet.make ~src:(Addr.of_int 1) ~dst:(Addr.of_int 2) ~size (Packet.Raw ""))
+             script)
+      in
+      run_link_script real_link script pkts = run_link_script ref_link script pkts)
+
 let prop_addr_string_roundtrip =
   QCheck.Test.make ~name:"addr to_string/of_string roundtrip" ~count:500
     QCheck.(int_bound 0xFFFFFFF)
@@ -644,6 +904,8 @@ let () =
           Alcotest.test_case "fail_for recovers" `Quick test_link_fail_for;
           Alcotest.test_case "random loss" `Quick test_link_loss;
           Alcotest.test_case "tap and stats" `Quick test_link_tap_and_stats;
+          Alcotest.test_case "forwarded hop allocation" `Quick
+            test_forwarded_hop_allocation;
         ] );
       ( "node",
         [
@@ -682,5 +944,6 @@ let () =
             prop_prefix_contains_base;
             prop_addr_string_roundtrip;
             prop_forwarding_matches_lists;
+            prop_link_matches_reference;
           ] );
     ]

@@ -225,25 +225,17 @@ let test_series_windows () =
       ~select:(fun n -> n = "test_trace.series_ticks")
       ()
   in
+  (* The sampler watches dispatches: ticks are engine events. *)
+  let tick () = Telemetry.Registry.incr c in
   let eng = Sim.Engine.create () in
-  let emit () =
-    Telemetry.Registry.incr c;
-    Telemetry.Bus.emit eng
-      (Telemetry.Event.Generic
-         { cat = Telemetry.Event.Tcp; name = "tick"; detail = "" })
-  in
-  Sim.Engine.run_until eng (Sim.Time.ms 500);
-  emit ();
-  Sim.Engine.run_until eng (Sim.Time.ms 1500);
-  emit ();
-  Sim.Engine.run_until eng (Sim.Time.ms 3700);
-  emit ();
+  List.iter
+    (fun ms -> ignore (Sim.Engine.schedule_at eng (Sim.Time.ms ms) tick))
+    [ 500; 1500; 3700 ];
+  Sim.Engine.run eng;
   (* A fresh engine restarts simulated time: new run index. *)
   let eng2 = Sim.Engine.create () in
-  Sim.Engine.run_until eng2 (Sim.Time.ms 200);
-  Telemetry.Bus.emit eng2
-    (Telemetry.Event.Generic
-       { cat = Telemetry.Event.Tcp; name = "tick"; detail = "" });
+  ignore (Sim.Engine.schedule_at eng2 (Sim.Time.ms 200) tick);
+  Sim.Engine.run eng2;
   Causal.Series.detach s;
   (* Boundaries 1s, 2s, 3s in run 0, plus the run-0 flush at 3.7s when
      time went backwards, plus the final flush at 0.2s of run 1. *)
@@ -278,13 +270,21 @@ let test_series_windows () =
     "boundary timestamps"
     [ 1e9; 2e9; 3e9; 3.7e9; 0.2e9 ]
     times;
-  (* The selected counter is sampled; its value grows across windows. *)
-  List.iter
-    (fun j ->
-      let m = json_mem "metrics" j in
-      checkb "selected metric present" true
-        (Monitor.Json.member "test_trace.series_ticks" m <> None))
-    parsed
+  (* The selected counter is sampled, and a boundary row is taken
+     before the first event past the boundary runs. *)
+  let ticks =
+    List.map
+      (fun j ->
+        match
+          Option.bind
+            (Monitor.Json.member "test_trace.series_ticks" (json_mem "metrics" j))
+            Monitor.Json.to_float
+        with
+        | Some v -> v
+        | None -> Alcotest.fail "selected metric missing")
+      parsed
+  in
+  Alcotest.(check (list (float 0.0))) "ticks per row" [ 1.; 2.; 2.; 3.; 4. ] ticks
 
 (* --- determinism: tracer on/off must not change telemetry ------------------- *)
 
@@ -468,6 +468,42 @@ let test_experiment_out_writes_artifacts () =
        (fun line -> String.starts_with ~prefix:"bfd.tx " line)
        (String.split_on_char '\n' cost))
 
+(* fig5a counts TCP segments, which post nothing to the telemetry bus:
+   the series still samples them, at every window boundary the engine
+   crosses, and its last row is the run's final count. *)
+let test_experiment_series_samples_tcp () =
+  let dir = Filename.concat (Filename.temp_dir "tensor-series" "") "fig5a" in
+  let e = Option.get (Tensor.Experiments.find "fig5a") in
+  Tensor.Check.observed ~dir ~name:"tensor fig5a" (fun () -> e.run ~quick:true);
+  let counts =
+    String.split_on_char '\n' (read_file (Filename.concat dir "timeseries.jsonl"))
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match
+             Option.bind
+               (Monitor.Json.path [ "metrics"; "tcp.segments_out" ]
+                  (Monitor.Json.parse_exn l))
+               Monitor.Json.to_float
+           with
+           | Some v -> int_of_float v
+           | None -> Alcotest.failf "row without tcp.segments_out: %s" l)
+  in
+  checkb "at least one row" true (counts <> []);
+  checkb "tcp.segments_out never decreases" true
+    (fst
+       (List.fold_left (fun (ok, prev) v -> (ok && v >= prev, v)) (true, 0) counts));
+  let csv =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ',' line with
+        | [ "tcp.segments_out"; "counter"; n; _ ] -> Some (int_of_string n)
+        | _ -> None)
+      (String.split_on_char '\n' (read_file (Filename.concat dir "metrics.csv")))
+  in
+  Alcotest.(check (option int))
+    "last row = metrics.csv" csv
+    (Some (List.nth counts (List.length counts - 1)))
+
 let () =
   Alcotest.run "trace"
     [
@@ -490,7 +526,11 @@ let () =
       ( "perfetto",
         [ Alcotest.test_case "valid trace_event JSON" `Quick test_perfetto_export ] );
       ( "series",
-        [ Alcotest.test_case "window boundaries and runs" `Quick test_series_windows ] );
+        [
+          Alcotest.test_case "window boundaries and runs" `Quick test_series_windows;
+          Alcotest.test_case "fig5a --out samples tcp" `Slow
+            test_experiment_series_samples_tcp;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "corpus digests identical with tracer on" `Slow
