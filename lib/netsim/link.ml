@@ -5,19 +5,13 @@ type side = A | B
 let other = function A -> B | B -> A
 
 (* One side of the link: its receiver, and the transmitter and
-   in-flight packets of the direction leaving it. In flight is a ring,
-   oldest first, of the packets and the ids of their delivery events;
-   the capacity is zero or a power of two. Every delivery event of a
-   direction runs the one [arrive] action built with the link, which
-   takes its packet from the ring, so a hop allocates only its event. *)
+   in-flight packets of the direction leaving it. The packets in flight
+   are an engine fifo: each is one [net.deliver] event at its arrival
+   instant, and a hop allocates nothing. *)
 type endpoint = {
   mutable deliver : (Packet.t -> unit) option;
   mutable busy_until : Time.t; (* when this direction's transmitter frees *)
-  mutable pkts : Packet.t array;
-  mutable ids : int array;
-  mutable head : int;
-  mutable len : int;
-  mutable arrive : unit -> unit;
+  in_flight : Packet.t Engine.fifo;
 }
 
 type t = {
@@ -45,74 +39,12 @@ type t = {
   mutable last_delivery_at : Time.t;
 }
 
-(* Fills the ring's free slots, so a delivered packet is not kept alive
-   by its link. *)
-let hole =
-  {
-    Packet.id = -1;
-    src = Addr.of_int 0;
-    dst = Addr.of_int 0;
-    size = 1;
-    ttl = 0;
-    payload = Packet.Raw "";
-  }
-
-let endpoint_create () =
+let endpoint_create eng =
   {
     deliver = None;
     busy_until = Time.zero;
-    pkts = [||];
-    ids = [||];
-    head = 0;
-    len = 0;
-    arrive = ignore;
+    in_flight = Engine.fifo eng ~label:"net.deliver" ~dummy:Packet.dummy;
   }
-
-let slot q k = (q.head + k) land (Array.length q.pkts - 1)
-
-let push q pkt id =
-  let cap = Array.length q.pkts in
-  if q.len = cap then begin
-    let n = Int.max 1 (2 * cap) in
-    let pkts = Array.make n hole and ids = Array.make n 0 in
-    for k = 0 to q.len - 1 do
-      pkts.(k) <- q.pkts.(slot q k);
-      ids.(k) <- q.ids.(slot q k)
-    done;
-    q.pkts <- pkts;
-    q.ids <- ids;
-    q.head <- 0
-  end;
-  let i = slot q q.len in
-  q.pkts.(i) <- pkt;
-  q.ids.(i) <- id;
-  q.len <- q.len + 1
-
-(* Takes the packet whose delivery event is [id] out of the ring. That
-   is the oldest one unless the delay was lowered mid-flight, which
-   lets a later packet overtake: its entry is then found further in,
-   and the older entries move up one slot to close the gap. *)
-let rec find q id k =
-  if k = q.len then invalid_arg "Link: a delivery with no packet in flight"
-  else if q.ids.(slot q k) = id then k
-  else find q id (k + 1)
-
-let take q id =
-  let k = find q id 0 in
-  let pkt = q.pkts.(slot q k) in
-  for j = k downto 1 do
-    q.pkts.(slot q j) <- q.pkts.(slot q (j - 1));
-    q.ids.(slot q j) <- q.ids.(slot q (j - 1))
-  done;
-  q.pkts.(q.head) <- hole;
-  q.head <- slot q 1;
-  q.len <- q.len - 1;
-  pkt
-
-let clear q =
-  Array.fill q.pkts 0 (Array.length q.pkts) hole;
-  q.head <- 0;
-  q.len <- 0
 
 (* Default-name counter, domain-local so two domains creating unnamed
    links concurrently don't race — and each domain numbers its links
@@ -132,13 +64,10 @@ let serialization_delay t size =
        avoid overflow for realistic sizes (< 1 GB). *)
     size * 8 * 1_000_000_000 / t.bandwidth_bps
 
-(* The delivery action of the direction leaving [q], arriving at
-   [dst_side]. *)
-let arrive t q dst_side =
-  let id = Engine.current_event_id t.eng in
-  if id < t.live_from then t.dropped <- t.dropped + 1
+(* The handler of the packets arriving at [dst_side]. *)
+let arrive t dst_side pkt =
+  if Engine.current_event_id t.eng < t.live_from then t.dropped <- t.dropped + 1
   else begin
-    let pkt = take q id in
     t.delivered <- t.delivered + 1;
     t.bytes <- t.bytes + pkt.Packet.size;
     t.has_delivered <- true;
@@ -163,8 +92,8 @@ let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
     {
       lname;
       eng;
-      a = endpoint_create ();
-      b = endpoint_create ();
+      a = endpoint_create eng;
+      b = endpoint_create eng;
       prop_delay = delay;
       bandwidth_bps;
       loss;
@@ -180,13 +109,10 @@ let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
       last_delivery_at = Time.zero;
     }
   in
-  t.a.arrive <- (fun () -> arrive t t.a B);
-  t.b.arrive <- (fun () -> arrive t t.b A);
+  Engine.set_handler t.a.in_flight (arrive t B);
+  Engine.set_handler t.b.in_flight (arrive t A);
   t
 
-(* Arrivals leaving one side never decrease while the delay holds, as
-   [busy_until] only grows and a failure empties the ring, so [take]
-   finds a delivery's packet at the head of the ring. *)
 let transmit t ~from pkt =
   if (not t.up) || Rng.bernoulli t.rng t.loss then t.dropped <- t.dropped + 1
   else begin
@@ -195,20 +121,16 @@ let transmit t ~from pkt =
     let start = Int.max (Engine.now t.eng) q.busy_until in
     let finish = Time.add start (serialization_delay t pkt.Packet.size) in
     q.busy_until <- finish;
-    push q pkt (Engine.next_id t.eng);
-    ignore
-      (Engine.schedule_at t.eng ~label:"net.deliver"
-         (Time.add finish t.prop_delay) q.arrive)
+    Engine.enqueue q.in_flight (Time.add finish t.prop_delay) pkt
   end
 
 let is_up t = t.up
 
 let set_up t flag =
   if t.up && not flag then begin
-    (* Going down loses everything in flight or queued. *)
+    (* Going down loses everything in flight or queued: those packets
+       still arrive, and [arrive] counts them dropped. *)
     t.live_from <- Engine.next_id t.eng;
-    clear t.a;
-    clear t.b;
     t.a.busy_until <- Engine.now t.eng;
     t.b.busy_until <- Engine.now t.eng
   end;

@@ -10,21 +10,18 @@
     layer knows nothing about nodes, which keeps the dependency graph
     acyclic.
 
-    {b In flight.} Each direction keeps its in-flight packets in a FIFO
-    ring, and each packet is one engine event ([net.deliver]) at its
-    arrival instant. All of a direction's events share one preallocated
-    action, which takes the packet from the ring, so a hop allocates
-    its event record and nothing else. Arrivals in one direction do not
-    decrease while the delay holds, so the engine's (instant, scheduling
-    order) dispatch takes the ring in order.
-    - A failure ({!set_up} [false], {!fail_for}) empties both rings and
-      records the next engine event id; a delivery event scheduled
-      before it is stale and counts as dropped when it fires.
-    - {!set_delay} applies to packets transmitted after it. Raising the
-      delay keeps the ring in order. Lowering it while packets are in
-      flight lets a later packet arrive first, exactly as if each
-      packet carried its own delivery: the overtaking packet's ring
-      entry is matched by its event id. *)
+    {b In flight.} Each direction's packets in flight are the items of
+    one {!Sim.Engine.fifo} labelled [net.deliver]: each packet is one
+    engine event at its arrival instant, but only the earliest sits in
+    the event queue, so a hop allocates nothing. Arrivals are
+    dispatched in (instant, transmission order), exactly as if each
+    packet carried its own delivery event.
+    - A failure ({!set_up} [false], {!fail_for}) records the next engine
+      event id. Packets sent before it stay in the fifo, still arrive
+      at their instants, and count as dropped instead of delivered.
+    - {!set_delay} applies to packets transmitted after it. Lowering
+      it while packets are in flight lets a later packet arrive first;
+      the fifo inserts it in arrival order. *)
 
 type t
 

@@ -40,26 +40,10 @@ type t = {
   forwarding : bool;
   mutable unrouted : int;
   mutable unclaimed : int;
+  (* Packets to the node itself: each is delivered by an event of its
+     own, so senders never observe reentrant receive callbacks. *)
+  loopback : Packet.t Engine.fifo;
 }
-
-let create eng ?(forwarding = false) nname =
-  {
-    nname;
-    eng;
-    addrs = [];
-    (* Size 1: chaos builds many small nodes. *)
-    addr_set = Tbl.create 1;
-    handlers = [];
-    ifs = [];
-    by_remote = Tbl.create 1;
-    routes = Tbl.create 1;
-    route_lens = [];
-    decisions = Tbl.create 1;
-    up = true;
-    forwarding;
-    unrouted = 0;
-    unclaimed = 0;
-  }
 
 let name t = t.nname
 let engine t = t.eng
@@ -138,10 +122,7 @@ let decision t dst =
       d
 
 let rec emit t pkt = function
-  | Local ->
-      (* Loopback: deliver via a fresh event so senders never observe
-         reentrant receive callbacks. *)
-      ignore (Engine.schedule_after t.eng ~label:"net.loopback" 0 (fun () -> rx t pkt))
+  | Local -> Engine.enqueue t.loopback (Engine.now t.eng) pkt
   | Via i -> Link.transmit i.link ~from:i.side pkt
   | Unrouted -> t.unrouted <- t.unrouted + 1
 
@@ -158,6 +139,30 @@ and rx t pkt =
         else if Packet.decrement_ttl pkt then emit t pkt d
 
 let send t pkt = if t.up then emit t pkt (decision t pkt.Packet.dst)
+
+let create eng ?(forwarding = false) nname =
+  let t =
+    {
+      nname;
+      eng;
+      addrs = [];
+      (* Size 1: chaos builds many small nodes. *)
+      addr_set = Tbl.create 1;
+      handlers = [];
+      ifs = [];
+      by_remote = Tbl.create 1;
+      routes = Tbl.create 1;
+      route_lens = [];
+      decisions = Tbl.create 1;
+      up = true;
+      forwarding;
+      unrouted = 0;
+      unclaimed = 0;
+      loopback = Engine.fifo eng ~label:"net.loopback" ~dummy:Packet.dummy;
+    }
+  in
+  Engine.set_handler t.loopback (rx t);
+  t
 
 let attach t link side ~local ~remote =
   add_address t local;

@@ -21,6 +21,16 @@ let make ?(ttl = 64) ~src ~dst ~size payload =
   incr next_id;
   { id = !next_id; src; dst; size; ttl; payload }
 
+let dummy =
+  {
+    id = -1;
+    src = Addr.of_int 0;
+    dst = Addr.of_int 0;
+    size = 1;
+    ttl = 0;
+    payload = Raw "";
+  }
+
 let decrement_ttl p =
   if p.ttl <= 1 then false
   else begin

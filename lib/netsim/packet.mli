@@ -33,6 +33,10 @@ val make : ?ttl:int -> src:Addr.t -> dst:Addr.t -> size:int -> payload -> t
 (** [make ~src ~dst ~size payload] is a fresh packet with a new id and a
     default TTL of 64. [size] must be positive. *)
 
+val dummy : t
+(** A packet that is never sent (id [-1]): it fills the free slots of
+    packet queues, so a delivered packet is not kept alive by them. *)
+
 val decrement_ttl : t -> bool
 (** [decrement_ttl p] takes one hop off [p]'s TTL in place and is [true],
     or is [false], leaving [p] unchanged, when the TTL is exhausted. *)

@@ -8,6 +8,10 @@ let bindings ~compare:cmp tbl =
 
 let keys ~compare tbl = List.map fst (bindings ~compare tbl)
 
+let keys_where ~compare ~keep tbl =
+  Hashtbl.fold (fun k _ acc -> if keep k then k :: acc else acc) tbl []
+  |> List.sort compare
+
 let iter_sorted ~compare f tbl =
   List.iter (fun (k, v) -> f k v) (bindings ~compare tbl)
 

@@ -16,6 +16,11 @@ val bindings : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 val keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
 (** Keys in ascending order. *)
 
+val keys_where :
+  compare:('k -> 'k -> int) -> keep:('k -> bool) -> ('k, 'v) Hashtbl.t -> 'k list
+(** The keys [keep] accepts, in ascending order. Only those are
+    sorted, so a narrow filter over a large table stays cheap. *)
+
 val iter_sorted :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 

@@ -1,14 +1,19 @@
+(* The key fields are mutable so that a recurring source (a timer, a
+   deadline, a fifo) can re-queue one record under a fresh key instead
+   of allocating one per event. A record is re-keyed only while it is
+   out of the heap: after its own dispatch, or when it was never queued.
+   Such records never escape the engine as handles. *)
 type event = {
-  time : Time.t;
-  seq : int; (* tie-breaker: FIFO among same-instant events; doubles as
-                the event's unique id within its engine *)
+  mutable time : Time.t;
+  mutable seq : int; (* tie-breaker: FIFO among same-instant events;
+                        doubles as the event's unique id within its engine *)
   action : unit -> unit;
   mutable state : int; (* [queued], [dead] or [wake], below *)
   owner : t;
   label : string; (* cost-attribution label, see [schedule_at] *)
-  sched_at : Time.t; (* enqueue instant: dwell = time - sched_at *)
-  caused_by : int; (* seq of the event executing when this one was
-                      scheduled; -1 when scheduled from outside dispatch *)
+  mutable sched_at : Time.t; (* enqueue instant: dwell = time - sched_at *)
+  mutable caused_by : int; (* seq of the event executing when this one
+                              was scheduled; -1 from outside dispatch *)
 }
 
 (* One tier of the event queue: a 4-ary min-heap ordered by (time,
@@ -345,45 +350,98 @@ let queued_events t = t.near.size + t.far.size
 let processed_events t = t.processed
 let global_processed_events () = (dls ()).dls_processed
 
-type timer = { mutable pending : handle option; mutable stopped : bool }
+(* A record no heap holds yet, for a recurring source to re-queue. *)
+let make_record t ~label action =
+  {
+    time = Time.zero;
+    seq = -1;
+    action;
+    state = dead;
+    owner = t;
+    label;
+    sched_at = Time.zero;
+    caused_by = -1;
+  }
 
-let every t ?label ?(jitter = 0.0) period f =
-  if period <= 0 then invalid_arg "Engine.every: period must be positive";
-  let timer = { pending = None; stopped = false } in
+(* Queues [e], which is out of the heap, under a new key. *)
+let queue_record e state ~time ~seq ~sched_at ~caused_by =
+  e.time <- time;
+  e.seq <- seq;
+  e.sched_at <- sched_at;
+  e.caused_by <- caused_by;
+  e.state <- state;
+  push e.owner e
+
+(* [e] is queued under a key that is now too late: it stays in the heap,
+   dead, and the copy returned takes its place. *)
+let replace e =
+  e.state <- dead;
+  { e with state = dead }
+
+(* A timer keeps one record and re-queues it from its own firing, after
+   [f], where the closure-per-firing timer scheduled its next firing:
+   ids, parents and enqueue instants are those of a fresh schedule. *)
+type timer = {
+  tm_eng : t;
+  period : Time.span;
+  jitter : float;
   (* Jitter draws come from a private stream split off at creation, not
      from the shared root generator: a timer's firing pattern must not
      shift when an unrelated subsystem (created mid-run, e.g. by a fault
      injector) starts drawing from the engine RNG. *)
-  let rng = if jitter <= 0.0 then None else Some (Rng.split t.root_rng) in
-  let next_delay () =
-    match rng with
-    | None -> period
-    | Some rng ->
-        let j = Rng.float rng (2.0 *. jitter) -. jitter in
-        let d = float_of_int period *. (1.0 +. j) in
-        max 1 (int_of_float d)
-  in
-  (* One firing closure per timer, re-scheduled on every firing. *)
-  let rec fire () =
-    timer.pending <- None;
-    if not timer.stopped then begin
-      f ();
-      arm ()
-    end
-  and arm () =
-    if not timer.stopped then
-      timer.pending <- Some (schedule_after t ?label (next_delay ()) fire)
-  in
-  arm ();
-  timer
+  jitter_rng : Rng.t option;
+  width : float; (* [2 * jitter], stored so a draw boxes no argument *)
+  f : unit -> unit;
+  mutable stopped : bool;
+  mutable tm_ev : event; (* the sentinel until [every] builds it *)
+}
 
-let stop_timer timer =
-  timer.stopped <- true;
-  match timer.pending with
-  | Some h ->
-      cancel h;
-      timer.pending <- None
-  | None -> ()
+let next_delay tm =
+  match tm.jitter_rng with
+  | None -> tm.period
+  | Some rng ->
+      let j = Rng.float rng tm.width -. tm.jitter in
+      let d = float_of_int tm.period *. (1.0 +. j) in
+      max 1 (int_of_float d)
+
+(* Queues the next firing under the key [schedule_after] would give it. *)
+let arm tm =
+  let t = tm.tm_eng in
+  let time = Time.add t.clock (next_delay tm) in
+  queue_record tm.tm_ev queued ~time ~seq:t.next_seq ~sched_at:t.clock
+    ~caused_by:t.current_id;
+  t.next_seq <- t.next_seq + 1;
+  t.live <- t.live + 1
+
+(* The action of a timer's record. A stopped timer's record is
+   cancelled, so only [f] itself can stop it here. *)
+let fire tm () =
+  tm.f ();
+  if not tm.stopped then arm tm
+
+let every t ?label ?(jitter = 0.0) period f =
+  if period <= 0 then invalid_arg "Engine.every: period must be positive";
+  let label = match label with Some l -> l | None -> t.current_label in
+  let jitter_rng = if jitter <= 0.0 then None else Some (Rng.split t.root_rng) in
+  let tm =
+    {
+      tm_eng = t;
+      period;
+      jitter;
+      jitter_rng;
+      width = 2.0 *. jitter;
+      f;
+      stopped = false;
+      tm_ev = t.near.sentinel;
+    }
+  in
+  tm.tm_ev <- make_record t ~label (fire tm);
+  arm tm;
+  tm
+
+let stop_timer tm =
+  tm.stopped <- true;
+  cancel tm.tm_ev
 
 (* A liveness timer (BFD detect, BGP hold) moves later on every packet
    it watches. Cancel-and-reschedule would leave one dead heap entry
@@ -395,64 +453,50 @@ let stop_timer timer =
    the observers see are those of cancel-and-reschedule. *)
 type deadline = {
   d_eng : t;
-  d_label : string;
   d_action : unit -> unit;
-  d_wake : unit -> unit; (* the queued entry's action: [on_wake] *)
   mutable d_armed : bool;
   mutable d_at : Time.t;
   mutable d_seq : int;
   mutable d_sched_at : Time.t;
   mutable d_caused_by : int;
-  mutable d_entry : event option; (* the queued wake-up, in state [wake] *)
+  (* The wake-up record, in the heap while in state [wake]. It is
+     re-queued when it pops, and replaced only when the deadline moves
+     earlier while it is queued. *)
+  mutable d_entry : event;
 }
 
 let queue_wake d =
-  let e =
-    {
-      time = d.d_at;
-      seq = d.d_seq;
-      action = d.d_wake;
-      state = wake;
-      owner = d.d_eng;
-      label = d.d_label;
-      sched_at = d.d_sched_at;
-      caused_by = d.d_caused_by;
-    }
-  in
-  d.d_entry <- Some e;
-  push d.d_eng e
+  queue_record d.d_entry wake ~time:d.d_at ~seq:d.d_seq ~sched_at:d.d_sched_at
+    ~caused_by:d.d_caused_by
 
-(* Runs when [step] pops the queued entry. A lazily cleared deadline
-   drops it; one moved later re-queues at its current instant without a
-   dispatch; a due one dispatches its action. *)
-let on_wake d =
-  match d.d_entry with
-  | None -> ()
-  | Some e ->
-      e.state <- dead;
-      d.d_entry <- None;
-      if d.d_armed then
-        if d.d_seq = e.seq then begin
-          d.d_armed <- false;
-          exec d.d_eng e d.d_action
-        end
-        else queue_wake d
+(* The action of the wake-up record, run when [step] pops it (only a
+   record in state [wake], so the current one). A lazily cleared
+   deadline drops it; one moved later re-queues it at its current
+   instant without a dispatch; a due one dispatches its action. *)
+let on_wake d () =
+  let e = d.d_entry in
+  e.state <- dead;
+  if d.d_armed then
+    if d.d_seq = e.seq then begin
+      d.d_armed <- false;
+      exec d.d_eng e d.d_action
+    end
+    else queue_wake d
 
 let deadline t ~label action =
-  let rec d =
+  let d =
     {
       d_eng = t;
-      d_label = label;
       d_action = action;
-      d_wake = (fun () -> on_wake d);
       d_armed = false;
       d_at = Time.zero;
       d_seq = 0;
       d_sched_at = Time.zero;
       d_caused_by = -1;
-      d_entry = None;
+      d_entry = t.near.sentinel;
     }
   in
+  d.d_entry <- make_record t ~label (on_wake d);
   d
 
 let set_deadline d instant =
@@ -467,15 +511,109 @@ let set_deadline d instant =
   t.next_seq <- t.next_seq + 1;
   d.d_sched_at <- t.clock;
   d.d_caused_by <- t.current_id;
-  match d.d_entry with
-  | Some e when e.time <= instant -> () (* it fires first, then follows *)
-  | Some e ->
-      e.state <- dead;
-      queue_wake d
-  | None -> queue_wake d
+  let e = d.d_entry in
+  if e.state <> wake then queue_wake d
+  else if instant < e.time then begin
+    d.d_entry <- replace e;
+    queue_wake d
+  end
+(* else the queued record fires first, then follows *)
 
 let clear_deadline d =
   if d.d_armed then begin
     d.d_armed <- false;
     d.d_eng.live <- d.d_eng.live - 1
+  end
+
+(* A fifo keeps its items in a ring, each with the key a fresh
+   [schedule_at] would have given it, and only its head in the heap, in
+   one record. The record's action takes the head, re-queues the record
+   under the next item's key and hands the item to the handler. Items
+   due in order (a link's arrivals while its delay holds) append; an
+   earlier one is inserted in key order. *)
+type 'a fifo = {
+  q_eng : t;
+  q_dummy : 'a; (* fills free slots: a dispatched item is not kept alive *)
+  mutable q_handler : 'a -> unit;
+  mutable q_items : 'a array; (* capacity 0, then 1, doubling *)
+  mutable q_keys : int array; (* per slot: time, seq, sched_at, caused_by *)
+  mutable q_head : int;
+  mutable q_len : int;
+  mutable q_ev : event; (* in the heap while [q_len > 0] *)
+}
+
+let slot q k = (q.q_head + k) land (Array.length q.q_items - 1)
+
+let queue_head q =
+  let keys = q.q_keys and i = 4 * q.q_head in
+  queue_record q.q_ev queued ~time:keys.(i) ~seq:keys.(i + 1) ~sched_at:keys.(i + 2)
+    ~caused_by:keys.(i + 3)
+
+(* The action of the fifo's record. *)
+let take_head q () =
+  let h = q.q_head in
+  let x = q.q_items.(h) in
+  q.q_items.(h) <- q.q_dummy;
+  q.q_head <- (h + 1) land (Array.length q.q_items - 1);
+  q.q_len <- q.q_len - 1;
+  if q.q_len > 0 then queue_head q;
+  q.q_handler x
+
+let grow q =
+  let n = Int.max 1 (2 * Array.length q.q_items) in
+  let items = Array.make n q.q_dummy and keys = Array.make (4 * n) 0 in
+  for k = 0 to q.q_len - 1 do
+    let i = slot q k in
+    items.(k) <- q.q_items.(i);
+    Array.blit q.q_keys (4 * i) keys (4 * k) 4
+  done;
+  q.q_items <- items;
+  q.q_keys <- keys;
+  q.q_head <- 0
+
+let fifo t ~label ~dummy =
+  let q =
+    {
+      q_eng = t;
+      q_dummy = dummy;
+      q_handler = ignore;
+      q_items = [||];
+      q_keys = [||];
+      q_head = 0;
+      q_len = 0;
+      q_ev = t.near.sentinel;
+    }
+  in
+  q.q_ev <- make_record t ~label (take_head q);
+  q
+
+let set_handler q f = q.q_handler <- f
+
+let enqueue q instant x =
+  let t = q.q_eng in
+  if instant < t.clock then invalid_arg "Engine.enqueue: instant in the past";
+  if q.q_len = Array.length q.q_items then grow q;
+  (* The new item sorts after every item due no later, as its id is the
+     largest, so only items due after it move back a slot. *)
+  let k = ref q.q_len in
+  while !k > 0 && q.q_keys.(4 * slot q (!k - 1)) > instant do
+    let src = slot q (!k - 1) and dst = slot q !k in
+    q.q_items.(dst) <- q.q_items.(src);
+    Array.blit q.q_keys (4 * src) q.q_keys (4 * dst) 4;
+    decr k
+  done;
+  let i = slot q !k and keys = q.q_keys in
+  q.q_items.(i) <- x;
+  keys.(4 * i) <- instant;
+  keys.((4 * i) + 1) <- t.next_seq;
+  keys.((4 * i) + 2) <- t.clock;
+  keys.((4 * i) + 3) <- t.current_id;
+  t.next_seq <- t.next_seq + 1;
+  t.live <- t.live + 1;
+  q.q_len <- q.q_len + 1;
+  if !k = 0 then begin
+    (* A new head: the record is queued under the old head's key, if
+       there was one. *)
+    if q.q_len > 1 then q.q_ev <- replace q.q_ev;
+    queue_head q
   end

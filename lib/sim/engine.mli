@@ -93,7 +93,8 @@ val queued_events : t -> int
 (** Number of entries in the event queue — both tiers, the near one
     for events due under 1 ms after the clock when queued and the far
     one for the rest — including cancelled events and stale deadline
-    wake-ups not yet popped: [queued_events t - pending_events t] is
+    wake-ups not yet popped. A {!fifo} is one entry however many items
+    it holds, so without fifos [queued_events t - pending_events t] is
     what lazy cancellation costs in queue size. *)
 
 val processed_events : t -> int
@@ -158,7 +159,14 @@ val every : t -> ?label:string -> ?jitter:float -> Time.span -> (unit -> unit) -
 (** [every t ~jitter period f] runs [f] every [period], starting one
     period from now. [jitter], if nonzero, uniformly perturbs each firing
     by [±jitter*period] (default 0). [label] attributes every firing, as
-    in {!schedule_after}. *)
+    in {!schedule_after}.
+
+    A timer owns one event record and re-queues it from each firing,
+    after [f] returns, so a firing allocates nothing. Each firing is
+    still a fresh event: it takes its id when the previous firing
+    re-queues it, with that firing as its parent and its instant as the
+    enqueue instant, exactly as if the firing had called
+    {!schedule_after}. *)
 
 val stop_timer : timer -> unit
 (** Stops the periodic timer; the pending firing is cancelled. *)
@@ -173,7 +181,9 @@ val stop_timer : timer -> unit
     most one wake-up in the heap. Pushing the deadline later only
     updates a field; the queued wake-up follows the new instant when it
     pops, without a dispatch. Moving it earlier replaces the wake-up.
-    Clearing is lazy. *)
+    Clearing is lazy. A deadline owns one wake-up record and re-queues
+    it whenever it is out of the heap; only moving the deadline earlier
+    while its wake-up is queued allocates a fresh one. *)
 
 type deadline
 
@@ -188,3 +198,38 @@ val set_deadline : deadline -> Time.t -> unit
 
 val clear_deadline : deadline -> unit
 (** Disarms the deadline; a no-op when it is not armed. *)
+
+(** {2 Fifos}
+
+    An event source for a stream of items that are each handled at
+    their own instant, such as a link direction's packets in flight.
+    [enqueue q instant x] behaves exactly like scheduling a fresh event
+    at [instant] that hands [x] to [q]'s handler: the same id, label,
+    parent, enqueue instant and dispatch order among all events, and it
+    counts in {!pending_events} until it is dispatched. But only the
+    earliest item sits in the event queue, in one record the fifo
+    re-queues under the next item's key when it dispatches, so an item
+    allocates nothing once the fifo's ring has grown to its peak
+    length.
+
+    Items are dispatched in (instant, enqueue order). An item due
+    earlier than the last one is inserted in order; when it becomes the
+    earliest, the queued record is replaced, the one case that
+    allocates. Items cannot be cancelled. *)
+
+type 'a fifo
+
+val fifo : t -> label:string -> dummy:'a -> 'a fifo
+(** [fifo t ~label ~dummy] is an empty fifo whose items are dispatched
+    as [label] events. [dummy] fills the ring's free slots, so a
+    dispatched item is not kept alive by the fifo; it is never handed
+    to the handler. The handler is {!set_handler}'s, [ignore] until
+    then. *)
+
+val set_handler : 'a fifo -> ('a -> unit) -> unit
+(** [set_handler q f] makes [f] the handler of [q]'s items. *)
+
+val enqueue : 'a fifo -> Time.t -> 'a -> unit
+(** [enqueue q instant x] hands [x] to [q]'s handler at [instant], as
+    an event of its own. An instant in the past is an
+    [Invalid_argument]. *)

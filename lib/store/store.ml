@@ -86,10 +86,7 @@ module Server = struct
   let peek t key = Hashtbl.find_opt t.table key
 
   let keys_with_prefix t prefix =
-    Det.keys ~compare:String.compare t.table
-    |> List.filter (fun k ->
-           String.length k >= String.length prefix
-           && String.sub k 0 (String.length prefix) = prefix)
+    Det.keys_where ~compare:String.compare ~keep:(String.starts_with ~prefix) t.table
 
   (* Serialize request processing through the server's modelled CPU, like
      the TCP stack does. *)

@@ -304,11 +304,12 @@ let test_network_registry () =
   | None -> Alcotest.fail "link_between missing");
   checkb "no link to self" true (Network.link_between net a a = None)
 
-(* A forwarded hop allocates its engine event record and nothing else:
-   the node decrements the packet's TTL in place and the link's arrival
-   action is shared by every packet of a direction. A second batch runs
-   after a first one has grown the queues and rings and filled the
-   forwarding caches, so only per-packet costs remain. *)
+(* A forwarded hop allocates nothing: the node decrements the packet's
+   TTL in place, and each link direction's packets in flight are items
+   of one engine fifo, which keeps only its head in the event queue, in
+   one record. A second batch runs after a first one has grown the
+   queues and rings and filled the forwarding caches, so only
+   per-packet costs remain. *)
 let test_forwarded_hop_allocation () =
   let eng = Engine.create () in
   let net = Network.create eng in
@@ -327,38 +328,18 @@ let test_forwarded_hop_allocation () =
   let batch () =
     Array.init n (fun _ -> Packet.make ~src ~dst:addr_b ~size:64 (Packet.Raw "x"))
   in
-  let words f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
-  (* The words of one event record: a schedule with a shared action. *)
-  let per_event =
-    let act () = () in
-    let schedule () =
-      for _ = 1 to n do
-        ignore (Engine.schedule_after eng 0 act)
-      done
-    in
-    schedule ();
-    Engine.run eng;
-    let w = words schedule in
-    Engine.run eng;
-    int_of_float w / n
-  in
   let send pkts () =
     Array.iter (fun p -> Node.send a p) pkts;
     Engine.run eng
   in
   send (batch ()) ();
-  let w = words (send (batch ())) in
+  let pkts = batch () in
+  let before = Gc.minor_words () in
+  send pkts ();
+  let w = Gc.minor_words () -. before in
   checki "every packet delivered" (2 * n) !got;
   checki "one forwarding hop off the ttl" 63 !ttl;
-  let hops = 2 * n in
-  let budget = (hops * per_event) + 64 in
-  if w > float_of_int budget then
-    Alcotest.failf "%.0f words for %d hops: more than one %d-word event each (+64)"
-      w hops per_event
+  if w > 64.0 then Alcotest.failf "%.0f words for %d hops: more than 64" w (2 * n)
 
 (* --- RPC --------------------------------------------------------------- *)
 
@@ -666,9 +647,10 @@ let prop_forwarding_matches_lists =
                     (Packet.make ~ttl ~src:fwd_host_addr ~dst ~size:64 (Packet.Raw "x"))))
         ops)
 
-(* The closure-per-packet link the in-flight rings replaced, kept as the
-   reference: every transmit schedules its own delivery closure, which
-   drops the packet if the link failed since (its failure epoch moved). *)
+(* The closure-per-packet link that per-direction rings, and then engine
+   fifos, replaced, kept as the reference: every transmit schedules its
+   own delivery closure, which drops the packet if the link failed since
+   (its failure epoch moved). *)
 module Ref_link = struct
   type endpoint = {
     mutable deliver : (Packet.t -> unit) option;

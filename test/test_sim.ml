@@ -655,6 +655,288 @@ let prop_heap_matches_reference =
     (QCheck.make ~print:(fun s -> String.concat " " (List.map show_op s)) gen_script)
     run_script
 
+(* --- Recycled records against one plain event each ------------------------ *)
+
+(* Fifos, timers and deadlines re-queue one engine record each. The
+   reference runs the same script with one plain event per item, per
+   firing and per setting, as the engine did before it recycled
+   records: a fifo item is a [schedule_at] of its own, a timer re-arms
+   with a closure per firing, and a deadline is cancel-and-reschedule.
+   The two runs must dispatch the same events (id, instant, label,
+   parent, enqueue instant) and agree on [pending_events] after every
+   step of the script. *)
+
+type src_child =
+  | Quiet
+  | Enq_to of int * int (* enqueue a quiet item on fifo [k], this far ahead *)
+  | Set_to of int * int (* set deadline [k] this far ahead *)
+
+type src_op =
+  | Enq of int * int * src_child (* fifo, delay, what its handler does *)
+  | Every of int * bool * bool * int * src_child
+      (* period, jittered, labelled, stop itself after n firings (0:
+         never), what each firing does *)
+  | Stop of int (* a timer index, modulo the timers made *)
+  | Plain of int * src_child
+  | Cancel_plain of int (* a handle index, modulo the handles issued *)
+  | Dset of int * int
+  | Dclear of int
+  | Go of int (* run_until now + n *)
+
+let nfifos = 2
+
+(* What a script drives: the engine's sources, or the reference. *)
+type sources = {
+  enqueue : int -> Time.t -> src_child -> unit;
+  every : ?label:string -> jitter:float -> Time.span -> (unit -> unit) -> unit -> unit;
+      (* returns the timer's stop *)
+  set : int -> Time.t -> unit;
+  clear : int -> unit;
+}
+
+let fifo_label k = Printf.sprintf "f%d" k
+let deadline_label k = Printf.sprintf "d%d" k
+
+let engine_sources eng handle =
+  let fifos =
+    Array.init nfifos (fun k -> Engine.fifo eng ~label:(fifo_label k) ~dummy:Quiet)
+  in
+  Array.iter (fun q -> Engine.set_handler q handle) fifos;
+  let dls = Array.init ndeadlines (fun k -> Engine.deadline eng ~label:(deadline_label k) ignore) in
+  {
+    enqueue = (fun k at c -> Engine.enqueue fifos.(k) at c);
+    every =
+      (fun ?label ~jitter period f ->
+        let tm = Engine.every eng ?label ~jitter period f in
+        fun () -> Engine.stop_timer tm);
+    set = (fun k at -> Engine.set_deadline dls.(k) at);
+    clear = (fun k -> Engine.clear_deadline dls.(k));
+  }
+
+(* [Engine.every] as it was, a closure scheduled per firing. *)
+let ref_every eng ?label ~jitter period f =
+  let stopped = ref false and pending = ref None in
+  let rng = if jitter <= 0.0 then None else Some (Rng.split (Engine.rng eng)) in
+  let next_delay () =
+    match rng with
+    | None -> period
+    | Some rng ->
+        let j = Rng.float rng (2.0 *. jitter) -. jitter in
+        max 1 (int_of_float (float_of_int period *. (1.0 +. j)))
+  in
+  let rec fire () =
+    pending := None;
+    if not !stopped then begin
+      f ();
+      arm ()
+    end
+  and arm () =
+    if not !stopped then
+      pending := Some (Engine.schedule_after eng ?label (next_delay ()) fire)
+  in
+  arm ();
+  fun () ->
+    stopped := true;
+    Option.iter Engine.cancel !pending
+
+let reference_sources eng handle =
+  let dls = Array.make ndeadlines None in
+  let clear k = Option.iter Engine.cancel dls.(k) in
+  {
+    enqueue =
+      (fun k at c ->
+        ignore (Engine.schedule_at eng ~label:(fifo_label k) at (fun () -> handle c)));
+    every = ref_every eng;
+    set =
+      (fun k at ->
+        clear k;
+        dls.(k) <- Some (Engine.schedule_at eng ~label:(deadline_label k) at ignore));
+    clear;
+  }
+
+(* Fifo and plain delays straddle the engine's tier split and come in
+   random order, so items often fall due before a fifo's tail. *)
+let gen_src_child =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Quiet);
+        (1, map2 (fun k d -> Enq_to (k, d)) (int_bound (nfifos - 1)) gen_delay);
+        (1, map2 (fun k d -> Set_to (k, d)) (int_bound (ndeadlines - 1)) gen_delay);
+      ])
+
+let gen_period =
+  QCheck.Gen.(frequency [ (3, int_range 200 700); (1, oneofl [ split - 1; split; split + 1 ]) ])
+
+let gen_src_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map3 (fun k d c -> Enq (k, d, c)) (int_bound (nfifos - 1)) gen_delay gen_src_child);
+        ( 1,
+          map3
+            (fun (p, j) (l, n) c -> Every (p, j, l, n, c))
+            (pair gen_period bool) (pair bool (int_bound 4)) gen_src_child );
+        (1, map (fun i -> Stop i) nat);
+        (2, map2 (fun d c -> Plain (d, c)) gen_delay gen_src_child);
+        (1, map (fun i -> Cancel_plain i) nat);
+        (2, map2 (fun k d -> Dset (k, d)) (int_bound (ndeadlines - 1)) gen_delay);
+        (1, map (fun k -> Dclear k) (int_bound (ndeadlines - 1)));
+        (2, map (fun n -> Go n) (int_bound 2000));
+        (1, map (fun n -> Go n) gen_delay);
+      ])
+
+let show_src_child = function
+  | Quiet -> ""
+  | Enq_to (k, d) -> Printf.sprintf ">f%d+%d" k d
+  | Set_to (k, d) -> Printf.sprintf ">d%d+%d" k d
+
+let show_src_op = function
+  | Enq (k, d, c) -> Printf.sprintf "F%d+%d%s" k d (show_src_child c)
+  | Every (p, j, l, n, c) ->
+      Printf.sprintf "T%d%s%s/%d%s" p (if j then "j" else "") (if l then "l" else "") n
+        (show_src_child c)
+  | Stop i -> Printf.sprintf "K%d" i
+  | Plain (d, c) -> Printf.sprintf "S%d%s" d (show_src_child c)
+  | Cancel_plain i -> Printf.sprintf "C%d" i
+  | Dset (k, d) -> Printf.sprintf "D%d+%d" k d
+  | Dclear k -> Printf.sprintf "X%d" k
+  | Go n -> Printf.sprintf "R%d" n
+
+(* Every dispatch of [eng], newest first, and [pending_events] after
+   each op. The observer slot is per domain, so it filters on [eng]. *)
+let run_src_script make script =
+  let eng = Engine.create ~seed:5 () in
+  let trace = ref [] and pending = ref [] in
+  let obs =
+    {
+      Engine.before =
+        (fun ~eng:e ~id ~parent ~label ~sched_at ~exec_at ->
+          if e == eng then trace := (id, exec_at, label, parent, sched_at) :: !trace);
+      after = ignore;
+    }
+  in
+  let src = ref None in
+  let handle c =
+    let s = Option.get !src in
+    match c with
+    | Quiet -> ()
+    | Enq_to (k, d) -> s.enqueue k (Engine.now eng + d) Quiet
+    | Set_to (k, d) -> s.set k (Engine.now eng + d)
+  in
+  let s = make eng handle in
+  src := Some s;
+  let stops = ref [] and handles = ref [] in
+  let op i = function
+    | Enq (k, d, c) -> s.enqueue k (Engine.now eng + d) c
+    | Every (period, jittered, labelled, n, c) ->
+        let fired = ref 0 and stop = ref ignore in
+        let label = if labelled then Some (Printf.sprintf "t%d" i) else None in
+        stop :=
+          s.every ?label ~jitter:(if jittered then 0.3 else 0.0) period (fun () ->
+              incr fired;
+              handle c;
+              if !fired = n then !stop ());
+        stops := !stop :: !stops
+    | Stop i -> (
+        match !stops with [] -> () | l -> (List.nth l (i mod List.length l)) ())
+    | Plain (d, c) ->
+        handles :=
+          Engine.schedule_after eng ~label:"plain" d (fun () -> handle c) :: !handles
+    | Cancel_plain i -> (
+        match !handles with
+        | [] -> ()
+        | l -> Engine.cancel (List.nth l (i mod List.length l)))
+    | Dset (k, d) -> s.set k (Engine.now eng + d)
+    | Dclear k -> s.clear k
+    | Go n -> Engine.run_until eng (Engine.now eng + n)
+  in
+  Engine.attach obs;
+  Fun.protect
+    ~finally:(fun () -> Engine.detach obs)
+    (fun () ->
+      List.iteri
+        (fun i o ->
+          op i o;
+          pending := Engine.pending_events eng :: !pending)
+        script;
+      List.iter (fun stop -> stop ()) !stops;
+      Engine.run eng;
+      (!trace, Engine.pending_events eng :: !pending))
+
+let prop_sources_match_reference =
+  QCheck.Test.make ~name:"recycled records = one plain event each" ~count:300
+    (QCheck.make
+       ~print:(fun s -> String.concat " " (List.map show_src_op s))
+       QCheck.Gen.(list_size (int_range 1 150) gen_src_op))
+    (fun script ->
+      run_src_script engine_sources script = run_src_script reference_sources script)
+
+(* --- Recycled records allocate nothing per event ------------------------- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* N firings of a timer allocate no event record: the timer re-queues
+   its one record. A jittered firing may box the float its draw
+   returns (2 words), as [Rng.float] is not inlined across modules in a
+   dev build; a record per firing would be 9 words more. *)
+let test_timer_firings_allocate_nothing () =
+  List.iter
+    (fun (jitter, per_firing) ->
+      let eng = Engine.create () in
+      let hits = ref 0 in
+      let timer = Engine.every eng ~jitter (Time.us 10) (fun () -> incr hits) in
+      let n = 1000 in
+      Engine.run_until eng (Time.us (10 * n));
+      let before = !hits in
+      let w = minor_words (fun () -> Engine.run_until eng (Time.us (20 * n))) in
+      Engine.stop_timer timer;
+      let fired = !hits - before in
+      checkb "fired" true (fired > n / 2);
+      if w > (per_firing * fired) + 64 then
+        Alcotest.failf "jitter %.1f: %d words for %d firings" jitter w fired)
+    [ (0.0, 0); (0.1, 2) ]
+
+(* N items through a fifo whose ring has grown allocate nothing: only
+   the head item is queued, in the fifo's one record. *)
+let test_fifo_items_allocate_nothing () =
+  let eng = Engine.create () in
+  let got = ref 0 in
+  let q = Engine.fifo eng ~label:"items" ~dummy:0 in
+  Engine.set_handler q (fun x -> got := !got + x);
+  let n = 1000 in
+  let burst () =
+    for i = 1 to n do
+      Engine.enqueue q (Engine.now eng + i) 1
+    done;
+    Engine.run eng
+  in
+  burst ();
+  let w = minor_words burst in
+  checki "every item handled" (2 * n) !got;
+  if w > 64 then Alcotest.failf "%d words for %d items" w n
+
+(* A deadline pushed later from each firing of its own watched stream
+   re-queues its one wake-up record. *)
+let test_deadline_rearm_allocates_nothing () =
+  let eng = Engine.create () in
+  let d = Engine.deadline eng ~label:"watch" ignore in
+  let q = Engine.fifo eng ~label:"packets" ~dummy:() in
+  Engine.set_handler q (fun () -> Engine.set_deadline d (Engine.now eng + Time.us 30));
+  let n = 1000 in
+  let stream () =
+    for i = 1 to n do
+      Engine.enqueue q (Engine.now eng + Time.us (10 * i)) ()
+    done;
+    Engine.run eng
+  in
+  stream ();
+  let w = minor_words stream in
+  if w > 64 then Alcotest.failf "%d words for %d re-arms and expiries" w n
+
 (* --- RNG: the unboxed state draws the boxed generator's streams ---------- *)
 
 (* The generator as it was with its state in a mutable [int64] field:
@@ -803,6 +1085,12 @@ let () =
             test_queued_counts_cancelled;
           Alcotest.test_case "dispatched events unreachable" `Quick
             test_dispatched_event_unreachable;
+          Alcotest.test_case "timer firings allocate nothing" `Quick
+            test_timer_firings_allocate_nothing;
+          Alcotest.test_case "fifo items allocate nothing" `Quick
+            test_fifo_items_allocate_nothing;
+          Alcotest.test_case "deadline re-arms allocate nothing" `Quick
+            test_deadline_rearm_allocates_nothing;
         ] );
       ( "deadline",
         [
@@ -837,6 +1125,7 @@ let () =
             prop_heap_ordering;
             prop_cancel_safety;
             prop_heap_matches_reference;
+            prop_sources_match_reference;
             prop_rng_int_uniformish;
             prop_rng_matches_boxed_reference;
           ]
