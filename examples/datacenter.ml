@@ -25,21 +25,17 @@ let () =
   let services =
     List.init n_services (fun i ->
         let asn = 65100 + i in
-        let peer =
-          Tensor.Deploy.add_peer_as dep ~asn (Printf.sprintf "as%d" asn)
+        let { Tensor.Deploy.peer; spec; _ } =
+          Tensor.Deploy.peering dep ~asn ~vrf:"v0"
+            ~vip:(Addr.of_octets 203 0 113 (10 + i))
+            (Printf.sprintf "as%d" asn)
         in
-        let vip = Addr.of_octets 203 0 113 (10 + i) in
-        ignore
-          (Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
         let svc =
           Tensor.Deploy.deploy_service dep
             ~primary_host:(i mod 3)
             ~backup_host:((i + 1) mod 3)
-            ~id:(Printf.sprintf "gw%d" i) ~local_asn:64900
-            [
-              Tensor.App.vrf_spec ~vrf:"v0" ~vip
-                ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:asn ();
-            ]
+            ~id:(Printf.sprintf "gw%d" i) ~local_asn:Tensor.Deploy.local_asn
+            [ spec ]
         in
         (peer, svc))
   in

@@ -9,22 +9,16 @@
    same way Table 1 does. *)
 
 open Sim
-open Netsim
 
 let () =
   let dep = Tensor.Deploy.build () in
   let eng = dep.Tensor.Deploy.eng in
-  let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peer" in
-  let vip = Addr.of_string "203.0.113.10" in
-  let peer_handle =
-    Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900
+  let { Tensor.Deploy.peer; session = peer_handle; spec } =
+    Tensor.Deploy.standard_peering dep
   in
   let svc =
-    Tensor.Deploy.deploy_service dep ~id:"gw" ~local_asn:64900
-      [
-        Tensor.App.vrf_spec ~vrf:"v0" ~vip
-          ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:65010 ();
-      ]
+    Tensor.Deploy.deploy_service dep ~id:"gw"
+      ~local_asn:Tensor.Deploy.local_asn [ spec ]
   in
   assert (Tensor.Deploy.wait_established dep svc ());
   Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
@@ -59,22 +53,17 @@ let () =
   in
 
   (* Timeline from the orchestration events on the telemetry bus. *)
-  let rel milestone =
-    match
-      List.find_opt (fun (e : Telemetry.Bus.entry) -> milestone e.event) orch
-    with
-    | Some e -> Time.to_sec_f (Time.diff e.at t0)
-    | None -> nan
-  in
+  let r = Tensor.Deploy.recovery_timeline ~t0 orch in
   Format.printf "@.recovery timeline (seconds after injection):@.";
-  Format.printf "  %-28s %.3f@." "failure localized"
-    (rel (function Telemetry.Event.Failure_detected _ -> true | _ -> false));
-  Format.printf "  %-28s %.3f@." "migration initiated"
-    (rel (function Telemetry.Event.Migration_initiated _ -> true | _ -> false));
-  Format.printf "  %-28s %.3f@." "backup resumed"
-    (rel (function Telemetry.Event.Migration_done _ -> true | _ -> false));
-  Format.printf "  %-28s %.3f@." "TCP fully re-synced"
-    (rel (function Telemetry.Event.Tcp_synced _ -> true | _ -> false));
+  List.iter
+    (fun (phase, at) ->
+      Format.printf "  %-28s %.3f@." phase (Tensor.Deploy.seconds at))
+    [
+      ("failure localized", r.detected);
+      ("migration initiated", r.initiated);
+      ("backup resumed", r.migrated);
+      ("TCP fully re-synced", r.tcp_synced);
+    ];
 
   Format.printf "@.after recovery: primary=%s/%s@."
     (Orch.Container.host_name (Tensor.Deploy.service_container svc))

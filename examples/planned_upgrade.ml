@@ -6,22 +6,16 @@
      dune exec examples/planned_upgrade.exe *)
 
 open Sim
-open Netsim
 
 let () =
   let dep = Tensor.Deploy.build () in
   let eng = dep.Tensor.Deploy.eng in
-  let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peer" in
-  let vip = Addr.of_string "203.0.113.10" in
-  let peer_handle =
-    Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900
+  let { Tensor.Deploy.peer; session = peer_handle; spec } =
+    Tensor.Deploy.standard_peering dep
   in
   let svc =
-    Tensor.Deploy.deploy_service dep ~id:"gw" ~local_asn:64900
-      [
-        Tensor.App.vrf_spec ~vrf:"v0" ~vip
-          ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:65010 ();
-      ]
+    Tensor.Deploy.deploy_service dep ~id:"gw"
+      ~local_asn:Tensor.Deploy.local_asn [ spec ]
   in
   assert (Tensor.Deploy.wait_established dep svc ());
   Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
@@ -50,16 +44,8 @@ let () =
   in
 
   Format.printf "upgrade finished in %a: now on %s/%s@." Time.pp
-    (match
-       List.find_opt
-         (fun (e : Telemetry.Bus.entry) ->
-           match e.event with
-           | Telemetry.Event.Tcp_synced _ -> true
-           | _ -> false)
-         orch
-     with
-    | Some e -> Time.diff e.at t0
-    | None -> 0)
+    (Option.value ~default:0
+       (Tensor.Deploy.recovery_timeline ~t0 orch).tcp_synced)
     (Orch.Container.host_name (Tensor.Deploy.service_container svc))
     (Orch.Container.id (Tensor.Deploy.service_container svc));
   Format.printf "peer session drops: %d@." !drops;

@@ -16,19 +16,15 @@ let () =
   let dep = Tensor.Deploy.build () in
   let eng = dep.Tensor.Deploy.eng in
 
-  (* 2. A remote peering AS (AS 65010) on the forwarding fabric. *)
-  let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peer-as65010" in
+  (* 2. A remote peering AS (AS 65010) on the forwarding fabric, and
+     the spec of a service VRF peering with it: VRF v0 on the standard
+     service address, speaking BGP as AS 64900. *)
+  let { Tensor.Deploy.peer; spec; _ } = Tensor.Deploy.standard_peering dep in
 
-  (* 3. A TENSOR service: one container, one VRF, service address
-     203.0.113.10, speaking BGP as AS 64900 to the peer. *)
-  let vip = Addr.of_string "203.0.113.10" in
-  ignore (Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
+  (* 3. A TENSOR service: one container running that VRF. *)
   let svc =
-    Tensor.Deploy.deploy_service dep ~id:"gateway-1" ~local_asn:64900
-      [
-        Tensor.App.vrf_spec ~vrf:"v0" ~vip
-          ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:65010 ();
-      ]
+    Tensor.Deploy.deploy_service dep ~id:"gateway-1"
+      ~local_asn:Tensor.Deploy.local_asn [ spec ]
   in
 
   (* 4. Wait for the session (container boot + TCP + OPEN exchange). *)

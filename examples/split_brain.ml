@@ -18,17 +18,13 @@ open Netsim
 let () =
   let dep = Tensor.Deploy.build () in
   let eng = dep.Tensor.Deploy.eng in
-  let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peer" in
-  let vip = Addr.of_string "203.0.113.10" in
-  let peer_handle =
-    Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900
+  let { Tensor.Deploy.peer; session = peer_handle; spec } =
+    Tensor.Deploy.standard_peering dep
   in
+  let vip = spec.Tensor.App.vip in
   let svc =
-    Tensor.Deploy.deploy_service dep ~id:"gw" ~local_asn:64900
-      [
-        Tensor.App.vrf_spec ~vrf:"v0" ~vip
-          ~peer_addr:peer.Tensor.Deploy.pa_addr ~peer_asn:65010 ();
-      ]
+    Tensor.Deploy.deploy_service dep ~id:"gw"
+      ~local_asn:Tensor.Deploy.local_asn [ spec ]
   in
   assert (Tensor.Deploy.wait_established dep svc ());
   Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"

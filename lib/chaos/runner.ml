@@ -14,7 +14,6 @@ type outcome = {
 let ok o = o.violations = [] && o.errors = []
 
 let service_id = "chaos"
-let local_asn = 64_900
 let vrf_name i = Printf.sprintf "v%d" i
 let peer_name i = Printf.sprintf "peerAS%d" i
 let peer_asn i = 65_010 + i
@@ -59,7 +58,7 @@ let disabled_checkers (d : Descriptor.t) =
 type ctx = {
   dep : Deploy.t;
   svc : Deploy.service;
-  peers : (Deploy.peer_as * Bgp.Speaker.peer) array;
+  peers : Deploy.peering array;
 }
 
 let build (d : Descriptor.t) =
@@ -70,29 +69,15 @@ let build (d : Descriptor.t) =
   in
   let peers =
     Array.init d.Descriptor.peers (fun i ->
-        let pa =
-          Deploy.add_peer_as dep
-            ~link_delay:(Time.us d.Descriptor.delay_us)
-            ~asn:(peer_asn i) (peer_name i)
-        in
-        let ph =
-          Deploy.peer_expects pa ~vrf:(vrf_name i) ~vip:(vip i) ~local_asn
-        in
-        (pa, ph))
-  in
-  let specs =
-    Array.to_list
-      (Array.mapi
-         (fun i ((pa : Deploy.peer_as), _) ->
-           App.vrf_spec ~vrf:(vrf_name i) ~vip:(vip i)
-             ~peer_addr:pa.Deploy.pa_addr ~peer_asn:(peer_asn i) ())
-         peers)
+        Deploy.peering dep
+          ~link_delay:(Time.us d.Descriptor.delay_us)
+          ~asn:(peer_asn i) ~vrf:(vrf_name i) ~vip:(vip i) (peer_name i))
   in
   let svc =
-    Deploy.deploy_service dep ~id:service_id ~local_asn
+    Deploy.deploy_service dep ~id:service_id ~local_asn:Deploy.local_asn
       ~store_resilient:store
       ~degrade_frac:(if store then degrade_frac else 0.)
-      specs
+      (Array.to_list (Array.map (fun p -> p.Deploy.spec) peers))
   in
   (* Only store-fault runs probe the store: the probe draws jittered
      heartbeat timers from the engine RNG, so arming it unconditionally
@@ -103,7 +88,7 @@ let build (d : Descriptor.t) =
 
 let seed_routes (d : Descriptor.t) ctx =
   Array.iteri
-    (fun i ((pa : Deploy.peer_as), _) ->
+    (fun i { Deploy.peer = pa; _ } ->
       Bgp.Speaker.originate pa.Deploy.pa_speaker ~vrf:(vrf_name i)
         (Workload.Prefixes.distinct_from
            ~base:(100_000 * (i + 1))
@@ -128,7 +113,7 @@ let schedule_churn (d : Descriptor.t) ctx =
   let eng = ctx.dep.Deploy.eng in
   if d.Descriptor.churn > 0 then
     Array.iteri
-      (fun i ((pa : Deploy.peer_as), _) ->
+      (fun i { Deploy.peer = pa; _ } ->
         for j = 0 to d.Descriptor.churn - 1 do
           let at = d.Descriptor.window_ms * (j + 1) / (d.Descriptor.churn + 1) in
           let prefixes =
@@ -153,7 +138,7 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
   let dep = ctx.dep in
   let eng = dep.Deploy.eng in
   let peer_link i =
-    let (pa : Deploy.peer_as), _ = ctx.peers.(i) in
+    let pa = ctx.peers.(i).Deploy.peer in
     Netsim.Network.link_between dep.Deploy.net dep.Deploy.fabric
       pa.Deploy.pa_node
   in
@@ -198,10 +183,10 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
             Bfd.set_tx_interval s next
         | None -> ())
     | Descriptor.Peer_rst { vrf; _ } -> (
-        let _, ph = ctx.peers.(vrf) in
+        let ph = ctx.peers.(vrf).Deploy.session in
         Option.iter Tcp.abort (Bgp.Speaker.peer_conn ph))
     | Descriptor.Peer_cease { vrf; _ } ->
-        let (pa : Deploy.peer_as), ph = ctx.peers.(vrf) in
+        let { Deploy.peer = pa; session = ph; _ } = ctx.peers.(vrf) in
         Bgp.Speaker.stop_peer pa.Deploy.pa_speaker ph;
         ignore
           (Engine.schedule_after eng (Time.sec 1) (fun () ->
@@ -262,7 +247,7 @@ let end_state_check ctx =
       errors := [ "end state: service speaker unavailable (instance dead?)" ]
   | Some spk ->
       Array.iteri
-        (fun i ((pa : Deploy.peer_as), _) ->
+        (fun i { Deploy.peer = pa; _ } ->
           let vrf = vrf_name i in
           let (d_adv, d_svc), (d_out, d_peer) =
             Tensor.Check.snapshot_session eng ~vrf ~peer_name:(peer_name i)

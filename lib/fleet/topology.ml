@@ -9,7 +9,7 @@ module App = Tensor.App
 let replicas = 2
 
 let vrf = "v0"
-let local_asn = 64_900
+let local_asn = Deploy.local_asn
 let region_name r = Printf.sprintf "r%d" r
 let peer_name i = Printf.sprintf "fpeer%03d" i
 let instance_asn i = 65_100 + i
@@ -73,17 +73,11 @@ let build ?(seed = 42) ~hosts ~regions:nr ~instances:n () =
         (* Every region runs its own store server on the fabric: a
            regional store outage is one [Node.set_up], and only that
            region's instances shed. *)
-        let node =
-          Netsim.Network.add_node dep.Deploy.net
+        let node, _ =
+          Netsim.Network.add_leaf dep.Deploy.net ~delay:(Time.us 100)
+            ~uplink:dep.Deploy.fabric
             (Printf.sprintf "store-%s" (region_name r))
         in
-        let _, fabric_side, _ =
-          Netsim.Network.connect dep.Deploy.net ~delay:(Time.us 100)
-            dep.Deploy.fabric node
-        in
-        Netsim.Node.add_route node
-          (Netsim.Addr.prefix_of_string "0.0.0.0/0")
-          fabric_side;
         let rstore = Store.Server.create node in
         {
           rname = region_name r;
@@ -105,12 +99,9 @@ let build ?(seed = 42) ~hosts ~regions:nr ~instances:n () =
         let slot = s / nr in
         let hn = Array.length reg.rhosts in
         let host_idx = reg.rhosts.(((replicas * slot) + k) mod hn) in
-        let pa = Deploy.add_peer_as dep ~asn:(instance_asn i) (peer_name i) in
-        ignore
-          (Deploy.peer_expects pa ~vrf ~vip:(instance_vip i) ~local_asn);
-        let spec =
-          App.vrf_spec ~vrf ~vip:(instance_vip i)
-            ~peer_addr:pa.Deploy.pa_addr ~peer_asn:(instance_asn i) ()
+        let { Deploy.peer = pa; spec; _ } =
+          Deploy.peering dep ~asn:(instance_asn i) ~vrf ~vip:(instance_vip i)
+            (peer_name i)
         in
         let svc =
           Deploy.deploy_service dep ~primary_host:host_idx

@@ -48,6 +48,12 @@ let connect t ?delay ?bandwidth_bps ?loss a b =
   t.link_list <- { link; ends = (a, b) } :: t.link_list;
   (link, addr_a, addr_b)
 
+let add_leaf t ?forwarding ?delay ~uplink name =
+  let node = add_node t ?forwarding name in
+  let _, uplink_side, node_side = connect t ?delay uplink node in
+  Node.add_route node (Addr.prefix_of_string "0.0.0.0/0") uplink_side;
+  (node, node_side)
+
 let links t = List.rev_map (fun r -> r.link) t.link_list
 
 let link_between t a b =

@@ -30,6 +30,18 @@ val connect :
     /30-style address pair; returns the link and the two addresses
     ([a]'s first). Defaults match {!Link.create}. *)
 
+val add_leaf :
+  t ->
+  ?forwarding:bool ->
+  ?delay:Sim.Time.span ->
+  uplink:Node.t ->
+  string ->
+  Node.t * Addr.t
+(** [add_leaf t ~uplink name] adds node [name] on a fresh link to
+    [uplink] ({!add_node}, then {!connect}), with a default route
+    through [uplink]: a machine hanging off the fabric. Returns the node
+    and its address on that link. *)
+
 val fresh_private_subnet : t -> int
 (** Allocates the next index from a per-network counter for private
     (non-fabric) subnets — vEth pairs and similar. Keeping the counter

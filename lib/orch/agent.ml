@@ -19,12 +19,10 @@ let addr t = t.aaddr
 let relay_key id vrf = id ^ "|" ^ vrf
 
 let create net ~fabric aname =
-  let anode = Network.add_node net aname in
-  let _, fabric_side, agent_side = Network.connect net ~delay:(Time.us 20) fabric anode in
-  Node.add_route anode (Addr.prefix_of_string "0.0.0.0/0") fabric_side;
-  let t =
-    { aname; anode; aaddr = agent_side; relays = Hashtbl.create 32 }
+  let anode, aaddr =
+    Network.add_leaf net ~delay:(Time.us 20) ~uplink:fabric aname
   in
+  let t = { aname; anode; aaddr; relays = Hashtbl.create 32 } in
   let ep = Rpc.endpoint anode in
   Rpc.serve_ping ep ~service:"health";
   Rpc.serve_ping ep ~service:"ipsla";

@@ -487,16 +487,14 @@ let release_quarantine t host =
     List.filter (fun n -> not (String.equal n (Host.name host))) t.quarantine
 
 let create net ~fabric cname =
-  let cnode = Network.add_node net cname in
-  let _, fabric_side, ctrl_side =
-    Network.connect net ~delay:(Time.us 20) fabric cnode
+  let cnode, caddr =
+    Network.add_leaf net ~delay:(Time.us 20) ~uplink:fabric cname
   in
-  Node.add_route cnode (Addr.prefix_of_string "0.0.0.0/0") fabric_side;
   let t =
     {
       cname;
       cnode;
-      caddr = ctrl_side;
+      caddr;
       eng = Network.engine net;
       ep = Rpc.endpoint cnode;
       hosts = [];

@@ -89,21 +89,17 @@ let watch_lease t =
          | _ -> ()))
 
 let create net ~fabric hname =
-  let hnode = Network.add_node net ~forwarding:true hname in
-  let fabric_node = fabric in
-  let link, haddr, fabric_addr =
-    Network.connect net ~delay:(Time.us 20) fabric hnode
+  let hnode, haddr =
+    Network.add_leaf net ~forwarding:true ~delay:(Time.us 20) ~uplink:fabric
+      hname
   in
-  (* The connect call returns (fabric side, host side): first address
-     belongs to the first node argument. *)
-  let haddr, fabric_addr = (fabric_addr, haddr) in
   let t =
     {
       hname;
       hnet = net;
       hnode;
-      fabric = fabric_node;
-      link;
+      fabric;
+      link = (List.hd (Node.ifaces hnode)).Node.link;
       haddr;
       eng = Network.engine net;
       cts = [];
@@ -112,7 +108,6 @@ let create net ~fabric hname =
       last_hb = None;
     }
   in
-  Node.add_route hnode (Addr.prefix_of_string "0.0.0.0/0") fabric_addr;
   serve_control t;
   watch_lease t;
   t

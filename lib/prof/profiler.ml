@@ -2,9 +2,11 @@
    [Sim.Engine] observer slot.
 
    Attribution is by event label (see [Engine.schedule_after ?label]):
-   each dispatched event adds its wall time, allocation delta
-   ([Gc.allocated_bytes]) and simulated queue dwell to its label's
-   row. All of it is host-side observation —
+   each dispatched event adds its wall time, allocation delta and
+   simulated queue dwell to its label's row. Allocation is counted in
+   [Gc.minor_words], exact and itself allocation-free ([Gc.allocated_bytes]
+   on OCaml 5.1 reads the young words since the last minor collection as
+   bytes: an eighth of the truth). All of it is host-side observation —
    nothing here reads or writes simulation state, telemetry, or the
    engine RNG, so replay digests are byte-identical with the profiler
    attached or not (a property the test suite pins against the chaos
@@ -29,7 +31,7 @@ type state = {
   mutable active : bool;
   mutable cur : stat;
   mutable t0 : float;
-  mutable a0 : float;
+  mutable w0 : int; (* minor words at the event's start *)
 }
 
 let blank label =
@@ -49,7 +51,7 @@ let key =
         active = false;
         cur = blank "";
         t0 = 0.0;
-        a0 = 0.0;
+        w0 = 0;
       })
 
 let state () = Domain.DLS.get key
@@ -62,9 +64,12 @@ let get table label =
       Hashtbl.replace table label st;
       st
 
-(* Measure around the action. Costs of the measurement itself (two
-   allocation-counter reads, two clock reads) land inside the sample — a
-   known, constant per-event overhead, stated in the docs. *)
+let word_bytes = Sys.word_size / 8
+
+(* Read unboxed into an int, so the allocation window, opened after the
+   clock read and closed before the next, holds the action alone. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+
 let before ~eng:_ ~id:_ ~parent:_ ~label ~sched_at ~exec_at =
   let s = state () in
   let st = get s.table label in
@@ -72,17 +77,18 @@ let before ~eng:_ ~id:_ ~parent:_ ~label ~sched_at ~exec_at =
   st.dwell_s <- st.dwell_s +. d;
   if d > st.dwell_max_s then st.dwell_max_s <- d;
   s.cur <- st;
-  s.a0 <- Gc.allocated_bytes ();
-  s.t0 <- Clock.now_s ()
+  s.t0 <- Clock.now_s ();
+  s.w0 <- minor_words ()
 
 let after () =
+  let w1 = minor_words () in
   let t1 = Clock.now_s () in
-  let a1 = Gc.allocated_bytes () in
   let s = state () in
   let st = s.cur in
   st.events <- st.events + 1;
   st.wall_s <- st.wall_s +. (t1 -. s.t0);
-  st.alloc_bytes <- st.alloc_bytes +. (a1 -. s.a0)
+  st.alloc_bytes <-
+    st.alloc_bytes +. float_of_int ((w1 - s.w0) * word_bytes)
 
 let observer = { Sim.Engine.before; after }
 let reset () = Hashtbl.reset (state ()).table

@@ -5,8 +5,10 @@
     against its attribution label. The profiler is observation-only: it
     never reads or writes simulation state, telemetry, or the engine
     RNG, so replay digests are byte-identical whether it is attached or
-    not. The measurement overhead (two [Gc.allocated_bytes] reads and
-    two clock reads per event) is included in each sample. *)
+    not. The measurement overhead (two clock reads per event) is
+    included in each wall sample. Allocation is the event's minor-heap
+    bytes, exact: zero for an event that allocates nothing. Blocks too
+    large for the minor heap (over 256 words) are not counted. *)
 
 type stat = {
   label : string;

@@ -396,7 +396,8 @@ let rearm_from_degraded t pv =
                   :: acc)
             with Not_found -> []
           in
-          let fresh_keys = List.map fst fresh in
+          let fresh_keys = Hashtbl.create (List.length fresh) in
+          List.iter (fun (key, _) -> Hashtbl.replace fresh_keys key ()) fresh;
           let stale =
             match res with
             | Ok pairs ->
@@ -405,7 +406,7 @@ let rearm_from_degraded t pv =
                     match Keys.vrf_prefix_of_rib_key ~service key with
                     | Some (v, _)
                       when String.equal v pv.spec.vrf
-                           && not (List.mem key fresh_keys) ->
+                           && not (Hashtbl.mem fresh_keys key) ->
                         Some key
                     | _ -> None)
                   pairs

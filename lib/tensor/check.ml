@@ -57,42 +57,24 @@ let snapshot_session eng ~vrf ~peer_name ~peer_speaker ~peer_addr ~vip spk =
     ( Bgp.Rib.digest ~source_key:local_key svc_rib,
       Bgp.Rib.digest ~source_key:peer_learned peer_rib ) )
 
-let emit_rib_snapshots (dep : Deploy.t) (peer : Deploy.peer_as) svc ~vip =
+let emit_rib_snapshots (dep : Deploy.t) { Deploy.peer; spec; _ } svc =
   match App.speaker (Deploy.service_app svc) with
   | None -> ()
   | Some spk ->
       ignore
         (snapshot_session dep.Deploy.eng ~vrf ~peer_name
            ~peer_speaker:peer.Deploy.pa_speaker ~peer_addr:peer.Deploy.pa_addr
-           ~vip spk)
+           ~vip:spec.App.vip spk)
 
-(* Shared episode skeleton: deployment, one peer AS, one service with a
-   monitored primary, routes flowing both ways. *)
-let setup ?(store_resilient = false) ?(degrade_frac = 0.) mon =
-  let dep = Deploy.build () in
-  let eng = dep.Deploy.eng in
-  let peer = Deploy.add_peer_as dep ~asn:65010 peer_name in
-  let vip = Netsim.Addr.of_string "203.0.113.10" in
-  ignore (Deploy.peer_expects peer ~vrf ~vip ~local_asn:64900);
-  let svc =
-    Deploy.deploy_service dep ~id:"chk" ~local_asn:64900 ~store_resilient
-      ~degrade_frac
-      [ App.vrf_spec ~vrf ~vip ~peer_addr:peer.Deploy.pa_addr ~peer_asn:65010 () ]
+(* Shared episode skeleton: Table 1's episode up to the failure, with
+   the primary noted for the split-brain checker. *)
+let setup ?store_resilient ?degrade_frac mon =
+  let dep, p, svc =
+    Exp_table1.episode ?store_resilient ?degrade_frac ~id:"chk" ()
   in
   Monitor.Checker.note_primary mon ~service:"chk"
     ~container:(Orch.Container.id (Deploy.service_container svc));
-  if not (Deploy.wait_established dep svc ()) then
-    (* lint: allow p2 — harness precondition: abort the scenario loudly before any measurement; not a product path *)
-    failwith "check scenario: session did not establish";
-  Bgp.Speaker.originate peer.Deploy.pa_speaker ~vrf
-    (Workload.Prefixes.distinct 300);
-  (match App.speaker (Deploy.service_app svc) with
-  | Some spk ->
-      Bgp.Speaker.originate spk ~vrf
-        (Workload.Prefixes.distinct_from ~base:500_000 100)
-  | None -> ());
-  Engine.run_for eng (Time.sec 10);
-  (dep, peer, vip, svc)
+  (dep, p, svc)
 
 (* --- The checked-run harness ------------------------------------------- *)
 
@@ -233,21 +215,21 @@ let checked_scenario ?out ?(ack_deadline_s = 0.) ~scenario body =
 
 let failover ?out ?(kind = Orch.Controller.Container_failure) () =
   checked_scenario ?out ~scenario:("failover/" ^ kind_name kind) @@ fun mon ->
-  let dep, peer, vip, svc = setup mon in
+  let dep, p, svc = setup mon in
   Deploy.inject_failure dep svc kind;
   Engine.run_for dep.Deploy.eng (Time.sec 40);
-  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
+  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep p svc)
 
 let planned ?out () =
   checked_scenario ?out ~scenario:"planned" @@ fun mon ->
-  let dep, peer, vip, svc = setup mon in
+  let dep, p, svc = setup mon in
   Deploy.planned_migration dep svc;
   Engine.run_for dep.Deploy.eng (Time.sec 30);
-  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
+  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep p svc)
 
 let split_brain ?out () =
   checked_scenario ?out ~scenario:"split-brain" @@ fun mon ->
-  let dep, peer, vip, svc = setup mon in
+  let dep, p, svc = setup mon in
   let eng = dep.Deploy.eng in
   let h0 = dep.Deploy.hosts.(0) in
   Deploy.inject_failure dep svc Orch.Controller.Host_network_failure;
@@ -257,14 +239,14 @@ let split_brain ?out () =
      flap follows. *)
   Orch.Host.network_recover h0;
   Engine.run_for eng (Time.sec 20);
-  (eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
+  (eng, fun () -> emit_rib_snapshots dep p svc)
 
 let degraded ?out () =
   checked_scenario ?out
     ~ack_deadline_s:(degrade_frac *. hold_time_s)
     ~scenario:"degraded"
   @@ fun mon ->
-  let dep, peer, vip, svc = setup ~store_resilient:true ~degrade_frac mon in
+  let dep, p, svc = setup ~store_resilient:true ~degrade_frac mon in
   let eng = dep.Deploy.eng in
   let store_node = Store.Server.node dep.Deploy.store_server in
   (* Partition the store (RAM intact), then keep routes arriving so the
@@ -274,13 +256,13 @@ let degraded ?out () =
      the store, the app re-arms under a fresh epoch and re-audits
      Adj-RIB-Out, and the end-state snapshots must converge. *)
   Netsim.Node.set_up store_node false;
-  Bgp.Speaker.originate peer.Deploy.pa_speaker ~vrf
+  Bgp.Speaker.originate p.Deploy.peer.Deploy.pa_speaker ~vrf
     (Workload.Prefixes.distinct_from ~base:700_000 50);
   ignore
     (Engine.schedule_after eng (Time.sec 20) (fun () ->
          Netsim.Node.set_up store_node true));
   Engine.run_for eng (Time.sec 60);
-  (eng, fun () -> emit_rib_snapshots dep peer svc ~vip)
+  (eng, fun () -> emit_rib_snapshots dep p svc)
 
 let run ?kind ?out name =
   let out = Option.map (fun root -> Filename.concat root name) out in

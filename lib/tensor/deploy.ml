@@ -77,6 +77,21 @@ let reroute_vips t svc host =
         (Orch.Host.addr host))
     svc.scfg.App.vrfs
 
+(* Once an instance's BFD session to the peer is up, the agent takes
+   over its relay with the session's discriminators. *)
+let relay_bfd t svc app =
+  App.on_bfd_up app (fun ~vrf session ->
+      match
+        List.find_opt
+          (fun (s : App.vrf_spec) -> String.equal s.App.vrf vrf)
+          svc.scfg.App.vrfs
+      with
+      | Some spec ->
+          Orch.Agent.start_relay t.agent ~id:svc.sid ~src:spec.App.vip
+            ~dst:spec.App.peer_addr ~vrf ~my_disc:(Bfd.my_disc session)
+            ~your_disc:(Bfd.your_disc session)
+      | None -> ())
+
 (* A preheated standby is usable when it is alive on a healthy host that
    is not the one that just failed. *)
 let usable_standby t svc =
@@ -139,17 +154,7 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
   let gen = svc.generation in
   let continue_with cont =
   let app = App.install cont ~mode:App.Recover svc.scfg in
-  App.on_bfd_up app (fun ~vrf session ->
-      match
-        List.find_opt
-          (fun (s : App.vrf_spec) -> String.equal s.App.vrf vrf)
-          svc.scfg.App.vrfs
-      with
-      | Some spec ->
-          Orch.Agent.start_relay t.agent ~id:svc.sid ~src:spec.App.vip
-            ~dst:spec.App.peer_addr ~vrf ~my_disc:(Bfd.my_disc session)
-            ~your_disc:(Bfd.your_disc session)
-      | None -> ());
+  relay_bfd t svc app;
   App.on_tcp_synced app (fun ~vrf ->
       if Telemetry.Gate.on () then
         Telemetry.Bus.emit t.eng
@@ -224,23 +229,18 @@ let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
   Orch.Controller.register_agent ctrl agent;
   (* The store lives on its own server joined to the fabric (Redis on a
      separate machine, §4.1). *)
-  let store_node = Network.add_node net "store" in
-  let _, fabric_side, _store_side =
-    Network.connect net ~delay:store_delay fabric store_node
+  let store_node, _ =
+    Network.add_leaf net ~delay:store_delay ~uplink:fabric "store"
   in
-  Node.add_route store_node (Addr.prefix_of_string "0.0.0.0/0") fabric_side;
   let store_server = Store.Server.create store_node in
   (* The store's own fault tolerance: a synchronous replica on a second
      server (the paper treats store+primary double failures as out of
      scope, §4.1). *)
   let store_replica_server =
     if store_replica then begin
-      let replica_node = Network.add_node net "store-replica" in
-      let _, rep_fabric_side, _ =
-        Network.connect net ~delay:store_delay fabric replica_node
+      let replica_node, _ =
+        Network.add_leaf net ~delay:store_delay ~uplink:fabric "store-replica"
       in
-      Node.add_route replica_node (Addr.prefix_of_string "0.0.0.0/0")
-        rep_fabric_side;
       let replica = Store.Server.create replica_node in
       Store.Server.attach_replica store_server replica;
       Some replica
@@ -270,11 +270,9 @@ let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
 (* --- Peers ----------------------------------------------------------------------- *)
 
 let add_peer_as t ?(link_delay = Time.us 200) ~asn name =
-  let node = Network.add_node t.net name in
-  let _, fabric_side, peer_side =
-    Network.connect t.net ~delay:link_delay t.fabric node
+  let node, peer_side =
+    Network.add_leaf t.net ~delay:link_delay ~uplink:t.fabric name
   in
-  Node.add_route node (Addr.prefix_of_string "0.0.0.0/0") fabric_side;
   let stack = Tcp.create_stack node in
   let speaker =
     Bgp.Speaker.create ~profile:Baseline.frr ~stack ~local_asn:asn
@@ -297,6 +295,23 @@ let peer_expects pa ~vrf ~vip ~local_asn =
     (Bfd.create_session (Bfd.endpoint pa.pa_node) ~local:pa.pa_addr ~vrf
        ~remote:vip ());
   peer
+
+type peering = {
+  peer : peer_as;
+  session : Bgp.Speaker.peer;
+  spec : App.vrf_spec;
+}
+
+let local_asn = 64900
+
+let peering t ?link_delay ~asn ~vrf ~vip name =
+  let peer = add_peer_as t ?link_delay ~asn name in
+  let session = peer_expects peer ~vrf ~vip ~local_asn in
+  let spec = App.vrf_spec ~vrf ~vip ~peer_addr:peer.pa_addr ~peer_asn:asn () in
+  { peer; session; spec }
+
+let standard_peering t =
+  peering t ~asn:65010 ~vrf:"v0" ~vip:(Addr.of_string "203.0.113.10") "peerAS"
 
 (* --- Services ----------------------------------------------------------------------- *)
 
@@ -332,15 +347,7 @@ let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
   in
   Hashtbl.replace (services ()) id svc;
   if backup_mode = `Preheat then provision_standby t svc;
-  App.on_bfd_up app (fun ~vrf session ->
-      match
-        List.find_opt (fun (s : App.vrf_spec) -> String.equal s.App.vrf vrf) vrfs
-      with
-      | Some spec ->
-          Orch.Agent.start_relay t.agent ~id ~src:spec.App.vip
-            ~dst:spec.App.peer_addr ~vrf ~my_disc:(Bfd.my_disc session)
-            ~your_disc:(Bfd.your_disc session)
-      | None -> ());
+  relay_bfd t svc app;
   reroute_vips t svc host;
   Orch.Container.boot cont;
   (* Register with the controller once the container answers health
@@ -417,3 +424,33 @@ let inject_failure t svc (kind : Orch.Controller.failure_kind) =
   | Container_failure -> Orch.Container.fail svc.primary
   | Host_failure -> on_primary_host t svc Orch.Host.fail
   | Host_network_failure -> on_primary_host t svc Orch.Host.network_fail
+
+(* --- Table 1's recovery timeline ------------------------------------------------- *)
+
+type recovery = {
+  detected : Time.span option;
+  initiated : Time.span option;
+  migrated : Time.span option;
+  tcp_synced : Time.span option;
+}
+
+let recovery_timeline ~t0 (orch : Telemetry.Bus.entry list) =
+  let first milestone =
+    List.find_map
+      (fun (e : Telemetry.Bus.entry) ->
+        if e.at >= t0 && milestone e.event then Some (Time.diff e.at t0)
+        else None)
+      orch
+  in
+  {
+    detected =
+      first (function Telemetry.Event.Failure_detected _ -> true | _ -> false);
+    initiated =
+      first (function Telemetry.Event.Migration_initiated _ -> true | _ -> false);
+    migrated =
+      first (function Telemetry.Event.Migration_done _ -> true | _ -> false);
+    tcp_synced =
+      first (function Telemetry.Event.Tcp_synced _ -> true | _ -> false);
+  }
+
+let seconds = function Some d -> Time.to_sec_f d | None -> nan

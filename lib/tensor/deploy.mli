@@ -89,6 +89,33 @@ val peer_expects :
     given service address, plus the peer's own BFD responder. Returns the
     peer handle for inspection. *)
 
+type peering = {
+  peer : peer_as;
+  session : Bgp.Speaker.peer;  (** The peer AS's side of the session. *)
+  spec : App.vrf_spec;  (** The service's side, for {!deploy_service}. *)
+}
+
+val local_asn : int
+(** 64900, the AS every TENSOR service here speaks as. *)
+
+val peering :
+  t ->
+  ?link_delay:Sim.Time.span ->
+  asn:int ->
+  vrf:string ->
+  vip:Netsim.Addr.t ->
+  string ->
+  peering
+(** One external peering of a service, the piece of Figure 3 every
+    scenario builds: {!add_peer_as} [name], {!peer_expects} the service
+    at [vip] as {!local_asn}, and the service's VRF spec aimed back at
+    the new AS. *)
+
+val standard_peering : t -> peering
+(** The single peering of Table 1, the [check] scenarios, the ablations,
+    Figure 6(a/b) and the examples: AS 65010 on node ["peerAS"], in VRF
+    ["v0"] of the standard service VIP. *)
+
 (** {1 TENSOR services} *)
 
 type service
@@ -158,3 +185,24 @@ val inject_failure : t -> service -> Orch.Controller.failure_kind -> unit
     its host's network (a partition that leaves the host running). *)
 
 val service_routes : service -> vrf:string -> int
+
+(** {1 Table 1's recovery timeline} *)
+
+type recovery = {
+  detected : Sim.Time.span option;  (** [Failure_detected]: localized. *)
+  initiated : Sim.Time.span option;  (** [Migration_initiated]. *)
+  migrated : Sim.Time.span option;  (** [Migration_done]: backup resumed. *)
+  tcp_synced : Sim.Time.span option;
+      (** [Tcp_synced]: the resumed connection fully re-synchronized. *)
+}
+(** Each milestone's first instant at or after [t0], as time since
+    [t0]; [None] when it never came. *)
+
+val recovery_timeline : t0:Sim.Time.t -> Telemetry.Bus.entry list -> recovery
+(** Reads the phases of Table 1 off the entries
+    [Telemetry.Control.capture ~category:Orch] returns for a failover or
+    planned migration. Later milestones of a kind (a second migration, a
+    second VRF) and entries of any other kind are ignored. *)
+
+val seconds : Sim.Time.span option -> float
+(** A phase in seconds, [nan] when absent. *)

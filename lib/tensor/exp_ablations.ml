@@ -8,15 +8,10 @@ type preheat_result = { cold_total_s : float; preheat_total_s : float }
 let one_migration ~backup_mode =
   let dep = Deploy.build () in
   let eng = dep.Deploy.eng in
-  let peer = Deploy.add_peer_as dep ~asn:65010 "peer" in
-  let vip = Addr.of_string "203.0.113.10" in
-  ignore (Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
+  let { Deploy.peer; spec; _ } = Deploy.standard_peering dep in
   let svc =
-    Deploy.deploy_service dep ~backup_mode ~id:"ablate" ~local_asn:64900
-      [
-        App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
-          ~peer_asn:65010 ();
-      ]
+    Deploy.deploy_service dep ~backup_mode ~id:"ablate"
+      ~local_asn:Deploy.local_asn [ spec ]
   in
   if not (Deploy.wait_established dep svc ()) then nan
   else begin
@@ -29,14 +24,7 @@ let one_migration ~backup_mode =
           Deploy.inject_failure dep svc Orch.Controller.Container_failure;
           Engine.run_for eng (Time.sec 30))
     in
-    match
-      List.find_opt
-        (fun (e : Telemetry.Bus.entry) ->
-          match e.event with Telemetry.Event.Tcp_synced _ -> true | _ -> false)
-        orch
-    with
-    | Some e -> Time.to_sec_f (Time.diff e.at t0)
-    | None -> nan
+    Deploy.seconds (Deploy.recovery_timeline ~t0 orch).tcp_synced
   end
 
 let run_preheat () =
@@ -79,15 +67,11 @@ let one_mode ~mode ~store_delay ~ack_hold =
   let hold_sum0 = Telemetry.Registry.hist_sum hold in
   let dep = Deploy.build ~store_delay () in
   let eng = dep.Deploy.eng in
-  let peer = Deploy.add_peer_as dep ~asn:65010 "peer" in
-  let vip = Addr.of_string "203.0.113.10" in
-  ignore (Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
+  let { Deploy.peer; spec; _ } = Deploy.standard_peering dep in
+  let vip = spec.App.vip in
   let svc =
-    Deploy.deploy_service dep ~ack_hold ~id:"mode" ~local_asn:64900
-      [
-        App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
-          ~peer_asn:65010 ();
-      ]
+    Deploy.deploy_service dep ~ack_hold ~id:"mode" ~local_asn:Deploy.local_asn
+      [ spec ]
   in
   let peer_drops = ref 0 in
   (* Wire monitor for the NSR safety invariant. *)

@@ -104,17 +104,13 @@ let baseline_pair ~profile direction n =
    for [Receive], the service (next hop: its VIP) for [Send]. *)
 let tensor_deployment direction n =
   let dep = Deploy.build () in
-  let peer = Deploy.add_peer_as dep ~asn:65010 "peerAS" in
-  let vip = Addr.of_string "203.0.113.10" in
-  ignore (Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900);
+  let { Deploy.peer; spec; _ } = Deploy.standard_peering dep in
+  let vip = spec.App.vip in
   let svc =
     Deploy.deploy_service dep
       ~id:(match direction with Receive -> "fig6a" | Send -> "fig6b")
-      ~local_asn:64900
-      [
-        App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
-          ~peer_asn:65010 ~run_bfd:false ();
-      ]
+      ~local_asn:Deploy.local_asn
+      [ { spec with App.run_bfd = false } ]
   in
   if not (Deploy.wait_established dep svc ()) then nan
   else begin
@@ -165,10 +161,9 @@ let multi_peer_run ~profile ~with_replication peers updates =
   let eng = Engine.create () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
-  let dut = Network.add_node net "dut" in
-  let _, _, dut_addr = Network.connect net ~delay:(Time.us 50) fabric dut in
-  Node.add_route dut (Addr.prefix_of_string "0.0.0.0/0")
-    (List.nth (Node.ifaces dut) 0).Node.remote;
+  let dut, dut_addr =
+    Network.add_leaf net ~delay:(Time.us 50) ~uplink:fabric "dut"
+  in
   let s_dut = Tcp.create_stack dut in
   (* Optional live replication (TENSOR): a store node plus per-peer
      replicators wired through the speaker hooks. *)
@@ -176,13 +171,9 @@ let multi_peer_run ~profile ~with_replication peers updates =
   let hooks =
     if not with_replication then Bgp.Speaker.no_hooks
     else begin
-      let store_node = Network.add_node net "store" in
-      let _, fabric_side, _ =
-        Network.connect net ~delay:(Time.us 100) fabric store_node
+      let store_node, _ =
+        Network.add_leaf net ~delay:(Time.us 100) ~uplink:fabric "store"
       in
-      ignore fabric_side;
-      Node.add_route store_node (Addr.prefix_of_string "0.0.0.0/0")
-        (List.nth (Node.ifaces store_node) 0).Node.remote;
       let server = Store.Server.create store_node in
       let client =
         Store.Client.create dut ~server:(Store.Server.addr server)
@@ -217,12 +208,10 @@ let multi_peer_run ~profile ~with_replication peers updates =
   in
   let peer_speakers =
     List.init peers (fun i ->
-        let node = Network.add_node net (Printf.sprintf "peer%d" i) in
-        let _, _, peer_addr =
-          Network.connect net ~delay:(Time.us 200) fabric node
+        let node, peer_addr =
+          Network.add_leaf net ~delay:(Time.us 200) ~uplink:fabric
+            (Printf.sprintf "peer%d" i)
         in
-        Node.add_route node (Addr.prefix_of_string "0.0.0.0/0")
-          (List.nth (Node.ifaces node) 0).Node.remote;
         let stack = Tcp.create_stack node in
         let spk =
           Bgp.Speaker.create ~profile:Baseline.frr ~stack

@@ -12,16 +12,26 @@ type result = {
    as in Exp_fig6. *)
 let slice = Time.ms 100
 
-let make_peer net fabric i =
-  let node = Network.add_node net (Printf.sprintf "as%d" i) in
-  let _, _, addr = Network.connect net ~delay:(Time.us 200) fabric node in
-  Node.add_route node (Addr.prefix_of_string "0.0.0.0/0")
-    (List.nth (Node.ifaces node) 0).Node.remote;
+(* AS [i]'s border router, started, waiting for the DUT at [dut_addr]. *)
+let make_peer net fabric ~dut_addr i =
+  let node, addr =
+    Network.add_leaf net ~delay:(Time.us 200) ~uplink:fabric
+      (Printf.sprintf "as%d" i)
+  in
   let stack = Tcp.create_stack node in
   let spk =
     Bgp.Speaker.create ~profile:Baseline.frr ~stack ~local_asn:(65000 + i)
       ~router_id:addr ()
   in
+  ignore
+    (Bgp.Speaker.add_peer spk
+       {
+         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:dut_addr ())
+         with
+         Bgp.Speaker.remote_asn = Some 64900;
+         passive = true;
+       });
+  Bgp.Speaker.start spk;
   (spk, addr)
 
 let announce spk ~vrf ~base ~next_hop n =
@@ -39,10 +49,9 @@ let monolithic ~ases ~updates_per_as =
   let eng = Engine.create () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
-  let dut = Network.add_node net "dut" in
-  let _, _, dut_addr = Network.connect net ~delay:(Time.us 50) fabric dut in
-  Node.add_route dut (Addr.prefix_of_string "0.0.0.0/0")
-    (List.nth (Node.ifaces dut) 0).Node.remote;
+  let dut, dut_addr =
+    Network.add_leaf net ~delay:(Time.us 50) ~uplink:fabric "dut"
+  in
   let s_dut = Tcp.create_stack dut in
   let spk_dut =
     Bgp.Speaker.create ~profile:Baseline.frr ~stack:s_dut ~local_asn:64900
@@ -50,17 +59,7 @@ let monolithic ~ases ~updates_per_as =
   in
   let peers =
     List.init ases (fun i ->
-        let spk, addr = make_peer net fabric i in
-        ignore
-          (Bgp.Speaker.add_peer spk
-             {
-               (Bgp.Speaker.default_peer_config ~vrf:"v0"
-                  ~remote_addr:dut_addr ())
-               with
-               Bgp.Speaker.remote_asn = Some 64900;
-               passive = true;
-             });
-        Bgp.Speaker.start spk;
+        let spk, addr = make_peer net fabric ~dut_addr i in
         ignore
           (Bgp.Speaker.add_peer spk_dut
              {
@@ -102,20 +101,17 @@ let containerized ~ases ~updates_per_as =
   let eng = Engine.create () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
-  let store_node = Network.add_node net "store" in
-  let _, _, _ = Network.connect net ~delay:(Time.us 100) fabric store_node in
-  Node.add_route store_node (Addr.prefix_of_string "0.0.0.0/0")
-    (List.nth (Node.ifaces store_node) 0).Node.remote;
+  let store_node, _ =
+    Network.add_leaf net ~delay:(Time.us 100) ~uplink:fabric "store"
+  in
   let server = Store.Server.create store_node in
   let store_addr = Store.Server.addr server in
   let duts =
     List.init ases (fun i ->
-        let node = Network.add_node net (Printf.sprintf "cont%d" i) in
-        let _, _, addr =
-          Network.connect net ~delay:(Time.us 50) fabric node
+        let node, addr =
+          Network.add_leaf net ~delay:(Time.us 50) ~uplink:fabric
+            (Printf.sprintf "cont%d" i)
         in
-        Node.add_route node (Addr.prefix_of_string "0.0.0.0/0")
-          (List.nth (Node.ifaces node) 0).Node.remote;
         let stack = Tcp.create_stack node in
         let chain = Netfilter.create () in
         Tcp.set_output_chain stack (Some chain);
@@ -148,17 +144,7 @@ let containerized ~ases ~updates_per_as =
   let peers =
     List.mapi
       (fun i (spk_dut, dut_addr, repl, chain) ->
-        let spk, addr = make_peer net fabric i in
-        ignore
-          (Bgp.Speaker.add_peer spk
-             {
-               (Bgp.Speaker.default_peer_config ~vrf:"v0"
-                  ~remote_addr:dut_addr ())
-               with
-               Bgp.Speaker.remote_asn = Some 64900;
-               passive = true;
-             });
-        Bgp.Speaker.start spk;
+        let spk, addr = make_peer net fabric ~dut_addr i in
         let p =
           Bgp.Speaker.add_peer spk_dut
             { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr ())

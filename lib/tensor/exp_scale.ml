@@ -19,20 +19,19 @@ let run ~hosts ~services ~routes_per_service =
   let rigs =
     List.init services (fun i ->
         let asn = 65100 + i in
-        let peer = Deploy.add_peer_as dep ~asn (Printf.sprintf "as%d" asn) in
-        let vip = Addr.of_octets 203 1 (i / 250) (i mod 250) in
-        let handle = Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900 in
+        let { Deploy.peer; session; spec } =
+          Deploy.peering dep ~asn ~vrf:"v0"
+            ~vip:(Addr.of_octets 203 1 (i / 250) (i mod 250))
+            (Printf.sprintf "as%d" asn)
+        in
         let svc =
           Deploy.deploy_service dep
             ~primary_host:(i mod (hosts - 1))
             ~backup_host:((i + 1) mod (hosts - 1))
-            ~id:(Printf.sprintf "scale%d" i) ~local_asn:64900
-            [
-              App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
-                ~peer_asn:asn ();
-            ]
+            ~id:(Printf.sprintf "scale%d" i) ~local_asn:Deploy.local_asn
+            [ spec ]
         in
-        (peer, handle, svc))
+        (peer, session, svc))
   in
   let t0 = Engine.now eng in
   List.iter (fun (_, _, svc) -> assert (Deploy.wait_established dep svc ())) rigs;

@@ -1,5 +1,4 @@
 open Sim
-open Netsim
 
 type timeline = {
   kind : Orch.Controller.failure_kind;
@@ -20,22 +19,16 @@ let frequency_of = function
   | Orch.Controller.Host_failure -> 19
   | Orch.Controller.Host_network_failure -> 65
 
-let scenario kind =
+let episode ?store_resilient ?degrade_frac ~id () =
   let dep = Deploy.build () in
-  let eng = dep.Deploy.eng in
-  let peer = Deploy.add_peer_as dep ~asn:65010 "peerAS" in
-  let vip = Addr.of_string "203.0.113.10" in
-  let peer_handle = Deploy.peer_expects peer ~vrf:"v0" ~vip ~local_asn:64900 in
+  let ({ Deploy.peer; spec; _ } as p) = Deploy.standard_peering dep in
   let svc =
-    Deploy.deploy_service dep ~id:"t1" ~local_asn:64900
-      [
-        App.vrf_spec ~vrf:"v0" ~vip ~peer_addr:peer.Deploy.pa_addr
-          ~peer_asn:65010 ();
-      ]
+    Deploy.deploy_service dep ?store_resilient ?degrade_frac ~id
+      ~local_asn:Deploy.local_asn [ spec ]
   in
   if not (Deploy.wait_established dep svc ()) then
-    (* lint: allow p2 — harness precondition: abort the experiment loudly before any measurement; not a product path *)
-    failwith "table1: session did not establish";
+    (* lint: allow p2 — harness precondition: abort the episode loudly before any measurement; not a product path *)
+    failwith "Table 1 episode: session did not establish";
   (* Average workload: a few hundred routes each way. *)
   Bgp.Speaker.originate peer.Deploy.pa_speaker ~vrf:"v0"
     (Workload.Prefixes.distinct 300);
@@ -44,37 +37,27 @@ let scenario kind =
       Bgp.Speaker.originate spk ~vrf:"v0"
         (Workload.Prefixes.distinct_from ~base:500_000 100)
   | None -> ());
-  Engine.run_for eng (Time.sec 10);
+  Engine.run_for dep.Deploy.eng (Time.sec 10);
+  (dep, p, svc)
+
+let scenario kind =
+  let dep, { Deploy.peer; session; _ }, svc = episode ~id:"t1" () in
+  let eng = dep.Deploy.eng in
   let peer_rib = Bgp.Speaker.rib peer.Deploy.pa_speaker ~vrf:"v0" in
   let routes_before = Bgp.Rib.size peer_rib in
   let drops = ref 0 in
-  Bgp.Speaker.on_peer_down peer_handle (fun _ -> incr drops);
+  Bgp.Speaker.on_peer_down session (fun _ -> incr drops);
   let t0 = Engine.now eng in
   let (), orch =
     Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
         Deploy.inject_failure dep svc kind;
         Engine.run_for eng (Time.sec 40))
   in
-  (* Each phase ends at the first milestone event of its kind. *)
-  let at milestone =
-    match
-      List.find_opt (fun (e : Telemetry.Bus.entry) -> milestone e.event) orch
-    with
-    | Some e -> Time.to_sec_f (Time.diff e.at t0)
-    | None -> nan
-  in
-  let detect =
-    at (function Telemetry.Event.Failure_detected _ -> true | _ -> false)
-  in
-  let initiate =
-    at (function Telemetry.Event.Migration_initiated _ -> true | _ -> false)
-  in
-  let migrate_done =
-    at (function Telemetry.Event.Migration_done _ -> true | _ -> false)
-  in
-  let tcp_synced =
-    at (function Telemetry.Event.Tcp_synced _ -> true | _ -> false)
-  in
+  let r = Deploy.recovery_timeline ~t0 orch in
+  let detect = Deploy.seconds r.detected
+  and initiate = Deploy.seconds r.initiated
+  and migrate_done = Deploy.seconds r.migrated
+  and tcp_synced = Deploy.seconds r.tcp_synced in
   let baseline = Baseline.recovery_for kind in
   {
     kind;

@@ -62,6 +62,33 @@ let test_label_attribution_and_inheritance () =
   Prof.Profiler.reset ();
   checki "reset clears rows" 0 (List.length (Prof.Profiler.stats ()))
 
+(* Bytes are booked exactly: a label that allocates [n] two-word blocks
+   is charged [16 n] bytes (on a 64-bit host), whether or not its event
+   runs a minor collection, and a label that allocates nothing is
+   charged nothing. *)
+let test_alloc_bytes_exact () =
+  let block_bytes = 2 * (Sys.word_size / 8) in
+  let refs n () =
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (ref i))
+    done
+  in
+  Prof.Profiler.attach ();
+  let eng = Sim.Engine.create () in
+  let small = 10 and large = 300_000 (* past the 256k-word minor heap *) in
+  ignore (Sim.Engine.schedule_after eng ~label:"small" (Sim.Time.ms 1) (refs small));
+  ignore (Sim.Engine.schedule_after eng ~label:"large" (Sim.Time.ms 2) (refs large));
+  ignore (Sim.Engine.schedule_after eng ~label:"none" (Sim.Time.ms 3) (fun () -> ()));
+  Sim.Engine.run eng;
+  Prof.Profiler.detach ();
+  Alcotest.(check (float 0.))
+    "10 blocks" (float_of_int (small * block_bytes)) (stat "small").alloc_bytes;
+  Alcotest.(check (float 0.))
+    "300k blocks across a minor collection"
+    (float_of_int (large * block_bytes))
+    (stat "large").alloc_bytes;
+  Alcotest.(check (float 0.)) "no allocation" 0. (stat "none").alloc_bytes
+
 (* --- determinism: profiler on/off must not change telemetry ---------------- *)
 
 let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else "../corpus"
@@ -213,6 +240,8 @@ let () =
         [
           Alcotest.test_case "label attribution, inheritance, dwell" `Quick
             test_label_attribution_and_inheritance;
+          Alcotest.test_case "allocation bytes exact" `Quick
+            test_alloc_bytes_exact;
           Alcotest.test_case "export formats" `Quick test_export_formats;
         ] );
       ( "determinism",

@@ -169,13 +169,8 @@ let test_preheat_faster_than_cold () =
           Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
           Engine.run_for eng (Time.sec 30))
     in
-    match
-      List.find_opt
-        (fun (e : Telemetry.Bus.entry) ->
-          match e.event with Telemetry.Event.Tcp_synced _ -> true | _ -> false)
-        orch
-    with
-    | Some e -> Time.to_sec_f (Time.diff e.at t0)
+    match (Tensor.Deploy.recovery_timeline ~t0 orch).tcp_synced with
+    | Some d -> Time.to_sec_f d
     | None -> Alcotest.fail "no recovery"
   in
   let cold = run `Cold in

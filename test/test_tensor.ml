@@ -632,14 +632,7 @@ let run_failure_scenario ~inject ?(post_failure_span = Time.sec 30) () =
   in
   (* Injection to TCP re-synchronization: the whole migration. *)
   let total =
-    match
-      List.find_opt
-        (fun (e : Telemetry.Bus.entry) ->
-          match e.event with Telemetry.Event.Tcp_synced _ -> true | _ -> false)
-        orch
-    with
-    | Some e -> Time.to_sec_f (Time.diff e.at t0)
-    | None -> nan
+    Tensor.Deploy.seconds (Tensor.Deploy.recovery_timeline ~t0 orch).tcp_synced
   in
   (w, drops, total)
 
@@ -805,6 +798,69 @@ let test_baseline_without_nsr_peer_sees_outage () =
   Engine.run_for (eng w) (Time.minutes 3);
   checkb "peer saw the failure without NSR" true (!drops > 0)
 
+(* --- Table 1's recovery timeline ------------------------------------------ *)
+
+let entry ms event = { Telemetry.Bus.seq = ms; at = Time.ms ms; event }
+let detected = Telemetry.Event.Failure_detected { id = "s"; kind = "container" }
+let initiated = Telemetry.Event.Migration_initiated { id = "s" }
+let migrated = Telemetry.Event.Migration_done { id = "s"; host = "h1"; container = "c" }
+let synced vrf = Telemetry.Event.Tcp_synced { service = "s"; vrf }
+let ms_opt = Alcotest.(check (option int))
+
+let test_timeline_first_milestone_wins () =
+  (* A second migration (or a second VRF's resync) must not move a
+     phase's end; entries before [t0] belong to an earlier episode. *)
+  let r =
+    Tensor.Deploy.recovery_timeline ~t0:(Time.ms 1000)
+      [
+        entry 500 detected;
+        entry 1300 detected;
+        entry 1400 initiated;
+        entry 2500 migrated;
+        entry 3600 (synced "v0");
+        entry 3700 (synced "v1");
+        entry 9000 detected;
+        entry 9100 initiated;
+        entry 9900 migrated;
+      ]
+  in
+  ms_opt "detected" (Some (Time.ms 300)) r.detected;
+  ms_opt "initiated" (Some (Time.ms 400)) r.initiated;
+  ms_opt "migrated" (Some (Time.ms 1500)) r.migrated;
+  ms_opt "tcp synced" (Some (Time.ms 2600)) r.tcp_synced;
+  Alcotest.(check (float 1e-9)) "seconds" 2.6 (Tensor.Deploy.seconds r.tcp_synced)
+
+let test_timeline_missing_milestone () =
+  let r =
+    Tensor.Deploy.recovery_timeline ~t0:0
+      [ entry 10 detected; entry 110 initiated ]
+  in
+  ms_opt "detected" (Some (Time.ms 10)) r.detected;
+  ms_opt "no migration" None r.migrated;
+  ms_opt "no resync" None r.tcp_synced;
+  checkb "absent reads as nan" true
+    (Float.is_nan (Tensor.Deploy.seconds r.tcp_synced));
+  ms_opt "empty capture" None
+    (Tensor.Deploy.recovery_timeline ~t0:0 []).detected
+
+let test_timeline_ignores_other_entries () =
+  let r =
+    Tensor.Deploy.recovery_timeline ~t0:0
+      [
+        entry 1 (Telemetry.Event.Failure_injected { service = "s"; kind = "app" });
+        entry 2 (Telemetry.Event.Store_crashed { node = "store" });
+        entry 3
+          (Telemetry.Event.Replica_promoted { service = "s"; container = "c" });
+        entry 4
+          (Telemetry.Event.Generic
+             { cat = Telemetry.Event.Orch; name = "tcp_synced"; detail = "" });
+        entry 50 (synced "v0");
+      ]
+  in
+  ms_opt "nothing detected" None r.detected;
+  ms_opt "nothing initiated" None r.initiated;
+  ms_opt "tcp synced" (Some (Time.ms 50)) r.tcp_synced
+
 let () =
   Alcotest.run "tensor"
     [
@@ -856,6 +912,15 @@ let () =
             test_two_vrf_container_migration;
           Alcotest.test_case "control: no NSR -> outage" `Quick
             test_baseline_without_nsr_peer_sees_outage;
+        ] );
+      ( "timeline",
+        [
+          Alcotest.test_case "first milestone wins" `Quick
+            test_timeline_first_milestone_wins;
+          Alcotest.test_case "missing milestone" `Quick
+            test_timeline_missing_milestone;
+          Alcotest.test_case "other entries ignored" `Quick
+            test_timeline_ignores_other_entries;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
