@@ -1,8 +1,10 @@
 (* Per-experiment performance trajectory over a series of --emit-bench
    snapshots, gated against best-so-far.
 
-     dune exec bench/trend.exe -- BENCH_seed.json BENCH_pr4.json BENCH_pr.json
-     dune exec bench/trend.exe -- --gate --threshold 1.5 BENCH_*.json NEW.json
+     dune exec bench/trend.exe -- bench/history/BENCH_pr8_quick.json NEW.json
+     dune exec bench/trend.exe -- --gate --threshold 1.5 \
+       bench/history/BENCH_pr3_quick.json \
+       bench/history/BENCH_pr8_quick.json NEW.json
 
    Files are taken in the order given (oldest first, newest last). For
    every experiment the full wall-time trajectory is printed, then the

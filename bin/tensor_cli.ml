@@ -90,7 +90,7 @@ let write_bench_snapshot file ~quick ~total_wall rows =
 let run_one ~quick (e : Tensor.Experiments.t) =
   let t = Prof.Clock.now_s () in
   let e0 = Sim.Engine.global_processed_events () in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Prof.Profiler.allocated_bytes () in
   let g0 = Gc.quick_stat () in
   e.run ~quick;
   let wall = Prof.Clock.now_s () -. t in
@@ -101,7 +101,7 @@ let run_one ~quick (e : Tensor.Experiments.t) =
     br_engine = e.engine;
     br_wall = wall;
     br_events = Sim.Engine.global_processed_events () - e0;
-    br_alloc_bytes = Gc.allocated_bytes () -. a0;
+    br_alloc_bytes = Prof.Profiler.allocated_bytes () -. a0;
     br_minor_gcs = g1.Gc.minor_collections - g0.Gc.minor_collections;
     br_major_gcs = g1.Gc.major_collections - g0.Gc.major_collections;
   }

@@ -33,22 +33,92 @@ type t = {
   faults : fault list;
 }
 
-let fault_at = function
-  | Kill { at_ms; _ }
-  | Planned { at_ms }
-  | Heal { at_ms }
-  | Flap { at_ms; _ }
-  | Loss { at_ms; _ }
-  | Bfd_perturb { at_ms; _ }
-  | Peer_rst { at_ms; _ }
-  | Peer_cease { at_ms; _ }
-  | Store_crash { at_ms; _ }
-  | Store_partition { at_ms; _ }
-  | Store_slow { at_ms; _ }
-  | Host_kill { at_ms }
-  | Region_store_outage { at_ms; _ }
-  | Rolling_upgrade { at_ms; _ } ->
-      at_ms
+(* --- Token syntax ------------------------------------------------------------
+
+   A fault token is NAME[.SEL]@AT[+DUR][SEP NUM], SEL a VRF index or a kill
+   kind and SEP ':' or 'x'. [to_parts] maps a fault to those parts and
+   [syntax] maps them back: every reader and writer of a token goes
+   through these two, so a token kind is one arm in each. *)
+
+type sel = Bare | Vrf of int | Kill_kind of Orch.Controller.failure_kind
+
+(* [dur] and [num] are 0 for a kind whose token has no such field. *)
+type parts = { name : string; sel : sel; at : int; dur : int; num : int }
+
+let to_parts f =
+  let parts ?(sel = Bare) ?(dur = 0) ?(num = 0) name at =
+    { name; sel; at; dur; num }
+  in
+  match f with
+  | Kill { at_ms; kind } -> parts "kill" ~sel:(Kill_kind kind) at_ms
+  | Planned { at_ms } -> parts "planned" at_ms
+  | Heal { at_ms } -> parts "heal" at_ms
+  | Flap { at_ms; vrf; dur_ms } -> parts "flap" ~sel:(Vrf vrf) at_ms ~dur:dur_ms
+  | Loss { at_ms; vrf; dur_ms; loss_pct } ->
+      parts "loss" ~sel:(Vrf vrf) at_ms ~dur:dur_ms ~num:loss_pct
+  | Bfd_perturb { at_ms; vrf; factor_pct } ->
+      parts "bfd" ~sel:(Vrf vrf) at_ms ~num:factor_pct
+  | Peer_rst { at_ms; vrf } -> parts "rst" ~sel:(Vrf vrf) at_ms
+  | Peer_cease { at_ms; vrf } -> parts "cease" ~sel:(Vrf vrf) at_ms
+  | Store_crash { at_ms; dur_ms } -> parts "store_crash" at_ms ~dur:dur_ms
+  | Store_partition { at_ms; dur_ms } ->
+      parts "store_partition" at_ms ~dur:dur_ms
+  | Store_slow { at_ms; dur_ms; factor_pct } ->
+      parts "store_slow" at_ms ~dur:dur_ms ~num:factor_pct
+  | Host_kill { at_ms } -> parts "host_kill" at_ms
+  | Region_store_outage { at_ms; dur_ms } ->
+      parts "region_store_outage" at_ms ~dur:dur_ms
+  | Rolling_upgrade { at_ms; bound } -> parts "rolling_upgrade" at_ms ~num:bound
+
+(* What follows the instant in a kind's token: a [+DUR] never, always, or
+   only when the duration is not 0 (the permanent store crash), and the
+   separator before a trailing number; [build] makes the fault from the
+   instant, the duration and the number. *)
+type syntax = {
+  dur : [ `No | `Nonzero | `Always ];
+  sep : char option;
+  build : int -> int -> int -> fault;
+}
+
+let syntax name sel =
+  let syntax ?(dur = `No) ?sep build = Some { dur; sep; build } in
+  match (name, sel) with
+  | "kill", Kill_kind kind -> syntax (fun at_ms _ _ -> Kill { at_ms; kind })
+  | "planned", Bare -> syntax (fun at_ms _ _ -> Planned { at_ms })
+  | "heal", Bare -> syntax (fun at_ms _ _ -> Heal { at_ms })
+  | "flap", Vrf vrf ->
+      syntax ~dur:`Always (fun at_ms dur_ms _ -> Flap { at_ms; vrf; dur_ms })
+  | "loss", Vrf vrf ->
+      syntax ~dur:`Always ~sep:':' (fun at_ms dur_ms loss_pct ->
+          Loss { at_ms; vrf; dur_ms; loss_pct })
+  | "bfd", Vrf vrf ->
+      syntax ~sep:'x' (fun at_ms _ factor_pct ->
+          Bfd_perturb { at_ms; vrf; factor_pct })
+  | "rst", Vrf vrf -> syntax (fun at_ms _ _ -> Peer_rst { at_ms; vrf })
+  | "cease", Vrf vrf -> syntax (fun at_ms _ _ -> Peer_cease { at_ms; vrf })
+  | "store_crash", Bare ->
+      syntax ~dur:`Nonzero (fun at_ms dur_ms _ -> Store_crash { at_ms; dur_ms })
+  | "store_partition", Bare ->
+      syntax ~dur:`Always (fun at_ms dur_ms _ ->
+          Store_partition { at_ms; dur_ms })
+  | "store_slow", Bare ->
+      syntax ~dur:`Always ~sep:':' (fun at_ms dur_ms factor_pct ->
+          Store_slow { at_ms; dur_ms; factor_pct })
+  | "host_kill", Bare -> syntax (fun at_ms _ _ -> Host_kill { at_ms })
+  | "region_store_outage", Bare ->
+      syntax ~dur:`Always (fun at_ms dur_ms _ ->
+          Region_store_outage { at_ms; dur_ms })
+  | "rolling_upgrade", Bare ->
+      syntax ~sep:':' (fun at_ms _ bound -> Rolling_upgrade { at_ms; bound })
+  | _ -> None
+
+(* The syntax of a fault's own parts, which [syntax] always has. *)
+let syntax_of p = Option.get (syntax p.name p.sel)
+let fault_at f = (to_parts f).at
+
+let kill_kinds =
+  Orch.Controller.
+    [ App_failure; Container_failure; Host_failure; Host_network_failure ]
 
 let kill_kind_name : Orch.Controller.failure_kind -> string = function
   | App_failure -> "app"
@@ -56,77 +126,66 @@ let kill_kind_name : Orch.Controller.failure_kind -> string = function
   | Host_failure -> "host"
   | Host_network_failure -> "hostnet"
 
-let fault_kind_name = function
-  | Kill { kind; _ } -> "kill." ^ kill_kind_name kind
-  | Planned _ -> "planned"
-  | Heal _ -> "heal"
-  | Flap _ -> "flap"
-  | Loss _ -> "loss"
-  | Bfd_perturb _ -> "bfd"
-  | Peer_rst _ -> "rst"
-  | Peer_cease _ -> "cease"
-  | Store_crash _ -> "store_crash"
-  | Store_partition _ -> "store_partition"
-  | Store_slow _ -> "store_slow"
-  | Host_kill _ -> "host_kill"
-  | Region_store_outage _ -> "region_store_outage"
-  | Rolling_upgrade _ -> "rolling_upgrade"
+let fault_kind_name f =
+  match to_parts f with
+  | { name; sel = Kill_kind kind; _ } -> name ^ "." ^ kill_kind_name kind
+  | { name; _ } -> name
+
+let map_vrf g f =
+  match to_parts f with
+  | { sel = Vrf v; _ } as p ->
+      let p = { p with sel = Vrf (g v) } in
+      (syntax_of p).build p.at p.dur p.num
+  | _ -> f
 
 let equal (a : t) (b : t) = a = b
+
+(* [f] over [xs] in order, up to the first error. *)
+let traverse f xs =
+  List.fold_left
+    (fun acc x ->
+      Result.bind acc (fun ys -> Result.map (fun y -> y :: ys) (f x)))
+    (Ok []) xs
+  |> Result.map List.rev
 
 (* --- Validation ----------------------------------------------------------- *)
 
 let validate t =
+  let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let check_fault f =
-    let within_window name at =
-      if at < 0 || at > t.window_ms then
-        err "%s at %d ms outside the fault window [0, %d]" name at t.window_ms
+    let p = to_parts f and name = fault_kind_name f in
+    let* () =
+      if p.at < 0 || p.at > t.window_ms then
+        err "%s at %d ms outside the fault window [0, %d]" name p.at
+          t.window_ms
       else Ok ()
     in
-    let vrf_in_range name vrf =
-      if vrf < 0 || vrf >= t.peers then
-        err "%s references vrf %d but the run has %d peers" name vrf t.peers
-      else Ok ()
+    let* () =
+      match p.sel with
+      | Vrf vrf when vrf < 0 || vrf >= t.peers ->
+          err "%s references vrf %d but the run has %d peers" name vrf t.peers
+      | _ -> Ok ()
     in
-    let ( let* ) = Result.bind in
-    let name = fault_kind_name f in
-    let* () = within_window name (fault_at f) in
+    (* A duration the token always carries is positive; the one it may
+       leave out is 0 for a permanent fault. *)
+    let* () =
+      match (syntax_of p).dur with
+      | `Always when p.dur <= 0 -> err "%s duration must be positive" name
+      | `Nonzero when p.dur < 0 -> err "%s duration must be >= 0" name
+      | _ -> Ok ()
+    in
     match f with
-    | Kill _ | Planned _ | Heal _ -> Ok ()
-    | Flap { vrf; dur_ms; _ } ->
-        let* () = vrf_in_range name vrf in
-        if dur_ms <= 0 then err "flap duration must be positive" else Ok ()
-    | Loss { vrf; dur_ms; loss_pct; _ } ->
-        let* () = vrf_in_range name vrf in
-        if dur_ms <= 0 then err "loss duration must be positive"
-        else if loss_pct < 1 || loss_pct > 95 then
-          err "loss percentage %d outside [1, 95]" loss_pct
-        else Ok ()
-    | Bfd_perturb { vrf; factor_pct; _ } ->
-        let* () = vrf_in_range name vrf in
-        if factor_pct < 10 || factor_pct > 500 then
-          err "bfd factor %d%% outside [10, 500]" factor_pct
-        else Ok ()
-    | Peer_rst { vrf; _ } | Peer_cease { vrf; _ } -> vrf_in_range name vrf
-    | Store_crash { dur_ms; _ } ->
-        if dur_ms < 0 then err "store_crash duration must be >= 0" else Ok ()
-    | Store_partition { dur_ms; _ } ->
-        if dur_ms <= 0 then err "store_partition duration must be positive"
-        else Ok ()
-    | Store_slow { dur_ms; factor_pct; _ } ->
-        if dur_ms <= 0 then err "store_slow duration must be positive"
-        else if factor_pct < 101 || factor_pct > 10_000 then
-          err "store_slow factor %d%% outside [101, 10000]" factor_pct
-        else Ok ()
-    | Host_kill _ -> Ok ()
-    | Region_store_outage { dur_ms; _ } ->
-        if dur_ms <= 0 then err "region_store_outage duration must be positive"
-        else Ok ()
-    | Rolling_upgrade { bound; _ } ->
-        if bound < 1 || bound > 64 then
-          err "rolling_upgrade concurrency bound %d outside [1, 64]" bound
-        else Ok ()
+    | Loss { loss_pct; _ } when loss_pct < 1 || loss_pct > 95 ->
+        err "loss percentage %d outside [1, 95]" loss_pct
+    | Bfd_perturb { factor_pct; _ } when factor_pct < 10 || factor_pct > 500 ->
+        err "bfd factor %d%% outside [10, 500]" factor_pct
+    | Store_slow { factor_pct; _ }
+      when factor_pct < 101 || factor_pct > 10_000 ->
+        err "store_slow factor %d%% outside [101, 10000]" factor_pct
+    | Rolling_upgrade { bound; _ } when bound < 1 || bound > 64 ->
+        err "rolling_upgrade concurrency bound %d outside [1, 64]" bound
+    | _ -> Ok ()
   in
   (* The store is the recovery substrate: a migration scheduled while the
      store is down (or gone for good — a permanent [store_crash] lasts
@@ -134,34 +193,27 @@ let validate t =
      The controller defers such migrations, so a kill inside an outage
      window never completes within the run — reject the combination
      outright instead of producing schedules that cannot settle. *)
-  let outage_conflict () =
-    let outage_end at dur = if dur = 0 then max_int else at + dur in
-    let outages =
-      List.filter_map
-        (function
-          | Store_crash { at_ms; dur_ms }
-          | Store_partition { at_ms; dur_ms }
-          | Region_store_outage { at_ms; dur_ms } ->
-              Some (at_ms, outage_end at_ms dur_ms)
-          | _ -> None)
-        t.faults
-    in
-    List.fold_left
-      (fun acc f ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> (
-            match f with
-            | ( Kill { at_ms; _ }
-              | Planned { at_ms }
-              | Host_kill { at_ms }
-              | Rolling_upgrade { at_ms; _ } )
-              when List.exists (fun (s, e) -> at_ms >= s && at_ms <= e) outages
-              ->
-                err "%s at %d ms falls inside a store outage window"
-                  (fault_kind_name f) at_ms
-            | _ -> Ok ()))
-      (Ok ()) t.faults
+  let outage_end at dur = if dur = 0 then max_int else at + dur in
+  let outages =
+    List.filter_map
+      (function
+        | Store_crash { at_ms; dur_ms }
+        | Store_partition { at_ms; dur_ms }
+        | Region_store_outage { at_ms; dur_ms } ->
+            Some (at_ms, outage_end at_ms dur_ms)
+        | _ -> None)
+      t.faults
+  in
+  let outage_conflict f =
+    match f with
+    | ( Kill { at_ms; _ }
+      | Planned { at_ms }
+      | Host_kill { at_ms }
+      | Rolling_upgrade { at_ms; _ } )
+      when List.exists (fun (s, e) -> at_ms >= s && at_ms <= e) outages ->
+        err "%s at %d ms falls inside a store outage window"
+          (fault_kind_name f) at_ms
+    | _ -> Ok ()
   in
   (* A rolling-upgrade wave owns the fleet until its last drain
      completes, and completion time is schedule-dependent — so any two
@@ -192,47 +244,31 @@ let validate t =
   else if t.window_ms < 1000 then err "window shorter than 1 s"
   else if t.settle_ms < 0 then err "negative settle"
   else
-    let per_fault =
-      List.fold_left
-        (fun acc f -> match acc with Error _ -> acc | Ok () -> check_fault f)
-        (Ok ()) t.faults
-    in
-    match per_fault with
-    | Error _ -> per_fault
-    | Ok () -> (
-        match outage_conflict () with
-        | Error _ as e -> e
-        | Ok () -> wave_conflict ())
+    let* _ = traverse check_fault t.faults in
+    let* _ = traverse outage_conflict t.faults in
+    wave_conflict ()
 
 (* --- Serialization -------------------------------------------------------- *)
 
 let magic = "chaos1"
 
-let fault_to_string = function
-  | Kill { at_ms; kind } ->
-      Printf.sprintf "kill.%s@%d" (kill_kind_name kind) at_ms
-  | Planned { at_ms } -> Printf.sprintf "planned@%d" at_ms
-  | Heal { at_ms } -> Printf.sprintf "heal@%d" at_ms
-  | Flap { at_ms; vrf; dur_ms } ->
-      Printf.sprintf "flap.%d@%d+%d" vrf at_ms dur_ms
-  | Loss { at_ms; vrf; dur_ms; loss_pct } ->
-      Printf.sprintf "loss.%d@%d+%d:%d" vrf at_ms dur_ms loss_pct
-  | Bfd_perturb { at_ms; vrf; factor_pct } ->
-      Printf.sprintf "bfd.%d@%dx%d" vrf at_ms factor_pct
-  | Peer_rst { at_ms; vrf } -> Printf.sprintf "rst.%d@%d" vrf at_ms
-  | Peer_cease { at_ms; vrf } -> Printf.sprintf "cease.%d@%d" vrf at_ms
-  | Store_crash { at_ms; dur_ms } ->
-      if dur_ms = 0 then Printf.sprintf "store_crash@%d" at_ms
-      else Printf.sprintf "store_crash@%d+%d" at_ms dur_ms
-  | Store_partition { at_ms; dur_ms } ->
-      Printf.sprintf "store_partition@%d+%d" at_ms dur_ms
-  | Store_slow { at_ms; dur_ms; factor_pct } ->
-      Printf.sprintf "store_slow@%d+%d:%d" at_ms dur_ms factor_pct
-  | Host_kill { at_ms } -> Printf.sprintf "host_kill@%d" at_ms
-  | Region_store_outage { at_ms; dur_ms } ->
-      Printf.sprintf "region_store_outage@%d+%d" at_ms dur_ms
-  | Rolling_upgrade { at_ms; bound } ->
-      Printf.sprintf "rolling_upgrade@%d:%d" at_ms bound
+let sel_suffix = function
+  | Bare -> ""
+  | Vrf vrf -> "." ^ string_of_int vrf
+  | Kill_kind kind -> "." ^ kill_kind_name kind
+
+let fault_to_string f =
+  let p = to_parts f in
+  let s = syntax_of p in
+  let dur =
+    if s.dur = `Always || (s.dur = `Nonzero && p.dur <> 0) then
+      Printf.sprintf "+%d" p.dur
+    else ""
+  in
+  let num =
+    match s.sep with Some c -> Printf.sprintf "%c%d" c p.num | None -> ""
+  in
+  Printf.sprintf "%s%s@%d%s%s" p.name (sel_suffix p.sel) p.at dur num
 
 let to_string t =
   let faults =
@@ -251,128 +287,53 @@ let parse_int what s =
   | Some n -> Ok n
   | None -> Error (Printf.sprintf "%s: not an integer: %S" what s)
 
-let split1 ~on s =
+(* [s] split at the first [on], or whole. *)
+let cut on s =
   match String.index_opt s on with
   | Some i ->
-      Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> None
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+  | None -> (s, None)
 
+(* The one tokenizer: the kind's [syntax] says where the text after '@'
+   splits, and [int_of_string_opt] reads each field. Cutting the trailing
+   number off first splits [loss] and [store_slow] where cutting at '+'
+   first would, since no integer contains ':'. *)
 let fault_of_string tok =
   let ( let* ) = Result.bind in
-  match split1 ~on:'@' tok with
-  | None -> Error (Printf.sprintf "fault %S: missing '@'" tok)
-  | Some (head, tail) -> (
-      let kind, arg =
-        match split1 ~on:'.' head with
-        | Some (k, a) -> (k, Some a)
-        | None -> (head, None)
+  let fail fmt =
+    Printf.ksprintf (fun s -> Error (Printf.sprintf "fault %S: %s" tok s)) fmt
+  in
+  let number what = function
+    | Some s -> parse_int (tok ^ ": " ^ what) s
+    | None -> Ok 0
+  in
+  match cut '@' tok with
+  | _, None -> fail "missing '@'"
+  | head, Some tail -> (
+      let name, sel = cut '.' head in
+      let* sel =
+        match sel with
+        | None -> Ok Bare
+        | Some s -> (
+            match List.find_opt (fun k -> kill_kind_name k = s) kill_kinds with
+            | Some kind -> Ok (Kill_kind kind)
+            | None -> Result.map (fun v -> Vrf v) (parse_int (tok ^ ": vrf") s))
       in
-      let vrf () =
-        match arg with
-        | Some a -> parse_int (tok ^ ": vrf") a
-        | None -> Error (Printf.sprintf "fault %S: missing vrf index" tok)
-      in
-      let at () = parse_int (tok ^ ": time") tail in
-      match kind with
-      | "kill" ->
-          let* k =
-            match arg with
-            | Some "app" -> Ok Orch.Controller.App_failure
-            | Some "container" -> Ok Orch.Controller.Container_failure
-            | Some "host" -> Ok Orch.Controller.Host_failure
-            | Some "hostnet" -> Ok Orch.Controller.Host_network_failure
-            | _ -> Error (Printf.sprintf "fault %S: unknown kill kind" tok)
+      match syntax name sel with
+      | None -> fail "unknown fault kind %S, or a wrong selector" name
+      | Some s ->
+          let rest, num =
+            match s.sep with Some c -> cut c tail | None -> (tail, None)
           in
-          let* at_ms = at () in
-          Ok (Kill { at_ms; kind = k })
-      | "planned" ->
-          let* at_ms = at () in
-          Ok (Planned { at_ms })
-      | "heal" ->
-          let* at_ms = at () in
-          Ok (Heal { at_ms })
-      | "flap" -> (
-          let* vrf = vrf () in
-          match split1 ~on:'+' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected T+DUR" tok)
-          | Some (t, d) ->
-              let* at_ms = parse_int (tok ^ ": time") t in
-              let* dur_ms = parse_int (tok ^ ": duration") d in
-              Ok (Flap { at_ms; vrf; dur_ms }))
-      | "loss" -> (
-          let* vrf = vrf () in
-          match split1 ~on:'+' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected T+DUR:PCT" tok)
-          | Some (t, rest) -> (
-              match split1 ~on:':' rest with
-              | None -> Error (Printf.sprintf "fault %S: expected T+DUR:PCT" tok)
-              | Some (d, p) ->
-                  let* at_ms = parse_int (tok ^ ": time") t in
-                  let* dur_ms = parse_int (tok ^ ": duration") d in
-                  let* loss_pct = parse_int (tok ^ ": loss pct") p in
-                  Ok (Loss { at_ms; vrf; dur_ms; loss_pct })))
-      | "bfd" -> (
-          let* vrf = vrf () in
-          match split1 ~on:'x' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected TxFACTOR" tok)
-          | Some (t, f) ->
-              let* at_ms = parse_int (tok ^ ": time") t in
-              let* factor_pct = parse_int (tok ^ ": factor") f in
-              Ok (Bfd_perturb { at_ms; vrf; factor_pct }))
-      | "rst" ->
-          let* vrf = vrf () in
-          let* at_ms = at () in
-          Ok (Peer_rst { at_ms; vrf })
-      | "cease" ->
-          let* vrf = vrf () in
-          let* at_ms = at () in
-          Ok (Peer_cease { at_ms; vrf })
-      | "store_crash" -> (
-          match split1 ~on:'+' tail with
-          | None ->
-              let* at_ms = at () in
-              Ok (Store_crash { at_ms; dur_ms = 0 })
-          | Some (t, d) ->
-              let* at_ms = parse_int (tok ^ ": time") t in
-              let* dur_ms = parse_int (tok ^ ": duration") d in
-              Ok (Store_crash { at_ms; dur_ms }))
-      | "store_partition" -> (
-          match split1 ~on:'+' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected T+DUR" tok)
-          | Some (t, d) ->
-              let* at_ms = parse_int (tok ^ ": time") t in
-              let* dur_ms = parse_int (tok ^ ": duration") d in
-              Ok (Store_partition { at_ms; dur_ms }))
-      | "store_slow" -> (
-          match split1 ~on:'+' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected T+DUR:FACTOR" tok)
-          | Some (t, rest) -> (
-              match split1 ~on:':' rest with
-              | None ->
-                  Error (Printf.sprintf "fault %S: expected T+DUR:FACTOR" tok)
-              | Some (d, f) ->
-                  let* at_ms = parse_int (tok ^ ": time") t in
-                  let* dur_ms = parse_int (tok ^ ": duration") d in
-                  let* factor_pct = parse_int (tok ^ ": factor") f in
-                  Ok (Store_slow { at_ms; dur_ms; factor_pct })))
-      | "host_kill" ->
-          let* at_ms = at () in
-          Ok (Host_kill { at_ms })
-      | "region_store_outage" -> (
-          match split1 ~on:'+' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected T+DUR" tok)
-          | Some (t, d) ->
-              let* at_ms = parse_int (tok ^ ": time") t in
-              let* dur_ms = parse_int (tok ^ ": duration") d in
-              Ok (Region_store_outage { at_ms; dur_ms }))
-      | "rolling_upgrade" -> (
-          match split1 ~on:':' tail with
-          | None -> Error (Printf.sprintf "fault %S: expected T:BOUND" tok)
-          | Some (t, k) ->
-              let* at_ms = parse_int (tok ^ ": time") t in
-              let* bound = parse_int (tok ^ ": bound") k in
-              Ok (Rolling_upgrade { at_ms; bound }))
-      | other -> Error (Printf.sprintf "unknown fault kind %S" other))
+          let at, dur = if s.dur = `No then (rest, None) else cut '+' rest in
+          match (s.dur, dur, s.sep, num) with
+          | `Always, None, _, _ -> fail "expected +DUR"
+          | _, _, Some c, None -> fail "expected %cNUM" c
+          | _ ->
+              let* at = parse_int (tok ^ ": time") at in
+              let* dur = number "duration" dur in
+              let* num = number "number" num in
+              Ok (s.build at dur num))
 
 let of_string line =
   let ( let* ) = Result.bind in
@@ -383,9 +344,9 @@ let of_string line =
         List.fold_left
           (fun acc field ->
             let* acc = acc in
-            match split1 ~on:'=' field with
-            | Some (k, v) -> Ok ((k, v) :: acc)
-            | None -> Error (Printf.sprintf "malformed field %S" field))
+            match cut '=' field with
+            | k, Some v -> Ok ((k, v) :: acc)
+            | _, None -> Error (Printf.sprintf "malformed field %S" field))
           (Ok []) fields
       in
       let get k =
@@ -409,15 +370,7 @@ let of_string line =
       let* faults_s = get "faults" in
       let* faults =
         if faults_s = "-" then Ok []
-        else
-          String.split_on_char ',' faults_s
-          |> List.fold_left
-               (fun acc tok ->
-                 let* acc = acc in
-                 let* f = fault_of_string tok in
-                 Ok (f :: acc))
-               (Ok [])
-          |> Result.map List.rev
+        else traverse fault_of_string (String.split_on_char ',' faults_s)
       in
       let t =
         {
@@ -446,31 +399,12 @@ let faults_of_string s =
     match String.trim s with
     | "" | "-" -> Ok []
     | s ->
-        String.split_on_char ',' s
-        |> List.fold_left
-             (fun acc tok ->
-               let* acc = acc in
-               let* f = fault_of_string (String.trim tok) in
-               Ok (f :: acc))
-             (Ok [])
-        |> Result.map List.rev
+        traverse fault_of_string
+          (List.map String.trim (String.split_on_char ',' s))
   in
-  (* Wide enough for every token: outage windows count their end. *)
+  (* [validate] reads the window only to bound instants. *)
   let window_ms =
-    List.fold_left
-      (fun acc f ->
-        let e =
-          match f with
-          | Store_crash { at_ms; dur_ms }
-          | Store_partition { at_ms; dur_ms }
-          | Region_store_outage { at_ms; dur_ms }
-          | Flap { at_ms; dur_ms; _ }
-          | Loss { at_ms; dur_ms; _ } ->
-              at_ms + dur_ms
-          | f -> fault_at f
-        in
-        max acc e)
-      1000 faults
+    List.fold_left (fun acc f -> max acc (fault_at f)) 1000 faults
   in
   let probe =
     {

@@ -38,30 +38,28 @@ type fault =
           a synchronous replica and clients fail over to it; otherwise
           the primary restarts {e empty} after [dur_ms] and the service
           re-arms replication under a fresh epoch (degraded pass-through
-          first, when the outage outlives the held-ACK deadline).
-          Token: [store_crash@T] or [store_crash@T+DUR]. *)
+          first, when the outage outlives the held-ACK deadline). *)
   | Store_partition of { at_ms : int; dur_ms : int }
       (** The store server's network goes down for [dur_ms] (RAM
-          preserved). Token: [store_partition@T+DUR]. *)
+          preserved). *)
   | Store_slow of { at_ms : int; dur_ms : int; factor_pct : int }
       (** Store operation costs scaled to [factor_pct]% (in
           [\[101, 10000\]]) for [dur_ms] — held-ACK latency stress
-          without unreachability. Token: [store_slow@T+DUR:FACTOR]. *)
+          without unreachability. *)
   | Host_kill of { at_ms : int }
       (** Correlated whole-host kill. At fleet scale every co-located
           container (and its BFD sessions) dies at once; the
           single-instance runner maps it to a host failure of the
-          service's primary. Token: [host_kill@T]. *)
+          service's primary. *)
   | Region_store_outage of { at_ms : int; dur_ms : int }
       (** A region's store becomes unreachable for [dur_ms]: every
           instance in the region sheds and re-arms together. The
-          single-instance runner maps it to a store partition.
-          Token: [region_store_outage@T+DUR]. *)
+          single-instance runner maps it to a store partition. *)
   | Rolling_upgrade of { at_ms : int; bound : int }
       (** Fleet-wide rolling upgrade starting at [at_ms] with at most
           [bound] concurrent drain→upgrade→resume moves (bound in
           [\[1, 64\]]). The single-instance runner maps it to a planned
-          switchover. Token: [rolling_upgrade@T:BOUND]. *)
+          switchover. *)
 
 type t = {
   seed : int;  (** Engine seed for the deployment. *)
@@ -83,7 +81,15 @@ val fault_kind_name : fault -> string
 (** Stable class name: [kill.app], [flap], [rst], ... *)
 
 val fault_to_string : fault -> string
-(** The fault's serialized token, e.g. [host_kill@5000]. *)
+(** The fault's serialized token, [NAME[.SEL]@AT[+DUR][SEP NUM]]: e.g.
+    [kill.app@2000], [loss.0@6145+2449:23], [bfd.0@5801x95],
+    [store_crash@2075] (a permanent crash) and [rolling_upgrade@5000:4]. *)
+
+val fault_of_string : string -> (fault, string) result
+(** The inverse of {!fault_to_string}, without {!validate}. *)
+
+val map_vrf : (int -> int) -> fault -> fault
+(** Rewrites the VRF index of a fault that targets one. *)
 
 val generate : seed:int -> t
 (** The seeded generator: parameters and fault schedule are drawn from a

@@ -142,21 +142,27 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
     Netsim.Network.link_between dep.Deploy.net dep.Deploy.fabric
       pa.Deploy.pa_node
   in
+  let kill kind =
+    if kind = Orch.Controller.Host_network_failure then begin
+      let name = Orch.Container.host_name (Deploy.service_container ctx.svc) in
+      Array.iter
+        (fun h ->
+          if String.equal (Orch.Host.name h) name then
+            partitioned := h :: !partitioned)
+        dep.Deploy.hosts
+    end;
+    Deploy.inject_failure dep ctx.svc kind
+  in
+  (* A fleet token (host_kill, region_store_outage, rolling_upgrade) runs
+     as its closest one-service equivalent, so any fleet campaign line
+     also runs (and shrinks) under the ordinary chaos runner. Their
+     correlated semantics live in [Fleet.Campaign]. *)
   let apply () =
     match f with
-    | Descriptor.Kill { kind; _ } ->
-        if kind = Orch.Controller.Host_network_failure then begin
-          let name =
-            Orch.Container.host_name (Deploy.service_container ctx.svc)
-          in
-          Array.iter
-            (fun h ->
-              if String.equal (Orch.Host.name h) name then
-                partitioned := h :: !partitioned)
-            dep.Deploy.hosts
-        end;
-        Deploy.inject_failure dep ctx.svc kind
-    | Descriptor.Planned _ -> Deploy.planned_migration dep ctx.svc
+    | Descriptor.Kill { kind; _ } -> kill kind
+    | Descriptor.Host_kill _ -> kill Orch.Controller.Host_failure
+    | Descriptor.Planned _ | Descriptor.Rolling_upgrade _ ->
+        Deploy.planned_migration dep ctx.svc
     | Descriptor.Heal _ ->
         List.iter Orch.Host.network_recover !partitioned;
         partitioned := []
@@ -206,7 +212,8 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
           ignore
             (Engine.schedule_after eng (Time.ms dur_ms) (fun () ->
                  Store.Server.restart dep.Deploy.store_server)))
-    | Descriptor.Store_partition { dur_ms; _ } ->
+    | Descriptor.Store_partition { dur_ms; _ }
+    | Descriptor.Region_store_outage { dur_ms; _ } ->
         let n = Store.Server.node dep.Deploy.store_server in
         Netsim.Node.set_up n false;
         ignore
@@ -218,19 +225,6 @@ let schedule_fault ctx partitioned (f : Descriptor.fault) =
         ignore
           (Engine.schedule_after eng (Time.ms dur_ms) (fun () ->
                Store.Server.set_cost_factor dep.Deploy.store_server 1.))
-    (* Fleet tokens at single-instance scale: each maps to its closest
-       one-service equivalent, so any fleet campaign line also runs (and
-       shrinks) under the ordinary chaos runner. Their correlated
-       semantics live in [Fleet.Campaign]. *)
-    | Descriptor.Host_kill _ ->
-        Deploy.inject_failure dep ctx.svc Orch.Controller.Host_failure
-    | Descriptor.Region_store_outage { dur_ms; _ } ->
-        let n = Store.Server.node dep.Deploy.store_server in
-        Netsim.Node.set_up n false;
-        ignore
-          (Engine.schedule_after eng (Time.ms dur_ms) (fun () ->
-               Netsim.Node.set_up n true))
-    | Descriptor.Rolling_upgrade _ -> Deploy.planned_migration dep ctx.svc
   in
   ignore (Engine.schedule_after eng (Time.ms (Descriptor.fault_at f)) apply)
 

@@ -5,24 +5,6 @@ type result = {
   removed_faults : int;
 }
 
-let clamp_vrfs peers faults =
-  List.map
-    (fun (f : Descriptor.fault) ->
-      let cl v = min v (peers - 1) in
-      match f with
-      | Descriptor.Flap r -> Descriptor.Flap { r with vrf = cl r.vrf }
-      | Descriptor.Loss r -> Descriptor.Loss { r with vrf = cl r.vrf }
-      | Descriptor.Bfd_perturb r ->
-          Descriptor.Bfd_perturb { r with vrf = cl r.vrf }
-      | Descriptor.Peer_rst r -> Descriptor.Peer_rst { r with vrf = cl r.vrf }
-      | Descriptor.Peer_cease r ->
-          Descriptor.Peer_cease { r with vrf = cl r.vrf }
-      | Descriptor.Kill _ | Descriptor.Planned _ | Descriptor.Heal _
-      | Descriptor.Store_crash _ | Descriptor.Store_partition _
-      | Descriptor.Store_slow _ | Descriptor.Host_kill _
-      | Descriptor.Region_store_outage _ | Descriptor.Rolling_upgrade _ -> f)
-    faults
-
 (* Topology/workload reductions, tried in order once the fault list is
    minimal. Each returns [None] when it would not change the
    descriptor. *)
@@ -34,7 +16,8 @@ let reductions : (Descriptor.t -> Descriptor.t option) list =
           {
             d with
             Descriptor.peers = 1;
-            faults = clamp_vrfs 1 d.Descriptor.faults;
+            faults =
+              List.map (Descriptor.map_vrf (Fun.const 0)) d.Descriptor.faults;
           }
       else None);
     (fun d ->

@@ -1,6 +1,6 @@
 (* h1 — hot-path allocation budget (interprocedural, warn -> baseline).
 
-   BENCH_seed.json puts the fig5a event loop at ~440 allocated bytes
+   BENCH_pr8_quick.json puts the fig5a event loop at ~440 allocated bytes
    per simulated event, and ROADMAP item 2 says that loop is the
    ceiling on everything. This pass walks the call graph from the
    hot-root manifest (Hot_roots.hot_paths) to a small hop budget and

@@ -40,3 +40,10 @@ val by_wall : unit -> stat list
 
 val total_events : unit -> int
 val total_wall_s : unit -> float
+
+val allocated_bytes : unit -> float
+(** Bytes the calling domain has allocated so far, minor and major heap
+    (minor + major - promoted words). The difference of two reads is
+    what ran between them allocated, plus a constant: the first read's
+    own result. Unlike [Gc.allocated_bytes] on OCaml 5.1, it counts
+    every young word. *)

@@ -112,39 +112,12 @@ let one_mode ~mode ~store_delay ~ack_hold =
     (* Flood. *)
     let spk = Option.get (App.speaker (Deploy.service_app svc)) in
     let t0 = Engine.now eng in
-    let rng = Rng.create 7 in
-    let routes =
-      Workload.Prefixes.attr_groups rng ~groups:(flood_updates / 500)
-        ~next_hop:peer.Deploy.pa_addr flood_updates
-    in
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (pfx, attrs) ->
-        let key = Bgp.Attrs.hash attrs in
-        let cur = try Hashtbl.find tbl key with Not_found -> [] in
-        Hashtbl.replace tbl key ((pfx, attrs) :: cur))
-      routes;
-    Det.iter_sorted ~compare:Int.compare
-      (fun _ l ->
-        match l with
-        | (_, attrs) :: _ ->
-            Bgp.Speaker.originate peer.Deploy.pa_speaker ~vrf:"v0" ~attrs
-              (List.map fst l)
-        | [] -> ())
-      tbl;
+    Exp_fig6.originate_grouped peer.Deploy.pa_speaker ~vrf:"v0"
+      ~next_hop:peer.Deploy.pa_addr ~groups:(flood_updates / 500)
+      flood_updates;
     let learn_s =
-      let deadline = Time.add t0 (Time.minutes 10) in
-      let rec loop () =
-        if Bgp.Speaker.updates_learned spk >= flood_updates then
-          Time.to_sec_f (Time.diff (Bgp.Speaker.last_rx_applied spk) t0)
-        else if Engine.now eng >= deadline then nan
-        else begin
-          Engine.run_until eng
-            (min deadline (Time.add (Engine.now eng) (Time.ms 100)));
-          loop ()
-        end
-      in
-      loop ()
+      Exp_fig6.time_to_n eng ~slice:(Time.ms 100) ~t0 Exp_fig6.Receive spk
+        flood_updates
     in
     let mean_ack_hold_ms =
       match App.replicator (Deploy.service_app svc) ~vrf:"v0" with

@@ -47,7 +47,7 @@ let originate_grouped spk ~vrf ~next_hop ~groups n =
    receive), [Send] for it to hand N updates to TCP. *)
 type direction = Receive | Send
 
-let time_to_n eng ~t0 direction spk n =
+let time_to_n eng ~slice ~t0 direction spk n =
   let count, stamp =
     match direction with
     | Receive -> (Bgp.Speaker.updates_learned, Bgp.Speaker.last_rx_applied)
@@ -96,7 +96,7 @@ let baseline_pair ~profile direction n =
   Engine.run_for eng (Time.sec 3);
   let t0 = Engine.now eng in
   originate_grouped spk_a ~vrf:"v0" ~next_hop:a_addr ~groups:(groups_for n) n;
-  time_to_n eng ~t0 direction
+  time_to_n eng ~slice ~t0 direction
     (match direction with Receive -> spk_b | Send -> spk_a)
     n
 
@@ -129,7 +129,7 @@ let tensor_deployment direction n =
       | Send -> (spk_dut, vip)
     in
     originate_grouped announcer ~vrf:"v0" ~next_hop ~groups:(groups_for n) n;
-    time_to_n eng ~t0 direction spk_dut n
+    time_to_n eng ~slice ~t0 direction spk_dut n
   end
 
 let run_one_peer direction counts =
@@ -253,7 +253,7 @@ let multi_peer_run ~profile ~with_replication peers updates =
     let target = peers * updates in
     let t0 = Engine.now eng in
     originate_grouped spk_dut ~vrf:"v0" ~next_hop:dut_addr ~groups:4 updates;
-    time_to_n eng ~t0 Send spk_dut target
+    time_to_n eng ~slice ~t0 Send spk_dut target
   end
 
 let run_multi_peer ?(peer_counts = [ 50; 100; 200; 300; 400; 500; 600; 700 ])

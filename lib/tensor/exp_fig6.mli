@@ -14,6 +14,34 @@
 type impl_point = { impl : string; seconds : float }
 type sweep_row = { x : int; values : impl_point list }
 
+val originate_grouped :
+  Bgp.Speaker.t ->
+  vrf:string ->
+  next_hop:Netsim.Addr.t ->
+  groups:int ->
+  int ->
+  unit
+(** [originate_grouped spk ~vrf ~next_hop ~groups n] originates [n]
+    routes spread over [groups] attribute sets (a fixed-seed draw), one
+    originate call per set, in a deterministic order. *)
+
+(** [Receive]: the speaker learns the routes; [Send]: it hands them to
+    TCP. *)
+type direction = Receive | Send
+
+val time_to_n :
+  Sim.Engine.t ->
+  slice:Sim.Time.t ->
+  t0:Sim.Time.t ->
+  direction ->
+  Bgp.Speaker.t ->
+  int ->
+  float
+(** Runs the engine in [slice] steps until the speaker has learned (or
+    sent) [n] updates, and returns the seconds from [t0] to the last
+    one, or [nan] after 10 simulated minutes. The slice decides where
+    the clock stops, so each caller keeps its own. *)
+
 val run_receive : ?counts:int list -> unit -> sweep_row list
 (** Panel (a): x = number of updates. *)
 

@@ -273,6 +273,336 @@ let test_pre_store_descriptors_still_parse () =
       | Error e -> Alcotest.failf "pre-store line rejected: %s (%s)" e line)
     old_lines
 
+(* --- Token syntax oracle -----------------------------------------------------
+
+   The hand-written per-kind fault-token parser that the descriptor used
+   before its token syntax became one mapping per kind, kept as the
+   reference: the generic tokenizer must accept exactly what it accepted
+   and parse it to the same fault. *)
+
+module Ref = struct
+  open Chaos.Descriptor
+
+  let parse_int what s =
+    match int_of_string_opt s with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "%s: not an integer: %S" what s)
+
+  let split1 ~on s =
+    match String.index_opt s on with
+    | Some i ->
+        Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    | None -> None
+
+  let fault_of_string tok =
+    let ( let* ) = Result.bind in
+    match split1 ~on:'@' tok with
+    | None -> Error (Printf.sprintf "fault %S: missing '@'" tok)
+    | Some (head, tail) -> (
+        let kind, arg =
+          match split1 ~on:'.' head with
+          | Some (k, a) -> (k, Some a)
+          | None -> (head, None)
+        in
+        let vrf () =
+          match arg with
+          | Some a -> parse_int (tok ^ ": vrf") a
+          | None -> Error (Printf.sprintf "fault %S: missing vrf index" tok)
+        in
+        let at () = parse_int (tok ^ ": time") tail in
+        match kind with
+        | "kill" ->
+            let* k =
+              match arg with
+              | Some "app" -> Ok Orch.Controller.App_failure
+              | Some "container" -> Ok Orch.Controller.Container_failure
+              | Some "host" -> Ok Orch.Controller.Host_failure
+              | Some "hostnet" -> Ok Orch.Controller.Host_network_failure
+              | _ -> Error (Printf.sprintf "fault %S: unknown kill kind" tok)
+            in
+            let* at_ms = at () in
+            Ok (Kill { at_ms; kind = k })
+        | "planned" ->
+            let* at_ms = at () in
+            Ok (Planned { at_ms })
+        | "heal" ->
+            let* at_ms = at () in
+            Ok (Heal { at_ms })
+        | "flap" -> (
+            let* vrf = vrf () in
+            match split1 ~on:'+' tail with
+            | None -> Error (Printf.sprintf "fault %S: expected T+DUR" tok)
+            | Some (t, d) ->
+                let* at_ms = parse_int (tok ^ ": time") t in
+                let* dur_ms = parse_int (tok ^ ": duration") d in
+                Ok (Flap { at_ms; vrf; dur_ms }))
+        | "loss" -> (
+            let* vrf = vrf () in
+            match split1 ~on:'+' tail with
+            | None -> Error (Printf.sprintf "fault %S: expected T+DUR:PCT" tok)
+            | Some (t, rest) -> (
+                match split1 ~on:':' rest with
+                | None ->
+                    Error (Printf.sprintf "fault %S: expected T+DUR:PCT" tok)
+                | Some (d, p) ->
+                    let* at_ms = parse_int (tok ^ ": time") t in
+                    let* dur_ms = parse_int (tok ^ ": duration") d in
+                    let* loss_pct = parse_int (tok ^ ": loss pct") p in
+                    Ok (Loss { at_ms; vrf; dur_ms; loss_pct })))
+        | "bfd" -> (
+            let* vrf = vrf () in
+            match split1 ~on:'x' tail with
+            | None -> Error (Printf.sprintf "fault %S: expected TxFACTOR" tok)
+            | Some (t, f) ->
+                let* at_ms = parse_int (tok ^ ": time") t in
+                let* factor_pct = parse_int (tok ^ ": factor") f in
+                Ok (Bfd_perturb { at_ms; vrf; factor_pct }))
+        | "rst" ->
+            let* vrf = vrf () in
+            let* at_ms = at () in
+            Ok (Peer_rst { at_ms; vrf })
+        | "cease" ->
+            let* vrf = vrf () in
+            let* at_ms = at () in
+            Ok (Peer_cease { at_ms; vrf })
+        | "store_crash" -> (
+            match split1 ~on:'+' tail with
+            | None ->
+                let* at_ms = at () in
+                Ok (Store_crash { at_ms; dur_ms = 0 })
+            | Some (t, d) ->
+                let* at_ms = parse_int (tok ^ ": time") t in
+                let* dur_ms = parse_int (tok ^ ": duration") d in
+                Ok (Store_crash { at_ms; dur_ms }))
+        | "store_partition" -> (
+            match split1 ~on:'+' tail with
+            | None -> Error (Printf.sprintf "fault %S: expected T+DUR" tok)
+            | Some (t, d) ->
+                let* at_ms = parse_int (tok ^ ": time") t in
+                let* dur_ms = parse_int (tok ^ ": duration") d in
+                Ok (Store_partition { at_ms; dur_ms }))
+        | "store_slow" -> (
+            match split1 ~on:'+' tail with
+            | None ->
+                Error (Printf.sprintf "fault %S: expected T+DUR:FACTOR" tok)
+            | Some (t, rest) -> (
+                match split1 ~on:':' rest with
+                | None ->
+                    Error (Printf.sprintf "fault %S: expected T+DUR:FACTOR" tok)
+                | Some (d, f) ->
+                    let* at_ms = parse_int (tok ^ ": time") t in
+                    let* dur_ms = parse_int (tok ^ ": duration") d in
+                    let* factor_pct = parse_int (tok ^ ": factor") f in
+                    Ok (Store_slow { at_ms; dur_ms; factor_pct })))
+        | "host_kill" ->
+            let* at_ms = at () in
+            Ok (Host_kill { at_ms })
+        | "region_store_outage" -> (
+            match split1 ~on:'+' tail with
+            | None -> Error (Printf.sprintf "fault %S: expected T+DUR" tok)
+            | Some (t, d) ->
+                let* at_ms = parse_int (tok ^ ": time") t in
+                let* dur_ms = parse_int (tok ^ ": duration") d in
+                Ok (Region_store_outage { at_ms; dur_ms }))
+        | "rolling_upgrade" -> (
+            match split1 ~on:':' tail with
+            | None -> Error (Printf.sprintf "fault %S: expected T:BOUND" tok)
+            | Some (t, k) ->
+                let* at_ms = parse_int (tok ^ ": time") t in
+                let* bound = parse_int (tok ^ ": bound") k in
+                Ok (Rolling_upgrade { at_ms; bound }))
+        | other -> Error (Printf.sprintf "unknown fault kind %S" other))
+end
+
+
+(* Every token kind as the reference reads it: name, selector, whether a
+   [+DUR] follows the instant ([`Opt]: it may be left out) and the
+   separator before a trailing number. *)
+let token_kinds =
+  [
+    ("kill", `Kill, `No, None);
+    ("planned", `Bare, `No, None);
+    ("heal", `Bare, `No, None);
+    ("flap", `Vrf, `Req, None);
+    ("loss", `Vrf, `Req, Some ':');
+    ("bfd", `Vrf, `No, Some 'x');
+    ("rst", `Vrf, `No, None);
+    ("cease", `Vrf, `No, None);
+    ("store_crash", `Bare, `Opt, None);
+    ("store_partition", `Bare, `Req, None);
+    ("store_slow", `Bare, `Req, Some ':');
+    ("host_kill", `Bare, `No, None);
+    ("region_store_outage", `Bare, `Req, None);
+    ("rolling_upgrade", `Bare, `No, Some ':');
+  ]
+
+let gen_valid_token =
+  let open QCheck.Gen in
+  let num = oneof [ int_bound 100_000; int_range (-50) 50 ] in
+  let* name, sel, dur, sep = oneofl token_kinds in
+  let* sel =
+    match sel with
+    | `Bare -> return ""
+    | `Vrf -> map (Printf.sprintf ".%d") (int_bound 9)
+    | `Kill ->
+        map (( ^ ) ".") (oneofl [ "app"; "container"; "host"; "hostnet" ])
+  in
+  let* at = num in
+  let plus_num = map (Printf.sprintf "+%d") num in
+  let* dur =
+    match dur with
+    | `No -> return ""
+    | `Req -> plus_num
+    | `Opt -> oneof [ return ""; plus_num ]
+  in
+  let* trailer =
+    match sep with
+    | None -> return ""
+    | Some c -> map (Printf.sprintf "%c%d" c) num
+  in
+  return (Printf.sprintf "%s%s@%d%s%s" name sel at dur trailer)
+
+(* One edit of a token: a separator dropped, added or swapped, a numeral
+   respelled (empty, non-numeric, or another syntax [int_of_string]
+   reads), the selector dropped, or the kind renamed. *)
+let gen_mutation tok =
+  let open QCheck.Gen in
+  let n = String.length tok in
+  let seps = [ '.'; '+'; ':'; 'x'; '@' ] in
+  let splice i len s =
+    String.sub tok 0 i ^ s ^ String.sub tok (i + len) (n - i - len)
+  in
+  let pick p f =
+    match List.filter p (List.init n Fun.id) with
+    | [] -> return tok
+    | is -> oneofl is >>= f
+  in
+  let is_sep i = List.mem tok.[i] seps in
+  let is_digit i = i < n && tok.[i] >= '0' && tok.[i] <= '9' in
+  let run_start i = is_digit i && not (i > 0 && is_digit (i - 1)) in
+  let rec run_end i = if is_digit i then run_end (i + 1) else i in
+  let rec name_end i =
+    if i < n && tok.[i] <> '.' && tok.[i] <> '@' then name_end (i + 1) else i
+  in
+  let sep = map (String.make 1) (oneofl seps) in
+  let numerals =
+    [ ""; "a"; "1_000"; "+5"; "0x10"; "-3"; "0o7"; "0b11"; "1.5"; " 7"; "x" ]
+  in
+  let names =
+    List.map (fun (k, _, _, _) -> k) token_kinds
+    @ [ "zap"; ""; "Kill"; "kill_"; "store" ]
+  in
+  frequency
+    [
+      (2, pick is_sep (fun i -> return (splice i 1 "")));
+      (2, int_bound n >>= fun i -> map (splice i 0) sep);
+      (2, pick is_sep (fun i -> map (splice i 1) sep));
+      ( 4,
+        pick run_start (fun i ->
+            map (splice i (run_end i - i)) (oneofl numerals)) );
+      ( 1,
+        match (String.index_opt tok '.', String.index_opt tok '@') with
+        | Some d, Some a when d < a -> return (splice d (a - d) "")
+        | _ -> return tok );
+      (2, map (splice 0 (name_end 0)) (oneofl names));
+    ]
+
+let gen_mutated_token =
+  let open QCheck.Gen in
+  let rec edits k tok =
+    if k = 0 then return tok else gen_mutation tok >>= edits (k - 1)
+  in
+  let* tok = gen_valid_token in
+  let* k = int_bound 3 in
+  edits k tok
+
+(* A selector on a kind that takes none ([planned.3@5]): the reference
+   ignored it, the tokenizer rejects it. *)
+let selector_on_bare_kind tok =
+  match (String.index_opt tok '.', String.index_opt tok '@') with
+  | Some d, Some a when d < a ->
+      List.exists
+        (fun (k, sel, _, _) -> sel = `Bare && String.sub tok 0 d = k)
+        token_kinds
+  | _ -> false
+
+let prop_tokenizer_matches_reference =
+  QCheck.Test.make ~count:3000
+    ~name:"fault tokenizer agrees with the reference"
+    (QCheck.make ~print:Fun.id gen_mutated_token)
+    (fun tok ->
+      match (Ref.fault_of_string tok, Chaos.Descriptor.fault_of_string tok) with
+      | _, got when selector_on_bare_kind tok -> Result.is_error got
+      | Ok a, Ok b ->
+          a = b
+          && Chaos.Descriptor.(fault_of_string (fault_to_string b)) = Ok b
+      | Error _, Error _ -> true
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+let test_selector_on_bare_kind_rejected () =
+  List.iter
+    (fun tok ->
+      checkb (tok ^ " read by the reference") true
+        (Result.is_ok (Ref.fault_of_string tok));
+      checkb (tok ^ " rejected") true
+        (Result.is_error (Chaos.Descriptor.fault_of_string tok)))
+    [ "planned.3@5"; "host_kill.1@5"; "store_crash.0@5+3"; "heal.x@5" ]
+
+(* [map_vrf] retargets exactly the kinds that name a VRF. *)
+let test_map_vrf () =
+  let retarget tok =
+    Chaos.Descriptor.(
+      fault_to_string (map_vrf succ (Result.get_ok (fault_of_string tok))))
+  in
+  List.iter
+    (fun (tok, want) -> checks tok want (retarget tok))
+    [
+      ("flap.0@5+3", "flap.1@5+3");
+      ("loss.2@5+3:4", "loss.3@5+3:4");
+      ("bfd.0@5x60", "bfd.1@5x60");
+      ("rst.1@5", "rst.2@5");
+      ("cease.0@5", "cease.1@5");
+      ("kill.app@5", "kill.app@5");
+      ("store_crash@5", "store_crash@5");
+      ("store_slow@5+3:200", "store_slow@5+3:200");
+      ("rolling_upgrade@5:2", "rolling_upgrade@5:2");
+    ]
+
+(* Every committed descriptor line, in the corpus and in the benchmark's
+   chaos pool, is canonical: it parses and prints back byte for byte. *)
+let test_committed_lines_print_back () =
+  let read path =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let corpus = List.find Sys.file_exists [ "corpus"; "../corpus" ] in
+  let corpus_lines =
+    Sys.readdir corpus |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".chaos")
+    |> List.concat_map (fun f -> read (Filename.concat corpus f))
+    |> List.filter (String.starts_with ~prefix:"chaos1 ")
+  in
+  let pool_lines =
+    read
+      (List.find Sys.file_exists
+         [
+           "perfsuite/golden/chaos_pool.txt";
+           "../perfsuite/golden/chaos_pool.txt";
+         ])
+    |> List.filter_map (fun l ->
+           match String.index_opt l ' ' with
+           | Some sp -> Some (String.sub l (sp + 1) (String.length l - sp - 1))
+           | None -> None)
+  in
+  let lines = corpus_lines @ pool_lines in
+  checki "committed descriptor lines" 205 (List.length lines);
+  List.iter
+    (fun line ->
+      match Chaos.Descriptor.of_string line with
+      | Ok d -> checks "prints back" line (Chaos.Descriptor.to_string d)
+      | Error e -> Alcotest.failf "%s: %s" e line)
+    lines
+
 let test_store_fault_runs_green () =
   (* Seeds whose generated schedules carry store faults, including ones
      that push the replicator into degraded mode and back (found by
@@ -608,7 +938,15 @@ let () =
             test_bare_fault_list_parser;
           Alcotest.test_case "pre-store descriptors still parse" `Quick
             test_pre_store_descriptors_still_parse;
-        ] );
+          Alcotest.test_case "selector on a bare kind rejected" `Quick
+            test_selector_on_bare_kind_rejected;
+          Alcotest.test_case "committed lines print back" `Quick
+            test_committed_lines_print_back;
+          Alcotest.test_case "map_vrf retargets VRF kinds" `Quick
+            test_map_vrf;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_tokenizer_matches_reference ] );
       ( "runner",
         Alcotest.test_case "generated runs green" `Slow
           test_generated_runs_green

@@ -89,6 +89,39 @@ let test_alloc_bytes_exact () =
     (stat "large").alloc_bytes;
   Alcotest.(check (float 0.)) "no allocation" 0. (stat "none").alloc_bytes
 
+(* The whole-run reader behind [experiment --emit-bench] counts every
+   word, young or major, across minor collections: a 100,001-word array
+   (allocated straight on the major heap) plus 10,000 cons cells, kept
+   alive through a promoting minor collection, read as exactly 1,040,008
+   bytes on a 64-bit host once the reads' own constant cost, measured
+   around nothing, is taken off. *)
+let test_allocated_bytes_exact () =
+  let w = Sys.word_size / 8 in
+  let keep = ref [] in
+  let measure f =
+    let a = Prof.Profiler.allocated_bytes () in
+    f ();
+    Prof.Profiler.allocated_bytes () -. a
+  in
+  let reads = measure ignore in
+  let rec cons n acc = if n = 0 then acc else cons (n - 1) (n :: acc) in
+  Alcotest.(check (float 0.))
+    "array, list and a promotion"
+    (float_of_int ((100_001 + (3 * 10_000)) * w))
+    (measure (fun () ->
+         ignore (Sys.opaque_identity (Array.make 100_000 0));
+         keep := cons 10_000 [];
+         Gc.minor ())
+    -. reads);
+  Alcotest.(check (float 0.))
+    "300k blocks across a minor collection"
+    (float_of_int (300_000 * 2 * w))
+    (measure (fun () ->
+         for i = 1 to 300_000 do
+           ignore (Sys.opaque_identity (ref i))
+         done)
+    -. reads)
+
 (* --- determinism: profiler on/off must not change telemetry ---------------- *)
 
 let corpus_dir () = if Sys.file_exists "corpus" then "corpus" else "../corpus"
@@ -242,6 +275,8 @@ let () =
             test_label_attribution_and_inheritance;
           Alcotest.test_case "allocation bytes exact" `Quick
             test_alloc_bytes_exact;
+          Alcotest.test_case "allocated bytes reader exact" `Quick
+            test_allocated_bytes_exact;
           Alcotest.test_case "export formats" `Quick test_export_formats;
         ] );
       ( "determinism",

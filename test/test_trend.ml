@@ -147,7 +147,11 @@ let test_mixed_schema_series () =
 (* --- the committed CI series ------------------------------------------------ *)
 
 let committed =
-  [ "../bench/history/BENCH_pr3_seed_v1.json"; "../BENCH_seed.json"; "../BENCH_pr9.json" ]
+  [
+    "../bench/history/BENCH_pr3_quick.json";
+    "../bench/history/BENCH_pr8_quick.json";
+    "../bench/history/BENCH_pr10_quick.json";
+  ]
 
 let read_snapshot path =
   parse (In_channel.with_open_bin path In_channel.input_all)
