@@ -1,6 +1,6 @@
 (* tensor-lint: the repo's determinism & protocol-safety linter.
 
-     tensor-lint                         # lint lib/ bin/ bench/ examples/
+     tensor-lint                         # lint Lint.Driver.lint_paths
      tensor-lint --jobs 4                # fan the per-file scan over domains
      tensor-lint --json lib/bgp          # machine-readable report
      tensor-lint --baseline FILE PATHS   # fail on NEW findings and stale entries
@@ -13,10 +13,12 @@
    finding went away and the entry must go too, or it would absorb the
    next finding like it.
 
+   Whatever PATHS name, i1 counts readers over every lint path and
+   reader path (Lint.Driver.reader_paths) under the working directory,
+   so a partial run judges exports as the full one does.
+
    Exit status: 0 clean, 1 new findings or stale baseline entries, 2
    usage or I/O error. *)
-
-let default_paths = [ "lib"; "bin"; "bench"; "examples" ]
 
 let usage =
   "tensor-lint [--jobs N] [--json] [--github] [--baseline FILE] \
@@ -87,14 +89,18 @@ let () =
       "meta: files must parse (not suppressible)";
     exit 0
   end;
-  let paths = if !paths = [] then default_paths else List.rev !paths in
+  let paths = if !paths = [] then Lint.Driver.lint_paths else List.rev !paths in
   (match List.filter (fun p -> not (Sys.file_exists p)) paths with
   | [] -> ()
   | missing ->
       Printf.eprintf "tensor-lint: no such path: %s\n"
         (String.concat ", " missing);
       exit 2);
-  let report = Lint.Driver.run ~jobs:!jobs ~paths () in
+  let report =
+    Lint.Driver.run ~jobs:!jobs
+      ~readers:(Lint.Driver.lint_paths @ Lint.Driver.reader_paths)
+      ~paths ()
+  in
   (* Only entries under the linted paths can be judged stale. *)
   let in_scope (e : Lint.Baseline.entry) =
     List.exists

@@ -8,14 +8,6 @@ let m_pkts_out = Telemetry.Registry.counter "bfd.packets_out"
 let m_detections = Telemetry.Registry.counter "bfd.detections"
 let m_sessions = Telemetry.Registry.counter "bfd.sessions"
 
-let pp_state fmt s =
-  Format.pp_print_string fmt
-    (match s with
-    | Admin_down -> "AdminDown"
-    | Down -> "Down"
-    | Init -> "Init"
-    | Up -> "Up")
-
 type control = {
   vrf : string;
   my_disc : int;
@@ -96,9 +88,6 @@ let session_state s = s.st
 let on_state_change s f = s.change_cb <- f
 let my_disc s = s.disc
 let your_disc s = s.peer_disc
-let vrf s = s.svrf
-let remote s = s.sremote
-let local s = s.slocal
 let packets_in s = s.n_in
 let packets_out s = s.n_out
 let last_rx s = if s.has_rx then Some s.last_rx_at else None
@@ -313,7 +302,6 @@ let tx_interval s = s.tx_interval
 
 module Relay = struct
   type t = {
-    rnode : Node.t;
     mutable timer : Engine.timer option;
     mutable sent : int;
   }
@@ -322,7 +310,7 @@ module Relay = struct
   let tx_interval = Time.ms 100
 
   let start node ~src ~dst ~vrf ~my_disc ~your_disc () =
-    let t = { rnode = node; timer = None; sent = 0 } in
+    let t = { timer = None; sent = 0 } in
     let ctl =
       {
         vrf;

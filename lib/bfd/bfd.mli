@@ -17,8 +17,6 @@
 
 type state = Admin_down | Down | Init | Up
 
-val pp_state : Format.formatter -> state -> unit
-
 type control = {
   vrf : string;
   my_disc : int;
@@ -58,11 +56,6 @@ val create_session :
     the failed primary), so the remote peer — kept alive by the agent's
     relay meanwhile — never observes a state change. *)
 
-val stop_session : session -> unit
-(** Stops transmitting and detection (administrative down). *)
-
-val session_state : session -> state
-
 val on_state_change : session -> (old:state -> state -> unit) -> unit
 (** Fires on every transition, including the Up→Down detection that
     TENSOR treats as a VRF link-failure report. *)
@@ -70,17 +63,6 @@ val on_state_change : session -> (old:state -> state -> unit) -> unit
 val my_disc : session -> int
 val your_disc : session -> int
 (** Discriminators — what the agent needs to impersonate the session. *)
-
-val vrf : session -> string
-val remote : session -> Netsim.Addr.t
-val local : session -> Netsim.Addr.t
-
-val packets_in : session -> int
-val packets_out : session -> int
-
-val last_rx : session -> Sim.Time.t option
-(** When the most recent control packet arrived — the peer-side liveness
-    evidence. *)
 
 (** {1 The agent's relay transmitter} *)
 
@@ -101,6 +83,9 @@ module Relay : sig
       transmit-side: the relay never receives. *)
 
   val stop : t -> unit
+
+  (** {1 Test-only} *)
+
   val packets_sent : t -> int
 end
 
@@ -113,3 +98,15 @@ val set_tx_interval : session -> Sim.Time.span -> unit
     window with it. Raises [Invalid_argument] on a non-positive span. *)
 
 val tx_interval : session -> Sim.Time.span
+
+(** {1 Test-only} *)
+
+val stop_session : session -> unit
+(** Stops transmitting and detection (administrative down). *)
+
+val session_state : session -> state
+val packets_in : session -> int
+val packets_out : session -> int
+val last_rx : session -> Sim.Time.t option
+(** When the most recent control packet arrived — the peer-side liveness
+    evidence. *)

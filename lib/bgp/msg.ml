@@ -552,20 +552,3 @@ module Framer = struct
         List.rev !out
 end
 
-let pp fmt = function
-  | Open o ->
-      Format.fprintf fmt "OPEN as=%d hold=%d id=%a caps=%d" o.asn o.hold_time
-        Netsim.Addr.pp o.router_id
-        (List.length o.capabilities)
-  | Update u ->
-      if is_end_of_rib (Update u) then Format.pp_print_string fmt "End-of-RIB"
-      else
-        Format.fprintf fmt "UPDATE +%d -%d%s" (List.length u.nlri)
-          (List.length u.withdrawn)
-          (match u.attrs with
-          | Some a -> Format.asprintf " [%a]" Attrs.pp a
-          | None -> "")
-  | Notification n -> Format.fprintf fmt "NOTIFICATION %d/%d" n.code n.subcode
-  | Keepalive -> Format.pp_print_string fmt "KEEPALIVE"
-  | Route_refresh { afi; safi } ->
-      Format.fprintf fmt "ROUTE-REFRESH %d/%d" afi safi

@@ -89,13 +89,13 @@ module Framer : sig
       poisoned and returns only that error — a real speaker tears the
       session down. *)
 
-  val buffered : t -> int
-  (** Bytes held waiting for the rest of a frame. *)
-
   val buffered_bytes : t -> string
   (** The held partial-frame bytes themselves (TENSOR replicates them
       when a stalled sender cannot complete the frame, see
       {!Tensor.Replicator}). *)
-end
 
-val pp : Format.formatter -> t -> unit
+  (** {1 Test-only} *)
+
+  val buffered : t -> int
+  (** Bytes held waiting for the rest of a frame. *)
+end

@@ -34,12 +34,6 @@ type t
 val empty : t
 (** Accepts everything unchanged. *)
 
-val make : ?default:[ `Accept | `Reject ] -> rule list -> t
-(** [default] applies when no rule matches (default [`Accept]). *)
-
-val accept_rule : ?conds:cond list -> action list -> rule
-val reject_rule : cond list -> rule
-
 val apply : t -> Netsim.Addr.prefix -> Attrs.t -> Attrs.t option
 (** [apply t prefix attrs] is [None] when rejected, or the rewritten
     attributes. A route accepted without actions (the empty policy
@@ -50,3 +44,11 @@ val accepts_all : t -> bool
 (** [true] for a policy with no rules and an [`Accept] default, such as
     {!empty}: {!apply} returns every route's [attrs] unchanged, so a
     caller may skip it. *)
+
+(** {1 Test-only} *)
+
+val make : ?default:[ `Accept | `Reject ] -> rule list -> t
+(** [default] applies when no rule matches (default [`Accept]). *)
+
+val accept_rule : ?conds:cond list -> action list -> rule
+val reject_rule : cond list -> rule

@@ -72,18 +72,9 @@ val reserve : t -> int -> unit
     the batch triggers no rehash on the way. *)
 
 val best : t -> Netsim.Addr.prefix -> path option
-val candidates : t -> Netsim.Addr.prefix -> path list
-(** All paths for the prefix, best first. *)
-
-val prefix_hash : Netsim.Addr.prefix -> int
-(** The Loc-RIB table's hash: base and length packed into one int and
-    mixed by {!Netsim.Addr.hash_int}. *)
 
 val size : t -> int
 (** Prefixes with at least one path. *)
-
-val path_count : t -> int
-(** Total paths across all prefixes. *)
 
 val fold_best : t -> init:'a -> f:('a -> Netsim.Addr.prefix -> path -> 'a) -> 'a
 (** Folds over the Loc-RIB (best path per prefix). *)
@@ -110,7 +101,18 @@ val sweep_stale : t -> key:string -> change list
 (** Restart timer expiry or End-of-RIB: remove the source's still-stale
     paths and report changes. *)
 
-val stale_count : t -> key:string -> int
+(** {1 Test-only} *)
 
+val candidates : t -> Netsim.Addr.prefix -> path list
+(** All paths for the prefix, best first. *)
+
+val prefix_hash : Netsim.Addr.prefix -> int
+(** The Loc-RIB table's hash: base and length packed into one int and
+    mixed by {!Netsim.Addr.hash_int}. *)
+
+val path_count : t -> int
+(** Total paths across all prefixes. *)
+
+val stale_count : t -> key:string -> int
 val better : path -> path -> bool
 (** [better a b] — the decision process preference, exposed for tests. *)

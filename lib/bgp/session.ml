@@ -95,7 +95,6 @@ type t = {
 }
 
 let state t = t.st
-let config t = t.cfg
 let negotiated t = t.neg
 let conn t = t.tcp
 let parsed_bytes t = t.parsed

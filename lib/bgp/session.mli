@@ -60,15 +60,6 @@ val default_hold_time : int
 (** 90 s, the hold time every speaker proposes unless configured
     otherwise (RFC 4271 §10's suggested value). *)
 
-val default_config :
-  local_asn:int ->
-  router_id:Netsim.Addr.t ->
-  peer_addr:Netsim.Addr.t ->
-  unit ->
-  config
-(** hold {!default_hold_time}, port 179, active, GR advertised at 120 s,
-    AS4 on. *)
-
 type t
 
 val start_active : Tcp.stack -> config -> cb:(t -> event -> unit) -> t
@@ -121,7 +112,6 @@ val stop : t -> unit
 (** Sends a Cease NOTIFICATION and closes. *)
 
 val state : t -> state
-val config : t -> config
 val negotiated : t -> negotiated option
 val conn : t -> Tcp.conn option
 
@@ -134,8 +124,19 @@ val parsed_bytes : t -> int
     TENSOR-inferred ACK for the last parsed message is
     [Tcp.irs conn + 1 + parsed_bytes]. *)
 
-val keepalives_in : t -> int
-
 val last_write : t -> Sim.Time.t
 (** Instant the most recent UPDATE was actually written to TCP (after the
     replication hook released it); keepalives do not count. *)
+
+(** {1 Test-only} *)
+
+val default_config :
+  local_asn:int ->
+  router_id:Netsim.Addr.t ->
+  peer_addr:Netsim.Addr.t ->
+  unit ->
+  config
+(** hold {!default_hold_time}, port 179, active, GR advertised at 120 s,
+    AS4 on. *)
+
+val keepalives_in : t -> int

@@ -88,8 +88,6 @@ let no_hooks =
   }
 
 let stack t = t.stk
-let engine t = t.eng
-let local_asn t = t.asn
 let router_id t = t.rid
 let peers t = List.rev t.peer_list
 let peer_cfg p = p.pcfg
@@ -126,8 +124,6 @@ let add_vrf t name =
     Hashtbl.replace t.vrf_tbl name (Rib.create ());
     t.vrf_order <- t.vrf_order @ [ name ]
   end
-
-let vrfs t = t.vrf_order
 
 let rib t ~vrf =
   match Hashtbl.find_opt t.vrf_tbl vrf with

@@ -42,9 +42,6 @@ type profile = {
   update_packing : bool;
 }
 
-val default_profile : profile
-(** FRRouting-like: 4 µs/update rx, packing enabled. *)
-
 type t
 type peer
 
@@ -81,17 +78,8 @@ val create :
     sessions start per-peer via {!add_peer} + {!start_peer} or
     {!start}. *)
 
-val stack : t -> Tcp.stack
-val engine : t -> Sim.Engine.t
-val local_asn : t -> int
-val router_id : t -> Netsim.Addr.t
-
 (** {1 VRFs} *)
 
-val add_vrf : t -> string -> unit
-(** Idempotent. *)
-
-val vrfs : t -> string list
 val rib : t -> vrf:string -> Rib.t
 (** Raises [Not_found] for an unknown VRF. *)
 
@@ -127,11 +115,6 @@ val start_peer : t -> peer -> unit
 
 val start : t -> unit
 (** {!start_peer} for every registered peer. *)
-
-val request_refresh : t -> peer -> unit
-(** Sends a ROUTE-REFRESH (RFC 2918) asking the peer to resend its
-    Adj-RIB-Out — the standard way to re-evaluate a changed import policy
-    without bouncing the session. No-op unless Established. *)
 
 val stop_peer : t -> peer -> unit
 (** Administrative stop (Cease); disables auto-reconnect until
@@ -187,7 +170,34 @@ val replay_update : t -> peer -> Msg.update -> unit
     the normal receive path (policy, RIB, checkpoint hooks) without a
     transport. Used by the backup after {!resume_peer}. *)
 
-(** {1 Update packing} *)
+(** {1 Statistics} *)
+
+val updates_learned : t -> int
+(** Cumulative routes (NLRI + withdrawals) applied to RIBs. *)
+
+val updates_sent : t -> int
+(** Cumulative routes handed to the IO thread. *)
+
+val last_tx_handoff : t -> Sim.Time.t
+(** Instant the most recent outgoing message reached TCP. *)
+
+val last_rx_applied : t -> Sim.Time.t
+(** Instant the most recent received update finished RIB application. *)
+
+(** {1 Test-only} *)
+
+val default_profile : profile
+(** FRRouting-like: 4 µs/update rx, packing enabled. *)
+
+val stack : t -> Tcp.stack
+val router_id : t -> Netsim.Addr.t
+val add_vrf : t -> string -> unit
+(** Idempotent. *)
+
+val request_refresh : t -> peer -> unit
+(** Sends a ROUTE-REFRESH (RFC 2918) asking the peer to resend its
+    Adj-RIB-Out — the standard way to re-evaluate a changed import policy
+    without bouncing the session. No-op unless Established. *)
 
 val build_messages :
   (Netsim.Addr.prefix * Attrs.t) list -> Netsim.Addr.prefix list -> Msg.t list
@@ -197,17 +207,4 @@ val build_messages :
     order and prefixes in input order, each group chunked to fit a
     message. Every speaker export goes through it; exposed for tests. *)
 
-(** {1 Statistics} *)
-
-val updates_learned : t -> int
-(** Cumulative routes (NLRI + withdrawals) applied to RIBs. *)
-
-val updates_sent : t -> int
-(** Cumulative routes handed to the IO thread. *)
-
 val messages_sent : t -> int
-val last_tx_handoff : t -> Sim.Time.t
-(** Instant the most recent outgoing message reached TCP. *)
-
-val last_rx_applied : t -> Sim.Time.t
-(** Instant the most recent received update finished RIB application. *)

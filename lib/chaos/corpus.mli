@@ -7,16 +7,6 @@
     identical telemetry digests. CI replays the corpus on every PR and
     the nightly fuzz job appends new shrunk repros as artifacts. *)
 
-val entry_extension : string
-(** [".chaos"] *)
-
-val load_file : string -> (Descriptor.t, string) result
-(** Parses the first non-comment, non-blank line. *)
-
-val load_dir : string -> (string * (Descriptor.t, string) result) list
-(** Every [*.chaos] file in the directory, sorted by name. Missing
-    directory is an empty corpus. *)
-
 val save : dir:string -> ?comment:string -> Descriptor.t -> string
 (** Writes [<dir>/seed<seed>-<fingerprint>.chaos] (creating [dir] and
     its parents if needed) and returns the path. [comment] lines are
@@ -36,3 +26,15 @@ val replay_file : string -> replay
     run {e and} digest equality across the two. *)
 
 val replay_dir : string -> replay list
+
+(** {1 Test-only} *)
+
+val entry_extension : string
+(** [".chaos"] *)
+
+val load_file : string -> (Descriptor.t, string) result
+(** Parses the first non-comment, non-blank line. *)
+
+val load_dir : string -> (string * (Descriptor.t, string) result) list
+(** Every [*.chaos] file in the directory, sorted by name. Missing
+    directory is an empty corpus. *)

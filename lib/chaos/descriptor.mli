@@ -85,9 +85,6 @@ val fault_to_string : fault -> string
     [kill.app@2000], [loss.0@6145+2449:23], [bfd.0@5801x95],
     [store_crash@2075] (a permanent crash) and [rolling_upgrade@5000:4]. *)
 
-val fault_of_string : string -> (fault, string) result
-(** The inverse of {!fault_to_string}, without {!validate}. *)
-
 val map_vrf : (int -> int) -> fault -> fault
 (** Rewrites the VRF index of a fault that targets one. *)
 
@@ -117,6 +114,11 @@ val faults_of_string : string -> (fault list, string) result
     are the empty schedule. *)
 
 val equal : t -> t -> bool
+
+(** {1 Test-only} *)
+
+val fault_of_string : string -> (fault, string) result
+(** The inverse of {!fault_to_string}, without {!validate}. *)
 
 val validate : t -> (unit, string) result
 (** Structural sanity: positive counts, fault vrf indices in range,

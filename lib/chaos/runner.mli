@@ -28,13 +28,6 @@ type outcome = {
 val ok : outcome -> bool
 (** No violations and no errors. *)
 
-val disabled_checkers : Descriptor.t -> string list
-(** The applicability matrix: [rst]/[cease] faults disable
-    [no_peer_visible_reset] (the remote AS resets the session on
-    purpose); [cease] additionally disables [route_flap_absence] (an
-    administrative Cease is not GR-eligible, so the peer legitimately
-    drops the learned routes until re-establishment). *)
-
 val run : ?out:string -> Descriptor.t -> outcome
 (** Never raises: an exception is reported in [errors], without the
     run's violations. [?out] writes the run's artifacts into that
@@ -42,3 +35,12 @@ val run : ?out:string -> Descriptor.t -> outcome
 
 val summary : outcome -> string
 (** One-paragraph human-readable failure/success description. *)
+
+(** {1 Test-only} *)
+
+val disabled_checkers : Descriptor.t -> string list
+(** The applicability matrix: [rst]/[cease] faults disable
+    [no_peer_visible_reset] (the remote AS resets the session on
+    purpose); [cease] additionally disables [route_flap_absence] (an
+    administrative Cease is not GR-eligible, so the peer legitimately
+    drops the learned routes until re-establishment). *)

@@ -3,7 +3,7 @@
     A fleet topology is an ordinary {!Tensor.Deploy} deployment scaled
     out: [hosts] host machines split across [regions] regions (each with
     its own store server on the fabric), and [instances] TENSOR
-    instances grouped into services of {!replicas} replicas — both
+    instances grouped into services of two replicas — both
     replicas in the same region, always on distinct hosts. Every
     instance peers with its own external AS over one VRF, so the whole
     single-instance NSR machinery (BFD relay, hold-ACK replication,
@@ -14,10 +14,6 @@
     {!Orch.Controller.pick_host}: region-affine, replica-anti-affine,
     deferring gracefully when no in-region host is healthy. *)
 
-val replicas : int
-(** Instances per service (2). *)
-
-val vrf : string
 val local_asn : int
 
 val region_name : int -> string
@@ -28,17 +24,16 @@ val peer_name : int -> string
     the checkers watch. *)
 
 val normalize_instances : int -> int
-(** Rounds up to a multiple of {!replicas} (minimum one full service):
+(** Rounds up to a multiple of two, the replicas per service (minimum
+    one full service):
     a single-replica service would turn any host kill into a spurious
     [fleet_slo] "region lost all replicas" violation. *)
 
 val ack_deadline_s : float
-(** The shed deadline fleet instances run with (fraction
-    {!degrade_frac} of the 90 s hold time) — feed it to
+(** The shed deadline fleet instances run with (5% of the
+    90 s hold time) — feed it to
     {!Monitor.Checker.config.ack_deadline_s} when a campaign includes a
     regional store outage. *)
-
-val degrade_frac : float
 
 type instance = {
   id : string;  (** ["s007.1"] — also the Deploy/controller service id. *)
@@ -74,7 +69,7 @@ val build :
 (** Builds the deployment, regions, per-region stores and all instances
     (emitting one [Fleet_placed] per instance), and installs the
     region-aware placement hook. Raises [Invalid_argument] when a region
-    would get fewer than {!replicas} hosts. *)
+    would get fewer than two hosts. *)
 
 val instance_host : instance -> string
 (** Host name of the instance's current primary container. *)
@@ -86,8 +81,6 @@ val seed_routes : t -> unit
 val wait_all_established : t -> bool
 (** Runs the engine until every instance's session is Established
     (false after 120 s of simulated time). *)
-
-val probe_period : Sim.Time.span
 
 val arm_store_probers : t -> unit
 (** One prober per region: on a store down-edge every Running instance

@@ -20,8 +20,6 @@ type t = {
   mutable retry_armed : bool;
 }
 
-let inflight t = t.inflight
-let completed t = t.completed
 let finished t = t.completed = Array.length t.topo.Topology.instances
 
 let retry_period = Time.ms 500

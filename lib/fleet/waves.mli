@@ -16,7 +16,3 @@ type t
 val start : Topology.t -> bound:int -> t
 (** Starts the wave over every instance, in instance order ([bound] is
     clamped to at least 1). *)
-
-val inflight : t -> int
-val completed : t -> int
-val finished : t -> bool

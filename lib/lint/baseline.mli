@@ -2,8 +2,6 @@
 
 type entry = { b_pass : string; b_file : string; b_message : string }
 
-val of_finding : Finding.t -> entry
-
 val load : string -> (entry list, string) result
 (** Reads a [tensor-lint --json] report (or hand-written baseline):
     only [pass]/[file]/[message] of each entry under ["findings"] are

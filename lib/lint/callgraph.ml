@@ -1,5 +1,6 @@
 (* A repo-wide call graph over the parsed sources, built once per lint
-   run and shared by the interprocedural passes (h1, d5, p3).
+   run and shared by the interprocedural passes (h1, d5, p3), plus the
+   reader index behind the unread-export pass (i1).
 
    Nodes are top-level [let] bindings — including bindings inside
    nested [module M = struct .. end], qualified as "M.f" — one per
@@ -46,6 +47,10 @@ type t = {
   by_module : (string, string list) Hashtbl.t;  (* module -> files *)
   defs_tbl : (string * string, def) Hashtbl.t;
   edges : (string * string, (string * string) list) Hashtbl.t;
+  interfaces : (string * Parsetree.signature) list;  (* sorted by file *)
+  sources : (string * Parsetree.structure) list;
+      (* every reader source, linted or not, sorted by file; never
+         part of the edges *)
 }
 
 let normalize file =
@@ -146,14 +151,21 @@ let refs_of_body (body : Parsetree.expression) =
 
 (* --- Resolution ---------------------------------------------------------- *)
 
-let resolve_module t ~caller_dir m =
+(* The files module [m] may denote: the one file of that name, the one
+   in the caller's own directory, or else every candidate. *)
+let module_files t ~caller_dir m =
   match Hashtbl.find_opt t.by_module m with
-  | None | Some [] -> None
-  | Some [ f ] -> Some f
+  | None -> []
+  | Some (([] | [ _ ]) as files) -> files
   | Some files -> (
       match List.filter (fun f -> Filename.dirname f = caller_dir) files with
-      | [ f ] -> Some f
-      | _ -> None (* ambiguous across directories: refuse *))
+      | [ f ] -> [ f ]
+      | _ -> files)
+
+let resolve_module t ~caller_dir m =
+  match module_files t ~caller_dir m with
+  | [ f ] -> Some f
+  | _ -> None (* ambiguous across directories: refuse *)
 
 (* Defs in [fi] whose qualified name is exactly [q] or ends in ".q". *)
 let suffix_defs fi q =
@@ -213,7 +225,11 @@ let resolve t fi locals lid =
 let key_compare (f1, n1) (f2, n2) =
   match String.compare f1 f2 with 0 -> String.compare n1 n2 | c -> c
 
-let build parsed =
+let sorted_by_file units =
+  List.map (fun (file, x) -> (normalize file, x)) units
+  |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+
+let build ?(interfaces = []) ?(readers = []) parsed =
   let files =
     parsed
     |> List.map (fun (file, str) ->
@@ -248,7 +264,16 @@ let build parsed =
             Hashtbl.replace defs_tbl (d.d_file, d.d_name) d)
         fi.fi_defs)
     files;
-  let t = { files; by_module; defs_tbl; edges = Hashtbl.create 256 } in
+  let t =
+    {
+      files;
+      by_module;
+      defs_tbl;
+      edges = Hashtbl.create 256;
+      interfaces = sorted_by_file interfaces;
+      sources = sorted_by_file (parsed @ readers);
+    }
+  in
   List.iter
     (fun fi ->
       List.iter
@@ -279,13 +304,89 @@ let find t ~file ~name = Hashtbl.find_opt t.defs_tbl (normalize file, name)
 let callees t ~file ~name =
   Option.value ~default:[] (Hashtbl.find_opt t.edges (normalize file, name))
 
-let defs_in t ~file =
-  let file = normalize file in
-  match List.find_opt (fun fi -> String.equal fi.fi_file file) t.files with
-  | None -> []
-  | Some fi -> fi.fi_defs
+(* --- Readers ------------------------------------------------------------- *)
 
-let files t = List.map (fun fi -> fi.fi_file) t.files
+(* What [str], the source of [file], reads of the other repo files:
+   [(file, name)] per value reference, and [(file, prefix)] (prefix
+   [""] or ending in ".") per whole-module use — [include M], a functor
+   argument, a packed module — which reads every export under it.
+   Over-approximate, since a false "unread" costs more than a missed
+   one: a module path counts for every segment that names a repo file
+   ([module_files], as in [resolve], but not only the first match), and
+   module aliases ([module R = Bgp.Rib], [let module]) and opens (file
+   level, [let open], [M.(..)]) hold over the whole file regardless of
+   scope. The walk covers every item, [let () =] included; references
+   into [file] itself are dropped. *)
+let reads t ~file (str : Parsetree.structure) =
+  let file = normalize file in
+  let aliases = Hashtbl.create 8 in
+  let opens = ref [] and wholes = ref [] and idents = ref [] in
+  let path (me : Parsetree.module_expr) =
+    match me.pmod_desc with Pmod_ident { txt; _ } -> [ flatten txt ] | _ -> []
+  in
+  let add r me = r := path me @ !r in
+  let alias name me =
+    Option.iter (fun n -> List.iter (Hashtbl.add aliases n) (path me)) name
+  in
+  let open Ast_iterator in
+  let structure_item it (si : Parsetree.structure_item) =
+    (match si.pstr_desc with
+    | Pstr_module { pmb_name; pmb_expr; _ } -> alias pmb_name.txt pmb_expr
+    | Pstr_open { popen_expr; _ } -> add opens popen_expr
+    | Pstr_include { pincl_mod; _ } -> add wholes pincl_mod
+    | _ -> ());
+    default_iterator.structure_item it si
+  in
+  let module_expr it (me : Parsetree.module_expr) =
+    (match me.pmod_desc with Pmod_apply (_, arg) -> add wholes arg | _ -> ());
+    default_iterator.module_expr it me
+  in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> idents := flatten txt :: !idents
+    | Pexp_open ({ popen_expr; _ }, _) -> add opens popen_expr
+    | Pexp_letmodule ({ txt; _ }, me, _) -> alias txt me
+    | Pexp_pack me -> add wholes me
+    | _ -> ());
+    default_iterator.expr it e
+  in
+  let it = { default_iterator with structure_item; module_expr; expr } in
+  it.structure it str;
+  (* A path and its alias expansions (bounded: aliases may cycle). *)
+  let rec expand depth segs =
+    match segs with
+    | m :: rest when depth < 4 ->
+        segs
+        :: List.concat_map
+             (fun a -> expand (depth + 1) (a @ rest))
+             (Hashtbl.find_all aliases m)
+    | _ -> [ segs ]
+  in
+  let dotted = List.fold_left (fun acc s -> acc ^ s ^ ".") "" in
+  let direct segs =
+    List.concat
+      (List.mapi
+         (fun i m ->
+           let inner = dotted (List.filteri (fun j _ -> j > i) segs) in
+           module_files t ~caller_dir:(Filename.dirname file) m
+           |> List.map (fun f -> (f, inner)))
+         segs)
+  in
+  let opened = List.concat_map direct (List.concat_map (expand 0) !opens) in
+  let targets segs =
+    List.concat_map
+      (fun segs ->
+        direct segs @ List.map (fun (f, p) -> (f, p ^ dotted segs)) opened)
+      (expand 0 segs)
+  in
+  let value segs =
+    let n = List.length segs - 1 in
+    targets (List.filteri (fun i _ -> i < n) segs)
+    |> List.map (fun (f, p) -> (f, p ^ List.nth segs n))
+  in
+  List.concat_map value !idents @ List.concat_map targets !wholes
+  |> List.filter (fun (f, _) -> not (String.equal f file))
+  |> List.sort_uniq key_compare
 
 (* Files whose normalized path equals [suffix] or ends in "/suffix":
    lets manifests name "lib/sim/engine.ml" whether the scan ran from

@@ -6,10 +6,14 @@ let passes =
     Pass_d4.pass;
     Pass_d5.pass;
     Pass_h1.pass;
+    Pass_i1.pass;
     Pass_p1.pass;
     Pass_p2.pass;
     Pass_p3.pass;
   ]
+
+let lint_paths = [ "lib"; "bin"; "bench"; "examples" ]
+let reader_paths = [ "perfsuite"; "test" ]
 
 let known_passes =
   Suppress.meta_pass :: List.map (fun p -> p.Pass.name) passes
@@ -27,11 +31,17 @@ let parse_finding ~file ~loc msg =
    suppression scanning run truly concurrently. *)
 let parse_mutex = Mutex.create ()
 
+(* An interface parses to a signature, everything else to a structure. *)
+type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
+
 let parse_file ~file source =
   Mutex.protect parse_mutex (fun () ->
       let lexbuf = Lexing.from_string source in
       Lexing.set_filename lexbuf file;
-      match Parse.implementation lexbuf with
+      match
+        if Filename.check_suffix file ".mli" then Intf (Parse.interface lexbuf)
+        else Impl (Parse.implementation lexbuf)
+      with
       | exception Syntaxerr.Error e ->
           Error
             (parse_finding ~file ~loc:(Syntaxerr.location_of_error e)
@@ -40,7 +50,7 @@ let parse_file ~file source =
           Error (parse_finding ~file ~loc "lexer error")
       | exception _ ->
           Error (parse_finding ~file ~loc:Location.none "unparseable source")
-      | str -> Ok str)
+      | ast -> Ok ast)
 
 let file_passes ~file str =
   let ctx = { Pass.file } in
@@ -56,7 +66,7 @@ let graph_passes graph =
    worker domain never re-reads or re-parses. *)
 type scanned = {
   s_file : string;
-  s_structure : Parsetree.structure option;  (* None: did not parse *)
+  s_ast : ast option;  (* None: did not parse *)
   s_findings : Finding.t list;  (* per-file pass or parse findings *)
   s_directives : Suppress.directive list;
 }
@@ -64,30 +74,38 @@ type scanned = {
 let scan_source ~file source =
   match parse_file ~file source with
   | Error f ->
+      { s_file = file; s_ast = None; s_findings = [ f ]; s_directives = [] }
+  | Ok ast ->
       {
         s_file = file;
-        s_structure = None;
-        s_findings = [ f ];
-        s_directives = [];
-      }
-  | Ok str ->
-      {
-        s_file = file;
-        s_structure = Some str;
-        s_findings = file_passes ~file str;
+        s_ast = Some ast;
+        s_findings =
+          (match ast with Impl str -> file_passes ~file str | Intf _ -> []);
         s_directives = Suppress.scan source;
       }
 
+(* A reader source only feeds i1's reader index: parsed, never linted. *)
+let parse_reader ~file source =
+  match parse_file ~file source with
+  | Ok (Impl str) -> Some (file, str)
+  | Ok (Intf _) | Error _ -> None
+
 (* Repo passes over the call graph, then per-file suppression over the
-   union of both stages' findings. Shared by [run] and [lint_source]
+   union of both stages' findings. Shared by [run] and [lint_sources]
    so a single-file fixture exercises the interprocedural passes too
    (its file path decides which manifest roots it can match). *)
-let finalize scanned =
+let finalize ~readers scanned =
   let graph =
     Callgraph.build
+      ~interfaces:
+        (List.filter_map
+           (fun s ->
+             match s.s_ast with Some (Intf sg) -> Some (s.s_file, sg) | _ -> None)
+           scanned)
+      ~readers
       (List.filter_map
          (fun s ->
-           Option.map (fun str -> (s.s_file, str)) s.s_structure)
+           match s.s_ast with Some (Impl str) -> Some (s.s_file, str) | _ -> None)
          scanned)
   in
   let repo_findings = graph_passes graph in
@@ -106,14 +124,19 @@ let finalize scanned =
       (found :: fs, n + suppressed))
     ([], 0) scanned
 
-let lint_source ~file source =
-  let findings, suppressed = finalize [ scan_source ~file source ] in
+let lint_sources ?(readers = []) sources =
+  let readers = List.filter_map (fun (file, src) -> parse_reader ~file src) readers in
+  let findings, suppressed =
+    finalize ~readers
+      (List.map (fun (file, source) -> scan_source ~file source) sources)
+  in
   (List.sort Finding.compare (List.concat findings), suppressed)
 
 let rec files_under path =
   if not (Sys.file_exists path) then []
   else if not (Sys.is_directory path) then
-    if Filename.check_suffix path ".ml" then [ path ] else []
+    if List.exists (Filename.check_suffix path) [ ".ml"; ".mli" ] then [ path ]
+    else []
   else
       Sys.readdir path |> Array.to_list |> List.sort String.compare
       |> List.concat_map (fun name ->
@@ -132,17 +155,27 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let run ?(jobs = 1) ~paths () =
+let run ?(jobs = 1) ?(readers = []) ~paths () =
   let files = Array.of_list (List.concat_map files_under paths) in
+  let linted = Array.to_list (Array.map Pass.normalize files) in
+  let reader_files =
+    List.concat_map files_under readers
+    |> List.filter (fun f -> not (List.mem (Pass.normalize f) linted))
+    |> Array.of_list
+  in
   (* Per-file scans fan out over the domain pool; results come back in
      index order (= the sorted directory walk), so findings, baseline
      diffs and reports are byte-identical for every --jobs value. *)
-  let scanned, _stats =
-    Par.Pool.run ~jobs (Array.length files) (fun i ->
-        let file = files.(i) in
-        scan_source ~file (read_file file))
+  let scan f files =
+    fst
+      (Par.Pool.run ~jobs (Array.length files) (fun i ->
+           f ~file:files.(i) (read_file files.(i))))
   in
-  let findings, suppressed = finalize (Array.to_list scanned) in
+  let findings, suppressed =
+    finalize
+      ~readers:(List.filter_map Fun.id (Array.to_list (scan parse_reader reader_files)))
+      (Array.to_list (scan scan_source files))
+  in
   {
     findings = List.sort Finding.compare (List.concat findings);
     files = Array.length files;
@@ -170,21 +203,7 @@ let to_text report ~new_findings =
     (List.map Finding.to_string new_findings
     @ [ summary_line report ~new_findings ^ baseline_note ])
 
-let esc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let esc = Telemetry.Event.json_escape
 
 let finding_json (f : Finding.t) =
   Printf.sprintf

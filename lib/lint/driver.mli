@@ -4,19 +4,13 @@
 val passes : Pass.t list
 (** The registered passes, in catalogue order. *)
 
-val known_passes : string list
-(** Pass names valid in suppressions (registered passes plus the
-    ["suppress"] meta pass; the ["parse"] pseudo-pass cannot be
-    suppressed). *)
+val lint_paths : string list
+(** What [tensor-lint], [dune build @lint] and the repo gate in
+    test_lint lint: [lib bin bench examples]. *)
 
-val lint_source : file:string -> string -> Finding.t list * int
-(** Lint one compilation unit given as text. Returns surviving findings
-    (sorted) and the number of suppressed ones. Unparseable source
-    yields a single ["parse"] finding. *)
-
-val files_under : string -> string list
-(** [.ml] files under a file or directory path, sorted; skips [_build]
-    and dot-directories. Nonexistent paths yield []. *)
+val reader_paths : string list
+(** Sources that are parsed only as readers for i1, never linted:
+    [perfsuite test]. *)
 
 type report = {
   findings : Finding.t list;
@@ -24,8 +18,11 @@ type report = {
   suppressed : int;
 }
 
-val run : ?jobs:int -> paths:string list -> unit -> report
-(** Scan every file under [paths]. [jobs > 1] fans the per-file stage
+val run :
+  ?jobs:int -> ?readers:string list -> paths:string list -> unit -> report
+(** Scan every [.ml] and [.mli] file under [paths]; the [.ml] files
+    under [readers] that [paths] does not cover are parsed as readers
+    only (see {!reader_paths}). [jobs > 1] fans the per-file stage
     (read, parse, per-file passes, suppression scan) out over a
     [Par.Pool] of domains — results merge in sorted-file order, so the
     report is byte-identical for every [jobs] value. The call-graph
@@ -46,3 +43,15 @@ val explain : string -> string option
 (** [explain pass_name] renders the pass's doc, rationale, minimal
     positive example and the suppression grammar; [None] for unknown
     names. *)
+
+(** {1 Test-only} *)
+
+val lint_sources :
+  ?readers:(string * string) list ->
+  (string * string) list ->
+  Finding.t list * int
+(** Lint compilation units given as [(file, text)] pairs, [.ml] or
+    [.mli] by file name, together, with [readers] as reader-only
+    sources. Returns surviving findings (sorted) and the number of
+    suppressed ones. An unparseable unit yields a single ["parse"]
+    finding. *)

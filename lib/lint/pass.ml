@@ -28,21 +28,9 @@ let finding ctx ~pass ~loc fmt =
        ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol))
     fmt
 
-let rec last = function
-  | Longident.Lident s -> s
-  | Longident.Ldot (_, s) -> s
-  | Longident.Lapply (_, l) -> last l
-
-let rec flatten = function
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (l, s) -> flatten l @ [ s ]
-  | Longident.Lapply (l, _) -> flatten l
-
-let normalize file =
-  let file = String.map (function '\\' -> '/' | c -> c) file in
-  if String.starts_with ~prefix:"./" file then
-    String.sub file 2 (String.length file - 2)
-  else file
+let last = Callgraph.last_segment
+let flatten = Callgraph.flatten
+let normalize = Callgraph.normalize
 
 let file_in_dirs ctx dirs =
   let file = normalize ctx.file in

@@ -1,7 +1,7 @@
 (** Source-comment suppressions.
 
-    A finding is silenced by a comment of the form
-    [(* lint: allow <pass>[,<pass>...] — reason *)] placed either on the
+    A finding is silenced by a comment whose text is
+    [lint: allow <pass>[,<pass>...] — reason], placed either on the
     offending line or alone on the line directly above it. The reason is
     mandatory (separated by an em-dash or ["--"]); a reasonless or
     malformed directive suppresses nothing and is itself reported under

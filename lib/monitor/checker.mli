@@ -67,13 +67,6 @@ type config = {
 
 val default_config : config
 
-val names : string list
-(** The ten checker names, in report order. The tenth, [fleet_slo],
-    watches fleet campaigns: no region may ever lose all replicas of a
-    service, rolling-upgrade drains may never exceed the wave's
-    concurrency bound, and every instance that shed into degraded mode
-    must have re-armed by end of run. *)
-
 type t
 
 val install : ?cfg:config -> unit -> t
@@ -86,7 +79,7 @@ val note_primary : t -> service:string -> container:string -> unit
 
 val finalize : t -> (string * result) list
 (** Unsubscribes, runs the end-of-run checks (queue drain, RIB
-    convergence) and returns every checker's verdict, in {!names}
+    convergence) and returns every checker's verdict, in a fixed
     order. Idempotent state: call once per run. *)
 
 val events_seen : t -> int

@@ -9,7 +9,7 @@
    byte counters) when real corruption would stall the scenario and trip
    several checkers at once. *)
 
-type flag = { name : string; doc : string; on : bool ref }
+type flag = { name : string; on : bool ref }
 
 (* Deliberately process-global, not Domain.DLS: every flag below is
    created exactly once at module initialization (on the main domain),
@@ -20,54 +20,23 @@ type flag = { name : string; doc : string; on : bool ref }
 (* lint: allow d4 -- flags are minted once at init; a DLS registry would be empty on worker domains *)
 let registry : flag list ref = ref []
 
-let make name doc =
+let make name =
   let on = ref false in
-  registry := !registry @ [ { name; doc; on } ];
+  registry := !registry @ [ { name; on } ];
   on
 
-let peer_reset =
-  make "peer_reset" "bounce the resumed session with a Cease (peer-visible reset)"
+let peer_reset = make "peer_reset"
+let repair_gap = make "repair_gap"
+let early_ack_release = make "early_ack_release"
+let bfd_slow_detect = make "bfd_slow_detect"
+let skip_rib_restore = make "skip_rib_restore"
+let no_fence = make "no_fence"
+let flap_on_migration = make "flap_on_migration"
+let leak_held_acks = make "leak_held_acks"
+let late_degrade = make "late_degrade"
+let exceed_wave_bound = make "exceed_wave_bound"
 
-let repair_gap =
-  make "repair_gap" "skew rcv_nxt reported at TCP repair import by one byte"
-
-let early_ack_release =
-  make "early_ack_release" "release one held ACK beyond the durable watermark"
-
-let bfd_slow_detect =
-  make "bfd_slow_detect" "double the BFD detect window but report the nominal interval"
-
-let skip_rib_restore =
-  make "skip_rib_restore" "skip the RIB checkpoint restore in bootstrap recovery"
-
-let no_fence =
-  make "no_fence" "promote the replica without stopping the old primary"
-
-let flap_on_migration =
-  make "flap_on_migration" "withdraw and re-announce one prefix after a planned migration"
-
-let leak_held_acks =
-  make "leak_held_acks" "silently swallow one ready-to-release held ACK"
-
-let late_degrade =
-  make "late_degrade" "arm the degrade watchdog at twice the configured deadline"
-
-let exceed_wave_bound =
-  make "exceed_wave_bound"
-    "launch one rolling-upgrade drain past the wave's concurrency bound"
-
-let names () = List.map (fun f -> f.name) !registry
 let active () = List.filter_map (fun f -> if !(f.on) then Some f.name else None) !registry
-let doc name =
-  List.find_opt (fun f -> f.name = name) !registry
-  |> Option.map (fun f -> f.doc)
-
-let set name v =
-  match List.find_opt (fun f -> f.name = name) !registry with
-  | Some f ->
-      f.on := v;
-      true
-  | None -> false
 
 let reset () = List.iter (fun f -> f.on := false) !registry
 

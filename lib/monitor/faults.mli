@@ -55,15 +55,10 @@ val exceed_wave_bound : bool ref
     drain beyond the wave's concurrency bound — a correct planner never
     does, so the checker's own in-flight count must catch it. *)
 
-val names : unit -> string list
-(** All flag names, in declaration order. *)
-
 val active : unit -> string list
 (** Names of the currently-set flags. *)
 
-val doc : string -> string option
-val set : string -> bool -> bool
-(** [set name v] flips the named flag; [false] if no such flag. *)
+(** {1 Test-only} *)
 
 val reset : unit -> unit
 (** Clears every flag. *)

@@ -52,10 +52,6 @@ type report = {
   faults : string list;  (** Seeded faults active when the report was cut. *)
 }
 
-val default_budgets : (string * float) list
-(** [(span_name, budget_seconds)]: failover 15 s, planned_migration
-    15 s, replica_catchup 5 s, tcp_replay 10 s, bfd_detect 1 s. *)
-
 val make :
   ?budgets:(string * float) list ->
   ?engine:engine_cost ->

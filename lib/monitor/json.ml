@@ -208,6 +208,3 @@ let to_list = function
   | List l -> Some l
   | _ -> None
 
-let keys = function
-  | Obj kvs -> List.map fst kvs
-  | _ -> []

@@ -18,9 +18,6 @@ val parse_exn : string -> t
 val member : string -> t -> t option
 (** Object field lookup; [None] on non-objects and missing keys. *)
 
-val path : string list -> t -> t option
-(** Nested lookup: [path ["a"; "b"] v] is [v.a.b]. *)
-
 val to_float : t -> float option
 val to_int : t -> int option
 (** Integral [Num]s only. *)
@@ -29,5 +26,7 @@ val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
 
-val keys : t -> string list
-(** Object keys in order; [[]] on non-objects. *)
+(** {1 Test-only} *)
+
+val path : string list -> t -> t option
+(** Nested lookup: [path ["a"; "b"] v] is [v.a.b]. *)

@@ -124,4 +124,3 @@ let traverse t pkt ~emit = apply t t.rules pkt ~emit
 
 let accepted t = t.n_accepted
 let dropped t = t.n_dropped
-let queued t = t.n_queued

@@ -58,14 +58,15 @@ val set_consumer :
     dying FIN/RST is queued to a reader-less queue and silently dropped,
     so the remote peer observes silence rather than a connection reset. *)
 
-val backlog : queue -> int
-(** Packets handed to the consumer whose reinject is still pending. *)
-
 val traverse : t -> Netsim.Packet.t -> emit:(Netsim.Packet.t -> unit) -> unit
 (** Runs the packet through the rules. [emit] is called (possibly later,
     for queued packets) for packets whose final verdict is [Accept]. *)
 
+(** {1 Test-only} *)
+
+val backlog : queue -> int
+(** Packets handed to the consumer whose reinject is still pending. *)
+
 val accepted : t -> int
 val dropped : t -> int
-val queued : t -> int
 (** Counters over the chain's lifetime. *)

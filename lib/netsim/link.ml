@@ -15,7 +15,6 @@ type endpoint = {
 }
 
 type t = {
-  lname : string;
   eng : Engine.t;
   a : endpoint;
   b : endpoint;
@@ -46,13 +45,6 @@ let endpoint_create eng =
     in_flight = Engine.fifo eng ~label:"net.deliver" ~dummy:Packet.dummy;
   }
 
-(* Default-name counter, domain-local so two domains creating unnamed
-   links concurrently don't race — and each domain numbers its links
-   from 1 like a fresh process, keeping names replay-stable. *)
-let link_count = Domain.DLS.new_key (fun () -> ref 0)
-
-let name t = t.lname
-let engine t = t.eng
 let endpoint t = function A -> t.a | B -> t.b
 
 let set_receiver t side f = (endpoint t side).deliver <- Some f
@@ -82,15 +74,9 @@ let arrive t dst_side pkt =
   end
 
 let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
-    ?(loss = 0.0) ?name () =
-  let link_count = Domain.DLS.get link_count in
-  incr link_count;
-  let lname =
-    match name with Some n -> n | None -> Printf.sprintf "link%d" !link_count
-  in
+    ?(loss = 0.0) () =
   let t =
     {
-      lname;
       eng;
       a = endpoint_create eng;
       b = endpoint_create eng;
@@ -143,7 +129,6 @@ let fail_for t span =
          set_up t true))
 
 let set_delay t d = t.prop_delay <- d
-let delay t = t.prop_delay
 let set_loss t l = t.loss <- l
 let tap t f = t.taps <- f :: t.taps
 let tx_packets t = t.tx

@@ -27,21 +27,15 @@ type t
 
 type side = A | B
 
-val other : side -> side
-
 val create :
   Sim.Engine.t ->
   ?delay:Sim.Time.span ->
   ?bandwidth_bps:int ->
   ?loss:float ->
-  ?name:string ->
   unit ->
   t
 (** [create engine ()] is an up link with defaults: 50 µs delay, 100 Gbps,
     zero loss. [bandwidth_bps = 0] means infinite bandwidth. *)
-
-val name : t -> string
-val engine : t -> Sim.Engine.t
 
 val set_receiver : t -> side -> (Packet.t -> unit) -> unit
 (** Installs the delivery callback for packets arriving at [side]. *)
@@ -49,8 +43,6 @@ val set_receiver : t -> side -> (Packet.t -> unit) -> unit
 val transmit : t -> from:side -> Packet.t -> unit
 (** Queues a packet for the far end. Silently dropped when the link is
     down or the loss draw fails. *)
-
-val is_up : t -> bool
 
 val set_up : t -> bool -> unit
 (** Setting a link down drops queued and in-flight packets. *)
@@ -60,7 +52,6 @@ val fail_for : t -> Sim.Time.span -> unit
     the link goes down now and comes back after [span]. *)
 
 val set_delay : t -> Sim.Time.span -> unit
-val delay : t -> Sim.Time.span
 val set_loss : t -> float -> unit
 
 val tap : t -> (side -> Packet.t -> unit) -> unit
@@ -68,14 +59,15 @@ val tap : t -> (side -> Packet.t -> unit) -> unit
     delivery, after the receiver callback. Experiments use taps to detect
     traffic gaps. *)
 
-(** {1 Statistics} *)
+(** {1 Test-only} *)
 
+val other : side -> side
+val is_up : t -> bool
 val tx_packets : t -> int
 (** Packets accepted for transmission (both directions). *)
 
 val delivered_packets : t -> int
 val dropped_packets : t -> int
 val delivered_bytes : t -> int
-
 val last_delivery : t -> Sim.Time.t option
 (** Instant of the most recent successful delivery in either direction. *)

@@ -41,8 +41,7 @@ let connect t ?delay ?bandwidth_bps ?loss a b =
   let hi = (subnet lsr 8) land 0xFF and lo = subnet land 0xFF in
   let addr_a = Addr.of_octets 10 hi lo 1 in
   let addr_b = Addr.of_octets 10 hi lo 2 in
-  let name = Printf.sprintf "%s--%s.%d" (Node.name a) (Node.name b) subnet in
-  let link = Link.create t.eng ?delay ?bandwidth_bps ?loss ~name () in
+  let link = Link.create t.eng ?delay ?bandwidth_bps ?loss () in
   Node.attach a link Link.A ~local:addr_a ~remote:addr_b;
   Node.attach b link Link.B ~local:addr_b ~remote:addr_a;
   t.link_list <- { link; ends = (a, b) } :: t.link_list;
@@ -53,8 +52,6 @@ let add_leaf t ?forwarding ?delay ~uplink name =
   let _, uplink_side, node_side = connect t ?delay uplink node in
   Node.add_route node (Addr.prefix_of_string "0.0.0.0/0") uplink_side;
   (node, node_side)
-
-let links t = List.rev_map (fun r -> r.link) t.link_list
 
 let link_between t a b =
   let same (x, y) =

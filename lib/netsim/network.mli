@@ -13,11 +13,6 @@ val add_node : t -> ?forwarding:bool -> string -> Node.t
 (** Creates and registers a node. Raises [Invalid_argument] if the name
     is taken. *)
 
-val node : t -> string -> Node.t
-(** Looks a node up. Raises [Not_found]. *)
-
-val nodes : t -> Node.t list
-
 val connect :
   t ->
   ?delay:Sim.Time.span ->
@@ -48,7 +43,12 @@ val fresh_private_subnet : t -> int
     per network, not process-global, makes addresses reproducible when
     several networks are built in one process (chaos replay). *)
 
-val links : t -> Link.t list
-
 val link_between : t -> Node.t -> Node.t -> Link.t option
 (** The first link directly joining the two nodes, if any. *)
+
+(** {1 Test-only} *)
+
+val node : t -> string -> Node.t
+(** Looks a node up. Raises [Not_found]. *)
+
+val nodes : t -> Node.t list

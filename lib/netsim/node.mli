@@ -36,9 +36,6 @@ val attach :
 val add_address : t -> Addr.t -> unit
 (** Adds a non-interface (loopback-style) local address. *)
 
-val remove_address : t -> Addr.t -> unit
-(** Removes a local address (e.g. a service address migrating away). *)
-
 val addresses : t -> Addr.t list
 val ifaces : t -> iface list
 
@@ -62,6 +59,11 @@ val is_up : t -> bool
 
 val set_up : t -> bool -> unit
 (** A down node drops everything it would send or receive. *)
+
+(** {1 Test-only} *)
+
+val remove_address : t -> Addr.t -> unit
+(** Removes a local address (e.g. a service address migrating away). *)
 
 val unrouted_packets : t -> int
 (** Packets dropped for lack of a route. *)

@@ -38,5 +38,3 @@ let decrement_ttl p =
     true
   end
 
-let pp fmt p =
-  Format.fprintf fmt "#%d %a->%a (%dB)" p.id Addr.pp p.src Addr.pp p.dst p.size

@@ -40,7 +40,3 @@ val dummy : t
 val decrement_ttl : t -> bool
 (** [decrement_ttl p] takes one hop off [p]'s TTL in place and is [true],
     or is [false], leaving [p] unchanged, when the TTL is exhausted. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints id, endpoints and size (payloads print as their constructor
-    arity only). *)

@@ -67,11 +67,6 @@ val call :
     is spent does [k] get [Error (`Exhausted 3)]. A late response to an
     abandoned attempt is discarded, never double-delivered. *)
 
-val unknown_service_counts : endpoint -> (string * int) list
-(** Requests received for services nobody registered, counted per
-    service name and sorted by it. Each such drop also emits a
-    [Rpc_unknown_service] telemetry event. *)
-
 val fresh_client_id : endpoint -> int
 (** Monotonically increasing per-endpoint id (1, 2, ...) for callers
     that need a name unique on this node — e.g. store-client idempotency
@@ -92,3 +87,10 @@ val ping :
 
 val serve_ping : endpoint -> service:string -> unit
 (** Installs a trivial responder answering {!Ping} with {!Pong}. *)
+
+(** {1 Test-only} *)
+
+val unknown_service_counts : endpoint -> (string * int) list
+(** Requests received for services nobody registered, counted per
+    service name and sorted by it. Each such drop also emits a
+    [Rpc_unknown_service] telemetry event. *)

@@ -6,13 +6,11 @@ type Rpc.body +=
   | Agent_check_result of bool
 
 type t = {
-  aname : string;
   anode : Node.t;
   aaddr : Addr.t;
   relays : (string, Bfd.Relay.t) Hashtbl.t;
 }
 
-let name t = t.aname
 let node t = t.anode
 let addr t = t.aaddr
 
@@ -22,7 +20,7 @@ let create net ~fabric aname =
   let anode, aaddr =
     Network.add_leaf net ~delay:(Time.us 20) ~uplink:fabric aname
   in
-  let t = { aname; anode; aaddr; relays = Hashtbl.create 32 } in
+  let t = { anode; aaddr; relays = Hashtbl.create 32 } in
   let ep = Rpc.endpoint anode in
   Rpc.serve_ping ep ~service:"health";
   Rpc.serve_ping ep ~service:"ipsla";
@@ -53,5 +51,3 @@ let stop_relay t ~id ~vrf =
   | None -> ()
 
 let relay_count t = Hashtbl.length t.relays
-let fail t = Node.set_up t.anode false
-let recover t = Node.set_up t.anode true

@@ -21,8 +21,6 @@ val create : Netsim.Network.t -> fabric:Netsim.Node.t -> string -> t
 (** Joins the fabric and serves ["health"], ["ipsla"] and ["agent_ctl"]
     (the {!Agent_check} probe service). *)
 
-val name : t -> string
-val node : t -> Netsim.Node.t
 val addr : t -> Netsim.Addr.t
 
 val start_relay :
@@ -37,12 +35,8 @@ val start_relay :
 (** Starts (or replaces) the duplicate BFD transmitter for a container
     session, keyed by [id ^ vrf]. *)
 
+(** {1 Test-only} *)
+
+val node : t -> Netsim.Node.t
 val stop_relay : t -> id:string -> vrf:string -> unit
 val relay_count : t -> int
-
-val fail : t -> unit
-(** The agent machine goes down (relays stop transmitting). *)
-
-val recover : t -> unit
-(** Relays resume (their timers kept ticking; transmission checks node
-    liveness). *)

@@ -41,7 +41,6 @@ type managed = {
   mid : string;
   mutable cont : Container.t;
   mutable phase : [ `Healthy | `Suspect | `Migrating ];
-  mutable hb_timer : Engine.timer option;
   (* Bumped on every transition into [`Migrating]. Asynchronous
      continuations (the store-unreachable wait chain, the migrator's
      [done_]) capture the epoch at arm time and become no-ops when it
@@ -355,10 +354,9 @@ let start_heartbeats t m =
           ~service:"health" (fun ok ->
             if not ok then heartbeat_miss t m)
   in
-  m.hb_timer <-
-    Some
-      (Engine.every t.eng ~label:"orch.heartbeat" ~jitter:0.1
-         grpc_interval tick)
+  ignore
+    (Engine.every t.eng ~label:"orch.heartbeat" ~jitter:0.1 grpc_interval
+       tick)
 
 let begin_planned t ~id =
   match Hashtbl.find_opt t.managed_tbl id with
@@ -382,7 +380,7 @@ let end_planned t ~id cont =
   | None -> ()
 
 let manage t ~id cont =
-  let m = { mid = id; cont; phase = `Healthy; hb_timer = None; mig_epoch = 0 } in
+  let m = { mid = id; cont; phase = `Healthy; mig_epoch = 0 } in
   Hashtbl.replace t.managed_tbl id m;
   index_add t ~host:(Container.host_name cont) id;
   start_heartbeats t m

@@ -77,9 +77,6 @@ val register_store : t -> addr:Netsim.Addr.t -> unit
     empty state and reset the peer. [Store_unreachable] /
     [Store_recovered] events mark the outage window. *)
 
-val store_reachable : t -> bool
-(** [true] when no store is registered or the last probe answered. *)
-
 val set_migrator :
   t ->
   (reason:failure_kind ->
@@ -96,8 +93,6 @@ val manage : t -> id:string -> Container.t -> unit
 (** Puts a container under heartbeat monitoring and migration
     management. *)
 
-val managed_container : t -> id:string -> Container.t option
-
 val begin_planned : t -> id:string -> unit
 (** Suspends failure handling for a service while a planned (proactive)
     migration runs, so the deliberate death of the old primary is not
@@ -107,12 +102,15 @@ val end_planned : t -> id:string -> Container.t -> unit
 (** Completes a planned migration: monitoring resumes on the replacement
     instance. *)
 
-val report_endpoint_service : string
-(** ["report"] — where in-container monitors send
-    {!Report_app_failure}. *)
-
 val quarantined : t -> string list
 (** Names of hosts declared failed and awaiting manual reset. *)
 
 val release_quarantine : t -> Host.t -> unit
 (** Manual reset: {!Host.reset} plus removal from the quarantine list. *)
+
+(** {1 Test-only} *)
+
+val managed_container : t -> id:string -> Container.t option
+val report_endpoint_service : string
+(** ["report"] — where in-container monitors send
+    {!Report_app_failure}. *)

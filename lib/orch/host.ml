@@ -29,9 +29,7 @@ type t = {
 }
 
 let name t = t.hname
-let node t = t.hnode
 let addr t = t.haddr
-let uplink t = t.link
 let containers t = List.rev t.cts
 let is_up t = t.up
 let is_fenced t = t.fenced
@@ -128,7 +126,7 @@ let create_container t ?boot_span id =
   let subnet = Network.fresh_private_subnet t.hnet in
   let host_side = Addr.offset veth_base ((subnet lsl 2) lor 1) in
   let cont_side = Addr.succ host_side in
-  let veth = Link.create eng ~delay:(Time.us 5) ~name:(t.hname ^ "/" ^ id ^ "/veth") () in
+  let veth = Link.create eng ~delay:(Time.us 5) () in
   Node.attach t.hnode veth Link.A ~local:host_side ~remote:cont_side;
   (* Fabric reaches the container's vEth subnet via this host (used by the
      controller's gRPC channel to the container instance). *)

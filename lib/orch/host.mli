@@ -11,7 +11,7 @@
       confirmation timer, so by the time the controller migrates, a
       partitioned-but-alive primary can no longer speak — this closes the
       window the paper's "no re-use before manual reset" rule addresses;
-    - explicit {!fence} / {!reset} for the controller's quarantine flow.
+    - explicit fencing and {!reset} for the controller's quarantine flow.
 
     Failure injection covers Table 1's host-machine (E3) and host-network
     (E5) scenarios. *)
@@ -37,11 +37,8 @@ val create :
     heartbeat for 3 s fences itself. *)
 
 val name : t -> string
-val node : t -> Netsim.Node.t
 val addr : t -> Netsim.Addr.t
 (** The host's fabric-facing address. *)
-
-val uplink : t -> Netsim.Link.t
 
 val create_container :
   t -> ?boot_span:Sim.Time.span -> string -> Container.t
@@ -50,7 +47,6 @@ val create_container :
     host. *)
 
 val containers : t -> Container.t list
-val find_container : t -> string -> Container.t option
 
 val memory_used_mb : t -> float
 val cpu_used_pct : t -> float
@@ -61,11 +57,6 @@ val cpu_used_pct : t -> float
 val fail : t -> unit
 (** Host-machine failure (E3): the host and every container go silent. *)
 
-val recover : t -> unit
-(** Power restored: the host node comes back; containers stay dead and
-    the host stays fenced until {!reset} (the paper's manual-reset
-    rule). *)
-
 val network_fail : t -> unit
 (** Host-network failure (E5): the fabric uplink goes down; containers
     keep running locally. *)
@@ -75,15 +66,13 @@ val network_recover : t -> unit
 val is_up : t -> bool
 val is_fenced : t -> bool
 
-val fence : t -> unit
-(** Kill all container networking now (controller-ordered or
-    lease-expiry). *)
-
 val reset : t -> unit
 (** Manual reset: clears the fence and re-arms the lease. Containers must
     be re-created/re-booted by the deployment layer. *)
 
-val heartbeat_received : t -> unit
-(** Called by the ["health"] responder; feeds the lease watchdog. Wired
-    automatically — exposed for tests. *)
+(** {1 Test-only} *)
 
+val recover : t -> unit
+(** Power restored: the host node comes back; containers stay dead and
+    the host stays fenced until {!reset} (the paper's manual-reset
+    rule). *)

@@ -10,18 +10,21 @@
 type folded = (string * int) list
 (** [(stack, weight)] where [stack] is [";"]-joined frame names. *)
 
-val folded_wall : unit -> folded
-(** Profiler rows weighted by wall microseconds. *)
+val write_dir : name:string -> string -> unit
+(** [write_dir ~name dir] writes the run's five profile files into [dir]
+    (created with its parents if missing): [engine_cost.txt] (the
+    profiler's rows as a text table, costliest wall time first),
+    [engine.folded], [engine_allocs.folded] and [spans.folded] (folded
+    stacks weighted by wall microseconds, allocated bytes and span self
+    time), and [profile.speedscope.json] ({!standard_profiles}, titled
+    [name]). *)
+
+(** {1 Test-only} *)
 
 val folded_alloc : unit -> folded
 (** Profiler rows weighted by allocated bytes. *)
 
-val folded_spans : unit -> folded
-(** Closed telemetry spans, weighted by self simulated-microseconds
-    (duration minus closed children). *)
-
 val folded_to_string : folded -> string
-
 val speedscope :
   name:string -> (string * string * folded) list -> string
 (** [speedscope ~name profiles] renders [(profile_name, unit, entries)]
@@ -29,17 +32,3 @@ val speedscope :
 
 val standard_profiles : unit -> (string * string * folded) list
 (** The three standard views: engine wall, engine allocations, spans. *)
-
-val cost_table : unit -> string
-(** The profiler's rows as a text table, costliest wall time first:
-    per label its events, wall milliseconds and share, bytes allocated
-    per event, and mean and maximum queue dwell, under one line of
-    totals. *)
-
-val write_dir : name:string -> string -> unit
-(** [write_dir ~name dir] writes the run's five profile files into [dir]
-    (created with its parents if missing): [engine_cost.txt]
-    ({!cost_table}), [engine.folded], [engine_allocs.folded] and
-    [spans.folded] ({!folded_wall}, {!folded_alloc}, {!folded_spans}),
-    and [profile.speedscope.json] ({!standard_profiles}, titled
-    [name]). *)

@@ -43,10 +43,6 @@ val schedule_at : t -> ?label:string -> Time.t -> (unit -> unit) -> handle
     in the past is an [Invalid_argument]. [label] as in
     {!schedule_after}. *)
 
-val current_label : t -> string
-(** The attribution label of the event currently (or most recently)
-    executed by this engine; ["main"] before any labelled event ran. *)
-
 val current_event_id : t -> int
 (** The id of the event this engine is executing right now, or [-1]
     outside event dispatch (before the first event, between [run]
@@ -62,9 +58,6 @@ val next_id : t -> int
 val cancel : handle -> unit
 (** Cancels a scheduled event. Cancelling an already-fired or cancelled
     event is a no-op. *)
-
-val is_pending : handle -> bool
-(** [is_pending h] is [true] until the event fires or is cancelled. *)
 
 val run : t -> unit
 (** Runs events until the queue is empty. *)
@@ -88,14 +81,6 @@ val run_until_cond :
 val pending_events : t -> int
 (** Number of live (non-cancelled) queued events. An armed {!deadline}
     counts as one. *)
-
-val queued_events : t -> int
-(** Number of entries in the event queue — both tiers, the near one
-    for events due under 1 ms after the clock when queued and the far
-    one for the rest — including cancelled events and stale deadline
-    wake-ups not yet popped. A {!fifo} is one entry however many items
-    it holds, so without fifos [queued_events t - pending_events t] is
-    what lazy cancellation costs in queue size. *)
 
 val processed_events : t -> int
 (** Total number of events executed so far. *)
@@ -233,3 +218,20 @@ val enqueue : 'a fifo -> Time.t -> 'a -> unit
 (** [enqueue q instant x] hands [x] to [q]'s handler at [instant], as
     an event of its own. An instant in the past is an
     [Invalid_argument]. *)
+
+(** {1 Test-only} *)
+
+val current_label : t -> string
+(** The attribution label of the event currently (or most recently)
+    executed by this engine; ["main"] before any labelled event ran. *)
+
+val is_pending : handle -> bool
+(** [is_pending h] is [true] until the event fires or is cancelled. *)
+
+val queued_events : t -> int
+(** Number of entries in the event queue — both tiers, the near one
+    for events due under 1 ms after the clock when queued and the far
+    one for the rest — including cancelled events and stale deadline
+    wake-ups not yet popped. A {!fifo} is one entry however many items
+    it holds, so without fifos [queued_events t - pending_events t] is
+    what lazy cancellation costs in queue size. *)

@@ -14,12 +14,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives a new independent generator, advancing [t] once. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
-val bits64 : t -> int64
-(** [bits64 t] is the next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. *)
@@ -30,23 +24,27 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** A fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp with the given mean. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** [gaussian t ~mu ~sigma] draws from a normal distribution
-    (Box–Muller). *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] is [exp (gaussian ~mu ~sigma)]: the
     parameters are those of the underlying normal, so the median is
     [exp mu]. *)
+
+(** {1 Test-only} *)
+
+val copy : t -> t
+(** [copy t] duplicates the current state (same future stream). *)
+
+val bits64 : t -> int64
+(** [bits64 t] is the next raw 64-bit output. *)
+
+val bool : t -> bool
+(** A fair coin. *)
+
+val exponential : t -> float -> float
+(** [exponential t mean] draws from Exp with the given mean. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

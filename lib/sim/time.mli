@@ -31,9 +31,6 @@ val sec : int -> span
 val minutes : int -> span
 (** [minutes n] is a span of [n] minutes. *)
 
-val hours : int -> span
-(** [hours n] is a span of [n] hours. *)
-
 val of_sec_f : float -> span
 (** [of_sec_f s] converts fractional seconds to a span, rounding to the
     nearest nanosecond. *)
@@ -69,3 +66,8 @@ val pp_span : Format.formatter -> span -> unit
 
 val to_string : t -> string
 (** [to_string t] is {!pp} rendered to a string. *)
+
+(** {1 Test-only} *)
+
+val hours : int -> span
+(** [hours n] is a span of [n] hours. *)

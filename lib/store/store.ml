@@ -69,7 +69,6 @@ module Server = struct
   }
 
   let node t = t.snode
-  let alive t = t.alive
 
   (* Serving requires both the process (RAM) and the node (network) up:
      [Node.set_up false] models a partition — contents survive — while
@@ -383,7 +382,6 @@ module Client = struct
             };
       }
 
-  let server_addr t = t.server
   let failed_over t =
     match t.resilient with Some r -> r.failed | None -> false
 

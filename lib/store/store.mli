@@ -31,12 +31,6 @@ type cost_model = {
   write_byte_ns : float;
 }
 
-val default_cost_model : cost_model
-(** The Figure 5(b) calibration described above. *)
-
-val free_cost_model : cost_model
-(** Zero processing cost — for unit tests that exercise semantics only. *)
-
 module Server : sig
   type t
 
@@ -61,8 +55,6 @@ module Server : sig
 
   val restart : t -> unit
   (** Brings a crashed process back, empty. Emits [Store_restarted]. *)
-
-  val alive : t -> bool
 
   val promote : t -> unit
   (** Declares this (replica) server the authoritative primary: any
@@ -113,9 +105,6 @@ module Client : sig
       on both targets yield [`Timeout]; later ops re-try the promoted
       replica, so a healed store resumes service. *)
 
-  val failed_over : t -> bool
-  (** Whether the client has switched to its replica. *)
-
   val set :
     t -> ?timeout:Sim.Time.span -> (string * string) list ->
     ((unit, [ `Timeout ]) result -> unit) -> unit
@@ -138,5 +127,13 @@ module Client : sig
   (** All (key, value) pairs whose key starts with [prefix], sorted by
       key — how a backup container downloads a connection's state. *)
 
-  val server_addr : t -> Netsim.Addr.t
+  (** {1 Test-only} *)
+
+  val failed_over : t -> bool
+  (** Whether the client has switched to its replica. *)
 end
+
+(** {1 Test-only} *)
+
+val free_cost_model : cost_model
+(** Zero processing cost — for unit tests that exercise semantics only. *)

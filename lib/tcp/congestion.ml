@@ -72,7 +72,3 @@ let on_rto t =
   t.dup_acks <- 0;
   t.recovering <- false
 
-let pp fmt t =
-  Format.fprintf fmt "cwnd=%d ssthresh=%d dup=%d%s" t.cwnd t.ssthresh_v
-    t.dup_acks
-    (if t.recovering then " (recovery)" else "")

@@ -21,10 +21,6 @@ val create : mss:int -> t
 val window : t -> int
 (** Current congestion window in bytes. *)
 
-val ssthresh : t -> int
-
-val in_recovery : t -> bool
-
 val on_ack : t -> snd_una:int -> snd_nxt:int -> ack:int -> ack_reaction
 (** Feed every incoming ACK. [snd_una]/[snd_nxt] are the values {e before}
     the ACK is applied. Updates the window and duplicate-ACK state, and
@@ -33,4 +29,7 @@ val on_ack : t -> snd_una:int -> snd_nxt:int -> ack:int -> ack_reaction
 val on_rto : t -> unit
 (** Retransmission timeout: collapse to one MSS, halve ssthresh. *)
 
-val pp : Format.formatter -> t -> unit
+(** {1 Test-only} *)
+
+val ssthresh : t -> int
+val in_recovery : t -> bool

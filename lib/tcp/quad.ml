@@ -8,17 +8,7 @@ type t = {
 let v local_addr local_port remote_addr remote_port =
   { local_addr; local_port; remote_addr; remote_port }
 
-let flip t =
-  {
-    local_addr = t.remote_addr;
-    local_port = t.remote_port;
-    remote_addr = t.local_addr;
-    remote_port = t.local_port;
-  }
-
 let compare a b = Stdlib.compare a b
-let equal a b = a = b
-let hash = Hashtbl.hash
 
 let pp fmt t =
   Format.fprintf fmt "%a:%d<->%a:%d" Netsim.Addr.pp t.local_addr t.local_port

@@ -10,11 +10,5 @@ type t = {
 val v : Netsim.Addr.t -> int -> Netsim.Addr.t -> int -> t
 (** [v local_addr local_port remote_addr remote_port]. *)
 
-val flip : t -> t
-(** The peer's view of the same connection. *)
-
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val hash : t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

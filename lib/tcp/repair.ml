@@ -21,8 +21,3 @@ let consistent t =
   && t.mss > 0 && t.rcv_wnd > 0
   && tiles t.snd_una t.unacked
 
-let pp fmt t =
-  Format.fprintf fmt
-    "repair{%a mss=%d una=%d nxt=%d rcv_nxt=%d unacked=%dB}" Quad.pp t.quad
-    t.mss t.snd_una t.snd_nxt t.rcv_nxt
-    (List.fold_left (fun acc (_, d) -> acc + String.length d) 0 t.unacked)

@@ -32,5 +32,3 @@ val consistent : t -> bool
 (** Structural sanity: [iss <= snd_una <= snd_nxt], [irs < rcv_nxt], and
     [unacked] exactly tiles [\[snd_una, snd_nxt)]. Import refuses
     inconsistent states. *)
-
-val pp : Format.formatter -> t -> unit

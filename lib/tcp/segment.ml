@@ -31,12 +31,3 @@ let is_pure_ack t =
   t.flags.ack && (not t.flags.syn) && (not t.flags.fin) && (not t.flags.rst)
   && String.length t.payload = 0
 
-let pp fmt t =
-  let f = t.flags in
-  Format.fprintf fmt "%d->%d%s%s%s%s seq=%d ack=%d win=%d len=%d" t.src_port
-    t.dst_port
-    (if f.syn then " SYN" else "")
-    (if f.ack then " ACK" else "")
-    (if f.fin then " FIN" else "")
-    (if f.rst then " RST" else "")
-    t.seq t.ack t.window (String.length t.payload)

@@ -22,9 +22,6 @@ type t = {
 
 type Netsim.Packet.payload += Tcp of t
 
-val plain : flags
-(** No flags set. *)
-
 val flag_syn : flags
 val flag_ack : flags
 val flag_synack : flags
@@ -35,14 +32,9 @@ val seg_len : t -> int
 (** Sequence space the segment occupies: payload length plus one for SYN
     and one for FIN. *)
 
-val header_bytes : int
-(** Modelled TCP/IP header overhead (40 B). *)
-
 val wire_size : t -> int
 (** [header_bytes] plus the payload length. *)
 
 val is_pure_ack : t -> bool
 (** ACK set, no payload, no SYN/FIN/RST — the packets TENSOR's tcp_queue
     intercepts. *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,16 +17,8 @@ val create : int -> t
 val append : t -> string -> unit
 (** Appends application bytes (empty strings are ignored). *)
 
-val start_seq : t -> int
-(** Sequence number of the first retained byte. *)
-
 val end_seq : t -> int
 (** One past the last byte written. *)
-
-val length : t -> int
-(** Retained bytes ([end_seq - start_seq]). *)
-
-val is_empty : t -> bool
 
 val drop_until : t -> int -> unit
 (** [drop_until t seq] discards bytes below [seq] (acknowledged data).
@@ -41,3 +33,10 @@ val read : t -> seq:int -> len:int -> string
 val chunks_from : t -> seq:int -> (int * string) list
 (** All retained data at or above [seq] as [(seq, bytes)] pairs — used by
     the TCP_REPAIR export. *)
+
+(** {1 Test-only} *)
+
+val start_seq : t -> int
+(** Sequence number of the first retained byte. *)
+
+val is_empty : t -> bool

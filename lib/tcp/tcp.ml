@@ -33,18 +33,6 @@ type state =
 
 type close_reason = Closed_normally | Reset | Timed_out
 
-let pp_state fmt s =
-  Format.pp_print_string fmt
-    (match s with
-    | Syn_sent -> "SYN_SENT"
-    | Syn_received -> "SYN_RECEIVED"
-    | Established -> "ESTABLISHED"
-    | Fin_wait_1 -> "FIN_WAIT_1"
-    | Fin_wait_2 -> "FIN_WAIT_2"
-    | Close_wait -> "CLOSE_WAIT"
-    | Last_ack -> "LAST_ACK"
-    | Closed -> "CLOSED")
-
 let pp_close_reason fmt r =
   Format.pp_print_string fmt
     (match r with

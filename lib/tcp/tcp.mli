@@ -41,7 +41,6 @@ type close_reason =
   | Reset  (** RST received or {!abort} called. *)
   | Timed_out  (** Retransmission retries exhausted. *)
 
-val pp_state : Format.formatter -> state -> unit
 val pp_close_reason : Format.formatter -> close_reason -> unit
 
 (** {1 Stacks} *)
@@ -74,8 +73,6 @@ val freeze_stack : stack -> unit
     the connection is simply silent. Connections remain importable from a
     prior repair snapshot elsewhere. *)
 
-val is_frozen : stack -> bool
-
 val output_chain : stack -> Netfilter.t option
 
 val listen : stack -> port:int -> (conn -> unit) -> unit
@@ -97,16 +94,11 @@ val connect :
     1460, [rcv_wnd] to 400 000 bytes. Register {!on_established} and
     {!on_close} to learn the outcome. *)
 
-val connections : stack -> conn list
-
 (** {1 Connection I/O} *)
 
 val write : conn -> string -> unit
 (** Appends bytes to the send stream; transmission is window-paced.
     Writing to a closed connection raises [Invalid_argument]. *)
-
-val close : conn -> unit
-(** Graceful close: FIN after all written data. *)
 
 val abort : conn -> unit
 (** Sends RST and tears down immediately. *)
@@ -133,6 +125,23 @@ val irs : conn -> int
 
 val snd_una : conn -> int
 val snd_nxt : conn -> int
+
+(** {1 Migration} *)
+
+val import_repair : stack -> Repair.t -> conn
+(** Recreates an established connection from a snapshot. The unacked data
+    is queued for retransmission (the peer discards what it already has
+    and ACKs, which resynchronizes both ends). Raises [Invalid_argument]
+    if the snapshot fails {!Repair.consistent} or the quad is already in
+    use on this stack. *)
+
+(** {1 Test-only} *)
+
+val is_frozen : stack -> bool
+val connections : stack -> conn list
+val close : conn -> unit
+(** Graceful close: FIN after all written data. *)
+
 val rcv_nxt : conn -> int
 val delivered_bytes : conn -> int
 (** Cumulative stream bytes handed to the application. The inferred
@@ -142,15 +151,6 @@ val retransmits : conn -> int
 val srtt : conn -> float option
 (** Smoothed RTT in seconds, once sampled. *)
 
-(** {1 Migration} *)
-
 val export_repair : conn -> Repair.t
 (** Snapshot of the live connection, sufficient to resurrect it
     elsewhere. *)
-
-val import_repair : stack -> Repair.t -> conn
-(** Recreates an established connection from a snapshot. The unacked data
-    is queued for retransmission (the peer discards what it already has
-    and ACKs, which resynchronizes both ends). Raises [Invalid_argument]
-    if the snapshot fails {!Repair.consistent} or the quad is already in
-    use on this stack. *)

@@ -16,9 +16,6 @@ type entry = { seq : int; at : Sim.Time.t; event : Event.t }
 val emit : Sim.Engine.t -> Event.t -> unit
 (** Records [event] at the engine's current instant (when {!Gate.on}). *)
 
-val events : ?category:Event.category -> unit -> entry list
-(** Buffered entries, oldest first (globally ordered by [seq]). *)
-
 (** {1 Live subscribers}
 
     Callbacks invoked synchronously from {!emit}, after the entry is
@@ -36,6 +33,24 @@ val subscribe : ?category:Event.category -> (entry -> unit) -> sub
 val unsubscribe : sub -> unit
 (** Idempotent. *)
 
+val dropped_total : unit -> int
+(** Events lost to overwrite across all categories since the last
+    {!clear}. Overflow is also observable in the metrics registry: the
+    [telemetry.bus_dropped] counter (survives {!clear}) and per-category
+    [telemetry.ring_hwm.<cat>] high-water occupancy gauges. *)
+
+val clear : unit -> unit
+(** Drops all buffered entries and resets counters. *)
+
+val to_jsonl : Buffer.t -> unit
+(** Appends one JSON object per buffered entry:
+    [{"seq":..,"t_ns":..,"cat":..,"ev":..,"f":{..}}]. *)
+
+(** {1 Test-only} *)
+
+val events : ?category:Event.category -> unit -> entry list
+(** Buffered entries, oldest first (globally ordered by [seq]). *)
+
 val subscriber_count : unit -> int
 (** Number of live subscriptions (for tests/diagnostics). *)
 
@@ -45,18 +60,5 @@ val total : Event.category -> int
 val dropped : Event.category -> int
 (** Events lost to ring-buffer overwrite. *)
 
-val dropped_total : unit -> int
-(** Events lost to overwrite across all categories since the last
-    {!clear}. Overflow is also observable in the metrics registry: the
-    [telemetry.bus_dropped] counter (survives {!clear}) and per-category
-    [telemetry.ring_hwm.<cat>] high-water occupancy gauges. *)
-
 val set_capacity : int -> unit
 (** Per-category ring capacity (default 8192). Clears all buffers. *)
-
-val clear : unit -> unit
-(** Drops all buffered entries and resets counters. *)
-
-val to_jsonl : Buffer.t -> unit
-(** Appends one JSON object per buffered entry:
-    [{"seq":..,"t_ns":..,"cat":..,"ev":..,"f":{..}}]. *)

@@ -3,8 +3,6 @@
 val set_enabled : bool -> unit
 (** Turns event and span recording on or off (see {!Gate}). *)
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
 (** Clears buffered events and spans and zeroes all registered metric
     values. Registrations survive. Call between independent runs. *)
@@ -27,3 +25,7 @@ val write_file : string -> string -> unit
 val export_dir : string -> unit
 (** Writes [metrics.csv], [metrics.json], [events.jsonl] and
     [spans.jsonl] into the directory, creating it if needed. *)
+
+(** {1 Test-only} *)
+
+val enabled : unit -> bool

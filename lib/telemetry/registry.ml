@@ -1,11 +1,11 @@
-type counter = { cname : string; mutable c : int }
+type counter = { mutable c : int }
 
 (* The value lives in a one-slot float array, not a [mutable g : float]
    field: in a mixed string/float record the float field is boxed, so
    every [set] on a hot path (netfilter queue depth, ring high-water
    marks) allocated a fresh box. Float arrays store unboxed, and
    storing [float_of_int v] into one compiles without boxing either. *)
-type gauge = { gname : string; gcell : float array }
+type gauge = { gcell : float array }
 
 (* Bucket 0 holds non-positive observations; bucket i >= 1 covers
    [2^(min_e+i-2), 2^(min_e+i-1)), i.e. has exclusive upper bound
@@ -16,7 +16,6 @@ let max_e = 33
 let nbuckets = max_e - min_e + 2
 
 type histogram = {
-  hname : string;
   counts : int array;
   mutable n : int;
   mutable sum : float;
@@ -62,7 +61,7 @@ let counter name =
   | Some (Counter (_, c)) -> c
   | Some _ -> kind_error name
   | None ->
-      let c = { cname = name; c = 0 } in
+      let c = { c = 0 } in
       register name (Counter (name, c));
       c
 
@@ -75,11 +74,10 @@ let gauge name =
   | Some (Gauge (_, g)) -> g
   | Some _ -> kind_error name
   | None ->
-      let g = { gname = name; gcell = [| 0.0 |] } in
+      let g = { gcell = [| 0.0 |] } in
       register name (Gauge (name, g));
       g
 
-let set g v = g.gcell.(0) <- v
 let set_int g v = g.gcell.(0) <- float_of_int v
 
 let set_max_int g v =
@@ -95,7 +93,6 @@ let histogram name =
   | None ->
       let h =
         {
-          hname = name;
           counts = Array.make nbuckets 0;
           n = 0;
           sum = 0.0;

@@ -27,7 +27,6 @@ val value : counter -> int
 type gauge
 
 val gauge : string -> gauge
-val set : gauge -> float -> unit
 val set_int : gauge -> int -> unit
 (** [set g (float_of_int v)] without boxing the intermediate float —
     use on hot paths that track integer depths or counts. *)
@@ -53,23 +52,6 @@ val observe : histogram -> float -> unit
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 
-val hist_min : histogram -> float
-(** Smallest observation (NaN while empty). *)
-
-val hist_max : histogram -> float
-(** Largest observation (NaN while empty). *)
-
-val quantile : histogram -> float -> float
-(** [quantile h q] estimates the [q]-quantile from the log buckets.
-    [q <= 0] returns the observed minimum and [q >= 1] the observed
-    maximum (real values, not bucket edges); interior quantiles
-    interpolate by rank within the covering bucket and are clamped to
-    the observed range. NaN when the histogram is empty or [q] is
-    NaN. *)
-
-val buckets : histogram -> (float * int) list
-(** Non-empty buckets as [(upper_bound, count)], bounds increasing. *)
-
 (** {1 Enumeration and export} *)
 
 type metric =
@@ -90,3 +72,22 @@ val to_json : unit -> string
 
 val reset_values : unit -> unit
 (** Zeroes every metric, keeping registrations. *)
+
+(** {1 Test-only} *)
+
+val hist_min : histogram -> float
+(** Smallest observation (NaN while empty). *)
+
+val hist_max : histogram -> float
+(** Largest observation (NaN while empty). *)
+
+val quantile : histogram -> float -> float
+(** [quantile h q] estimates the [q]-quantile from the log buckets.
+    [q <= 0] returns the observed minimum and [q >= 1] the observed
+    maximum (real values, not bucket edges); interior quantiles
+    interpolate by rank within the covering bucket and are clamped to
+    the observed range. NaN when the histogram is empty or [q] is
+    NaN. *)
+
+val buckets : histogram -> (float * int) list
+(** Non-empty buckets as [(upper_bound, count)], bounds increasing. *)

@@ -10,14 +10,11 @@ type span = {
   mutable stop_at : Sim.Time.t option;
 }
 
-(* Lifecycle hook (Causal.Recorder installs itself here) to bind span
-   boundaries to engine events: fired when a real span is recorded and
-   when it finishes, with the engine whose clock stamped the boundary.
-   Observation-only — the hook must not touch spans or telemetry. *)
-type hook = {
-  on_start : id -> Sim.Engine.t -> unit;
-  on_finish : id -> Sim.Engine.t -> unit;
-}
+(* Finish hook (Causal.Recorder installs itself here) to bind span
+   ends to engine events: fired when a real span finishes, with the
+   engine whose clock stamped the end. Observation-only — the hook must
+   not touch spans or telemetry. *)
+type hook = id -> Sim.Engine.t -> unit
 
 (* Span storage, the ambient parent, and the installed hook are all
    domain-local: a domain's runs record into their own table, so span
@@ -62,29 +59,21 @@ let record name parent start_at stop_at =
 
 let start ?parent eng name =
   if not (Gate.on ()) then none
-  else begin
-    let sid = record name parent (Sim.Engine.now eng) None in
-    (match (state ()).hook with Some h -> h.on_start sid eng | None -> ());
-    sid
-  end
+  else record name parent (Sim.Engine.now eng) None
 
 let finish eng sid =
   let st = state () in
   match Hashtbl.find_opt st.by_id sid with
   | Some s when s.stop_at = None ->
       s.stop_at <- Some (Sim.Engine.now eng);
-      (match st.hook with Some h -> h.on_finish sid eng | None -> ())
+      (match st.hook with Some h -> h sid eng | None -> ())
   | Some _ | None -> ()
 
 let add ?parent eng name ~start_at ~stop_at =
   if not (Gate.on ()) then none
   else begin
     let sid = record name parent start_at (Some stop_at) in
-    (match (state ()).hook with
-    | Some h ->
-        h.on_start sid eng;
-        h.on_finish sid eng
-    | None -> ());
+    (match (state ()).hook with Some h -> h sid eng | None -> ());
     sid
   end
 

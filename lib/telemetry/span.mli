@@ -42,34 +42,26 @@ val add :
 val set_ambient : id option -> unit
 val ambient : unit -> id option
 
-(** {2 Lifecycle hook}
+(** {2 Finish hook}
 
     One process-global observation hook, installed by [Causal.Recorder]
-    to bind span boundaries to the engine events that produced them
-    (via [Sim.Engine.current_event_id]). [on_start] fires when a real
-    span is recorded ({!start}, and both callbacks for retroactive
-    {!add}); [on_finish] fires when an open span is closed. Never fired
-    for the inert {!none} id. The hook must be transparent: it may not
-    create, mutate, or finish spans, nor touch telemetry. *)
+    to bind span ends to the engine events that produced them (via
+    [Sim.Engine.current_event_id]). It fires when an open span is
+    closed by {!finish}, and when a retroactive span is recorded by
+    {!add}; never for the inert {!none} id. The hook must be
+    transparent: it may not create, mutate, or finish spans, nor touch
+    telemetry. *)
 
-type hook = {
-  on_start : id -> Sim.Engine.t -> unit;
-  on_finish : id -> Sim.Engine.t -> unit;
-}
+type hook = id -> Sim.Engine.t -> unit
 
 val set_hook : hook option -> unit
-(** Installs (or clears, with [None]) the lifecycle hook. *)
+(** Installs (or clears, with [None]) the finish hook. *)
 
 val spans : unit -> span list
 (** All recorded spans, in creation order. *)
 
 val find : name:string -> span list
 (** Spans with the given name, in creation order. *)
-
-val children : id -> span list
-
-val roots : unit -> span list
-(** Spans whose parent is absent or was never recorded. *)
 
 val clear : unit -> unit
 (** Forgets all spans and clears the ambient span. *)
@@ -80,3 +72,9 @@ val to_jsonl : Buffer.t -> unit
 
 val pp_tree : Format.formatter -> unit -> unit
 (** Renders the span forest with indentation and durations. *)
+
+(** {1 Test-only} *)
+
+val children : id -> span list
+val roots : unit -> span list
+(** Spans whose parent is absent or was never recorded. *)

@@ -90,7 +90,6 @@ type t = {
   mutable tcp_synced_cb : vrf:string -> unit;
 }
 
-let container t = t.cont
 let speaker t = t.spk
 
 let find_vrf t vrf =

@@ -98,7 +98,6 @@ val install : Orch.Container.t -> ?mode:mode -> config -> t
 (** Registers the bootstrap on the container's on_running hook (so it
     runs at every (re)boot). *)
 
-val container : t -> Orch.Container.t
 val speaker : t -> Bgp.Speaker.t option
 (** Available once the container runs. *)
 

@@ -54,8 +54,6 @@ let tensor =
     update_packing = true;
   }
 
-let all = [ ("FRRouting", frr); ("GoBGP", gobgp); ("BIRD", bird) ]
-
 type recovery = {
   detect : Time.span;
   human_initiate : Time.span;

@@ -31,9 +31,6 @@ val tensor : Bgp.Speaker.profile
     are {e not} in the profile — they come from the real store
     interactions of {!Replicator}. *)
 
-val all : (string * Bgp.Speaker.profile) list
-(** The three open-source baselines, by display name. *)
-
 (** {1 Baseline manual-recovery model (Table 1)} *)
 
 type recovery = {

@@ -83,6 +83,17 @@ val verdict :
 (** ["result: PASS"], or one line per violation and error, then
     ["result: FAIL"]: how the chaos and fleet summaries end. *)
 
+val run :
+  ?kind:Orch.Controller.failure_kind ->
+  ?out:string ->
+  string ->
+  (Monitor.Health.report, string) result
+(** Dispatch by scenario name ([?kind] applies to ["failover"]). With
+    [?out], the artifacts go to [out/<name>/] (["degraded"] never
+    migrates, so it has no critical path). *)
+
+(** {1 Test-only} *)
+
 val failover :
   ?out:string -> ?kind:Orch.Controller.failure_kind -> unit ->
   Monitor.Health.report
@@ -103,12 +114,3 @@ val degraded : ?out:string -> unit -> Monitor.Health.report
     (NSR suspended, session alive), and after the store heals the
     re-armed session must converge. The [degraded_mode_exclusion]
     checker runs armed with the scenario's deadline. *)
-
-val run :
-  ?kind:Orch.Controller.failure_kind ->
-  ?out:string ->
-  string ->
-  (Monitor.Health.report, string) result
-(** Dispatch by scenario name ([?kind] applies to ["failover"]). With
-    [?out], the artifacts go to [out/<name>/] (["degraded"] never
-    migrates, so it has no critical path). *)

@@ -360,7 +360,6 @@ let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
 
 let service_app svc = svc.app
 let service_container svc = svc.primary
-let service_id svc = svc.sid
 
 let wait_established t svc () =
   let deadline = Time.add (Engine.now t.eng) (Time.sec 30) in

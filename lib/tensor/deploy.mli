@@ -160,7 +160,6 @@ val service_app : service -> App.t
 (** The app of the current primary instance. *)
 
 val service_container : service -> Orch.Container.t
-val service_id : service -> string
 
 val wait_established : t -> service -> unit -> bool
 (** Runs the engine until every VRF session of the service is

@@ -20,8 +20,10 @@ val run :
   unit ->
   series list
 
+val print : series list -> unit
+
+(** {1 Test-only} *)
+
 val threshold_ms : series -> float
 (** The largest measured delay whose throughput is still within 5 % of
     the zero-delay throughput. *)
-
-val print : series list -> unit

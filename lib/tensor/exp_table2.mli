@@ -16,5 +16,8 @@ type solution = {
   maintenance_mh_per_month : int;
 }
 
-val rows : solution list
 val print : unit -> unit
+
+(** {1 Test-only} *)
+
+val rows : solution list

@@ -16,9 +16,6 @@ type t = {
           the reduced parameter ranges. *)
 }
 
-val all : t list
-(** The 13 paper experiments, in presentation order. *)
-
 val ids : string list
 (** [List.map (fun e -> e.id) all]. *)
 

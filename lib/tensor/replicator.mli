@@ -114,18 +114,6 @@ val note_snd_una : t -> iss:int -> snd_una:int -> unit
 (** Feeds the outbound trimmer (call periodically with the live
     connection's state). *)
 
-val watermark : t -> int option
-(** The replicated-ACK watermark (None before establishment). *)
-
-val held_segments : t -> int
-(** Segments currently held by the tcp_queue. How long each one waited
-    before release — the acknowledgment delay TENSOR introduces (compare
-    with the Figure 5(a) thresholds) — is observed, in seconds, into the
-    [replicator.ack_hold_s] registry histogram. *)
-
-val bytes_written : t -> int
-val pending_unapplied : t -> int
-
 (** {2 Degraded pass-through (store-outage survival)}
 
     Holding ACKs (and delaying sends) against a store that stays
@@ -176,3 +164,17 @@ val stop : t -> unit
 (** Ceases all activity (connection gone). Held segments are dropped,
     each reported as [Ack_dropped]: a stopped primary never ACKs bytes
     the store has not confirmed. *)
+
+(** {1 Test-only} *)
+
+val watermark : t -> int option
+(** The replicated-ACK watermark (None before establishment). *)
+
+val held_segments : t -> int
+(** Segments currently held by the tcp_queue. How long each one waited
+    before release — the acknowledgment delay TENSOR introduces (compare
+    with the Figure 5(a) thresholds) — is observed, in seconds, into the
+    [replicator.ack_hold_s] registry histogram. *)
+
+val bytes_written : t -> int
+val pending_unapplied : t -> int

@@ -43,15 +43,14 @@ val of_span :
     walk at the first matching ancestor. Errors when no finished span of
     that name exists or no traced events fall inside its window. *)
 
-val label_matches : string -> string -> bool
-(** [label_matches pat l]: exact or dotted-prefix label match. *)
-
-val segment_sum : t -> Sim.Time.span
-(** Sum of segment durations — always equals [total]. *)
-
 val to_text : t -> string
 (** Human-readable table: label, duration, share, event count. *)
 
 val to_json : t -> string
 (** [{"span":..,"start_ns":..,"stop_ns":..,"total_ns":..,"events":..,
     "segments":[{"label":..,"dur_ns":..,"events":..},..]}] *)
+
+(** {1 Test-only} *)
+
+val segment_sum : t -> Sim.Time.span
+(** Sum of segment durations — always equals [total]. *)

@@ -29,11 +29,10 @@ type state = {
   (* Engines seen so far, in first-seen order; list index = track id.
      Compared physically: engines have no identity beyond themselves. *)
   mutable engines : Sim.Engine.t list;
-  (* Span-boundary bindings: span id -> (event id, track) of the event
-     executing when the boundary was stamped. [-1] event ids (boundaries
-     stamped from harness code, outside dispatch) are recorded as
-     absent: there is no event to anchor to. *)
-  span_starts : (Telemetry.Span.id, int * int) Hashtbl.t;
+  (* Span-finish bindings: span id -> (event id, track) of the event
+     executing when the span finished. [-1] event ids (spans finished
+     from harness code, outside dispatch) are recorded as absent: there
+     is no event to anchor to. *)
   span_finishes : (Telemetry.Span.id, int * int) Hashtbl.t;
 }
 
@@ -46,7 +45,6 @@ let key =
         dropped_count = 0;
         index = Hashtbl.create 4096;
         engines = [];
-        span_starts = Hashtbl.create 64;
         span_finishes = Hashtbl.create 64;
       })
 
@@ -70,7 +68,6 @@ let register_track eng =
       st.engines <- st.engines @ [ eng ];
       i
 
-let span_start_binding sid = Hashtbl.find_opt (state ()).span_starts sid
 let span_finish_binding sid = Hashtbl.find_opt (state ()).span_finishes sid
 
 let reset () =
@@ -79,7 +76,6 @@ let reset () =
   st.store.len <- 0;
   st.dropped_count <- 0;
   Hashtbl.reset st.index;
-  Hashtbl.reset st.span_starts;
   Hashtbl.reset st.span_finishes;
   st.engines <- []
 
@@ -103,16 +99,10 @@ let on_dispatch ~eng ~id ~parent ~label ~sched_at ~exec_at =
     push st.store { id; parent; track; label; sched_at; exec_at }
   end
 
-let bind tbl sid eng =
+let span_hook sid eng =
   let ev = Sim.Engine.current_event_id eng in
-  if ev >= 0 then Hashtbl.replace tbl sid (ev, register_track eng)
-
-let span_hook =
-  {
-    Telemetry.Span.on_start =
-      (fun sid eng -> bind (state ()).span_starts sid eng);
-    on_finish = (fun sid eng -> bind (state ()).span_finishes sid eng);
-  }
+  if ev >= 0 then
+    Hashtbl.replace (state ()).span_finishes sid (ev, register_track eng)
 
 let observer = { Sim.Engine.before = on_dispatch; after = ignore }
 let enabled () = (state ()).active
@@ -146,6 +136,3 @@ let iter f =
     f store.arr.(i)
   done
 
-let nodes () =
-  let store = (state ()).store in
-  Array.init store.len (fun i -> store.arr.(i))

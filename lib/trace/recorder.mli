@@ -9,7 +9,7 @@
     keeps per-engine event ids unambiguous.
 
     It simultaneously attaches to [Telemetry.Span.set_hook] to bind span
-    boundaries to the events that stamped them — the raw material for
+    ends to the events that stamped them — the raw material for
     {!Critical} path extraction ("which event chain closed the failover
     span?").
 
@@ -27,7 +27,7 @@ type node = {
 }
 
 val attach : ?limit:int -> unit -> unit
-(** Attaches the engine observer and the span lifecycle hook.
+(** Attaches the engine observer and the span finish hook.
     Recording stops (and {!dropped} counts) past [limit] nodes (default
     2M, a fig5a-scale run with room).
     Existing recorded state is kept — call {!reset} for a fresh DAG. *)
@@ -44,30 +44,22 @@ val reset : unit -> unit
 val node_count : unit -> int
 (** Recorded nodes (excludes dropped ones). *)
 
-val dropped : unit -> int
-(** Dispatches not recorded because the node cap was reached. *)
-
 val get : int -> node
 (** [get i] is the [i]-th node in execution order, [0 <= i < node_count ()]. *)
 
 val iter : (node -> unit) -> unit
 (** Iterates nodes in execution order. *)
 
-val nodes : unit -> node array
-(** A copy of all nodes in execution order (tests / small runs). *)
-
 val find : track:int -> id:int -> node option
 (** Point lookup by (track, event id). *)
 
 val track_count : unit -> int
 
-val track_of_engine : Sim.Engine.t -> int option
-(** The track assigned to [eng], if it has dispatched any traced event
-    (or stamped a span boundary) since the last {!reset}. *)
-
-val span_start_binding : Telemetry.Span.id -> (int * int) option
-(** [(event id, track)] of the event executing when the span started;
-    [None] when the span started outside event dispatch. *)
-
 val span_finish_binding : Telemetry.Span.id -> (int * int) option
-(** [(event id, track)] of the event executing when the span finished. *)
+(** [(event id, track)] of the event executing when the span finished;
+    [None] when it finished outside event dispatch. *)
+
+(** {1 Test-only} *)
+
+val dropped : unit -> int
+(** Dispatches not recorded because the node cap was reached. *)

@@ -20,9 +20,6 @@ type params = {
 
 val default : params
 
-val sample_link_bps : Sim.Rng.t -> params -> float
-(** One link's average throughput in bits per second. *)
-
 val sample_population : Sim.Rng.t -> params -> int -> float array
 (** [sample_population rng p n] draws [n] links. *)
 
@@ -34,3 +31,8 @@ val bytes_impacted : avg_bps:float -> downtime:Sim.Time.span -> float
 (** Traffic volume (bytes) affected by a link outage of the given
     duration — the paper's "a one-minute one-link downtime will impact
     277 GB of live traffic" arithmetic. *)
+
+(** {1 Test-only} *)
+
+val sample_link_bps : Sim.Rng.t -> params -> float
+(** One link's average throughput in bits per second. *)

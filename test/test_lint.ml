@@ -8,7 +8,7 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
-let lint ~file src = Lint.Driver.lint_source ~file src
+let lint ~file src = Lint.Driver.lint_sources [ (file, src) ]
 
 let passes_of findings =
   List.sort_uniq String.compare
@@ -404,7 +404,7 @@ let test_cg_reachability_hops () =
 (* --- h1: hot-path allocation budget ------------------------------------------ *)
 
 (* Fixture files reuse real manifest paths (Hot_roots.hot_paths names
-   lib/sim/engine.ml:exec etc.), so [lint_source] exercises the
+   lib/sim/engine.ml:exec etc.), so [lint_sources] exercises the
    interprocedural walk with a single in-memory file. *)
 
 let test_h1_positive_direct () =
@@ -570,6 +570,73 @@ let test_p3_suppressed () =
   checki "reasoned suppression silences p3" 0 (List.length findings);
   checki "one suppression honoured" 1 suppressed
 
+(* --- i1: every export has a reader --------------------------------------------- *)
+
+(* One interface, [Alpha], exporting a value and a submodule-signature
+   value. Each row is one way of reading them, linted together with
+   the interface: the expected list names what i1 reports, as
+   "<export> <kind>". Its own module's reads never count: [Sub.get]
+   calls [helper] inside alpha.ml. *)
+let alpha_intf = "val helper : int -> int\nmodule Sub : sig val get : int -> int end\n"
+let alpha_impl = "let helper x = x + 1\nmodule Sub = struct let get x = helper x end\n"
+
+let i1_report (findings, _) =
+  List.filter_map
+    (fun (f : Lint.Finding.t) ->
+      let msg = f.message in
+      let name = List.hd (String.split_on_char ' ' msg) in
+      let has sub =
+        let n = String.length sub and m = String.length msg in
+        let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
+        at 0
+      in
+      if f.pass <> "i1" then None
+      else if has "no other module" then Some (name ^ " unread")
+      else if has "only by tests" then Some (name ^ " tests only")
+      else Some (name ^ " misplaced"))
+    findings
+
+let test_i1_reader_idioms () =
+  let both = [ "Alpha.helper"; "Alpha.Sub.get" ] in
+  let kind k = List.map (fun n -> n ^ " " ^ k) both in
+  let test_only = "(** {1 Test-only} *)\n\n" ^ alpha_intf in
+  let uses = "let () = ignore (Alpha.helper (Alpha.Sub.get 1))\n" in
+  let lib src = [ ("lib/bar/beta.ml", src) ] in
+  (* (idiom, interface, linted readers, reader-only sources, expected) *)
+  let cases =
+    [
+      ( "qualified path", alpha_intf,
+        lib "let f x = Alpha.helper (Alpha.Sub.get x)\n", [], [] );
+      ( "module alias", alpha_intf,
+        lib "module A = Foo.Alpha\nlet f x = A.helper (A.Sub.get x)\n", [], [] );
+      ( "file-level open", alpha_intf,
+        lib "open Alpha\nlet f x = helper (Sub.get x)\n", [], [] );
+      ( "let open", alpha_intf,
+        lib "let f x = let open Alpha in helper (Sub.get x)\n", [], [] );
+      ("M.(..)", alpha_intf, lib "let f x = Alpha.(helper (Sub.get x))\n", [], []);
+      ("include", alpha_intf, lib "include Alpha\n", [], []);
+      ("top-level let ()", alpha_intf, lib uses, [], []);
+      ("reader-only source", alpha_intf, [], [ ("perfsuite/bench.ml", uses) ], []);
+      ("seeded unread export", alpha_intf, lib "let f x = x\n", [], kind "unread");
+      ( "test-only reader", alpha_intf, [], [ ("test/test_alpha.ml", uses) ],
+        kind "tests only" );
+      ("test-only heading", test_only, [], [ ("test/test_alpha.ml", uses) ], []);
+      ("test-only heading, product reader", test_only, lib uses, [], kind "misplaced");
+      ( "suppressed",
+        "(* lint: allow i1 -- kept for a reason *)\n" ^ alpha_intf,
+        lib "let f = Alpha.Sub.get\n", [], [] );
+    ]
+  in
+  List.iter
+    (fun (idiom, intf, sources, readers, expected) ->
+      Alcotest.(check (list string))
+        idiom expected
+        (i1_report
+           (Lint.Driver.lint_sources ~readers
+              ([ ("lib/foo/alpha.mli", intf); ("lib/foo/alpha.ml", alpha_impl) ]
+              @ sources))))
+    cases
+
 (* --- parallel driver ---------------------------------------------------------- *)
 
 let test_driver_jobs_equivalent () =
@@ -579,9 +646,17 @@ let test_driver_jobs_equivalent () =
           "let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl\n"
       in
       let _ = write "lib/tcp/seeded.ml" "let now () = Unix.gettimeofday ()\n" in
-      let _ = write "lib/bgp/clean.ml" "let x = 1\n" in
-      let r1 = Lint.Driver.run ~jobs:1 ~paths:[ root ] () in
-      let r4 = Lint.Driver.run ~jobs:4 ~paths:[ root ] () in
+      let _ = write "lib/bgp/clean.ml" "let x = 1\nlet y = 2\n" in
+      (* i1 across the parallel scan: [x] is unread, [y] read only by
+         a reader-only source. *)
+      let _ = write "lib/bgp/clean.mli" "val x : int\nval y : int\n" in
+      let _ = write "readers/use.ml" "let () = ignore Clean.y\n" in
+      let readers = [ Filename.concat root "readers" ] in
+      let r1 = Lint.Driver.run ~jobs:1 ~readers ~paths:[ Filename.concat root "lib" ] () in
+      let r4 = Lint.Driver.run ~jobs:4 ~readers ~paths:[ Filename.concat root "lib" ] () in
+      checki "the unread export is the one i1 finding" 1
+        (List.length
+           (List.filter (fun (f : Lint.Finding.t) -> f.pass = "i1") r1.findings));
       Alcotest.(check (list string))
         "findings identical across --jobs"
         (List.map Lint.Finding.to_string r1.findings)
@@ -601,8 +676,12 @@ let test_zero_finding_repo_baseline () =
      runtest] the cwd is [_build/default/test]; under [dune exec
      test/test_lint.exe] it is the workspace root. *)
   let root = if Sys.file_exists "lib" then "." else ".." in
-  let paths = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
-  let report = Lint.Driver.run ~paths () in
+  let under = List.map (Filename.concat root) in
+  let report =
+    Lint.Driver.run
+      ~readers:(under Lint.Driver.reader_paths)
+      ~paths:(under Lint.Driver.lint_paths) ()
+  in
   Alcotest.(check (list string))
     "no error-severity findings in the repo" []
     (List.filter_map
@@ -786,6 +865,8 @@ let () =
           Alcotest.test_case "d2 suppression does not launder" `Quick
             test_d5_suppression_does_not_launder;
         ] );
+      ( "i1",
+        [ Alcotest.test_case "reader idioms" `Quick test_i1_reader_idioms ] );
       ( "p3",
         [
           Alcotest.test_case "partial stdlib in root file" `Quick

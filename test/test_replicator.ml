@@ -514,34 +514,56 @@ let held_seg ack =
    Drop verdict, since a fenced primary must not ACK bytes the store has
    not confirmed, and reported as [Ack_dropped], so event and wire
    agree. *)
+(* Both ways a held ACK leaves without watermark cover, with the wire
+   verdict and the event each gives it today. [stop] (fenced or dead
+   primary) drops the segment; [session_down] (dead transport) passes it
+   with [Accept], yet both report [Ack_dropped]. Once stopped, a later
+   segment passes unheld. *)
 let test_stop_releases_held () =
-  let r = make_rig () in
-  let chain = Netfilter.create () in
-  Tensor.Replicator.attach_output_chain r.repl chain
-    ~local:(Addr.of_string "1.1.1.1") ~remote:(Addr.of_string "2.2.2.2");
-  Tensor.Replicator.session_established r.repl ~irs:1000;
-  (* A segment acking beyond the watermark gets held. *)
-  let emitted = ref 0 in
-  Netfilter.traverse chain
-    (Packet.make ~src:(Addr.of_string "1.1.1.1") ~dst:(Addr.of_string "2.2.2.2")
-       ~size:40 (Tcp.Segment.Tcp (held_seg 99_999)))
-    ~emit:(fun _ -> incr emitted);
-  checki "held" 1 (Tensor.Replicator.held_segments r.repl);
-  let (), entries =
-    Telemetry.Control.capture ~category:Telemetry.Event.Replicator (fun () ->
-        Tensor.Replicator.stop r.repl)
-  in
-  let dropped =
-    List.filter_map
-      (fun (e : Telemetry.Bus.entry) ->
-        match e.event with
-        | Telemetry.Event.Ack_dropped { ack; _ } -> Some ack
-        | _ -> None)
-      entries
-  in
-  checki "released on stop" 0 (Tensor.Replicator.held_segments r.repl);
-  Alcotest.(check (list int)) "Ack_dropped for the held ACK" [ 99_999 ] dropped;
-  checki "never on the wire" 0 !emitted
+  List.iter
+    (fun (name, flush, on_wire) ->
+      let r = make_rig () in
+      let chain = Netfilter.create () in
+      Tensor.Replicator.attach_output_chain r.repl chain
+        ~local:(Addr.of_string "1.1.1.1") ~remote:(Addr.of_string "2.2.2.2");
+      Tensor.Replicator.session_established r.repl ~irs:1000;
+      let emitted = ref 0 in
+      let traverse ack =
+        Netfilter.traverse chain
+          (Packet.make ~src:(Addr.of_string "1.1.1.1")
+             ~dst:(Addr.of_string "2.2.2.2") ~size:40
+             (Tcp.Segment.Tcp (held_seg ack)))
+          ~emit:(fun _ -> incr emitted)
+      in
+      (* A segment acking beyond the watermark gets held. *)
+      traverse 99_999;
+      checki (name ^ ": held") 1 (Tensor.Replicator.held_segments r.repl);
+      let (), entries =
+        Telemetry.Control.capture ~category:Telemetry.Event.Replicator
+          (fun () -> flush r.repl)
+      in
+      let dropped =
+        List.filter_map
+          (fun (e : Telemetry.Bus.entry) ->
+            match e.event with
+            | Telemetry.Event.Ack_dropped { ack; _ } -> Some ack
+            | _ -> None)
+          entries
+      in
+      checki (name ^ ": released") 0 (Tensor.Replicator.held_segments r.repl);
+      Alcotest.(check (list int))
+        (name ^ ": Ack_dropped for the held ACK") [ 99_999 ] dropped;
+      checki (name ^ ": segments on the wire") on_wire !emitted;
+      if name = "stop" then begin
+        traverse 199_999;
+        checki "stopped: a later segment is not held" 0
+          (Tensor.Replicator.held_segments r.repl);
+        checki "stopped: a later segment passes" 1 !emitted
+      end)
+    [
+      ("stop", Tensor.Replicator.stop, 0);
+      ("session_down", Tensor.Replicator.session_down, 1);
+    ]
 
 (* --- Watchdog --------------------------------------------------------------- *)
 
