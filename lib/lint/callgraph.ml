@@ -45,6 +45,8 @@ type file_info = {
 type t = {
   files : file_info list;  (* sorted by file *)
   by_module : (string, string list) Hashtbl.t;  (* module -> files *)
+  library : (string, string) Hashtbl.t;
+      (* file -> its dune library's module name, for lib/*/ files *)
   defs_tbl : (string * string, def) Hashtbl.t;
   edges : (string * string, (string * string) list) Hashtbl.t;
   interfaces : (string * Parsetree.signature) list;  (* sorted by file *)
@@ -149,6 +151,37 @@ let refs_of_body (body : Parsetree.expression) =
   it.expr it body;
   (List.rev !refs, !locals)
 
+(* --- Libraries ------------------------------------------------------------ *)
+
+(* The library module name of a lib/<dir>/ file: the [(name ..)] of the
+   directory's [library] stanza ([lib/trace] is [causal]), or the
+   directory's own name when its dune file cannot be read (sources
+   linted from strings). [None] outside lib/. *)
+let library_of_file =
+  let name_in dune =
+    let marker = "(name " in
+    let n = String.length marker and len = String.length dune in
+    let rec find i =
+      if i + n > len then None
+      else if String.sub dune i n = marker then
+        let j = ref (i + n) in
+        while !j < len && not (String.contains " \t\n)" dune.[!j]) do incr j done;
+        Some (String.sub dune (i + n) (!j - i - n))
+      else find (i + 1)
+    in
+    find 0
+  in
+  fun file ->
+    let dir = Filename.dirname file in
+    if Filename.basename (Filename.dirname dir) <> "lib" then None
+    else
+      let declared =
+        match In_channel.with_open_text (Filename.concat dir "dune") In_channel.input_all with
+        | dune -> name_in dune
+        | exception Sys_error _ -> None
+      in
+      Some (String.capitalize_ascii (Option.value declared ~default:(Filename.basename dir)))
+
 (* --- Resolution ---------------------------------------------------------- *)
 
 (* The files module [m] may denote: the one file of that name, the one
@@ -252,6 +285,11 @@ let build ?(interfaces = []) ?(readers = []) parsed =
       in
       Hashtbl.replace by_module fi.fi_module (prev @ [ fi.fi_file ]))
     files;
+  let library = Hashtbl.create 64 in
+  List.iter
+    (fun fi ->
+      Option.iter (Hashtbl.replace library fi.fi_file) (library_of_file fi.fi_file))
+    files;
   let defs_tbl = Hashtbl.create 256 in
   List.iter
     (fun fi ->
@@ -268,6 +306,7 @@ let build ?(interfaces = []) ?(readers = []) parsed =
     {
       files;
       by_module;
+      library;
       defs_tbl;
       edges = Hashtbl.create 256;
       interfaces = sorted_by_file interfaces;
@@ -312,7 +351,11 @@ let callees t ~file ~name =
    argument, a packed module — which reads every export under it.
    Over-approximate, since a false "unread" costs more than a missed
    one: a module path counts for every segment that names a repo file
-   ([module_files], as in [resolve], but not only the first match), and
+   ([module_files], as in [resolve], but not only the first match) —
+   except that a segment after one naming a dune library ([Tensor] in
+   [Tensor.Baseline.x]) is that library's file only, and a bare name is
+   the caller's own library's file first (its directory, for lib/
+   callers) — and
    module aliases ([module R = Bgp.Rib], [let module]) and opens (file
    level, [let open], [M.(..)]) hold over the whole file regardless of
    scope. The walk covers every item, [let () =] included; references
@@ -363,13 +406,28 @@ let reads t ~file (str : Parsetree.structure) =
     | _ -> [ segs ]
   in
   let dotted = List.fold_left (fun acc s -> acc ^ s ^ ".") "" in
+  let in_library q f = Hashtbl.find_opt t.library f = Some q in
+  let libraries =
+    List.fold_left
+      (fun acc fi ->
+        match Hashtbl.find_opt t.library fi.fi_file with
+        | Some l -> SS.add l acc
+        | None -> acc)
+      SS.empty t.files
+  in
   let direct segs =
     List.concat
       (List.mapi
          (fun i m ->
            let inner = dotted (List.filteri (fun j _ -> j > i) segs) in
-           module_files t ~caller_dir:(Filename.dirname file) m
-           |> List.map (fun f -> (f, inner)))
+           let files = module_files t ~caller_dir:(Filename.dirname file) m in
+           let files =
+             if i = 0 then files
+             else
+               let q = List.nth segs (i - 1) in
+               if SS.mem q libraries then List.filter (in_library q) files else files
+           in
+           List.map (fun f -> (f, inner)) files)
          segs)
   in
   let opened = List.concat_map direct (List.concat_map (expand 0) !opens) in

@@ -65,11 +65,24 @@ let hot_paths =
       rt_fns = [ "handle_packet"; "send_control" ];
       rt_label = "bfd rx/tx";
     };
-    (* Every Loc-RIB change writes one checkpoint record and key; the
-       out| records hex-encode every sent frame. *)
+    (* Every Loc-RIB change writes one checkpoint record and key, and
+       every received message one in| record; the out| records
+       hex-encode every sent frame. The replicator's entry points and
+       the store's batch apply are budgeted with the codec, so a
+       per-record list or copy in the batching shows here too. *)
     {
       rt_file = "lib/tensor/keys.ml";
-      rt_fns = [ "encode_rib_entry"; "encode_rib_entry_with"; "rib_key"; "hex" ];
+      rt_fns = [ "encode_rib_entry_with"; "rib_key"; "hex" ];
+      rt_label = "replicator checkpoint codec";
+    };
+    {
+      rt_file = "lib/tensor/replicator.ml";
+      rt_fns = [ "on_rib_change"; "on_rx_message" ];
+      rt_label = "replicator checkpoint codec";
+    };
+    {
+      rt_file = "lib/store/store.ml";
+      rt_fns = [ "Server.apply_set" ];
       rt_label = "replicator checkpoint codec";
     };
     (* Fleet-scale per-event entry points: the SLO aggregator sees every

@@ -92,11 +92,16 @@ let prefix_of_string s =
       | Some len -> prefix addr len
       | None -> invalid_arg (Printf.sprintf "Addr.prefix_of_string: %S" s))
 
-let prefix_to_string p =
-  let b = Bytes.create (width p.base + 1 + digits p.len) in
-  let pos = put_addr b 0 p.base in
+let prefix_width p = width p.base + 1 + digits p.len
+
+let put_prefix b pos p =
+  let pos = put_addr b pos p.base in
   Bytes.unsafe_set b pos '/';
-  ignore (put_dec b (pos + 1) p.len);
+  put_dec b (pos + 1) p.len
+
+let prefix_to_string p =
+  let b = Bytes.create (prefix_width p) in
+  ignore (put_prefix b 0 p);
   Bytes.unsafe_to_string b
 
 

@@ -51,6 +51,15 @@ val prefix_of_string : string -> prefix
 (** Parses ["a.b.c.d/len"]. *)
 
 val prefix_to_string : prefix -> string
+
+val prefix_width : prefix -> int
+(** Length of [prefix_to_string p]. *)
+
+val put_prefix : Bytes.t -> int -> prefix -> int
+(** [put_prefix b pos p] writes [prefix_to_string p] into [b] at [pos]
+    and returns the position after it: a key that embeds a prefix is
+    built in one [Bytes], without the intermediate string. *)
+
 val compare_prefix : prefix -> prefix -> int
 val equal_prefix : prefix -> prefix -> bool
 

@@ -37,8 +37,62 @@ let free_cost_model =
     write_byte_ns = 0.0;
   }
 
+module Value = struct
+  type t = { head : string; tail : string }
+
+  let v ~head ~tail = { head; tail }
+  let of_string s = { head = ""; tail = s }
+  let head v = v.head
+  let tail v = v.tail
+  let length v = String.length v.head + String.length v.tail
+  let to_string v = if String.length v.head = 0 then v.tail else v.head ^ v.tail
+end
+
+module Batch = struct
+  type t = {
+    limit : int; (* capacity once grown past the first chunk *)
+    mutable keys : string array;
+    mutable values : Value.t array;
+    mutable n : int;
+    mutable bytes : int; (* keys plus modelled value lengths *)
+  }
+
+  let first_chunk = 8
+  let no_value = Value.of_string ""
+  let create limit = { limit; keys = [||]; values = [||]; n = 0; bytes = 0 }
+  let length b = b.n
+
+  (* A small first chunk keeps one-record batches cheap; the second
+     allocation goes straight to [limit], so a full batch of [limit]
+     records costs about [limit] slots per array, not twice that. *)
+  let grow b =
+    let cap = Array.length b.keys in
+    let cap' =
+      if cap = 0 then max 1 (min b.limit first_chunk)
+      else if cap < b.limit then b.limit
+      else 2 * cap
+    in
+    let keys = Array.make cap' "" and values = Array.make cap' no_value in
+    Array.blit b.keys 0 keys 0 b.n;
+    Array.blit b.values 0 values 0 b.n;
+    b.keys <- keys;
+    b.values <- values
+
+  let add b k v =
+    if b.n = Array.length b.keys then grow b;
+    Array.unsafe_set b.keys b.n k;
+    Array.unsafe_set b.values b.n v;
+    b.n <- b.n + 1;
+    b.bytes <- b.bytes + String.length k + Value.length v
+
+  let of_strings pairs =
+    let b = create (List.length pairs) in
+    List.iter (fun (k, v) -> add b k (Value.of_string v)) pairs;
+    b
+end
+
 type Rpc.body +=
-  | Req_set of (string * string) list
+  | Req_set of Batch.t
   | Req_get of string list
   | Req_del of string list
   | Req_scan of string
@@ -46,14 +100,14 @@ type Rpc.body +=
   | Resp_set_ok
   | Resp_values of (string * string option) list
   | Resp_del_count of int
-  | Resp_pairs of (string * string) list
+  | Resp_pairs of (string * Value.t) list
 
 module Server = struct
   type t = {
     snode : Node.t;
     eng : Engine.t;
     cost : cost_model;
-    table : (string, string) Hashtbl.t;
+    table : (string, Value.t) Hashtbl.t;
     mutable bytes : int;
     mutable busy_until : Time.t;
     mutable replica : t option;
@@ -82,7 +136,10 @@ module Server = struct
 
   let records t = Hashtbl.length t.table
   let stored_bytes t = t.bytes
-  let peek t key = Hashtbl.find_opt t.table key
+  let peek t key =
+    match Hashtbl.find_opt t.table key with
+    | Some v -> Some (Value.to_string v)
+    | None -> None
 
   let keys_with_prefix t prefix =
     Det.keys_where ~compare:String.compare ~keep:(String.starts_with ~prefix) t.table
@@ -115,15 +172,17 @@ module Server = struct
       (* Exact for factor 1.0: every span fits a float mantissa. *)
       int_of_float (float_of_int raw *. t.cost_factor)
 
-  let apply_set t pairs =
-    List.iter
-      (fun (k, v) ->
-        (match Hashtbl.find_opt t.table k with
-        | Some old -> t.bytes <- t.bytes - String.length k - String.length old
-        | None -> ());
-        Hashtbl.replace t.table k v;
-        t.bytes <- t.bytes + String.length k + String.length v)
-      pairs
+  (* In batch order: a key written twice in one batch ends with its
+     later value. *)
+  let apply_set t (b : Batch.t) =
+    for i = 0 to b.n - 1 do
+      let k = Array.unsafe_get b.keys i and v = Array.unsafe_get b.values i in
+      (match Hashtbl.find_opt t.table k with
+      | Some old -> t.bytes <- t.bytes - String.length k - Value.length old
+      | None -> ());
+      Hashtbl.replace t.table k v;
+      t.bytes <- t.bytes + String.length k + Value.length v
+    done
 
   let apply_del t keys =
     List.fold_left
@@ -131,15 +190,15 @@ module Server = struct
         match Hashtbl.find_opt t.table k with
         | Some v ->
             Hashtbl.remove t.table k;
-            t.bytes <- t.bytes - String.length k - String.length v;
+            t.bytes <- t.bytes - String.length k - Value.length v;
             acc + 1
         | None -> acc)
       0 keys
 
-  let payload_bytes_of_pairs pairs =
-    List.fold_left
-      (fun acc (k, v) -> acc + String.length k + String.length v)
-      0 pairs
+  let value_bytes t k =
+    match Hashtbl.find_opt t.table k with
+    | Some v -> Value.length v
+    | None -> 0
 
   (* Writes go to the replica synchronously: the reply is withheld until
      the replica has confirmed (same processing-cost model there). A
@@ -155,11 +214,9 @@ module Server = struct
     | Some r ->
         let cost, apply =
           match op with
-          | `Set pairs ->
-              ( op_cost r ~writes:true
-                  ~bytes:(payload_bytes_of_pairs pairs)
-                  (List.length pairs),
-                fun () -> apply_set r pairs )
+          | `Set (b : Batch.t) ->
+              ( op_cost r ~writes:true ~bytes:b.bytes b.n,
+                fun () -> apply_set r b )
           | `Del keys ->
               ( op_cost r ~writes:true ~bytes:0 (List.length keys),
                 fun () -> ignore (apply_del r keys) )
@@ -193,38 +250,25 @@ module Server = struct
               ~reply:(fun ?(size = 128) rbody ->
                 Hashtbl.replace t.idem client (seq, Some (rbody, size));
                 reply ~size rbody))
-    | Req_set pairs ->
+    | Req_set b ->
         let finish =
-          processing_finish t
-            (op_cost t ~writes:true
-               ~bytes:(payload_bytes_of_pairs pairs)
-               (List.length pairs))
+          processing_finish t (op_cost t ~writes:true ~bytes:b.bytes b.n)
         in
         ignore
           (Engine.schedule_at t.eng ~label:"store.op" finish (fun () ->
                if up t then begin
-                 apply_set t pairs;
-                 replicate t (`Set pairs) (fun () -> reply ~size:64 Resp_set_ok)
+                 apply_set t b;
+                 replicate t (`Set b) (fun () -> reply ~size:64 Resp_set_ok)
                end))
     | Req_get keys ->
-        let bytes =
-          List.fold_left
-            (fun acc k ->
-              acc
-              + match Hashtbl.find_opt t.table k with
-                | Some v -> String.length v
-                | None -> 0)
-            0 keys
-        in
+        let bytes = List.fold_left (fun acc k -> acc + value_bytes t k) 0 keys in
         let finish =
           processing_finish t (op_cost t ~writes:false ~bytes (List.length keys))
         in
         ignore
           (Engine.schedule_at t.eng ~label:"store.op" finish (fun () ->
                if up t then begin
-                 let values =
-                   List.map (fun k -> (k, Hashtbl.find_opt t.table k)) keys
-                 in
+                 let values = List.map (fun k -> (k, peek t k)) keys in
                  let size =
                    64
                    + List.fold_left
@@ -248,15 +292,7 @@ module Server = struct
                end))
     | Req_scan prefix ->
         let keys = keys_with_prefix t prefix in
-        let bytes =
-          List.fold_left
-            (fun acc k ->
-              acc
-              + match Hashtbl.find_opt t.table k with
-                | Some v -> String.length v
-                | None -> 0)
-            0 keys
-        in
+        let bytes = List.fold_left (fun acc k -> acc + value_bytes t k) 0 keys in
         let finish =
           processing_finish t
             (op_cost t ~writes:false ~bytes (max 1 (List.length keys)))
@@ -272,7 +308,12 @@ module Server = struct
                        | None -> None)
                      keys
                  in
-                 reply ~size:(64 + payload_bytes_of_pairs pairs) (Resp_pairs pairs)
+                 let size =
+                   List.fold_left
+                     (fun acc (k, v) -> acc + String.length k + Value.length v)
+                     64 pairs
+                 in
+                 reply ~size (Resp_pairs pairs)
                end))
     | _ -> ()
 
@@ -385,12 +426,6 @@ module Client = struct
   let failed_over t =
     match t.resilient with Some r -> r.failed | None -> false
 
-  let request_size_of_pairs pairs =
-    64
-    + List.fold_left
-        (fun acc (k, v) -> acc + String.length k + String.length v)
-        0 pairs
-
   let start_next r =
     match r.queue with
     | [] -> ()
@@ -444,23 +479,28 @@ module Client = struct
         r.queue <- r.queue @ [ job ];
         if not r.inflight then start_next r
 
-  let set t ?(timeout = Time.sec 5) pairs k =
-    exec t ~size:(request_size_of_pairs pairs) ~timeout (Req_set pairs)
-      (function
+  let add_length acc s = acc + String.length s
+  let keys_size keys = List.fold_left add_length 64 keys
+
+  let set_batch t ?(timeout = Time.sec 5) (b : Batch.t) k =
+    (* lint: allow h1 — once per write request, which carries a whole batch *)
+    exec t ~size:(64 + b.bytes) ~timeout (Req_set b) (function
       | Ok Resp_set_ok -> k (Ok ())
       | Ok _ -> k (Error `Timeout)
       | Error _ -> k (Error `Timeout))
 
+  let set t ?timeout pairs k = set_batch t ?timeout (Batch.of_strings pairs) k
+
   let get t ?(timeout = Time.sec 5) keys k =
-    let size = 64 + List.fold_left (fun a s -> a + String.length s) 0 keys in
-    exec t ~size ~timeout (Req_get keys) (function
+    (* lint: allow h1 — once per read request, not per key *)
+    exec t ~size:(keys_size keys) ~timeout (Req_get keys) (function
       | Ok (Resp_values vs) -> k (Ok vs)
       | Ok _ -> k (Error `Timeout)
       | Error _ -> k (Error `Timeout))
 
   let del t ?(timeout = Time.sec 5) keys k =
-    let size = 64 + List.fold_left (fun a s -> a + String.length s) 0 keys in
-    exec t ~size ~timeout (Req_del keys) (function
+    (* lint: allow h1 — once per delete request, not per key *)
+    exec t ~size:(keys_size keys) ~timeout (Req_del keys) (function
       | Ok (Resp_del_count n) -> k (Ok n)
       | Ok _ -> k (Error `Timeout)
       | Error _ -> k (Error `Timeout))

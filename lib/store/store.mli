@@ -19,6 +19,48 @@
     promised, matching the paper. An optional synchronous replica models
     the store's own fault tolerance. *)
 
+(** {1 Values and batches} *)
+
+(** A stored value: a head string that many records may share
+    physically, then the record's own tail. The store models the value
+    as the bytes of [head ^ tail] — that length is what the cost model
+    charges and what request, response and storage sizes count —
+    whatever the split, so sharing a head changes no modelled size. *)
+module Value : sig
+  type t
+
+  val v : head:string -> tail:string -> t
+  (** [head] is kept as given, not copied: records built from one
+      message share it. *)
+
+  val of_string : string -> t
+  (** A value with an empty head. *)
+
+  val head : t -> string
+  val tail : t -> string
+
+  val to_string : t -> string
+  (** [head ^ tail]; the tail itself when the head is empty. *)
+end
+
+(** One write request's records, in order. *)
+module Batch : sig
+  type t
+
+  val create : int -> t
+  (** [create n] is an empty batch expected to hold up to [n] records.
+      It starts with a small chunk and grows to [n] slots at once (past
+      [n], it doubles), so the expected size is only a hint. *)
+
+  val add : t -> string -> Value.t -> unit
+  (** Appends a record. A batch must not change once written. *)
+
+  val length : t -> int
+
+  val of_strings : (string * string) list -> t
+  (** A batch of plain values ({!Value.of_string}), in list order. *)
+end
+
 (** {1 Server} *)
 
 type cost_model = {
@@ -75,7 +117,8 @@ module Server : sig
       storage-trimming argument bounds per connection. *)
 
   val peek : t -> string -> string option
-  (** Direct local read, no latency model (tests and invariant checks). *)
+  (** Direct local read, no latency model (tests and invariant checks):
+      {!Value.to_string} of the stored value. *)
 
   val keys_with_prefix : t -> string -> string list
   (** Direct local prefix scan, no latency model. *)
@@ -105,11 +148,18 @@ module Client : sig
       on both targets yield [`Timeout]; later ops re-try the promoted
       replica, so a healed store resumes service. *)
 
+  val set_batch :
+    t -> ?timeout:Sim.Time.span -> Batch.t ->
+    ((unit, [ `Timeout ]) result -> unit) -> unit
+  (** Batched write, applied in batch order; the callback fires when
+      every record is durable on the server (and its replica, if any).
+      The request's modelled size is 64 bytes plus the length of every
+      key and flat value. *)
+
   val set :
     t -> ?timeout:Sim.Time.span -> (string * string) list ->
     ((unit, [ `Timeout ]) result -> unit) -> unit
-  (** Batched write; the callback fires when every record is durable on
-      the server (and its replica, if any). *)
+  (** {!set_batch} of plain values. *)
 
   val get :
     t -> ?timeout:Sim.Time.span -> string list ->
@@ -123,9 +173,11 @@ module Client : sig
 
   val scan :
     t -> ?timeout:Sim.Time.span -> prefix:string ->
-    (((string * string) list, [ `Timeout ]) result -> unit) -> unit
+    (((string * Value.t) list, [ `Timeout ]) result -> unit) -> unit
   (** All (key, value) pairs whose key starts with [prefix], sorted by
-      key — how a backup container downloads a connection's state. *)
+      key — how a backup container downloads a connection's state. The
+      values come as stored, heads still shared, so a reader can parse
+      a shared head once. *)
 
   (** {1 Test-only} *)
 

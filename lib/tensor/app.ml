@@ -127,10 +127,10 @@ let engine t = Node.engine (Orch.Container.node t.cont)
    baseline) must reach the store even across transient network trouble:
    retry every 200 ms until acknowledged, then run [k]. Both stop once
    the app dies or [live] turns false. *)
-let persistent_set ?(live = fun () -> true) ?(k = ignore) t client pairs =
+let persistent_set ?(live = fun () -> true) ?(k = ignore) t client batch =
   let rec attempt () =
     if (not t.crashed) && live () then
-      Store.Client.set client ~timeout:(Time.sec 1) pairs (function
+      Store.Client.set_batch client ~timeout:(Time.sec 1) batch (function
         | Ok () -> if (not t.crashed) && live () then k ()
         | Error `Timeout ->
             ignore
@@ -241,7 +241,8 @@ let write_meta t pv =
       match (Bgp.Speaker.peer_conn p, negotiated p) with
       | Some c, Some neg ->
           persistent_set t client
-            [ meta_record t pv ~epoch:(Replicator.epoch pv.repl) c neg ]
+            (Store.Batch.of_strings
+               [ meta_record t pv ~epoch:(Replicator.epoch pv.repl) c neg ])
       | _ -> ())
   | _ -> ()
 
@@ -302,11 +303,12 @@ let write_bfd_discs t pv =
   match (t.client, pv.bfd) with
   | Some client, Some session ->
       persistent_set t client
-        [
-          ( Keys.bfd_key pv.cid,
-            Keys.encode_bfd ~my_disc:(Bfd.my_disc session)
-              ~your_disc:(Bfd.your_disc session) );
-        ]
+        (Store.Batch.of_strings
+           [
+             ( Keys.bfd_key pv.cid,
+               Keys.encode_bfd ~my_disc:(Bfd.my_disc session)
+                 ~your_disc:(Bfd.your_disc session) );
+           ])
   | _ -> ()
 
 let start_bfd t pv ?resume () =
@@ -385,18 +387,26 @@ let rearm_from_degraded t pv =
   let recheckpoint spk client =
     Store.Client.scan client ~prefix:(Keys.rib_prefix ~service) (fun res ->
         if (not t.crashed) && not (Replicator.degraded pv.repl) then begin
+          (* The replicator's own encoder form: the store holds one
+             record form. *)
+          let enc = Keys.rib_encoder () in
           let fresh =
             try
               let table = Bgp.Speaker.rib spk ~vrf:pv.spec.vrf in
               Bgp.Rib.fold_best table ~init:[] ~f:(fun acc pfx path ->
                   ( Keys.rib_key ~service ~vrf:pv.spec.vrf pfx,
-                    Keys.encode_rib_entry path.Bgp.Rib.source pfx
+                    Keys.encode_rib_entry_with enc path.Bgp.Rib.source pfx
                       path.Bgp.Rib.attrs )
                   :: acc)
             with Not_found -> []
           in
           let fresh_keys = Hashtbl.create (List.length fresh) in
-          List.iter (fun (key, _) -> Hashtbl.replace fresh_keys key ()) fresh;
+          let batch = Store.Batch.create (List.length fresh) in
+          List.iter
+            (fun (key, v) ->
+              Hashtbl.replace fresh_keys key ();
+              Store.Batch.add batch key v)
+            fresh;
           let stale =
             match res with
             | Ok pairs ->
@@ -412,7 +422,7 @@ let rearm_from_degraded t pv =
             | Error `Timeout -> []
           in
           if stale <> [] then Store.Client.del client stale (fun _ -> ());
-          if fresh <> [] then persistent_set t client fresh
+          if fresh <> [] then persistent_set t client batch
         end)
   in
   let rec poll () =
@@ -452,7 +462,7 @@ let rearm_from_degraded t pv =
         :: pairs
       else pairs
     in
-    persistent_set t client pairs
+    persistent_set t client (Store.Batch.of_strings pairs)
       ~live:(fun () -> Replicator.degraded pv.repl)
       ~k:(fun () ->
         if
@@ -549,7 +559,10 @@ let parse_recovery ecid ~meta:r_meta ~bfd:r_bfd cursor_reads outs ins =
         | Ok pairs ->
             List.filter_map
               (fun (key, v) ->
-                match (Keys.offset_of_out_key ecid key, Keys.unhex v) with
+                match
+                  ( Keys.offset_of_out_key ecid key,
+                    Keys.unhex (Store.Value.to_string v) )
+                with
                 | Some off, Ok raw -> Some (off, raw)
                 | _ -> None)
               pairs
@@ -826,6 +839,7 @@ let bootstrap_recover t spk stack client =
   in
   (* Restore the routing-table checkpoint first (quiet installs), then
      resume every VRF's session. *)
+  let dec = Keys.rib_decoder () in
   Store.Client.scan client ~prefix:(Keys.rib_prefix ~service:t.cfg.service_id)
     (fun rib_entries ->
       (match rib_entries with
@@ -838,7 +852,7 @@ let bootstrap_recover t spk stack client =
             (fun (key, v) ->
               match
                 ( Keys.vrf_prefix_of_rib_key ~service:t.cfg.service_id key,
-                  Keys.decode_rib_entry v )
+                  Keys.decode_rib_entry dec v )
               with
               | Some (vrf, _), Ok (src, prefix, attrs) ->
                   Bgp.Speaker.restore_route spk ~vrf src prefix attrs

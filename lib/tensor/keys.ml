@@ -44,18 +44,17 @@ let bfd_key cid = "bfd|" ^ cid
 let part_key cid = "part|" ^ cid
 
 let rib_key ~service ~vrf prefix =
-  let p = Netsim.Addr.prefix_to_string prefix in
   let b =
     Bytes.create
       (String.length "rib|||" + String.length service + String.length vrf
-     + String.length p)
+     + Netsim.Addr.prefix_width prefix)
   in
   let pos = put b 0 "rib|" in
   let pos = put b pos service in
   let pos = put b pos "|" in
   let pos = put b pos vrf in
   let pos = put b pos "|" in
-  ignore (put b pos p);
+  ignore (Netsim.Addr.put_prefix b pos prefix);
   Bytes.unsafe_to_string b
 
 let rib_prefix ~service = "rib|" ^ service ^ "|"
@@ -224,20 +223,29 @@ let decode_meta s =
 
 (* --- In records ------------------------------------------------------------ *)
 
-let encode_in_record ~ack ~raw = string_of_int ack ^ ":" ^ raw
+(* "<ack>:" is the head and the frame as received the tail, so the
+   frame is stored and read back without a copy. *)
+let encode_in_record ~ack ~raw =
+  (* lint: allow h1 — once per received message, which is one in| record; the frame itself is not copied *)
+  Store.Value.v ~head:(string_of_int ack ^ ":") ~tail:raw
 
-let decode_in_record s =
-  match String.index_opt s ':' with
-  | None -> Error "no ack separator"
-  | Some i -> (
-      match int_of_string_opt (String.sub s 0 i) with
-      | None -> Error "bad ack"
-      | Some ack -> Ok (ack, String.sub s (i + 1) (String.length s - i - 1)))
+let decode_in_record v =
+  let head = Store.Value.head v in
+  let n = String.length head in
+  if n = 0 || head.[n - 1] <> ':' then Error "no ack separator"
+  else
+    match int_of_string_opt (String.sub head 0 (n - 1)) with
+    | None -> Error "bad ack"
+    | Some ack -> Ok (ack, Store.Value.tail v)
 
 (* --- RIB entries ------------------------------------------------------------ *)
 
 (* A record is "sk=<key>;pasn=<asn>;paddr=<addr>;rid=<addr>;ebgp=<0|1>;u="
-   followed by the hex of the route's one-prefix UPDATE frame. *)
+   followed by the hex of the route's one-prefix UPDATE frame. It is
+   stored split before the NLRI: the head, everything up to it, is the
+   same for every prefix of one UPDATE that has the same NLRI size (the
+   frame's length digits sit in the head), and the tail is the NLRI's
+   hex. *)
 
 (* The record's source fields and the hex of [frame.[0 .. upto)], in one
    right-sized [Bytes]. *)
@@ -265,7 +273,7 @@ let rib_record (src : Bgp.Rib.source) frame ~upto =
 
 let rib_frame prefix attrs =
   let nlri =
-    (* lint: allow h1 — the record's own one-prefix UPDATE: one cons per uncached record or per encoder head rebuild, never per cached record *)
+    (* lint: allow h1 — the record's own one-prefix UPDATE: one cons per encoder head rebuild, never per cached record *)
     [ prefix ]
   in
   Bgp.Msg.encode (Bgp.Msg.Update { withdrawn = []; attrs = Some attrs; nlri })
@@ -274,21 +282,16 @@ let rib_frame prefix attrs =
    significant octets of the base. *)
 let nlri_size (prefix : Netsim.Addr.prefix) = 1 + ((prefix.Netsim.Addr.len + 7) / 8)
 
-let encode_rib_entry src prefix attrs =
-  let frame = rib_frame prefix attrs in
-  Bytes.unsafe_to_string (rib_record src frame ~upto:(String.length frame))
-
-(* Every prefix of one UPDATE shares its source and attributes, so the
-   record up to the NLRI is the same for all of them but the frame's
-   length field. The encoder keeps that head for the last
-   (source, attributes) pair it saw and writes, per prefix, only the
-   length and the NLRI. Physical equality is the hit test: a structurally
-   equal but distinct attribute set rebuilds the head, which is correct,
-   just not cheaper. *)
+(* The encoder keeps the heads of the last (source, attributes) pair it
+   saw, one per NLRI size, and writes per prefix only the NLRI's hex.
+   Physical equality is the hit test: a structurally equal but distinct
+   attribute set rebuilds the heads, which is correct, just not
+   cheaper. *)
 type rib_head = {
   h_src : Bgp.Rib.source;
   h_attrs : Bgp.Attrs.t;
-  h_bytes : string; (* record up to the NLRI; length digits rewritten *)
+  h_base : string; (* the head first built, for the NLRI that built it *)
+  h_heads : string array; (* by NLRI size - 1; "" until built *)
   h_len_at : int; (* offset of the frame length's four hex digits *)
   h_frame : int; (* frame bytes before the NLRI *)
 }
@@ -298,18 +301,37 @@ type rib_encoder = { mutable last : rib_head option }
 let rib_encoder () = { last = None }
 
 let marker_hex = 2 * 16
+let max_nlri = 5 (* a /32: the length octet and four base octets *)
 
 let rib_head src prefix attrs =
   let frame = rib_frame prefix attrs in
   let upto = String.length frame - nlri_size prefix in
   let head = Bytes.unsafe_to_string (rib_record src frame ~upto) in
+  let heads = Array.make max_nlri "" in
+  heads.(nlri_size prefix - 1) <- head;
   {
     h_src = src;
     h_attrs = attrs;
-    h_bytes = head;
+    h_base = head;
+    h_heads = heads;
     h_len_at = String.length head - (2 * upto) + marker_hex;
     h_frame = upto;
   }
+
+(* The head for an NLRI of [nlri] bytes: a built one with the frame
+   length rewritten. *)
+let head_for h nlri =
+  let total = h.h_frame + nlri in
+  if total > Bgp.Msg.max_size then
+    invalid_arg
+      (Printf.sprintf "Msg.encode: %d bytes exceeds max %d" total
+         Bgp.Msg.max_size);
+  let b = Bytes.of_string h.h_base in
+  put_hex_byte b h.h_len_at (total lsr 8);
+  put_hex_byte b (h.h_len_at + 2) total;
+  let head = Bytes.unsafe_to_string b in
+  h.h_heads.(nlri - 1) <- head;
+  head
 
 let encode_rib_entry_with enc src (prefix : Netsim.Addr.prefix) attrs =
   let h =
@@ -321,48 +343,98 @@ let encode_rib_entry_with enc src (prefix : Netsim.Addr.prefix) attrs =
         h
   in
   let nlri = nlri_size prefix in
-  let total = h.h_frame + nlri in
-  if total > Bgp.Msg.max_size then
-    invalid_arg
-      (Printf.sprintf "Msg.encode: %d bytes exceeds max %d" total
-         Bgp.Msg.max_size);
-  let hl = String.length h.h_bytes in
-  let b = Bytes.create (hl + (2 * nlri)) in
-  Bytes.blit_string h.h_bytes 0 b 0 hl;
-  put_hex_byte b h.h_len_at (total lsr 8);
-  put_hex_byte b (h.h_len_at + 2) total;
-  put_hex_byte b hl prefix.Netsim.Addr.len;
+  let head =
+    match h.h_heads.(nlri - 1) with "" -> head_for h nlri | head -> head
+  in
+  let b = Bytes.create (2 * nlri) in
+  put_hex_byte b 0 prefix.Netsim.Addr.len;
   let base = Netsim.Addr.to_int prefix.Netsim.Addr.base in
   for i = 0 to nlri - 2 do
-    put_hex_byte b (hl + 2 + (2 * i)) (base lsr (24 - (8 * i)))
+    put_hex_byte b (2 + (2 * i)) (base lsr (24 - (8 * i)))
   done;
-  Bytes.unsafe_to_string b
+  Store.Value.v ~head ~tail:(Bytes.unsafe_to_string b)
 
-let decode_rib_entry s =
-  let f = fields s in
+let encode_rib_entry src prefix attrs =
+  Store.Value.to_string (encode_rib_entry_with (rib_encoder ()) src prefix attrs)
+
+(* A head's source and attributes, and the NLRI size its frame length
+   leaves room for. *)
+type rib_fields = {
+  f_src : Bgp.Rib.source;
+  f_attrs : Bgp.Attrs.t;
+  f_nlri : int;
+}
+
+(* Decodes a head once: its frame, completed with a placeholder NLRI of
+   the size the length field declares, must decode as a one-prefix
+   UPDATE with attributes. *)
+let decode_rib_head head =
+  let f = fields head in
   let get k = List.assoc_opt k f in
   match (get "sk", get "pasn", get "paddr", get "rid", get "ebgp", get "u") with
   | Some key, Some pasn, Some paddr, Some rid, Some ebgp, Some u_hex -> (
       match (int_of_string_opt pasn, unhex u_hex) with
-      | Some peer_asn, Ok raw -> (
-          match Bgp.Msg.decode raw with
-          | Ok (Bgp.Msg.Update { attrs = Some attrs; nlri = [ prefix ]; _ }) -> (
-              try
-                Ok
-                  ( {
-                      Bgp.Rib.key;
-                      peer_asn;
-                      peer_addr = Netsim.Addr.of_string paddr;
-                      router_id = Netsim.Addr.of_string rid;
-                      ebgp = ebgp = "1";
-                    },
-                    prefix,
-                    attrs )
-              with Invalid_argument e -> Error e)
-          | Ok _ -> Error "unexpected rib payload"
-          | Error e -> Error (Format.asprintf "%a" Bgp.Msg.pp_error e))
+      | Some peer_asn, Ok raw when String.length raw >= 19 -> (
+          let nlri = ((Char.code raw.[16] lsl 8) lor Char.code raw.[17]) - String.length raw in
+          if nlri < 1 || nlri > max_nlri then Error "bad rib head length"
+          else
+            let placeholder = Bytes.make nlri '\000' in
+            Bytes.set placeholder 0 (Char.chr (8 * (nlri - 1)));
+            match Bgp.Msg.decode (raw ^ Bytes.unsafe_to_string placeholder) with
+            | Ok (Bgp.Msg.Update { attrs = Some attrs; nlri = [ _ ]; _ }) -> (
+                try
+                  Ok
+                    {
+                      f_src =
+                        {
+                          Bgp.Rib.key;
+                          peer_asn;
+                          peer_addr = Netsim.Addr.of_string paddr;
+                          router_id = Netsim.Addr.of_string rid;
+                          ebgp = ebgp = "1";
+                        };
+                      f_attrs = attrs;
+                      f_nlri = nlri;
+                    }
+                with Invalid_argument e -> Error e)
+            | Ok _ -> Error "unexpected rib payload"
+            | Error e -> Error (Format.asprintf "%a" Bgp.Msg.pp_error e))
       | _ -> Error "bad rib fields")
   | _ -> Error "missing rib field"
+
+(* The NLRI of [f_nlri] bytes in [tail], read as [Bgp.Msg] reads one. *)
+let prefix_of_tail f_nlri tail =
+  match unhex tail with
+  | Ok raw when String.length raw = f_nlri ->
+      let len = Char.code raw.[0] in
+      if len > 32 || 1 + ((len + 7) / 8) <> f_nlri then Error "bad rib tail"
+      else
+        let base = ref 0 in
+        for i = 1 to f_nlri - 1 do
+          base := !base lor (Char.code raw.[i] lsl (24 - (8 * (i - 1))))
+        done;
+        Ok (Netsim.Addr.prefix (Netsim.Addr.of_int !base) len)
+  | Ok _ | Error _ -> Error "bad rib tail"
+
+type rib_decoder = {
+  mutable d_head : string;
+  mutable d_fields : (rib_fields, string) result;
+}
+
+let rib_decoder () = { d_head = ""; d_fields = Error "rib record without head" }
+
+let decode_rib_entry d v =
+  let head = Store.Value.head v in
+  if not (head == d.d_head || String.equal head d.d_head) then begin
+    d.d_head <- head;
+    d.d_fields <- decode_rib_head head
+  end;
+  match d.d_fields with
+  | Error e -> Error e
+  | Ok f -> (
+      match prefix_of_tail f.f_nlri (Store.Value.tail v) with
+      | Ok prefix -> Ok (f.f_src, prefix, f.f_attrs)
+      | Error e -> Error e)
 
 (* --- BFD ------------------------------------------------------------------- *)
 

@@ -21,7 +21,10 @@
     - [rib|<service>|<vrf>|<prefix>] — routing-table checkpoint entries.
 
     Values with binary content (BGP frames) are hex-encoded inside
-    line-oriented records, so the store holds plain strings. *)
+    line-oriented records, except the frame of an [in|] record, which
+    is stored as received. Records built from one message share their
+    head ({!Store.Value}): the modelled size of every record is that of
+    its flat text, whatever the split. *)
 
 type conn_id = string
 (** ["<service>|<vrf>"]. *)
@@ -80,29 +83,42 @@ type meta = {
 val encode_meta : meta -> string
 val decode_meta : string -> (meta, string) result
 
-val encode_in_record : ack:int -> raw:string -> string
-val decode_in_record : string -> (int * string, string) result
+val encode_in_record : ack:int -> raw:string -> Store.Value.t
+(** Head ["<ack>:"], tail the frame itself (not copied). *)
+
+val decode_in_record : Store.Value.t -> (int * string, string) result
 (** [(inferred_ack, raw_frame)]. *)
 
 val encode_rib_entry : Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t -> string
-(** The checkpoint record of one Loc-RIB best path: its source fields and
-    the hex of the one-prefix UPDATE that re-announces it. *)
+(** The checkpoint record of one Loc-RIB best path, flat: its source
+    fields and the hex of the one-prefix UPDATE that re-announces it. *)
 
 type rib_encoder
-(** A one-entry cache for {!encode_rib_entry_with}: the record head of
+(** A one-entry cache for {!encode_rib_entry_with}: the record heads of
     the last (source, attributes) pair, compared physically. Each owner
     (one per replicator) creates its own; there is no shared state. *)
 
 val rib_encoder : unit -> rib_encoder
 
 val encode_rib_entry_with :
-  rib_encoder -> Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t -> string
-(** Byte-identical to {!encode_rib_entry}. When the source and attributes
-    are physically those of the previous call — every prefix of one
-    UPDATE — only the frame length and the NLRI are encoded. *)
+  rib_encoder -> Bgp.Rib.source -> Netsim.Addr.prefix -> Bgp.Attrs.t ->
+  Store.Value.t
+(** The record {!encode_rib_entry} flattens, split before the NLRI. The
+    head holds the frame length, so it is one string per (source,
+    attributes, NLRI size): every prefix of one UPDATE with the same
+    NLRI size shares it physically, and the tail is the NLRI's hex. *)
+
+type rib_decoder
+(** A one-entry cache for {!decode_rib_entry}: the last head parsed. *)
+
+val rib_decoder : unit -> rib_decoder
 
 val decode_rib_entry :
-  string -> (Bgp.Rib.source * Netsim.Addr.prefix * Bgp.Attrs.t, string) result
+  rib_decoder -> Store.Value.t ->
+  (Bgp.Rib.source * Netsim.Addr.prefix * Bgp.Attrs.t, string) result
+(** Inverse of {!encode_rib_entry_with}. A head equal to the previous
+    call's is not parsed again; only the tail's prefix is read. A value
+    not split as the encoder splits it is an [Error]. *)
 
 val encode_bfd : my_disc:int -> your_disc:int -> string
 val decode_bfd : string -> (int * int, string) result

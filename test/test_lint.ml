@@ -625,6 +625,13 @@ let test_i1_reader_idioms () =
       ( "suppressed",
         "(* lint: allow i1 -- kept for a reason *)\n" ^ alpha_intf,
         lib "let f = Alpha.Sub.get\n", [], [] );
+      ( "same-named module read through its library", alpha_intf,
+        [
+          ("lib/bar/alpha.mli", alpha_intf);
+          ("lib/bar/alpha.ml", alpha_impl);
+          ("lib/baz/beta.ml", "let f x = Bar.Alpha.helper (Bar.Alpha.Sub.get x)\n");
+        ],
+        [], kind "unread" );
     ]
   in
   List.iter

@@ -11,6 +11,7 @@ let checkb = Alcotest.(check bool)
 type rig = {
   eng : Engine.t;
   server : Store.Server.t;
+  client : Store.Client.t;
   repl : Tensor.Replicator.t;
   cid : Tensor.Keys.conn_id;
   link : Link.t; (* replicator <-> store *)
@@ -30,7 +31,7 @@ let make_rig ?(replicate = true) ?(ack_hold = true) () =
     Tensor.Replicator.create ~replicate ~ack_hold ~engine:eng ~client
       ~conn_id:cid ~service:"rig" ()
   in
-  { eng; server; repl; cid; link; db_addr }
+  { eng; server; client; repl; cid; link; db_addr }
 
 let keepalive = Bgp.Msg.Keepalive
 
@@ -141,7 +142,7 @@ let test_rx_frames_match_reencode () =
       | Bgp.Msg.Update _ ->
           Alcotest.(check (option string))
             (Printf.sprintf "in-record %d" seq)
-            (Some (Tensor.Keys.encode_in_record ~ack ~raw:encoded))
+            (Some (Store.Value.to_string (Tensor.Keys.encode_in_record ~ack ~raw:encoded)))
             (Store.Server.peek server (Tensor.Keys.in_key cid seq))
       | _ -> ())
     received
@@ -279,9 +280,14 @@ let test_rib_checkpoint_roundtrip () =
     (Bgp.Rib.Best_changed (prefix, { Bgp.Rib.source = src; attrs; stale = false }));
   Engine.run r.eng;
   let key = Tensor.Keys.rib_key ~service:"rig" ~vrf:"v0" prefix in
-  (match Store.Server.peek r.server key with
+  let scanned = ref [] in
+  Store.Client.scan r.client ~prefix:key (function
+    | Ok pairs -> scanned := pairs
+    | Error `Timeout -> ());
+  Engine.run r.eng;
+  (match List.assoc_opt key !scanned with
   | Some v -> (
-      match Tensor.Keys.decode_rib_entry v with
+      match Tensor.Keys.decode_rib_entry (Tensor.Keys.rib_decoder ()) v with
       | Ok (src', p', attrs') ->
           checkb "entry roundtrips" true
             (src' = src
@@ -423,14 +429,15 @@ let test_release_callbacks_in_order () =
   Alcotest.(check (list int)) "release order" (List.init 300 Fun.id)
     (List.rev !released)
 
-(* Minor-heap words per checkpointed route, for a flood whose UPDATEs
-   each carry 500 prefixes under one attribute set. The key and record
-   strings and the lane's cons cells come to 47.6 words (OCaml 5, 64-bit);
-   formatting through Printf, copying the pending batch per route or
-   re-encoding the attributes per route each cost more than that again.
-   The bound is about twice the measured value; allocation is
-   deterministic, so this is not flaky. *)
-let rib_change_words_bound = 100.
+(* Bytes allocated per checkpointed route, for a flood whose UPDATEs
+   each carry 500 prefixes under one attribute set, read with the exact
+   counter. Before records shared their head this read 386 B (48.3
+   words): a key built through [prefix_to_string], a flat record of
+   about 180 characters, and a one-pair list, tuple and op per route,
+   copied twice more by the lane. Now it is the key, the NLRI tail and
+   the value pair, plus the batch's array slots: the bound is a third of
+   the old reading. Allocation is deterministic, so this is not flaky. *)
+let rib_change_bytes_bound = 386. /. 3.
 
 let test_rib_change_allocation () =
   let r = make_rig () in
@@ -447,15 +454,15 @@ let test_rib_change_allocation () =
         Bgp.Rib.Best_changed
           (pfx24 i, { Bgp.Rib.source = src_a; attrs = attrs.(i / 500); stale = false }))
   in
-  let w0 = Gc.minor_words () in
+  let a0 = Prof.Profiler.allocated_bytes () in
   List.iter (Tensor.Replicator.on_rib_change r.repl ~vrf:"v0") changes;
-  let per_route = (Gc.minor_words () -. w0) /. float_of_int n in
+  let per_route = (Prof.Profiler.allocated_bytes () -. a0) /. float_of_int n in
   Engine.run r.eng;
   checki "all checkpointed" n
     (List.length (Store.Server.keys_with_prefix r.server "rib|"));
-  if per_route > rib_change_words_bound then
-    Alcotest.failf "on_rib_change allocates %.1f words/route (bound %.0f)"
-      per_route rib_change_words_bound
+  if per_route > rib_change_bytes_bound then
+    Alcotest.failf "on_rib_change allocates %.1f B/route (bound %.0f)"
+      per_route rib_change_bytes_bound
 
 let test_replicate_false_is_inert () =
   let r = make_rig ~replicate:false () in

@@ -65,7 +65,9 @@ let test_scan () =
     [ ("conn1|m|3", "z"); ("conn1|m|1", "x"); ("conn2|m|1", "y"); ("conn1|m|2", "w") ];
   let got = ref [] in
   Store.Client.scan client ~prefix:"conn1|" (fun r ->
-      match r with Ok ps -> got := ps | Error _ -> Alcotest.fail "scan failed");
+      match r with
+      | Ok ps -> got := List.map (fun (k, v) -> (k, Store.Value.to_string v)) ps
+      | Error _ -> Alcotest.fail "scan failed");
   Engine.run eng;
   Alcotest.(check (list (pair string string)))
     "prefix-filtered, sorted"

@@ -75,7 +75,8 @@ let test_keys_rib_roundtrip () =
   in
   let p = pfx "100.1.2.0/24" in
   match
-    Tensor.Keys.decode_rib_entry (Tensor.Keys.encode_rib_entry src p attrs)
+    Tensor.Keys.decode_rib_entry (Tensor.Keys.rib_decoder ())
+      (Tensor.Keys.encode_rib_entry_with (Tensor.Keys.rib_encoder ()) src p attrs)
   with
   | Ok (src', p', attrs') ->
       checkb "rib roundtrip" true
@@ -137,6 +138,8 @@ module Ref = struct
 
   let epoch_cid cid epoch =
     if epoch = 0 then cid else Printf.sprintf "%s@%d" cid epoch
+
+  let encode_in_record ~ack ~raw = string_of_int ack ^ ":" ^ raw
 
   let in_key cid seq = Printf.sprintf "in|%s|%012d" cid seq
   let out_key cid off = Printf.sprintf "out|%s|%012d" cid off
@@ -254,8 +257,8 @@ let test_keys_padding_edges () =
 
 (* --- Cached record encoder ----------------------------------------------------- *)
 
-let roundtrips (src, p, attrs) record =
-  match Tensor.Keys.decode_rib_entry record with
+let roundtrips dec (src, p, attrs) record =
+  match Tensor.Keys.decode_rib_entry dec record with
   | Ok (src', p', attrs') ->
       src' = src && Addr.equal_prefix p p' && Bgp.Attrs.equal attrs attrs'
   | Error _ -> false
@@ -277,14 +280,17 @@ let prop_cached_encoder =
       (* One encoder fed a mix of repeats (hits), alternating sources and
          attribute sets, and equal-but-distinct attribute copies. *)
       let enc = Tensor.Keys.rib_encoder () in
+      let dec = Tensor.Keys.rib_decoder () in
       List.for_all
         (fun (second_src, second_attrs, copy, p) ->
           let src = if second_src then s2 else s1 in
           let attrs = if second_attrs then a2 else a1 in
           let attrs = if copy then copy_attrs attrs else attrs in
           let record = Tensor.Keys.encode_rib_entry_with enc src p attrs in
-          String.equal record (Tensor.Keys.encode_rib_entry src p attrs)
-          && roundtrips (src, p, attrs) record)
+          let flat = Ref.encode_rib_entry src p attrs in
+          String.equal (Store.Value.to_string record) flat
+          && String.equal (Tensor.Keys.encode_rib_entry src p attrs) flat
+          && roundtrips dec (src, p, attrs) record)
         steps)
 
 let test_cached_encoder_invalidation () =
@@ -306,6 +312,7 @@ let test_cached_encoder_invalidation () =
   checkb "copy is physically distinct" true (a != a' && Bgp.Attrs.equal a a');
   let b = Bgp.Attrs.with_med a (Some 6) in
   let enc = Tensor.Keys.rib_encoder () in
+  let dec = Tensor.Keys.rib_decoder () in
   List.iteri
     (fun i (src, attrs, p) ->
       let p = pfx p in
@@ -313,9 +320,9 @@ let test_cached_encoder_invalidation () =
       Alcotest.(check string)
         (Printf.sprintf "step %d" i)
         (Ref.encode_rib_entry src p attrs)
-        got;
+        (Store.Value.to_string got);
       checkb (Printf.sprintf "step %d roundtrips" i) true
-        (roundtrips (src, p, attrs) got))
+        (roundtrips dec (src, p, attrs) got))
     [
       (s1, a, "100.0.0.0/24");
       (s1, a, "100.0.1.0/24") (* hit *);
@@ -328,6 +335,741 @@ let test_cached_encoder_invalidation () =
       (s2, a', "100.0.6.0/22");
       (s2, a, "100.0.7.0/25");
     ]
+
+(* --- Store reference ---------------------------------------------------------
+
+   The store as it was before values shared heads: flat string values,
+   list-of-pairs write requests. Kept verbatim as the reference the
+   shared-head store must match in every reply byte, modelled request
+   and response size, stored byte count and reply instant. *)
+
+module Ref_store = struct
+  [@@@warning "-32"] (* verbatim: not every function is driven *)
+
+  open Sim
+  open Netsim
+
+  type cost_model = {
+    chunk : int;
+    read_chunk_cost : Time.span;
+    read_record_cost : Time.span;
+    read_byte_ns : float;
+    write_chunk_cost : Time.span;
+    write_record_cost : Time.span;
+    write_byte_ns : float;
+  }
+
+  (* Calibrated against Figure 5(b) with its 90 B keys and 4 KB values:
+     one write ~1 ms, one read <0.5 ms, 10K writes ~500 ms, 10K reads
+     ~200 ms. The per-byte components make small records (routing-table
+     checkpoint entries) proportionally cheap, as they are on real Redis. *)
+  let default_cost_model =
+    {
+      chunk = 128;
+      read_chunk_cost = Time.us 240;
+      read_record_cost = Time.us 2;
+      read_byte_ns = 3.8;
+      write_chunk_cost = Time.us 600;
+      write_record_cost = Time.us 3;
+      write_byte_ns = 10.0;
+    }
+
+  let free_cost_model =
+    {
+      chunk = 128;
+      read_chunk_cost = 0;
+      read_record_cost = 0;
+      read_byte_ns = 0.0;
+      write_chunk_cost = 0;
+      write_record_cost = 0;
+      write_byte_ns = 0.0;
+    }
+
+  type Rpc.body +=
+    | Req_set of (string * string) list
+    | Req_get of string list
+    | Req_del of string list
+    | Req_scan of string
+    | Req_idem of { client : string; seq : int; inner : Rpc.body }
+    | Resp_set_ok
+    | Resp_values of (string * string option) list
+    | Resp_del_count of int
+    | Resp_pairs of (string * string) list
+
+  module Server = struct
+    type t = {
+      snode : Node.t;
+      eng : Engine.t;
+      cost : cost_model;
+      table : (string, string) Hashtbl.t;
+      mutable bytes : int;
+      mutable busy_until : Time.t;
+      mutable replica : t option;
+      mutable alive : bool;
+      mutable cost_factor : float;
+      (* Per-client idempotency window: last seq seen and, once the
+         handler replied, the cached response a retransmission replays.
+         [None] marks the op as still in flight so a duplicate arriving
+         mid-processing is dropped rather than applied twice. One slot
+         per client suffices: resilient clients keep at most one request
+         outstanding. *)
+      idem : (string, int * (Rpc.body * int) option) Hashtbl.t;
+    }
+
+    let node t = t.snode
+
+    (* Serving requires both the process (RAM) and the node (network) up:
+       [Node.set_up false] models a partition — contents survive — while
+       [crash] models the process dying with its no-persistence RAM. *)
+    let up t = t.alive && Node.is_up t.snode
+
+    let addr t =
+      match Node.addresses t.snode with
+      | a :: _ -> a
+      | [] -> invalid_arg "Store.Server: node has no address"
+
+    let records t = Hashtbl.length t.table
+    let stored_bytes t = t.bytes
+    let peek t key = Hashtbl.find_opt t.table key
+
+    let keys_with_prefix t prefix =
+      Det.keys_where ~compare:String.compare ~keep:(String.starts_with ~prefix) t.table
+
+    (* Serialize request processing through the server's modelled CPU, like
+       the TCP stack does. *)
+    let processing_finish t cost =
+      let now = Engine.now t.eng in
+      let start = if t.busy_until > now then t.busy_until else now in
+      let finish = Time.add start cost in
+      t.busy_until <- finish;
+      finish
+
+    let op_cost t ~writes ~bytes n =
+      if n = 0 then 0
+      else
+        let chunks = (n + t.cost.chunk - 1) / t.cost.chunk in
+        let byte_ns = if writes then t.cost.write_byte_ns else t.cost.read_byte_ns in
+        let byte_cost = int_of_float (float_of_int bytes *. byte_ns) in
+        let raw =
+          if writes then
+            (chunks * t.cost.write_chunk_cost)
+            + (n * t.cost.write_record_cost)
+            + byte_cost
+          else
+            (chunks * t.cost.read_chunk_cost)
+            + (n * t.cost.read_record_cost)
+            + byte_cost
+        in
+        (* Exact for factor 1.0: every span fits a float mantissa. *)
+        int_of_float (float_of_int raw *. t.cost_factor)
+
+    let apply_set t pairs =
+      List.iter
+        (fun (k, v) ->
+          (match Hashtbl.find_opt t.table k with
+          | Some old -> t.bytes <- t.bytes - String.length k - String.length old
+          | None -> ());
+          Hashtbl.replace t.table k v;
+          t.bytes <- t.bytes + String.length k + String.length v)
+        pairs
+
+    let apply_del t keys =
+      List.fold_left
+        (fun acc k ->
+          match Hashtbl.find_opt t.table k with
+          | Some v ->
+              Hashtbl.remove t.table k;
+              t.bytes <- t.bytes - String.length k - String.length v;
+              acc + 1
+          | None -> acc)
+        0 keys
+
+    let payload_bytes_of_pairs pairs =
+      List.fold_left
+        (fun acc (k, v) -> acc + String.length k + String.length v)
+        0 pairs
+
+    (* Writes go to the replica synchronously: the reply is withheld until
+       the replica has confirmed (same processing-cost model there). A
+       replica found dead — crashed or partitioned — is detached and the
+       primary acknowledges alone (degraded redundancy, like Redis dropping
+       a sync replica), so a replica failure cannot wedge the write path. *)
+    let replicate t op k =
+      match t.replica with
+      | None -> k ()
+      | Some r when not (up r) ->
+          t.replica <- None;
+          k ()
+      | Some r ->
+          let cost, apply =
+            match op with
+            | `Set pairs ->
+                ( op_cost r ~writes:true
+                    ~bytes:(payload_bytes_of_pairs pairs)
+                    (List.length pairs),
+                  fun () -> apply_set r pairs )
+            | `Del keys ->
+                ( op_cost r ~writes:true ~bytes:0 (List.length keys),
+                  fun () -> ignore (apply_del r keys) )
+          in
+          let finish = processing_finish r cost in
+          ignore
+            (Engine.schedule_at r.eng ~label:"store.replicate" finish (fun () ->
+                 if up r then begin
+                   apply ();
+                   k ()
+                 end
+                 else begin
+                   t.replica <- None;
+                   k ()
+                 end))
+
+    let rec handle t ~src body ~reply:(reply : ?size:int -> Rpc.body -> unit) =
+      match body with
+      | Req_idem { client; seq; inner } -> (
+          match Hashtbl.find_opt t.idem client with
+          | Some (s, _) when seq < s -> () (* stale retransmission *)
+          | Some (s, Some (rbody, rsize)) when seq = s ->
+              (* Duplicate of an already-answered request: replay the
+                 cached response without re-applying. *)
+              reply ~size:rsize rbody
+          | Some (s, None) when seq = s ->
+              () (* duplicate while the original is still processing *)
+          | _ ->
+              Hashtbl.replace t.idem client (seq, None);
+              handle t ~src inner
+                ~reply:(fun ?(size = 128) rbody ->
+                  Hashtbl.replace t.idem client (seq, Some (rbody, size));
+                  reply ~size rbody))
+      | Req_set pairs ->
+          let finish =
+            processing_finish t
+              (op_cost t ~writes:true
+                 ~bytes:(payload_bytes_of_pairs pairs)
+                 (List.length pairs))
+          in
+          ignore
+            (Engine.schedule_at t.eng ~label:"store.op" finish (fun () ->
+                 if up t then begin
+                   apply_set t pairs;
+                   replicate t (`Set pairs) (fun () -> reply ~size:64 Resp_set_ok)
+                 end))
+      | Req_get keys ->
+          let bytes =
+            List.fold_left
+              (fun acc k ->
+                acc
+                + match Hashtbl.find_opt t.table k with
+                  | Some v -> String.length v
+                  | None -> 0)
+              0 keys
+          in
+          let finish =
+            processing_finish t (op_cost t ~writes:false ~bytes (List.length keys))
+          in
+          ignore
+            (Engine.schedule_at t.eng ~label:"store.op" finish (fun () ->
+                 if up t then begin
+                   let values =
+                     List.map (fun k -> (k, Hashtbl.find_opt t.table k)) keys
+                   in
+                   let size =
+                     64
+                     + List.fold_left
+                         (fun acc (k, v) ->
+                           acc + String.length k
+                           + match v with Some v -> String.length v | None -> 0)
+                         0 values
+                   in
+                   reply ~size (Resp_values values)
+                 end))
+      | Req_del keys ->
+          let finish =
+            processing_finish t (op_cost t ~writes:true ~bytes:0 (List.length keys))
+          in
+          ignore
+            (Engine.schedule_at t.eng ~label:"store.op" finish (fun () ->
+                 if up t then begin
+                   let n = apply_del t keys in
+                   replicate t (`Del keys) (fun () ->
+                       reply ~size:64 (Resp_del_count n))
+                 end))
+      | Req_scan prefix ->
+          let keys = keys_with_prefix t prefix in
+          let bytes =
+            List.fold_left
+              (fun acc k ->
+                acc
+                + match Hashtbl.find_opt t.table k with
+                  | Some v -> String.length v
+                  | None -> 0)
+              0 keys
+          in
+          let finish =
+            processing_finish t
+              (op_cost t ~writes:false ~bytes (max 1 (List.length keys)))
+          in
+          ignore
+            (Engine.schedule_at t.eng ~label:"store.op" finish (fun () ->
+                 if up t then begin
+                   let pairs =
+                     List.filter_map
+                       (fun k ->
+                         match Hashtbl.find_opt t.table k with
+                         | Some v -> Some (k, v)
+                         | None -> None)
+                       keys
+                   in
+                   reply ~size:(64 + payload_bytes_of_pairs pairs) (Resp_pairs pairs)
+                 end))
+      | _ -> ()
+
+    let create ?(cost = default_cost_model) node =
+      let t =
+        {
+          snode = node;
+          eng = Node.engine node;
+          cost;
+          table = Hashtbl.create 1024;
+          bytes = 0;
+          busy_until = Time.zero;
+          replica = None;
+          alive = true;
+          cost_factor = 1.0;
+          idem = Hashtbl.create 16;
+        }
+      in
+      Rpc.serve (Rpc.endpoint node) ~service:"kv" (handle t);
+      (* Process-liveness probe: answered only while alive, so a crashed
+         store reads as unreachable even though its node still forwards. *)
+      Rpc.serve (Rpc.endpoint node) ~service:"kv_health"
+        (fun ~src:_ _body ~reply -> if t.alive then reply Rpc.Pong);
+      t
+
+    let attach_replica primary replica =
+      if primary.snode == replica.snode then
+        invalid_arg "Store.Server.attach_replica: replica on the same node";
+      primary.replica <- Some replica
+
+    (* The paper's Redis runs without persistence (§4.1): a process crash
+       loses every record. The node stays up — only the store process
+       died — so requests still arrive and are silently dropped until
+       [restart], exactly like a connection-refused backend behind an
+       engineered-loss-free channel. *)
+    let crash t =
+      if t.alive then begin
+        t.alive <- false;
+        Hashtbl.reset t.table;
+        t.bytes <- 0;
+        Hashtbl.reset t.idem;
+        Telemetry.Bus.emit t.eng
+          (Telemetry.Event.Store_crashed { node = Node.name t.snode })
+      end
+
+    let restart t =
+      if not t.alive then begin
+        t.alive <- true;
+        Telemetry.Bus.emit t.eng
+          (Telemetry.Event.Store_restarted { node = Node.name t.snode })
+      end
+
+    let promote t =
+      t.replica <- None;
+      Telemetry.Bus.emit t.eng
+        (Telemetry.Event.Store_promoted { node = Node.name t.snode })
+
+    let set_cost_factor t f =
+      if f < 1.0 then invalid_arg "Store.Server.set_cost_factor: factor < 1";
+      t.cost_factor <- f
+  end
+
+  module Client = struct
+    (* Resilient state, present only when the client opted into retry or
+       failover. Ops run strictly one at a time through [queue]: an op's
+       retransmissions and failover all complete (or fail) before the next
+       op is sent, which preserves per-client FIFO ordering even though a
+       retransmission is a fresh RPC. Each op carries an idempotency id
+       [(name, seq)] the server deduplicates on. *)
+    type resilient = {
+      name : string;
+      mutable replica : Addr.t option; (* failover target, consumed once *)
+      mutable failed : bool; (* true once failover has happened *)
+      mutable seq : int;
+      mutable queue : (unit -> unit) list; (* pending ops, FIFO order *)
+      mutable inflight : bool;
+    }
+
+    type t = {
+      ep : Rpc.endpoint;
+      mutable server : Addr.t;
+      resilient : resilient option;
+    }
+
+    let create ?replica ?(resilient = false) node ~server =
+      let ep = Rpc.endpoint node in
+      if replica = None && not resilient then { ep; server; resilient = None }
+      else
+        (* The idempotency-id namespace: unique per node within a run,
+           deterministic across replays (the endpoint's counter dies with
+           its node). *)
+        let name =
+          Printf.sprintf "%s#%d" (Node.name node) (Rpc.fresh_client_id ep)
+        in
+        {
+          ep;
+          server;
+          resilient =
+            Some
+              {
+                name;
+                replica;
+                failed = false;
+                seq = 0;
+                queue = [];
+                inflight = false;
+              };
+        }
+
+    let failed_over t =
+      match t.resilient with Some r -> r.failed | None -> false
+
+    let request_size_of_pairs pairs =
+      64
+      + List.fold_left
+          (fun acc (k, v) -> acc + String.length k + String.length v)
+          0 pairs
+
+    let start_next r =
+      match r.queue with
+      | [] -> ()
+      | job :: rest ->
+          r.queue <- rest;
+          r.inflight <- true;
+          job ()
+
+    let run_op t r ~size ~timeout inner k_done =
+      r.seq <- r.seq + 1;
+      let seq = r.seq in
+      let body = Req_idem { client = r.name; seq; inner } in
+      let rec attempt_target () =
+        Rpc.call t.ep ~timeout ~size ~retry:true ~dst:t.server ~service:"kv"
+          body (function
+          | Ok resp -> k_done (Ok resp)
+          | Error err -> (
+              match r.replica with
+              | Some addr ->
+                  (* Primary declared dead after a full retry budget: fail
+                     over. The same idempotency id is reused, so a write
+                     the primary applied but never acknowledged is not
+                     double-applied if it raced the failover. *)
+                  r.replica <- None;
+                  r.failed <- true;
+                  t.server <- addr;
+                  Telemetry.Bus.emit
+                    (Node.engine (Rpc.node t.ep))
+                    (Telemetry.Event.Store_failover
+                       {
+                         client = r.name;
+                         attempts =
+                           (match err with `Exhausted n -> n | `Timeout -> 1);
+                       });
+                  attempt_target ()
+              | None -> k_done (Error `Timeout)))
+      in
+      attempt_target ()
+
+    let exec t ~size ~timeout inner parse =
+      match t.resilient with
+      | None ->
+          Rpc.call t.ep ~timeout ~size ~dst:t.server ~service:"kv" inner parse
+      | Some r ->
+          let job () =
+            run_op t r ~size ~timeout inner (fun res ->
+                r.inflight <- false;
+                parse res;
+                start_next r)
+          in
+          r.queue <- r.queue @ [ job ];
+          if not r.inflight then start_next r
+
+    let set t ?(timeout = Time.sec 5) pairs k =
+      exec t ~size:(request_size_of_pairs pairs) ~timeout (Req_set pairs)
+        (function
+        | Ok Resp_set_ok -> k (Ok ())
+        | Ok _ -> k (Error `Timeout)
+        | Error _ -> k (Error `Timeout))
+
+    let get t ?(timeout = Time.sec 5) keys k =
+      let size = 64 + List.fold_left (fun a s -> a + String.length s) 0 keys in
+      exec t ~size ~timeout (Req_get keys) (function
+        | Ok (Resp_values vs) -> k (Ok vs)
+        | Ok _ -> k (Error `Timeout)
+        | Error _ -> k (Error `Timeout))
+
+    let del t ?(timeout = Time.sec 5) keys k =
+      let size = 64 + List.fold_left (fun a s -> a + String.length s) 0 keys in
+      exec t ~size ~timeout (Req_del keys) (function
+        | Ok (Resp_del_count n) -> k (Ok n)
+        | Ok _ -> k (Error `Timeout)
+        | Error _ -> k (Error `Timeout))
+
+    let scan t ?(timeout = Time.sec 30) ~prefix k =
+      exec t ~size:(64 + String.length prefix) ~timeout (Req_scan prefix)
+        (function
+        | Ok (Resp_pairs ps) -> k (Ok ps)
+        | Ok _ -> k (Error `Timeout)
+        | Error _ -> k (Error `Timeout))
+  end
+end
+
+(* Op scripts against the store and the reference, each on its own
+   engine and network: a resilient client with a replica to fail over
+   to, ops issued on a jittered schedule so they queue and pipeline,
+   crashes, restarts, promotions and partitions that force retries.
+   Values are plain strings, in| records, and checkpoint records from
+   one shared encoder (so heads are shared across keys and NLRI sizes);
+   the reference stores the same records flat, from the reference
+   codecs. *)
+
+type vspec = Plain of string | In_rec of int * string | Rib of bool * bool * Addr.prefix
+
+type sop =
+  | S_set of (int * vspec) list
+  | S_get of int list
+  | S_del of int list
+  | S_scan of int
+  | S_crash
+  | S_restart
+  | S_promote
+  | S_partition of int
+
+let store_keys = Array.init 10 (fun i -> Printf.sprintf "%s|%d" (if i < 5 then "a" else "b") i)
+let scan_prefixes = [| "a|"; "b|"; ""; "a|3" |]
+
+let gen_vspec =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun s -> Plain s) (string_size ~gen:printable (int_bound 40)));
+        (1, map2 (fun a raw -> In_rec (a, raw)) (int_bound 1_000_000) (string_size (int_bound 60)));
+        (4, map3 (fun s a p -> Rib (s, a, p)) bool bool gen_prefix);
+      ])
+
+let gen_sop =
+  QCheck.Gen.(
+    let key = int_bound (Array.length store_keys - 1) in
+    frequency
+      [
+        (6, map (fun l -> S_set l) (list_size (int_range 1 6) (pair key gen_vspec)));
+        (3, map (fun l -> S_get l) (list_size (int_range 1 4) key));
+        (2, map (fun l -> S_del l) (list_size (int_range 1 3) key));
+        (2, map (fun i -> S_scan i) (int_bound (Array.length scan_prefixes - 1)));
+        (1, return S_crash);
+        (1, return S_restart);
+        (1, return S_promote);
+        (1, map (fun ms -> S_partition ms) (int_range 50 3000));
+      ])
+
+(* What one world exposes to [run_script]; replies are rendered text. *)
+type store_world = {
+  w_eng : Engine.t;
+  w_set : (string * vspec) list -> (string -> unit) -> unit;
+  w_get : string list -> (string -> unit) -> unit;
+  w_del : string list -> (string -> unit) -> unit;
+  w_scan : string -> (string -> unit) -> unit;
+  w_crash : unit -> unit;
+  w_restart : unit -> unit;
+  w_promote : unit -> unit;
+  w_db : Node.t;
+  w_bytes : unit -> int * int * int * int;
+}
+
+let render_get = function
+  | Ok vs ->
+      String.concat ","
+        (List.map (fun (k, v) -> k ^ "=" ^ Option.value ~default:"<none>" v) vs)
+  | Error `Timeout -> "timeout"
+
+let world_net () =
+  let eng = Engine.create () in
+  let net = Network.create eng in
+  let app = Network.add_node net "app" in
+  let db = Network.add_node net "db" in
+  let db2 = Network.add_node net "db2" in
+  let l1, _, db_addr = Network.connect net ~delay:(Time.us 100) app db in
+  let l2, _, db2_addr = Network.connect net ~delay:(Time.us 150) app db2 in
+  (eng, app, db, db2, db_addr, db2_addr, [ l1; l2 ])
+
+let script_src b =
+  {
+    Bgp.Rib.key = (if b then "v0/10.0.0.2" else "v0/10.0.0.3");
+    peer_asn = (if b then 65010 else 4_200_000_000);
+    peer_addr = Addr.of_string (if b then "10.0.0.2" else "10.0.0.3");
+    router_id = Addr.of_string "9.9.9.9";
+    ebgp = b;
+  }
+
+let script_srcs = (script_src true, script_src false)
+
+let script_attrs =
+  ( Bgp.Attrs.make ~as_path:[ Bgp.Attrs.Seq [ 65010; 7018 ] ] ~med:5
+      ~next_hop:(Addr.of_string "10.0.0.2") (),
+    Bgp.Attrs.make ~as_path:[ Bgp.Attrs.Seq [ 65010 ]; Bgp.Attrs.Set [ 1; 2; 3 ] ]
+      ~communities:[ (65010, 300) ]
+      ~next_hop:(Addr.of_string "10.0.0.3") () )
+
+let pick (a, b) first = if first then a else b
+
+let new_world () =
+  let eng, app, db, db2, db_addr, db2_addr, links = world_net () in
+  let server = Store.Server.create db and replica = Store.Server.create db2 in
+  Store.Server.attach_replica server replica;
+  let client = Store.Client.create ~replica:db2_addr app ~server:db_addr in
+  let enc = Tensor.Keys.rib_encoder () in
+  let value = function
+    | Plain s -> Store.Value.of_string s
+    | In_rec (ack, raw) -> Tensor.Keys.encode_in_record ~ack ~raw
+    | Rib (s, a, p) -> Tensor.Keys.encode_rib_entry_with enc (pick script_srcs s) p (pick script_attrs a)
+  in
+  ( {
+      w_eng = eng;
+      w_set =
+        (fun pairs k ->
+          let b = Store.Batch.create (List.length pairs) in
+          List.iter (fun (key, v) -> Store.Batch.add b key (value v)) pairs;
+          Store.Client.set_batch client b (function
+            | Ok () -> k "ok"
+            | Error `Timeout -> k "timeout"));
+      w_get = (fun keys k -> Store.Client.get client keys (fun r -> k (render_get r)));
+      w_del =
+        (fun keys k ->
+          Store.Client.del client keys (function
+            | Ok n -> k (string_of_int n)
+            | Error `Timeout -> k "timeout"));
+      w_scan =
+        (fun prefix k ->
+          Store.Client.scan client ~prefix (function
+            | Ok ps ->
+                k (render_get (Ok (List.map (fun (key, v) -> (key, Some (Store.Value.to_string v))) ps)))
+            | Error `Timeout -> k "timeout"));
+      w_crash = (fun () -> Store.Server.crash server);
+      w_restart = (fun () -> Store.Server.restart server);
+      w_promote = (fun () -> Store.Server.promote replica);
+      w_db = db;
+      w_bytes =
+        (fun () ->
+          ( Store.Server.stored_bytes server,
+            Store.Server.records server,
+            Store.Server.stored_bytes replica,
+            Store.Server.records replica ));
+    },
+    links )
+
+let ref_world () =
+  let eng, app, db, db2, db_addr, db2_addr, links = world_net () in
+  let server = Ref_store.Server.create db and replica = Ref_store.Server.create db2 in
+  Ref_store.Server.attach_replica server replica;
+  let client = Ref_store.Client.create ~replica:db2_addr app ~server:db_addr in
+  let value = function
+    | Plain s -> s
+    | In_rec (ack, raw) -> Ref.encode_in_record ~ack ~raw
+    | Rib (s, a, p) -> Ref.encode_rib_entry (pick script_srcs s) p (pick script_attrs a)
+  in
+  ( {
+      w_eng = eng;
+      w_set =
+        (fun pairs k ->
+          Ref_store.Client.set client
+            (List.map (fun (key, v) -> (key, value v)) pairs)
+            (function Ok () -> k "ok" | Error `Timeout -> k "timeout"));
+      w_get = (fun keys k -> Ref_store.Client.get client keys (fun r -> k (render_get r)));
+      w_del =
+        (fun keys k ->
+          Ref_store.Client.del client keys (function
+            | Ok n -> k (string_of_int n)
+            | Error `Timeout -> k "timeout"));
+      w_scan =
+        (fun prefix k ->
+          Ref_store.Client.scan client ~prefix (function
+            | Ok ps -> k (render_get (Ok (List.map (fun (key, v) -> (key, Some v)) ps)))
+            | Error `Timeout -> k "timeout"));
+      w_crash = (fun () -> Ref_store.Server.crash server);
+      w_restart = (fun () -> Ref_store.Server.restart server);
+      w_promote = (fun () -> Ref_store.Server.promote replica);
+      w_db = db;
+      w_bytes =
+        (fun () ->
+          ( Ref_store.Server.stored_bytes server,
+            Ref_store.Server.records server,
+            Ref_store.Server.stored_bytes replica,
+            Ref_store.Server.records replica ));
+    },
+    links )
+
+(* Runs [script] (op, gap in µs before it) and returns everything
+   observable: each reply with its instant and the stored bytes then,
+   and every packet on both client links with its instant and size. *)
+let run_script (w, links) script =
+  let log = ref [] in
+  let note s = log := s :: !log in
+  List.iteri
+    (fun i l ->
+      Link.tap l (fun _ pkt ->
+          note
+            (Printf.sprintf "pkt link%d t=%d size=%d" i (Engine.now w.w_eng)
+               pkt.Packet.size)))
+    links;
+  let reply i kind r =
+    let pb, pr, rb, rr = w.w_bytes () in
+    note
+      (Printf.sprintf "op%d %s t=%d -> %s | bytes %d/%d %d/%d" i kind
+         (Engine.now w.w_eng) r pb pr rb rr)
+  in
+  let at = ref 0 in
+  List.iteri
+    (fun i (op, gap) ->
+      at := !at + gap;
+      ignore
+        (Engine.schedule_at w.w_eng ~label:"test.op" (Time.us !at) (fun () ->
+             match op with
+             | S_set pairs ->
+                 w.w_set (List.map (fun (k, v) -> (store_keys.(k), v)) pairs) (reply i "set")
+             | S_get ks -> w.w_get (List.map (Array.get store_keys) ks) (reply i "get")
+             | S_del ks -> w.w_del (List.map (Array.get store_keys) ks) (reply i "del")
+             | S_scan p -> w.w_scan scan_prefixes.(p) (reply i "scan")
+             | S_crash -> w.w_crash ()
+             | S_restart -> w.w_restart ()
+             | S_promote -> w.w_promote ()
+             | S_partition ms ->
+                 Node.set_up w.w_db false;
+                 ignore
+                   (Engine.schedule_after w.w_eng ~label:"test.heal" (Time.ms ms)
+                      (fun () -> Node.set_up w.w_db true)))))
+    script;
+  Engine.run w.w_eng;
+  let pb, pr, rb, rr = w.w_bytes () in
+  List.rev (Printf.sprintf "final %d/%d %d/%d" pb pr rb rr :: !log)
+
+let prop_store_matches_reference =
+  QCheck.Test.make ~name:"shared-head store matches the flat reference" ~count:150
+    QCheck.(
+      make
+        ~print:(fun script -> Printf.sprintf "%d ops" (List.length script))
+        Gen.(list_size (int_range 1 30) (pair gen_sop (int_bound 3000))))
+    (fun script ->
+      let got = run_script (new_world ()) script in
+      let want = run_script (ref_world ()) script in
+      if got = want then true
+      else begin
+        let rec first_diff = function
+          | g :: gs, w :: ws -> if g = w then first_diff (gs, ws) else (g, w)
+          | g :: _, [] -> (g, "<end>")
+          | [], w :: _ -> ("<end>", w)
+          | [], [] -> ("", "")
+        in
+        let g, w = first_diff (got, want) in
+        QCheck.Test.fail_reportf "got  %s\nwant %s" g w
+      end)
 
 let test_unhex_strict () =
   let bad = Error "bad hex" in
@@ -928,6 +1670,7 @@ let () =
             prop_hex_roundtrip;
             prop_meta_roundtrip;
             prop_codec_matches_printf;
+            prop_store_matches_reference;
             prop_hex_matches_printf;
             prop_stream_keys_match_printf;
             prop_cached_encoder;
