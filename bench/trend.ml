@@ -13,8 +13,10 @@
    under a pairwise threshold between adjacent PRs still trips the gate
    once it drifts past threshold x best-so-far. A noise floor applies
    (50 ms absolute, relative below that), so fast experiments gate on
-   real doublings, not jitter. The analysis itself
-   lives in [Trend_core] (unit-tested); this file is IO and rendering.
+   real doublings, not jitter. Allocation is gated the same way over the
+   schema-v3 snapshots, whose counts are exact: more than 2% over the
+   best-so-far fails. The analysis itself lives in [Trend_core]
+   (unit-tested); this file is IO and rendering.
 
    Exit 0 unless --gate is given and a regression is found (exit 1);
    exit 2 on unreadable snapshots or fewer than two files. *)
@@ -103,11 +105,45 @@ let () =
       print_newline ())
     rows;
   let regressions = List.length (Trend_core.regressions rows) in
-  if regressions > 0 then begin
+  if regressions > 0 then
     Printf.printf
       "\n%d experiment(s) beyond %.2fx of their best-so-far.\n"
-      regressions !threshold;
-    if !gate then exit 1
-    else print_endline "(warn-only: run with --gate to fail)"
-  end
-  else Printf.printf "\nNo experiment beyond %.2fx of its best-so-far.\n" !threshold
+      regressions !threshold
+  else Printf.printf "\nNo experiment beyond %.2fx of its best-so-far.\n" !threshold;
+  let alloc_series =
+    List.map
+      (fun (name, j) ->
+        match Trend_core.allocations j with
+        | Ok rows -> rows
+        | Error msg ->
+            Printf.eprintf "%s: %s\n" name msg;
+            exit 2)
+      snaps
+  in
+  let alloc_rows = Trend_core.analyze_alloc alloc_series in
+  Printf.printf "\nAllocated bytes (schema v3 snapshots; gate: %.0f%% over best-so-far)\n\n"
+    ((Trend_core.alloc_threshold -. 1.) *. 100.);
+  List.iter
+    (fun (r : Trend_core.row) ->
+      Printf.printf "%-12s" r.id;
+      List.iter
+        (function
+          | Some b -> Printf.printf " %14.0f" b
+          | None -> Printf.printf " %14s" "-")
+        r.points;
+      (match r.verdict with
+      | Trend_core.Vs_best { ratio; regression; _ } ->
+          Printf.printf " %+8.2f%%%s" ((ratio -. 1.) *. 100.)
+            (if regression then " << REGRESSION" else "")
+      | Trend_core.New _ -> Printf.printf " %10s" "new"
+      | Trend_core.Gone -> Printf.printf " %10s" "gone");
+      print_newline ())
+    alloc_rows;
+  let alloc_regressions = List.length (Trend_core.regressions alloc_rows) in
+  if alloc_regressions > 0 then
+    Printf.printf "\n%d experiment(s) allocate more than %.0f%% over their best-so-far.\n"
+      alloc_regressions
+      ((Trend_core.alloc_threshold -. 1.) *. 100.)
+  else print_endline "\nNo experiment allocates past its best-so-far bound.";
+  if regressions + alloc_regressions > 0 then
+    if !gate then exit 1 else print_endline "(warn-only: run with --gate to fail)"

@@ -7,9 +7,8 @@
    microsecond-scale experiments gate on real doublings, not jitter. *)
 let noise_floor best = if best >= 0.05 then 0.05 else Float.max 0.01 best
 
-(* (id, wall_s) rows of one snapshot. Reads only fields common to
-   schema v1 and v2, so mixed series parse uniformly. *)
-let experiments j =
+(* (id, [field]) rows of one snapshot. *)
+let rows_of field j =
   match
     Option.bind (Monitor.Json.member "experiments" j) Monitor.Json.to_list
   with
@@ -20,13 +19,23 @@ let experiments j =
            (fun e ->
              match
                ( Option.bind (Monitor.Json.member "id" e) Monitor.Json.to_str,
-                 Option.bind
-                   (Monitor.Json.member "wall_s" e)
-                   Monitor.Json.to_float )
+                 Option.bind (Monitor.Json.member field e) Monitor.Json.to_float )
              with
-             | Some id, Some wall -> Some (id, wall)
+             | Some id, Some v -> Some (id, v)
              | _ -> None)
            l)
+
+(* (id, wall_s) rows of one snapshot. Reads only fields common to
+   schema v1 and v2, so mixed series parse uniformly. *)
+let experiments j = rows_of "wall_s" j
+
+(* (id, alloc_bytes) rows of one snapshot, from schema v3 on: v3 counts
+   every allocated byte (older snapshots undercount young allocation,
+   so they are no baseline) and has none for the older schemas. *)
+let allocations j =
+  match Option.bind (Monitor.Json.member "schema_version" j) Monitor.Json.to_float with
+  | Some v when v >= 3. -> rows_of "alloc_bytes" j
+  | Some _ | None -> Ok []
 
 (* Union of experiment ids across snapshots, in first-seen order. *)
 let ids_union series =
@@ -50,10 +59,12 @@ type row = {
   verdict : verdict;
 }
 
-(* [series] is oldest..newest; the last snapshot is gated against the
-   minimum wall time any earlier snapshot achieved. Requires >= 2
-   snapshots. *)
-let analyze ?(threshold = 1.5) series =
+let ratio ~best now = if best > 1e-9 then now /. best else Float.infinity
+
+(* [series] is oldest..newest; the last snapshot is compared against the
+   minimum any earlier snapshot recorded, and [regressed ~best now]
+   judges it. Requires >= 2 snapshots. *)
+let trajectory ~regressed series =
   if List.length series < 2 then
     invalid_arg "Trend_core.analyze: need at least two snapshots";
   let newest = List.nth series (List.length series - 1) in
@@ -75,16 +86,24 @@ let analyze ?(threshold = 1.5) series =
       let verdict =
         match (best, List.assoc_opt id newest) with
         | Some best, Some now ->
-            let ratio = if best > 1e-9 then now /. best else Float.infinity in
-            let regression =
-              ratio > threshold && now -. best > noise_floor best
-            in
-            Vs_best { best; now; ratio; regression }
+            Vs_best { best; now; ratio = ratio ~best now; regression = regressed ~best now }
         | None, Some now -> New now
         | _, None -> Gone
       in
       { id; points; verdict })
     (ids_union series)
+
+(* Wall time: past [threshold] x best-so-far and the noise floor. *)
+let analyze ?(threshold = 1.5) series =
+  trajectory series ~regressed:(fun ~best now ->
+      ratio ~best now > threshold && now -. best > noise_floor best)
+
+(* Allocation is exact and deterministic for a fixed program, so its
+   gate is tight: more than 2% over the best-so-far fails. *)
+let alloc_threshold = 1.02
+
+let analyze_alloc series =
+  trajectory series ~regressed:(fun ~best now -> now > alloc_threshold *. best)
 
 let regressions rows =
   List.filter

@@ -39,12 +39,13 @@ let no_path =
   }
 
 (* Prefix slots are open-addressed (linear probing) over parallel arrays.
-   A slot's paths form a chain of nodes in two more parallel arrays, newest
-   first; free nodes chain through [node_next] from [free]. *)
+   A slot holds its newest path itself; the older ones form a chain of
+   nodes in two more parallel arrays, newest first, so a prefix with one
+   path takes no node. Free nodes chain through [node_next] from [free]. *)
 type t = {
   mutable keys : int array;  (** Packed prefix, [empty] or [tomb]. *)
-  mutable heads : int array;  (** First node of the slot's chain. *)
-  mutable bests : path array;  (** The chain's best path. *)
+  mutable tops : path array;  (** The newest path; [no_path] when none. *)
+  mutable rests : int array;  (** First node of the older paths' chain. *)
   mutable used : int;  (** Live slots plus tombstones. *)
   mutable live : int;
   mutable node_path : path array;
@@ -61,20 +62,73 @@ let chain_free next n n' =
     next.(i) <- i + 1
   done
 
+(* The node pool starts empty: a table whose prefixes each have one path
+   never allocates it. *)
 let create () =
-  let node_next = Array.make initial_slots no_node in
-  chain_free node_next 0 initial_slots;
   {
     keys = Array.make initial_slots empty;
-    heads = Array.make initial_slots no_node;
-    bests = Array.make initial_slots no_path;
+    tops = Array.make initial_slots no_path;
+    rests = Array.make initial_slots no_node;
     used = 0;
     live = 0;
-    node_path = Array.make initial_slots no_path;
-    node_next;
-    free = 0;
+    node_path = [||];
+    node_next = [||];
+    free = no_node;
     npaths = 0;
   }
+
+(* --- Change buffers ------------------------------------------------------- *)
+
+(* Best-path changes in the order the table reported them: the changed
+   prefix and its new best path, [no_path] for a withdrawal. Two arrays
+   that grow by doubling and are reused across batches, so appending
+   allocates nothing once a buffer has seen its largest batch. *)
+module Changes = struct
+  type t = {
+    mutable pfxs : Netsim.Addr.prefix array;
+    mutable paths : path array;
+    mutable n : int;
+    mutable withdrawals : int;
+  }
+
+  let no_prefix = Netsim.Addr.prefix (Netsim.Addr.of_int 0) 0
+  let create () = { pfxs = [||]; paths = [||]; n = 0; withdrawals = 0 }
+  let length b = b.n
+  let withdrawals b = b.withdrawals
+
+  let clear b =
+    b.n <- 0;
+    b.withdrawals <- 0
+
+  let grow b =
+    let cap = max 16 (2 * b.n) in
+    let pfxs = Array.make cap no_prefix and paths = Array.make cap no_path in
+    Array.blit b.pfxs 0 pfxs 0 b.n;
+    Array.blit b.paths 0 paths 0 b.n;
+    b.pfxs <- pfxs;
+    b.paths <- paths
+
+  let add b pfx path =
+    if b.n = Array.length b.pfxs then grow b;
+    Array.unsafe_set b.pfxs b.n pfx;
+    Array.unsafe_set b.paths b.n path;
+    b.n <- b.n + 1;
+    if path == no_path then b.withdrawals <- b.withdrawals + 1
+
+  let add_withdrawn b pfx = add b pfx no_path
+  let prefix b i = b.pfxs.(i)
+  let withdrawn b i = b.paths.(i) == no_path
+
+  let path b i =
+    let p = b.paths.(i) in
+    if p == no_path then invalid_arg "Rib.Changes.path: a withdrawal" else p
+
+  let change b i =
+    let p = b.paths.(i) in
+    if p == no_path then Best_withdrawn b.pfxs.(i) else Best_changed (b.pfxs.(i), p)
+
+  let to_list b = List.init b.n (change b)
+end
 
 (* --- Decision process --------------------------------------------------- *)
 
@@ -163,10 +217,10 @@ let rec probe_insert keys mask key i reuse =
 (* Rehashes the live slots into [cap'] slots, dropping the tombstones. *)
 let rehash t cap' =
   let cap = Array.length t.keys in
-  let keys = t.keys and heads = t.heads and bests = t.bests in
+  let keys = t.keys and tops = t.tops and rests = t.rests in
   t.keys <- Array.make cap' empty;
-  t.heads <- Array.make cap' no_node;
-  t.bests <- Array.make cap' no_path;
+  t.tops <- Array.make cap' no_path;
+  t.rests <- Array.make cap' no_node;
   t.used <- t.live;
   let mask = cap' - 1 in
   for s = 0 to cap - 1 do
@@ -174,8 +228,8 @@ let rehash t cap' =
     if k >= 0 then begin
       let s' = lnot (probe_insert t.keys mask k (home k mask) (-1)) in
       t.keys.(s') <- k;
-      t.heads.(s') <- heads.(s);
-      t.bests.(s') <- bests.(s)
+      t.tops.(s') <- tops.(s);
+      t.rests.(s') <- rests.(s)
     end
   done
 
@@ -208,8 +262,8 @@ let rec claim t key =
    run through it (and slot indices under a source walk) stay valid. *)
 let vacate t s =
   t.keys.(s) <- tomb;
-  t.heads.(s) <- no_node;
-  t.bests.(s) <- no_path;
+  t.tops.(s) <- no_path;
+  t.rests.(s) <- no_node;
   t.live <- t.live - 1
 
 (* --- Path chains --------------------------------------------------------- *)
@@ -228,34 +282,69 @@ let grow_pool t n' =
   t.free <- n
 
 let new_node t path next =
-  if t.free = no_node then grow_pool t (2 * Array.length t.node_path);
+  if t.free = no_node then
+    grow_pool t (max initial_slots (2 * Array.length t.node_path));
   let n = t.free in
   t.free <- t.node_next.(n);
   t.node_path.(n) <- path;
   t.node_next.(n) <- next;
   n
 
+let free_node t n =
+  t.node_path.(n) <- no_path;
+  t.node_next.(n) <- t.free;
+  t.free <- n
+
 let is_from key ~stale_only p =
   String.equal p.source.key key && ((not stale_only) || p.stale)
 
-(* Unlinks and frees the node after [prev] (the chain's head when [prev]
+(* Unlinks and frees the node after [prev] (the chain's first when [prev]
    is [no_node]) holding [key]'s path, or only its stale path. *)
 let rec unlink_from t s key ~stale_only prev n =
   if n = no_node then false
   else
     let next = t.node_next.(n) in
     if is_from key ~stale_only t.node_path.(n) then begin
-      if prev = no_node then t.heads.(s) <- next else t.node_next.(prev) <- next;
-      t.node_path.(n) <- no_path;
-      t.node_next.(n) <- t.free;
-      t.free <- n;
-      t.npaths <- t.npaths - 1;
+      if prev = no_node then t.rests.(s) <- next else t.node_next.(prev) <- next;
+      free_node t n;
       true
     end
     else unlink_from t s key ~stale_only n next
 
+(* Removes [key]'s path (only a stale one with [stale_only]) from slot
+   [s]; true if one went. When the slot's own path goes, the chain's
+   first node moves up into the slot. The slot is left empty, not
+   vacated: [settle] does that. *)
 let unlink t s key ~stale_only =
-  unlink_from t s key ~stale_only no_node t.heads.(s)
+  let removed =
+    if is_from key ~stale_only t.tops.(s) then begin
+      let n = t.rests.(s) in
+      if n = no_node then t.tops.(s) <- no_path
+      else begin
+        t.tops.(s) <- t.node_path.(n);
+        t.rests.(s) <- t.node_next.(n);
+        free_node t n
+      end;
+      true
+    end
+    else unlink_from t s key ~stale_only no_node t.rests.(s)
+  in
+  if removed then t.npaths <- t.npaths - 1;
+  removed
+
+(* Makes [path] slot [s]'s newest path in place of its source's previous
+   one. The slot's own path moves down into a node only when it comes
+   from another source. *)
+let link t s path =
+  let key = path.source.key in
+  let top = t.tops.(s) in
+  if top == no_path then t.npaths <- t.npaths + 1
+  else if not (String.equal top.source.key key) then begin
+    if not (unlink_from t s key ~stale_only:false no_node t.rests.(s)) then
+      t.npaths <- t.npaths + 1;
+    t.rests.(s) <- new_node t top t.rests.(s)
+  end;
+  t.tops.(s) <- path
 
 (* Keeps the first of equally preferred paths, newest first. *)
 let rec best_from t acc n =
@@ -264,70 +353,83 @@ let rec best_from t acc n =
     let p = t.node_path.(n) in
     best_from t (if better p acc then p else acc) t.node_next.(n)
 
+(* The best path of slot [s], [no_path] when it has none: the slot's own
+   path when it is the only one, else a fold over the chain (a few paths
+   at most), newest first. *)
 let select_best t s =
-  let n = t.heads.(s) in
-  if n = no_node then no_path else best_from t t.node_path.(n) t.node_next.(n)
+  let n = t.rests.(s) in
+  if n = no_node then t.tops.(s) else best_from t t.tops.(s) n
 
-(* Recomputes slot [s]'s best path after its chain changed, freeing the
-   slot when the chain is empty; true when the best path changed. *)
+(* Slot [s]'s best path after its chain changed, freeing the slot when
+   the chain is empty. *)
 let settle t s =
-  let old_best = t.bests.(s) in
-  let new_best = select_best t s in
-  if new_best == no_path then vacate t s else t.bests.(s) <- new_best;
-  not (same_best old_best new_best)
+  let best = select_best t s in
+  if best == no_path then vacate t s;
+  best
 
-(* The change a [settle] that returned true reports. *)
-let change_at t s prefix =
-  let best = t.bests.(s) in
-  if best == no_path then begin
-    Telemetry.Registry.incr m_rib_withdrawals;
-    Best_withdrawn prefix
+let count_change best =
+  if best == no_path then Telemetry.Registry.incr m_rib_withdrawals
+  else Telemetry.Registry.incr m_rib_changes
+
+(* Appends [prefix]'s change to [buf] when slot [s], whose best path was
+   [old] before the step, now has another. *)
+let report t s old prefix buf =
+  let best = settle t s in
+  if not (same_best old best) then begin
+    count_change best;
+    Changes.add buf prefix best
   end
+
+(* [report] as an option, for the one-change entry point. *)
+let changed t s old prefix =
+  let best = settle t s in
+  if same_best old best then None
   else begin
-    Telemetry.Registry.incr m_rib_changes;
-    Best_changed (prefix, best)
+    count_change best;
+    if best == no_path then Some (Best_withdrawn prefix)
+    else Some (Best_changed (prefix, best))
   end
 
-(* Links [path] into [key]'s slot in place of its source's previous path. *)
-let place t path key =
-  let s = claim t key in
-  ignore (unlink t s path.source.key ~stale_only:false);
-  t.heads.(s) <- new_node t path t.heads.(s);
-  t.npaths <- t.npaths + 1;
-  s
-
-(* Doubling from [cap] until [n] prefixes fill at most 3/4 of the slots,
-   or until [n] paths fit the pool: the sizes one-at-a-time inserts
-   reach. *)
+(* Doubling from [cap] until [n] prefixes fill at most 3/4 of the slots:
+   the size one-at-a-time inserts reach. *)
 let rec slots_for n cap = if 4 * n <= 3 * cap then cap else slots_for n (2 * cap)
-let rec nodes_for n pool = if n <= pool then pool else nodes_for n (2 * pool)
 
 let reserve t n =
   let cap = Array.length t.keys in
-  if 4 * n > 3 * cap then rehash t (slots_for n cap);
-  let pool = Array.length t.node_path in
-  if n > pool then grow_pool t (nodes_for n pool)
+  if 4 * n > 3 * cap then rehash t (slots_for n cap)
 
 let update t source prefix attrs =
   let key = pack prefix in
   match attrs with
   | Some attrs ->
-      let s = place t { source; attrs; stale = false } key in
-      if settle t s then Some (change_at t s prefix) else None
+      let s = claim t key in
+      let old = select_best t s in
+      link t s { source; attrs; stale = false };
+      changed t s old prefix
   | None ->
       let s = find t key in
-      if s >= 0 && unlink t s source.key ~stale_only:false && settle t s then
-        Some (change_at t s prefix)
-      else None
+      if s < 0 then None
+      else
+        let old = select_best t s in
+        if unlink t s source.key ~stale_only:false then changed t s old prefix
+        else None
 
-let install t path prefix acc =
-  let s = place t path (pack prefix) in
-  (* lint: allow h1 — the change list is install's result: one cell per best-path change, none per path *)
-  if settle t s then change_at t s prefix :: acc else acc
+let install t path prefix buf =
+  let s = claim t (pack prefix) in
+  let old = select_best t s in
+  link t s path;
+  report t s old prefix buf
+
+let withdraw t source prefix buf =
+  let s = find t (pack prefix) in
+  if s >= 0 then begin
+    let old = select_best t s in
+    if unlink t s source.key ~stale_only:false then report t s old prefix buf
+  end
 
 let best t prefix =
   let s = find t (pack prefix) in
-  if s < 0 then None else Some t.bests.(s)
+  if s < 0 then None else Some (select_best t s)
 
 let rec chain_paths t n =
   if n = no_node then [] else t.node_path.(n) :: chain_paths t t.node_next.(n)
@@ -336,7 +438,9 @@ let candidates t prefix =
   let s = find t (pack prefix) in
   if s < 0 then []
   else
-    List.sort (fun a b -> if better a b then -1 else 1) (chain_paths t t.heads.(s))
+    List.sort
+      (fun a b -> if better a b then -1 else 1)
+      (t.tops.(s) :: chain_paths t t.rests.(s))
 
 let size t = t.live
 let path_count t = t.npaths
@@ -348,10 +452,13 @@ let path_count t = t.npaths
    lists, digests and telemetry do not depend on the table's insertion
    history. *)
 
-let rec holds t key ~stale_only n =
+let rec chain_holds t key ~stale_only n =
   n <> no_node
   && (is_from key ~stale_only t.node_path.(n)
-     || holds t key ~stale_only t.node_next.(n))
+     || chain_holds t key ~stale_only t.node_next.(n))
+
+let holds t key ~stale_only s =
+  is_from key ~stale_only t.tops.(s) || chain_holds t key ~stale_only t.rests.(s)
 
 (* The packed keys of the live slots, or of those holding a path from
    [key] (only a stale one with [stale_only]), ascending. *)
@@ -365,7 +472,7 @@ let sorted_keys ?key ?(stale_only = false) t =
       &&
       match key with
       | None -> true
-      | Some key -> holds t key ~stale_only t.heads.(s)
+      | Some key -> holds t key ~stale_only s
     then begin
       out.(!n) <- k;
       incr n
@@ -380,7 +487,7 @@ let fold_best t ~init ~f =
   let acc = ref init in
   for i = 0 to Array.length keys - 1 do
     let k = keys.(i) in
-    acc := f !acc (unpack k) t.bests.(find t k)
+    acc := f !acc (unpack k) (select_best t (find t k))
   done;
   !acc
 
@@ -395,7 +502,7 @@ let best_strings source_key t =
   let n = ref 0 in
   for s = 0 to Array.length t.keys - 1 do
     let k = t.keys.(s) in
-    if k >= 0 && learned_from source_key t.bests.(s) then begin
+    if k >= 0 && learned_from source_key (select_best t s) then begin
       out.(!n) <- Netsim.Addr.prefix_to_string (unpack k);
       incr n
     end
@@ -443,51 +550,51 @@ let digest ?source_key t =
   hex16 !h
 
 (* Removes [key]'s paths (only its stale ones with [stale_only]) and
-   reports the best-path changes in ascending prefix order. *)
-let drop_source t ~key ~stale_only =
+   appends the best-path changes to [buf] in ascending prefix order. *)
+let drop_source t ~key ~stale_only buf =
   let keys = sorted_keys ~key ~stale_only t in
-  let changes = ref [] in
-  for i = Array.length keys - 1 downto 0 do
+  for i = 0 to Array.length keys - 1 do
     let k = keys.(i) in
     let s = find t k in
-    if unlink t s key ~stale_only && settle t s then
-      changes := change_at t s (unpack k) :: !changes
-  done;
-  !changes
+    let old = select_best t s in
+    if unlink t s key ~stale_only then report t s old (unpack k) buf
+  done
 
-let remove_source t ~key = drop_source t ~key ~stale_only:false
-let sweep_stale t ~key = drop_source t ~key ~stale_only:true
+let remove_source t ~key buf = drop_source t ~key ~stale_only:false buf
+let sweep_stale t ~key buf = drop_source t ~key ~stale_only:true buf
 
-(* Marks [key]'s path in the chain from [n] stale; true if it was fresh. *)
+(* Marks [key]'s path in slot [s] stale; true if it was fresh. *)
+let stale_copy p = if p.stale then p else { p with stale = true }
+
 let rec mark_from t key n =
   n <> no_node
   &&
   let p = t.node_path.(n) in
   if String.equal p.source.key key then begin
-    if p.stale then false
-    else begin
-      t.node_path.(n) <- { p with stale = true };
-      true
-    end
+    t.node_path.(n) <- stale_copy p;
+    not p.stale
   end
   else mark_from t key t.node_next.(n)
+
+let mark t key s =
+  let p = t.tops.(s) in
+  if String.equal p.source.key key then begin
+    t.tops.(s) <- stale_copy p;
+    not p.stale
+  end
+  else mark_from t key t.rests.(s)
 
 (* Counts and per-slot marks do not depend on order: no sort. *)
 let mark_source_stale t ~key =
   let marked = ref 0 in
   for s = 0 to Array.length t.keys - 1 do
-    if t.keys.(s) >= 0 && mark_from t key t.heads.(s) then begin
-      incr marked;
-      (* The best path may be the replaced record; refresh it without
-         reporting a change (attrs are unchanged). *)
-      t.bests.(s) <- select_best t s
-    end
+    if t.keys.(s) >= 0 && mark t key s then incr marked
   done;
   !marked
 
 let stale_count t ~key =
   let n = ref 0 in
   for s = 0 to Array.length t.keys - 1 do
-    if t.keys.(s) >= 0 && holds t key ~stale_only:true t.heads.(s) then incr n
+    if t.keys.(s) >= 0 && holds t key ~stale_only:true s then incr n
   done;
   !n

@@ -18,18 +18,27 @@
     The table is flat. Each prefix is packed into one int, the base
     shifted above the 6-bit length, and packed keys order exactly like
     {!Netsim.Addr.compare_prefix}. Prefix slots are open-addressed with
-    linear probing over parallel arrays (key, head of the path chain,
-    cached best path); a prefix's paths are a chain of nodes in two more
-    parallel arrays, newest first, so installing or withdrawing a path
-    allocates nothing per prefix. A prefix that loses its last path
-    leaves a tombstone: probes run through it, a later insert may reuse
-    it, and slot indices stay stable while a source is walked. The table
-    starts at 16 slots and rehashes when live slots and tombstones pass
-    3/4 of them, doubling when live slots alone pass 3/8; {!reserve}
-    takes a batch's growth in one step. Traversals
+    linear probing over three parallel arrays: the key, the prefix's
+    newest path, and the first node of a chain holding its older paths,
+    newest first, in two more parallel arrays (the node pool). A prefix
+    with one path is its slot alone, so a table whose prefixes each have
+    one path never allocates the pool; installing or withdrawing a path
+    allocates nothing per prefix. The best path is the one the decision
+    process picks over the whole chain, newest first: a prefix's own path
+    when it has one, a fold over a few paths otherwise. A prefix that
+    loses its last path leaves a tombstone: probes run through it, a
+    later insert may reuse it, and slot indices stay stable while a
+    source is walked. The table starts at 16 slots and rehashes when live
+    slots and tombstones pass 3/4 of them, doubling when live slots alone
+    pass 3/8; {!reserve} takes a batch's growth in one step. Traversals
     that report in prefix order ({!fold_best}, {!remove_source},
     {!sweep_stale}) sort the live packed keys, so their output does not
-    depend on the insertion history. *)
+    depend on the insertion history.
+
+    The batch entry points ({!install}, {!withdraw}, {!remove_source},
+    {!sweep_stale}) append the best-path changes they cause to a
+    {!Changes.t} that the caller owns and reuses, so a batch of changes
+    costs no list cell, change value or reversal. *)
 
 type source = {
   key : string;  (** Unique per session, e.g. ["vrf0/10.0.0.2"]. *)
@@ -45,6 +54,45 @@ type change =
   | Best_changed of Netsim.Addr.prefix * path
   | Best_withdrawn of Netsim.Addr.prefix
 
+(** A batch of best-path changes, in the order the table reported them,
+    kept in two arrays that grow by doubling and are reused from batch to
+    batch: once a buffer has held its largest batch, appending allocates
+    nothing. *)
+module Changes : sig
+  type t
+
+  val create : unit -> t
+
+  val clear : t -> unit
+  (** Empties the buffer for the next batch (its arrays stay). *)
+
+  val length : t -> int
+
+  val withdrawals : t -> int
+  (** How many of the changes are withdrawals. *)
+
+  val add : t -> Netsim.Addr.prefix -> path -> unit
+  (** Appends a best-path change: [prefix] now has best path [path]. *)
+
+  val prefix : t -> int -> Netsim.Addr.prefix
+  (** The [i]th change's prefix, [0 <= i < length]. *)
+
+  val withdrawn : t -> int -> bool
+  (** Whether the [i]th change is a withdrawal. *)
+
+  val path : t -> int -> path
+  (** The [i]th change's new best path; raises [Invalid_argument] for a
+      withdrawal. Allocates nothing. *)
+
+  val change : t -> int -> change
+  (** The [i]th change as a {!change} value (which it allocates). *)
+
+  (** {1 Test-only} *)
+
+  val add_withdrawn : t -> Netsim.Addr.prefix -> unit
+  val to_list : t -> change list
+end
+
 type t
 
 val create : unit -> t
@@ -56,12 +104,16 @@ val update :
     change if the Loc-RIB view of [prefix] changed. A refreshed path
     clears any stale mark. *)
 
-val install : t -> path -> Netsim.Addr.prefix -> change list -> change list
-(** [install t path prefix acc] stores the pre-built [path] for [prefix]
+val install : t -> path -> Netsim.Addr.prefix -> Changes.t -> unit
+(** [install t path prefix buf] stores the pre-built [path] for [prefix]
     in place of [path.source]'s previous one, as [update t path.source
-    prefix (Some path.attrs)] does, and conses the best-path change, if
-    any, onto [acc]. All prefixes of one UPDATE or origination can share
+    prefix (Some path.attrs)] does, and appends the best-path change, if
+    any, to [buf]. All prefixes of one UPDATE or origination can share
     one [path] record; it is stored as given, so pass it unmarked. *)
+
+val withdraw : t -> source -> Netsim.Addr.prefix -> Changes.t -> unit
+(** [withdraw t src prefix buf] is [update t src prefix None] appending
+    its change, if any, to [buf]. *)
 
 val reserve : t -> int -> unit
 (** [reserve t n] grows the table at once to the size that holding [n]
@@ -89,17 +141,18 @@ val digest : ?source_key:string -> t -> string
     of path attributes, which legitimately differ between the
     advertising and the learning side. *)
 
-val remove_source : t -> key:string -> change list
+val remove_source : t -> key:string -> Changes.t -> unit
 (** Session death without graceful restart: drop every path from the
-    source and report all best-path changes. *)
+    source and append every best-path change to the buffer, in prefix
+    order. *)
 
 val mark_source_stale : t -> key:string -> int
 (** Graceful restart entered: mark the source's paths stale (they remain
     in use). Returns how many were marked. *)
 
-val sweep_stale : t -> key:string -> change list
+val sweep_stale : t -> key:string -> Changes.t -> unit
 (** Restart timer expiry or End-of-RIB: remove the source's still-stale
-    paths and report changes. *)
+    paths and append the changes to the buffer, in prefix order. *)
 
 (** {1 Test-only} *)
 

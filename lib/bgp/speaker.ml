@@ -43,6 +43,9 @@ type t = {
   mutable sent_msgs : int;
   mutable last_tx : Time.t;
   mutable last_rx_apply : Time.t;
+  changes : Rib.Changes.t;
+      (** The batch being applied: every Loc-RIB change goes through it,
+          from [Rib] to the hook and the outgoing UPDATEs. *)
 }
 
 and peer = {
@@ -78,11 +81,15 @@ and hooks = {
   on_rx_applied : peer -> Msg.t -> unit;
 }
 
+(* Named, so a speaker can tell that its checkpoint hook does nothing
+   and skip building the change values for it. *)
+let no_rib_change ~vrf:_ _ = ()
+
 let no_hooks =
   {
     on_rx_replicate = (fun _ _ ~raw:_ ~inferred_ack:_ -> ());
     on_tx_replicate = (fun _ _ _ k -> k ());
-    on_rib_change = (fun ~vrf:_ _ -> ());
+    on_rib_change = no_rib_change;
     on_updates_applied = (fun ~vrf:_ _ -> ());
     on_rx_applied = (fun _ _ -> ());
   }
@@ -207,71 +214,42 @@ let export_attrs p (path : Rib.path) =
     in
     Some attrs
 
-(* [export_attrs p] remembering its last answer: the changes of one
-   origination or received UPDATE share their path's source and attrs
-   physically, so a batch pays the rewrite once per attribute set. Both
-   are keys because the iBGP and local-source rules read the source. Make
-   one per target and batch: the session's eBGP-ness and local address
-   are fixed within it. *)
-let export_memo p =
-  let last = ref None in
-  fun (path : Rib.path) ->
-    match !last with
-    | Some (source, attrs, out) when source == path.source && attrs == path.attrs
-      ->
-        out
-    | _ ->
-        let out = export_attrs p path in
-        last := Some (path.source, path.attrs, out);
-        out
+(* NLRI with equal attributes always share messages (standard in every
+   implementation); "update packing" only changes whether those messages
+   are cheaply reused across peers (the cost model). A run is a stretch
+   of adverts, consecutive in the batch, whose attributes are equal; its
+   prefixes are in batch order. *)
+type run = { r_attrs : Attrs.t; mutable r_pfxs : Netsim.Addr.prefix list }
 
-(* The attributes [pfx] goes out with, or None. [Policy.apply] stays per
-   prefix: its rules can match on the prefix. *)
-let exported export p pfx path =
-  match export path with
-  | Some attrs -> Policy.apply p.pcfg.policy_out pfx attrs
-  | None -> None
+(* The runs of one target's export, and the memo of [export_attrs]: the
+   changes of one origination or received UPDATE share their path's
+   source and attrs physically, so a batch pays the rewrite once per
+   attribute set. Both are keys because the iBGP and local-source rules
+   read the source. *)
+type packer = {
+  mutable runs : run list;  (** In batch order once the walk is done. *)
+  mutable cur : run;
+  mutable m_source : Rib.source;
+  mutable m_attrs : Attrs.t;
+  mutable m_out : Attrs.t option;
+}
 
-(* An open update-packing group: one attribute set, its prefixes newest
-   first. *)
-type group = { g_attrs : Attrs.t; mutable g_rev : Netsim.Addr.prefix list }
+(* Sentinels: no run open yet, and no path seen by the memo. *)
+let no_run = { r_attrs = Attrs.make ~next_hop:(Netsim.Addr.of_int 0) (); r_pfxs = [] }
 
-(* Group advertisements by identical attributes (update packing): groups
-   in [Attrs.compare] order, each holding its prefixes in input order and
-   standing for them with its first advert's attrs. That is what a stable
-   sort of the adverts followed by run-grouping gives, but only the groups
-   are sorted. An advert joins the group the previous advert joined when
-   its attrs are the same ([==], then [Attrs.equal]), else opens a group:
-   a batch mostly repeats one attribute set. Equal groups split by another
-   set in between are merged back after the sort. *)
-let group_by_attrs adverts =
-  let rec add groups last = function
-    | [] -> groups
-    | (pfx, attrs) :: rest ->
-        if last.g_attrs == attrs || Attrs.equal last.g_attrs attrs then begin
-          last.g_rev <- pfx :: last.g_rev;
-          add groups last rest
-        end
-        else
-          let g = { g_attrs = attrs; g_rev = [ pfx ] } in
-          add (g :: groups) g rest
-  in
-  match adverts with
-  | [] -> []
-  | (pfx, attrs) :: rest ->
-      let first = { g_attrs = attrs; g_rev = [ pfx ] } in
-      (* [add] returns the groups newest first; sorted descending and
-         stably, equal groups stay newest first, so the fold emits them
-         merged oldest first and the result ascending. *)
-      add [ first ] first rest
-      |> List.stable_sort (fun a b -> Attrs.compare b.g_attrs a.g_attrs)
-      |> List.fold_left
-           (fun acc g ->
-             match acc with
-             | (attrs, pfxs) :: older when Attrs.equal attrs g.g_attrs ->
-                 (g.g_attrs, List.rev_append g.g_rev pfxs) :: older
-             | _ -> (g.g_attrs, List.rev g.g_rev) :: acc)
-           []
+let no_source =
+  let nowhere = Netsim.Addr.of_int 0 in
+  { Rib.key = ""; peer_asn = 0; peer_addr = nowhere; router_id = nowhere; ebgp = false }
+
+let advert pk pfx attrs =
+  let r = pk.cur in
+  if r != no_run && (r.r_attrs == attrs || Attrs.equal r.r_attrs attrs) then
+    r.r_pfxs <- pfx :: r.r_pfxs
+  else begin
+    let r = { r_attrs = attrs; r_pfxs = [ pfx ] } in
+    pk.cur <- r;
+    pk.runs <- r :: pk.runs
+  end
 
 (* Maximum NLRI per message so the frame stays under 4096 bytes. *)
 let nlri_capacity attrs =
@@ -294,23 +272,91 @@ let rec chunks n = function
       let head, rest = take n [] l in
       head :: chunks n rest
 
-(* Build the UPDATE messages for a set of transformed changes. NLRI with
-   identical attributes always aggregate into shared messages (standard
-   in every implementation); "update packing" only changes whether those
-   messages are cheaply reused across peers (the cost model). *)
-let build_messages adverts withdraws =
-  let withdraw_msgs =
-    chunks withdraw_capacity withdraws
-    |> List.map (fun w -> Msg.Update { withdrawn = w; attrs = None; nlri = [] })
+let advert_update attrs nlri = Msg.Update { withdrawn = []; attrs = Some attrs; nlri }
+
+(* The runs as groups in [Attrs.compare] order, each equal run merged
+   into one in batch order and standing for them with its first run's
+   attrs, each group chunked to fit a message, ahead of [tail]. That is
+   what a stable sort of the adverts by attrs followed by run-grouping
+   gives, but only the runs are sorted. *)
+let advert_updates runs tail =
+  let sorted = List.stable_sort (fun a b -> Attrs.compare a.r_attrs b.r_attrs) runs in
+  (* [later] holds the group's runs after its first, latest first: each
+     is copied once when they are joined, the last not at all. *)
+  let rec merge = function
+    | [] -> tail
+    | r :: rest -> group r [] rest
+  and group first later = function
+    | r :: rest when Attrs.equal first.r_attrs r.r_attrs -> group first (r.r_pfxs :: later) rest
+    | rest ->
+        let pfxs =
+          match later with
+          | [] -> first.r_pfxs
+          | last :: rest -> first.r_pfxs @ List.fold_left (fun acc l -> l @ acc) last rest
+        in
+        List.fold_right
+          (fun nlri msgs -> advert_update first.r_attrs nlri :: msgs)
+          (chunks (nlri_capacity first.r_attrs) pfxs)
+          (merge rest)
   in
-  let advert_msgs =
-    group_by_attrs adverts
-    |> List.concat_map (fun (attrs, pfxs) ->
-           chunks (nlri_capacity attrs) pfxs
-           |> List.map (fun nlri ->
-                  Msg.Update { withdrawn = []; attrs = Some attrs; nlri }))
+  merge sorted
+
+(* The UPDATEs that carry [buf]'s adverts to one target, ahead of
+   [tail]: [export] rewrites a path's attributes for the target (None:
+   not exported), [policy] then runs per prefix (its rules can match on
+   the prefix; the empty policy is not consulted). The walk runs back to
+   front, so each run's prefixes come out in batch order with no
+   reversal; [~backwards:false] walks front to back, for lists in the
+   reverse of the batch's order. *)
+let advert_messages ~export ~policy buf ~backwards tail =
+  let accept_all = Policy.accepts_all policy in
+  let pk =
+    { runs = []; cur = no_run; m_source = no_source; m_attrs = no_run.r_attrs; m_out = None }
   in
-  withdraw_msgs @ advert_msgs
+  let n = Rib.Changes.length buf in
+  for k = 0 to n - 1 do
+    let i = if backwards then n - 1 - k else k in
+    if not (Rib.Changes.withdrawn buf i) then begin
+      let path = Rib.Changes.path buf i in
+      if not (path.Rib.source == pk.m_source && path.Rib.attrs == pk.m_attrs) then begin
+        pk.m_source <- path.Rib.source;
+        pk.m_attrs <- path.Rib.attrs;
+        pk.m_out <- export path
+      end;
+      match pk.m_out with
+      | None -> ()
+      | Some attrs -> (
+          let pfx = Rib.Changes.prefix buf i in
+          if accept_all then advert pk pfx attrs
+          else
+            match Policy.apply policy pfx attrs with
+            | Some attrs -> advert pk pfx attrs
+            | None -> ())
+    end
+  done;
+  advert_updates pk.runs tail
+
+(* The UPDATEs withdrawing [buf]'s withdrawn prefixes, in batch order and
+   chunked to fit a message, ahead of [tail]. Walking back to front with
+   the count known, each chunk is closed where it starts: no chunk list
+   is copied. They are the same for every target. *)
+let withdraw_messages buf tail =
+  if Rib.Changes.withdrawals buf = 0 then tail
+  else begin
+    let msgs = ref tail and chunk = ref [] in
+    let w = ref (Rib.Changes.withdrawals buf) in
+    for i = Rib.Changes.length buf - 1 downto 0 do
+      if Rib.Changes.withdrawn buf i then begin
+        decr w;
+        chunk := Rib.Changes.prefix buf i :: !chunk;
+        if !w mod withdraw_capacity = 0 then begin
+          msgs := Msg.Update { withdrawn = !chunk; attrs = None; nlri = [] } :: !msgs;
+          chunk := []
+        end
+      end
+    done;
+    !msgs
+  end
 
 let established_session p =
   match p.session with
@@ -350,10 +396,11 @@ let dispatch_messages t p msgs ~first_copy =
         else dispatch ()
       end
 
-(* Export a batch of best-path changes to every established peer of the
-   VRF except [exclude]. *)
-let export_changes t vrf changes ~exclude =
-  if changes <> [] then begin
+(* Export the buffered batch to every established peer of the VRF except
+   [exclude]: the withdrawals, then each target's adverts. *)
+let export_changes t vrf ~exclude =
+  let buf = t.changes in
+  if Rib.Changes.length buf > 0 then begin
     let targets =
       List.filter
         (fun p ->
@@ -362,44 +409,55 @@ let export_changes t vrf changes ~exclude =
           && established_session p <> None)
         (peers t)
     in
+    let withdrawals = withdraw_messages buf [] in
     List.iteri
       (fun i p ->
-        let export = export_memo p in
-        let adverts = ref [] and withdraws = ref [] in
-        List.iter
-          (function
-            | Rib.Best_changed (pfx, path) -> (
-                match exported export p pfx path with
-                | Some attrs -> adverts := (pfx, attrs) :: !adverts
-                | None -> ())
-            | Rib.Best_withdrawn pfx -> withdraws := pfx :: !withdraws)
-          changes;
-        let msgs = build_messages (List.rev !adverts) (List.rev !withdraws) in
-        dispatch_messages t p msgs ~first_copy:(i = 0))
+        let adverts =
+          advert_messages ~export:(export_attrs p) ~policy:p.pcfg.policy_out buf
+            ~backwards:true []
+        in
+        dispatch_messages t p (withdrawals @ adverts) ~first_copy:(i = 0))
       targets
   end
 
-(* Full-table sync to a newly established peer, ending with End-of-RIB. *)
+(* The buffer, emptied for the next batch. *)
+let batch t =
+  Rib.Changes.clear t.changes;
+  t.changes
+
+(* Full-table sync to a newly established peer, ending with End-of-RIB.
+   Its adverts go out in descending prefix order within each group, as
+   they always have: the walk runs front to back over the ascending
+   table. *)
 let send_full_table t p =
-  let vrf = p.pcfg.vrf in
-  let table = rib t ~vrf in
-  let export = export_memo p in
-  let adverts =
-    Rib.fold_best table ~init:[] ~f:(fun acc pfx path ->
-        if String.equal path.Rib.source.Rib.key p.skey then acc
-        else
-          match exported export p pfx path with
-          | Some attrs -> (pfx, attrs) :: acc
-          | None -> acc)
+  let table = rib t ~vrf:p.pcfg.vrf in
+  let buf = batch t in
+  Rib.fold_best table ~init:() ~f:(fun () pfx path ->
+      if not (String.equal path.Rib.source.Rib.key p.skey) then Rib.Changes.add buf pfx path);
+  let msgs =
+    advert_messages ~export:(export_attrs p) ~policy:p.pcfg.policy_out buf
+      ~backwards:false [ Msg.end_of_rib ]
   in
-  let msgs = build_messages adverts [] @ [ Msg.end_of_rib ] in
   dispatch_messages t p msgs ~first_copy:true
+
+let pack_changes buf =
+  withdraw_messages buf
+    (advert_messages ~export:(fun path -> Some path.Rib.attrs) ~policy:Policy.empty buf
+       ~backwards:true [])
 
 (* --- Receive path -------------------------------------------------------- *)
 
-let apply_rib_changes t vrf changes ~exclude =
-  List.iter (fun ch -> t.hooks.on_rib_change ~vrf ch) changes;
-  export_changes t vrf changes ~exclude
+(* Hands the buffered batch on: first every change to the checkpoint
+   hook, in order, then the export. Every hook call comes before any
+   export is scheduled, so engine sequence numbers do not depend on how
+   the batch is packed. *)
+let apply_rib_changes t vrf ~exclude =
+  let buf = t.changes in
+  if t.hooks.on_rib_change != no_rib_change then
+    for i = 0 to Rib.Changes.length buf - 1 do
+      t.hooks.on_rib_change ~vrf (Rib.Changes.change buf i)
+    done;
+  export_changes t vrf ~exclude
 
 let cancel_gr_sweep p =
   match p.gr_sweep with
@@ -412,13 +470,8 @@ let apply_update t p (u : Msg.update) =
   let vrf = p.pcfg.vrf in
   let table = rib t ~vrf in
   let count = List.length u.nlri + List.length u.withdrawn in
-  let changes = ref [] in
-  List.iter
-    (fun pfx ->
-      match Rib.update table p.source pfx None with
-      | Some ch -> changes := ch :: !changes
-      | None -> ())
-    u.withdrawn;
+  let buf = batch t in
+  List.iter (fun pfx -> Rib.withdraw table p.source pfx buf) u.withdrawn;
   if u.withdrawn <> [] && Telemetry.Gate.on () then
     Telemetry.Bus.emit t.eng
       (Telemetry.Event.Routes_withdrawn
@@ -440,28 +493,27 @@ let apply_update t p (u : Msg.update) =
            unchanged is not consulted per prefix. *)
         let path = { Rib.source = p.source; attrs; stale = false } in
         let policy = p.pcfg.policy_in in
-        let accept_all = Policy.accepts_all policy in
         Rib.reserve table (List.length u.nlri);
-        changes :=
-          List.fold_left
-            (fun acc pfx ->
-              if accept_all then Rib.install table path pfx acc
-              else
-                match Policy.apply policy pfx attrs with
-                | Some a when a == attrs -> Rib.install table path pfx acc
-                | Some attrs -> Rib.install table { path with attrs } pfx acc
-                | None -> acc)
-            !changes u.nlri
+        if Policy.accepts_all policy then
+          List.iter (fun pfx -> Rib.install table path pfx buf) u.nlri
+        else
+          List.iter
+            (fun pfx ->
+              match Policy.apply policy pfx attrs with
+              | Some a when a == attrs -> Rib.install table path pfx buf
+              | Some attrs -> Rib.install table { path with attrs } pfx buf
+              | None -> ())
+            u.nlri
   | _ -> ());
   t.learned <- t.learned + count;
   t.last_rx_apply <- Engine.now t.eng;
   if count > 0 then t.hooks.on_updates_applied ~vrf count;
-  apply_rib_changes t vrf (List.rev !changes) ~exclude:p.skey;
+  apply_rib_changes t vrf ~exclude:p.skey;
   (* End-of-RIB completes a graceful restart: drop still-stale paths. *)
   if Msg.is_end_of_rib (Msg.Update u) then begin
     cancel_gr_sweep p;
-    let changes = Rib.sweep_stale table ~key:p.skey in
-    apply_rib_changes t vrf changes ~exclude:p.skey
+    Rib.sweep_stale table ~key:p.skey (batch t);
+    apply_rib_changes t vrf ~exclude:p.skey
   end;
   t.hooks.on_rx_applied p (Msg.Update u)
 
@@ -541,12 +593,12 @@ and handle_session_down t p reason =
         (Engine.schedule_after t.eng ~label:"bgp.gr_sweep"
            (Time.sec restart_time) (fun () ->
              p.gr_sweep <- None;
-             let changes = Rib.sweep_stale table ~key:p.skey in
-             apply_rib_changes t vrf changes ~exclude:p.skey))
+             Rib.sweep_stale table ~key:p.skey (batch t);
+             apply_rib_changes t vrf ~exclude:p.skey))
   end
   else begin
-    let changes = Rib.remove_source table ~key:p.skey in
-    apply_rib_changes t vrf changes ~exclude:p.skey
+    Rib.remove_source table ~key:p.skey (batch t);
+    apply_rib_changes t vrf ~exclude:p.skey
   end;
   p.down_cb reason;
   (* Auto-reconnect for active peers. *)
@@ -702,6 +754,7 @@ let create ?(profile = default_profile) ?(hooks = no_hooks) ~stack ~local_asn
       sent_msgs = 0;
       last_tx = Time.zero;
       last_rx_apply = Time.zero;
+      changes = Rib.Changes.create ();
     }
   in
   Tcp.listen stack ~port:bgp_port (fun conn -> accept_incoming t conn);
@@ -718,18 +771,16 @@ let originate t ~vrf ?attrs prefixes =
   let source = local_source t vrf in
   let path = { Rib.source; attrs; stale = false } in
   Rib.reserve table (List.length prefixes);
-  let changes =
-    List.fold_left (fun acc pfx -> Rib.install table path pfx acc) [] prefixes
-  in
-  apply_rib_changes t vrf (List.rev changes) ~exclude:source.Rib.key
+  let buf = batch t in
+  List.iter (fun pfx -> Rib.install table path pfx buf) prefixes;
+  apply_rib_changes t vrf ~exclude:source.Rib.key
 
 let withdraw_origin t ~vrf prefixes =
   let table = rib t ~vrf in
   let source = local_source t vrf in
-  let changes =
-    List.filter_map (fun pfx -> Rib.update table source pfx None) prefixes
-  in
-  apply_rib_changes t vrf changes ~exclude:source.Rib.key
+  let buf = batch t in
+  List.iter (fun pfx -> Rib.withdraw table source pfx buf) prefixes;
+  apply_rib_changes t vrf ~exclude:source.Rib.key
 
 let restore_route t ~vrf source prefix attrs =
   add_vrf t vrf;

@@ -9,12 +9,18 @@
     per-segment cost), and a {e keepalive thread} (session-internal
     keepalives that never wait behind main-thread work).
 
-    Export work is paid per attribute set and per peer: a batch of
-    changes sharing one path source and attribute set is rewritten for a
-    peer once, and packing groups the adverts without sorting them. Only
-    [Policy.apply] (whose rules can match on the prefix) and the list
-    cells run per prefix. The UPDATE frames and their order are those of
-    a stable sort of the adverts by {!Attrs.compare}, grouped into runs.
+    Every Loc-RIB change flows through one change buffer the speaker
+    owns and reuses ({!Rib.Changes}): the RIB appends to it, the
+    checkpoint hook sees each change in order, and then, per target, one
+    back-to-front walk over the buffer rewrites each attribute set once
+    (a memo keyed on the path's source and attrs), applies the out-policy
+    per prefix (skipped when it accepts everything) and conses each
+    prefix onto its attribute run, so each run's NLRI list comes out in
+    batch order with no tuple, advert list or reversal in between. The
+    runs are then sorted by {!Attrs.compare}, equal runs merged and
+    chunked; the withdrawals are chunked once per batch for every
+    target. The UPDATE frames and their order are those of a stable
+    sort of the adverts by {!Attrs.compare}, grouped into runs.
 
     The [profile] carries the per-update and per-message costs that
     distinguish FRRouting, GoBGP, BIRD and TENSOR in the paper's Figure 6,
@@ -199,12 +205,12 @@ val request_refresh : t -> peer -> unit
     Adj-RIB-Out — the standard way to re-evaluate a changed import policy
     without bouncing the session. No-op unless Established. *)
 
-val build_messages :
-  (Netsim.Addr.prefix * Attrs.t) list -> Netsim.Addr.prefix list -> Msg.t list
-(** [build_messages adverts withdraws] is the UPDATE sequence for one
-    export batch: the withdrawals in order, chunked to fit a message, then
-    the adverts grouped by equal attributes, groups in {!Attrs.compare}
-    order and prefixes in input order, each group chunked to fit a
-    message. Every speaker export goes through it; exposed for tests. *)
+val pack_changes : Rib.Changes.t -> Msg.t list
+(** The UPDATE sequence for one batch whose adverts go out with their
+    paths' own attributes: the withdrawals in order, chunked to fit a
+    message, then the adverts grouped by equal attributes, groups in
+    {!Attrs.compare} order and prefixes in batch order, each group
+    chunked to fit a message. Every speaker export packs this way, after
+    rewriting each path for its target; exposed for tests. *)
 
 val messages_sent : t -> int

@@ -3,10 +3,11 @@
 
    Attribution is by event label (see [Engine.schedule_after ?label]):
    each dispatched event adds its wall time, allocation delta and
-   simulated queue dwell to its label's row. Allocation is counted in
-   [Gc.minor_words], exact and itself allocation-free ([Gc.allocated_bytes]
-   on OCaml 5.1 reads the young words since the last minor collection as
-   bytes: an eighth of the truth). All of it is host-side observation —
+   simulated queue dwell to its label's row. Allocation is counted
+   exactly: young words from [Gc.minor_words] ([Gc.allocated_bytes] on
+   OCaml 5.1 reads the young words since the last minor collection as
+   bytes: an eighth of the truth) plus the words allocated straight on
+   the major heap, less the reader's own. All of it is host-side observation —
    nothing here reads or writes simulation state, telemetry, or the
    engine RNG, so replay digests are byte-identical with the profiler
    attached or not (a property the test suite pins against the chaos
@@ -31,7 +32,7 @@ type state = {
   mutable active : bool;
   mutable cur : stat;
   mutable t0 : float;
-  mutable w0 : int; (* minor words at the event's start *)
+  mutable w0 : int; (* words allocated at the event's start *)
 }
 
 let blank label =
@@ -70,6 +71,25 @@ let word_bytes = Sys.word_size / 8
    clock read and closed before the next, holds the action alone. *)
 let minor_words () = int_of_float (Gc.minor_words ())
 
+(* Words allocated straight on the major heap (blocks over 256 words:
+   RIB arrays, 4 KB frames, hex strings): [Gc.counters]' major words less
+   the promoted ones, which a minor collection adds to both. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  int_of_float (major -. promoted)
+
+(* Every word allocated so far. The [Gc.counters] read comes first, so
+   its own tuple and boxed floats fall before the young read: between
+   two calls, only the second call's [counters_words] are the reader's. *)
+let words () =
+  let major = direct_major_words () in
+  major + minor_words ()
+
+let counters_words =
+  let m0 = minor_words () in
+  ignore (Sys.opaque_identity (direct_major_words ()));
+  minor_words () - m0
+
 let before ~eng:_ ~id:_ ~parent:_ ~label ~sched_at ~exec_at =
   let s = state () in
   let st = get s.table label in
@@ -78,17 +98,17 @@ let before ~eng:_ ~id:_ ~parent:_ ~label ~sched_at ~exec_at =
   if d > st.dwell_max_s then st.dwell_max_s <- d;
   s.cur <- st;
   s.t0 <- Clock.now_s ();
-  s.w0 <- minor_words ()
+  s.w0 <- words ()
 
 let after () =
-  let w1 = minor_words () in
+  let w1 = words () in
   let t1 = Clock.now_s () in
   let s = state () in
   let st = s.cur in
   st.events <- st.events + 1;
   st.wall_s <- st.wall_s +. (t1 -. s.t0);
   st.alloc_bytes <-
-    st.alloc_bytes +. float_of_int ((w1 - s.w0) * word_bytes)
+    st.alloc_bytes +. float_of_int ((w1 - s.w0 - counters_words) * word_bytes)
 
 (* The young words come from [Gc.minor_words]: the minor count of
    [Gc.counters], which [Gc.allocated_bytes] sums, misses most of them on

@@ -6,9 +6,10 @@
     never reads or writes simulation state, telemetry, or the engine
     RNG, so replay digests are byte-identical whether it is attached or
     not. The measurement overhead (two clock reads per event) is
-    included in each wall sample. Allocation is the event's minor-heap
-    bytes, exact: zero for an event that allocates nothing. Blocks too
-    large for the minor heap (over 256 words) are not counted. *)
+    included in each wall sample. Allocation is every byte the event
+    allocates, exact: young words and blocks too large for the minor
+    heap (over 256 words), which go straight to the major heap, less the
+    profiler's own reads; zero for an event that allocates nothing. *)
 
 type stat = {
   label : string;

@@ -85,9 +85,22 @@ module Batch = struct
     b.n <- b.n + 1;
     b.bytes <- b.bytes + String.length k + Value.length v
 
+  (* Sized once, since the list's length is known. Pairs that carry the
+     very same string as the pair before share its (immutable) value
+     record, so writing one value under many keys builds one record. *)
   let of_strings pairs =
-    let b = create (List.length pairs) in
-    List.iter (fun (k, v) -> add b k (Value.of_string v)) pairs;
+    let n = List.length pairs in
+    let b =
+      { limit = n; keys = Array.make n ""; values = Array.make n no_value; n = 0; bytes = 0 }
+    in
+    let rec fill last = function
+      | [] -> ()
+      | (k, v) :: rest ->
+          let value = if Value.tail last == v then last else Value.of_string v in
+          add b k value;
+          fill value rest
+    in
+    fill no_value pairs;
     b
 end
 
@@ -136,10 +149,12 @@ module Server = struct
 
   let records t = Hashtbl.length t.table
   let stored_bytes t = t.bytes
+  (* Lookups per record use [Hashtbl.find]: [find_opt] boxes every hit,
+     and reads, writes and deletes each look every key up. *)
   let peek t key =
-    match Hashtbl.find_opt t.table key with
-    | Some v -> Some (Value.to_string v)
-    | None -> None
+    match Hashtbl.find t.table key with
+    | v -> Some (Value.to_string v)
+    | exception Not_found -> None
 
   let keys_with_prefix t prefix =
     Det.keys_where ~compare:String.compare ~keep:(String.starts_with ~prefix) t.table
@@ -177,9 +192,10 @@ module Server = struct
   let apply_set t (b : Batch.t) =
     for i = 0 to b.n - 1 do
       let k = Array.unsafe_get b.keys i and v = Array.unsafe_get b.values i in
-      (match Hashtbl.find_opt t.table k with
-      | Some old -> t.bytes <- t.bytes - String.length k - Value.length old
-      | None -> ());
+      (* lint: allow p3 — Not_found is this match's own case: no lookup escapes *)
+      (match Hashtbl.find t.table k with
+      | old -> t.bytes <- t.bytes - String.length k - Value.length old
+      | exception Not_found -> ());
       Hashtbl.replace t.table k v;
       t.bytes <- t.bytes + String.length k + Value.length v
     done
@@ -187,18 +203,18 @@ module Server = struct
   let apply_del t keys =
     List.fold_left
       (fun acc k ->
-        match Hashtbl.find_opt t.table k with
-        | Some v ->
+        match Hashtbl.find t.table k with
+        | v ->
             Hashtbl.remove t.table k;
             t.bytes <- t.bytes - String.length k - Value.length v;
             acc + 1
-        | None -> acc)
+        | exception Not_found -> acc)
       0 keys
 
   let value_bytes t k =
-    match Hashtbl.find_opt t.table k with
-    | Some v -> Value.length v
-    | None -> 0
+    match Hashtbl.find t.table k with
+    | v -> Value.length v
+    | exception Not_found -> 0
 
   (* Writes go to the replica synchronously: the reply is withheld until
      the replica has confirmed (same processing-cost model there). A

@@ -343,8 +343,9 @@ let test_rib_remove_source () =
   ignore (Bgp.Rib.update rib (src "p1" "10.0.0.2") (pfx "10.1.0.0/16") (Some (attrs ())));
   ignore (Bgp.Rib.update rib (src "p1" "10.0.0.2") (pfx "10.2.0.0/16") (Some (attrs ())));
   ignore (Bgp.Rib.update rib (src "p2" "10.0.0.6") (pfx "10.1.0.0/16") (Some (attrs ~path:[1;2;3] ())));
-  let changes = Bgp.Rib.remove_source rib ~key:"p1" in
-  checki "two changes" 2 (List.length changes);
+  let changes = Bgp.Rib.Changes.create () in
+  Bgp.Rib.remove_source rib ~key:"p1" changes;
+  checki "two changes" 2 (Bgp.Rib.Changes.length changes);
   checki "one prefix left" 1 (Bgp.Rib.size rib);
   checkb "fallback to p2" true
     (match Bgp.Rib.best rib (pfx "10.1.0.0/16") with
@@ -363,8 +364,9 @@ let test_rib_stale_lifecycle () =
   (* Refresh one: it is no longer stale. *)
   ignore (Bgp.Rib.update rib s (pfx "10.1.0.0/16") (Some (attrs ())));
   checki "one stale left" 1 (Bgp.Rib.stale_count rib ~key:"p1");
-  let changes = Bgp.Rib.sweep_stale rib ~key:"p1" in
-  checki "swept one" 1 (List.length changes);
+  let changes = Bgp.Rib.Changes.create () in
+  Bgp.Rib.sweep_stale rib ~key:"p1" changes;
+  checki "swept one" 1 (Bgp.Rib.Changes.length changes);
   checkb "refreshed survives" true (Bgp.Rib.best rib (pfx "10.1.0.0/16") <> None);
   checkb "stale removed" true (Bgp.Rib.best rib (pfx "10.2.0.0/16") = None)
 
@@ -375,12 +377,19 @@ let test_rib_stale_lifecycle () =
    optimiser setting moves these figures and may need the bounds
    re-measured.
 
-   A 20k-prefix single-source table built with one shared path keeps 8.2
-   live words per prefix (the hash table of per-prefix entries kept 16.8
-   through [update]). [fold_best] over 100k prefixes allocates 6.2 MB;
-   the collect-then-sort over (prefix, entry) pairs ([Ref_rib.fold_best]
-   below) allocates 45.0 MB, and the bound is a third of that. *)
-let rib_live_words_per_prefix_bound = 10.
+   A 20k-prefix single-source table built with one shared path keeps 4.9
+   live words per prefix: three slot arrays (key, path, chain) at 32,768
+   slots, and no node pool, since each prefix has one path (8.2 when a
+   node held every path; the hash table of per-prefix entries kept 16.8
+   through [update]). Growing a table to 50k prefixes in 500-prefix
+   batches, as UPDATEs and originations do, allocates 125.7 B per prefix:
+   the slot arrays doubling from 16 to 131,072 slots (167 B when the
+   node pool doubled beside them). [fold_best] over 100k prefixes
+   allocates 6.2 MB; the collect-then-sort over (prefix, entry) pairs
+   ([Ref_rib.fold_best] below) allocates 45.0 MB, and the bound is a
+   third of that. *)
+let rib_live_words_per_prefix_bound = 6.
+let rib_growth_bytes_per_prefix_bound = 130.
 let fold_best_100k_bytes_bound = 45_017_408. /. 3.
 
 let aligned_prefixes n = Array.init n (fun i -> Addr.prefix (Addr.of_int (i lsl 8)) 24)
@@ -389,7 +398,12 @@ let installed ?reserve prefixes =
   let rib = Bgp.Rib.create () in
   Option.iter (Bgp.Rib.reserve rib) reserve;
   let path = { Bgp.Rib.source = src "p1" "10.0.0.2"; attrs = attrs (); stale = false } in
-  Array.iter (fun p -> ignore (Bgp.Rib.install rib path p [])) prefixes;
+  let changes = Bgp.Rib.Changes.create () in
+  Array.iter
+    (fun p ->
+      Bgp.Rib.Changes.clear changes;
+      Bgp.Rib.install rib path p changes)
+    prefixes;
   rib
 
 let test_rib_live_words () =
@@ -407,10 +421,30 @@ let test_rib_live_words () =
     Alcotest.failf "the table keeps %.1f live words per prefix (bound %.0f)" per_prefix
       rib_live_words_per_prefix_bound
 
+let test_rib_growth_allocation () =
+  let n = 50_000 and batch = 500 in
+  let prefixes = aligned_prefixes n in
+  let rib = Bgp.Rib.create () and changes = Bgp.Rib.Changes.create () in
+  let path = { Bgp.Rib.source = src "p1" "10.0.0.2"; attrs = attrs (); stale = false } in
+  let a0 = Prof.Profiler.allocated_bytes () in
+  for b = 0 to (n / batch) - 1 do
+    Bgp.Rib.Changes.clear changes;
+    Bgp.Rib.reserve rib batch;
+    for i = b * batch to ((b + 1) * batch) - 1 do
+      Bgp.Rib.install rib path prefixes.(i) changes
+    done
+  done;
+  let per_prefix = (Prof.Profiler.allocated_bytes () -. a0) /. float_of_int n in
+  checki "size" n (Bgp.Rib.size rib);
+  checki "no pool for single paths" n (Bgp.Rib.path_count rib);
+  if per_prefix > rib_growth_bytes_per_prefix_bound then
+    Alcotest.failf "growing to 50k prefixes allocates %.1f B/prefix (bound %.0f)" per_prefix
+      rib_growth_bytes_per_prefix_bound
+
 (* [reserve] only moves a batch's growth forward: a table reserved for
    its batch ends exactly as large as one grown an insert at a time, and
    reserving no more than a table holds changes nothing. The sizes cross
-   the slot (12, 24, ...) and node-pool (16, 32, ...) growth points. *)
+   the slot growth points (12, 24, ...). *)
 let test_rib_reserve_size () =
   let words rib = Obj.reachable_words (Obj.repr rib) in
   List.iter
@@ -719,16 +753,22 @@ let apply_both rib ref_rib op =
             | None -> acc)
           [] ps
       in
-      (expected, List.fold_left (fun acc p -> Bgp.Rib.install rib path p acc) [] ps, Some ps)
+      let changes = Bgp.Rib.Changes.create () in
+      List.iter (fun p -> Bgp.Rib.install rib path p changes) ps;
+      (List.rev expected, Bgp.Rib.Changes.to_list changes, Some ps)
   | Mark s ->
       agree_int "marked"
         (Ref_rib.mark_source_stale ref_rib ~key:(key s))
         (Bgp.Rib.mark_source_stale rib ~key:(key s));
       ([], [], None)
   | Sweep s ->
-      (Ref_rib.sweep_stale ref_rib ~key:(key s), Bgp.Rib.sweep_stale rib ~key:(key s), None)
+      let changes = Bgp.Rib.Changes.create () in
+      Bgp.Rib.sweep_stale rib ~key:(key s) changes;
+      (Ref_rib.sweep_stale ref_rib ~key:(key s), Bgp.Rib.Changes.to_list changes, None)
   | Remove s ->
-      (Ref_rib.remove_source ref_rib ~key:(key s), Bgp.Rib.remove_source rib ~key:(key s), None)
+      let changes = Bgp.Rib.Changes.create () in
+      Bgp.Rib.remove_source rib ~key:(key s) changes;
+      (Ref_rib.remove_source ref_rib ~key:(key s), Bgp.Rib.Changes.to_list changes, None)
 
 let universe = List.init 600 rib_prefix
 
@@ -760,6 +800,50 @@ let step_agrees rib ref_rib op =
         (Ref_rib.stale_count ref_rib ~key:s.key)
         (Bgp.Rib.stale_count rib ~key:s.key))
     rib_sources
+
+(* MED compares only paths from one neighbouring AS, so the decision
+   process is not transitive: a (AS 7, MED 10, eBGP, router id 0.9.9.9)
+   beats c (AS 8, eBGP, 1.1.1.1) on router id, c beats b (AS 7, MED 5,
+   iBGP) on eBGP, and b beats a on MED. The best path then depends on
+   the order of the fold, newest path first, so every install order, and
+   each withdrawal after it, must give the reference's best path and
+   candidates. *)
+let test_rib_med_cycle_order () =
+  let a = (src ~rid:"0.9.9.9" "a" "10.0.0.4", attrs ~path:[ 7 ] ~med:10 ())
+  and b = (src ~ebgp:false ~rid:"2.2.2.2" "b" "10.0.0.3", attrs ~path:[ 7 ] ~med:5 ())
+  and c = (src ~rid:"1.1.1.1" "c" "10.0.0.1", attrs ~path:[ 8 ] ()) in
+  let p = pfx "10.9.0.0/16" in
+  let agree_on what rib ref_rib =
+    agree ("best " ^ what) show_path
+      (Option.to_list (Ref_rib.best ref_rib p))
+      (Option.to_list (Bgp.Rib.best rib p));
+    agree ("candidates " ^ what) show_path (Ref_rib.candidates ref_rib p)
+      (Bgp.Rib.candidates rib p)
+  in
+  let orders = [ [ a; b; c ]; [ a; c; b ]; [ b; a; c ]; [ b; c; a ]; [ c; a; b ]; [ c; b; a ] ] in
+  let bests =
+    List.map
+      (fun order ->
+        let rib = Bgp.Rib.create () and ref_rib = Ref_rib.create () in
+        let what = String.concat "," (List.map (fun (s, _) -> s.Bgp.Rib.key) order) in
+        List.iter
+          (fun (s, at) ->
+            ignore (Bgp.Rib.update rib s p (Some at));
+            ignore (Ref_rib.update ref_rib s p (Some at)))
+          order;
+        agree_on ("after " ^ what) rib ref_rib;
+        let best = Option.map (fun b -> b.Bgp.Rib.source.key) (Bgp.Rib.best rib p) in
+        List.iter
+          (fun (s, _) ->
+            ignore (Bgp.Rib.update rib s p None);
+            ignore (Ref_rib.update ref_rib s p None);
+            agree_on ("after " ^ what ^ " less " ^ s.Bgp.Rib.key) rib ref_rib)
+          order;
+        best)
+      orders
+  in
+  checkb "the install order picks the best" true
+    (List.length (List.sort_uniq compare bests) > 1)
 
 let sources_agree rib ref_rib =
   Array.iter
@@ -1426,11 +1510,14 @@ let test_speaker_packing_matches_reference () =
    prefix and sorting every advert cost 1,064 B/route (read with
    [Gc.allocated_bytes], which misses young words between minor
    collections); rewriting them once per attribute set and grouping
-   without a sort costs 342.7 B/route. The bound is 1.244x the latter,
-   the multiple it had of the older 402 B/route reading; another
-   compiler or optimiser setting moves both figures and may need it
-   re-measured. *)
-let originate_bytes_per_route_bound = 426.
+   without a sort cost 342.7 B/route, of which the node pool, a change
+   list and its reversal, and the advert tuples, lists and reversals
+   were most. One pass from the RIB's change buffer to the NLRI lists,
+   with no node for a single-path prefix, costs 107.2 B/route: the
+   slot arrays' growth and one NLRI list cell per prefix. The bound is
+   half the 342.7 B reading; another compiler or optimiser setting moves
+   these figures and may need it re-measured. *)
+let originate_bytes_per_route_bound = 342.7 /. 2.
 
 let test_speaker_originate_allocation () =
   let eng, spk_a, spk_b, _, _ = speaker_pair () in
@@ -1594,6 +1681,25 @@ let gen_packing_case =
     let* withdraws = list_size (return nw) gen_prefix in
     return (List.concat adverts, withdraws))
 
+(* A change buffer holding [adverts] as best-path changes and
+   [withdraws] as withdrawals, the two interleaved: the packer puts every
+   withdrawal first whatever their places in the batch. *)
+let change_buffer adverts withdraws =
+  let buf = Bgp.Rib.Changes.create () in
+  let source = src "packer" "192.0.2.9" in
+  let rec go i adverts withdraws =
+    match (adverts, withdraws) with
+    | (p, attrs) :: adverts, _ when i mod 3 <> 0 || withdraws = [] ->
+        Bgp.Rib.Changes.add buf p { Bgp.Rib.source; attrs; stale = false };
+        go (i + 1) adverts withdraws
+    | _, w :: withdraws ->
+        Bgp.Rib.Changes.add_withdrawn buf w;
+        go (i + 1) adverts withdraws
+    | _, [] -> ()
+  in
+  go 0 adverts withdraws;
+  buf
+
 let prop_packing_matches_reference =
   QCheck.Test.make ~name:"update packing matches the sort-based packer" ~count:60
     (QCheck.make
@@ -1601,8 +1707,294 @@ let prop_packing_matches_reference =
          Printf.sprintf "%d adverts, %d withdrawals" (List.length a) (List.length w))
        gen_packing_case)
     (fun (adverts, withdraws) ->
-      frames (Bgp.Speaker.build_messages adverts withdraws)
+      frames (Bgp.Speaker.pack_changes (change_buffer adverts withdraws))
       = frames (Ref.build_messages adverts withdraws))
+
+(* --- One-pass export against the list-based pipeline ---------------------- *)
+
+(* A speaker with five established sessions: two sources of UPDATEs (one
+   eBGP, one iBGP) and three more targets (eBGP, eBGP behind an
+   out-policy that rejects one /16 and rewrites another, iBGP). Every
+   frame it hands a session and every checkpoint-hook call is recorded;
+   the expected ones are computed the way the list-based pipeline did:
+   [Ref_rib] reports each batch's changes, each goes to the hook in
+   order, and each target gets [Ref.build_messages] of its exported
+   adverts and the withdrawals. *)
+let dut_asn = 65001
+
+let export_policy =
+  Bgp.Policy.make
+    [
+      Bgp.Policy.reject_rule [ Bgp.Policy.Match_prefix_within (pfx "10.1.0.0/16") ];
+      Bgp.Policy.accept_rule
+        ~conds:[ Bgp.Policy.Match_prefix_within (pfx "10.2.0.0/16") ]
+        [ Bgp.Policy.Set_med (Some 99) ];
+    ]
+
+(* Each remote's ASN and the DUT's out-policy towards it. Remotes 0 and
+   1 are the sources. *)
+let rig_remotes =
+  [|
+    (65002, Bgp.Policy.empty);
+    (dut_asn, Bgp.Policy.empty);
+    (65003, Bgp.Policy.empty);
+    (65004, export_policy);
+    (dut_asn, Bgp.Policy.empty);
+  |]
+
+type target = {
+  peer : Bgp.Speaker.peer;
+  asn : int;
+  policy : Bgp.Policy.t;
+  local : Addr.t;  (** The DUT's address on the link. *)
+  source : Bgp.Rib.source;  (** The DUT's view of the remote as a source. *)
+}
+
+type export_rig = {
+  x_eng : Engine.t;
+  dut : Bgp.Speaker.t;
+  dut_rid : Addr.t;
+  targets : target array;
+  sent : (string, string list) Hashtbl.t;  (** Target key -> frames, newest first. *)
+  hooked : Bgp.Rib.change list ref;  (** Newest first. *)
+}
+
+let export_rig () =
+  let eng = Engine.create () in
+  let net = Network.create eng in
+  let d = Network.add_node net "dut" in
+  let links =
+    Array.mapi
+      (fun i _ ->
+        let r = Network.add_node net (Printf.sprintf "r%d" i) in
+        let _, local, remote = Network.connect net ~delay:(Time.us 100) d r in
+        (r, local, remote))
+      rig_remotes
+  in
+  let sent = Hashtbl.create 8 and hooked = ref [] in
+  let hooks =
+    {
+      Bgp.Speaker.no_hooks with
+      on_tx_replicate =
+        (fun peer msg raw k ->
+          (match msg with
+          | Bgp.Msg.Update _ ->
+              let key = Bgp.Speaker.peer_source_key peer in
+              Hashtbl.replace sent key
+                (raw :: Option.value ~default:[] (Hashtbl.find_opt sent key))
+          | _ -> ());
+          k ());
+      on_rib_change = (fun ~vrf:_ ch -> hooked := ch :: !hooked);
+    }
+  in
+  let _, dut_rid, _ = links.(0) in
+  let dut =
+    Bgp.Speaker.create ~hooks ~stack:(Tcp.create_stack d) ~local_asn:dut_asn
+      ~router_id:dut_rid ()
+  in
+  let targets =
+    Array.mapi
+      (fun i (asn, policy) ->
+        let r, local, remote = links.(i) in
+        let spk =
+          Bgp.Speaker.create ~stack:(Tcp.create_stack r) ~local_asn:asn ~router_id:remote ()
+        in
+        ignore
+          (Bgp.Speaker.add_peer spk
+             { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:local ()) with
+               Bgp.Speaker.remote_asn = Some dut_asn;
+               passive = true });
+        Bgp.Speaker.start spk;
+        let peer =
+          Bgp.Speaker.add_peer dut
+            { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:remote ()) with
+              Bgp.Speaker.remote_asn = Some asn;
+              local_addr = Some local;
+              policy_out = policy }
+        in
+        let source =
+          {
+            Bgp.Rib.key = Bgp.Speaker.peer_source_key peer;
+            peer_asn = asn;
+            peer_addr = remote;
+            router_id = remote;
+            ebgp = asn <> dut_asn;
+          }
+        in
+        { peer; asn; policy; local; source })
+      rig_remotes
+  in
+  Bgp.Speaker.start dut;
+  Engine.run_for eng (Time.sec 5);
+  Array.iter
+    (fun t -> checkb "established" true (Bgp.Speaker.peer_state t.peer = Bgp.Session.Established))
+    targets;
+  Hashtbl.reset sent;
+  { x_eng = eng; dut; dut_rid; targets; sent; hooked }
+
+type export_op =
+  | Upd of int * int list * int list * Bgp.Attrs.t
+      (** A source's UPDATE: its withdrawals and NLRI (repeats allowed). *)
+  | Orig of int list * Bgp.Attrs.t
+  | Unorig of int list
+  | Drop of int  (** Stop a source's session and start it again. *)
+
+(* 3,000 /28s spread over 10.0/16 (exported as is), 10.1/16 (rejected
+   towards the filtered target) and 10.2/16 (rewritten there), so a
+   batch's adverts interleave attribute sets. *)
+let x_prefix i =
+  let i = i mod 3000 in
+  Addr.prefix (Addr.of_octets 10 (i mod 3) (i / 3 mod 256) (i / 768 * 16)) 28
+
+let gen_export_attrs =
+  QCheck.Gen.(
+    let* a = gen_rib_attrs in
+    let* c = frequency [ (6, return []); (1, return [ Bgp.Attrs.no_export ]); (1, return [ Bgp.Attrs.no_advertise ]) ] in
+    return { a with Bgp.Attrs.communities = c })
+
+let gen_export_op =
+  QCheck.Gen.(
+    let idxs = oneof [ list_size (int_range 0 40) (int_bound 200); list_size (int_range 700 1700) (int_bound 2999) ] in
+    frequency
+      [
+        ( 6,
+          let* s = int_bound 1 and* w = list_size (int_range 0 30) (int_bound 200) and* n = idxs in
+          let* a = gen_export_attrs in
+          return (Upd (s, w, n, a)) );
+        (2, map2 (fun n a -> Orig (n, a)) idxs gen_export_attrs);
+        (1, map (fun n -> Unorig n) (list_size (int_range 0 60) (int_bound 200)));
+        (1, map (fun s -> Drop s) (int_bound 1));
+      ])
+
+let show_export_op = function
+  | Upd (s, w, n, _) -> Printf.sprintf "upd s%d -%d +%d" s (List.length w) (List.length n)
+  | Orig (n, _) -> Printf.sprintf "orig +%d" (List.length n)
+  | Unorig n -> Printf.sprintf "unorig -%d" (List.length n)
+  | Drop s -> Printf.sprintf "drop s%d" s
+
+(* The list-based pipeline's export of [changes] to [t]. *)
+let reference_export t changes ~full =
+  let ebgp = t.asn <> dut_asn in
+  let export (path : Bgp.Rib.path) =
+    let a = path.attrs in
+    if Bgp.Attrs.has_community a Bgp.Attrs.no_advertise then None
+    else if ebgp && Bgp.Attrs.has_community a Bgp.Attrs.no_export then None
+    else if (not ebgp) && (not path.source.ebgp) && path.source.key <> "local/v0" then None
+    else if ebgp then
+      Some
+        (Bgp.Attrs.with_local_pref
+           (Bgp.Attrs.with_next_hop (Bgp.Attrs.prepend a dut_asn) t.local)
+           None)
+    else
+      Some
+        (Bgp.Attrs.with_local_pref a
+           (Some (Option.value a.Bgp.Attrs.local_pref ~default:100)))
+  in
+  let adverts, withdraws =
+    List.fold_left
+      (fun (adv, wd) -> function
+        | Bgp.Rib.Best_changed (p, path) -> (
+            match Option.bind (export path) (Bgp.Policy.apply t.policy p) with
+            | Some a -> ((p, a) :: adv, wd)
+            | None -> (adv, wd))
+        | Bgp.Rib.Best_withdrawn p -> (adv, p :: wd))
+      ([], []) changes
+  in
+  (* The full-table sync listed its adverts newest first. *)
+  let adverts = if full then adverts else List.rev adverts in
+  let msgs = Ref.build_messages adverts (List.rev withdraws) in
+  frames (if full then msgs @ [ Bgp.Msg.end_of_rib ] else msgs)
+
+let prop_export_matches_list_pipeline =
+  QCheck.Test.make ~name:"one-pass export matches the list pipeline" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_export_op ops))
+       QCheck.Gen.(list_size (int_range 2 7) gen_export_op))
+    (fun ops ->
+      let rig = export_rig () in
+      let ref_rib = Ref_rib.create () in
+      let local =
+        {
+          Bgp.Rib.key = "local/v0";
+          peer_asn = dut_asn;
+          peer_addr = rig.dut_rid;
+          router_id = rig.dut_rid;
+          ebgp = false;
+        }
+      in
+      let expected_sent = Hashtbl.create 8 and expected_hooked = ref [] in
+      let expect key fs =
+        Hashtbl.replace expected_sent key
+          (Option.value ~default:[] (Hashtbl.find_opt expected_sent key) @ fs)
+      in
+      let batch changes ~exclude =
+        expected_hooked := !expected_hooked @ changes;
+        if changes <> [] then
+          Array.iter
+            (fun t ->
+              if t.source.key <> exclude then
+                expect t.source.key (reference_export t changes ~full:false))
+            rig.targets
+      in
+      let updates src pfxs attrs =
+        List.filter_map (fun i -> Ref_rib.update ref_rib src (x_prefix i) attrs) pfxs
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Upd (s, w, n, a) ->
+              let t = rig.targets.(s) in
+              let u =
+                {
+                  Bgp.Msg.withdrawn = List.map x_prefix w;
+                  attrs = (if n = [] then None else Some a);
+                  nlri = List.map x_prefix n;
+                }
+              in
+              Bgp.Speaker.replay_update rig.dut t.peer u;
+              let withdrawn = updates t.source w None in
+              let installed =
+                if n = [] || Bgp.Attrs.path_contains a dut_asn then []
+                else updates t.source n (Some a)
+              in
+              batch (withdrawn @ installed) ~exclude:t.source.key
+          | Orig (n, a) ->
+              Bgp.Speaker.originate rig.dut ~vrf:"v0" ~attrs:a (List.map x_prefix n);
+              batch (updates local n (Some a)) ~exclude:local.key
+          | Unorig n ->
+              Bgp.Speaker.withdraw_origin rig.dut ~vrf:"v0" (List.map x_prefix n);
+              batch (updates local n None) ~exclude:local.key
+          | Drop s ->
+              let t = rig.targets.(s) in
+              Bgp.Speaker.stop_peer rig.dut t.peer;
+              batch (Ref_rib.remove_source ref_rib ~key:t.source.key) ~exclude:t.source.key;
+              Engine.run_for rig.x_eng (Time.sec 1);
+              Bgp.Speaker.start_peer rig.dut t.peer;
+              let table =
+                Ref_rib.fold_best ref_rib ~init:[] ~f:(fun acc p path ->
+                    if path.Bgp.Rib.source.key = t.source.key then acc
+                    else Bgp.Rib.Best_changed (p, path) :: acc)
+              in
+              expect t.source.key (reference_export t (List.rev table) ~full:true));
+          Engine.run_for rig.x_eng (Time.sec 2);
+          let what = show_export_op op in
+          agree ("hook calls after " ^ what) show_change !expected_hooked
+            (List.rev !(rig.hooked));
+          Array.iter
+            (fun t ->
+              let got = List.rev (Option.value ~default:[] (Hashtbl.find_opt rig.sent t.source.key)) in
+              let want = Option.value ~default:[] (Hashtbl.find_opt expected_sent t.source.key) in
+              if got <> want then
+                QCheck.Test.fail_reportf "%s: frames to %s differ (%d expected, %d sent)" what
+                  t.source.key (List.length want) (List.length got))
+            rig.targets;
+          let folded fold =
+            List.rev (fold ~init:[] ~f:(fun acc p path -> Bgp.Rib.Best_changed (p, path) :: acc))
+          in
+          agree ("RIB after " ^ what) show_change (folded (Ref_rib.fold_best ref_rib))
+            (folded (Bgp.Rib.fold_best (Bgp.Speaker.rib rig.dut ~vrf:"v0"))))
+        ops;
+      true)
 
 let () =
   Alcotest.run "bgp"
@@ -1647,6 +2039,10 @@ let () =
             test_rib_fold_best_allocation;
           Alcotest.test_case "digest allocation" `Quick test_rib_digest_allocation;
           Alcotest.test_case "reserve grows no further" `Quick test_rib_reserve_size;
+          Alcotest.test_case "growth allocation per prefix" `Quick
+            test_rib_growth_allocation;
+          Alcotest.test_case "MED cycle follows install order" `Quick
+            test_rib_med_cycle_order;
         ] );
       ( "policy",
         [
@@ -1704,5 +2100,6 @@ let () =
             prop_policy_rejects_are_stable;
             prop_packing_matches_reference;
             prop_rib_matches_reference;
+            prop_export_matches_list_pipeline;
           ] );
     ]

@@ -134,7 +134,8 @@ let prop_rib_matches_reference =
           | Withdraw (p, x) ->
               ignore (Bgp.Rib.update rib (mk_source p) (mk_prefix x) None)
           | Remove_peer p ->
-              ignore (Bgp.Rib.remove_source rib ~key:(mk_source p).Bgp.Rib.key));
+              Bgp.Rib.remove_source rib ~key:(mk_source p).Bgp.Rib.key
+                (Bgp.Rib.Changes.create ()));
           model := reference_apply !model op)
         ops;
       (* Same live prefixes... *)

@@ -89,6 +89,25 @@ let test_alloc_bytes_exact () =
     (stat "large").alloc_bytes;
   Alcotest.(check (float 0.)) "no allocation" 0. (stat "none").alloc_bytes
 
+(* A block over 256 words skips the minor heap: an event that allocates a
+   64 KB [Bytes] is charged for it, and exactly what it allocated (the
+   bytes, their header and padding word: 8,194 words on a 64-bit host). *)
+let test_alloc_bytes_major () =
+  Prof.Profiler.attach ();
+  let eng = Sim.Engine.create () in
+  ignore
+    (Sim.Engine.schedule_after eng ~label:"big" (Sim.Time.ms 1) (fun () ->
+         ignore (Sys.opaque_identity (Bytes.create 65_536))));
+  ignore (Sim.Engine.schedule_after eng ~label:"none" (Sim.Time.ms 2) (fun () -> ()));
+  Sim.Engine.run eng;
+  Prof.Profiler.detach ();
+  checkb "at least 64 KB" true ((stat "big").alloc_bytes >= 65_536.);
+  Alcotest.(check (float 0.))
+    "the block, exactly"
+    (float_of_int ((65_536 / (Sys.word_size / 8)) + 2) *. float_of_int (Sys.word_size / 8))
+    (stat "big").alloc_bytes;
+  Alcotest.(check (float 0.)) "no allocation" 0. (stat "none").alloc_bytes
+
 (* The whole-run reader behind [experiment --emit-bench] counts every
    word, young or major, across minor collections: a 100,001-word array
    (allocated straight on the major heap) plus 10,000 cons cells, kept
@@ -275,6 +294,8 @@ let () =
             test_label_attribution_and_inheritance;
           Alcotest.test_case "allocation bytes exact" `Quick
             test_alloc_bytes_exact;
+          Alcotest.test_case "major-heap allocation charged" `Quick
+            test_alloc_bytes_major;
           Alcotest.test_case "allocated bytes reader exact" `Quick
             test_allocated_bytes_exact;
           Alcotest.test_case "export formats" `Quick test_export_formats;

@@ -193,6 +193,55 @@ let test_committed_series () =
     (fun id -> ignore (vs_best (row id rows)))
     Tensor.Experiments.ids
 
+(* --- the allocation gate ------------------------------------------------------ *)
+
+let alloc_snap ?(schema = 3) exps =
+  parse
+    (Printf.sprintf "{\"schema_version\":%d,\"quick\":true,\"experiments\":[%s]}" schema
+       (String.concat ","
+          (List.map
+             (fun (id, bytes) ->
+               Printf.sprintf "{\"id\":\"%s\",\"wall_s\":1.0,\"alloc_bytes\":%.0f}" id bytes)
+             exps)))
+
+let allocs j =
+  match Trend_core.allocations j with
+  | Ok rows -> rows
+  | Error m -> Alcotest.failf "allocations: %s" m
+
+let test_alloc_gate () =
+  let rows =
+    Trend_core.analyze_alloc
+      (List.map allocs
+         [
+           alloc_snap [ ("a", 1000.); ("b", 1000.); ("c", 1000.) ];
+           alloc_snap [ ("a", 900.); ("b", 1100.); ("c", 1000.) ];
+           alloc_snap [ ("a", 945.); ("b", 1010.); ("c", 1020.) ];
+         ])
+  in
+  checkf "best is the series minimum" 900. (vs_best (row "a" rows)).best;
+  checkb "+5% over the best fails" true (vs_best (row "a" rows)).regression;
+  checkb "+1% passes" false (vs_best (row "b" rows)).regression;
+  checkb "+2% exactly passes" false (vs_best (row "c" rows)).regression;
+  (* Older schemas undercount young allocation: they are no baseline. *)
+  let rows =
+    Trend_core.analyze_alloc
+      (List.map allocs [ alloc_snap ~schema:2 [ ("a", 10.) ]; alloc_snap [ ("a", 1000.) ] ])
+  in
+  (match (row "a" rows).verdict with
+  | Trend_core.New _ -> ()
+  | _ -> Alcotest.fail "a v2 snapshot must not set the allocation bar");
+  (* The committed baseline: each experiment at its best-so-far except
+     fig6a, seeded 5% higher, which alone must fail. *)
+  let baseline = allocs (read_snapshot "../bench/history/BENCH_pr33_quick.json") in
+  checkb "baseline has every experiment" true
+    (List.for_all (fun id -> List.mem_assoc id baseline) Tensor.Experiments.ids);
+  let newest = List.map (fun (id, b) -> (id, if id = "fig6a" then 1.05 *. b else b)) baseline in
+  let rows = Trend_core.analyze_alloc [ baseline; newest ] in
+  Alcotest.(check (list string))
+    "only the seeded fig6a rise" [ "fig6a" ]
+    (List.map (fun (r : Trend_core.row) -> r.id) (Trend_core.regressions rows))
+
 let () =
   Alcotest.run "trend"
     [
@@ -205,5 +254,6 @@ let () =
           Alcotest.test_case "mixed v1/v2 series" `Quick test_mixed_schema_series;
           Alcotest.test_case "committed CI series, then v3 without micro" `Quick
             test_committed_series;
+          Alcotest.test_case "allocation gate" `Quick test_alloc_gate;
         ] );
     ]
