@@ -45,7 +45,12 @@ val accepts_all : t -> bool
     {!empty}: {!apply} returns every route's [attrs] unchanged, so a
     caller may skip it. *)
 
-(** {1 Test-only} *)
+(** {1 Test-only}
+
+    Every speaker in the experiments runs {!empty}; only tests build
+    rules. The builder stays because the paper's deployment filters and
+    steers per client, and the one-pass export property test drives a
+    rewriting out-policy through that path. *)
 
 val make : ?default:[ `Accept | `Reject ] -> rule list -> t
 (** [default] applies when no rule matches (default [`Accept]). *)

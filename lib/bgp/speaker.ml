@@ -66,18 +66,14 @@ and peer_config = {
   local_addr : Netsim.Addr.t option;
   remote_asn : int option;
   passive : bool;
-  hold_time : int;
   policy_in : Policy.t;
   policy_out : Policy.t;
-  graceful_restart : int option;
-  reconnect : Time.span option;
 }
 
 and hooks = {
   on_rx_replicate : peer -> Msg.t -> raw:string -> inferred_ack:int -> unit;
   on_tx_replicate : peer -> Msg.t -> string -> (unit -> unit) -> unit;
   on_rib_change : vrf:string -> Rib.change -> unit;
-  on_updates_applied : vrf:string -> int -> unit;
   on_rx_applied : peer -> Msg.t -> unit;
 }
 
@@ -90,7 +86,6 @@ let no_hooks =
     on_rx_replicate = (fun _ _ ~raw:_ ~inferred_ack:_ -> ());
     on_tx_replicate = (fun _ _ _ k -> k ());
     on_rib_change = no_rib_change;
-    on_updates_applied = (fun ~vrf:_ _ -> ());
     on_rx_applied = (fun _ _ -> ());
   }
 
@@ -109,6 +104,9 @@ let on_peer_down p f = p.down_cb <- f
 
 let peer_state p =
   match p.session with Some s -> Session.state s | None -> Session.Idle
+
+let all_established t =
+  List.for_all (fun p -> peer_state p = Session.Established) t.peer_list
 
 let updates_learned t = t.learned
 let updates_sent t = t.sent_updates
@@ -137,19 +135,22 @@ let rib t ~vrf =
   | Some r -> r
   | None -> raise Not_found
 
-let default_peer_config ~vrf ~remote_addr () =
+let default_peer_config ?remote_asn ?(passive = false) ?local_addr ~vrf
+    ~remote_addr () =
   {
     vrf;
     remote_addr;
-    local_addr = None;
-    remote_asn = None;
-    passive = false;
-    hold_time = Session.default_hold_time;
+    local_addr;
+    remote_asn;
+    passive;
     policy_in = Policy.empty;
     policy_out = Policy.empty;
-    graceful_restart = Some 120;
-    reconnect = Some (Time.sec 5);
   }
+
+(* Session parameters every peer shares: the advertised graceful-restart
+   time (s) and the backoff before re-opening a dropped active session. *)
+let graceful_restart = Some 120
+let reconnect_backoff = Time.sec 5
 
 (* --- Main-thread cost model -------------------------------------------- *)
 
@@ -507,7 +508,6 @@ let apply_update t p (u : Msg.update) =
   | _ -> ());
   t.learned <- t.learned + count;
   t.last_rx_apply <- Engine.now t.eng;
-  if count > 0 then t.hooks.on_updates_applied ~vrf count;
   apply_rib_changes t vrf ~exclude:p.skey;
   (* End-of-RIB completes a graceful restart: drop still-stale paths. *)
   if Msg.is_end_of_rib (Msg.Update u) then begin
@@ -602,12 +602,10 @@ and handle_session_down t p reason =
   end;
   p.down_cb reason;
   (* Auto-reconnect for active peers. *)
-  match p.pcfg.reconnect with
-  | Some backoff when (not p.pcfg.passive) && not p.admin_down ->
-      ignore
-        (Engine.schedule_after t.eng ~label:"bgp.reconnect" backoff (fun () ->
-             if p.session = None && not p.admin_down then start_peer t p))
-  | _ -> ()
+  if (not p.pcfg.passive) && not p.admin_down then
+    ignore
+      (Engine.schedule_after t.eng ~label:"bgp.reconnect" reconnect_backoff
+         (fun () -> if p.session = None && not p.admin_down then start_peer t p))
 
 and session_config t (pc : peer_config) =
   {
@@ -616,10 +614,10 @@ and session_config t (pc : peer_config) =
     local_addr = pc.local_addr;
     peer_addr = pc.remote_addr;
     peer_asn = pc.remote_asn;
-    hold_time = pc.hold_time;
+    hold_time = Session.default_hold_time;
     port = bgp_port;
     passive = pc.passive;
-    graceful_restart = pc.graceful_restart;
+    graceful_restart;
     as4 = true;
   }
 
@@ -645,11 +643,6 @@ and start_peer t p =
     in
     attach_session t p session
   end
-
-let request_refresh _t p =
-  match established_session p with
-  | Some s -> Session.send s (Msg.Route_refresh { afi = 1; safi = 1 })
-  | None -> ()
 
 let stop_peer _t p =
   p.admin_down <- true;

@@ -62,8 +62,6 @@ type hooks = {
           continuation releases the message to TCP. Covers keepalives. *)
   on_rib_change : vrf:string -> Rib.change -> unit;
       (** Loc-RIB checkpointing (§3.1.2 "BGP routing tables"). *)
-  on_updates_applied : vrf:string -> int -> unit;
-      (** Progress signal: [n] updates just applied to the RIB. *)
   on_rx_applied : peer -> Msg.t -> unit;
       (** A received message has been fully applied to the routing table —
           the trigger for trimming its replica from the store (§3.1.2
@@ -99,18 +97,26 @@ type peer_config = {
           multi-VRF containers); [None] uses the node default. *)
   remote_asn : int option;  (** Enforced when set; iBGP when equal to ours. *)
   passive : bool;
-  hold_time : int;
   policy_in : Policy.t;
   policy_out : Policy.t;
-  graceful_restart : int option;  (** Advertised restart time (s). *)
-  reconnect : Sim.Time.span option;
-      (** Backoff before re-opening a dropped active session. *)
+      (** Only tests set policies other than {!Policy.empty}; see
+          {!Policy.make} for why they stay. *)
 }
+(** Every session offers hold time {!Session.default_hold_time} and
+    advertises a graceful-restart time of 120 s; a dropped active session
+    re-opens after 5 s. *)
 
 val default_peer_config :
-  vrf:string -> remote_addr:Netsim.Addr.t -> unit -> peer_config
-(** Active, hold {!Session.default_hold_time}, empty policies, GR 120 s,
-    reconnect after 5 s. *)
+  ?remote_asn:int ->
+  ?passive:bool ->
+  ?local_addr:Netsim.Addr.t ->
+  vrf:string ->
+  remote_addr:Netsim.Addr.t ->
+  unit ->
+  peer_config
+(** Active unless [passive], no enforced remote AS unless [remote_asn],
+    the node's default source address unless [local_addr], empty
+    policies. *)
 
 val add_peer : t -> peer_config -> peer
 (** Registers the peer (and its VRF if new). Does not connect yet. *)
@@ -128,6 +134,10 @@ val stop_peer : t -> peer -> unit
 
 val peers : t -> peer list
 val peer_state : peer -> Session.state
+
+val all_established : t -> bool
+(** Every registered peer's session is Established. *)
+
 val peer_cfg : peer -> peer_config
 val peer_session : peer -> Session.t option
 val peer_conn : peer -> Tcp.conn option
@@ -199,11 +209,6 @@ val stack : t -> Tcp.stack
 val router_id : t -> Netsim.Addr.t
 val add_vrf : t -> string -> unit
 (** Idempotent. *)
-
-val request_refresh : t -> peer -> unit
-(** Sends a ROUTE-REFRESH (RFC 2918) asking the peer to resend its
-    Adj-RIB-Out — the standard way to re-evaluate a changed import policy
-    without bouncing the session. No-op unless Established. *)
 
 val pack_changes : Rib.Changes.t -> Msg.t list
 (** The UPDATE sequence for one batch whose adverts go out with their

@@ -71,6 +71,7 @@ type per_vrf = {
   spec : vrf_spec;
   cid : Keys.conn_id; (* names the session's records in the store *)
   repl : Replicator.t;
+  hooked : Replicator.t option; (* [Some repl], built once for the hooks *)
   mutable peer : Bgp.Speaker.peer option;
   mutable bfd : Bfd.session option;
   mutable trimmer : Engine.timer option;
@@ -96,7 +97,7 @@ let find_vrf t vrf =
   List.find_opt (fun pv -> String.equal pv.spec.vrf vrf) t.per_vrf
 
 let replicator t ~vrf =
-  match find_vrf t vrf with Some pv -> Some pv.repl | None -> None
+  match find_vrf t vrf with Some pv -> pv.hooked | None -> None
 
 let bfd_session t ~vrf =
   match find_vrf t vrf with Some pv -> pv.bfd | None -> None
@@ -176,37 +177,18 @@ let meta_record t pv ~epoch c neg =
 let hooks_for t =
   (* Only the VRF's external session is NSR-replicated; cluster-internal
      iBGP sessions (joint containers) resync from their dependents. *)
-  let repl_of peer =
+  let of_peer peer =
     let pcfg = Bgp.Speaker.peer_cfg peer in
     match find_vrf t pcfg.Bgp.Speaker.vrf with
     | Some pv
       when Addr.equal pcfg.Bgp.Speaker.remote_addr pv.spec.peer_addr ->
-        Some pv.repl
+        pv.hooked
     | Some _ | None -> None
   in
-  {
-    Bgp.Speaker.on_rx_replicate =
-      (fun peer msg ~raw ~inferred_ack ->
-        match repl_of peer with
-        | Some repl -> Replicator.on_rx_message repl ~raw msg ~inferred_ack
-        | None -> ());
-    on_tx_replicate =
-      (fun peer _msg raw k ->
-        match repl_of peer with
-        | Some repl -> Replicator.on_tx_message repl ~raw ~release:k
-        | None -> k ());
-    on_rib_change =
-      (fun ~vrf change ->
-        match find_vrf t vrf with
-        | Some pv -> Replicator.on_rib_change pv.repl ~vrf change
-        | None -> ());
-    on_updates_applied = (fun ~vrf:_ _ -> ());
-    on_rx_applied =
-      (fun peer _msg ->
-        match repl_of peer with
-        | Some repl -> Replicator.on_rx_applied repl
-        | None -> ());
-  }
+  let of_vrf vrf =
+    match find_vrf t vrf with Some pv -> pv.hooked | None -> None
+  in
+  Replicator.speaker_hooks ~of_peer ~of_vrf ()
 
 (* The stall watchdog's view of the framer fragment (see Replicator). *)
 let wire_tail_source t pv =
@@ -281,14 +263,8 @@ let add_vrf_peer t stack pv ~remote_asn ~passive add =
   let spec = pv.spec in
   let peer =
     add
-      {
-        (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-           ~remote_addr:spec.peer_addr ())
-        with
-        Bgp.Speaker.remote_asn;
-        local_addr = Some spec.vip;
-        passive;
-      }
+      (Bgp.Speaker.default_peer_config ?remote_asn ~passive
+         ~local_addr:spec.vip ~vrf:spec.vrf ~remote_addr:spec.peer_addr ())
   in
   pv.peer <- Some peer;
   (match Tcp.output_chain stack with
@@ -501,14 +477,9 @@ let bootstrap_fresh t spk stack =
         (fun (addr, passive) ->
           ignore
             (Bgp.Speaker.add_peer spk
-               {
-                 (Bgp.Speaker.default_peer_config ~vrf:spec.vrf
-                    ~remote_addr:addr ())
-                 with
-                 Bgp.Speaker.remote_asn = Some t.cfg.local_asn;
-                 local_addr = Some spec.vip;
-                 passive;
-               }))
+               (Bgp.Speaker.default_peer_config ~remote_asn:t.cfg.local_asn
+                  ~passive ~local_addr:spec.vip ~vrf:spec.vrf
+                  ~remote_addr:addr ())))
         spec.ibgp_peers;
       start_bfd t pv ())
     t.per_vrf;
@@ -898,13 +869,16 @@ let bootstrap t () =
     List.map
       (fun spec ->
         let cid = Keys.conn_id ~service:t.cfg.service_id ~vrf:spec.vrf in
+        let repl =
+          Replicator.create ~replicate:t.cfg.replicate
+            ~ack_hold:t.cfg.ack_hold ~engine:eng ~client ~conn_id:cid
+            ~service:t.cfg.service_id ()
+        in
         {
           spec;
           cid;
-          repl =
-            Replicator.create ~replicate:t.cfg.replicate
-              ~ack_hold:t.cfg.ack_hold ~engine:eng ~client ~conn_id:cid
-              ~service:t.cfg.service_id ();
+          repl;
+          hooked = Some repl;
           peer = None;
           bfd = None;
           trimmer = None;

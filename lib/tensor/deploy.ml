@@ -269,27 +269,25 @@ let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
 
 (* --- Peers ----------------------------------------------------------------------- *)
 
-let add_peer_as t ?(link_delay = Time.us 200) ~asn name =
-  let node, peer_side =
-    Network.add_leaf t.net ~delay:link_delay ~uplink:t.fabric name
-  in
+let speaker_leaf net ~fabric ?(link_delay = Time.us 200) ~asn name =
+  let node, addr = Network.add_leaf net ~delay:link_delay ~uplink:fabric name in
   let stack = Tcp.create_stack node in
   let speaker =
     Bgp.Speaker.create ~profile:Baseline.frr ~stack ~local_asn:asn
-      ~router_id:peer_side ()
+      ~router_id:addr ()
   in
-  { pa_name = name; pa_node = node; pa_addr = peer_side; pa_speaker = speaker;
+  { pa_name = name; pa_node = node; pa_addr = addr; pa_speaker = speaker;
     pa_asn = asn }
 
+let add_peer_as t ?link_delay ~asn name =
+  speaker_leaf t.net ~fabric:t.fabric ?link_delay ~asn name
+
 let peer_expects pa ~vrf ~vip ~local_asn =
-  let pc =
-    {
-      (Bgp.Speaker.default_peer_config ~vrf ~remote_addr:vip ()) with
-      Bgp.Speaker.remote_asn = Some local_asn;
-      passive = true;
-    }
+  let peer =
+    Bgp.Speaker.add_peer pa.pa_speaker
+      (Bgp.Speaker.default_peer_config ~remote_asn:local_asn ~passive:true ~vrf
+         ~remote_addr:vip ())
   in
-  let peer = Bgp.Speaker.add_peer pa.pa_speaker pc in
   (* The peer runs its own BFD towards the service address. *)
   ignore
     (Bfd.create_session (Bfd.endpoint pa.pa_node) ~local:pa.pa_addr ~vrf

@@ -73,15 +73,26 @@ type peer_as = {
   pa_asn : int;
 }
 
+val speaker_leaf :
+  Netsim.Network.t ->
+  fabric:Netsim.Node.t ->
+  ?link_delay:Sim.Time.span ->
+  asn:int ->
+  string ->
+  peer_as
+(** The one speaker on a fabric leaf: a machine [name] hung off [fabric]
+    ({!Netsim.Network.add_leaf}, [link_delay] default 200 µs), its TCP
+    stack, and an FRRouting-profile speaker of AS [asn] whose router id
+    is the leaf's address. It has no peers yet. *)
+
 val add_peer_as :
   t ->
   ?link_delay:Sim.Time.span ->
   asn:int ->
   string ->
   peer_as
-(** A remote AS border router on the fabric (FRRouting profile), ready
-    to accept sessions from TENSOR services. [link_delay] (default
-    200 µs) is its link to the fabric. *)
+(** A remote AS border router on the deployment's fabric
+    ({!speaker_leaf}), ready to accept sessions from TENSOR services. *)
 
 val peer_expects :
   peer_as -> vrf:string -> vip:Netsim.Addr.t -> local_asn:int -> Bgp.Speaker.peer

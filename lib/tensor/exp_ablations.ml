@@ -6,26 +6,15 @@ open Netsim
 type preheat_result = { cold_total_s : float; preheat_total_s : float }
 
 let one_migration ~backup_mode =
-  let dep = Deploy.build () in
+  let dep, _, svc = Exp_table1.episode ~backup_mode ~id:"ablate" () in
   let eng = dep.Deploy.eng in
-  let { Deploy.peer; spec; _ } = Deploy.standard_peering dep in
-  let svc =
-    Deploy.deploy_service dep ~backup_mode ~id:"ablate"
-      ~local_asn:Deploy.local_asn [ spec ]
+  let t0 = Engine.now eng in
+  let (), orch =
+    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+        Deploy.inject_failure dep svc Orch.Controller.Container_failure;
+        Engine.run_for eng (Time.sec 30))
   in
-  if not (Deploy.wait_established dep svc ()) then nan
-  else begin
-    Bgp.Speaker.originate peer.Deploy.pa_speaker ~vrf:"v0"
-      (Workload.Prefixes.distinct 300);
-    Engine.run_for eng (Time.sec 10);
-    let t0 = Engine.now eng in
-    let (), orch =
-      Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
-          Deploy.inject_failure dep svc Orch.Controller.Container_failure;
-          Engine.run_for eng (Time.sec 30))
-    in
-    Deploy.seconds (Deploy.recovery_timeline ~t0 orch).tcp_synced
-  end
+  Deploy.seconds (Deploy.recovery_timeline ~t0 orch).tcp_synced
 
 let run_preheat () =
   {
@@ -234,40 +223,19 @@ let print_replication_modes rows =
 type hook_result = { hook : string; cost_ns : int; throughput_bps : float }
 
 let hook_throughput ~cost_ns ~with_chain =
-  let eng = Engine.create () in
-  let net = Network.create eng in
-  let sender = Network.add_node net "sender" in
-  let receiver = Network.add_node net "receiver" in
-  let _, _, dst = Network.connect net ~delay:(Time.us 50) sender receiver in
-  let proc_cost = Time.of_us_f 2.5 in
-  let s_tx = Tcp.create_stack ~proc_cost ~hook_cost:(Time.ns cost_ns) sender in
-  let s_rx = Tcp.create_stack ~proc_cost ~hook_cost:(Time.ns cost_ns) receiver in
-  if with_chain then begin
-    (* Both endpoints intercept egress (data on one side, ACKs on the
-       other), as a TENSOR gateway and its tcp_queue do. *)
-    Tcp.set_output_chain s_tx (Some (Netfilter.create ()));
-    Tcp.set_output_chain s_rx (Some (Netfilter.create ()))
-  end;
-  let received = ref 0 in
-  Tcp.listen s_rx ~port:5001 (fun c ->
-      Tcp.on_data c (fun d -> received := !received + String.length d));
-  let conn = Tcp.connect s_tx ~mss:100 ~rcv_wnd:400_000 ~dst ~dst_port:5001 () in
-  let written = ref 0 in
-  let chunk = String.make 65_536 'h' in
-  let refill () =
-    if Tcp.state conn = Tcp.Established then
-      while !written - (Tcp.snd_una conn - Tcp.iss conn) < 1_200_000 do
-        Tcp.write conn chunk;
-        written := !written + String.length chunk
-      done
+  (* Both endpoints intercept egress (data on one side, ACKs on the
+     other), as a TENSOR gateway and its tcp_queue do. *)
+  let egress _ ~tx ~rx =
+    if with_chain then begin
+      Tcp.set_output_chain tx (Some (Netfilter.create ()));
+      Tcp.set_output_chain rx (Some (Netfilter.create ()))
+    end
   in
-  Tcp.on_established conn (fun () -> refill ());
-  let t = Engine.every eng (Time.ms 5) refill in
-  Engine.run_until eng (Time.ms 300);
-  let base = !received in
-  Engine.run_until eng (Time.ms 700);
-  Engine.stop_timer t;
-  float_of_int ((!received - base) * 8) /. 0.4
+  Exp_fig5a.iperf
+    ~stack:
+      (Tcp.create_stack ~proc_cost:(Time.of_us_f 2.5)
+         ~hook_cost:(Time.ns cost_ns))
+    ~egress ~mss:100 ~measure_span:(Time.ms 400)
 
 let run_hook_overhead () =
   [

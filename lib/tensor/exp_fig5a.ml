@@ -13,35 +13,19 @@ let proc_cost = Time.of_us_f 2.5
 let proc_cost_per_kb = Time.of_us_f 2.9
 let rcv_wnd = 400_000
 
-let one_run ~packet_size ~delay ~measure_span =
+let iperf ~stack ~egress ~mss ~measure_span =
   let eng = Engine.create () in
   let net = Network.create eng in
   let sender = Network.add_node net "sender" in
   let receiver = Network.add_node net "receiver" in
   let _, _, dst = Network.connect net ~delay:(Time.us 50) sender receiver in
-  let s_tx = Tcp.create_stack ~proc_cost ~proc_cost_per_kb sender in
-  let s_rx = Tcp.create_stack ~proc_cost ~proc_cost_per_kb receiver in
-  (* Hold the receiver's pure ACKs for the configured delay. *)
-  if delay > 0 then begin
-    let chain = Netfilter.create () in
-    ignore
-      (Netfilter.add_rule chain (fun pkt ->
-           match pkt.Packet.payload with
-           | Tcp.Segment.Tcp seg when Tcp.Segment.is_pure_ack seg ->
-               Netfilter.Queue 0
-           | _ -> Netfilter.Accept));
-    Netfilter.set_consumer (Netfilter.queue chain 0) (fun _ ~reinject ->
-        ignore
-          (Engine.schedule_after eng delay (fun () ->
-               reinject Netfilter.Accept)));
-    Tcp.set_output_chain s_rx (Some chain)
-  end;
+  let s_tx = stack sender in
+  let s_rx = stack receiver in
+  egress eng ~tx:s_tx ~rx:s_rx;
   let received = ref 0 in
   Tcp.listen s_rx ~port:5001 (fun c ->
       Tcp.on_data c (fun d -> received := !received + String.length d));
-  let conn =
-    Tcp.connect s_tx ~mss:packet_size ~rcv_wnd ~dst ~dst_port:5001 ()
-  in
+  let conn = Tcp.connect s_tx ~mss ~rcv_wnd ~dst ~dst_port:5001 () in
   (* iperf: keep a few windows of data buffered ahead of the ACK point. *)
   let chunk = String.make (64 * 1024) 'i' in
   let written = ref 0 in
@@ -65,6 +49,23 @@ let one_run ~packet_size ~delay ~measure_span =
   let bytes = !received - start_bytes in
   float_of_int (bytes * 8) /. Time.to_sec_f measure_span
 
+(* Hold the receiver's pure ACKs for [delay]. *)
+let delay_acks ~delay eng ~tx:_ ~rx =
+  if delay > 0 then begin
+    let chain = Netfilter.create () in
+    ignore
+      (Netfilter.add_rule chain (fun pkt ->
+           match pkt.Packet.payload with
+           | Tcp.Segment.Tcp seg when Tcp.Segment.is_pure_ack seg ->
+               Netfilter.Queue 0
+           | _ -> Netfilter.Accept));
+    Netfilter.set_consumer (Netfilter.queue chain 0) (fun _ ~reinject ->
+        ignore
+          (Engine.schedule_after eng delay (fun () ->
+               reinject Netfilter.Accept)));
+    Tcp.set_output_chain rx (Some chain)
+  end
+
 let run ?(packet_sizes = [ 100; 200; 500; 1000; 2000 ])
     ?(delays_ms = [ 0.; 1.; 2.; 5.; 10.; 20.; 50. ])
     ?(measure_span = Time.ms 400) () =
@@ -74,7 +75,10 @@ let run ?(packet_sizes = [ 100; 200; 500; 1000; 2000 ])
         List.map
           (fun delay_ms ->
             let throughput_bps =
-              one_run ~packet_size ~delay:(Time.of_ms_f delay_ms) ~measure_span
+              iperf
+                ~stack:(Tcp.create_stack ~proc_cost ~proc_cost_per_kb)
+                ~egress:(delay_acks ~delay:(Time.of_ms_f delay_ms))
+                ~mss:packet_size ~measure_span
             in
             { delay_ms; throughput_bps })
           delays_ms

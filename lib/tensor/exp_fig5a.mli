@@ -22,6 +22,19 @@ val run :
 
 val print : series list -> unit
 
+val iperf :
+  stack:(Netsim.Node.t -> Tcp.stack) ->
+  egress:(Sim.Engine.t -> tx:Tcp.stack -> rx:Tcp.stack -> unit) ->
+  mss:int ->
+  measure_span:Sim.Time.span ->
+  float
+(** The one iperf rig: a bulk sender streams to a receiver 50 µs away
+    (port 5001, 400 KB receive window, segments of [mss] bytes), keeping
+    three windows buffered ahead of the ACK point with a refill every
+    5 ms. [stack] builds both endpoints' TCP stacks (their costs);
+    [egress] may install output chains on them. Returns the receiver's
+    throughput in bits/s over [measure_span] after a 300 ms warm-up. *)
+
 (** {1 Test-only} *)
 
 val threshold_ms : series -> float

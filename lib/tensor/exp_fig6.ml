@@ -58,6 +58,22 @@ let time_to_n eng ~slice ~t0 direction spk n =
   then Time.to_sec_f (Time.diff (stamp spk) t0)
   else nan
 
+(* One peering AS of the many-peer rigs: a border router of AS [asn] on
+   leaf [name], passive towards the DUT (AS 64900) at [dut_addr], and the
+   DUT's active session to it in [vrf]. *)
+let dut_peering net ~fabric ~dut ~dut_addr ~vrf ~asn name =
+  let pa = Deploy.speaker_leaf net ~fabric ~asn name in
+  ignore
+    (Bgp.Speaker.add_peer pa.Deploy.pa_speaker
+       (Bgp.Speaker.default_peer_config ~remote_asn:64900 ~passive:true
+          ~vrf:"v0" ~remote_addr:dut_addr ()));
+  let session =
+    Bgp.Speaker.add_peer dut
+      (Bgp.Speaker.default_peer_config ~remote_asn:asn ~vrf
+         ~remote_addr:pa.Deploy.pa_addr ())
+  in
+  (pa, session)
+
 (* A plain speaker pair, the DUT with [profile] against an FRR-profile
    peer. The announcer (the peer for [Receive], the DUT for [Send]) is
    built first and opens the session; the other side is passive. *)
@@ -82,15 +98,12 @@ let baseline_pair ~profile direction n =
   in
   ignore
     (Bgp.Speaker.add_peer spk_a
-       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:b_addr ()) with
-         Bgp.Speaker.remote_asn = Some b_asn });
+       (Bgp.Speaker.default_peer_config ~remote_asn:b_asn ~vrf:"v0"
+          ~remote_addr:b_addr ()));
   ignore
     (Bgp.Speaker.add_peer spk_b
-       {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:a_addr ()) with
-         Bgp.Speaker.remote_asn = Some a_asn;
-         passive = true;
-       });
+       (Bgp.Speaker.default_peer_config ~remote_asn:a_asn ~passive:true
+          ~vrf:"v0" ~remote_addr:a_addr ()));
   Bgp.Speaker.start spk_a;
   Bgp.Speaker.start spk_b;
   Engine.run_for eng (Time.sec 3);
@@ -165,9 +178,8 @@ let multi_peer_run ~profile ~with_replication peers updates =
     Network.add_leaf net ~delay:(Time.us 50) ~uplink:fabric "dut"
   in
   let s_dut = Tcp.create_stack dut in
-  (* Optional live replication (TENSOR): a store node plus per-peer
-     replicators wired through the speaker hooks. *)
-  let replicators = Hashtbl.create 64 in
+  (* Optional live replication (TENSOR): a store node plus one replicator
+     per peer, created at the peer's first message. *)
   let hooks =
     if not with_replication then Bgp.Speaker.no_hooks
     else begin
@@ -178,75 +190,40 @@ let multi_peer_run ~profile ~with_replication peers updates =
       let client =
         Store.Client.create dut ~server:(Store.Server.addr server)
       in
-      let repl_for peer =
+      let replicators = Hashtbl.create 64 in
+      let of_peer peer =
         let key = Bgp.Speaker.peer_source_key peer in
         match Hashtbl.find_opt replicators key with
         | Some r -> r
         | None ->
             let r =
-              Replicator.create ~ack_hold:false ~engine:eng ~client
-                ~conn_id:(Keys.conn_id ~service:"fig6c" ~vrf:key)
-                ~service:"fig6c" ()
+              Some
+                (Replicator.create ~ack_hold:false ~engine:eng ~client
+                   ~conn_id:(Keys.conn_id ~service:"fig6c" ~vrf:key)
+                   ~service:"fig6c" ())
             in
             Hashtbl.replace replicators key r;
             r
       in
-      {
-        Bgp.Speaker.no_hooks with
-        Bgp.Speaker.on_tx_replicate =
-          (fun peer _msg raw k ->
-            Replicator.on_tx_message (repl_for peer) ~raw ~release:k);
-        on_rx_replicate =
-          (fun peer msg ~raw ~inferred_ack ->
-            Replicator.on_rx_message (repl_for peer) ~raw msg ~inferred_ack);
-      }
+      Replicator.speaker_hooks ~of_peer ()
     end
   in
   let spk_dut =
     Bgp.Speaker.create ~profile ~hooks ~stack:s_dut ~local_asn:64900
       ~router_id:dut_addr ()
   in
-  let peer_speakers =
-    List.init peers (fun i ->
-        let node, peer_addr =
-          Network.add_leaf net ~delay:(Time.us 200) ~uplink:fabric
-            (Printf.sprintf "peer%d" i)
-        in
-        let stack = Tcp.create_stack node in
-        let spk =
-          Bgp.Speaker.create ~profile:Baseline.frr ~stack
-            ~local_asn:(65000 + i) ~router_id:peer_addr ()
-        in
-        ignore
-          (Bgp.Speaker.add_peer spk
-             {
-               (Bgp.Speaker.default_peer_config ~vrf:"v0"
-                  ~remote_addr:dut_addr ())
-               with
-               Bgp.Speaker.remote_asn = Some 64900;
-               passive = true;
-             });
-        Bgp.Speaker.start spk;
-        ignore
-          (Bgp.Speaker.add_peer spk_dut
-             {
-               (Bgp.Speaker.default_peer_config ~vrf:"v0"
-                  ~remote_addr:peer_addr ())
-               with
-               Bgp.Speaker.remote_asn = Some (65000 + i);
-             });
-        spk)
-  in
-  ignore peer_speakers;
+  for i = 0 to peers - 1 do
+    ignore
+      (dut_peering net ~fabric ~dut:spk_dut ~dut_addr ~vrf:"v0"
+         ~asn:(65000 + i) (Printf.sprintf "peer%d" i))
+  done;
   Bgp.Speaker.start spk_dut;
   (* Let all sessions establish. *)
   let deadline = Time.add (Engine.now eng) (Time.sec 60) in
-  let all_up () =
-    List.for_all
-      (fun p -> Bgp.Speaker.peer_state p = Bgp.Session.Established)
-      (Bgp.Speaker.peers spk_dut)
-  in
-  if not (Engine.run_until_cond eng ~slice:(Time.ms 200) ~deadline all_up)
+  if
+    not
+      (Engine.run_until_cond eng ~slice:(Time.ms 200) ~deadline (fun () ->
+           Bgp.Speaker.all_established spk_dut))
   then nan
   else begin
     Engine.run_for eng (Time.sec 1);

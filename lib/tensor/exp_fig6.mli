@@ -42,6 +42,21 @@ val time_to_n :
     one, or [nan] after 10 simulated minutes. The slice decides where
     the clock stops, so each caller keeps its own. *)
 
+val dut_peering :
+  Netsim.Network.t ->
+  fabric:Netsim.Node.t ->
+  dut:Bgp.Speaker.t ->
+  dut_addr:Netsim.Addr.t ->
+  vrf:string ->
+  asn:int ->
+  string ->
+  Deploy.peer_as * Bgp.Speaker.peer
+(** [dut_peering net ~fabric ~dut ~dut_addr ~vrf ~asn name] is one
+    peering AS of a many-peer rig: a {!Deploy.speaker_leaf} of AS [asn]
+    named [name], waiting passively for the DUT (AS 64900) at
+    [dut_addr], and [dut]'s active session to it in [vrf], returned
+    second. Neither side is started. *)
+
 val run_receive : ?counts:int list -> unit -> sweep_row list
 (** Panel (a): x = number of updates. *)
 

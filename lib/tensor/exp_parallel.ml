@@ -12,36 +12,16 @@ type result = {
    as in Exp_fig6. *)
 let slice = Time.ms 100
 
-(* AS [i]'s border router, started, waiting for the DUT at [dut_addr]. *)
-let make_peer net fabric ~dut_addr i =
-  let node, addr =
-    Network.add_leaf net ~delay:(Time.us 200) ~uplink:fabric
-      (Printf.sprintf "as%d" i)
-  in
-  let stack = Tcp.create_stack node in
-  let spk =
-    Bgp.Speaker.create ~profile:Baseline.frr ~stack ~local_asn:(65000 + i)
-      ~router_id:addr ()
-  in
-  ignore
-    (Bgp.Speaker.add_peer spk
-       {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:dut_addr ())
-         with
-         Bgp.Speaker.remote_asn = Some 64900;
-         passive = true;
-       });
-  Bgp.Speaker.start spk;
-  (spk, addr)
-
-let announce spk ~vrf ~base ~next_hop n =
+(* Peering AS [i] announces its [updates_per_as] routes. *)
+let announce ~updates_per_as i (pa : Deploy.peer_as) =
+  let base = i * 100_000 in
   let attrs =
     Bgp.Attrs.make
       ~as_path:[ Bgp.Attrs.Seq [ 64000 + (base mod 999) ] ]
-      ~next_hop ()
+      ~next_hop:pa.pa_addr ()
   in
-  Bgp.Speaker.originate spk ~vrf ~attrs
-    (Workload.Prefixes.distinct_from ~base n)
+  Bgp.Speaker.originate pa.pa_speaker ~vrf:"v0" ~attrs
+    (Workload.Prefixes.distinct_from ~base updates_per_as)
 
 (* One process, [ases] sessions: every update contends for one main
    thread. *)
@@ -49,50 +29,30 @@ let monolithic ~ases ~updates_per_as =
   let eng = Engine.create () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
-  let dut, dut_addr =
-    Network.add_leaf net ~delay:(Time.us 50) ~uplink:fabric "dut"
+  let dut =
+    Deploy.speaker_leaf net ~fabric ~link_delay:(Time.us 50) ~asn:64900 "dut"
   in
-  let s_dut = Tcp.create_stack dut in
-  let spk_dut =
-    Bgp.Speaker.create ~profile:Baseline.frr ~stack:s_dut ~local_asn:64900
-      ~router_id:dut_addr ()
-  in
+  let spk_dut = dut.Deploy.pa_speaker in
   let peers =
     List.init ases (fun i ->
-        let spk, addr = make_peer net fabric ~dut_addr i in
-        ignore
-          (Bgp.Speaker.add_peer spk_dut
-             {
-               (Bgp.Speaker.default_peer_config
-                  ~vrf:(Printf.sprintf "v%d" i) ~remote_addr:addr ())
-               with
-               Bgp.Speaker.remote_asn = Some (65000 + i);
-             });
-        (spk, addr))
+        fst
+          (Exp_fig6.dut_peering net ~fabric ~dut:spk_dut
+             ~dut_addr:dut.Deploy.pa_addr ~vrf:(Printf.sprintf "v%d" i)
+             ~asn:(65000 + i) (Printf.sprintf "as%d" i)))
   in
   Bgp.Speaker.start spk_dut;
   let deadline = Time.add (Engine.now eng) (Time.minutes 2) in
-  let all_up () =
-    List.for_all
-      (fun p -> Bgp.Speaker.peer_state p = Bgp.Session.Established)
-      (Bgp.Speaker.peers spk_dut)
-  in
-  if not (Engine.run_until_cond eng ~slice ~deadline all_up) then nan
+  if
+    not
+      (Engine.run_until_cond eng ~slice ~deadline (fun () ->
+           Bgp.Speaker.all_established spk_dut))
+  then nan
   else begin
     Engine.run_for eng (Time.sec 1);
     let t0 = Engine.now eng in
-    List.iteri
-      (fun i (spk, addr) ->
-        announce spk ~vrf:"v0" ~base:(i * 100_000) ~next_hop:addr
-          updates_per_as)
-      peers;
-    let target = ases * updates_per_as in
-    let deadline = Time.add t0 (Time.minutes 10) in
-    if
-      Engine.run_until_cond eng ~slice ~deadline (fun () ->
-          Bgp.Speaker.updates_learned spk_dut >= target)
-    then Time.to_sec_f (Time.diff (Bgp.Speaker.last_rx_applied spk_dut) t0)
-    else nan
+    List.iteri (announce ~updates_per_as) peers;
+    Exp_fig6.time_to_n eng ~slice ~t0 Exp_fig6.Receive spk_dut
+      (ases * updates_per_as)
   end
 
 (* One speaker per AS — TENSOR's split — each with live replication into
@@ -122,18 +82,12 @@ let containerized ~ases ~updates_per_as =
             ~conn_id:(Keys.conn_id ~service ~vrf:"v0")
             ~service ()
         in
+        let hooked = Some repl in
         let hooks =
-          {
-            Bgp.Speaker.no_hooks with
-            Bgp.Speaker.on_rx_replicate =
-              (fun _ msg ~raw ~inferred_ack ->
-                Replicator.on_rx_message repl ~raw msg ~inferred_ack);
-            on_tx_replicate =
-              (fun _ _ raw k -> Replicator.on_tx_message repl ~raw ~release:k);
-            on_rib_change =
-              (fun ~vrf ch -> Replicator.on_rib_change repl ~vrf ch);
-            on_rx_applied = (fun _ _ -> Replicator.on_rx_applied repl);
-          }
+          Replicator.speaker_hooks
+            ~of_peer:(fun _ -> hooked)
+            ~of_vrf:(fun _ -> hooked)
+            ()
         in
         let spk =
           Bgp.Speaker.create ~profile:Baseline.tensor ~hooks ~stack
@@ -144,39 +98,31 @@ let containerized ~ases ~updates_per_as =
   let peers =
     List.mapi
       (fun i (spk_dut, dut_addr, repl, chain) ->
-        let spk, addr = make_peer net fabric ~dut_addr i in
-        let p =
-          Bgp.Speaker.add_peer spk_dut
-            { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr ())
-              with Bgp.Speaker.remote_asn = Some (65000 + i) }
+        let pa, p =
+          Exp_fig6.dut_peering net ~fabric ~dut:spk_dut ~dut_addr ~vrf:"v0"
+            ~asn:(65000 + i) (Printf.sprintf "as%d" i)
         in
-        Replicator.attach_output_chain repl chain ~local:dut_addr ~remote:addr;
+        Replicator.attach_output_chain repl chain ~local:dut_addr
+          ~remote:pa.Deploy.pa_addr;
         Bgp.Speaker.on_peer_up p (fun () ->
             match Bgp.Speaker.peer_conn p with
             | Some c -> Replicator.session_established repl ~irs:(Tcp.irs c)
             | None -> ());
         Bgp.Speaker.start spk_dut;
-        (spk, addr))
+        pa)
       duts
   in
   let deadline = Time.add (Engine.now eng) (Time.minutes 2) in
   let all_up () =
     List.for_all
-      (fun (spk_dut, _, _, _) ->
-        List.for_all
-          (fun p -> Bgp.Speaker.peer_state p = Bgp.Session.Established)
-          (Bgp.Speaker.peers spk_dut))
+      (fun (spk_dut, _, _, _) -> Bgp.Speaker.all_established spk_dut)
       duts
   in
   if not (Engine.run_until_cond eng ~slice ~deadline all_up) then nan
   else begin
     Engine.run_for eng (Time.sec 1);
     let t0 = Engine.now eng in
-    List.iteri
-      (fun i (spk, addr) ->
-        announce spk ~vrf:"v0" ~base:(i * 100_000) ~next_hop:addr
-          updates_per_as)
-      peers;
+    List.iteri (announce ~updates_per_as) peers;
     let deadline = Time.add t0 (Time.minutes 10) in
     let all_learned () =
       List.for_all

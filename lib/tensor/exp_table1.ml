@@ -19,11 +19,11 @@ let frequency_of = function
   | Orch.Controller.Host_failure -> 19
   | Orch.Controller.Host_network_failure -> 65
 
-let episode ?store_resilient ?degrade_frac ~id () =
+let episode ?store_resilient ?degrade_frac ?backup_mode ~id () =
   let dep = Deploy.build () in
   let ({ Deploy.peer; spec; _ } as p) = Deploy.standard_peering dep in
   let svc =
-    Deploy.deploy_service dep ?store_resilient ?degrade_frac ~id
+    Deploy.deploy_service dep ?store_resilient ?degrade_frac ?backup_mode ~id
       ~local_asn:Deploy.local_asn [ spec ]
   in
   if not (Deploy.wait_established dep svc ()) then

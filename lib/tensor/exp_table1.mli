@@ -32,15 +32,16 @@ type timeline = {
 val episode :
   ?store_resilient:bool ->
   ?degrade_frac:float ->
+  ?backup_mode:[ `Cold | `Preheat ] ->
   id:string ->
   unit ->
   Deploy.t * Deploy.peering * Deploy.service
-(** The episode every Table 1 row and [check failover] runs up to the
-    failure: a fresh {!Deploy.build}, the {!Deploy.standard_peering}, a
-    service [id] deployed on it (the two options are
-    {!Deploy.deploy_service}'s), the session established, 300 routes in
-    and 100 out, then 10 s of settling. Raises [Failure] when the
-    session does not establish. *)
+(** The episode every Table 1 row, [check failover] and the preheat
+    ablation run up to the failure: a fresh {!Deploy.build}, the
+    {!Deploy.standard_peering}, a service [id] deployed on it (the three
+    options are {!Deploy.deploy_service}'s), the session established,
+    300 routes in and 100 out, then 10 s of settling. Raises [Failure]
+    when the session does not establish. *)
 
 val run : ?kinds:Orch.Controller.failure_kind list -> unit -> timeline list
 val print : timeline list -> unit

@@ -817,6 +817,40 @@ let on_rib_change t ~vrf change =
         (* lint: allow h1 — the deletion batch's own storage: one list cell per withdrawn key *)
         submit_del t t.bulk [ Keys.rib_key ~service:t.service ~vrf prefix ]
 
+(* --- Speaker wiring ------------------------------------------------------------ *)
+
+(* A speaker without [of_vrf] neither checkpoints nor trims: an [in|]
+   record may go only once the checkpoint writes of its UPDATE are
+   queued ahead of the delete (see [on_rx_applied]). Its checkpoint hook
+   then stays [no_hooks]' own, so the speaker skips building changes. *)
+let speaker_hooks ~of_peer ?of_vrf () =
+  let checkpoint, trim =
+    match of_vrf with
+    | None ->
+        Bgp.Speaker.(no_hooks.on_rib_change, no_hooks.on_rx_applied)
+    | Some of_vrf ->
+        ( (fun ~vrf change ->
+            match of_vrf vrf with
+            | Some t -> on_rib_change t ~vrf change
+            | None -> ()),
+          fun peer _msg ->
+            match of_peer peer with Some t -> on_rx_applied t | None -> () )
+  in
+  {
+    Bgp.Speaker.on_rx_replicate =
+      (fun peer msg ~raw ~inferred_ack ->
+        match of_peer peer with
+        | Some t -> on_rx_message t ~raw msg ~inferred_ack
+        | None -> ());
+    on_tx_replicate =
+      (fun peer _msg raw k ->
+        match of_peer peer with
+        | Some t -> on_tx_message t ~raw ~release:k
+        | None -> k ());
+    on_rib_change = checkpoint;
+    on_rx_applied = trim;
+  }
+
 (* --- Outbound trimming ---------------------------------------------------------- *)
 
 let note_snd_una t ~iss ~snd_una =

@@ -100,15 +100,26 @@ val on_rx_message : t -> ?raw:string -> Bgp.Msg.t -> inferred_ack:int -> unit
     receive counter, together with the inferred ACK. [raw] is the frame
     as received; without it the message is encoded again. *)
 
-val on_rx_applied : t -> unit
-(** The oldest outstanding UPDATE was applied to the routing table: emit
-    its checkpoint-ordered deletion. *)
-
 val on_tx_message : t -> raw:string -> release:(unit -> unit) -> unit
 (** Delayed sending: [release] fires once the record is durable. *)
 
 val on_rib_change : t -> vrf:string -> Bgp.Rib.change -> unit
 (** Routing-table checkpointing. *)
+
+val speaker_hooks :
+  of_peer:(Bgp.Speaker.peer -> t option) ->
+  ?of_vrf:(string -> t option) ->
+  unit ->
+  Bgp.Speaker.hooks
+(** The one wiring of replicators into a speaker: each peer's received
+    and sent messages go to [of_peer]'s replicator (a peer without one
+    passes through unreplicated). With [of_vrf], each VRF's Loc-RIB
+    changes are checkpointed into its replicator and an applied UPDATE's
+    replica is trimmed behind its checkpoint ({!on_rx_applied}). Without
+    it the speaker does neither, and its checkpoint hook is
+    {!Bgp.Speaker.no_hooks}'s own. The lookups run per message and per
+    change, so they should return a stored [Some] rather than build
+    one. *)
 
 val note_snd_una : t -> iss:int -> snd_una:int -> unit
 (** Feeds the outbound trimmer (call periodically with the live
@@ -175,6 +186,10 @@ val held_segments : t -> int
     before release — the acknowledgment delay TENSOR introduces (compare
     with the Figure 5(a) thresholds) — is observed, in seconds, into the
     [replicator.ack_hold_s] registry histogram. *)
+
+val on_rx_applied : t -> unit
+(** The oldest outstanding UPDATE was applied to the routing table: emit
+    its checkpoint-ordered deletion. {!speaker_hooks} calls it. *)
 
 val bytes_written : t -> int
 val pending_unapplied : t -> int

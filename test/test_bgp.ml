@@ -940,16 +940,16 @@ let speaker_pair ?(asn_a = 65001) ?(asn_b = 65002) ?profile_a ?profile_b
       ~local_asn:asn_b ~router_id:addr_b ()
   in
   let pc_a =
-    { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr_b ()) with
-      Bgp.Speaker.remote_asn = Some asn_b;
-      policy_out = policy_out_a }
+    {
+      (Bgp.Speaker.default_peer_config ~remote_asn:asn_b ~vrf:"v0"
+         ~remote_addr:addr_b ())
+      with
+      policy_out = policy_out_a;
+    }
   in
   let pc_b =
-    {
-      (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr_a ()) with
-      Bgp.Speaker.remote_asn = Some asn_a;
-      passive = true;
-    }
+    Bgp.Speaker.default_peer_config ~remote_asn:asn_a ~passive:true ~vrf:"v0"
+      ~remote_addr:addr_a ()
   in
   let peer_a = Bgp.Speaker.add_peer spk_a pc_a in
   let peer_b = Bgp.Speaker.add_peer spk_b pc_b in
@@ -1072,14 +1072,14 @@ let test_speaker_policy_in_rejects () =
   let spk_b = Bgp.Speaker.create ~stack:sb ~local_asn:65002 ~router_id:addr_b () in
   ignore
     (Bgp.Speaker.add_peer spk_a
-       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr_b ()) with
-         Bgp.Speaker.remote_asn = Some 65002 });
+       (Bgp.Speaker.default_peer_config ~remote_asn:65002 ~vrf:"v0"
+          ~remote_addr:addr_b ()));
   ignore
     (Bgp.Speaker.add_peer spk_b
        {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr_a ()) with
-         Bgp.Speaker.remote_asn = Some 65001;
-         passive = true;
+         (Bgp.Speaker.default_peer_config ~remote_asn:65001 ~passive:true
+            ~vrf:"v0" ~remote_addr:addr_a ())
+         with
          policy_in =
            Bgp.Policy.make
              [
@@ -1115,26 +1115,20 @@ let test_speaker_transit_three_as () =
   let spk_c = Bgp.Speaker.create ~stack:sc ~local_asn:65003 ~router_id:c_bc () in
   ignore
     (Bgp.Speaker.add_peer spk_a
-       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:b_ab ()) with
-         Bgp.Speaker.remote_asn = Some 65002 });
+       (Bgp.Speaker.default_peer_config ~remote_asn:65002 ~vrf:"v0"
+          ~remote_addr:b_ab ()));
   ignore
     (Bgp.Speaker.add_peer spk_b
-       {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:a_ab ()) with
-         Bgp.Speaker.remote_asn = Some 65001;
-         passive = true;
-       });
+       (Bgp.Speaker.default_peer_config ~remote_asn:65001 ~passive:true
+          ~vrf:"v0" ~remote_addr:a_ab ()));
   ignore
     (Bgp.Speaker.add_peer spk_b
-       { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:c_bc ()) with
-         Bgp.Speaker.remote_asn = Some 65003 });
+       (Bgp.Speaker.default_peer_config ~remote_asn:65003 ~vrf:"v0"
+          ~remote_addr:c_bc ()));
   ignore
     (Bgp.Speaker.add_peer spk_c
-       {
-         (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:b_bc ()) with
-         Bgp.Speaker.remote_asn = Some 65002;
-         passive = true;
-       });
+       (Bgp.Speaker.default_peer_config ~remote_asn:65002 ~passive:true
+          ~vrf:"v0" ~remote_addr:b_bc ()));
   Bgp.Speaker.start spk_a;
   Bgp.Speaker.start spk_b;
   Bgp.Speaker.start spk_c;
@@ -1196,17 +1190,13 @@ let test_speaker_update_packing_cost () =
       in
       ignore
         (Bgp.Speaker.add_peer spk
-           {
-             (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:dut_addr ())
-             with
-             Bgp.Speaker.remote_asn = Some 64900;
-             passive = true;
-           });
+           (Bgp.Speaker.default_peer_config ~remote_asn:64900 ~passive:true
+              ~vrf:"v0" ~remote_addr:dut_addr ()));
       Bgp.Speaker.start spk;
       ignore
         (Bgp.Speaker.add_peer spk_dut
-           { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:p_addr ())
-             with Bgp.Speaker.remote_asn = Some (65000 + i) })
+           (Bgp.Speaker.default_peer_config ~remote_asn:(65000 + i) ~vrf:"v0"
+              ~remote_addr:p_addr ()))
     done;
     Bgp.Speaker.start spk_dut;
     Engine.run_for eng (Time.sec 10);
@@ -1288,15 +1278,19 @@ let test_speaker_no_export_allowed_on_ibgp () =
     (Bgp.Rib.size (Bgp.Speaker.rib spk_b ~vrf:"v0"))
 
 let test_speaker_request_refresh () =
+  (* The peer's ROUTE-REFRESH (RFC 2918) makes the speaker resend exactly
+     its table, here one route. *)
   let eng, spk_a, spk_b, _, peer_b = speaker_pair () in
   Engine.run_for eng (Time.sec 5);
   Bgp.Speaker.originate spk_a ~vrf:"v0" [ pfx "203.0.113.0/24" ];
   Engine.run_for eng (Time.sec 5);
-  let before = Bgp.Speaker.messages_sent spk_a in
-  Bgp.Speaker.request_refresh spk_b peer_b;
+  let before = Bgp.Speaker.updates_sent spk_a in
+  (match Bgp.Speaker.peer_session peer_b with
+  | Some s -> Bgp.Session.send s (Bgp.Msg.Route_refresh { afi = 1; safi = 1 })
+  | None -> Alcotest.fail "no session");
   Engine.run_for eng (Time.sec 5);
-  checkb "peer resent its table on refresh" true
-    (Bgp.Speaker.messages_sent spk_a > before);
+  checki "peer resent its one route on refresh" 1
+    (Bgp.Speaker.updates_sent spk_a - before);
   checki "table still consistent" 1
     (Bgp.Rib.size (Bgp.Speaker.rib spk_b ~vrf:"v0"))
 
@@ -1312,13 +1306,13 @@ let test_speaker_connection_collision () =
   let spk_b = Bgp.Speaker.create ~stack:sb ~local_asn:65002 ~router_id:addr_b () in
   let peer_a =
     Bgp.Speaker.add_peer spk_a
-      { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr_b ()) with
-        Bgp.Speaker.remote_asn = Some 65002 }
+      (Bgp.Speaker.default_peer_config ~remote_asn:65002 ~vrf:"v0"
+         ~remote_addr:addr_b ())
   in
   let peer_b =
     Bgp.Speaker.add_peer spk_b
-      { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:addr_a ()) with
-        Bgp.Speaker.remote_asn = Some 65001 }
+      (Bgp.Speaker.default_peer_config ~remote_asn:65001 ~vrf:"v0"
+         ~remote_addr:addr_a ())
   in
   (* Start both actively at the same instant. *)
   Bgp.Speaker.start spk_a;
@@ -1801,16 +1795,17 @@ let export_rig () =
         in
         ignore
           (Bgp.Speaker.add_peer spk
-             { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:local ()) with
-               Bgp.Speaker.remote_asn = Some dut_asn;
-               passive = true });
+             (Bgp.Speaker.default_peer_config ~remote_asn:dut_asn ~passive:true
+                ~vrf:"v0" ~remote_addr:local ()));
         Bgp.Speaker.start spk;
         let peer =
           Bgp.Speaker.add_peer dut
-            { (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr:remote ()) with
-              Bgp.Speaker.remote_asn = Some asn;
-              local_addr = Some local;
-              policy_out = policy }
+            {
+              (Bgp.Speaker.default_peer_config ~remote_asn:asn ~local_addr:local
+                 ~vrf:"v0" ~remote_addr:remote ())
+              with
+              policy_out = policy;
+            }
         in
         let source =
           {

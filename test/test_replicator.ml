@@ -60,12 +60,11 @@ let test_rx_message_becomes_durable () =
   checkb "watermark confirmed locally" true
     (Tensor.Replicator.watermark r.repl = Some 1100)
 
-(* A receiving speaker replicates each frame as it arrived. Over a real
-   session carrying OPEN, KEEPALIVE, UPDATE and End-of-RIB, every frame
-   equals its message encoded again, and the UPDATE in-records (kept
-   until applied; nothing applies them here) hold exactly those bytes.
-   Record sizes drive simulated time, so the two must not differ. *)
-let test_rx_frames_match_reencode () =
+(* Speaker [a] (AS 65001) opens a session to [b] (AS 65002), whose hooks
+   are [hooks_of repl] for one replicator writing to a free-cost store,
+   and announces 300 routes with one attribute set; the rig returns once
+   the session has settled. *)
+let speaker_rig hooks_of =
   let eng = Engine.create () in
   let net = Network.create eng in
   let a = Network.add_node net "ra" and b = Network.add_node net "rb" in
@@ -79,36 +78,21 @@ let test_rx_frames_match_reencode () =
       ~client:(Store.Client.create b ~server:db_addr)
       ~conn_id:cid ~service:"rx" ()
   in
-  let received = ref [] in
-  let hooks =
-    {
-      Bgp.Speaker.no_hooks with
-      on_rx_replicate =
-        (fun _ msg ~raw ~inferred_ack ->
-          received := (msg, raw, inferred_ack) :: !received;
-          Tensor.Replicator.on_rx_message repl ~raw msg ~inferred_ack);
-    }
-  in
   let spk_a =
     Bgp.Speaker.create ~stack:(Tcp.create_stack a) ~local_asn:65001 ~router_id:addr_a ()
   in
   let spk_b =
-    Bgp.Speaker.create ~hooks ~stack:(Tcp.create_stack b) ~local_asn:65002
-      ~router_id:addr_b ()
-  in
-  let peer_config ~remote_addr ~remote_asn ~passive =
-    {
-      (Bgp.Speaker.default_peer_config ~vrf:"v0" ~remote_addr ()) with
-      Bgp.Speaker.remote_asn = Some remote_asn;
-      passive;
-    }
+    Bgp.Speaker.create ~hooks:(hooks_of repl) ~stack:(Tcp.create_stack b)
+      ~local_asn:65002 ~router_id:addr_b ()
   in
   ignore
     (Bgp.Speaker.add_peer spk_a
-       (peer_config ~remote_addr:addr_b ~remote_asn:65002 ~passive:false));
+       (Bgp.Speaker.default_peer_config ~remote_asn:65002 ~vrf:"v0"
+          ~remote_addr:addr_b ()));
   ignore
     (Bgp.Speaker.add_peer spk_b
-       (peer_config ~remote_addr:addr_a ~remote_asn:65001 ~passive:true));
+       (Bgp.Speaker.default_peer_config ~remote_asn:65001 ~passive:true
+          ~vrf:"v0" ~remote_addr:addr_a ()));
   Bgp.Speaker.start spk_a;
   Bgp.Speaker.start spk_b;
   Engine.run_for eng (Time.sec 5);
@@ -118,6 +102,25 @@ let test_rx_frames_match_reencode () =
          ~as_path:[ Bgp.Attrs.Seq [ 64512 ] ] ~next_hop:addr_a ())
     (List.init 300 (fun i -> Addr.prefix (Addr.of_octets 100 (i / 256) (i mod 256) 0) 24));
   Engine.run_for eng (Time.sec 40);
+  (server, cid, repl)
+
+(* A receiving speaker replicates each frame as it arrived. Over a real
+   session carrying OPEN, KEEPALIVE, UPDATE and End-of-RIB, every frame
+   equals its message encoded again, and the UPDATE in-records (kept
+   until applied; nothing applies them here) hold exactly those bytes.
+   Record sizes drive simulated time, so the two must not differ. *)
+let test_rx_frames_match_reencode () =
+  let received = ref [] in
+  let server, cid, _ =
+    speaker_rig (fun repl ->
+        {
+          Bgp.Speaker.no_hooks with
+          on_rx_replicate =
+            (fun _ msg ~raw ~inferred_ack ->
+              received := (msg, raw, inferred_ack) :: !received;
+              Tensor.Replicator.on_rx_message repl ~raw msg ~inferred_ack);
+        })
+  in
   let received = List.rev !received in
   let kinds =
     List.sort_uniq String.compare
@@ -146,6 +149,48 @@ let test_rx_frames_match_reencode () =
             (Store.Server.peek server (Tensor.Keys.in_key cid seq))
       | _ -> ())
     received
+
+(* [speaker_hooks] trims an applied UPDATE's in| record only behind its
+   Loc-RIB checkpoint: without [of_vrf] there is no checkpoint, so the
+   records stay (and the speaker keeps [no_hooks]' checkpoint hook);
+   with it every record goes once its checkpoint is queued. *)
+let test_speaker_hooks_trim_with_checkpoint () =
+  let in_records server cid =
+    List.length
+      (List.filter
+         (fun seq -> Store.Server.peek server (Tensor.Keys.in_key cid seq) <> None)
+         (List.init 64 Fun.id))
+  in
+  let checkpointed server =
+    Store.Server.peek server
+      (Tensor.Keys.rib_key ~service:"rx" ~vrf:"v0"
+         (Addr.prefix (Addr.of_octets 100 0 7 0) 24))
+    <> None
+  in
+  let hooks = ref Bgp.Speaker.no_hooks in
+  let server, cid, repl =
+    speaker_rig (fun repl ->
+        hooks := Tensor.Replicator.speaker_hooks ~of_peer:(fun _ -> Some repl) ();
+        !hooks)
+  in
+  checkb "no of_vrf: the checkpoint hook is no_hooks' own" true
+    (!hooks.on_rib_change == Bgp.Speaker.no_hooks.on_rib_change);
+  checkb "no of_vrf: no checkpoint" false (checkpointed server);
+  checkb "no of_vrf: the UPDATE replicas stay" true (in_records server cid > 0);
+  checkb "no of_vrf: nothing applied" true
+    (Tensor.Replicator.pending_unapplied repl > 0);
+  let server, cid, repl =
+    speaker_rig (fun repl ->
+        let hooked = Some repl in
+        Tensor.Replicator.speaker_hooks
+          ~of_peer:(fun _ -> hooked)
+          ~of_vrf:(fun _ -> hooked)
+          ())
+  in
+  checkb "of_vrf: checkpointed" true (checkpointed server);
+  checki "of_vrf: every in| record trimmed" 0 (in_records server cid);
+  checki "of_vrf: every UPDATE applied" 0
+    (Tensor.Replicator.pending_unapplied repl)
 
 let test_keepalive_trimmed_immediately () =
   let r = make_rig () in
@@ -682,6 +727,8 @@ let () =
             test_update_trimmed_only_after_applied;
           Alcotest.test_case "frames match the re-encode" `Quick
             test_rx_frames_match_reencode;
+          Alcotest.test_case "speaker hooks trim behind checkpoints" `Quick
+            test_speaker_hooks_trim_with_checkpoint;
         ] );
       ( "send",
         [
