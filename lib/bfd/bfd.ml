@@ -37,8 +37,6 @@ type session = {
   detect : Engine.deadline Lazy.t;
   mutable detect_interval : Time.span; (* remote interval of the last arm *)
   mutable change_cb : old:state -> state -> unit;
-  mutable n_in : int;
-  mutable n_out : int;
   (* Flag plus instant rather than [Time.t option]: set per packet. *)
   mutable has_rx : bool;
   mutable last_rx_at : Time.t;
@@ -88,8 +86,6 @@ let session_state s = s.st
 let on_state_change s f = s.change_cb <- f
 let my_disc s = s.disc
 let your_disc s = s.peer_disc
-let packets_in s = s.n_in
-let packets_out s = s.n_out
 let last_rx s = if s.has_rx then Some s.last_rx_at else None
 
 let transition s new_state =
@@ -101,7 +97,6 @@ let transition s new_state =
 
 let send_control ep s =
   if Node.is_up ep.node then begin
-    s.n_out <- s.n_out + 1;
     Telemetry.Registry.incr m_pkts_out;
     let ctl =
       {
@@ -165,7 +160,6 @@ let to_up ep s =
 
 let handle_control ep s (ctl : control) =
   if s.st <> Admin_down then begin
-    s.n_in <- s.n_in + 1;
     Telemetry.Registry.incr m_pkts_in;
     s.has_rx <- true;
     s.last_rx_at <- Engine.now ep.eng;
@@ -264,8 +258,6 @@ let create_session ep ?(tx_interval = Time.ms 100) ?(detect_mult = 3) ?local
                detect_expired ep s));
       detect_interval = 0;
       change_cb = (fun ~old:_ _ -> ());
-      n_in = 0;
-      n_out = 0;
       has_rx = false;
       last_rx_at = Time.zero;
     }
@@ -301,16 +293,13 @@ let set_tx_interval s interval =
 let tx_interval s = s.tx_interval
 
 module Relay = struct
-  type t = {
-    mutable timer : Engine.timer option;
-    mutable sent : int;
-  }
+  type t = { mutable timer : Engine.timer option }
 
   (* The relay speaks at the sessions' default rate (100 ms x 3). *)
   let tx_interval = Time.ms 100
 
   let start node ~src ~dst ~vrf ~my_disc ~your_disc () =
-    let t = { timer = None; sent = 0 } in
+    let t = { timer = None } in
     let ctl =
       {
         vrf;
@@ -322,11 +311,8 @@ module Relay = struct
       }
     in
     let send () =
-      if Node.is_up node then begin
-        t.sent <- t.sent + 1;
-        Node.send node
-          (Packet.make ~src ~dst ~size:control_wire_size (Bfd ctl))
-      end
+      if Node.is_up node then
+        Node.send node (Packet.make ~src ~dst ~size:control_wire_size (Bfd ctl))
     in
     send ();
     t.timer <-
@@ -341,6 +327,4 @@ module Relay = struct
         Engine.stop_timer timer;
         t.timer <- None
     | None -> ()
-
-  let packets_sent t = t.sent
 end

@@ -83,10 +83,6 @@ module Relay : sig
       transmit-side: the relay never receives. *)
 
   val stop : t -> unit
-
-  (** {1 Test-only} *)
-
-  val packets_sent : t -> int
 end
 
 (** {1 Timer perturbation} *)
@@ -102,11 +98,14 @@ val tx_interval : session -> Sim.Time.span
 (** {1 Test-only} *)
 
 val stop_session : session -> unit
-(** Stops transmitting and detection (administrative down). *)
+(** Kept: stops transmitting and detection (administrative down), the
+    way tests silence one VRF's session while the others run on. *)
 
 val session_state : session -> state
-val packets_in : session -> int
-val packets_out : session -> int
+(** Inspection: the session's state; {!on_state_change} reports only
+    transitions. *)
+
 val last_rx : session -> Sim.Time.t option
-(** When the most recent control packet arrived — the peer-side liveness
-    evidence. *)
+(** Inspection: when the most recent control packet arrived — the
+    peer-side liveness evidence detection deadlines are checked
+    against. *)

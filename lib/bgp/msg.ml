@@ -504,7 +504,6 @@ module Framer = struct
 
   let create ?(as4 = true) () = { as4; buf = Buffer.create 256; poisoned = None }
 
-  let buffered t = Buffer.length t.buf
   let buffered_bytes t = Buffer.contents t.buf
 
   (* Frames are cut at a read offset; the consumed prefix is dropped once

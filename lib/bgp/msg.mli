@@ -93,9 +93,4 @@ module Framer : sig
   (** The held partial-frame bytes themselves (TENSOR replicates them
       when a stalled sender cannot complete the frame, see
       {!Tensor.Replicator}). *)
-
-  (** {1 Test-only} *)
-
-  val buffered : t -> int
-  (** Bytes held waiting for the rest of a frame. *)
 end

@@ -53,7 +53,11 @@ val accepts_all : t -> bool
     rewriting out-policy through that path. *)
 
 val make : ?default:[ `Accept | `Reject ] -> rule list -> t
-(** [default] applies when no rule matches (default [`Accept]). *)
+(** Kept: see the heading. [default] applies when no rule matches
+    (default [`Accept]). *)
 
 val accept_rule : ?conds:cond list -> action list -> rule
+(** Kept: with {!make}, a rule that applies [actions] and accepts. *)
+
 val reject_rule : cond list -> rule
+(** Kept: with {!make}, a rule that rejects when every condition holds. *)

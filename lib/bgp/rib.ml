@@ -115,7 +115,6 @@ module Changes = struct
     b.n <- b.n + 1;
     if path == no_path then b.withdrawals <- b.withdrawals + 1
 
-  let add_withdrawn b pfx = add b pfx no_path
   let prefix b i = b.pfxs.(i)
   let withdrawn b i = b.paths.(i) == no_path
 
@@ -126,8 +125,6 @@ module Changes = struct
   let change b i =
     let p = b.paths.(i) in
     if p == no_path then Best_withdrawn b.pfxs.(i) else Best_changed (b.pfxs.(i), p)
-
-  let to_list b = List.init b.n (change b)
 end
 
 (* --- Decision process --------------------------------------------------- *)

@@ -86,11 +86,6 @@ module Changes : sig
 
   val change : t -> int -> change
   (** The [i]th change as a {!change} value (which it allocates). *)
-
-  (** {1 Test-only} *)
-
-  val add_withdrawn : t -> Netsim.Addr.prefix -> unit
-  val to_list : t -> change list
 end
 
 type t
@@ -157,15 +152,21 @@ val sweep_stale : t -> key:string -> Changes.t -> unit
 (** {1 Test-only} *)
 
 val candidates : t -> Netsim.Addr.prefix -> path list
-(** All paths for the prefix, best first. *)
+(** Inspection: all paths for the prefix, best first; {!best} shows only
+    the head. *)
 
 val prefix_hash : Netsim.Addr.prefix -> int
-(** The Loc-RIB table's hash: base and length packed into one int and
+(** Inspection: the Loc-RIB table's hash, which tests check spreads
+    aligned prefixes: base and length packed into one int and
     mixed by {!Netsim.Addr.hash_int}. *)
 
 val path_count : t -> int
-(** Total paths across all prefixes. *)
+(** Inspection: total paths across all prefixes. *)
 
 val stale_count : t -> key:string -> int
+(** Inspection: the source's paths still marked stale by graceful
+    restart. *)
+
 val better : path -> path -> bool
-(** [better a b] — the decision process preference, exposed for tests. *)
+(** Inspection: [better a b], the decision process preference on its
+    own, which tests check the table's choice against. *)

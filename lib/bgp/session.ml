@@ -54,20 +54,6 @@ type config = {
 
 let default_hold_time = 90
 
-let default_config ~local_asn ~router_id ~peer_addr () =
-  {
-    local_asn;
-    router_id;
-    local_addr = None;
-    peer_addr;
-    peer_asn = None;
-    hold_time = default_hold_time;
-    port = 179;
-    passive = false;
-    graceful_restart = Some 120;
-    as4 = true;
-  }
-
 type negotiated = {
   peer_open : Msg.open_msg;
   hold_time : int;

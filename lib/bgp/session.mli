@@ -130,13 +130,6 @@ val last_write : t -> Sim.Time.t
 
 (** {1 Test-only} *)
 
-val default_config :
-  local_asn:int ->
-  router_id:Netsim.Addr.t ->
-  peer_addr:Netsim.Addr.t ->
-  unit ->
-  config
-(** hold {!default_hold_time}, port 179, active, GR advertised at 120 s,
-    AS4 on. *)
-
 val keepalives_in : t -> int
+(** Inspection: KEEPALIVEs received, so tests check the timers keep an
+    idle session alive. *)

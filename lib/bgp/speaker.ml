@@ -90,7 +90,6 @@ let no_hooks =
   }
 
 let stack t = t.stk
-let router_id t = t.rid
 let peers t = List.rev t.peer_list
 let peer_cfg p = p.pcfg
 let peer_session p = p.session

@@ -203,15 +203,15 @@ val last_rx_applied : t -> Sim.Time.t
 (** {1 Test-only} *)
 
 val default_profile : profile
-(** FRRouting-like: 4 µs/update rx, packing enabled. *)
+(** Kept: the profile {!create} defaults to (FRRouting-like: 4 µs/update
+    rx, packing enabled), so tests vary one field of it. *)
 
 val stack : t -> Tcp.stack
-val router_id : t -> Netsim.Addr.t
-val add_vrf : t -> string -> unit
-(** Idempotent. *)
+(** Inspection: the speaker's TCP stack, so tests can silence its
+    node. *)
 
 val pack_changes : Rib.Changes.t -> Msg.t list
-(** The UPDATE sequence for one batch whose adverts go out with their
+(** Inspection: the product packer on its own. The UPDATE sequence for one batch whose adverts go out with their
     paths' own attributes: the withdrawals in order, chunked to fit a
     message, then the adverts grouped by equal attributes, groups in
     {!Attrs.compare} order and prefixes in batch order, each group
@@ -219,3 +219,5 @@ val pack_changes : Rib.Changes.t -> Msg.t list
     rewriting each path for its target; exposed for tests. *)
 
 val messages_sent : t -> int
+(** Inspection: messages this speaker handed to TCP, so tests check
+    packing and re-sends per speaker. *)

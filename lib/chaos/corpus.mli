@@ -29,12 +29,7 @@ val replay_dir : string -> replay list
 
 (** {1 Test-only} *)
 
-val entry_extension : string
-(** [".chaos"] *)
-
-val load_file : string -> (Descriptor.t, string) result
-(** Parses the first non-comment, non-blank line. *)
-
 val load_dir : string -> (string * (Descriptor.t, string) result) list
-(** Every [*.chaos] file in the directory, sorted by name. Missing
-    directory is an empty corpus. *)
+(** Inspection: {!replay_dir}'s parse step without the runs: every
+    [*.chaos] file in the directory, sorted by name. Missing directory
+    is an empty corpus. *)

@@ -118,10 +118,13 @@ val equal : t -> t -> bool
 (** {1 Test-only} *)
 
 val fault_of_string : string -> (fault, string) result
-(** The inverse of {!fault_to_string}, without {!validate}. *)
+(** Inspection: the one-token parser {!of_string} uses, the inverse of
+    {!fault_to_string}, without {!validate}; tests compare it token by
+    token with a reference tokenizer. *)
 
 val validate : t -> (unit, string) result
-(** Structural sanity: positive counts, fault vrf indices in range,
+(** Kept: {!of_string}'s check, for descriptors built in code, which
+    tests construct without printing and parsing them. Structural sanity: positive counts, fault vrf indices in range,
     times within the window, and no kill/planned fault inside a store
     outage window (the store is the recovery substrate — such a
     migration can never complete). The fleet tokens obey the same

@@ -39,7 +39,8 @@ val summary : outcome -> string
 (** {1 Test-only} *)
 
 val disabled_checkers : Descriptor.t -> string list
-(** The applicability matrix: [rst]/[cease] faults disable
+(** Inspection: the checkers {!run} turns off for a descriptor, which
+    tests pin. The applicability matrix: [rst]/[cease] faults disable
     [no_peer_visible_reset] (the remote AS resets the session on
     purpose); [cease] additionally disables [route_flap_absence] (an
     administrative Cease is not GR-eligible, so the peer legitimately

@@ -50,7 +50,8 @@ val lint_sources :
   ?readers:(string * string) list ->
   (string * string) list ->
   Finding.t list * int
-(** Lint compilation units given as [(file, text)] pairs, [.ml] or
+(** Kept: {!run} over in-memory sources, so tests lint seeded snippets
+    without files. Lint compilation units given as [(file, text)] pairs, [.ml] or
     [.mli] by file name, together, with [readers] as reader-only
     sources. Returns surviving findings (sorted) and the number of
     suppressed ones. An unparseable unit yields a single ["parse"]

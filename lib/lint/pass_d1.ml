@@ -24,8 +24,8 @@ let rec pass =
        on insertion history and the per-process hash seed. Any digest, \
        snapshot or telemetry line fed from such a traversal differs \
        between two runs of the same descriptor, breaking replay \
-       equality. Sim.Det.bindings is the one blessed collect-then-sort \
-       point.";
+       equality. Sim.Det's sorted traversals are the one blessed \
+       collect-then-sort point.";
     example = "let dump tbl = Hashtbl.iter emit tbl";
     check;
     graph_check = None;

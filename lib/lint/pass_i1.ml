@@ -5,11 +5,12 @@
    reader source: Driver.lint_paths and Driver.reader_paths. Readers
    under test/ are told apart: an export only tests read belongs under
    its interface's [{1 Test-only}] heading, and one under that heading
-   that other code reads belongs outside it. *)
+   that other code reads belongs outside it. A [val] under the heading
+   carries a doc comment saying why it stays. *)
 
 open Parsetree
 
-type export = { name : string; loc : Location.t; test_only : bool }
+type export = { name : string; loc : Location.t; test_only : bool; documented : bool }
 
 (* [Some is_test_only] for a floating [(** {1 ...} *)] section heading. *)
 let heading (item : signature_item) =
@@ -45,7 +46,17 @@ let rec exports ~prefix ~inherited items =
           region := inherited || t;
           []
       | None, Psig_value vd ->
-          [ { name = prefix ^ vd.pval_name.txt; loc = vd.pval_loc; test_only = !region } ]
+          let documented =
+            List.exists (fun a -> a.attr_name.txt = "ocaml.doc") vd.pval_attributes
+          in
+          [
+            {
+              name = prefix ^ vd.pval_name.txt;
+              loc = vd.pval_loc;
+              test_only = !region;
+              documented;
+            };
+          ]
       | None, Psig_module md -> sub md
       | None, Psig_recmodule mds -> List.concat_map sub mds
       | None, _ -> [])
@@ -59,7 +70,8 @@ let rec pass =
     severity = Finding.Warning;
     doc =
       "lib/ interface export that no other module reads, or read only by \
-       tests outside the interface's {1 Test-only} section";
+       tests outside the interface's {1 Test-only} section, or kept there \
+       without a doc comment";
     rationale =
       "Every val in a lib/ interface is a promise the next refactor must \
        keep. One nobody else reads is surface without a user: drop it \
@@ -69,7 +81,10 @@ let rec pass =
        perfsuite and test, through file-level and local opens, module \
        aliases, include and functor arguments, so a reported export \
        has no reader. An export only tests read may stay, grouped \
-       under one (** {1 Test-only} *) heading per interface.";
+       under one (** {1 Test-only} *) heading per interface, with a doc \
+       comment that says why it stays: an inspection accessor a test \
+       needs to see internal state, or a capability kept for a reason. \
+       Test-only references and helpers belong in test/.";
     example = "val helper : int -> int  (* in foo.mli; nothing reads Foo.helper *)";
     check = (fun _ _ -> []);
     graph_check = Some check_graph;
@@ -115,6 +130,9 @@ and check_graph g =
             else if e.test_only && not (List.for_all is_test rs) then
               report "%s.%s sits under {1 Test-only} but non-test code reads \
                       it; move it out of that section"
+            else if e.test_only && not e.documented then
+              report "%s.%s sits under {1 Test-only} without a doc comment; \
+                      say in one line why it stays"
             else None)
           (exports ~prefix:"" ~inherited:false sg))
     g.Callgraph.interfaces

@@ -38,8 +38,6 @@ let exceed_wave_bound = make "exceed_wave_bound"
 
 let active () = List.filter_map (fun f -> if !(f.on) then Some f.name else None) !registry
 
-let reset () = List.iter (fun f -> f.on := false) !registry
-
 let with_fault on k =
   on := true;
   Fun.protect ~finally:(fun () -> on := false) k

@@ -60,8 +60,7 @@ val active : unit -> string list
 
 (** {1 Test-only} *)
 
-val reset : unit -> unit
-(** Clears every flag. *)
-
 val with_fault : bool ref -> (unit -> 'a) -> 'a
-(** [with_fault flag k] runs [k] with [flag] set, restoring it after. *)
+(** Kept: [with_fault flag k] runs [k] with [flag] set, restoring it
+    after, even when [k] raises: the one way the mutation tests seed a
+    fault. *)

@@ -183,11 +183,6 @@ let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
 
-let path keys v =
-  List.fold_left
-    (fun acc k -> match acc with Some v -> member k v | None -> None)
-    (Some v) keys
-
 let to_float = function
   | Num f -> Some f
   | _ -> None

@@ -25,8 +25,3 @@ val to_int : t -> int option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
-
-(** {1 Test-only} *)
-
-val path : string list -> t -> t option
-(** Nested lookup: [path ["a"; "b"] v] is [v.a.b]. *)

@@ -23,9 +23,6 @@ type t = {
   queues : (int, queue) Hashtbl.t;
   mutable next_order : int;
   mutable next_qnum : int;
-  mutable n_accepted : int;
-  mutable n_dropped : int;
-  mutable n_queued : int;
   eng : Sim.Engine.t option; (* for timestamping queue-drop events *)
 }
 
@@ -35,9 +32,6 @@ let create ?eng () =
     queues = Hashtbl.create 4;
     next_order = 0;
     next_qnum = 0;
-    n_accepted = 0;
-    n_dropped = 0;
-    n_queued = 0;
     eng;
   }
 
@@ -73,14 +67,12 @@ let backlog q = q.pending
 let rec apply t rules pkt ~emit =
   match rules with
   | [] ->
-      t.n_accepted <- t.n_accepted + 1;
       Telemetry.Registry.incr m_accepted;
       emit pkt
   | rule :: rest -> (
       match rule.judge pkt with
       | Accept -> apply t rest pkt ~emit
       | Drop ->
-          t.n_dropped <- t.n_dropped + 1;
           Telemetry.Registry.incr m_dropped
       | Queue n -> (
           let q = queue t n in
@@ -88,7 +80,6 @@ let rec apply t rules pkt ~emit =
           | None ->
               (* Real NFQUEUE semantics: no userspace reader, packet is
                  dropped. *)
-              t.n_dropped <- t.n_dropped + 1;
               Telemetry.Registry.incr m_dropped;
               (match t.eng with
               | Some eng when Telemetry.Gate.on () ->
@@ -97,7 +88,6 @@ let rec apply t rules pkt ~emit =
                        { qnum = n; depth = q.pending })
               | _ -> ())
           | Some consumer ->
-              t.n_queued <- t.n_queued + 1;
               Telemetry.Registry.incr m_queued;
               q.pending <- q.pending + 1;
               Telemetry.Registry.set_int m_depth q.pending;
@@ -110,11 +100,9 @@ let rec apply t rules pkt ~emit =
                   Telemetry.Registry.set_int m_depth q.pending;
                   match verdict with
                   | Accept | Queue _ ->
-                      t.n_accepted <- t.n_accepted + 1;
                       Telemetry.Registry.incr m_accepted;
                       emit pkt
                   | Drop ->
-                      t.n_dropped <- t.n_dropped + 1;
                       Telemetry.Registry.incr m_dropped
                 end
               in
@@ -122,5 +110,3 @@ let rec apply t rules pkt ~emit =
 
 let traverse t pkt ~emit = apply t t.rules pkt ~emit
 
-let accepted t = t.n_accepted
-let dropped t = t.n_dropped

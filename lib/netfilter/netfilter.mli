@@ -65,8 +65,6 @@ val traverse : t -> Netsim.Packet.t -> emit:(Netsim.Packet.t -> unit) -> unit
 (** {1 Test-only} *)
 
 val backlog : queue -> int
-(** Packets handed to the consumer whose reinject is still pending. *)
-
-val accepted : t -> int
-val dropped : t -> int
-(** Counters over the chain's lifetime. *)
+(** Inspection: packets handed to the consumer whose reinject is still
+    pending; the [netfilter.queue_depth] gauge shows the last queue
+    touched, this one queue's. *)

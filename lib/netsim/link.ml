@@ -2,8 +2,6 @@ open Sim
 
 type side = A | B
 
-let other = function A -> B | B -> A
-
 (* One side of the link: its receiver, and the transmitter and
    in-flight packets of the direction leaving it. The packets in flight
    are an engine fifo: each is one [net.deliver] event at its arrival
@@ -27,15 +25,8 @@ type t = {
   mutable live_from : int;
   mutable taps : (side -> Packet.t -> unit) list;
   rng : Rng.t;
-  mutable tx : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable bytes : int;
-  (* Split flag + instant rather than [Time.t option]: the delivery
-     event fires once per packet and a [Some] store there allocated on
-     every delivery (h1 hot-path allocation budget). *)
-  mutable has_delivered : bool;
-  mutable last_delivery_at : Time.t;
 }
 
 let endpoint_create eng =
@@ -61,9 +52,6 @@ let arrive t dst_side pkt =
   if Engine.current_event_id t.eng < t.live_from then t.dropped <- t.dropped + 1
   else begin
     t.delivered <- t.delivered + 1;
-    t.bytes <- t.bytes + pkt.Packet.size;
-    t.has_delivered <- true;
-    t.last_delivery_at <- Engine.now t.eng;
     (match (endpoint t dst_side).deliver with Some f -> f pkt | None -> ());
     (* Taps are a debug feature and almost always absent; the
        empty-list guard keeps the per-delivery path from building an
@@ -87,12 +75,8 @@ let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
       live_from = 0;
       taps = [];
       rng = Rng.split (Engine.rng eng);
-      tx = 0;
       delivered = 0;
       dropped = 0;
-      bytes = 0;
-      has_delivered = false;
-      last_delivery_at = Time.zero;
     }
   in
   Engine.set_handler t.a.in_flight (arrive t B);
@@ -102,15 +86,12 @@ let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
 let transmit t ~from pkt =
   if (not t.up) || Rng.bernoulli t.rng t.loss then t.dropped <- t.dropped + 1
   else begin
-    t.tx <- t.tx + 1;
     let q = endpoint t from in
     let start = Int.max (Engine.now t.eng) q.busy_until in
     let finish = Time.add start (serialization_delay t pkt.Packet.size) in
     q.busy_until <- finish;
     Engine.enqueue q.in_flight (Time.add finish t.prop_delay) pkt
   end
-
-let is_up t = t.up
 
 let set_up t flag =
   if t.up && not flag then begin
@@ -131,8 +112,5 @@ let fail_for t span =
 let set_delay t d = t.prop_delay <- d
 let set_loss t l = t.loss <- l
 let tap t f = t.taps <- f :: t.taps
-let tx_packets t = t.tx
 let delivered_packets t = t.delivered
 let dropped_packets t = t.dropped
-let delivered_bytes t = t.bytes
-let last_delivery t = if t.has_delivered then Some t.last_delivery_at else None

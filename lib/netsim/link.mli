@@ -61,13 +61,9 @@ val tap : t -> (side -> Packet.t -> unit) -> unit
 
 (** {1 Test-only} *)
 
-val other : side -> side
-val is_up : t -> bool
-val tx_packets : t -> int
-(** Packets accepted for transmission (both directions). *)
-
 val delivered_packets : t -> int
+(** Inspection: packets delivered, both directions. *)
+
 val dropped_packets : t -> int
-val delivered_bytes : t -> int
-val last_delivery : t -> Sim.Time.t option
-(** Instant of the most recent successful delivery in either direction. *)
+(** Inspection: packets lost to a down link, random loss or a failure
+    in flight, both directions; no tap sees them. *)

@@ -5,15 +5,14 @@ type registered_link = { link : Link.t; ends : Node.t * Node.t }
 type t = {
   eng : Engine.t;
   node_tbl : (string, Node.t) Hashtbl.t;
-  mutable node_list : Node.t list;
   mutable link_list : registered_link list;
   mutable next_subnet : int;
   mutable next_private_subnet : int;
 }
 
 let create eng =
-  { eng; node_tbl = Hashtbl.create 64; node_list = []; link_list = [];
-    next_subnet = 0; next_private_subnet = 0 }
+  { eng; node_tbl = Hashtbl.create 64; link_list = []; next_subnet = 0;
+    next_private_subnet = 0 }
 
 let fresh_private_subnet t =
   let n = t.next_private_subnet in
@@ -27,11 +26,7 @@ let add_node t ?forwarding name =
     invalid_arg (Printf.sprintf "Network.add_node: duplicate name %S" name);
   let node = Node.create t.eng ?forwarding name in
   Hashtbl.replace t.node_tbl name node;
-  t.node_list <- node :: t.node_list;
   node
-
-let node t name = Hashtbl.find t.node_tbl name
-let nodes t = List.rev t.node_list
 
 let connect t ?delay ?bandwidth_bps ?loss a b =
   let subnet = t.next_subnet in

@@ -45,10 +45,3 @@ val fresh_private_subnet : t -> int
 
 val link_between : t -> Node.t -> Node.t -> Link.t option
 (** The first link directly joining the two nodes, if any. *)
-
-(** {1 Test-only} *)
-
-val node : t -> string -> Node.t
-(** Looks a node up. Raises [Not_found]. *)
-
-val nodes : t -> Node.t list

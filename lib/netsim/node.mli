@@ -63,10 +63,12 @@ val set_up : t -> bool -> unit
 (** {1 Test-only} *)
 
 val remove_address : t -> Addr.t -> unit
-(** Removes a local address (e.g. a service address migrating away). *)
+(** Kept: removes a local address (e.g. a service address migrating
+    away); the forwarding-cache property test drives address changes
+    both ways through it. *)
 
 val unrouted_packets : t -> int
-(** Packets dropped for lack of a route. *)
+(** Inspection: packets dropped for lack of a route. *)
 
 val unclaimed_packets : t -> int
-(** Locally addressed packets no handler consumed. *)
+(** Inspection: locally addressed packets no handler consumed. *)

@@ -115,8 +115,6 @@ let fresh_client_id ep =
 
 let serve ep ~service handler = Hashtbl.replace ep.services service handler
 
-let unknown_service_counts ep =
-  Det.bindings ~compare:String.compare ep.unknown_hits
 
 let retry_rng ep =
   match ep.retry_rng with

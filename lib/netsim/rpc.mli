@@ -87,10 +87,3 @@ val ping :
 
 val serve_ping : endpoint -> service:string -> unit
 (** Installs a trivial responder answering {!Ping} with {!Pong}. *)
-
-(** {1 Test-only} *)
-
-val unknown_service_counts : endpoint -> (string * int) list
-(** Requests received for services nobody registered, counted per
-    service name and sorted by it. Each such drop also emits a
-    [Rpc_unknown_service] telemetry event. *)

@@ -11,7 +11,6 @@ type t = {
   relays : (string, Bfd.Relay.t) Hashtbl.t;
 }
 
-let node t = t.anode
 let addr t = t.aaddr
 
 let relay_key id vrf = id ^ "|" ^ vrf
@@ -41,13 +40,5 @@ let start_relay t ~id ~src ~dst ~vrf ~my_disc ~your_disc =
     Bfd.Relay.start t.anode ~src ~dst ~vrf ~my_disc ~your_disc ()
   in
   Hashtbl.replace t.relays key relay
-
-let stop_relay t ~id ~vrf =
-  let key = relay_key id vrf in
-  match Hashtbl.find_opt t.relays key with
-  | Some relay ->
-      Bfd.Relay.stop relay;
-      Hashtbl.remove t.relays key
-  | None -> ()
 
 let relay_count t = Hashtbl.length t.relays

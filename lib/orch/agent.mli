@@ -37,6 +37,6 @@ val start_relay :
 
 (** {1 Test-only} *)
 
-val node : t -> Netsim.Node.t
-val stop_relay : t -> id:string -> vrf:string -> unit
 val relay_count : t -> int
+(** Inspection: live relays, so tests check that restarting one
+    replaces it. *)

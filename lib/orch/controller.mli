@@ -108,9 +108,12 @@ val quarantined : t -> string list
 val release_quarantine : t -> Host.t -> unit
 (** Manual reset: {!Host.reset} plus removal from the quarantine list. *)
 
-(** {1 Test-only} *)
-
-val managed_container : t -> id:string -> Container.t option
 val report_endpoint_service : string
 (** ["report"] — where in-container monitors send
     {!Report_app_failure}. *)
+
+(** {1 Test-only} *)
+
+val managed_container : t -> id:string -> Container.t option
+(** Inspection: the container the controller manages under [id], so
+    tests check which one a migration left in charge. *)

@@ -163,10 +163,5 @@ let fail t =
   Node.set_up t.hnode false;
   List.iter Container.fail t.cts
 
-let recover t =
-  t.up <- true;
-  t.fenced <- true (* no re-use before manual reset *);
-  Node.set_up t.hnode true
-
 let network_fail t = Link.set_up t.link false
 let network_recover t = Link.set_up t.link true

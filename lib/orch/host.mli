@@ -69,10 +69,3 @@ val is_fenced : t -> bool
 val reset : t -> unit
 (** Manual reset: clears the fence and re-arms the lease. Containers must
     be re-created/re-booted by the deployment layer. *)
-
-(** {1 Test-only} *)
-
-val recover : t -> unit
-(** Power restored: the host node comes back; containers stay dead and
-    the host stays fenced until {!reset} (the paper's manual-reset
-    rule). *)

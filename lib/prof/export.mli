@@ -16,19 +16,5 @@ val write_dir : name:string -> string -> unit
     profiler's rows as a text table, costliest wall time first),
     [engine.folded], [engine_allocs.folded] and [spans.folded] (folded
     stacks weighted by wall microseconds, allocated bytes and span self
-    time), and [profile.speedscope.json] ({!standard_profiles}, titled
-    [name]). *)
-
-(** {1 Test-only} *)
-
-val folded_alloc : unit -> folded
-(** Profiler rows weighted by allocated bytes. *)
-
-val folded_to_string : folded -> string
-val speedscope :
-  name:string -> (string * string * folded) list -> string
-(** [speedscope ~name profiles] renders [(profile_name, unit, entries)]
-    lists as one speedscope JSON document with a shared frame table. *)
-
-val standard_profiles : unit -> (string * string * folded) list
-(** The three standard views: engine wall, engine allocations, spans. *)
+    time), and [profile.speedscope.json] (those three views as one
+    speedscope document, titled [name]). *)

@@ -10,9 +10,6 @@
     binding, like [Hashtbl.fold] does; the repo's tables use [replace]
     throughout, so each key appears once. *)
 
-val bindings : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-(** All bindings, sorted by key. *)
-
 val keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
 (** Keys in ascending order. *)
 

@@ -260,8 +260,6 @@ let cancel (e : handle) =
     e.owner.live <- e.owner.live - 1
   end
 
-let is_pending (e : handle) = e.state = queued
-
 (* The observer slot. Observers must be transparent: no simulation
    state, telemetry, or RNG access — replay digests are byte-identical
    with any set attached. Attaching copies the array, so [exec] reads

@@ -222,14 +222,12 @@ val enqueue : 'a fifo -> Time.t -> 'a -> unit
 (** {1 Test-only} *)
 
 val current_label : t -> string
-(** The attribution label of the event currently (or most recently)
-    executed by this engine; ["main"] before any labelled event ran. *)
-
-val is_pending : handle -> bool
-(** [is_pending h] is [true] until the event fires or is cancelled. *)
+(** Inspection: the attribution label of the event currently (or most
+    recently) executed by this engine; ["main"] before any labelled
+    event ran. Tests check label inheritance against a model. *)
 
 val queued_events : t -> int
-(** Number of entries in the event queue — both tiers, the near one
+(** Inspection: number of entries in the event queue — both tiers, the near one
     for events due under 1 ms after the clock when queued and the far
     one for the rest — including cancelled events and stale deadline
     wake-ups not yet popped. A {!fifo} is one entry however many items

@@ -24,7 +24,6 @@ let[@inline] bits64 t =
   mix64 s
 
 let split t = of_state (mix64 (bits64 t))
-let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -42,14 +41,7 @@ let[@inline] float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
-
-let exponential t mean =
-  let u = float t 1.0 in
-  (* Guard against log 0. *)
-  let u = if u <= 0.0 then 1e-300 else u in
-  -.mean *. log u
 
 let gaussian t ~mu ~sigma =
   let rec draw () =
@@ -62,11 +54,3 @@ let gaussian t ~mu ~sigma =
   draw ()
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

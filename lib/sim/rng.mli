@@ -31,20 +31,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 (** [lognormal t ~mu ~sigma] is [exp (gaussian ~mu ~sigma)]: the
     parameters are those of the underlying normal, so the median is
     [exp mu]. *)
-
-(** {1 Test-only} *)
-
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
-val bits64 : t -> int64
-(** [bits64 t] is the next raw 64-bit output. *)
-
-val bool : t -> bool
-(** A fair coin. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] draws from Exp with the given mean. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -7,7 +7,6 @@ let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
 let minutes n = n * 60_000_000_000
-let hours n = n * 3_600_000_000_000
 
 let of_sec_f s = int_of_float (Float.round (s *. 1e9))
 let of_ms_f m = int_of_float (Float.round (m *. 1e6))

@@ -66,8 +66,3 @@ val pp_span : Format.formatter -> span -> unit
 
 val to_string : t -> string
 (** [to_string t] is {!pp} rendered to a string. *)
-
-(** {1 Test-only} *)
-
-val hours : int -> span
-(** [hours n] is a span of [n] hours. *)

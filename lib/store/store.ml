@@ -439,9 +439,6 @@ module Client = struct
             };
       }
 
-  let failed_over t =
-    match t.resilient with Some r -> r.failed | None -> false
-
   let start_next r =
     match r.queue with
     | [] -> ()

@@ -178,14 +178,10 @@ module Client : sig
       key — how a backup container downloads a connection's state. The
       values come as stored, heads still shared, so a reader can parse
       a shared head once. *)
-
-  (** {1 Test-only} *)
-
-  val failed_over : t -> bool
-  (** Whether the client has switched to its replica. *)
 end
 
 (** {1 Test-only} *)
 
 val free_cost_model : cost_model
-(** Zero processing cost — for unit tests that exercise semantics only. *)
+(** Kept: zero processing cost, for unit tests that exercise semantics
+    without the calibrated latencies. *)

@@ -32,4 +32,9 @@ val on_rto : t -> unit
 (** {1 Test-only} *)
 
 val ssthresh : t -> int
+(** Inspection: the slow-start threshold, which only steers {!window};
+    tests check fast retransmit halves it. *)
+
 val in_recovery : t -> bool
+(** Inspection: whether fast recovery is on, the state behind the
+    window's deflation that tests check. *)

@@ -8,8 +8,6 @@ type t = {
 let v local_addr local_port remote_addr remote_port =
   { local_addr; local_port; remote_addr; remote_port }
 
-let compare a b = Stdlib.compare a b
-
 let pp fmt t =
   Format.fprintf fmt "%a:%d<->%a:%d" Netsim.Addr.pp t.local_addr t.local_port
     Netsim.Addr.pp t.remote_addr t.remote_port

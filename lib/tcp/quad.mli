@@ -10,5 +10,4 @@ type t = {
 val v : Netsim.Addr.t -> int -> Netsim.Addr.t -> int -> t
 (** [v local_addr local_port remote_addr remote_port]. *)
 
-val compare : t -> t -> int
 val to_string : t -> string

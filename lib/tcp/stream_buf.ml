@@ -19,7 +19,6 @@ let create seq =
 
 let start_seq t = t.start
 let end_seq t = t.stop
-let is_empty t = t.count = 0
 
 let compact t =
   if t.head > 0 then begin

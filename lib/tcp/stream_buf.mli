@@ -37,6 +37,5 @@ val chunks_from : t -> seq:int -> (int * string) list
 (** {1 Test-only} *)
 
 val start_seq : t -> int
-(** Sequence number of the first retained byte. *)
-
-val is_empty : t -> bool
+(** Inspection: sequence number of the first retained byte, which tests
+    check {!drop_until} advances and clips. *)

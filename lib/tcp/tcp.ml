@@ -94,8 +94,6 @@ and conn = {
   mutable data_cb : string -> unit;
   mutable close_cb : close_reason -> unit;
   mutable remote_fin_cb : unit -> unit;
-  (* Stats. *)
-  mutable rtx : int;
 }
 
 let stack_node s = s.node
@@ -196,7 +194,6 @@ let retransmit_head c =
     c.rtt_sampling <- false (* Karn's rule *);
     match c.fin_seq with
     | Some fs when c.snd_una_v = fs ->
-        c.rtx <- c.rtx + 1;
         Telemetry.Registry.incr m_retx;
         if Telemetry.Gate.on () then
           Telemetry.Bus.emit c.stack.eng
@@ -207,8 +204,7 @@ let retransmit_head c =
         let data_end = Stream_buf.end_seq c.sndbuf in
         let len = min c.cmss (data_end - c.snd_una_v) in
         if len > 0 then begin
-          c.rtx <- c.rtx + 1;
-          Telemetry.Registry.incr m_retx;
+            Telemetry.Registry.incr m_retx;
           if Telemetry.Gate.on () then
             Telemetry.Bus.emit c.stack.eng
               (Telemetry.Event.Seg_retransmit
@@ -284,7 +280,6 @@ and retransmit_burst c ~upto =
   while !seq < stop do
     let len = min c.cmss (stop - !seq) in
     let payload = Stream_buf.read c.sndbuf ~seq:!seq ~len in
-    c.rtx <- c.rtx + 1;
     Telemetry.Registry.incr m_retx;
     send_seg c ~seq:!seq ~payload ();
     seq := !seq + len
@@ -540,7 +535,6 @@ let make_conn stack quad ~mss ~rcv_wnd ~iss ~state =
     data_cb = (fun _ -> ());
     close_cb = (fun _ -> ());
     remote_fin_cb = (fun () -> ());
-    rtx = 0;
   }
 
 let send_rst stack ~src ~dst (seg : Segment.t) =
@@ -629,7 +623,6 @@ let freeze_stack stack =
     Telemetry.Bus.emit stack.eng
       (Telemetry.Event.Session_frozen
          { node = Node.name stack.node; conns = Hashtbl.length stack.conns })
-let is_frozen stack = stack.frozen
 
 let listen stack ~port accept_cb = Hashtbl.replace stack.listeners port accept_cb
 
@@ -663,9 +656,6 @@ let connect stack ?src ?(mss = default_mss) ?(rcv_wnd = default_rcv_wnd) ~dst
   c.rtt_sent_at <- Engine.now stack.eng;
   arm_rto c;
   c
-
-let connections stack =
-  List.map snd (Det.bindings ~compare:Quad.compare stack.conns)
 
 let write c data =
   (match c.st with
@@ -708,7 +698,6 @@ let snd_una c = c.snd_una_v
 let snd_nxt c = c.snd_nxt_v
 let rcv_nxt c = c.rcv_nxt_v
 let delivered_bytes c = c.delivered
-let retransmits c = c.rtx
 (* lint: allow d3 — 0.0 is the exact "no RTT sample yet" sentinel assigned at creation, never computed *)
 let srtt c = if c.srtt_v = 0.0 then None else Some c.srtt_v
 

@@ -137,20 +137,26 @@ val import_repair : stack -> Repair.t -> conn
 
 (** {1 Test-only} *)
 
-val is_frozen : stack -> bool
-val connections : stack -> conn list
 val close : conn -> unit
-(** Graceful close: FIN after all written data. *)
+(** Kept: graceful close, a FIN after all written data, for closing a
+    BGP session gracefully after a NOTIFICATION, which the speaker does
+    not do yet (it aborts); test_tcp covers the FIN handshake meanwhile. *)
 
 val rcv_nxt : conn -> int
-val delivered_bytes : conn -> int
-(** Cumulative stream bytes handed to the application. The inferred
-    current ACK number is [irs + 1 + delivered_bytes]. *)
+(** Inspection: the ACK number the peer sees, which tests compare with
+    TENSOR's inferred ACK. *)
 
-val retransmits : conn -> int
+val delivered_bytes : conn -> int
+(** Inspection: cumulative stream bytes handed to the application. The
+    inferred current ACK number is [irs + 1 + delivered_bytes], which
+    tests check against {!rcv_nxt}. *)
+
 val srtt : conn -> float option
-(** Smoothed RTT in seconds, once sampled. *)
+(** Inspection: smoothed RTT in seconds, once sampled; only the RTO
+    reads it, so tests check the estimator here. *)
 
 val export_repair : conn -> Repair.t
-(** Snapshot of the live connection, sufficient to resurrect it
-    elsewhere. *)
+(** Kept: a snapshot of the live connection, sufficient to resurrect it
+    elsewhere. TENSOR rebuilds a connection from replicated state
+    instead; tests take a snapshot to drive {!import_repair} and to
+    check {!Repair.consistent} on live connections. *)

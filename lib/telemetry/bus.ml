@@ -54,12 +54,13 @@ let key =
 
 let state () = Domain.DLS.get key
 
-let cat_index c =
-  let rec find i = function
-    | [] -> 0
-    | c' :: rest -> if c' = c then i else find (i + 1) rest
-  in
-  find 0 Event.categories
+(* The category's position in [Event.categories], walked without a
+   closure: [emit] looks it up once per event. *)
+let rec index_from c i = function
+  | [] -> 0
+  | c' :: rest -> if c' = c then i else index_from c (i + 1) rest
+
+let cat_index c = index_from c 0 Event.categories
 
 let subscribe ?category fn =
   let st = state () in
@@ -139,12 +140,6 @@ let events ?category () =
       Array.to_list st.rings
       |> List.concat_map ring_entries
       |> List.sort (fun a b -> Int.compare a.seq b.seq)
-
-let total c = (state ()).rings.(cat_index c).total
-
-let dropped c =
-  let r = (state ()).rings.(cat_index c) in
-  r.total - r.len
 
 let dropped_total () =
   Array.fold_left (fun acc r -> acc + (r.total - r.len)) 0 (state ()).rings

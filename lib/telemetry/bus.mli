@@ -2,7 +2,7 @@
 
     One bounded ring buffer per {!Event.category}: when a category's
     buffer is full the oldest entry is overwritten (and counted in
-    {!dropped}), so a long run can keep telemetry on without unbounded
+    {!dropped_total}), so a long run can keep telemetry on without unbounded
     memory. A global sequence number totally orders entries across
     categories, including events emitted at the same simulated instant
     (emission order wins, matching the engine's FIFO tie-break).
@@ -49,16 +49,13 @@ val to_jsonl : Buffer.t -> unit
 (** {1 Test-only} *)
 
 val events : ?category:Event.category -> unit -> entry list
-(** Buffered entries, oldest first (globally ordered by [seq]). *)
+(** Inspection: buffered entries, oldest first (globally ordered by
+    [seq]), as values; {!to_jsonl} exports the same entries as text. *)
 
 val subscriber_count : unit -> int
-(** Number of live subscriptions (for tests/diagnostics). *)
-
-val total : Event.category -> int
-(** Events ever emitted to the category, including overwritten ones. *)
-
-val dropped : Event.category -> int
-(** Events lost to ring-buffer overwrite. *)
+(** Inspection: number of live subscriptions, so tests check that
+    {!Control.capture} releases its own. *)
 
 val set_capacity : int -> unit
-(** Per-category ring capacity (default 8192). Clears all buffers. *)
+(** Kept: per-category ring capacity (default 8192); clears all buffers.
+    Tests shrink the rings to make overwrites happen. *)

@@ -1,5 +1,4 @@
 let set_enabled = Gate.set
-let enabled = Gate.on
 
 let reset () =
   Bus.clear ();

@@ -25,7 +25,3 @@ val write_file : string -> string -> unit
 val export_dir : string -> unit
 (** Writes [metrics.csv], [metrics.json], [events.jsonl] and
     [spans.jsonl] into the directory, creating it if needed. *)
-
-(** {1 Test-only} *)
-
-val enabled : unit -> bool

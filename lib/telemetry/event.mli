@@ -118,18 +118,8 @@ type t =
 
 val category : t -> category
 
-type field = Int of int | Float of float | Str of string
-
 val to_json : t -> string
 (** One JSON object: [{"cat":...,"ev":...,"f":{...}}]. *)
 
 val json_escape : string -> string
 (** Escapes a string for embedding in a JSON string literal. *)
-
-(** {1 Test-only} *)
-
-val name : t -> string
-(** Snake-case constructor name, e.g. ["seg_retransmit"]. *)
-
-val fields : t -> (string * field) list
-(** The event's payload as a flat field list, for JSON export. *)

@@ -19,10 +19,6 @@ type histogram = {
   counts : int array;
   mutable n : int;
   mutable sum : float;
-  (* Observed extremes, so quantile q=0 / q=1 report real values rather
-     than bucket edges. NaN while empty. *)
-  mutable hmin : float;
-  mutable hmax : float;
 }
 
 type metric =
@@ -92,14 +88,7 @@ let histogram name =
   | Some _ -> kind_error name
   | None ->
       let h =
-        {
-          counts = Array.make nbuckets 0;
-          n = 0;
-          sum = 0.0;
-          hmin = Float.nan;
-          hmax = Float.nan;
-        }
-      in
+        { counts = Array.make nbuckets 0; n = 0; sum = 0.0 } in
       register name (Histogram (name, h));
       h
 
@@ -117,41 +106,10 @@ let bucket_bound i =
 let observe h v =
   h.counts.(bucket_index v) <- h.counts.(bucket_index v) + 1;
   h.n <- h.n + 1;
-  h.sum <- h.sum +. v;
-  if not (v >= h.hmin) then h.hmin <- v;
-  if not (v <= h.hmax) then h.hmax <- v
+  h.sum <- h.sum +. v
 
 let hist_count h = h.n
 let hist_sum h = h.sum
-let hist_min h = h.hmin
-let hist_max h = h.hmax
-
-let quantile h q =
-  if h.n = 0 || Float.is_nan q then Float.nan
-  else if q <= 0.0 then h.hmin
-  else if q >= 1.0 then h.hmax
-  else begin
-    let target = q *. float_of_int h.n in
-    let i = ref 0 and before = ref 0 in
-    while
-      !i < nbuckets - 1
-      && float_of_int (!before + h.counts.(!i)) < target
-    do
-      before := !before + h.counts.(!i);
-      i := !i + 1
-    done;
-    let i = !i in
-    (* Interpolate within bucket [lo, hi) by rank; the observed extremes
-       clamp the edge buckets to real values. *)
-    let lo = if i = 0 then Float.min h.hmin 0.0 else bucket_bound (i - 1) in
-    let hi = bucket_bound i in
-    let frac =
-      (target -. float_of_int !before) /. float_of_int h.counts.(i)
-    in
-    let v = lo +. (frac *. (hi -. lo)) in
-    Float.max h.hmin (Float.min h.hmax v)
-  end
-
 let buckets h =
   let acc = ref [] in
   for i = nbuckets - 1 downto 0 do
@@ -169,9 +127,7 @@ let reset_values () =
       | Histogram (_, h) ->
           Array.fill h.counts 0 nbuckets 0;
           h.n <- 0;
-          h.sum <- 0.0;
-          h.hmin <- Float.nan;
-          h.hmax <- Float.nan)
+          h.sum <- 0.0)
     (all ())
 
 let float_str f = Printf.sprintf "%.9g" f

@@ -72,22 +72,3 @@ val to_json : unit -> string
 
 val reset_values : unit -> unit
 (** Zeroes every metric, keeping registrations. *)
-
-(** {1 Test-only} *)
-
-val hist_min : histogram -> float
-(** Smallest observation (NaN while empty). *)
-
-val hist_max : histogram -> float
-(** Largest observation (NaN while empty). *)
-
-val quantile : histogram -> float -> float
-(** [quantile h q] estimates the [q]-quantile from the log buckets.
-    [q <= 0] returns the observed minimum and [q >= 1] the observed
-    maximum (real values, not bucket edges); interior quantiles
-    interpolate by rank within the covering bucket and are clamped to
-    the observed range. NaN when the histogram is empty or [q] is
-    NaN. *)
-
-val buckets : histogram -> (float * int) list
-(** Non-empty buckets as [(upper_bound, count)], bounds increasing. *)

@@ -76,5 +76,8 @@ val pp_tree : Format.formatter -> unit -> unit
 (** {1 Test-only} *)
 
 val children : id -> span list
+(** Inspection: a span's recorded children, so tests check the tree a
+    failover builds. *)
+
 val roots : unit -> span list
-(** Spans whose parent is absent or was never recorded. *)
+(** Inspection: spans whose parent is absent or was never recorded. *)

@@ -982,7 +982,8 @@ let crash_bgp t =
         ignore
           (Engine.schedule_after (Node.engine node) ~label:"app.fail_report"
              (Time.ms 10) (fun () ->
-               Rpc.call (Rpc.endpoint node) ~dst:ctrl ~service:"report"
+               Rpc.call (Rpc.endpoint node) ~dst:ctrl
+                 ~service:Orch.Controller.report_endpoint_service
                  (Orch.Controller.Report_app_failure t.cfg.service_id)
                  (fun _ -> ())))
     | None -> ()

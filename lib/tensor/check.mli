@@ -91,26 +91,3 @@ val run :
 (** Dispatch by scenario name ([?kind] applies to ["failover"]). With
     [?out], the artifacts go to [out/<name>/] (["degraded"] never
     migrates, so it has no critical path). *)
-
-(** {1 Test-only} *)
-
-val failover :
-  ?out:string -> ?kind:Orch.Controller.failure_kind -> unit ->
-  Monitor.Health.report
-(** Table 1 episode: inject [kind] (default container failure), let the
-    controller migrate, verify. Each scenario raises what its episode
-    raises; [?out] is {!checked}'s. *)
-
-val planned : ?out:string -> unit -> Monitor.Health.report
-(** §4.4 planned migration of a healthy primary. *)
-
-val split_brain : ?out:string -> unit -> Monitor.Health.report
-(** Host-network partition, migration, then partition heal: the old
-    primary must stay fenced (no dual speaker). *)
-
-val degraded : ?out:string -> unit -> Monitor.Health.report
-(** Store partitioned past the degrade deadline while routes keep
-    arriving: held ACKs must be shed within the configured bound
-    (NSR suspended, session alive), and after the store heals the
-    re-armed session must converge. The [degraded_mode_exclusion]
-    checker runs armed with the scenario's deadline. *)

@@ -38,5 +38,6 @@ val iperf :
 (** {1 Test-only} *)
 
 val threshold_ms : series -> float
-(** The largest measured delay whose throughput is still within 5 % of
+(** Inspection: the figure's threshold as a number, which the run only
+    prints. The largest measured delay whose throughput is still within 5 % of
     the zero-delay throughput. *)

@@ -21,3 +21,5 @@ val print : unit -> unit
 (** {1 Test-only} *)
 
 val rows : solution list
+(** Inspection: the table as data, so tests check its ratios without
+    parsing the printed table. *)

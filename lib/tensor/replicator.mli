@@ -179,17 +179,25 @@ val stop : t -> unit
 (** {1 Test-only} *)
 
 val watermark : t -> int option
-(** The replicated-ACK watermark (None before establishment). *)
+(** Inspection: the replicated-ACK watermark (None before
+    establishment), which tests compare with the stored one. *)
 
 val held_segments : t -> int
-(** Segments currently held by the tcp_queue. How long each one waited
+(** Inspection: segments currently held by the tcp_queue. How long each one waited
     before release — the acknowledgment delay TENSOR introduces (compare
     with the Figure 5(a) thresholds) — is observed, in seconds, into the
     [replicator.ack_hold_s] registry histogram. *)
 
 val on_rx_applied : t -> unit
-(** The oldest outstanding UPDATE was applied to the routing table: emit
-    its checkpoint-ordered deletion. {!speaker_hooks} calls it. *)
+(** Kept: the oldest outstanding UPDATE was applied to the routing
+    table, so emit its checkpoint-ordered deletion. {!speaker_hooks}
+    calls it; tests that drive a replicator without a speaker call it
+    directly. *)
 
 val bytes_written : t -> int
+(** Inspection: stream bytes replicated so far, the counter
+    {!resume_at} carries across a migration. *)
+
 val pending_unapplied : t -> int
+(** Inspection: received UPDATEs replicated but not yet applied, whose
+    replicas the trim must keep. *)

@@ -139,9 +139,6 @@ let of_span ?from_label ?to_label ~name () =
               events = List.length chain;
             })
 
-let segment_sum t =
-  List.fold_left (fun acc s -> acc + s.dur) 0 t.segments
-
 let to_text t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf

@@ -49,8 +49,3 @@ val to_text : t -> string
 val to_json : t -> string
 (** [{"span":..,"start_ns":..,"stop_ns":..,"total_ns":..,"events":..,
     "segments":[{"label":..,"dur_ns":..,"events":..},..]}] *)
-
-(** {1 Test-only} *)
-
-val segment_sum : t -> Sim.Time.span
-(** Sum of segment durations — always equals [total]. *)

@@ -62,4 +62,6 @@ val span_finish_binding : Telemetry.Span.id -> (int * int) option
 (** {1 Test-only} *)
 
 val dropped : unit -> int
-(** Dispatches not recorded because the node cap was reached. *)
+(** Inspection: dispatches not recorded because the node cap was reached;
+    no artifact reports the count, so tests read the cap's accounting
+    here. *)

@@ -31,8 +31,3 @@ val bytes_impacted : avg_bps:float -> downtime:Sim.Time.span -> float
 (** Traffic volume (bytes) affected by a link outage of the given
     duration — the paper's "a one-minute one-link downtime will impact
     277 GB of live traffic" arithmetic. *)
-
-(** {1 Test-only} *)
-
-val sample_link_bps : Sim.Rng.t -> params -> float
-(** One link's average throughput in bits per second. *)

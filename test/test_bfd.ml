@@ -76,13 +76,15 @@ let test_vrf_isolation () =
 let test_admin_stop_no_callbacks_after () =
   let eng, _, a, b, _, addr_a, addr_b = pair () in
   let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  ignore (Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a ());
+  let sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
   Engine.run_for eng (Time.sec 1);
   Bfd.stop_session sa;
   checkb "admin down" true (Bfd.session_state sa = Bfd.Admin_down);
-  let sent_before = Bfd.packets_out sa in
+  (* Past the last packet in flight, b hears nothing more from a. *)
+  Engine.run_for eng (Time.ms 10);
+  let last_heard = Bfd.last_rx sb in
   Engine.run_for eng (Time.sec 2);
-  checki "no more transmissions" sent_before (Bfd.packets_out sa)
+  checkb "no more transmissions" true (Bfd.last_rx sb = last_heard)
 
 let test_relay_masks_failure () =
   (* Topology: peer -- router -- {container-host, agent}. When the
@@ -126,7 +128,6 @@ let test_relay_masks_failure () =
   Engine.run_for eng (Time.sec 5);
   checkb "peer still up thanks to relay" true
     (Bfd.session_state s_peer = Bfd.Up);
-  checkb "relay transmitted" true (Bfd.Relay.packets_sent relay > 30);
   (* Without the relay the peer would detect within 300 ms. *)
   Bfd.Relay.stop relay;
   Engine.run_for eng (Time.sec 2);
@@ -182,8 +183,8 @@ let test_shorter_interval_rearms_earlier () =
   Bfd.set_tx_interval sb (Time.ms 20);
   (* Let anything sent at the old interval land first. *)
   Engine.run_for eng (Time.ms 1);
-  let n0 = Bfd.packets_in sa in
-  while Bfd.packets_in sa = n0 do
+  let rx0 = Bfd.last_rx sa in
+  while Bfd.last_rx sa = rx0 do
     Engine.run_for eng (Time.us 100)
   done;
   Node.set_up b false;

@@ -174,7 +174,7 @@ let test_framer_reassembles () =
         (Bgp.Msg.Framer.push framer (String.make 1 c)))
     stream;
   checkb "all reassembled" true (List.rev !out = msgs);
-  checki "nothing buffered" 0 (Bgp.Msg.Framer.buffered framer)
+  checki "nothing buffered" 0 (String.length (Bgp.Msg.Framer.buffered_bytes framer))
 
 let test_framer_poisons_on_error () =
   let framer = Bgp.Msg.Framer.create () in
@@ -224,7 +224,7 @@ let test_framer_many_frames_per_push () =
   let rest = String.sub f.(3) cut (String.length f.(3) - cut) in
   let second = Bgp.Msg.Framer.push framer (rest ^ String.sub f.(4) 0 5) in
   Alcotest.(check (list string)) "fourth frame" [ f.(3) ] (frames_of second);
-  checki "fifth's head held" 5 (Bgp.Msg.Framer.buffered framer)
+  checki "fifth's head held" 5 (String.length (Bgp.Msg.Framer.buffered_bytes framer))
 
 (* --- RIB ----------------------------------------------------------------- *)
 
@@ -492,6 +492,9 @@ let test_rib_digest_allocation () =
    whole-table traversal a collect-then-sort over (prefix, entry) pairs.
    The decision process is [Bgp.Rib.better] itself: the property below
    checks the table, not RFC 4271. *)
+(* A change buffer's contents, in order. *)
+let changes_list c = List.init (Bgp.Rib.Changes.length c) (Bgp.Rib.Changes.change c)
+
 module Ref_rib = struct
   open Bgp.Rib
 
@@ -755,7 +758,7 @@ let apply_both rib ref_rib op =
       in
       let changes = Bgp.Rib.Changes.create () in
       List.iter (fun p -> Bgp.Rib.install rib path p changes) ps;
-      (List.rev expected, Bgp.Rib.Changes.to_list changes, Some ps)
+      (List.rev expected, changes_list changes, Some ps)
   | Mark s ->
       agree_int "marked"
         (Ref_rib.mark_source_stale ref_rib ~key:(key s))
@@ -764,11 +767,11 @@ let apply_both rib ref_rib op =
   | Sweep s ->
       let changes = Bgp.Rib.Changes.create () in
       Bgp.Rib.sweep_stale rib ~key:(key s) changes;
-      (Ref_rib.sweep_stale ref_rib ~key:(key s), Bgp.Rib.Changes.to_list changes, None)
+      (Ref_rib.sweep_stale ref_rib ~key:(key s), changes_list changes, None)
   | Remove s ->
       let changes = Bgp.Rib.Changes.create () in
       Bgp.Rib.remove_source rib ~key:(key s) changes;
-      (Ref_rib.remove_source ref_rib ~key:(key s), Bgp.Rib.Changes.to_list changes, None)
+      (Ref_rib.remove_source ref_rib ~key:(key s), changes_list changes, None)
 
 let universe = List.init 600 rib_prefix
 
@@ -1451,11 +1454,11 @@ let test_speaker_packing_matches_reference () =
           | _ -> ());
     }
   in
-  let eng, spk_a, spk_b, _, _ = speaker_pair ~policy_out_a:policy ~hooks_b () in
-  let export = ebgp_export ~asn:65001 ~next_hop:(Bgp.Speaker.router_id spk_a) policy in
+  let eng, spk_a, spk_b, _, peer_b = speaker_pair ~policy_out_a:policy ~hooks_b () in
+  let rid_a = (Bgp.Speaker.peer_cfg peer_b).Bgp.Speaker.remote_addr in
+  let export = ebgp_export ~asn:65001 ~next_hop:rid_a policy in
   let attrs med =
-    Bgp.Attrs.make ~med ~as_path:[ Bgp.Attrs.Seq [ 64512 ] ]
-      ~next_hop:(Bgp.Speaker.router_id spk_a) ()
+    Bgp.Attrs.make ~med ~as_path:[ Bgp.Attrs.Seq [ 64512 ] ] ~next_hop:rid_a ()
   in
   let p28 i =
     Addr.prefix (Addr.of_octets 10 (i mod 3) (i / 3 mod 256) (i / 768 * 16)) 28
@@ -1514,7 +1517,7 @@ let test_speaker_packing_matches_reference () =
 let originate_bytes_per_route_bound = 342.7 /. 2.
 
 let test_speaker_originate_allocation () =
-  let eng, spk_a, spk_b, _, _ = speaker_pair () in
+  let eng, spk_a, spk_b, _, peer_b = speaker_pair () in
   Engine.run_for eng (Time.sec 5);
   let groups = 40 and per_group = 500 in
   let n = groups * per_group in
@@ -1523,7 +1526,7 @@ let test_speaker_originate_allocation () =
         ( Bgp.Attrs.make ~med:g
             ~as_path:[ Bgp.Attrs.Seq [ 64512; 64513 ] ]
             ~communities:[ (64512, g) ]
-            ~next_hop:(Bgp.Speaker.router_id spk_a) (),
+            ~next_hop:(Bgp.Speaker.peer_cfg peer_b).Bgp.Speaker.remote_addr (),
           List.init per_group (fun i ->
               let j = (g * per_group) + i in
               Addr.prefix (Addr.of_octets 10 (j / 256) (j mod 256) 0) 24) ))
@@ -1624,9 +1627,15 @@ let prop_decision_deterministic =
         | None -> "none"
       in
       let shuffled =
+        (* Fisher–Yates over the seeded generator. *)
         let arr = Array.of_list paths in
         let r = Rng.create seed in
-        Rng.shuffle r arr;
+        for i = Array.length arr - 1 downto 1 do
+          let j = Rng.int r (i + 1) in
+          let tmp = arr.(i) in
+          arr.(i) <- arr.(j);
+          arr.(j) <- tmp
+        done;
         Array.to_list arr
       in
       String.equal (best_of paths) (best_of shuffled))
@@ -1681,13 +1690,16 @@ let gen_packing_case =
 let change_buffer adverts withdraws =
   let buf = Bgp.Rib.Changes.create () in
   let source = src "packer" "192.0.2.9" in
+  let scratch = Bgp.Rib.create () in
   let rec go i adverts withdraws =
     match (adverts, withdraws) with
     | (p, attrs) :: adverts, _ when i mod 3 <> 0 || withdraws = [] ->
         Bgp.Rib.Changes.add buf p { Bgp.Rib.source; attrs; stale = false };
         go (i + 1) adverts withdraws
     | _, w :: withdraws ->
-        Bgp.Rib.Changes.add_withdrawn buf w;
+        (* A withdrawal change as the table reports one. *)
+        ignore (Bgp.Rib.update scratch source w (Some full_attrs));
+        Bgp.Rib.withdraw scratch source w buf;
         go (i + 1) adverts withdraws
     | _, [] -> ()
   in

@@ -701,15 +701,16 @@ let test_corpus_roundtrip () =
       let d2 = Chaos.Descriptor.generate ~seed:12 in
       let p1 = Chaos.Corpus.save ~dir ~comment:"first\nsecond line" d1 in
       let _p2 = Chaos.Corpus.save ~dir d2 in
-      (match Chaos.Corpus.load_file p1 with
-      | Ok d -> checkb "comment lines skipped" true (Chaos.Descriptor.equal d d1)
-      | Error e -> Alcotest.failf "load_file: %s" e);
       let entries = Chaos.Corpus.load_dir dir in
       checki "both entries listed" 2 (List.length entries);
+      (match List.assoc_opt (Filename.basename p1) entries with
+      | Some (Ok d) -> checkb "comment lines skipped" true (Chaos.Descriptor.equal d d1)
+      | Some (Error e) -> Alcotest.failf "first entry: %s" e
+      | None -> Alcotest.fail "first entry not listed");
       List.iter
         (fun (name, parsed) ->
           checkb "chaos extension" true
-            (Filename.check_suffix name Chaos.Corpus.entry_extension);
+            (Filename.check_suffix name ".chaos");
           match parsed with
           | Ok d ->
               checkb "entry parses to a saved descriptor" true
@@ -841,17 +842,16 @@ let test_observed_run_matches_bare () =
       (In_channel.with_open_bin (Filename.concat dir "health.json")
          In_channel.input_all)
   in
-  let num path j = Option.bind (Monitor.Json.path path j) Monitor.Json.to_int in
+  let num key j = Option.bind (Monitor.Json.member key j) Monitor.Json.to_int in
+  let cp = Monitor.Json.member "critical_path" health in
   match
-    ( num [ "critical_path"; "total_ns" ] health,
-      Option.bind
-        (Monitor.Json.path [ "critical_path"; "segments" ] health)
-        Monitor.Json.to_list )
+    ( Option.bind cp (num "total_ns"),
+      Option.bind (Option.bind cp (Monitor.Json.member "segments")) Monitor.Json.to_list )
   with
   | Some total, Some (_ :: _ as segments) ->
       checki "segments sum to the recovery span" total
         (List.fold_left
-           (fun acc seg -> acc + Option.value ~default:0 (num [ "dur_ns" ] seg))
+           (fun acc seg -> acc + Option.value ~default:0 (num "dur_ns" seg))
            0 segments)
   | _ -> Alcotest.fail "health.json has no critical path"
 
@@ -908,11 +908,14 @@ let test_campaign_captures_and_saves () =
               match (f.Chaos.Fuzz.shrunk, f.Chaos.Fuzz.saved) with
               | Some s, Some path ->
                   checkb "saved entry exists" true (Sys.file_exists path);
-                  (match Chaos.Corpus.load_file path with
-                  | Ok d ->
+                  (match
+                     List.assoc_opt (Filename.basename path) (Chaos.Corpus.load_dir dir)
+                   with
+                  | Some (Ok d) ->
                       checkb "saved entry is the minimal descriptor" true
                         (Chaos.Descriptor.equal d s.Chaos.Shrink.minimal)
-                  | Error e -> Alcotest.failf "saved entry: %s" e)
+                  | Some (Error e) -> Alcotest.failf "saved entry: %s" e
+                  | None -> Alcotest.fail "saved entry not in the corpus dir")
               | _ -> Alcotest.fail "failure missing shrink result or path")))
 
 let () =

@@ -45,21 +45,23 @@ let test_tcp_src_must_be_local () =
 
 let test_tcp_freeze_silences_everything () =
   let eng, _, _, sa, sb, _, addr_b = tcp_pair () in
-  let got = ref 0 in
-  Tcp.listen sb ~port:80 (fun c -> Tcp.on_data c (fun d -> got := !got + String.length d));
+  let got = ref 0 and accepted = ref [] in
+  Tcp.listen sb ~port:80 (fun c ->
+      accepted := c :: !accepted;
+      Tcp.on_data c (fun d -> got := !got + String.length d));
   let c = Tcp.connect sa ~dst:addr_b ~dst_port:80 () in
   Tcp.on_established c (fun () -> Tcp.write c (String.make 10_000 'x'));
   Engine.run_for eng (Time.sec 1);
   checki "delivered before freeze" 10_000 !got;
   Tcp.freeze_stack sa;
-  checkb "frozen" true (Tcp.is_frozen sa);
   (* Writes already queued and retransmission timers must emit nothing. *)
   Engine.run_for eng (Time.minutes 2);
   checki "nothing more" 10_000 !got;
   checkb "no RST/FIN at the peer: conn still looks alive" true
-    (List.for_all
+    (!accepted <> []
+    && List.for_all
        (fun c' -> Tcp.state c' = Tcp.Established)
-       (Tcp.connections sb))
+       !accepted)
 
 let test_tcp_import_duplicate_quad_rejected () =
   let eng, _, _, sa, sb, _, addr_b = tcp_pair () in
@@ -125,18 +127,21 @@ let test_speaker_vrf_isolation () =
     Bgp.Speaker.create ~stack ~local_asn:64900
       ~router_id:(Addr.of_string "10.9.9.9") ()
   in
-  Bgp.Speaker.add_vrf spk "red";
-  Bgp.Speaker.add_vrf spk "blue";
+  let size vrf =
+    match Bgp.Speaker.rib spk ~vrf with
+    | rib -> Bgp.Rib.size rib
+    | exception Not_found -> 0
+  in
   let p = Addr.prefix_of_string "198.18.0.0/16" in
   Bgp.Speaker.originate spk ~vrf:"red" [ p ];
   Engine.run_for eng (Time.ms 100);
-  checki "red has it" 1 (Bgp.Rib.size (Bgp.Speaker.rib spk ~vrf:"red"));
-  checki "blue does not" 0 (Bgp.Rib.size (Bgp.Speaker.rib spk ~vrf:"blue"));
+  checki "red has it" 1 (size "red");
+  checki "blue does not" 0 (size "blue");
   Bgp.Speaker.originate spk ~vrf:"blue" [ p ];
   Bgp.Speaker.withdraw_origin spk ~vrf:"red" [ p ];
   Engine.run_for eng (Time.ms 100);
-  checki "red empty after withdraw" 0 (Bgp.Rib.size (Bgp.Speaker.rib spk ~vrf:"red"));
-  checki "blue unaffected" 1 (Bgp.Rib.size (Bgp.Speaker.rib spk ~vrf:"blue"))
+  checki "red empty after withdraw" 0 (size "red");
+  checki "blue unaffected" 1 (size "blue")
 
 (* --- Store boundaries --------------------------------------------------------- *)
 

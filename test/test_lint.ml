@@ -593,13 +593,20 @@ let i1_report (findings, _) =
       if f.pass <> "i1" then None
       else if has "no other module" then Some (name ^ " unread")
       else if has "only by tests" then Some (name ^ " tests only")
+      else if has "without a doc comment" then Some (name ^ " undocumented")
       else Some (name ^ " misplaced"))
     findings
 
 let test_i1_reader_idioms () =
   let both = [ "Alpha.helper"; "Alpha.Sub.get" ] in
   let kind k = List.map (fun n -> n ^ " " ^ k) both in
-  let test_only = "(** {1 Test-only} *)\n\n" ^ alpha_intf in
+  let heading = "(** {1 Test-only} *)\n\n" in
+  (* Under the heading, each val says why it stays. *)
+  let test_only =
+    heading
+    ^ "val helper : int -> int\n(** Kept: why. *)\n\n\
+       module Sub : sig\n  val get : int -> int\n  (** Inspection: why. *)\nend\n"
+  in
   let uses = "let () = ignore (Alpha.helper (Alpha.Sub.get 1))\n" in
   let lib src = [ ("lib/bar/beta.ml", src) ] in
   (* (idiom, interface, linted readers, reader-only sources, expected) *)
@@ -622,6 +629,8 @@ let test_i1_reader_idioms () =
         kind "tests only" );
       ("test-only heading", test_only, [], [ ("test/test_alpha.ml", uses) ], []);
       ("test-only heading, product reader", test_only, lib uses, [], kind "misplaced");
+      ( "test-only heading, no reason given", heading ^ alpha_intf, [],
+        [ ("test/test_alpha.ml", uses) ], kind "undocumented" );
       ( "suppressed",
         "(* lint: allow i1 -- kept for a reason *)\n" ^ alpha_intf,
         lib "let f = Alpha.Sub.get\n", [], [] );

@@ -74,7 +74,7 @@ let prop_stream_buf_chunks_tile =
         | (seq, data) :: rest ->
             seq = pos && tiles (pos + String.length data) rest
       in
-      Tcp.Stream_buf.is_empty sb || tiles start chunks)
+      tiles start chunks)
 
 (* --- RIB vs a reference assoc-map ----------------------------------------- *)
 

@@ -40,11 +40,16 @@ let assert_trips_exactly (r : Monitor.Health.report) name =
                  (List.map (fun v -> v.Monitor.Checker.detail) vs)))
     r.Monitor.Health.checkers
 
+(* One checked scenario through the product dispatch, [tensor-cli check]'s. *)
+let run_scenario ?kind name =
+  match Tensor.Check.run ?kind name with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
 (* --- Clean scenarios ------------------------------------------------------- *)
 
 let test_clean_failover () =
-  Monitor.Faults.reset ();
-  let r = Tensor.Check.failover () in
+  let r = run_scenario "failover" in
   assert_all_pass r;
   checkb "report ok" true (Monitor.Health.ok r);
   checkb "saw events" true (r.Monitor.Health.events_seen > 0);
@@ -62,63 +67,59 @@ let test_clean_failover () =
   checkb "snapshots non-empty" true (List.for_all (fun s -> s > 0) snaps)
 
 let test_clean_planned () =
-  Monitor.Faults.reset ();
-  let r = Tensor.Check.planned () in
+  let r = run_scenario "planned" in
   assert_all_pass r;
   checkb "report ok" true (Monitor.Health.ok r)
 
 let test_clean_split_brain () =
-  Monitor.Faults.reset ();
-  let r = Tensor.Check.split_brain () in
+  let r = run_scenario "split-brain" in
   assert_all_pass r;
   checkb "report ok" true (Monitor.Health.ok r)
 
 (* --- Mutation tests: one fault, one checker ------------------------------- *)
 
 let mutation fault scenario checker () =
-  Monitor.Faults.reset ();
   let r = Monitor.Faults.with_fault fault scenario in
   assert_trips_exactly r checker;
   checkb "report not ok" false (Monitor.Health.ok r)
 
 let test_peer_reset =
   mutation Monitor.Faults.peer_reset
-    (fun () -> Tensor.Check.failover ~kind:Orch.Controller.App_failure ())
+    (fun () -> run_scenario ~kind:Orch.Controller.App_failure "failover")
     "no_peer_visible_reset"
 
 let test_repair_gap =
   mutation Monitor.Faults.repair_gap
-    (fun () -> Tensor.Check.failover ())
+    (fun () -> run_scenario "failover")
     "tcp_stream_continuity"
 
 let test_early_ack_release =
   mutation Monitor.Faults.early_ack_release
-    (fun () -> Tensor.Check.failover ())
+    (fun () -> run_scenario "failover")
     "held_ack_safety"
 
 let test_skip_rib_restore =
   mutation Monitor.Faults.skip_rib_restore
-    (fun () -> Tensor.Check.failover ())
+    (fun () -> run_scenario "failover")
     "rib_convergence"
 
 let test_no_fence =
   mutation Monitor.Faults.no_fence
-    (fun () -> Tensor.Check.planned ())
+    (fun () -> run_scenario "planned")
     "split_brain_exclusion"
 
 let test_flap_on_migration =
   mutation Monitor.Faults.flap_on_migration
-    (fun () -> Tensor.Check.planned ())
+    (fun () -> run_scenario "planned")
     "route_flap_absence"
 
 let test_leak_held_acks =
   mutation Monitor.Faults.leak_held_acks
-    (fun () -> Tensor.Check.failover ())
+    (fun () -> run_scenario "failover")
     "queue_drain"
 
 let test_clean_degraded () =
-  Monitor.Faults.reset ();
-  let r = Tensor.Check.degraded () in
+  let r = run_scenario "degraded" in
   assert_all_pass r;
   checkb "report ok" true (Monitor.Health.ok r);
   (* Not vacuous: the store outage really pushed the session through a
@@ -135,7 +136,7 @@ let test_clean_degraded () =
 
 let test_late_degrade =
   mutation Monitor.Faults.late_degrade
-    (fun () -> Tensor.Check.degraded ())
+    (fun () -> run_scenario "degraded")
     "degraded_mode_exclusion"
 
 (* The BFD bound needs an actual BFD detection, which the NSR scenarios
@@ -162,7 +163,6 @@ let bfd_detect_report () =
   r
 
 let test_bfd_clean () =
-  Monitor.Faults.reset ();
   let r = bfd_detect_report () in
   (match checker_result r "bfd_detection_bound" with
   | Monitor.Checker.Pass -> ()
@@ -177,15 +177,13 @@ let test_bfd_clean () =
        (Telemetry.Bus.events ()))
 
 let test_bfd_slow_detect () =
-  Monitor.Faults.reset ();
   let r = Monitor.Faults.with_fault Monitor.Faults.bfd_slow_detect bfd_detect_report in
   assert_trips_exactly r "bfd_detection_bound"
 
 (* --- Health report rendering ----------------------------------------------- *)
 
 let test_health_json_parses () =
-  Monitor.Faults.reset ();
-  let r = Tensor.Check.planned () in
+  let r = run_scenario "planned" in
   let j = Monitor.Json.parse_exn (Monitor.Health.to_json r) in
   let get k = Option.get (Monitor.Json.member k j) in
   checkb "ok field" true (Monitor.Json.to_bool (get "ok") = Some true);
@@ -210,10 +208,9 @@ let test_health_json_parses () =
 
 let test_health_json_violation_shape () =
   (* A violating run's JSON must carry seq/span/detail per violation. *)
-  Monitor.Faults.reset ();
   let r =
     Monitor.Faults.with_fault Monitor.Faults.repair_gap (fun () ->
-        Tensor.Check.failover ())
+        run_scenario "failover")
   in
   let j = Monitor.Json.parse_exn (Monitor.Health.to_json r) in
   checkb "not ok" true
@@ -253,8 +250,10 @@ let test_json_parser () =
     = Some 3);
   checks "escapes" "q\"\\\nA"
     (Option.get (Option.bind (Monitor.Json.member "s" j) Monitor.Json.to_str));
-  checkb "nested path" true
-    (Option.bind (Monitor.Json.path [ "o"; "k" ] j) Monitor.Json.to_int
+  checkb "nested member" true
+    (Option.bind
+       (Option.bind (Monitor.Json.member "o" j) (Monitor.Json.member "k"))
+       Monitor.Json.to_int
     = Some 7);
   checkb "null" true (Monitor.Json.member "n" j = Some Monitor.Json.Null);
   checkb "rejects garbage" true

@@ -12,20 +12,27 @@ let pkt ?(src = "1.1.1.1") ?(dst = "2.2.2.2") ?(size = 64) () =
   Packet.make ~src:(Addr.of_string src) ~dst:(Addr.of_string dst) ~size
     (Packet.Raw "x")
 
+(* Verdict counts, read off the registry's [netfilter.*] counters: each
+   test zeroes them first, its chain being the only one traversed. *)
+let count verdict =
+  Telemetry.Registry.value (Telemetry.Registry.counter ("netfilter." ^ verdict))
+
 let test_empty_chain_accepts () =
+  Telemetry.Registry.reset_values ();
   let chain = Netfilter.create () in
   let emitted = ref 0 in
   Netfilter.traverse chain (pkt ()) ~emit:(fun _ -> incr emitted);
   checki "emitted" 1 !emitted;
-  checki "accepted counter" 1 (Netfilter.accepted chain)
+  checki "accepted counter" 1 (count "accepted")
 
 let test_drop_rule () =
+  Telemetry.Registry.reset_values ();
   let chain = Netfilter.create () in
   ignore (Netfilter.add_rule chain (fun _ -> Netfilter.Drop));
   let emitted = ref 0 in
   Netfilter.traverse chain (pkt ()) ~emit:(fun _ -> incr emitted);
   checki "nothing emitted" 0 !emitted;
-  checki "dropped counter" 1 (Netfilter.dropped chain)
+  checki "dropped counter" 1 (count "dropped")
 
 let test_priority_order () =
   let chain = Netfilter.create () in
@@ -63,12 +70,13 @@ let test_remove_rule () =
 let test_queue_without_consumer_drops () =
   (* Real NFQUEUE semantics: reader-less queues drop. This is what hides
      a crashed BGP process's kernel FIN/RST from the remote peer. *)
+  Telemetry.Registry.reset_values ();
   let chain = Netfilter.create () in
   ignore (Netfilter.add_rule chain (fun _ -> Netfilter.Queue 0));
   let emitted = ref 0 in
   Netfilter.traverse chain (pkt ()) ~emit:(fun _ -> incr emitted);
   checki "dropped" 0 !emitted;
-  checki "drop counter" 1 (Netfilter.dropped chain)
+  checki "drop counter" 1 (count "dropped")
 
 let test_queue_consumer_holds_and_releases () =
   let eng = Engine.create () in
@@ -88,6 +96,7 @@ let test_queue_consumer_holds_and_releases () =
   checki "backlog drained" 0 (Netfilter.backlog q)
 
 let test_queue_consumer_drop_verdict () =
+  Telemetry.Registry.reset_values ();
   let chain = Netfilter.create () in
   ignore (Netfilter.add_rule chain (fun _ -> Netfilter.Queue 0));
   Netfilter.set_consumer (Netfilter.queue chain 0) (fun _ ~reinject ->
@@ -95,7 +104,7 @@ let test_queue_consumer_drop_verdict () =
   let emitted = ref 0 in
   Netfilter.traverse chain (pkt ()) ~emit:(fun _ -> incr emitted);
   checki "consumer dropped it" 0 !emitted;
-  checki "dropped counter" 1 (Netfilter.dropped chain)
+  checki "dropped counter" 1 (count "dropped")
 
 let test_reinject_exactly_once () =
   let chain = Netfilter.create () in
@@ -150,6 +159,7 @@ let prop_verdict_conservation =
     ~count:100
     QCheck.(list (int_bound 2))
     (fun verdicts ->
+      Telemetry.Registry.reset_values ();
       let chain = Netfilter.create () in
       ignore
         (Netfilter.add_rule chain (fun p ->
@@ -166,9 +176,8 @@ let prop_verdict_conservation =
           Netfilter.traverse chain (pkt ~size:(i + 1) ()) ~emit:(fun _ ->
               incr emitted))
         verdicts;
-      Netfilter.accepted chain + Netfilter.dropped chain
-      = List.length verdicts
-      && !emitted = Netfilter.accepted chain)
+      count "accepted" + count "dropped" = List.length verdicts
+      && !emitted = count "accepted")
 
 let () =
   Alcotest.run "netfilter"

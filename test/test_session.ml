@@ -29,13 +29,29 @@ let make_rig () =
     addr_b;
   }
 
+(* An active session config: the default hold time, port 179, GR
+   advertised at 120 s, AS4 on; tests override fields with [with]. *)
+let default_config ~local_asn ~router_id ~peer_addr () =
+  {
+    Bgp.Session.local_asn;
+    router_id;
+    local_addr = None;
+    peer_addr;
+    peer_asn = None;
+    hold_time = Bgp.Session.default_hold_time;
+    port = 179;
+    passive = false;
+    graceful_restart = Some 120;
+    as4 = true;
+  }
+
 (* A passive responder session on stack_b accepting from [addr]. *)
 let passive_responder ?(local_asn = 65002) ?(hold_time = 90)
     ?(graceful_restart = Some 120) r ~events () =
   Tcp.listen r.stack_b ~port:179 (fun conn ->
       let cfg =
         {
-          (Bgp.Session.default_config ~local_asn ~router_id:r.addr_b
+          (default_config ~local_asn ~router_id:r.addr_b
              ~peer_addr:r.addr_a ())
           with
           Bgp.Session.hold_time;
@@ -52,7 +68,7 @@ let test_handshake_negotiates () =
   passive_responder r ~events:events_b ();
   let cfg_a =
     {
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       with
       Bgp.Session.hold_time = 30 (* lower than B's 90: min wins *);
@@ -87,7 +103,7 @@ let test_wrong_asn_rejected () =
   passive_responder r ~events:events_b ();
   let cfg_a =
     {
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       with
       Bgp.Session.peer_asn = Some 64999 (* expecting the wrong AS *);
@@ -114,7 +130,7 @@ let test_as4_disabled_falls_back () =
   passive_responder r ~events:events_b ();
   let cfg_a =
     {
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       with
       Bgp.Session.as4 = false;
@@ -134,7 +150,7 @@ let test_hold_timer_kills_quiet_session () =
   passive_responder r ~hold_time:9 ~events:events_b ();
   let cfg_a =
     {
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       with
       Bgp.Session.hold_time = 9;
@@ -169,7 +185,7 @@ let test_keepalives_flow_without_updates () =
   passive_responder r ~hold_time:9 ~events:events_b ();
   let cfg_a =
     {
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       with
       Bgp.Session.hold_time = 9;
@@ -187,7 +203,7 @@ let test_pre_send_hook_covers_keepalives () =
   passive_responder r ~hold_time:9 ~events:events_b ();
   let cfg_a =
     {
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       with
       Bgp.Session.hold_time = 9;
@@ -207,7 +223,7 @@ let test_on_message_sees_all_types () =
   passive_responder r ~events:events_b ();
   let sa =
     Bgp.Session.start_active r.stack_a
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       ~cb:(fun _ _ -> ())
   in
@@ -231,14 +247,14 @@ let test_parsed_bytes_tracks_stream () =
   let sb = ref None in
   Tcp.listen r.stack_b ~port:179 (fun conn ->
       let cfg =
-        Bgp.Session.default_config ~local_asn:65002 ~router_id:r.addr_b
+        default_config ~local_asn:65002 ~router_id:r.addr_b
           ~peer_addr:r.addr_a ()
       in
       sb :=
         Some (Bgp.Session.accept_passive r.stack_b cfg ~conn ~cb:(fun _ _ -> ())));
   let sa =
     Bgp.Session.start_active r.stack_a
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       ~cb:(fun _ _ -> ())
   in
@@ -258,7 +274,7 @@ let test_stop_sends_cease () =
   let down_b = ref None in
   Tcp.listen r.stack_b ~port:179 (fun conn ->
       let cfg =
-        Bgp.Session.default_config ~local_asn:65002 ~router_id:r.addr_b
+        default_config ~local_asn:65002 ~router_id:r.addr_b
           ~peer_addr:r.addr_a ()
       in
       ignore
@@ -268,7 +284,7 @@ let test_stop_sends_cease () =
              | _ -> ())));
   let sa =
     Bgp.Session.start_active r.stack_a
-      (Bgp.Session.default_config ~local_asn:65001 ~router_id:r.addr_a
+      (default_config ~local_asn:65001 ~router_id:r.addr_a
          ~peer_addr:r.addr_b ())
       ~cb:(fun _ _ -> ())
   in

@@ -13,8 +13,7 @@ let test_time_units () =
   checki "us" 1_000 (Time.us 1);
   checki "ms" 1_000_000 (Time.ms 1);
   checki "sec" 1_000_000_000 (Time.sec 1);
-  checki "minutes" 60_000_000_000 (Time.minutes 1);
-  checki "hours" 3_600_000_000_000 (Time.hours 1)
+  checki "minutes" 60_000_000_000 (Time.minutes 1)
 
 let test_time_conversions () =
   checki "of_sec_f" (Time.sec 2) (Time.of_sec_f 2.0);
@@ -106,9 +105,9 @@ let test_engine_cancel () =
   let eng = Engine.create () in
   let hits = ref 0 in
   let h = Engine.schedule_after eng (Time.ms 1) (fun () -> incr hits) in
-  checkb "pending before" true (Engine.is_pending h);
+  checki "pending before" 1 (Engine.pending_events eng);
   Engine.cancel h;
-  checkb "pending after" false (Engine.is_pending h);
+  checki "pending after" 0 (Engine.pending_events eng);
   Engine.cancel h (* double cancel is a no-op *);
   Engine.run eng;
   checki "cancelled did not fire" 0 !hits;
@@ -203,12 +202,12 @@ let test_engine_processed_count () =
 let test_rng_deterministic () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    checki "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create 1 and b = Rng.create 2 in
-  checkb "different streams" false (Rng.bits64 a = Rng.bits64 b)
+  checkb "different streams" false (Rng.int a max_int = Rng.int b max_int)
 
 let test_rng_int_bounds () =
   let r = Rng.create 3 in
@@ -234,17 +233,7 @@ let test_rng_float_bounds () =
 let test_rng_split_independence () =
   let a = Rng.create 9 in
   let b = Rng.split a in
-  checkb "split differs" false (Rng.bits64 a = Rng.bits64 b)
-
-let test_rng_exponential_mean () =
-  let r = Rng.create 11 in
-  let n = 20_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    sum := !sum +. Rng.exponential r 3.0
-  done;
-  let mean = !sum /. float_of_int n in
-  checkb "mean near 3" true (mean > 2.8 && mean < 3.2)
+  checkb "split differs" false (Rng.int a max_int = Rng.int b max_int)
 
 let test_rng_lognormal_median () =
   let r = Rng.create 13 in
@@ -254,16 +243,6 @@ let test_rng_lognormal_median () =
   let median = vals.(n / 2) in
   (* exp 2 ~ 7.389 *)
   checkb "median near e^2" true (median > 6.5 && median < 8.3)
-
-let test_rng_shuffle_permutation () =
-  let r = Rng.create 15 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  check (Alcotest.array Alcotest.int) "is a permutation"
-    (Array.init 50 (fun i -> i))
-    sorted
 
 (* --- Property tests ---------------------------------------------------- *)
 
@@ -961,8 +940,6 @@ module Ref = struct
     let seed = bits64 t in
     { state = mix64 seed }
 
-  let copy t = { state = t.state }
-
   let int t bound =
     let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
     v mod bound
@@ -973,29 +950,18 @@ module Ref = struct
     let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
     bound *. (v /. 9007199254740992.0)
 
-  let bool t = Int64.logand (bits64 t) 1L = 1L
   let bernoulli t p = float t 1.0 < p
-
-  let shuffle t arr =
-    for i = Array.length arr - 1 downto 1 do
-      let j = int t (i + 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    done
 end
 
 (* One round of every draw, compared bit for bit; [false] on the first
    difference. *)
 let same_draws r q =
   let bits f = Int64.bits_of_float f in
-  Rng.bits64 r = Ref.bits64 q
-  && Rng.int r 1_000_003 = Ref.int q 1_000_003
+  Rng.int r 1_000_003 = Ref.int q 1_000_003
   && Rng.int r max_int = Ref.int q max_int
   && Rng.int_in r (-50) 50 = Ref.int_in q (-50) 50
   && bits (Rng.float r 1.0) = bits (Ref.float q 1.0)
   && bits (Rng.float r 2.5e9) = bits (Ref.float q 2.5e9)
-  && Rng.bool r = Ref.bool q
   && Rng.bernoulli r 0.0 = Ref.bernoulli q 0.0
   && Rng.bernoulli r 0.3 = Ref.bernoulli q 0.3
   && Rng.bernoulli r 1.0 = Ref.bernoulli q 1.0
@@ -1006,18 +972,7 @@ let prop_rng_matches_boxed_reference =
     (fun seed ->
       let r = Rng.create seed and q = Ref.create seed in
       let rec rounds n r q = n = 0 || (same_draws r q && rounds (n - 1) r q) in
-      let shuffled shuffle rng =
-        let a = Array.init 40 Fun.id in
-        shuffle rng a;
-        a
-      in
-      rounds 50 r q
-      && rounds 50 (Rng.split r) (Ref.split q)
-      && rounds 50 (Rng.copy r) (Ref.copy q)
-      (* The copies above leave the originals where they were. *)
-      && rounds 10 r q
-      && shuffled Rng.shuffle r = shuffled Ref.shuffle q
-      && rounds 10 r q)
+      rounds 50 r q && rounds 50 (Rng.split r) (Ref.split q) && rounds 10 r q)
 
 (* [int] and [bernoulli] draws allocate nothing: each [Link.transmit]
    draws once and each jittered timer firing once more. *)
@@ -1110,12 +1065,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "split independence" `Quick
             test_rng_split_independence;
-          Alcotest.test_case "exponential mean" `Quick
-            test_rng_exponential_mean;
           Alcotest.test_case "lognormal median" `Quick
             test_rng_lognormal_median;
-          Alcotest.test_case "shuffle is a permutation" `Quick
-            test_rng_shuffle_permutation;
           Alcotest.test_case "draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
         ] );

@@ -1,5 +1,5 @@
 (* The structured telemetry layer: event bus ordering, span trees and
-   orphan handling, histogram buckets and quantiles, milestone capture,
+   orphan handling, histogram export rows, milestone capture,
    and the disabled-mode no-op guarantees. *)
 
 open Sim
@@ -7,7 +7,6 @@ open Sim
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
-let checkf = Alcotest.(check (float 1e-9))
 
 (* Every test starts from a clean, enabled slate and leaves telemetry
    disabled for whoever runs next. *)
@@ -21,6 +20,9 @@ let with_telemetry ?(enabled = true) f =
     f
 
 let ev_generic cat name detail = Telemetry.Event.Generic { cat; name; detail }
+
+let generic_name (e : Telemetry.Bus.entry) =
+  match e.event with Telemetry.Event.Generic { name; _ } -> name | _ -> "?"
 
 (* --- Event bus ------------------------------------------------------------ *)
 
@@ -40,7 +42,7 @@ let test_simultaneous_ordering () =
       let entries = Telemetry.Bus.events () in
       checki "four events" 4 (List.length entries);
       let names =
-        List.map (fun e -> Telemetry.Event.name e.Telemetry.Bus.event) entries
+        List.map generic_name entries
       in
       checks "emission order preserved" "a,b,c,d" (String.concat "," names);
       let seqs = List.map (fun e -> e.Telemetry.Bus.seq) entries in
@@ -62,14 +64,11 @@ let test_category_filter_and_overflow () =
       Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Bgp "other" "x");
       let tcp = Telemetry.Bus.events ~category:Telemetry.Event.Tcp () in
       checki "ring keeps the newest 4" 4 (List.length tcp);
-      checki "total counts everything" 10 (Telemetry.Bus.total Telemetry.Event.Tcp);
-      checki "dropped = overwritten" 6 (Telemetry.Bus.dropped Telemetry.Event.Tcp);
+      checki "dropped = overwritten" 6 (Telemetry.Bus.dropped_total ());
       (match tcp with
-      | first :: _ -> (
-          match Telemetry.Event.fields first.Telemetry.Bus.event with
-          | [ (_, Telemetry.Event.Str d) ] -> checks "oldest survivor" "7" d
-          | _ -> Alcotest.fail "unexpected fields")
-      | [] -> Alcotest.fail "empty ring");
+      | { Telemetry.Bus.event = Telemetry.Event.Generic { detail; _ }; _ } :: _ ->
+          checks "oldest survivor" "7" detail
+      | _ -> Alcotest.fail "unexpected ring head");
       checki "bgp unaffected" 1
         (List.length (Telemetry.Bus.events ~category:Telemetry.Event.Bgp ()));
       Telemetry.Bus.set_capacity 8192)
@@ -105,7 +104,7 @@ let test_jsonl_escaping_roundtrip () =
           checks "detail round-trips" nasty
             (Option.get
                (Option.bind
-                  (Monitor.Json.path [ "f"; "detail" ] generic)
+                  (Option.bind (Monitor.Json.member "f" generic) (Monitor.Json.member "detail"))
                   Monitor.Json.to_str));
           checks "event name round-trips" "na\"me\\"
             (Option.get
@@ -114,7 +113,7 @@ let test_jsonl_escaping_roundtrip () =
           checks "id round-trips" "svc\\1"
             (Option.get
                (Option.bind
-                  (Monitor.Json.path [ "f"; "id" ] failure)
+                  (Option.bind (Monitor.Json.member "f" failure) (Monitor.Json.member "id"))
                   Monitor.Json.to_str))
       | _ -> Alcotest.fail "expected two parsed lines"))
 
@@ -200,103 +199,40 @@ let test_span_orphans () =
 
 (* --- Histograms ----------------------------------------------------------- *)
 
+(* A histogram's exported rows, byte for byte: the JSON object with its
+   non-empty buckets as [upper_bound, count] pairs, and the CSV row.
+   Power-of-two buckets with exclusive upper bounds: 1.0 lies in [1,2)
+   (bound 2), 0.75 in [0.5,1) (bound 1), exactly 2.0 rolls over to
+   [2,4) (bound 4); non-positive and NaN observations land in the
+   underflow bucket (bound 0). *)
 let test_histogram_buckets () =
   with_telemetry (fun () ->
       let h = Telemetry.Registry.histogram "test.hist" in
-      (* Power-of-two buckets with exclusive upper bounds: 1.0 lies in
-         [1,2) (bound 2.0), 0.999... in [0.5,1) (bound 1.0), exactly 2.0
-         rolls over to [2,4) (bound 4.0). Non-positive and NaN land in
-         the underflow bucket (bound 0.0). *)
-      Telemetry.Registry.observe h 1.0;
-      Telemetry.Registry.observe h 0.75;
-      Telemetry.Registry.observe h 2.0;
-      Telemetry.Registry.observe h 0.0;
-      Telemetry.Registry.observe h (-3.0);
-      Telemetry.Registry.observe h nan;
-      checki "count" 6 (Telemetry.Registry.hist_count h);
-      let bucket_of v =
-        Telemetry.Registry.buckets h
-        |> List.filter (fun (ub, _) -> ub = v)
-        |> List.map snd
+      List.iter (Telemetry.Registry.observe h) [ 1.0; 0.75; 2.0; 0.0; -3.0 ];
+      let nan_h = Telemetry.Registry.histogram "test.hist.nan" in
+      Telemetry.Registry.observe nan_h nan;
+      let json = Telemetry.Registry.to_json () in
+      (* A metric's JSON object: from its name to the next closing brace. *)
+      let json_row name =
+        let prefix = Printf.sprintf {|{"name":"%s",|} name in
+        let rec find i =
+          if i + String.length prefix > String.length json then
+            Alcotest.failf "no metric %S" name
+          else if String.sub json i (String.length prefix) = prefix then
+            String.sub json i (String.index_from json i '}' - i + 1)
+          else find (i + 1)
+        in
+        find 0
       in
-      checkb "1.0 -> bound 2.0" true (bucket_of 2.0 = [ 1 ]);
-      checkb "0.75 -> bound 1.0" true (bucket_of 1.0 = [ 1 ]);
-      checkb "2.0 -> bound 4.0" true (bucket_of 4.0 = [ 1 ]);
-      checkb "non-positive and nan -> underflow" true (bucket_of 0.0 = [ 3 ]))
-
-(* The edge quantiles must report the observed extremes — real values,
-   not the power-of-two bucket bounds they fall into. *)
-let test_quantile_extremes () =
-  with_telemetry (fun () ->
-      let h = Telemetry.Registry.histogram "test.quant" in
-      List.iter (Telemetry.Registry.observe h) [ 0.37; 5.25; 1.9; 0.62 ];
-      checkf "q=0 is the observed minimum" 0.37
-        (Telemetry.Registry.quantile h 0.0);
-      checkf "q=1 is the observed maximum" 5.25
-        (Telemetry.Registry.quantile h 1.0);
-      (* Interior estimates are clamped into the observed range, so a
-         high quantile can never exceed the true maximum even though its
-         bucket's upper bound (8.0) does. *)
-      checkb "q=0.99 clamped to the maximum" true
-        (Telemetry.Registry.quantile h 0.99 <= 5.25))
-
-(* Edge cases of the log-bucketed quantile estimate. *)
-
-let test_quantile_empty () =
-  with_telemetry (fun () ->
-      let h = Telemetry.Registry.histogram "test.q.empty" in
-      checkb "q=0 of empty is nan" true
-        (Float.is_nan (Telemetry.Registry.quantile h 0.0));
-      checkb "median of empty is nan" true
-        (Float.is_nan (Telemetry.Registry.quantile h 0.5));
-      checkb "min of empty is nan" true
-        (Float.is_nan (Telemetry.Registry.hist_min h));
-      checkb "max of empty is nan" true
-        (Float.is_nan (Telemetry.Registry.hist_max h)))
-
-let test_quantile_single () =
-  with_telemetry (fun () ->
-      let h = Telemetry.Registry.histogram "test.q.one" in
-      Telemetry.Registry.observe h 42.0;
-      List.iter
-        (fun q -> checkf (Printf.sprintf "q=%g" q) 42.0
-            (Telemetry.Registry.quantile h q))
-        [ 0.0; 0.5; 1.0 ])
-
-let test_quantile_bounds () =
-  with_telemetry (fun () ->
-      let h = Telemetry.Registry.histogram "test.q.bounds" in
-      List.iter (Telemetry.Registry.observe h) [ 3.0; 1.0; 2.0; 4.0 ];
-      (* Out-of-range arguments clamp rather than raise or index out of
-         bounds. *)
-      checkf "q<0 clamps to the minimum" 1.0
-        (Telemetry.Registry.quantile h (-0.3));
-      checkf "q>1 clamps to the maximum" 4.0
-        (Telemetry.Registry.quantile h 1.7))
-
-let test_quantile_nan () =
-  with_telemetry (fun () ->
-      let h = Telemetry.Registry.histogram "test.q.nan" in
-      List.iter (Telemetry.Registry.observe h) [ 1.0; 2.0 ];
-      checkb "nan q yields nan" true
-        (Float.is_nan (Telemetry.Registry.quantile h nan)))
-
-let prop_quantile_monotone =
-  QCheck.Test.make ~name:"quantile is monotone in q" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_inclusive 1000.0))
-    (fun vals ->
-      with_telemetry (fun () ->
-          let h = Telemetry.Registry.histogram "test.q.prop" in
-          List.iter (Telemetry.Registry.observe h) vals;
-          let qs = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ] in
-          let rec ok = function
-            | a :: (b :: _ as rest) ->
-                Telemetry.Registry.quantile h a
-                <= Telemetry.Registry.quantile h b +. 1e-9
-                && ok rest
-            | _ -> true
-          in
-          ok qs))
+      checks "json row"
+        {|{"name":"test.hist","kind":"histogram","count":5,"sum":0.75,"buckets":[[0,2],[1,1],[2,1],[4,1]]}|}
+        (json_row "test.hist");
+      checks "csv row" "test.hist,histogram,5,0.75"
+        (List.find
+           (String.starts_with ~prefix:"test.hist,")
+           (String.split_on_char '\n' (Telemetry.Registry.to_csv ())));
+      checkb "nan -> underflow" true
+        (String.ends_with ~suffix:{|"buckets":[[0,1]]}|} (json_row "test.hist.nan")))
 
 let test_registry_idempotent () =
   with_telemetry (fun () ->
@@ -352,7 +288,7 @@ let test_capture_filters_in_order () =
       Telemetry.Bus.emit eng (orch "after");
       checks "orch events of the call, in emission order" "a,b,c"
         (String.concat ","
-           (List.map (fun e -> Telemetry.Event.name e.Telemetry.Bus.event) got));
+           (List.map generic_name got));
       let seqs = List.map (fun e -> e.Telemetry.Bus.seq) got in
       checkb "seq strictly increasing" true
         (List.for_all2 ( < ) seqs (List.tl seqs @ [ max_int ]));
@@ -443,15 +379,7 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "bucket-boundaries" `Quick test_histogram_buckets;
-          Alcotest.test_case "quantile-extremes" `Quick test_quantile_extremes;
           Alcotest.test_case "idempotent" `Quick test_registry_idempotent;
-        ] );
-      ( "quantile",
-        [
-          Alcotest.test_case "empty" `Quick test_quantile_empty;
-          Alcotest.test_case "single" `Quick test_quantile_single;
-          Alcotest.test_case "bounds" `Quick test_quantile_bounds;
-          Alcotest.test_case "nan-q" `Quick test_quantile_nan;
         ] );
       ( "capture",
         [
@@ -471,6 +399,4 @@ let () =
       ( "end-to-end",
         [ Alcotest.test_case "failover-span-tree" `Quick test_failover_span_tree ]
       );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_quantile_monotone ] );
     ]

@@ -99,6 +99,12 @@ let extract ?from_label ?to_label () =
   | Ok cp -> cp
   | Error e -> Alcotest.failf "critical path: %s" e
 
+(* What the segment durations add up to: by construction, [total]. *)
+let segment_sum cp =
+  List.fold_left
+    (fun acc (s : Causal.Critical.segment) -> acc + s.dur)
+    0 cp.Causal.Critical.segments
+
 let seg_labels cp =
   List.map (fun (s : Causal.Critical.segment) -> s.label) cp.Causal.Critical.segments
 
@@ -107,7 +113,7 @@ let test_critical_path_sum () =
   let cp = extract () in
   checki "span duration 90ms" (Sim.Time.ms 90) cp.Causal.Critical.total;
   checki "segments sum exactly to the span duration" cp.Causal.Critical.total
-    (Causal.Critical.segment_sum cp);
+    (segment_sum cp);
   checki "three events on the path" 3 cp.Causal.Critical.events;
   Alcotest.(check (list string))
     "per-label decomposition in time order"
@@ -130,7 +136,7 @@ let test_critical_path_from_to () =
      as an explicit untraced segment so the sum identity survives. *)
   let cp = extract ~to_label:"bfd" () in
   checki "sum identity with --to" cp.Causal.Critical.total
-    (Causal.Critical.segment_sum cp);
+    (segment_sum cp);
   Alcotest.(check (list string))
     "untraced tail after the bfd endpoint"
     [ "fault"; "bfd.detect"; "(untraced)" ]
@@ -139,7 +145,7 @@ let test_critical_path_from_to () =
      matching segment's head. *)
   let cp = extract ~from_label:"bfd.detect" () in
   checki "sum identity with --from" cp.Causal.Critical.total
-    (Causal.Critical.segment_sum cp);
+    (segment_sum cp);
   Alcotest.(check (list string))
     "chain truncated at bfd"
     [ "bfd.detect"; "tcp.replay" ]
@@ -173,7 +179,7 @@ let test_failover_critical_path () =
     (List.length cp.Causal.Critical.segments >= 2);
   checki "segment sum equals the failover span duration"
     cp.Causal.Critical.total
-    (Causal.Critical.segment_sum cp);
+    (segment_sum cp);
   checkb "path has real depth" true (cp.Causal.Critical.events > 2);
   (* The JSON rendering round-trips. *)
   match Monitor.Json.parse (Causal.Critical.to_json cp) with
@@ -380,7 +386,7 @@ let test_observed_matches_bare () =
           checki
             (scenario ^ ": segments sum to the recovery span")
             cp.Causal.Critical.total
-            (Causal.Critical.segment_sum cp))
+            (segment_sum cp))
     Tensor.Check.scenarios
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -422,7 +428,7 @@ let test_out_writes_artifacts () =
   checkb "health.json links the critical path" true
     (Monitor.Json.member "critical_path" health <> None);
   checkb "health.json carries the cost ledger" true
-    (match Monitor.Json.path [ "engine"; "profiled" ] health with
+    (match Option.bind (Monitor.Json.member "engine" health) (Monitor.Json.member "profiled") with
     | Some (Monitor.Json.List (_ :: _)) -> true
     | _ -> false)
 
@@ -434,7 +440,7 @@ let test_experiment_out_writes_artifacts () =
   let e = Option.get (Tensor.Experiments.find "table1") in
   Tensor.Check.observed ~dir ~name:"tensor table1" (fun () ->
       e.run ~quick:true);
-  checkb "telemetry is off again" false (Telemetry.Control.enabled ());
+  checkb "telemetry is off again" false (Telemetry.Gate.on ());
   checkb "profiler detached" false (Prof.Profiler.enabled ());
   let expected =
     [
@@ -481,8 +487,9 @@ let test_experiment_series_samples_tcp () =
     |> List.map (fun l ->
            match
              Option.bind
-               (Monitor.Json.path [ "metrics"; "tcp.segments_out" ]
-                  (Monitor.Json.parse_exn l))
+               (Option.bind
+                  (Monitor.Json.member "metrics" (Monitor.Json.parse_exn l))
+                  (Monitor.Json.member "tcp.segments_out"))
                Monitor.Json.to_float
            with
            | Some v -> int_of_float v

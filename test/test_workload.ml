@@ -152,7 +152,7 @@ let prop_sample_positive =
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      Workload.Traffic.sample_link_bps rng Workload.Traffic.default > 0.0)
+      (Workload.Traffic.sample_population rng Workload.Traffic.default 1).(0) > 0.0)
 
 let prop_prefix_index_injective =
   QCheck.Test.make ~name:"prefix generator is injective" ~count:200
