@@ -316,8 +316,8 @@ let fuzz_campaign ~runs ~seed ~shrink ~corpus ~jobs ~verbose =
     else if (i + 1) mod 50 = 0 then Printf.printf "... %d runs\n%!" (i + 1)
   in
   let c =
-    Chaos.Fuzz.run ~progress ~shrink
-      ?corpus_dir:(if shrink then Some corpus else None)
+    Chaos.Fuzz.run ~progress
+      ?shrink_to:(if shrink then Some corpus else None)
       ~jobs ~runs ~seed ()
   in
   List.iter

@@ -220,8 +220,13 @@ let stop_session s =
   transition s Admin_down;
   unregister s.ep s.sremote s.svrf
 
-let create_session ep ?(tx_interval = Time.ms 100) ?(detect_mult = 3) ?local
-    ?resume ~vrf ~remote () =
+(* The paper's BFD timers: 100 ms x 3. *)
+let default_tx_interval = Time.ms 100
+let default_detect_mult = 3
+
+let create_session ep ?(detect_mult = default_detect_mult) ?local ?resume
+    ~vrf ~remote () =
+  let tx_interval = default_tx_interval in
   let slocal =
     match local with
     | Some a -> a
@@ -295,9 +300,7 @@ let tx_interval s = s.tx_interval
 module Relay = struct
   type t = { mutable timer : Engine.timer option }
 
-  (* The relay speaks at the sessions' default rate (100 ms x 3). *)
-  let tx_interval = Time.ms 100
-
+  (* The relay speaks at the sessions' default rate. *)
   let start node ~src ~dst ~vrf ~my_disc ~your_disc () =
     let t = { timer = None } in
     let ctl =
@@ -306,8 +309,8 @@ module Relay = struct
         my_disc;
         your_disc;
         state = Up;
-        detect_mult = 3;
-        tx_interval;
+        detect_mult = default_detect_mult;
+        tx_interval = default_tx_interval;
       }
     in
     let send () =
@@ -318,7 +321,7 @@ module Relay = struct
     t.timer <-
       Some
         (Engine.every (Node.engine node) ~label:"bfd.echo" ~jitter:0.05
-           tx_interval send);
+           default_tx_interval send);
     t
 
   let stop t =

@@ -39,7 +39,6 @@ val endpoint : Netsim.Node.t -> endpoint
 
 val create_session :
   endpoint ->
-  ?tx_interval:Sim.Time.span ->
   ?detect_mult:int ->
   ?local:Netsim.Addr.t ->
   ?resume:int * int ->
@@ -47,9 +46,13 @@ val create_session :
   remote:Netsim.Addr.t ->
   unit ->
   session
-(** Defaults: 100 ms interval, multiplier 3, local = node's first
-    address. The session starts transmitting immediately (state Down,
-    initiating the three-way bring-up).
+(** Sessions transmit every 100 ms ({!set_tx_interval} changes that
+    live); defaults: multiplier 3, local = node's first address. The
+    session starts transmitting immediately (state Down, initiating the
+    three-way bring-up).
+
+    [detect_mult] is a test seam: no product session varies it, and
+    test_bfd varies it to check that detection scales with it.
 
     [resume (my_disc, your_disc)] is the NSR migration path: the session
     starts directly in Up with the given discriminators (replicated from

@@ -508,7 +508,8 @@ let best_strings source_key t =
   Array.sort String.compare out;
   out
 
-let best_prefixes ?source_key t = Array.to_list (best_strings source_key t)
+let best_prefixes ~source_key t =
+  Array.to_list (best_strings (Some source_key) t)
 
 let hex_digits = "0123456789abcdef"
 

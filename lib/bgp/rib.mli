@@ -126,9 +126,9 @@ val size : t -> int
 val fold_best : t -> init:'a -> f:('a -> Netsim.Addr.prefix -> path -> 'a) -> 'a
 (** Folds over the Loc-RIB (best path per prefix). *)
 
-val best_prefixes : ?source_key:string -> t -> string list
-(** Sorted best-path prefixes, optionally restricted to entries whose
-    best path was learned from [source_key]. *)
+val best_prefixes : source_key:string -> t -> string list
+(** Sorted best-path prefixes whose best path was learned from
+    [source_key]. *)
 
 val digest : ?source_key:string -> t -> string
 (** Order-insensitive fingerprint (FNV-1a, hex) of {!best_prefixes}:

@@ -782,7 +782,7 @@ let restore_route t ~vrf source prefix attrs =
 
 let replay_update t p (u : Msg.update) = apply_update t p u
 
-let resume_peer t pcfg ~repair ~negotiated ?(framer_seed = "") () =
+let resume_peer t pcfg ~repair ~negotiated ~framer_seed =
   let p = add_peer t pcfg in
   let o = negotiated.Session.peer_open in
   p.source <-

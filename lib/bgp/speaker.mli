@@ -166,8 +166,7 @@ val resume_peer :
   peer_config ->
   repair:Tcp.Repair.t ->
   negotiated:Session.negotiated ->
-  ?framer_seed:string ->
-  unit ->
+  framer_seed:string ->
   peer
 (** The NSR migration path: adopts an Established session rebuilt from a
     TCP_REPAIR snapshot and the primary's negotiated parameters. No

@@ -25,7 +25,7 @@ let load_dir dir =
     |> List.sort String.compare
     |> List.map (fun f -> (f, load_file (Filename.concat dir f)))
 
-let save ~dir ?comment d =
+let save ~dir ~comment d =
   Telemetry.Control.mkdir_p dir;
   let line = Descriptor.to_string d in
   let fingerprint =
@@ -37,11 +37,8 @@ let save ~dir ?comment d =
          entry_extension)
   in
   let header =
-    match comment with
-    | Some c ->
-        String.concat ""
-          (List.map (fun l -> "# " ^ l ^ "\n") (String.split_on_char '\n' c))
-    | None -> ""
+    String.concat ""
+      (List.map (fun l -> "# " ^ l ^ "\n") (String.split_on_char '\n' comment))
   in
   Telemetry.Control.write_file path (header ^ line ^ "\n");
   path

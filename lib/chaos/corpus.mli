@@ -7,7 +7,7 @@
     identical telemetry digests. CI replays the corpus on every PR and
     the nightly fuzz job appends new shrunk repros as artifacts. *)
 
-val save : dir:string -> ?comment:string -> Descriptor.t -> string
+val save : dir:string -> comment:string -> Descriptor.t -> string
 (** Writes [<dir>/seed<seed>-<fingerprint>.chaos] (creating [dir] and
     its parents if needed) and returns the path. [comment] lines are
     prefixed with [# ]. *)

@@ -21,21 +21,18 @@ let campaign_ok c = c.failures = []
    merges in index order. Only corpus writes stay on the calling
    domain, ordered by index, so the saved-file set and the campaign
    record are byte-identical from --jobs 1 to --jobs N. *)
-let run ?progress ?(shrink = false) ?corpus_dir ?(jobs = 1) ~runs ~seed () =
+let run ~progress ?shrink_to ?(jobs = 1) ~runs ~seed () =
   let task i =
     let d = Descriptor.generate ~seed:(Descriptor.sub_seed ~seed i) in
     let o = Runner.run d in
     let shrunk =
-      if shrink && not (Runner.ok o) then Shrink.minimize d else None
+      if Option.is_some shrink_to && not (Runner.ok o) then Shrink.minimize d
+      else None
     in
     (o, shrunk)
   in
-  let progress =
-    match progress with
-    | Some f -> Some (fun i (o, _) -> f i o)
-    | None -> None
-  in
-  let results, pool = Par.Pool.run ~jobs ?progress runs task in
+  let progress i (o, _) = progress i o in
+  let results, pool = Par.Pool.run ~jobs ~progress runs task in
   let failures = ref [] in
   let events_total = ref 0 in
   Array.iteri
@@ -43,7 +40,7 @@ let run ?progress ?(shrink = false) ?corpus_dir ?(jobs = 1) ~runs ~seed () =
       events_total := !events_total + o.Runner.events;
       if not (Runner.ok o) then begin
         let saved =
-          match (shrunk, corpus_dir) with
+          match (shrunk, shrink_to) with
           | Some r, Some dir ->
               let comment =
                 Printf.sprintf

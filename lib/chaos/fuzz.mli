@@ -23,17 +23,16 @@ type campaign = {
 val campaign_ok : campaign -> bool
 
 val run :
-  ?progress:(int -> Runner.outcome -> unit) ->
-  ?shrink:bool ->
-  ?corpus_dir:string ->
+  progress:(int -> Runner.outcome -> unit) ->
+  ?shrink_to:string ->
   ?jobs:int ->
   runs:int ->
   seed:int ->
   unit ->
   campaign
-(** [shrink] (default false) minimizes each failure; [corpus_dir], when
-    set together with [shrink], writes each minimal repro as a corpus
-    entry. [progress] is called after every run, in run order.
+(** [shrink_to dir] minimizes each failure and writes each minimal
+    repro into corpus directory [dir]. [progress] is called after every
+    run, in run order.
 
     [jobs] (default 1) spreads runs across that many OCaml domains via
     {!Par.Pool}. The campaign record, every per-run digest, the

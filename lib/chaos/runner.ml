@@ -269,8 +269,7 @@ let run ?out (d : Descriptor.t) =
   let disabled = disabled_checkers d in
   let cfg =
     {
-      Monitor.Checker.default_config with
-      peers = List.init d.Descriptor.peers peer_name;
+      Monitor.Checker.peers = List.init d.Descriptor.peers peer_name;
       ack_deadline_s =
         (if has_store_fault d then degrade_frac *. hold_time_s else 0.);
     }

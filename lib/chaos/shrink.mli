@@ -21,4 +21,6 @@ val minimize :
   result option
 (** [minimize d] re-runs [d] first; returns [None] if it passes
     ({!Runner.ok}: nothing to shrink). [max_runs] (default 48) bounds the
-    total number of candidate executions, original check included. *)
+    total number of candidate executions, original check included; it is
+    a test seam: [fuzz] shrinks with the default, and test_chaos lowers
+    it to bound a test's run time. *)

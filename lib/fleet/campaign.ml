@@ -177,8 +177,7 @@ let run ?out spec =
   let n = Topology.normalize_instances spec.instances in
   let cfg =
     {
-      Monitor.Checker.default_config with
-      peers = List.init n Topology.peer_name;
+      Monitor.Checker.peers = List.init n Topology.peer_name;
       ack_deadline_s =
         (if has_store_outage spec then Topology.ack_deadline_s else 0.);
     }

@@ -51,7 +51,7 @@ type t = {
 let instance_host inst =
   Orch.Container.host_name (Deploy.service_container inst.svc)
 
-let build ?(seed = 42) ~hosts ~regions:nr ~instances:n () =
+let build ~seed ~hosts ~regions:nr ~instances:n () =
   if nr < 1 then invalid_arg "Fleet.Topology.build: regions < 1";
   if hosts < replicas * nr then
     invalid_arg "Fleet.Topology.build: need at least 2 hosts per region";

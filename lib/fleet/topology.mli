@@ -60,7 +60,7 @@ type t = {
 }
 
 val build :
-  ?seed:int ->
+  seed:int ->
   hosts:int ->
   regions:int ->
   instances:int ->

@@ -155,7 +155,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let run ?(jobs = 1) ?(readers = []) ~paths () =
+let run ?(jobs = 1) ~readers ~paths () =
   let files = Array.of_list (List.concat_map files_under paths) in
   let linted = Array.to_list (Array.map Pass.normalize files) in
   let reader_files =

@@ -19,7 +19,7 @@ type report = {
 }
 
 val run :
-  ?jobs:int -> ?readers:string list -> paths:string list -> unit -> report
+  ?jobs:int -> readers:string list -> paths:string list -> unit -> report
 (** Scan every [.ml] and [.mli] file under [paths]; the [.ml] files
     under [readers] that [paths] does not cover are parsed as readers
     only (see {!reader_paths}). [jobs > 1] fans the per-file stage
@@ -51,8 +51,9 @@ val lint_sources :
   (string * string) list ->
   Finding.t list * int
 (** Kept: {!run} over in-memory sources, so tests lint seeded snippets
-    without files. Lint compilation units given as [(file, text)] pairs, [.ml] or
-    [.mli] by file name, together, with [readers] as reader-only
-    sources. Returns surviving findings (sorted) and the number of
+    without files. Lint compilation units given as [(file, text)] pairs,
+    [.ml] or [.mli] by file name, together, with [readers] as
+    reader-only sources (a seam for test_lint's [i1] cases, which need
+    readers). Returns surviving findings (sorted) and the number of
     suppressed ones. An unparseable unit yields a single ["parse"]
     finding. *)

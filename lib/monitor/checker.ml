@@ -17,13 +17,10 @@ type violation = {
 
 type result = Pass | Violations of violation list
 
-type config = {
-  peers : string list;
-  bfd_tolerance : float;
-  ack_deadline_s : float;
-}
+type config = { peers : string list; ack_deadline_s : float }
 
-let default_config = { peers = []; bfd_tolerance = 0.25; ack_deadline_s = 0. }
+(* Fractional slack on the BFD detection bound. *)
+let bfd_tolerance = 0.25
 
 let names =
   [
@@ -234,7 +231,7 @@ let on_entry t (e : Telemetry.Bus.entry) =
       Hashtbl.replace t.conn_last_seq conn e.seq
   | Bfd_down { node; peer; silent_s; interval_s; mult; _ } ->
       let bound = interval_s *. float_of_int mult in
-      let limit = (bound *. (1.0 +. t.cfg.bfd_tolerance)) +. 0.01 in
+      let limit = (bound *. (1.0 +. bfd_tolerance)) +. 0.01 in
       if silent_s > limit then
         viol "bfd_detection_bound"
           (Printf.sprintf
@@ -316,7 +313,7 @@ let on_entry t (e : Telemetry.Bus.entry) =
   | Fleet_rearmed { instance; _ } -> Hashtbl.remove t.fl_degraded instance
   | _ -> ()
 
-let install ?(cfg = default_config) () =
+let install cfg =
   let t =
     {
       cfg;

@@ -55,21 +55,17 @@ type config = {
   peers : string list;
       (** Node names of remote-AS routers: events at these nodes are the
           peer-visible surface. *)
-  bfd_tolerance : float;
-      (** Fractional slack on the BFD detection bound (default 0.25). *)
   ack_deadline_s : float;
-      (** The held-ACK degrade deadline, in seconds; [0.] (default)
-          leaves [degraded_mode_exclusion]'s deadline discipline unarmed
+      (** The held-ACK degrade deadline, in seconds; [0.] leaves
+          [degraded_mode_exclusion]'s deadline discipline unarmed
           (deployments without degraded mode hold ACKs indefinitely by
           design). Checked with 10% + 100 ms slack for watchdog
           granularity. *)
 }
 
-val default_config : config
-
 type t
 
-val install : ?cfg:config -> unit -> t
+val install : config -> t
 (** Subscribes to the firehose. Entries emitted before [install] (or
     while {!Telemetry.Gate} is off) are not observed. *)
 

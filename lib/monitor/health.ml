@@ -33,7 +33,7 @@ type report = {
   events_seen : int;
   queue_drops : int;
   bus_dropped : int; (* telemetry ring overwrites during the run *)
-  engine : engine_cost option;
+  engine : engine_cost;
   critical_path : Causal.Critical.t option; (* when the recorder ran *)
   faults : string list;
 }
@@ -94,12 +94,12 @@ let critical_path_of_run () =
   else
     List.find_map
       (fun name ->
-        match Causal.Critical.of_span ~name () with
+        match Causal.Critical.of_span ~name with
         | Ok cp -> Some cp
         | Error _ -> None)
       [ "failover"; "planned_migration" ]
 
-let make ?budgets ?engine ~scenario checker =
+let make ?budgets ~engine ~scenario checker =
   let checkers = Checker.finalize checker in
   {
     scenario;
@@ -170,17 +170,14 @@ let to_text r =
           s.budget_s s.instances)
       r.slos
   end;
-  (match r.engine with
-  | None -> ()
-  | Some ec ->
-      pf "  engine cost: %d event(s) dispatched\n" ec.ev_processed;
-      List.iter
-        (fun row ->
-          pf "    %-24s %8d ev  %8.3fms wall  %10.0f B\n" row.er_label
-            row.er_events
-            (row.er_wall_s *. 1e3)
-            row.er_alloc_bytes)
-        ec.profiled);
+  pf "  engine cost: %d event(s) dispatched\n" r.engine.ev_processed;
+  List.iter
+    (fun row ->
+      pf "    %-24s %8d ev  %8.3fms wall  %10.0f B\n" row.er_label
+        row.er_events
+        (row.er_wall_s *. 1e3)
+        row.er_alloc_bytes)
+    r.engine.profiled;
   (match r.critical_path with
   | None -> ()
   | Some cp ->
@@ -195,19 +192,15 @@ let to_json r =
   pf
     "{\"scenario\":\"%s\",\"ok\":%b,\"events_seen\":%d,\"queue_drops\":%d,\"bus_dropped\":%d,"
     (esc r.scenario) (ok r) r.events_seen r.queue_drops r.bus_dropped;
-  (match r.engine with
-  | None -> ()
-  | Some ec ->
-      pf "\"engine\":{\"ev_processed\":%d,\"profiled\":[%s]},"
-        ec.ev_processed
-        (String.concat ","
-           (List.map
-              (fun row ->
-                Printf.sprintf
-                  "{\"label\":\"%s\",\"events\":%d,\"wall_s\":%g,\"alloc_bytes\":%g}"
-                  (esc row.er_label) row.er_events row.er_wall_s
-                  row.er_alloc_bytes)
-              ec.profiled)));
+  pf "\"engine\":{\"ev_processed\":%d,\"profiled\":[%s]},"
+    r.engine.ev_processed
+    (String.concat ","
+       (List.map
+          (fun row ->
+            Printf.sprintf
+              "{\"label\":\"%s\",\"events\":%d,\"wall_s\":%g,\"alloc_bytes\":%g}"
+              (esc row.er_label) row.er_events row.er_wall_s row.er_alloc_bytes)
+          r.engine.profiled));
   (match r.critical_path with
   | None -> ()
   | Some cp -> pf "\"critical_path\":%s," (Causal.Critical.to_json cp));

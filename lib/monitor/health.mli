@@ -42,7 +42,7 @@ type report = {
       (** Telemetry ring-buffer overwrites ({!Telemetry.Bus.dropped_total})
           at the moment the report was cut. Non-zero fails {!ok}: a
           checker cannot vouch for events it never saw. *)
-  engine : engine_cost option;  (** Engine-cost section, when measured. *)
+  engine : engine_cost;
   critical_path : Causal.Critical.t option;
       (** Recovery critical path, present when the causal recorder
           ([Causal.Recorder]) is attached as the report is cut and a
@@ -54,12 +54,12 @@ type report = {
 
 val make :
   ?budgets:(string * float) list ->
-  ?engine:engine_cost ->
+  engine:engine_cost ->
   scenario:string ->
   Checker.t ->
   report
 (** Finalizes the checker set (see {!Checker.finalize}) and evaluates
-    the budgets against the current span table. [engine] attaches the
+    the budgets against the current span table. [engine] is the
     engine-cost section; bus drops are read from the live bus. *)
 
 val ok : report -> bool

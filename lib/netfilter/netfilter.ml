@@ -6,11 +6,7 @@ let m_queued = Telemetry.Registry.counter "netfilter.queued"
 let m_depth = Telemetry.Registry.gauge "netfilter.queue_depth"
 let m_depth_peak = Telemetry.Registry.gauge "netfilter.queue_depth_peak"
 
-type rule = {
-  priority : int;
-  order : int;
-  judge : Netsim.Packet.t -> verdict;
-}
+type rule = { judge : Netsim.Packet.t -> verdict }
 
 type queue = {
   mutable consumer :
@@ -19,9 +15,8 @@ type queue = {
 }
 
 type t = {
-  mutable rules : rule list; (* sorted by (priority, order) *)
+  mutable rules : rule list; (* installation order *)
   queues : (int, queue) Hashtbl.t;
-  mutable next_order : int;
   mutable next_qnum : int;
   eng : Sim.Engine.t option; (* for timestamping queue-drop events *)
 }
@@ -30,7 +25,6 @@ let create ?eng () =
   {
     rules = [];
     queues = Hashtbl.create 4;
-    next_order = 0;
     next_qnum = 0;
     eng;
   }
@@ -39,16 +33,9 @@ let fresh_queue_num t =
   t.next_qnum <- t.next_qnum + 1;
   t.next_qnum
 
-let add_rule t ?(priority = 0) judge =
-  let rule = { priority; order = t.next_order; judge } in
-  t.next_order <- t.next_order + 1;
-  t.rules <-
-    List.sort
-      (fun a b ->
-        match Int.compare a.priority b.priority with
-        | 0 -> Int.compare a.order b.order
-        | c -> c)
-      (rule :: t.rules);
+let add_rule t judge =
+  let rule = { judge } in
+  t.rules <- t.rules @ [ rule ];
   rule
 
 let remove_rule t rule = t.rules <- List.filter (fun r -> r != rule) t.rules

@@ -27,9 +27,9 @@ val create : ?eng:Sim.Engine.t -> unit -> t
     dropped at a reader-less queue are reported to the telemetry bus
     as [Queue_dropped] events. *)
 
-val add_rule : t -> ?priority:int -> (Netsim.Packet.t -> verdict) -> rule
-(** Installs a rule. Lower [priority] runs earlier (default 0); equal
-    priorities run in installation order. *)
+val add_rule : t -> (Netsim.Packet.t -> verdict) -> rule
+(** Installs a rule after every rule already installed: rules run in
+    installation order. *)
 
 val remove_rule : t -> rule -> unit
 

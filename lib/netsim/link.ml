@@ -17,7 +17,7 @@ type t = {
   a : endpoint;
   b : endpoint;
   mutable prop_delay : Time.span;
-  mutable bandwidth_bps : int;
+  bandwidth_bps : int;
   mutable loss : float;
   mutable up : bool;
   (* The first event id scheduled since the last failure: a delivery
@@ -61,8 +61,7 @@ let arrive t dst_side pkt =
     | taps -> List.iter (fun tap -> tap dst_side pkt) taps
   end
 
-let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
-    ?(loss = 0.0) () =
+let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000) () =
   let t =
     {
       eng;
@@ -70,7 +69,7 @@ let create eng ?(delay = Time.us 50) ?(bandwidth_bps = 100_000_000_000)
       b = endpoint_create eng;
       prop_delay = delay;
       bandwidth_bps;
-      loss;
+      loss = 0.0;
       up = true;
       live_from = 0;
       taps = [];

@@ -31,11 +31,12 @@ val create :
   Sim.Engine.t ->
   ?delay:Sim.Time.span ->
   ?bandwidth_bps:int ->
-  ?loss:float ->
   unit ->
   t
-(** [create engine ()] is an up link with defaults: 50 µs delay, 100 Gbps,
-    zero loss. [bandwidth_bps = 0] means infinite bandwidth. *)
+(** [create engine ()] is an up, lossless link with defaults: 50 µs
+    delay, 100 Gbps. [bandwidth_bps = 0] means infinite bandwidth.
+    [bandwidth_bps] is a test seam: every product link runs at 100 Gbps,
+    and test_netsim slows one to see serialization and queueing. *)
 
 val set_receiver : t -> side -> (Packet.t -> unit) -> unit
 (** Installs the delivery callback for packets arriving at [side]. *)

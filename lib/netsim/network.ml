@@ -28,7 +28,7 @@ let add_node t ?forwarding name =
   Hashtbl.replace t.node_tbl name node;
   node
 
-let connect t ?delay ?bandwidth_bps ?loss a b =
+let connect t ?delay a b =
   let subnet = t.next_subnet in
   t.next_subnet <- subnet + 1;
   (* 10.s.s.{1,2} with the subnet index spread over two octets: room for
@@ -36,7 +36,7 @@ let connect t ?delay ?bandwidth_bps ?loss a b =
   let hi = (subnet lsr 8) land 0xFF and lo = subnet land 0xFF in
   let addr_a = Addr.of_octets 10 hi lo 1 in
   let addr_b = Addr.of_octets 10 hi lo 2 in
-  let link = Link.create t.eng ?delay ?bandwidth_bps ?loss () in
+  let link = Link.create t.eng ?delay () in
   Node.attach a link Link.A ~local:addr_a ~remote:addr_b;
   Node.attach b link Link.B ~local:addr_b ~remote:addr_a;
   t.link_list <- { link; ends = (a, b) } :: t.link_list;

@@ -16,8 +16,6 @@ val add_node : t -> ?forwarding:bool -> string -> Node.t
 val connect :
   t ->
   ?delay:Sim.Time.span ->
-  ?bandwidth_bps:int ->
-  ?loss:float ->
   Node.t ->
   Node.t ->
   Link.t * Addr.t * Addr.t

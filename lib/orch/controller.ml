@@ -387,8 +387,8 @@ let manage t ~id cont =
 
 (* --- Host heartbeats (feeds the lease and E3 detection) ------------------- *)
 
-let register_host ?region t host =
-  let he = { host; hphase = `Healthy; hregion = region } in
+let register_host t host =
+  let he = { host; hphase = `Healthy; hregion = None } in
   t.hosts <- he :: t.hosts;
   ignore
     (Engine.every t.eng ~label:"orch.host_mon" ~jitter:0.1 grpc_interval

@@ -42,10 +42,10 @@ val create : Netsim.Network.t -> fabric:Netsim.Node.t -> string -> t
 val node : t -> Netsim.Node.t
 val addr : t -> Netsim.Addr.t
 
-val register_host : ?region:string -> t -> Host.t -> unit
+val register_host : t -> Host.t -> unit
 (** Starts heartbeating the host (which also feeds its fencing lease).
-    [?region] tags the host for region-aware placement ({!pick_host});
-    it can also be assigned later with {!set_host_region}. *)
+    {!set_host_region} tags it for region-aware placement
+    ({!pick_host}). *)
 
 val set_host_region : t -> host:string -> region:string -> unit
 (** (Re)assigns a registered host to a region. Unknown hosts are

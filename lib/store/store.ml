@@ -414,30 +414,24 @@ module Client = struct
     resilient : resilient option;
   }
 
-  let create ?replica ?(resilient = false) node ~server =
+  type mode = Plain | Retrying | Failover of Addr.t
+
+  let create ?(mode = Plain) node ~server =
     let ep = Rpc.endpoint node in
-    if replica = None && not resilient then { ep; server; resilient = None }
-    else
+    let resilient replica =
       (* The idempotency-id namespace: unique per node within a run,
          deterministic across replays (the endpoint's counter dies with
          its node). *)
       let name =
         Printf.sprintf "%s#%d" (Node.name node) (Rpc.fresh_client_id ep)
       in
-      {
-        ep;
-        server;
-        resilient =
-          Some
-            {
-              name;
-              replica;
-              failed = false;
-              seq = 0;
-              queue = [];
-              inflight = false;
-            };
-      }
+      Some
+        { name; replica; failed = false; seq = 0; queue = []; inflight = false }
+    in
+    match mode with
+    | Plain -> { ep; server; resilient = None }
+    | Retrying -> { ep; server; resilient = resilient None }
+    | Failover addr -> { ep; server; resilient = resilient (Some addr) }
 
   let start_next r =
     match r.queue with
@@ -518,8 +512,9 @@ module Client = struct
       | Ok _ -> k (Error `Timeout)
       | Error _ -> k (Error `Timeout))
 
-  let scan t ?(timeout = Time.sec 30) ~prefix k =
-    exec t ~size:(64 + String.length prefix) ~timeout (Req_scan prefix)
+  let scan t ~prefix k =
+    exec t ~size:(64 + String.length prefix) ~timeout:(Time.sec 30)
+      (Req_scan prefix)
       (function
       | Ok (Resp_pairs ps) -> k (Ok ps)
       | Ok _ -> k (Error `Timeout)

@@ -77,7 +77,10 @@ module Server : sig
   type t
 
   val create : ?cost:cost_model -> Netsim.Node.t -> t
-  (** [create node] serves the ["kv"] RPC service on [node]. *)
+  (** [create node] serves the ["kv"] RPC service on [node]. [cost] is a
+      test seam: every product server runs the calibrated model, and
+      tests pass {!free_cost_model} to take processing time out of a
+      protocol check. *)
 
   val attach_replica : t -> t -> unit
   (** [attach_replica primary replica] makes [replica] a synchronous
@@ -129,24 +132,23 @@ end
 module Client : sig
   type t
 
-  val create :
-    ?replica:Netsim.Addr.t ->
-    ?resilient:bool ->
-    Netsim.Node.t ->
-    server:Netsim.Addr.t ->
-    t
-  (** [create node ~server] is the plain client: one attempt per op,
-      [`Timeout] on silence — unchanged semantics.
+  (** How a client rides out an unanswering server. *)
+  type mode =
+    | Plain  (** One attempt per op, [`Timeout] on silence. *)
+    | Retrying
+        (** Ops are serialized (one outstanding at a time, preserving
+            per-client FIFO order across retransmissions), tagged with an
+            idempotency id the server deduplicates on, and retried
+            ([Netsim.Rpc.call ~retry:true]). *)
+    | Failover of Netsim.Addr.t
+        (** [Retrying], and once the budget is exhausted on the primary,
+            failed over to this replica permanently (emitting
+            [Store_failover]). Ops that fail on both targets yield
+            [`Timeout]; later ops re-try the promoted replica, so a
+            healed store resumes service. *)
 
-      [~resilient:true] and/or [?replica] makes the client {e resilient}:
-      ops are serialized (one outstanding at a time, preserving
-      per-client FIFO order across retransmissions), tagged with an
-      idempotency id the server deduplicates on, retried
-      ([Netsim.Rpc.call ~retry:true]), and —
-      once the budget is exhausted on the primary — failed over to
-      [replica] permanently (emitting [Store_failover]). Ops that fail
-      on both targets yield [`Timeout]; later ops re-try the promoted
-      replica, so a healed store resumes service. *)
+  val create : ?mode:mode -> Netsim.Node.t -> server:Netsim.Addr.t -> t
+  (** Default [Plain]. *)
 
   val set_batch :
     t -> ?timeout:Sim.Time.span -> Batch.t ->
@@ -172,12 +174,12 @@ module Client : sig
   (** Deletes keys; yields how many existed. *)
 
   val scan :
-    t -> ?timeout:Sim.Time.span -> prefix:string ->
+    t -> prefix:string ->
     (((string * Value.t) list, [ `Timeout ]) result -> unit) -> unit
   (** All (key, value) pairs whose key starts with [prefix], sorted by
-      key — how a backup container downloads a connection's state. The
-      values come as stored, heads still shared, so a reader can parse
-      a shared head once. *)
+      key, within 30 s — how a backup container downloads a connection's
+      state. The values come as stored, heads still shared, so a reader
+      can parse a shared head once. *)
 end
 
 (** {1 Test-only} *)

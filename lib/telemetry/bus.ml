@@ -132,14 +132,10 @@ let emit eng event =
 let ring_entries r =
   List.init r.len (fun i -> r.arr.((r.start + i) mod Array.length r.arr))
 
-let events ?category () =
-  let st = state () in
-  match category with
-  | Some c -> ring_entries st.rings.(cat_index c)
-  | None ->
-      Array.to_list st.rings
-      |> List.concat_map ring_entries
-      |> List.sort (fun a b -> Int.compare a.seq b.seq)
+let events () =
+  Array.to_list (state ()).rings
+  |> List.concat_map ring_entries
+  |> List.sort (fun a b -> Int.compare a.seq b.seq)
 
 let dropped_total () =
   Array.fold_left (fun acc r -> acc + (r.total - r.len)) 0 (state ()).rings

@@ -48,7 +48,7 @@ val to_jsonl : Buffer.t -> unit
 
 (** {1 Test-only} *)
 
-val events : ?category:Event.category -> unit -> entry list
+val events : unit -> entry list
 (** Inspection: buffered entries, oldest first (globally ordered by
     [seq]), as values; {!to_jsonl} exports the same entries as text. *)
 

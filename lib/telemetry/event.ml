@@ -301,6 +301,9 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let json_float f =
+  if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
+
 let field_json = function
   | Int i -> string_of_int i
   | Float f ->

@@ -123,3 +123,7 @@ val to_json : t -> string
 
 val json_escape : string -> string
 (** Escapes a string for embedding in a JSON string literal. *)
+
+val json_float : float -> string
+(** A float as a JSON number ([%.9g]); [null] for NaN and the
+    infinities, which JSON cannot spell. *)

@@ -15,11 +15,8 @@ let min_e = -30
 let max_e = 33
 let nbuckets = max_e - min_e + 2
 
-type histogram = {
-  counts : int array;
-  mutable n : int;
-  mutable sum : float;
-}
+(* The sum sits in a one-cell float array for the gauge's reason. *)
+type histogram = { counts : int array; mutable n : int; sum : float array }
 
 type metric =
   | Counter of string * counter
@@ -87,29 +84,36 @@ let histogram name =
   | Some (Histogram (_, h)) -> h
   | Some _ -> kind_error name
   | None ->
-      let h =
-        { counts = Array.make nbuckets 0; n = 0; sum = 0.0 } in
+      let h = { counts = Array.make nbuckets 0; n = 0; sum = [| 0.0 |] } in
       register name (Histogram (name, h));
       h
 
+(* [Float.frexp]'s exponent [e], with [v] in [2^(e-1), 2^e), read off
+   the IEEE 754 bits instead of its (float, int) tuple: the biased
+   exponent minus 1022. Subnormals read -1022 and +infinity reads 1025,
+   so both clamp to their extreme bucket. NaN fails [v > 0.] and joins
+   the non-positive values. *)
 let bucket_index v =
-  if v <= 0.0 || Float.is_nan v then 0
+  if not (v > 0.0) then 0
   else
-    let _, e = Float.frexp v in
-    (* v in [2^(e-1), 2^e) *)
-    let e = max min_e (min max_e e) in
+    let e =
+      Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52)
+      - 1022
+    in
+    let e = if e < min_e then min_e else if e > max_e then max_e else e in
     e - min_e + 1
 
 let bucket_bound i =
   if i = 0 then 0.0 else Float.ldexp 1.0 (min_e + i - 1)
 
 let observe h v =
-  h.counts.(bucket_index v) <- h.counts.(bucket_index v) + 1;
+  let i = bucket_index v in
+  h.counts.(i) <- h.counts.(i) + 1;
   h.n <- h.n + 1;
-  h.sum <- h.sum +. v
+  h.sum.(0) <- h.sum.(0) +. v
 
 let hist_count h = h.n
-let hist_sum h = h.sum
+let hist_sum h = h.sum.(0)
 let buckets h =
   let acc = ref [] in
   for i = nbuckets - 1 downto 0 do
@@ -127,7 +131,7 @@ let reset_values () =
       | Histogram (_, h) ->
           Array.fill h.counts 0 nbuckets 0;
           h.n <- 0;
-          h.sum <- 0.0)
+          h.sum.(0) <- 0.0)
     (all ())
 
 let float_str f = Printf.sprintf "%.9g" f
@@ -143,7 +147,7 @@ let to_csv () =
         | Gauge (n, g) ->
             Printf.sprintf "%s,gauge,,%s\n" n (float_str g.gcell.(0))
         | Histogram (n, h) ->
-            Printf.sprintf "%s,histogram,%d,%s\n" n h.n (float_str h.sum)
+            Printf.sprintf "%s,histogram,%d,%s\n" n h.n (float_str h.sum.(0))
       in
       Buffer.add_string buf line)
     (all ());
@@ -156,14 +160,15 @@ let to_json () =
           (Event.json_escape n) c.c
     | Gauge (n, g) ->
         Printf.sprintf "{\"name\":\"%s\",\"kind\":\"gauge\",\"value\":%s}"
-          (Event.json_escape n) (float_str g.gcell.(0))
+          (Event.json_escape n) (Event.json_float g.gcell.(0))
     | Histogram (n, h) ->
         Printf.sprintf
           "{\"name\":\"%s\",\"kind\":\"histogram\",\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-          (Event.json_escape n) h.n (float_str h.sum)
+          (Event.json_escape n) h.n (Event.json_float h.sum.(0))
           (String.concat ","
              (List.map
-                (fun (ub, c) -> Printf.sprintf "[%s,%d]" (float_str ub) c)
+                (fun (ub, c) ->
+                  Printf.sprintf "[%s,%d]" (Event.json_float ub) c)
                 (buckets h)))
   in
   "{\"metrics\":["

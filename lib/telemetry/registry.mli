@@ -44,11 +44,13 @@ type histogram
 val histogram : string -> histogram
 (** Buckets are powers of two: an observation [v] falls in the bucket
     with exclusive upper bound [2^k] where [2^(k-1) <= v < 2^k];
-    non-positive observations land in a dedicated bucket with upper
-    bound [0]. Bounds span [2^-30, 2^33] seconds-ish; values outside
-    clamp to the extreme buckets. *)
+    non-positive and NaN observations land in a dedicated bucket with
+    upper bound [0]. Bounds span [2^-30, 2^33] seconds-ish; values
+    outside, +infinity included, clamp to the extreme buckets. *)
 
 val observe : histogram -> float -> unit
+(** Files one observation; allocates nothing. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 
@@ -68,7 +70,7 @@ val to_csv : unit -> string
 
 val to_json : unit -> string
 (** [{"metrics":[{"name":..,"kind":..,..}, ...]}] with histogram
-    buckets included. *)
+    buckets included; a non-finite value is [null]. *)
 
 val reset_values : unit -> unit
 (** Zeroes every metric, keeping registrations. *)

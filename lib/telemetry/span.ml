@@ -43,23 +43,18 @@ let set_ambient v = (state ()).ambient_span <- v
 let ambient () = (state ()).ambient_span
 let set_hook h = (state ()).hook <- h
 
-let record name parent start_at stop_at =
+let record name start_at stop_at =
   let st = state () in
   st.next_id <- st.next_id + 1;
-  let parent =
-    match parent with
-    | Some p when p <> none -> Some p
-    | Some _ -> None
-    | None -> st.ambient_span
+  let s =
+    { sid = st.next_id; name; parent = st.ambient_span; start_at; stop_at }
   in
-  let s = { sid = st.next_id; name; parent; start_at; stop_at } in
   Hashtbl.replace st.by_id s.sid s;
   st.rev_order <- s :: st.rev_order;
   s.sid
 
-let start ?parent eng name =
-  if not (Gate.on ()) then none
-  else record name parent (Sim.Engine.now eng) None
+let start eng name =
+  if not (Gate.on ()) then none else record name (Sim.Engine.now eng) None
 
 let finish eng sid =
   let st = state () in
@@ -69,10 +64,10 @@ let finish eng sid =
       (match st.hook with Some h -> h sid eng | None -> ())
   | Some _ | None -> ()
 
-let add ?parent eng name ~start_at ~stop_at =
+let add eng name ~start_at ~stop_at =
   if not (Gate.on ()) then none
   else begin
-    let sid = record name parent start_at (Some stop_at) in
+    let sid = record name start_at (Some stop_at) in
     (match (state ()).hook with Some h -> h sid eng | None -> ());
     sid
   end

@@ -25,19 +25,19 @@ type span = {
   mutable stop_at : Sim.Time.t option;
 }
 
-val start : ?parent:id -> Sim.Engine.t -> string -> id
-(** Opens a span at the current instant. Without [?parent] the span
-    attaches to the ambient span (if any). *)
+val start : Sim.Engine.t -> string -> id
+(** Opens a span at the current instant, under the ambient span (if
+    any). *)
 
 val finish : Sim.Engine.t -> id -> unit
 (** Closes a span at the current instant. Unknown / already-closed /
     {!none} ids are ignored. *)
 
 val add :
-  ?parent:id -> Sim.Engine.t -> string -> start_at:Sim.Time.t ->
-  stop_at:Sim.Time.t -> id
+  Sim.Engine.t -> string -> start_at:Sim.Time.t -> stop_at:Sim.Time.t -> id
 (** Records a retroactively-observed span (e.g. BFD detection, whose
-    start is the last control packet heard). *)
+    start is the last control packet heard), under the ambient span (if
+    any). *)
 
 val set_ambient : id option -> unit
 val ambient : unit -> id option

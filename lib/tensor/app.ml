@@ -30,31 +30,26 @@ let vrf_spec ~vrf ~vip ~peer_addr ?peer_asn ?(passive = false)
 type config = {
   service_id : string;
   store_addr : Addr.t;
-  store_replica : Addr.t option;
-  store_retry : bool;
+  store_mode : Store.Client.mode;
   controller_addr : Addr.t option;
   local_asn : int;
   degrade_frac : float;
   vrfs : vrf_spec list;
-  replicate : bool;
   ack_hold : bool;
 }
 
-let config ~service_id ~store_addr ?store_replica ?(store_retry = false)
-    ?controller_addr ~local_asn ?(degrade_frac = 0.) ?(replicate = true)
-    ?(ack_hold = true) vrfs =
+let config ~service_id ~store_addr ?(store_mode = Store.Client.Plain)
+    ?controller_addr ~local_asn ?(degrade_frac = 0.) ?(ack_hold = true) vrfs =
   if degrade_frac < 0. || degrade_frac >= 1. then
     invalid_arg "App.config: degrade_frac must be in [0, 1)";
   {
     service_id;
     store_addr;
-    store_replica;
-    store_retry;
+    store_mode;
     controller_addr;
     local_asn;
     degrade_frac;
     vrfs;
-    replicate;
     ack_hold;
   }
 
@@ -616,7 +611,7 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
       let peer =
         add_vrf_peer t stack pv ~remote_asn:(Some peer_open.Bgp.Msg.asn)
           ~passive:false (fun pc ->
-            Bgp.Speaker.resume_peer spk pc ~repair ~negotiated ~framer_seed ())
+            Bgp.Speaker.resume_peer spk pc ~repair ~negotiated ~framer_seed)
       in
       let in_seq =
         match List.rev r.r_in with (seq, _, _) :: _ -> seq + 1 | [] -> 0
@@ -859,8 +854,7 @@ let bootstrap t () =
   (* Resilient mode: idempotent, retried, failing over to the replica
      once the primary's budget is exhausted. *)
   let client =
-    Store.Client.create ?replica:t.cfg.store_replica
-      ~resilient:t.cfg.store_retry node ~server:t.cfg.store_addr
+    Store.Client.create ~mode:t.cfg.store_mode node ~server:t.cfg.store_addr
   in
   t.stack <- Some stack;
   t.client <- Some client;
@@ -870,9 +864,8 @@ let bootstrap t () =
       (fun spec ->
         let cid = Keys.conn_id ~service:t.cfg.service_id ~vrf:spec.vrf in
         let repl =
-          Replicator.create ~replicate:t.cfg.replicate
-            ~ack_hold:t.cfg.ack_hold ~engine:eng ~client ~conn_id:cid
-            ~service:t.cfg.service_id ()
+          Replicator.create ~ack_hold:t.cfg.ack_hold ~engine:eng ~client
+            ~conn_id:cid ~service:t.cfg.service_id ()
         in
         {
           spec;

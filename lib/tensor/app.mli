@@ -48,17 +48,16 @@ val vrf_spec :
   unit ->
   vrf_spec
 (** Defaults: active opener, BFD on, no iBGP peers. Sessions run
-    without routing policy. *)
+    without routing policy. [passive] and [ibgp_peers] are test seams:
+    no product deployment builds a §3.2.4 joint container, and
+    test_recovery_edge builds one. *)
 
 type config = {
   service_id : string;
   store_addr : Netsim.Addr.t;
-  store_replica : Netsim.Addr.t option;
-      (** Failover target for the store client (default none). *)
-  store_retry : bool;
-      (** Use a resilient store client (idempotent retried ops) even
-          without a replica. Either this or [store_replica] switches the
-          client out of the plain one-attempt mode. *)
+  store_mode : Store.Client.mode;
+      (** How the store client rides out an unanswering server (default
+          [Plain]). *)
   controller_addr : Netsim.Addr.t option;
   local_asn : int;
   degrade_frac : float;
@@ -72,19 +71,16 @@ type config = {
           the app re-arms NSR under a fresh epoch, audits Adj-RIB-Out
           via the resync path and rewrites the rib| checkpoint. *)
   vrfs : vrf_spec list;
-  replicate : bool;  (** Ablation: disable replication entirely. *)
   ack_hold : bool;  (** Ablation: replicate but never delay ACKs. *)
 }
 
 val config :
   service_id:string ->
   store_addr:Netsim.Addr.t ->
-  ?store_replica:Netsim.Addr.t ->
-  ?store_retry:bool ->
+  ?store_mode:Store.Client.mode ->
   ?controller_addr:Netsim.Addr.t ->
   local_asn:int ->
   ?degrade_frac:float ->
-  ?replicate:bool ->
   ?ack_hold:bool ->
   vrf_spec list ->
   config

@@ -171,7 +171,7 @@ let observe_checked ~dir ~scenario =
 let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
-  let mon = Monitor.Checker.install ~cfg () in
+  let mon = Monitor.Checker.install cfg in
   let finish = Option.map (fun dir -> observe_checked ~dir ~scenario) out in
   let ev0 = Engine.global_processed_events () in
   let value =
@@ -208,7 +208,7 @@ let verdict ~violations ~errors =
 
 let checked_scenario ?out ?(ack_deadline_s = 0.) ~scenario body =
   let cfg =
-    { Monitor.Checker.default_config with peers = [ peer_name ]; ack_deadline_s }
+    { Monitor.Checker.peers = [ peer_name ]; ack_deadline_s }
   in
   let r = checked ?out ~cfg ~scenario body in
   match r.value with Ok () -> r.report | Error e -> raise e

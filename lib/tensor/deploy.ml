@@ -314,19 +314,20 @@ let standard_peering t =
 (* --- Services ----------------------------------------------------------------------- *)
 
 let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
-    ?(backup_mode = `Cold) ?(replicate = true) ?(ack_hold = true)
-    ?(store_resilient = false) ?(degrade_frac = 0.) ?store_addr ~id
-    ~local_asn vrfs =
+    ?(backup_mode = `Cold) ?(ack_hold = true) ?(store_resilient = false)
+    ?(degrade_frac = 0.) ?store_addr ~id ~local_asn vrfs =
   let store_addr = Option.value store_addr ~default:t.store_addr in
+  let store_mode : Store.Client.mode =
+    if not store_resilient then Plain
+    else
+      match t.store_replica_server with
+      | None -> Retrying
+      | Some replica -> Failover (Store.Server.addr replica)
+  in
   let cfg =
-    App.config ~service_id:id ~store_addr
-      ?store_replica:
-        (if store_resilient then
-           Option.map Store.Server.addr t.store_replica_server
-         else None)
-      ~store_retry:store_resilient
+    App.config ~service_id:id ~store_addr ~store_mode
       ~controller_addr:(Orch.Controller.addr t.ctrl) ~local_asn ~degrade_frac
-      ~replicate ~ack_hold vrfs
+      ~ack_hold vrfs
   in
   let host = t.hosts.(primary_host) in
   let cont = Orch.Host.create_container host id in

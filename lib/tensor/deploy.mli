@@ -136,7 +136,6 @@ val deploy_service :
   ?primary_host:int ->
   ?backup_host:int ->
   ?backup_mode:[ `Cold | `Preheat ] ->
-  ?replicate:bool ->
   ?ack_hold:bool ->
   ?store_resilient:bool ->
   ?degrade_frac:float ->

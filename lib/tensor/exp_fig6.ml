@@ -233,8 +233,11 @@ let multi_peer_run ~profile ~with_replication peers updates =
     time_to_n eng ~slice ~t0 Send spk_dut target
   end
 
+(* Panel (c) announces 100 routes per peer. *)
+let updates_per_peer = 100
+
 let run_multi_peer ?(peer_counts = [ 50; 100; 200; 300; 400; 500; 600; 700 ])
-    ?(updates_per_peer = 100) () =
+    () =
   List.map
     (fun peers ->
       {

@@ -63,13 +63,15 @@ val run_receive : ?counts:int list -> unit -> sweep_row list
 val run_send : ?counts:int list -> unit -> sweep_row list
 (** Panel (b): x = number of updates. *)
 
-val run_multi_peer : ?peer_counts:int list -> ?updates_per_peer:int -> unit -> sweep_row list
-(** Panel (c): x = number of peers. *)
+val run_multi_peer : ?peer_counts:int list -> unit -> sweep_row list
+(** Panel (c): x = number of peers, each announcing 100 routes. *)
 
 type scale_row = { containers : int; memory_gb : float; cpu_pct : float }
 
 val run_scale : ?container_counts:int list -> unit -> scale_row list
-(** Panel (d). *)
+(** Panel (d). [container_counts] is a test seam: quick and full runs
+    share the paper's sweep, and test_experiments checks linearity on a
+    shorter one. *)
 
 val print_receive : sweep_row list -> unit
 val print_send : sweep_row list -> unit

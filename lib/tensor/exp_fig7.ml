@@ -14,7 +14,7 @@ let seed = 42
 let run_cdf () =
   let links = 6000 in
   let rng = Rng.create seed in
-  let pop = Workload.Traffic.sample_population rng Workload.Traffic.default links in
+  let pop = Workload.Traffic.sample_population rng links in
   let sorted = Array.copy pop in
   Array.sort compare sorted;
   let cdf =
@@ -55,7 +55,7 @@ let print_cdf s =
   Report.note "paper: a one-minute one-link downtime impacts ~277 GB."
 
 let run_timeline () =
-  Workload.Deployment.series ~rng:(Rng.create seed) Workload.Deployment.default
+  Workload.Deployment.series ~rng:(Rng.create seed)
 
 let print_timeline months =
   Report.section

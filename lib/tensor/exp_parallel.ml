@@ -3,7 +3,6 @@ open Netsim
 
 type result = {
   ases : int;
-  updates_per_as : int;
   monolithic_s : float;
   containerized_s : float;
 }
@@ -12,8 +11,11 @@ type result = {
    as in Exp_fig6. *)
 let slice = Time.ms 100
 
+(* Each AS sends 10K updates (§4.2). *)
+let updates_per_as = 10_000
+
 (* Peering AS [i] announces its [updates_per_as] routes. *)
-let announce ~updates_per_as i (pa : Deploy.peer_as) =
+let announce i (pa : Deploy.peer_as) =
   let base = i * 100_000 in
   let attrs =
     Bgp.Attrs.make
@@ -25,7 +27,7 @@ let announce ~updates_per_as i (pa : Deploy.peer_as) =
 
 (* One process, [ases] sessions: every update contends for one main
    thread. *)
-let monolithic ~ases ~updates_per_as =
+let monolithic ~ases =
   let eng = Engine.create () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
@@ -50,14 +52,14 @@ let monolithic ~ases ~updates_per_as =
   else begin
     Engine.run_for eng (Time.sec 1);
     let t0 = Engine.now eng in
-    List.iteri (announce ~updates_per_as) peers;
+    List.iteri announce peers;
     Exp_fig6.time_to_n eng ~slice ~t0 Exp_fig6.Receive spk_dut
       (ases * updates_per_as)
   end
 
 (* One speaker per AS — TENSOR's split — each with live replication into
    a shared store, all learning concurrently. *)
-let containerized ~ases ~updates_per_as =
+let containerized ~ases =
   let eng = Engine.create () in
   let net = Network.create eng in
   let fabric = Network.add_node net ~forwarding:true "fabric" in
@@ -122,7 +124,7 @@ let containerized ~ases ~updates_per_as =
   else begin
     Engine.run_for eng (Time.sec 1);
     let t0 = Engine.now eng in
-    List.iteri (announce ~updates_per_as) peers;
+    List.iteri announce peers;
     let deadline = Time.add t0 (Time.minutes 10) in
     let all_learned () =
       List.for_all
@@ -139,19 +141,18 @@ let containerized ~ases ~updates_per_as =
     else nan
   end
 
-let run ?(ases = 50) ?(updates_per_as = 10_000) () =
+let run ?(ases = 50) () =
   {
     ases;
-    updates_per_as;
-    monolithic_s = monolithic ~ases ~updates_per_as;
-    containerized_s = containerized ~ases ~updates_per_as;
+    monolithic_s = monolithic ~ases;
+    containerized_s = containerized ~ases;
   }
 
 let print r =
   Report.section
     "Multi-AS learning (§4.2): monolithic process vs per-container split";
   Report.kv "workload" "%d ASes x %d updates = %d total" r.ases
-    r.updates_per_as (r.ases * r.updates_per_as);
+    updates_per_as (r.ases * updates_per_as);
   Report.kv "monolithic (one process, one main thread)" "%s"
     (Report.fseconds r.monolithic_s);
   Report.kv "containerized (one TENSOR process per AS)" "%s"

@@ -14,10 +14,11 @@
 
 type result = {
   ases : int;
-  updates_per_as : int;
   monolithic_s : float;  (** Last update applied, single process. *)
   containerized_s : float;  (** Max over containers. *)
 }
 
-val run : ?ases:int -> ?updates_per_as:int -> unit -> result
+val run : ?ases:int -> unit -> result
+(** [ases] peering ASes (default 50) of 10K updates each. *)
+
 val print : result -> unit

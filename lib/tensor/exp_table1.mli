@@ -44,4 +44,7 @@ val episode :
     when the session does not establish. *)
 
 val run : ?kinds:Orch.Controller.failure_kind list -> unit -> timeline list
+(** One episode per failure kind (default: all four rows of Table 1).
+    [kinds] is a test seam: tests run a subset to save time. *)
+
 val print : timeline list -> unit

@@ -42,7 +42,6 @@ type lane = {
 type in_state = { in_key : string; mutable durable : bool; mutable applied : bool }
 
 type t = {
-  replicate : bool;
   ack_hold : bool;
   eng : Engine.t;
   client : Store.Client.t;
@@ -115,11 +114,9 @@ let new_lane () =
     blocked_since = None;
   }
 
-let create ?(replicate = true) ?(ack_hold = true) ~engine ~client ~conn_id
-    ~service () =
+let create ?(ack_hold = true) ~engine ~client ~conn_id ~service () =
   {
-    replicate;
-    ack_hold = replicate && ack_hold;
+    ack_hold;
     eng = engine;
     client;
     cid = conn_id;
@@ -599,7 +596,7 @@ let session_down t =
   Queue.clear t.out_records;
   t.part_written <- false;
   set_epoch t (t.epoch + 1);
-  if t.replicate && not t.stopped then submit_del t t.bulk stale
+  if not t.stopped then submit_del t t.bulk stale
 
 let resume_at t ~epoch ~watermark ~bytes_written ~in_seq ~outtrim ~out_records =
   set_epoch t epoch;
@@ -747,7 +744,7 @@ let set_degrade_after t span =
 (* --- Receive replication ----------------------------------------------------- *)
 
 let on_rx_message t ?raw msg ~inferred_ack =
-  if t.replicate && (not t.stopped) && not t.degraded then begin
+  if (not t.stopped) && not t.degraded then begin
     Telemetry.Registry.incr m_rx_repl;
     let raw = match raw with Some raw -> raw | None -> Bgp.Msg.encode msg in
     let seq = t.in_seq in
@@ -779,7 +776,7 @@ let on_rx_message t ?raw msg ~inferred_ack =
   end
 
 let on_rx_applied t =
-  if t.replicate && not (Queue.is_empty t.unapplied) then begin
+  if not (Queue.is_empty t.unapplied) then begin
     let st = Queue.pop t.unapplied in
     st.applied <- true;
     (* Ordered behind the routing-table checkpoint writes already queued
@@ -792,7 +789,7 @@ let on_rx_applied t =
 (* --- Delayed sending ---------------------------------------------------------- *)
 
 let on_tx_message t ~raw ~release =
-  if (not t.replicate) || t.stopped || t.degraded then release ()
+  if t.stopped || t.degraded then release ()
   else begin
     Telemetry.Registry.incr m_tx_repl;
     let offset = t.written in
@@ -806,7 +803,7 @@ let on_tx_message t ~raw ~release =
 (* --- Routing-table checkpoints ------------------------------------------------ *)
 
 let on_rib_change t ~vrf change =
-  if t.replicate && (not t.stopped) && not t.degraded then
+  if (not t.stopped) && not t.degraded then
     match change with
     | Bgp.Rib.Best_changed (prefix, path) ->
         submit_set t t.bulk
@@ -854,7 +851,7 @@ let speaker_hooks ~of_peer ?of_vrf () =
 (* --- Outbound trimming ---------------------------------------------------------- *)
 
 let note_snd_una t ~iss ~snd_una =
-  if t.replicate && (not t.stopped) && not t.degraded then begin
+  if (not t.stopped) && not t.degraded then begin
     let acked = snd_una - (iss + 1) in
     if acked > t.outtrim then begin
       t.outtrim <- acked;

@@ -27,15 +27,13 @@
     while the previous one is in flight, which is what makes the ACK
     delay stay inside Figure 5(a)'s harmless region under update floods.
 
-    Ablation switches: [~replicate:false] disables everything (baseline
-    behaviour); [~ack_hold:false] keeps replication but releases ACKs
-    immediately, opening exactly the inconsistency window §3.1.1 warns
-    about (demonstrated in the test suite). *)
+    Ablation switch: [~ack_hold:false] keeps replication but releases
+    ACKs immediately, opening exactly the inconsistency window §3.1.1
+    warns about (demonstrated in the test suite). *)
 
 type t
 
 val create :
-  ?replicate:bool ->
   ?ack_hold:bool ->
   engine:Sim.Engine.t ->
   client:Store.Client.t ->

@@ -13,14 +13,6 @@ type t = {
   events : int; (* chain length (recorded events on the path) *)
 }
 
-(* Label match: exact, or [pat] is a dotted prefix ("tcp" matches
-   "tcp.rto" but not "tcpdump"). *)
-let label_matches pat l =
-  String.equal pat l
-  || (String.length l > String.length pat
-     && String.sub l 0 (String.length pat) = pat
-     && l.[String.length pat] = '.')
-
 (* The last finished span with this name: recovery queries ask about the
    run's final failover, and re-runs append. *)
 let target_span name =
@@ -34,42 +26,33 @@ let target_span name =
 (* Endpoint: the event whose execution closed the span (via the span
    finish binding), or — when the span was closed from harness code or
    the binding's event fell off the recorder cap — the last recorded
-   event executed within the span window. [to_label] overrides both:
-   the last in-window event whose label matches. *)
-let endpoint ~to_label ~t0 ~t1 (span : Telemetry.Span.span) =
+   event executed within the span window. *)
+let endpoint ~t0 ~t1 (span : Telemetry.Span.span) =
   let in_window (n : Recorder.node) = n.exec_at >= t0 && n.exec_at <= t1 in
-  let last_matching pred =
+  let last_in_window () =
     let r = ref None in
     let i = ref (Recorder.node_count () - 1) in
     while !r = None && !i >= 0 do
       let n = Recorder.get !i in
-      if in_window n && pred n then r := Some n;
+      if in_window n then r := Some n;
       decr i
     done;
     !r
   in
-  match to_label with
-  | Some pat -> last_matching (fun n -> label_matches pat n.label)
-  | None -> (
-      match Recorder.span_finish_binding span.sid with
-      | Some (id, track) -> (
-          match Recorder.find ~track ~id with
-          | Some n when in_window n -> Some n
-          | Some _ | None -> last_matching (fun _ -> true))
-      | None -> last_matching (fun _ -> true))
+  match Recorder.span_finish_binding span.sid with
+  | Some (id, track) -> (
+      match Recorder.find ~track ~id with
+      | Some n when in_window n -> Some n
+      | Some _ | None -> last_in_window ())
+  | None -> last_in_window ()
 
 (* Walk causal parents back from the endpoint, staying on the endpoint's
-   track, until the chain leaves the span window, reaches an external
-   root, or hits [from_label]. Oldest first. *)
-let chain_of ~from_label ~t0 (endp : Recorder.node) =
+   track, until the chain leaves the span window or reaches an external
+   root. Oldest first. *)
+let chain_of ~t0 (endp : Recorder.node) =
   let rec up acc (n : Recorder.node) =
     let acc = n :: acc in
-    let stop_here =
-      match from_label with
-      | Some pat -> label_matches pat n.label
-      | None -> false
-    in
-    if stop_here || n.parent < 0 then acc
+    if n.parent < 0 then acc
     else
       match Recorder.find ~track:n.track ~id:n.parent with
       | Some p when p.exec_at >= t0 -> up acc p
@@ -114,13 +97,13 @@ let segments_of ~t0 ~t1 chain =
   in
   List.rev merged
 
-let of_span ?from_label ?to_label ~name () =
+let of_span ~name =
   match target_span name with
   | None -> Error (Printf.sprintf "no finished span named %S" name)
   | Some span -> (
       let t0 = span.start_at in
       let t1 = match span.stop_at with Some t -> t | None -> assert false in
-      match endpoint ~to_label ~t0 ~t1 span with
+      match endpoint ~t0 ~t1 span with
       | None ->
           Error
             (Printf.sprintf
@@ -128,7 +111,7 @@ let of_span ?from_label ?to_label ~name () =
                 during the run?"
                name)
       | Some endp ->
-          let chain = chain_of ~from_label ~t0 endp in
+          let chain = chain_of ~t0 endp in
           Ok
             {
               span_name = name;

@@ -30,18 +30,10 @@ type t = {
   events : int;  (** recorded events on the critical path *)
 }
 
-val of_span :
-  ?from_label:string ->
-  ?to_label:string ->
-  name:string ->
-  unit ->
-  (t, string) result
-(** [of_span ~name ()] extracts the critical path of the last finished
-    span named [name]. [?to_label] re-anchors the endpoint at the last
-    in-window event whose label matches (exact or dotted-prefix match:
-    ["tcp"] matches ["tcp.rto"]); [?from_label] truncates the parent
-    walk at the first matching ancestor. Errors when no finished span of
-    that name exists or no traced events fall inside its window. *)
+val of_span : name:string -> (t, string) result
+(** [of_span ~name] extracts the critical path of the last finished span
+    named [name]. Errors when no finished span of that name exists or no
+    traced events fall inside its window. *)
 
 val to_text : t -> string
 (** Human-readable table: label, duration, share, event count. *)

@@ -29,7 +29,8 @@ type node = {
 val attach : ?limit:int -> unit -> unit
 (** Attaches the engine observer and the span finish hook.
     Recording stops (and {!dropped} counts) past [limit] nodes (default
-    2M, a fig5a-scale run with room).
+    2M, a fig5a-scale run with room). [limit] is a test seam: product
+    runs keep the default, and test_trace lowers it to reach the cap.
     Existing recorded state is kept — call {!reset} for a fresh DAG. *)
 
 val detach : unit -> unit

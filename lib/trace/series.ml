@@ -2,7 +2,6 @@
 let interval = Sim.Time.sec 1
 
 type t = {
-  select : string -> bool;
   buf : Buffer.t;
   mutable observer : Sim.Engine.observer option;
   mutable run : int;
@@ -11,20 +10,15 @@ type t = {
   mutable dirty : bool; (* events dispatched since the last sample *)
 }
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-
 let sample_row t ~at =
   let buf = t.buf in
   Buffer.add_string buf
     (Printf.sprintf "{\"run\":%d,\"t_ns\":%d,\"metrics\":{" t.run at);
   let first = ref true in
   let field name value =
-    if t.select name then begin
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%s" (Telemetry.Event.json_escape name) value)
-    end
+    if !first then first := false else Buffer.add_char buf ',';
+    Buffer.add_string buf
+      (Printf.sprintf "\"%s\":%s" (Telemetry.Event.json_escape name) value)
   in
   List.iter
     (fun m ->
@@ -32,11 +26,13 @@ let sample_row t ~at =
       | Telemetry.Registry.Counter (name, c) ->
           field name (string_of_int (Telemetry.Registry.value c))
       | Telemetry.Registry.Gauge (name, g) ->
-          field name (json_float (Telemetry.Registry.gauge_value g))
+          field name
+            (Telemetry.Event.json_float (Telemetry.Registry.gauge_value g))
       | Telemetry.Registry.Histogram (name, h) ->
           field (name ^ ".count")
             (string_of_int (Telemetry.Registry.hist_count h));
-          field (name ^ ".sum") (json_float (Telemetry.Registry.hist_sum h)))
+          field (name ^ ".sum")
+            (Telemetry.Event.json_float (Telemetry.Registry.hist_sum h)))
     (Telemetry.Registry.all ());
   Buffer.add_string buf "}}\n";
   t.dirty <- false
@@ -76,10 +72,9 @@ let on_dispatch t at =
   t.last_at <- at;
   t.dirty <- true
 
-let attach ?(select = fun _ -> true) () =
+let attach () =
   let t =
     {
-      select;
       buf = Buffer.create 4096;
       observer = None;
       run = 0;

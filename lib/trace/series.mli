@@ -18,9 +18,8 @@
 
 type t
 
-val attach : ?select:(string -> bool) -> unit -> t
-(** Attaches a sampler to the calling domain's engine observer slot.
-    [select] filters metric names (default: keep all). *)
+val attach : unit -> t
+(** Attaches a sampler to the calling domain's engine observer slot. *)
 
 val detach : t -> unit
 (** Detaches and flushes a final partial-window row if any event was

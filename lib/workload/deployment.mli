@@ -21,17 +21,10 @@ type month = {
   impacted_tb : float;  (** Traffic impacted by downtime that month. *)
 }
 
-type params = {
-  total_ases : int;  (** 6000. *)
-  baseline_impacted_tb : float;  (** ~34 TB/month before TENSOR. *)
-  pilot_ases : int;  (** 100. *)
-}
-
-val default : params
-
-val series : ?rng:Sim.Rng.t -> params -> month list
-(** The 36-month series. [rng] adds ±10 % monthly noise to the impacted
-    volume (omitted: deterministic). *)
+val series : rng:Sim.Rng.t -> month list
+(** The 36-month series over 6000 peering ASes, with a 100-AS pilot and
+    ~34 TB/month impacted before TENSOR. [rng] adds ±10 % monthly noise
+    to the impacted volume. *)
 
 val label : month -> string
 (** ["2020-06"]-style label. *)

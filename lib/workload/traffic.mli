@@ -10,18 +10,9 @@
     reported mean, median and P(> 1 Gbps) (all stated as lower bounds in
     the paper). *)
 
-type params = {
-  heavy_weight : float;  (** Fraction of heavy links (0.42). *)
-  heavy_median_bps : float;  (** 4 Gbps. *)
-  heavy_sigma : float;  (** 2.6. *)
-  light_median_bps : float;  (** 14 Mbps. *)
-  light_sigma : float;  (** 1.8. *)
-}
-
-val default : params
-
-val sample_population : Sim.Rng.t -> params -> int -> float array
-(** [sample_population rng p n] draws [n] links. *)
+val sample_population : Sim.Rng.t -> int -> float array
+(** [sample_population rng n] draws [n] links: 42 % heavy (median
+    4 Gbps, sigma 2.6), the rest light (median 14 Mbps, sigma 1.8). *)
 
 val mean_bps : float array -> float
 val median_bps : float array -> float

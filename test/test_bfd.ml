@@ -225,12 +225,15 @@ let prop_detection_scales_with_interval =
     (fun (interval_ms, mult) ->
       let eng, _, a, b, link, addr_a, addr_b = pair () in
       let sa =
-        Bfd.create_session (Bfd.endpoint a) ~tx_interval:(Time.ms interval_ms)
-          ~detect_mult:mult ~vrf:"v0" ~remote:addr_b ()
+        Bfd.create_session (Bfd.endpoint a) ~detect_mult:mult ~vrf:"v0"
+          ~remote:addr_b ()
       in
-      ignore
-        (Bfd.create_session (Bfd.endpoint b) ~tx_interval:(Time.ms interval_ms)
-           ~detect_mult:mult ~vrf:"v0" ~remote:addr_a ());
+      let sb =
+        Bfd.create_session (Bfd.endpoint b) ~detect_mult:mult ~vrf:"v0"
+          ~remote:addr_a ()
+      in
+      Bfd.set_tx_interval sa (Time.ms interval_ms);
+      Bfd.set_tx_interval sb (Time.ms interval_ms);
       Engine.run_for eng (Time.sec 3);
       if Bfd.session_state sa <> Bfd.Up then false
       else begin

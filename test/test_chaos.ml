@@ -700,7 +700,7 @@ let test_corpus_roundtrip () =
       let d1 = Chaos.Descriptor.generate ~seed:11 in
       let d2 = Chaos.Descriptor.generate ~seed:12 in
       let p1 = Chaos.Corpus.save ~dir ~comment:"first\nsecond line" d1 in
-      let _p2 = Chaos.Corpus.save ~dir d2 in
+      let _p2 = Chaos.Corpus.save ~dir ~comment:"third" d2 in
       let entries = Chaos.Corpus.load_dir dir in
       checki "both entries listed" 2 (List.length entries);
       (match List.assoc_opt (Filename.basename p1) entries with
@@ -803,7 +803,7 @@ let test_corpus_replay_detects_failure () =
                  "chaos1 seed=5 peers=1 hosts=3 ppfx=5 spfx=5 churn=0 \
                   delay=500 window=9000 settle=20000 faults=kill.app@2000")
           in
-          let path = Chaos.Corpus.save ~dir d in
+          let path = Chaos.Corpus.save ~dir ~comment:"regressed" d in
           let r = Chaos.Corpus.replay_file path in
           checkb "regressed entry fails replay" false (Chaos.Corpus.replay_ok r);
           checks "entry name" (Filename.basename path) r.Chaos.Corpus.name))
@@ -887,7 +887,7 @@ let test_leaked_ack_still_reported () =
 (* --- Campaigns ------------------------------------------------------------- *)
 
 let test_campaign_green () =
-  let c = Chaos.Fuzz.run ~runs:15 ~seed:42 () in
+  let c = Chaos.Fuzz.run ~progress:(fun _ _ -> ()) ~runs:15 ~seed:42 () in
   checkb "15-run campaign green" true (Chaos.Fuzz.campaign_ok c);
   checki "all runs executed" 15 c.Chaos.Fuzz.runs;
   checkb "checkers saw events" true (c.Chaos.Fuzz.events_total > 0)
@@ -898,7 +898,10 @@ let test_campaign_captures_and_saves () =
           (* Most generated schedules contain a migration-forcing fault,
              so a short campaign under no_fence must fail at least once;
              shrinking writes each repro to the corpus dir. *)
-          let c = Chaos.Fuzz.run ~runs:5 ~seed:7 ~shrink:true ~corpus_dir:dir () in
+          let c =
+            Chaos.Fuzz.run ~progress:(fun _ _ -> ()) ~shrink_to:dir ~runs:5
+              ~seed:7 ()
+          in
           checkb "campaign failed" false (Chaos.Fuzz.campaign_ok c);
           match c.Chaos.Fuzz.failures with
           | [] -> Alcotest.fail "no failures recorded"

@@ -81,7 +81,7 @@ let test_fig6b_tensor_close_to_frr () =
 
 let test_fig6c_packing_factor () =
   let rows =
-    Tensor.Exp_fig6.run_multi_peer ~peer_counts:[ 300 ] ~updates_per_peer:100 ()
+    Tensor.Exp_fig6.run_multi_peer ~peer_counts:[ 300 ] ()
   in
   let row = List.hd rows in
   let frr = value_of row "FRRouting" and gobgp = value_of row "GoBGP" in
@@ -137,7 +137,7 @@ let test_table1_other_rows () =
 (* --- Multi-AS parallelism ------------------------------------------------------- *)
 
 let test_multias_speedup () =
-  let r = Tensor.Exp_parallel.run ~ases:5 ~updates_per_as:5_000 () in
+  let r = Tensor.Exp_parallel.run ~ases:5 () in
   checkb "finite" true
     (finite [ r.Tensor.Exp_parallel.monolithic_s; r.Tensor.Exp_parallel.containerized_s ]);
   checkb "containerized faster" true

@@ -239,7 +239,7 @@ let test_json_roundtrips_through_monitor () =
           "let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl\n"
       in
       let _ = write "lib/bgp/clean.ml" "let x = 1\n" in
-      let report = Lint.Driver.run ~paths:[ root ] () in
+      let report = Lint.Driver.run ~readers:[] ~paths:[ root ] () in
       let json = Lint.Driver.to_json report ~new_findings:report.findings in
       match Monitor.Json.parse json with
       | Error e -> Alcotest.failf "Monitor.Json rejected the report: %s" e
@@ -274,7 +274,7 @@ let test_baseline_gates_new_findings () =
       let _ =
         write "lib/bgp/old.ml" "let f tbl = Hashtbl.iter (fun _ _ -> ()) tbl\n"
       in
-      let report = Lint.Driver.run ~paths:[ root ] () in
+      let report = Lint.Driver.run ~readers:[] ~paths:[ root ] () in
       checki "one pre-existing finding" 1 (List.length report.findings);
       let baseline_file = write "baseline.json" "" in
       let oc = open_out_bin baseline_file in
@@ -293,7 +293,7 @@ let test_baseline_gates_new_findings () =
       let _ =
         write "lib/tcp/seeded.ml" "let now () = Unix.gettimeofday ()\n"
       in
-      let report' = Lint.Driver.run ~paths:[ root ] () in
+      let report' = Lint.Driver.run ~readers:[] ~paths:[ root ] () in
       checki "two findings total" 2 (List.length report'.findings);
       let fresh = Lint.Baseline.diff entries report'.findings in
       checki "exactly the seeded violation is NEW" 1 (List.length fresh);
@@ -302,7 +302,7 @@ let test_baseline_gates_new_findings () =
         (List.length (Lint.Baseline.stale entries report'.findings));
       (* Fix the baselined finding: its entry is now stale (the ratchet). *)
       let _ = write "lib/bgp/old.ml" "let f () = ()\n" in
-      let report'' = Lint.Driver.run ~paths:[ root ] () in
+      let report'' = Lint.Driver.run ~readers:[] ~paths:[ root ] () in
       match Lint.Baseline.stale entries report''.findings with
       | [ e ] -> checks "the fixed finding's entry is stale" "d1" e.Lint.Baseline.b_pass
       | l -> Alcotest.failf "expected one stale entry, got %d" (List.length l))

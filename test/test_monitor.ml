@@ -145,7 +145,7 @@ let test_late_degrade =
 let bfd_detect_report () =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
-  let mon = Monitor.Checker.install () in
+  let mon = Monitor.Checker.install { peers = []; ack_deadline_s = 0. } in
   let eng = Engine.create () in
   let net = Netsim.Network.create eng in
   let a = Netsim.Network.add_node net "a"
@@ -158,7 +158,11 @@ let bfd_detect_report () =
   Engine.run_for eng (Time.sec 1);
   Netsim.Link.set_up link false;
   Engine.run_for eng (Time.sec 2);
-  let r = Monitor.Health.make ~scenario:"bfd" mon in
+  let r =
+    Monitor.Health.make ~scenario:"bfd"
+      ~engine:{ ev_processed = 0; profiled = [] }
+      mon
+  in
   Telemetry.Control.set_enabled false;
   r
 

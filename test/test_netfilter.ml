@@ -34,19 +34,21 @@ let test_drop_rule () =
   checki "nothing emitted" 0 !emitted;
   checki "dropped counter" 1 (count "dropped")
 
-let test_priority_order () =
+let test_insertion_order () =
   let chain = Netfilter.create () in
   let hits = ref [] in
-  ignore
-    (Netfilter.add_rule chain ~priority:10 (fun _ ->
-         hits := "low" :: !hits;
-         Netfilter.Accept));
-  ignore
-    (Netfilter.add_rule chain ~priority:(-5) (fun _ ->
-         hits := "high" :: !hits;
-         Netfilter.Accept));
+  let rule name =
+    Netfilter.add_rule chain (fun _ ->
+        hits := name :: !hits;
+        Netfilter.Accept)
+  in
+  let first = rule "first" in
+  ignore (rule "second");
+  Netfilter.remove_rule chain first;
+  ignore (rule "third");
   Netfilter.traverse chain (pkt ()) ~emit:(fun _ -> ());
-  Alcotest.(check (list string)) "high priority first" [ "low"; "high" ] !hits
+  Alcotest.(check (list string))
+    "installation order" [ "third"; "second" ] !hits
 
 let test_first_verdict_stops_traversal () =
   let chain = Netfilter.create () in
@@ -186,7 +188,7 @@ let () =
         [
           Alcotest.test_case "empty chain accepts" `Quick test_empty_chain_accepts;
           Alcotest.test_case "drop rule" `Quick test_drop_rule;
-          Alcotest.test_case "priority order" `Quick test_priority_order;
+          Alcotest.test_case "insertion order" `Quick test_insertion_order;
           Alcotest.test_case "first verdict wins" `Quick
             test_first_verdict_stops_traversal;
           Alcotest.test_case "remove rule" `Quick test_remove_rule;

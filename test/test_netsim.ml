@@ -66,11 +66,22 @@ let test_prefix_bad_len () =
 
 (* --- Link and Node ----------------------------------------------------- *)
 
-let two_nodes ?delay ?bandwidth_bps ?loss () =
+let two_nodes ?delay ?bandwidth_bps () =
   let eng = Engine.create () in
   let net = Network.create eng in
   let a = Network.add_node net "a" and b = Network.add_node net "b" in
-  let link, addr_a, addr_b = Network.connect net ?delay ?bandwidth_bps ?loss a b in
+  let link, addr_a, addr_b =
+    match bandwidth_bps with
+    | None -> Network.connect net ?delay a b
+    | Some bandwidth_bps ->
+        (* [Network.connect]'s wiring around a slow link. *)
+        let link = Link.create eng ?delay ~bandwidth_bps () in
+        let addr_a = Addr.of_string "10.0.0.1"
+        and addr_b = Addr.of_string "10.0.0.2" in
+        Node.attach a link Link.A ~local:addr_a ~remote:addr_b;
+        Node.attach b link Link.B ~local:addr_b ~remote:addr_a;
+        (link, addr_a, addr_b)
+  in
   (eng, net, a, b, link, addr_a, addr_b)
 
 let test_link_delivery () =
@@ -168,7 +179,8 @@ let test_link_fail_for () =
   checki "only post-recovery delivered" 1 !got
 
 let test_link_loss () =
-  let eng, _, a, b, link, addr_a, addr_b = two_nodes ~loss:0.5 () in
+  let eng, _, a, b, link, addr_a, addr_b = two_nodes () in
+  Link.set_loss link 0.5;
   let got = ref 0 in
   Node.add_handler b (fun _ ->
       incr got;

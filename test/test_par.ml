@@ -200,10 +200,13 @@ let test_campaign_failures_identical_across_jobs () =
       let indexes c =
         List.map (fun f -> f.Chaos.Fuzz.index) c.Chaos.Fuzz.failures
       in
-      let c1 = Chaos.Fuzz.run ~runs:5 ~seed:7 ~jobs:1 () in
+      let run jobs =
+        Chaos.Fuzz.run ~progress:(fun _ _ -> ()) ~runs:5 ~seed:7 ~jobs ()
+      in
+      let c1 = run 1 in
       checkb "seeded fault produces failures" true
         (c1.Chaos.Fuzz.failures <> []);
-      let c4 = Chaos.Fuzz.run ~runs:5 ~seed:7 ~jobs:4 () in
+      let c4 = run 4 in
       Alcotest.(check (list int))
         "failure indexes identical across jobs" (indexes c1) (indexes c4);
       checki "events_total identical" c1.Chaos.Fuzz.events_total

@@ -285,8 +285,12 @@ let test_bus_drop_accounting () =
     (Telemetry.Registry.gauge_value
        (Telemetry.Registry.gauge "telemetry.ring_hwm.tcp"));
   (* Health gates on it: a report cut while drops happened is unhealthy. *)
-  let mon = Monitor.Checker.install () in
-  let report = Monitor.Health.make ~scenario:"drop-test" mon in
+  let mon = Monitor.Checker.install { peers = []; ack_deadline_s = 0. } in
+  let report =
+    Monitor.Health.make ~scenario:"drop-test"
+      ~engine:{ ev_processed = 0; profiled = [] }
+      mon
+  in
   checki "report carries the drop count" 6 report.Monitor.Health.bus_dropped;
   checkb "drops fail the health report" false (Monitor.Health.ok report);
   Telemetry.Control.set_enabled false;

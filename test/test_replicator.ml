@@ -18,7 +18,7 @@ type rig = {
   db_addr : Addr.t;
 }
 
-let make_rig ?(replicate = true) ?(ack_hold = true) () =
+let make_rig ?(ack_hold = true) () =
   let eng = Engine.create () in
   let net = Network.create eng in
   let app = Network.add_node net "app" in
@@ -28,7 +28,7 @@ let make_rig ?(replicate = true) ?(ack_hold = true) () =
   let client = Store.Client.create app ~server:db_addr in
   let cid = Tensor.Keys.conn_id ~service:"rig" ~vrf:"v0" in
   let repl =
-    Tensor.Replicator.create ~replicate ~ack_hold ~engine:eng ~client
+    Tensor.Replicator.create ~ack_hold ~engine:eng ~client
       ~conn_id:cid ~service:"rig" ()
   in
   { eng; server; client; repl; cid; link; db_addr }
@@ -520,16 +520,6 @@ let test_rib_change_allocation () =
     Alcotest.failf "on_rib_change allocates %.1f B/route (bound %.0f)"
       per_route rib_change_bytes_bound
 
-let test_replicate_false_is_inert () =
-  let r = make_rig ~replicate:false () in
-  let released = ref false in
-  Tensor.Replicator.on_rx_message r.repl (update 1) ~inferred_ack:1100;
-  Tensor.Replicator.on_tx_message r.repl ~raw:"xyz" ~release:(fun () ->
-      released := true);
-  checkb "tx released synchronously" true !released;
-  Engine.run r.eng;
-  checki "store untouched" 0 (Store.Server.records r.server)
-
 let test_resume_continues_counters () =
   let r = make_rig () in
   Tensor.Replicator.resume_at r.repl ~epoch:0 ~watermark:2000 ~bytes_written:500
@@ -753,8 +743,6 @@ let () =
         ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "replicate=false inert" `Quick
-            test_replicate_false_is_inert;
           Alcotest.test_case "resume continues counters" `Quick
             test_resume_continues_counters;
           Alcotest.test_case "drain" `Quick test_drain_fires_when_quiet;

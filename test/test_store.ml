@@ -274,8 +274,7 @@ let test_promotion_after_primary_death () =
     replicated_setup ~cost:Store.free_cost_model ()
   in
   let client =
-    Store.Client.create ~replica:db2_addr ~resilient:true app
-      ~server:db1_addr
+    Store.Client.create ~mode:(Failover db2_addr) app ~server:db1_addr
   in
   let ok label r =
     match r with

@@ -9,11 +9,12 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
 (* Two hosts joined by one link. *)
-let pair ?delay ?bandwidth_bps ?loss ?proc_cost () =
+let pair ?delay ?loss ?proc_cost () =
   let eng = Engine.create () in
   let net = Network.create eng in
   let a = Network.add_node net "client" and b = Network.add_node net "server" in
-  let link, addr_a, addr_b = Network.connect net ?delay ?bandwidth_bps ?loss a b in
+  let link, addr_a, addr_b = Network.connect net ?delay a b in
+  Option.iter (Link.set_loss link) loss;
   let sa = Tcp.create_stack ?proc_cost a and sb = Tcp.create_stack ?proc_cost b in
   (eng, link, sa, sb, addr_a, addr_b)
 

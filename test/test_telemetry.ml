@@ -53,6 +53,13 @@ let test_simultaneous_ordering () =
            (fun e -> e.Telemetry.Bus.at = Time.ms 5)
            entries))
 
+(* The buffered entries of one category's ring. *)
+let events_in category =
+  List.filter
+    (fun (e : Telemetry.Bus.entry) ->
+      Telemetry.Event.category e.event = category)
+    (Telemetry.Bus.events ())
+
 let test_category_filter_and_overflow () =
   with_telemetry (fun () ->
       let eng = Engine.create () in
@@ -62,7 +69,7 @@ let test_category_filter_and_overflow () =
           (ev_generic Telemetry.Event.Tcp "tick" (string_of_int i))
       done;
       Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Bgp "other" "x");
-      let tcp = Telemetry.Bus.events ~category:Telemetry.Event.Tcp () in
+      let tcp = events_in Telemetry.Event.Tcp in
       checki "ring keeps the newest 4" 4 (List.length tcp);
       checki "dropped = overwritten" 6 (Telemetry.Bus.dropped_total ());
       (match tcp with
@@ -70,7 +77,7 @@ let test_category_filter_and_overflow () =
           checks "oldest survivor" "7" detail
       | _ -> Alcotest.fail "unexpected ring head");
       checki "bgp unaffected" 1
-        (List.length (Telemetry.Bus.events ~category:Telemetry.Event.Bgp ()));
+        (List.length (events_in Telemetry.Event.Bgp));
       Telemetry.Bus.set_capacity 8192)
 
 (* Hostile strings (quotes, backslashes, control bytes, DEL) must
@@ -181,8 +188,9 @@ let test_span_orphans () =
       Telemetry.Span.finish eng s;
       Telemetry.Span.finish eng s;
       (* A span whose parent was never recorded is still a root. *)
-      let orphan = Telemetry.Span.start ~parent:777 eng "orphan" in
-      ignore orphan;
+      Telemetry.Span.set_ambient (Some 777);
+      ignore (Telemetry.Span.start eng "orphan");
+      Telemetry.Span.set_ambient None;
       checki "both spans recorded" 2 (List.length (Telemetry.Span.spans ()));
       checki "orphan counts as a root" 2 (List.length (Telemetry.Span.roots ()));
       (* Never-finished spans export with a null stop rather than
@@ -205,25 +213,26 @@ let test_span_orphans () =
    (bound 2), 0.75 in [0.5,1) (bound 1), exactly 2.0 rolls over to
    [2,4) (bound 4); non-positive and NaN observations land in the
    underflow bucket (bound 0). *)
+(* A metric's [Registry.to_json] object: from its name to the next
+   closing brace. *)
+let json_row name =
+  let json = Telemetry.Registry.to_json () in
+  let prefix = Printf.sprintf {|{"name":"%s",|} name in
+  let rec find i =
+    if i + String.length prefix > String.length json then
+      Alcotest.failf "no metric %S" name
+    else if String.sub json i (String.length prefix) = prefix then
+      String.sub json i (String.index_from json i '}' - i + 1)
+    else find (i + 1)
+  in
+  find 0
+
 let test_histogram_buckets () =
   with_telemetry (fun () ->
       let h = Telemetry.Registry.histogram "test.hist" in
       List.iter (Telemetry.Registry.observe h) [ 1.0; 0.75; 2.0; 0.0; -3.0 ];
       let nan_h = Telemetry.Registry.histogram "test.hist.nan" in
       Telemetry.Registry.observe nan_h nan;
-      let json = Telemetry.Registry.to_json () in
-      (* A metric's JSON object: from its name to the next closing brace. *)
-      let json_row name =
-        let prefix = Printf.sprintf {|{"name":"%s",|} name in
-        let rec find i =
-          if i + String.length prefix > String.length json then
-            Alcotest.failf "no metric %S" name
-          else if String.sub json i (String.length prefix) = prefix then
-            String.sub json i (String.index_from json i '}' - i + 1)
-          else find (i + 1)
-        in
-        find 0
-      in
       checks "json row"
         {|{"name":"test.hist","kind":"histogram","count":5,"sum":0.75,"buckets":[[0,2],[1,1],[2,1],[4,1]]}|}
         (json_row "test.hist");
@@ -231,8 +240,82 @@ let test_histogram_buckets () =
         (List.find
            (String.starts_with ~prefix:"test.hist,")
            (String.split_on_char '\n' (Telemetry.Registry.to_csv ())));
-      checkb "nan -> underflow" true
-        (String.ends_with ~suffix:{|"buckets":[[0,1]]}|} (json_row "test.hist.nan")))
+      checks "nan sum exports null, nan lands in the underflow bucket"
+        {|{"name":"test.hist.nan","kind":"histogram","count":1,"sum":null,"buckets":[[0,1]]}|}
+        (json_row "test.hist.nan"))
+
+(* The bucket choice [Registry.observe] made before it read the exponent
+   off the float's bits, kept as the reference: the exclusive upper
+   bound of [v]'s bucket. It differs only at +infinity, whose [frexp]
+   exponent is 0. *)
+let frexp_bucket_bound v =
+  if v <= 0.0 || Float.is_nan v then 0.0
+  else
+    let _, e = Float.frexp v in
+    Float.ldexp 1.0 (max (-30) (min 33 e))
+
+(* The one bucket a fresh histogram files [v] under, as exported. *)
+let observed_bucket v =
+  Telemetry.Registry.reset_values ();
+  let h = Telemetry.Registry.histogram "test.hist.one" in
+  Telemetry.Registry.observe h v;
+  let row = json_row "test.hist.one" in
+  let at = String.rindex row '[' + 1 in
+  String.sub row at (String.index_from row at ',' - at)
+
+let prop_bucket_matches_frexp =
+  let pow2 = Float.ldexp 1.0 in
+  let edges =
+    [ 0.0; -0.0; nan; -.infinity; -1.0; -.Float.max_float; Float.min_float;
+      4.9e-324; Float.max_float; 1.0; Float.pred 1.0; 0.75 ]
+    (* both sides of each clamp: 2^-30 is the finest bound, 2^33 the top *)
+    @ List.concat_map
+        (fun e -> [ pow2 e; Float.pred (pow2 e); Float.succ (pow2 e) ])
+        [ -32; -31; -30; -29; 31; 32; 33; 34 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, oneofl edges);
+          ( 4,
+            map2 (fun m e -> Float.ldexp m e) (float_range 0.5 1.0)
+              (int_range (-40) 40) );
+          (1, map (fun m -> -.m) (float_bound_inclusive 1e6));
+          (1, map (fun m -> m *. Float.min_float) (float_bound_exclusive 1.0));
+        ])
+  in
+  QCheck.Test.make ~name:"bucket = frexp reference" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun v ->
+      with_telemetry (fun () ->
+          observed_bucket v
+          = Telemetry.Event.json_float (frexp_bucket_bound v)))
+
+let test_histogram_infinity () =
+  with_telemetry (fun () ->
+      let h = Telemetry.Registry.histogram "test.hist.inf" in
+      Telemetry.Registry.observe h infinity;
+      checks "+inf clamps to the top bucket, its sum exports null"
+        {|{"name":"test.hist.inf","kind":"histogram","count":1,"sum":null,"buckets":[[8.58993459e+09,1]]}|}
+        (json_row "test.hist.inf"))
+
+(* [observe] files a value in place: no tuple from [Float.frexp], no
+   boxed sum. The value is one boxed float, so the loop allocates
+   nothing either. *)
+let test_observe_allocates_nothing () =
+  with_telemetry (fun () ->
+      let h = Telemetry.Registry.histogram "test.hist.alloc" in
+      let v = Sys.opaque_identity 0.75 in
+      let n = 100_000 in
+      let a0 = Prof.Profiler.allocated_bytes () in
+      for _ = 1 to n do
+        Telemetry.Registry.observe h v
+      done;
+      let bytes = Prof.Profiler.allocated_bytes () -. a0 in
+      checki "all filed" n (Telemetry.Registry.hist_count h);
+      if bytes > 1024. then
+        Alcotest.failf "%d observations allocated %.0f bytes" n bytes)
 
 let test_registry_idempotent () =
   with_telemetry (fun () ->
@@ -298,7 +381,7 @@ let test_capture_filters_in_order () =
       (* Capture reads a subscription, not the rings, and never clears
          them: the surrounding run keeps every event. *)
       checki "rings untouched" 5
-        (List.length (Telemetry.Bus.events ~category:Telemetry.Event.Orch ())))
+        (List.length (events_in Telemetry.Event.Orch)))
 
 let test_capture_restores_on_raise () =
   with_telemetry ~enabled:false (fun () ->
@@ -379,6 +462,10 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "bucket-boundaries" `Quick test_histogram_buckets;
+          QCheck_alcotest.to_alcotest prop_bucket_matches_frexp;
+          Alcotest.test_case "infinity" `Quick test_histogram_infinity;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_observe_allocates_nothing;
           Alcotest.test_case "idempotent" `Quick test_registry_idempotent;
         ] );
       ( "capture",

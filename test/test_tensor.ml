@@ -924,7 +924,9 @@ let new_world () =
   let eng, app, db, db2, db_addr, db2_addr, links = world_net () in
   let server = Store.Server.create db and replica = Store.Server.create db2 in
   Store.Server.attach_replica server replica;
-  let client = Store.Client.create ~replica:db2_addr app ~server:db_addr in
+  let client =
+    Store.Client.create ~mode:(Failover db2_addr) app ~server:db_addr
+  in
   let enc = Tensor.Keys.rib_encoder () in
   let value = function
     | Plain s -> Store.Value.of_string s
@@ -1093,7 +1095,7 @@ type world = {
   peer_link : Link.t;
 }
 
-let make_world ?(replicate = true) ?(ack_hold = true) ?store_resilient
+let make_world ?(ack_hold = true) ?store_resilient
     ?degrade_frac ?seed () =
   let dep = Tensor.Deploy.build ?seed () in
   let peer = Tensor.Deploy.add_peer_as dep ~asn:65010 "peerAS" in
@@ -1101,7 +1103,7 @@ let make_world ?(replicate = true) ?(ack_hold = true) ?store_resilient
     Tensor.Deploy.peer_expects peer ~vrf:"v0" ~vip:vip1 ~local_asn:64900
   in
   let svc =
-    Tensor.Deploy.deploy_service dep ~replicate ~ack_hold ?store_resilient
+    Tensor.Deploy.deploy_service dep ~ack_hold ?store_resilient
       ?degrade_frac ~id:"svc1" ~local_asn:64900
       [
         Tensor.App.vrf_spec ~vrf:"v0" ~vip:vip1
@@ -1530,16 +1532,6 @@ let test_two_vrf_container_migration () =
     (Tensor.App.session_established (Tensor.Deploy.service_app svc) ~vrf:"v1"
     && Tensor.App.session_established (Tensor.Deploy.service_app svc) ~vrf:"v2")
 
-let test_baseline_without_nsr_peer_sees_outage () =
-  (* Control: replication disabled = an ordinary BGP daemon in a
-     container. The same container failure kills the peer's session. *)
-  let w = make_world ~replicate:false () in
-  establish w;
-  let drops = watch_peer_continuity w in
-  Orch.Container.fail (Tensor.Deploy.service_container w.svc);
-  Engine.run_for (eng w) (Time.minutes 3);
-  checkb "peer saw the failure without NSR" true (!drops > 0)
-
 (* --- Table 1's recovery timeline ------------------------------------------ *)
 
 let entry ms event = { Telemetry.Bus.seq = ms; at = Time.ms ms; event }
@@ -1652,8 +1644,6 @@ let () =
             test_planned_migration_zero_downtime;
           Alcotest.test_case "two-VRF container" `Quick
             test_two_vrf_container_migration;
-          Alcotest.test_case "control: no NSR -> outage" `Quick
-            test_baseline_without_nsr_peer_sees_outage;
         ] );
       ( "timeline",
         [

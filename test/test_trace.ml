@@ -94,8 +94,8 @@ let synthetic_recovery () =
   Sim.Engine.run eng;
   Causal.Recorder.detach ()
 
-let extract ?from_label ?to_label () =
-  match Causal.Critical.of_span ?from_label ?to_label ~name:"recover" () with
+let extract () =
+  match Causal.Critical.of_span ~name:"recover" with
   | Ok cp -> cp
   | Error e -> Alcotest.failf "critical path: %s" e
 
@@ -128,29 +128,8 @@ let test_critical_path_sum () =
     s.Causal.Critical.dur
   in
   checki "bfd segment 40ms" (Sim.Time.ms 40) (dur "bfd.detect");
-  checki "tcp segment 50ms" (Sim.Time.ms 50) (dur "tcp.replay")
-
-let test_critical_path_from_to () =
-  synthetic_recovery ();
-  (* --to re-anchors the endpoint; the rest of the window is reported
-     as an explicit untraced segment so the sum identity survives. *)
-  let cp = extract ~to_label:"bfd" () in
-  checki "sum identity with --to" cp.Causal.Critical.total
-    (segment_sum cp);
-  Alcotest.(check (list string))
-    "untraced tail after the bfd endpoint"
-    [ "fault"; "bfd.detect"; "(untraced)" ]
-    (seg_labels cp);
-  (* --from truncates the walk: time before the match folds into the
-     matching segment's head. *)
-  let cp = extract ~from_label:"bfd.detect" () in
-  checki "sum identity with --from" cp.Causal.Critical.total
-    (segment_sum cp);
-  Alcotest.(check (list string))
-    "chain truncated at bfd"
-    [ "bfd.detect"; "tcp.replay" ]
-    (seg_labels cp);
-  match Causal.Critical.of_span ~name:"no-such-span" () with
+  checki "tcp segment 50ms" (Sim.Time.ms 50) (dur "tcp.replay");
+  match Causal.Critical.of_span ~name:"no-such-span" with
   | Ok _ -> Alcotest.fail "expected an error for an unknown span"
   | Error _ -> ()
 
@@ -226,11 +205,7 @@ let test_perfetto_export () =
 let test_series_windows () =
   fresh ();
   let c = Telemetry.Registry.counter "test_trace.series_ticks" in
-  let s =
-    Causal.Series.attach
-      ~select:(fun n -> n = "test_trace.series_ticks")
-      ()
-  in
+  let s = Causal.Series.attach () in
   (* The sampler watches dispatches: ticks are engine events. *)
   let tick () = Telemetry.Registry.incr c in
   let eng = Sim.Engine.create () in
@@ -276,7 +251,7 @@ let test_series_windows () =
     "boundary timestamps"
     [ 1e9; 2e9; 3e9; 3.7e9; 0.2e9 ]
     times;
-  (* The selected counter is sampled, and a boundary row is taken
+  (* The counter is sampled, and a boundary row is taken
      before the first event past the boundary runs. *)
   let ticks =
     List.map
@@ -287,7 +262,7 @@ let test_series_windows () =
             Monitor.Json.to_float
         with
         | Some v -> v
-        | None -> Alcotest.fail "selected metric missing")
+        | None -> Alcotest.fail "counter missing")
       parsed
   in
   Alcotest.(check (list (float 0.0))) "ticks per row" [ 1.; 2.; 2.; 3.; 4. ] ticks
@@ -350,14 +325,10 @@ let without_observations (r : Monitor.Health.report) =
     {
       r with
       critical_path = None;
-      engine =
-        Option.map
-          (fun (e : Monitor.Health.engine_cost) -> { e with profiled = [] })
-          r.engine;
+      engine = { r.engine with profiled = [] };
     }
 
-let profiled (r : Monitor.Health.report) =
-  match r.engine with Some e -> e.profiled | None -> []
+let profiled (r : Monitor.Health.report) = r.engine.profiled
 
 let test_observed_matches_bare () =
   fresh ();
@@ -525,8 +496,6 @@ let () =
         [
           Alcotest.test_case "segments sum to the span duration" `Quick
             test_critical_path_sum;
-          Alcotest.test_case "--from/--to windows keep the identity" `Quick
-            test_critical_path_from_to;
           Alcotest.test_case "checked failover decomposes recovery" `Slow
             test_failover_critical_path;
         ] );

@@ -9,8 +9,7 @@ let checkb = Alcotest.(check bool)
 (* --- Traffic (Fig 7a) ---------------------------------------------------- *)
 
 let population () =
-  Workload.Traffic.sample_population (Rng.create 42) Workload.Traffic.default
-    10_000
+  Workload.Traffic.sample_population (Rng.create 42) 10_000
 
 let test_traffic_mean () =
   let pop = population () in
@@ -36,8 +35,8 @@ let test_traffic_heavy_fraction () =
     (frac > 0.28 && frac < 0.40)
 
 let test_traffic_deterministic_by_seed () =
-  let a = Workload.Traffic.sample_population (Rng.create 7) Workload.Traffic.default 100 in
-  let b = Workload.Traffic.sample_population (Rng.create 7) Workload.Traffic.default 100 in
+  let a = Workload.Traffic.sample_population (Rng.create 7) 100 in
+  let b = Workload.Traffic.sample_population (Rng.create 7) 100 in
   checkb "same seed, same population" true (a = b)
 
 let test_bytes_impacted () =
@@ -102,8 +101,11 @@ let test_attr_groups_avoid_experiment_asns () =
 
 (* --- Deployment (Fig 7b) --------------------------------------------------- *)
 
+let deployment_series () =
+  Workload.Deployment.series ~rng:(Rng.create 7)
+
 let test_deployment_span () =
-  let months = Workload.Deployment.series Workload.Deployment.default in
+  let months = deployment_series () in
   checki "36 months" 36 (List.length months);
   Alcotest.(check string)
     "starts 2020-01" "2020-01"
@@ -113,7 +115,7 @@ let test_deployment_span () =
     (Workload.Deployment.label (List.nth months 35))
 
 let test_deployment_adoption_curve () =
-  let months = Workload.Deployment.series Workload.Deployment.default in
+  let months = deployment_series () in
   let get y m =
     List.find
       (fun (x : Workload.Deployment.month) ->
@@ -126,7 +128,7 @@ let test_deployment_adoption_curve () =
   checki "full through 2022" 6000 (get 2022 6).Workload.Deployment.ases_on_tensor
 
 let test_deployment_impact_declines_to_zero () =
-  let months = Workload.Deployment.series Workload.Deployment.default in
+  let months = deployment_series () in
   let impacted y m =
     (List.find
        (fun (x : Workload.Deployment.month) ->
@@ -140,7 +142,7 @@ let test_deployment_impact_declines_to_zero () =
   checkb "zero at full coverage" true (impacted 2022 6 < 0.01)
 
 let test_deployment_update_frequency_triples () =
-  let months = Workload.Deployment.series Workload.Deployment.default in
+  let months = deployment_series () in
   let last = List.nth months 35 in
   checkb "frequency ~3x by the end" true
     (last.Workload.Deployment.update_frequency >= 2.8)
@@ -152,7 +154,7 @@ let prop_sample_positive =
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
-      (Workload.Traffic.sample_population rng Workload.Traffic.default 1).(0) > 0.0)
+      (Workload.Traffic.sample_population rng 1).(0) > 0.0)
 
 let prop_prefix_index_injective =
   QCheck.Test.make ~name:"prefix generator is injective" ~count:200
