@@ -113,8 +113,7 @@ let artifacts_written dir = Printf.eprintf "Artifacts written to %s/\n%!" dir
 let run_observed ~quick root (e : Tensor.Experiments.t) =
   let dir = Filename.concat root e.id in
   let row =
-    Tensor.Check.observed ~dir ~name:("tensor " ^ e.id) (fun () ->
-        run_one ~quick e)
+    Tensor.Check.observed ~dir (fun () -> run_one ~quick e)
   in
   artifacts_written dir;
   row
@@ -153,12 +152,11 @@ let experiment_cmd =
           ~doc:
             "Run each experiment with telemetry on, the metric-series \
              sampler and the engine profiler attached, and write its \
-             artifacts to $(i,DIR)/$(i,ID)/: metrics.csv, metrics.json, \
-             events.jsonl, spans.jsonl, timeseries.jsonl (the metric \
-             series per simulated second), engine_cost.txt (every event \
-             label by wall time), the four flamegraph and speedscope \
-             profile files, and one CSV per printed table. stdout is the \
-             bare run's.")
+             artifacts to $(i,DIR)/$(i,ID)/: metrics.json, events.jsonl, \
+             spans.jsonl, timeseries.jsonl (the metric series per \
+             simulated second), engine_cost.txt (every event label by \
+             wall time, with its allocated bytes) and one CSV per printed \
+             table. stdout is the bare run's.")
   in
   let emit_bench =
     Arg.(
@@ -220,10 +218,9 @@ let check_cmd =
             "Attach the causal recorder, the metric-series sampler and the \
              engine profiler, and write each scenario's artifacts to \
              $(i,DIR)/$(i,SCENARIO)/: health.json (verdict, critical path \
-             and cost ledger), spans.jsonl, spans.txt, events.jsonl, \
-             metrics.csv, metrics.json, trace.perfetto.json, \
-             timeseries.jsonl, engine_cost.txt and the four flamegraph \
-             and speedscope profile files.")
+             and cost ledger), trace.perfetto.json, and the set \
+             $(b,experiment --out) writes: metrics.json, events.jsonl, \
+             spans.jsonl, timeseries.jsonl and engine_cost.txt.")
   in
   let run scenarios kind json out =
     let healthy =

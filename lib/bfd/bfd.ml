@@ -224,17 +224,9 @@ let stop_session s =
 let default_tx_interval = Time.ms 100
 let default_detect_mult = 3
 
-let create_session ep ?(detect_mult = default_detect_mult) ?local ?resume
+let create_session ep ?(detect_mult = default_detect_mult) ~local ?resume
     ~vrf ~remote () =
   let tx_interval = default_tx_interval in
-  let slocal =
-    match local with
-    | Some a -> a
-    | None -> (
-        match Node.addresses ep.node with
-        | a :: _ -> a
-        | [] -> invalid_arg "Bfd.create_session: node has no address")
-  in
   (* Discriminators only need to be unique per local system; allocating
      them per endpoint (not from process-global state) keeps replicated
      records — and the store costs derived from their encoded size —
@@ -249,7 +241,7 @@ let create_session ep ?(detect_mult = default_detect_mult) ?local ?resume
     {
       ep;
       svrf = vrf;
-      slocal;
+      slocal = local;
       sremote = remote;
       disc;
       peer_disc;

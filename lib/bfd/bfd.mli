@@ -40,16 +40,16 @@ val endpoint : Netsim.Node.t -> endpoint
 val create_session :
   endpoint ->
   ?detect_mult:int ->
-  ?local:Netsim.Addr.t ->
+  local:Netsim.Addr.t ->
   ?resume:int * int ->
   vrf:string ->
   remote:Netsim.Addr.t ->
   unit ->
   session
 (** Sessions transmit every 100 ms ({!set_tx_interval} changes that
-    live); defaults: multiplier 3, local = node's first address. The
-    session starts transmitting immediately (state Down, initiating the
-    three-way bring-up).
+    live) from [local], with multiplier 3. The session starts
+    transmitting immediately (state Down, initiating the three-way
+    bring-up).
 
     [detect_mult] is a test seam: no product session varies it, and
     test_bfd varies it to check that detection scales with it.

@@ -150,3 +150,25 @@ let by_wall () =
 let sum f = List.fold_left (fun acc st -> acc +. f st) 0.0 (stats ())
 let total_events () = List.fold_left (fun acc st -> acc + st.events) 0 (stats ())
 let total_wall_s () = sum (fun st -> st.wall_s)
+
+let cost_table () =
+  let rows = by_wall () in
+  let events = total_events () and wall = total_wall_s () in
+  let alloc = sum (fun st -> st.alloc_bytes) in
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf
+    "Engine cost by wall time: %d labels, %d events, %.3fs wall, %.1f MB \
+     allocated\n\n"
+    (List.length rows) events wall (alloc /. 1e6);
+  Printf.bprintf buf "%-18s %10s %10s %6s %12s %12s %12s %14s\n" "label"
+    "events" "wall ms" "%" "bytes/event" "dwell avg" "dwell max" "bytes";
+  List.iter
+    (fun st ->
+      let per x = x /. float_of_int (max 1 st.events) in
+      Printf.bprintf buf
+        "%-18s %10d %10.3f %5.1f%% %12.0f %11.3fs %11.3fs %14.0f\n" st.label
+        st.events (st.wall_s *. 1e3)
+        (if wall > 1e-9 then 100.0 *. st.wall_s /. wall else 0.0)
+        (per st.alloc_bytes) (per st.dwell_s) st.dwell_max_s st.alloc_bytes)
+    rows;
+  Buffer.contents buf

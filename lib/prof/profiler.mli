@@ -39,7 +39,6 @@ val stats : unit -> stat list
 val by_wall : unit -> stat list
 (** All rows, costliest wall time first (ties by label). *)
 
-val total_events : unit -> int
 val total_wall_s : unit -> float
 
 val allocated_bytes : unit -> float
@@ -48,3 +47,15 @@ val allocated_bytes : unit -> float
     what ran between them allocated, plus a constant: the first read's
     own result. Unlike [Gc.allocated_bytes] on OCaml 5.1, it counts
     every young word. *)
+
+val cost_table : unit -> string
+(** The rows as a text table, costliest wall time first ([engine_cost.txt]
+    under every [--out]): per label, events, wall milliseconds, wall
+    share, bytes per event, mean and maximum simulated dwell, and the
+    exact allocated bytes. The header line carries the totals. *)
+
+(** {1 Test-only} *)
+
+val total_events : unit -> int
+(** Inspection: events dispatched while attached, so tests check that
+    the profiler saw every dispatch. *)

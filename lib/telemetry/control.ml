@@ -30,14 +30,3 @@ let rec mkdir_p dir =
 
 let write_file path content =
   Out_channel.with_open_text path (fun oc -> output_string oc content)
-
-let export_dir dir =
-  mkdir_p dir;
-  write_file (Filename.concat dir "metrics.csv") (Registry.to_csv ());
-  write_file (Filename.concat dir "metrics.json") (Registry.to_json ());
-  let buf = Buffer.create 4096 in
-  Bus.to_jsonl buf;
-  write_file (Filename.concat dir "events.jsonl") (Buffer.contents buf);
-  Buffer.clear buf;
-  Span.to_jsonl buf;
-  write_file (Filename.concat dir "spans.jsonl") (Buffer.contents buf)

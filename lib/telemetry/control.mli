@@ -1,4 +1,5 @@
-(** Run-level control: one switch, one reset, one export. *)
+(** Run-level control: one switch, one reset, one capture and two file
+    helpers. *)
 
 val set_enabled : bool -> unit
 (** Turns event and span recording on or off (see {!Gate}). *)
@@ -21,7 +22,3 @@ val mkdir_p : string -> unit
 
 val write_file : string -> string -> unit
 (** [write_file path content] replaces [path]'s contents. *)
-
-val export_dir : string -> unit
-(** Writes [metrics.csv], [metrics.json], [events.jsonl] and
-    [spans.jsonl] into the directory, creating it if needed. *)

@@ -134,25 +134,6 @@ let reset_values () =
           h.sum.(0) <- 0.0)
     (all ())
 
-let float_str f = Printf.sprintf "%.9g" f
-
-let to_csv () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "name,kind,count,sum\n";
-  List.iter
-    (fun m ->
-      let line =
-        match m with
-        | Counter (n, c) -> Printf.sprintf "%s,counter,%d,\n" n c.c
-        | Gauge (n, g) ->
-            Printf.sprintf "%s,gauge,,%s\n" n (float_str g.gcell.(0))
-        | Histogram (n, h) ->
-            Printf.sprintf "%s,histogram,%d,%s\n" n h.n (float_str h.sum.(0))
-      in
-      Buffer.add_string buf line)
-    (all ());
-  Buffer.contents buf
-
 let to_json () =
   let metric_json = function
     | Counter (n, c) ->

@@ -64,10 +64,6 @@ type metric =
 val all : unit -> metric list
 (** Every registered metric, in registration order. *)
 
-val to_csv : unit -> string
-(** Header [name,kind,count,sum] — counters fill [count], gauges and
-    histogram sums fill [sum], histograms fill both. *)
-
 val to_json : unit -> string
 (** [{"metrics":[{"name":..,"kind":..,..}, ...]}] with histogram
     buckets included; a non-finite value is [null]. *)

@@ -107,17 +107,3 @@ let to_jsonl buf =
            | Some t -> string_of_int (Sim.Time.diff t s.start_at)
            | None -> "null")))
     (spans ())
-
-let pp_tree fmt () =
-  let rec render indent s =
-    (match s.stop_at with
-    | Some stop ->
-        Format.fprintf fmt "%s%s  [%a → %a]  (%a)@." indent s.name Sim.Time.pp
-          s.start_at Sim.Time.pp stop Sim.Time.pp_span
-          (Sim.Time.diff stop s.start_at)
-    | None ->
-        Format.fprintf fmt "%s%s  [%a → …]  (open)@." indent s.name Sim.Time.pp
-          s.start_at);
-    List.iter (render (indent ^ "  ")) (children s.sid)
-  in
-  List.iter (render "") (roots ())

@@ -70,9 +70,6 @@ val to_jsonl : Buffer.t -> unit
 (** One JSON object per span:
     [{"id":..,"parent":..,"name":..,"start_ns":..,"stop_ns":..,"dur_ns":..}]. *)
 
-val pp_tree : Format.formatter -> unit -> unit
-(** Renders the span forest with indentation and durations. *)
-
 (** {1 Test-only} *)
 
 val children : id -> span list

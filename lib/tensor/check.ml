@@ -120,32 +120,44 @@ let engine_cost ev0 =
                 }));
   }
 
-(* The one writer of the common artifact set (see [observed] in the
-   interface): it attaches the observers and returns the step that
-   detaches them and writes the files. *)
-let observe ~dir ~name =
+(* The one writer of every [--out] artifact (see [observed] and
+   [checked] in the interface): it attaches the observers and returns
+   the step that detaches them and writes the common set plus [extra],
+   the caller's (file, contents) pairs. *)
+let observe ~dir =
   Report.set_csv_dir (Some dir);
   (* The series sampler goes in after the profiler, so the profiler's
      samples leave its cost out. *)
   Prof.Profiler.attach ();
   let series = Causal.Series.attach () in
-  fun () ->
+  fun extra ->
     Causal.Series.detach series;
     Prof.Profiler.detach ();
     Report.set_csv_dir None;
-    Telemetry.Control.export_dir dir;
-    Telemetry.Control.write_file
-      (Filename.concat dir "timeseries.jsonl")
-      (Causal.Series.to_jsonl series);
-    Prof.Export.write_dir ~name dir
+    let jsonl to_jsonl =
+      let buf = Buffer.create 4096 in
+      to_jsonl buf;
+      Buffer.contents buf
+    in
+    List.iter
+      (fun (file, contents) ->
+        Telemetry.Control.write_file (Filename.concat dir file) contents)
+      ([
+         ("metrics.json", Telemetry.Registry.to_json ());
+         ("events.jsonl", jsonl Telemetry.Bus.to_jsonl);
+         ("spans.jsonl", jsonl Telemetry.Span.to_jsonl);
+         ("timeseries.jsonl", Causal.Series.to_jsonl series);
+         ("engine_cost.txt", Prof.Profiler.cost_table ());
+       ]
+      @ extra)
 
-let observed ~dir ~name f =
+let observed ~dir f =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
-  let finish = observe ~dir ~name in
+  let finish = observe ~dir in
   let r = f () in
   Telemetry.Control.set_enabled false;
-  finish ();
+  finish [];
   r
 
 (* The observers of [?out]: {!observe}'s, then the causal recorder,
@@ -155,24 +167,25 @@ let observed ~dir ~name f =
    sections. Returns the step that detaches them and writes the
    artifacts once the report is cut; telemetry stays readable after the
    run, so the exports cover all of it. *)
-let observe_checked ~dir ~scenario =
-  let finish = observe ~dir ~name:("tensor " ^ scenario) in
+let observe_checked ~dir =
+  let finish = observe ~dir in
   Causal.Recorder.reset ();
   Causal.Recorder.attach ();
   fun report ->
     Causal.Recorder.detach ();
-    finish ();
-    let write file = Telemetry.Control.write_file (Filename.concat dir file) in
-    write "health.json" (Monitor.Health.to_json report ^ "\n");
-    write "spans.txt" (Format.asprintf "%a" Telemetry.Span.pp_tree ());
-    write "trace.perfetto.json"
-      (Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path ())
+    finish
+      [
+        ("health.json", Monitor.Health.to_json report ^ "\n");
+        ( "trace.perfetto.json",
+          Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path ()
+        );
+      ]
 
 let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
   let mon = Monitor.Checker.install cfg in
-  let finish = Option.map (fun dir -> observe_checked ~dir ~scenario) out in
+  let finish = Option.map (fun dir -> observe_checked ~dir) out in
   let ev0 = Engine.global_processed_events () in
   let value =
     try

@@ -28,19 +28,18 @@ val snapshot_session :
     cross-check directly. Shared by the checked scenarios and the chaos
     runner's end-state verdict. *)
 
-val observed : dir:string -> name:string -> (unit -> 'a) -> 'a
-(** [observed ~dir ~name f] runs [f] observed, as
+val observed : dir:string -> (unit -> 'a) -> 'a
+(** [observed ~dir f] runs [f] observed, as
     [tensor-cli experiment --out] runs each experiment: telemetry is
     reset and recording for [f] alone, the metric-series sampler and
     the engine profiler are attached, and {!Report}'s table CSVs go to
     [dir] (created with its parents). Afterwards [dir] holds the common
     artifact set that every observed run writes, {!checked}'s [?out]
-    included, from one function:
-    - [metrics.csv], [metrics.json], [events.jsonl] and [spans.jsonl]
-      ({!Telemetry.Control.export_dir});
+    included, one file per fact, from one function:
+    - [metrics.json], the metrics registry, histogram buckets included;
+    - [events.jsonl] and [spans.jsonl], the bus and the causal spans;
     - [timeseries.jsonl], the metric series per simulated second;
-    - the five profile files of {!Prof.Export.write_dir}, titled
-      [name], [engine_cost.txt] among them;
+    - [engine_cost.txt], {!Prof.Profiler.cost_table};
     - one CSV per table [f] printed. *)
 
 type 'a checked = {
@@ -73,7 +72,7 @@ val checked :
       [critical_path] (when a failover or planned migration finished)
       and the profiled [engine] rows: the verdict, critical path and
       cost ledger in one file;
-    - [spans.txt] and [trace.perfetto.json].
+    - [trace.perfetto.json], the causal trace on simulated time.
 
     The observers change no simulated outcome: the digest is the bare
     run's, and so is the report apart from those two sections. *)

@@ -16,8 +16,14 @@ let pair () =
 
 let test_bringup () =
   let eng, _, a, b, _, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  let sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  let sb =
+    Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+      ~remote:addr_a ()
+  in
   Engine.run_for eng (Time.sec 1);
   checkb "a up" true (Bfd.session_state sa = Bfd.Up);
   checkb "b up" true (Bfd.session_state sb = Bfd.Up);
@@ -27,8 +33,13 @@ let test_bringup () =
 let test_detection_timing () =
   (* 100 ms x 3: failure detected within ~300-400 ms. *)
   let eng, _, a, b, link, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  ignore (Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a ());
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  ignore
+    (Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+       ~remote:addr_a ());
   Engine.run_for eng (Time.sec 1);
   let down_at = ref None in
   Bfd.on_state_change sa (fun ~old:_ st ->
@@ -47,8 +58,14 @@ let test_detection_timing () =
 
 let test_recovers_after_flap () =
   let eng, _, a, b, link, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  let sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  let sb =
+    Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+      ~remote:addr_a ()
+  in
   Engine.run_for eng (Time.sec 1);
   Link.fail_for link (Time.sec 1);
   Engine.run_for eng (Time.ms 600);
@@ -60,10 +77,21 @@ let test_recovers_after_flap () =
 let test_vrf_isolation () =
   (* Two VRFs between the same nodes are independent sessions. *)
   let eng, _, a, b, _, addr_a, addr_b = pair () in
-  let a1 = Bfd.create_session (Bfd.endpoint a) ~vrf:"v1" ~remote:addr_b () in
-  let a2 = Bfd.create_session (Bfd.endpoint a) ~vrf:"v2" ~remote:addr_b () in
-  ignore (Bfd.create_session (Bfd.endpoint b) ~vrf:"v1" ~remote:addr_a ());
-  let b2 = Bfd.create_session (Bfd.endpoint b) ~vrf:"v2" ~remote:addr_a () in
+  let a1 =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v1"
+      ~remote:addr_b ()
+  in
+  let a2 =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v2"
+      ~remote:addr_b ()
+  in
+  ignore
+    (Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v1"
+       ~remote:addr_a ());
+  let b2 =
+    Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v2"
+      ~remote:addr_a ()
+  in
   Engine.run_for eng (Time.sec 1);
   checkb "both up" true
     (Bfd.session_state a1 = Bfd.Up && Bfd.session_state a2 = Bfd.Up);
@@ -75,8 +103,14 @@ let test_vrf_isolation () =
 
 let test_admin_stop_no_callbacks_after () =
   let eng, _, a, b, _, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  let sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  let sb =
+    Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+      ~remote:addr_a ()
+  in
   Engine.run_for eng (Time.sec 1);
   Bfd.stop_session sa;
   checkb "admin down" true (Bfd.session_state sa = Bfd.Admin_down);
@@ -137,8 +171,13 @@ let test_peer_detects_without_relay () =
   (* Control experiment for the relay test: no agent, host death is
      detected promptly. *)
   let eng, _, a, b, _, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  ignore (Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a ());
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  ignore
+    (Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+       ~remote:addr_a ());
   Engine.run_for eng (Time.sec 1);
   let down_at = ref None in
   Bfd.on_state_change sa (fun ~old:_ st ->
@@ -156,8 +195,13 @@ let test_peer_detects_without_relay () =
    expires. *)
 let test_detect_at_last_rx () =
   let eng, _, a, b, _, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  ignore (Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a ());
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  ignore
+    (Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+       ~remote:addr_a ());
   Engine.run_for eng (Time.sec 1);
   let down_at = ref None in
   Bfd.on_state_change sa (fun ~old:_ st ->
@@ -174,8 +218,14 @@ let test_detect_at_last_rx () =
    deadline. *)
 let test_shorter_interval_rearms_earlier () =
   let eng, _, a, b, _, addr_a, addr_b = pair () in
-  let sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  let sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
+  let sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  let sb =
+    Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+      ~remote:addr_a ()
+  in
   Engine.run_for eng (Time.sec 1);
   let down_at = ref None in
   Bfd.on_state_change sa (fun ~old:_ st ->
@@ -204,11 +254,11 @@ let test_shorter_interval_rearms_earlier () =
 let test_heap_stays_flat () =
   let eng, _, a, b, _, addr_a, addr_b = pair () in
   ignore
-    (Bfd.create_session (Bfd.endpoint a) ~detect_mult:20 ~vrf:"v0"
-       ~remote:addr_b ());
+    (Bfd.create_session (Bfd.endpoint a) ~detect_mult:20 ~local:addr_a
+       ~vrf:"v0" ~remote:addr_b ());
   ignore
-    (Bfd.create_session (Bfd.endpoint b) ~detect_mult:20 ~vrf:"v0"
-       ~remote:addr_a ());
+    (Bfd.create_session (Bfd.endpoint b) ~detect_mult:20 ~local:addr_b
+       ~vrf:"v0" ~remote:addr_a ());
   let worst = ref 0 in
   for _ = 1 to 100 do
     Engine.run_for eng (Time.ms 100);
@@ -225,12 +275,12 @@ let prop_detection_scales_with_interval =
     (fun (interval_ms, mult) ->
       let eng, _, a, b, link, addr_a, addr_b = pair () in
       let sa =
-        Bfd.create_session (Bfd.endpoint a) ~detect_mult:mult ~vrf:"v0"
-          ~remote:addr_b ()
+        Bfd.create_session (Bfd.endpoint a) ~detect_mult:mult ~local:addr_a
+          ~vrf:"v0" ~remote:addr_b ()
       in
       let sb =
-        Bfd.create_session (Bfd.endpoint b) ~detect_mult:mult ~vrf:"v0"
-          ~remote:addr_a ()
+        Bfd.create_session (Bfd.endpoint b) ~detect_mult:mult ~local:addr_b
+          ~vrf:"v0" ~remote:addr_a ()
       in
       Bfd.set_tx_interval sa (Time.ms interval_ms);
       Bfd.set_tx_interval sb (Time.ms interval_ms);

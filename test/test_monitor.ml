@@ -153,8 +153,14 @@ let bfd_detect_report () =
   let link, addr_a, addr_b =
     Netsim.Network.connect net ~delay:(Time.us 200) a b
   in
-  let _sa = Bfd.create_session (Bfd.endpoint a) ~vrf:"v0" ~remote:addr_b () in
-  let _sb = Bfd.create_session (Bfd.endpoint b) ~vrf:"v0" ~remote:addr_a () in
+  let _sa =
+    Bfd.create_session (Bfd.endpoint a) ~local:addr_a ~vrf:"v0"
+      ~remote:addr_b ()
+  in
+  let _sb =
+    Bfd.create_session (Bfd.endpoint b) ~local:addr_b ~vrf:"v0"
+      ~remote:addr_a ()
+  in
   Engine.run_for eng (Time.sec 1);
   Netsim.Link.set_up link false;
   Engine.run_for eng (Time.sec 2);

@@ -1,8 +1,9 @@
 (* lib/prof: per-label engine cost attribution must be correct (counts,
    inheritance, queue dwell), strictly observation-only (telemetry
-   digests byte-identical with the profiler on or off), and exportable
-   in formats external tools actually parse (folded stacks, speedscope
-   JSON). Plus the bus-drop accounting the health report now gates on. *)
+   digests byte-identical with the profiler on or off), and carried
+   whole by the cost table every --out writes (each label once, its
+   exact allocated bytes). Plus the bus-drop accounting the health
+   report now gates on. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -185,80 +186,46 @@ let test_digests_identical_with_profiler () =
             checki (name ^ ": hook saw every dispatch") dispatched !hooked)
     entries
 
-(* --- export formats -------------------------------------------------------- *)
+(* --- cost table ------------------------------------------------------------ *)
 
-let json_mem name j =
-  match Monitor.Json.member name j with
-  | Some v -> v
-  | None -> Alcotest.failf "missing JSON member %S" name
-
-let test_export_formats () =
+let test_cost_table () =
   Prof.Profiler.attach ();
   let eng = Sim.Engine.create () in
-  ignore
-    (Sim.Engine.schedule_after eng ~label:"a.x" (Sim.Time.ms 1) (fun () ->
-         ignore (Sys.opaque_identity (List.init 50_000 Fun.id))));
-  ignore
-    (Sim.Engine.schedule_after eng ~label:"b.y" (Sim.Time.ms 2) (fun () ->
-         ignore (Sys.opaque_identity (List.init 50_000 Fun.id))));
+  List.iter
+    (fun label ->
+      ignore
+        (Sim.Engine.schedule_after eng ~label (Sim.Time.ms 1) (fun () ->
+             ignore (Sys.opaque_identity (List.init 50_000 Fun.id)))))
+    [ "a.x"; "b.y"; "a.x" ];
   Sim.Engine.run eng;
   Prof.Profiler.detach ();
-  let dir = Filename.temp_dir "tensor-prof" "" in
-  Prof.Export.write_dir ~name:"t" dir;
-  let read file = In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all in
-  let folded =
-    String.split_on_char '\n' (read "engine_allocs.folded")
+  let fields line = String.split_on_char ' ' line |> List.filter (( <> ) "") in
+  let last l = List.nth l (List.length l - 1) in
+  match
+    String.split_on_char '\n' (Prof.Profiler.cost_table ())
     |> List.filter (( <> ) "")
-    |> List.map (fun line ->
-           match String.rindex_opt line ' ' with
-           | Some i ->
-               ( String.sub line 0 i,
-                 int_of_string (String.sub line (i + 1) (String.length line - i - 1)) )
-           | None -> Alcotest.failf "folded line %S is not 'stack weight'" line)
-  in
-  checkb "rows present" true (List.length folded >= 2);
-  checkb "stacks rooted at engine" true
-    (List.for_all
-       (fun (s, w) ->
-         w > 0 && String.length s > 7 && String.sub s 0 7 = "engine;")
-       folded);
-  checkb "folded lines sorted by stack" true
-    (List.map fst folded = List.sort compare (List.map fst folded));
-  match Monitor.Json.parse (read "profile.speedscope.json") with
-  | Error e -> Alcotest.failf "speedscope output is not valid JSON: %s" e
-  | Ok j ->
-      checkb "declares the speedscope schema" true
-        (Monitor.Json.to_str (json_mem "$schema" j)
-        = Some "https://www.speedscope.app/file-format-schema.json");
-      let profiles =
-        match Monitor.Json.to_list (json_mem "profiles" j) with
-        | Some l -> l
-        | None -> Alcotest.fail "profiles is not a list"
+  with
+  | header :: columns :: rows ->
+      checks "bytes is the last column" "bytes" (last (fields columns));
+      let rows =
+        List.map (fun r -> (List.hd (fields r), int_of_string (last (fields r)))) rows
       in
-      checki "three standard views" 3 (List.length profiles);
-      let frames =
-        match
-          Monitor.Json.to_list (json_mem "frames" (json_mem "shared" j))
-        with
-        | Some l -> l
-        | None -> Alcotest.fail "shared.frames is not a list"
-      in
-      checkb "shared frame table non-empty" true (List.length frames >= 3);
+      let stats = Prof.Profiler.stats () in
+      checki "one row per label" (List.length stats) (List.length rows);
       List.iter
-        (fun p ->
-          let samples =
-            match Monitor.Json.to_list (json_mem "samples" p) with
-            | Some l -> l
-            | None -> Alcotest.fail "samples is not a list"
-          in
-          let weights =
-            match Monitor.Json.to_list (json_mem "weights" p) with
-            | Some l -> l
-            | None -> Alcotest.fail "weights is not a list"
-          in
-          checki "one weight per sample" (List.length samples)
-            (List.length weights))
-        profiles
+        (fun (st : Prof.Profiler.stat) ->
+          match List.filter (fun (l, _) -> l = st.label) rows with
+          | [ (_, bytes) ] ->
+              checki (st.label ^ ": exact allocated bytes")
+                (int_of_float st.alloc_bytes) bytes
+          | l -> Alcotest.failf "%s listed %d times" st.label (List.length l))
+        stats;
+      let total = List.fold_left (fun acc (_, b) -> acc + b) 0 rows in
+      checkb "the rows allocated" true (total > 0);
+      checkb "bytes sum to the header's allocated total" true
+        (String.ends_with header
+           ~suffix:(Printf.sprintf "%.1f MB allocated" (float_of_int total /. 1e6)))
+  | _ -> Alcotest.fail "cost table has no column header"
 
 (* --- bus drop accounting ---------------------------------------------------- *)
 
@@ -312,7 +279,7 @@ let () =
             test_alloc_bytes_major;
           Alcotest.test_case "allocated bytes reader exact" `Quick
             test_allocated_bytes_exact;
-          Alcotest.test_case "export formats" `Quick test_export_formats;
+          Alcotest.test_case "cost table" `Quick test_cost_table;
         ] );
       ( "determinism",
         [

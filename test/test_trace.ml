@@ -374,10 +374,8 @@ let test_out_writes_artifacts () =
   let dir = Filename.concat out "failover" in
   let expected =
     [
-      "engine.folded"; "engine_allocs.folded"; "engine_cost.txt";
-      "events.jsonl"; "health.json"; "metrics.csv"; "metrics.json";
-      "profile.speedscope.json"; "spans.folded"; "spans.jsonl"; "spans.txt";
-      "timeseries.jsonl"; "trace.perfetto.json";
+      "engine_cost.txt"; "events.jsonl"; "health.json"; "metrics.json";
+      "spans.jsonl"; "timeseries.jsonl"; "trace.perfetto.json";
     ]
   in
   Alcotest.(check (list string))
@@ -409,23 +407,18 @@ let test_experiment_out_writes_artifacts () =
   let out = Filename.temp_dir "tensor-experiment" "" in
   let dir = Filename.concat out "table1" in
   let e = Option.get (Tensor.Experiments.find "table1") in
-  Tensor.Check.observed ~dir ~name:"tensor table1" (fun () ->
-      e.run ~quick:true);
+  Tensor.Check.observed ~dir (fun () -> e.run ~quick:true);
   checkb "telemetry is off again" false (Telemetry.Gate.on ());
   checkb "profiler detached" false (Prof.Profiler.enabled ());
   let expected =
     [
-      "engine.folded"; "engine_allocs.folded"; "engine_cost.txt";
-      "events.jsonl"; "metrics.csv"; "metrics.json";
-      "profile.speedscope.json"; "spans.folded"; "spans.jsonl";
+      "engine_cost.txt"; "events.jsonl"; "metrics.json"; "spans.jsonl";
       "timeseries.jsonl";
     ]
   in
   let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
   let tables, rest =
-    List.partition
-      (fun f -> Filename.check_suffix f ".csv" && f <> "metrics.csv")
-      files
+    List.partition (fun f -> Filename.check_suffix f ".csv") files
   in
   Alcotest.(check (list string)) "the common file set" expected rest;
   checkb "one CSV per printed table" true (List.length tables >= 1);
@@ -451,7 +444,7 @@ let test_experiment_out_writes_artifacts () =
 let test_experiment_series_samples_tcp () =
   let dir = Filename.concat (Filename.temp_dir "tensor-series" "") "fig5a" in
   let e = Option.get (Tensor.Experiments.find "fig5a") in
-  Tensor.Check.observed ~dir ~name:"tensor fig5a" (fun () -> e.run ~quick:true);
+  Tensor.Check.observed ~dir (fun () -> e.run ~quick:true);
   let counts =
     String.split_on_char '\n' (read_file (Filename.concat dir "timeseries.jsonl"))
     |> List.filter (fun l -> l <> "")
@@ -470,16 +463,22 @@ let test_experiment_series_samples_tcp () =
   checkb "tcp.segments_out never decreases" true
     (fst
        (List.fold_left (fun (ok, prev) v -> (ok && v >= prev, v)) (true, 0) counts));
-  let csv =
-    List.find_map
-      (fun line ->
-        match String.split_on_char ',' line with
-        | [ "tcp.segments_out"; "counter"; n; _ ] -> Some (int_of_string n)
-        | _ -> None)
-      (String.split_on_char '\n' (read_file (Filename.concat dir "metrics.csv")))
+  let final =
+    match
+      Monitor.Json.member "metrics"
+        (Monitor.Json.parse_exn (read_file (Filename.concat dir "metrics.json")))
+    with
+    | Some (Monitor.Json.List metrics) ->
+        List.find_map
+          (fun m ->
+            if Monitor.Json.member "name" m = Some (Str "tcp.segments_out") then
+              Option.bind (Monitor.Json.member "value" m) Monitor.Json.to_int
+            else None)
+          metrics
+    | _ -> Alcotest.fail "metrics.json has no metrics list"
   in
   Alcotest.(check (option int))
-    "last row = metrics.csv" csv
+    "last row = metrics.json" final
     (Some (List.nth counts (List.length counts - 1)))
 
 let () =
