@@ -152,11 +152,11 @@ let experiment_cmd =
           ~doc:
             "Run each experiment with telemetry on, the metric-series \
              sampler and the engine profiler attached, and write its \
-             artifacts to $(i,DIR)/$(i,ID)/: metrics.json, events.jsonl, \
-             spans.jsonl, timeseries.jsonl (the metric series per \
-             simulated second), engine_cost.txt (every event label by \
-             wall time, with its allocated bytes) and one CSV per printed \
-             table. stdout is the bare run's.")
+             artifacts to $(i,DIR)/$(i,ID)/: metrics.json, events.jsonl \
+             (the bus, recovery milestones included), timeseries.jsonl \
+             (the metric series per simulated second), engine_cost.txt \
+             (every event label by wall time, with its allocated bytes) \
+             and one CSV per printed table. stdout is the bare run's.")
   in
   let emit_bench =
     Arg.(
@@ -220,7 +220,9 @@ let check_cmd =
              $(i,DIR)/$(i,SCENARIO)/: health.json (verdict, critical path \
              and cost ledger), trace.perfetto.json, and the set \
              $(b,experiment --out) writes: metrics.json, events.jsonl, \
-             spans.jsonl, timeseries.jsonl and engine_cost.txt.")
+             timeseries.jsonl and engine_cost.txt. health.json's SLOs \
+             and critical path read the recovery phases off \
+             events.jsonl's milestones.")
   in
   let run scenarios kind json out =
     let healthy =

@@ -39,8 +39,8 @@ let () =
 
   (* Updates keep flowing while we kill the container. *)
   let t0 = Engine.now eng in
-  let (), orch =
-    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+  let (), entries =
+    Telemetry.Control.capture (fun () ->
         Format.printf "@.t=0.000s  injecting container failure...@.";
         Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
         ignore
@@ -52,17 +52,25 @@ let () =
         Engine.run_for eng (Time.sec 30))
   in
 
-  (* Timeline from the orchestration events on the telemetry bus. *)
-  let r = Tensor.Deploy.recovery_timeline ~t0 orch in
+  (* Timeline from the recovery phases of the telemetry bus: the
+     instant each phase closed. *)
+  let phases = Telemetry.Phase.of_entries entries in
   Format.printf "@.recovery timeline (seconds after injection):@.";
   List.iter
-    (fun (phase, at) ->
-      Format.printf "  %-28s %.3f@." phase (Tensor.Deploy.seconds at))
+    (fun (milestone, name) ->
+      let at =
+        List.find_map
+          (fun (p : Telemetry.Phase.t) ->
+            if String.equal p.name name then p.stop_at else None)
+          phases
+      in
+      Format.printf "  %-28s %.3f@." milestone
+        (match at with Some at -> Time.to_sec_f (Time.diff at t0) | None -> nan))
     [
-      ("failure localized", r.detected);
-      ("migration initiated", r.initiated);
-      ("backup resumed", r.migrated);
-      ("TCP fully re-synced", r.tcp_synced);
+      ("failure localized", "detect");
+      ("migration initiated", "initiate");
+      ("backup resumed", "migrate");
+      ("TCP fully re-synced", "failover");
     ];
 
   Format.printf "@.after recovery: primary=%s/%s@."

@@ -31,9 +31,8 @@ let () =
   (* Updates keep arriving WHILE we upgrade: with graceful restart these
      would be frozen-out; here they are simply delivered to the new
      instance (TCP holds them while the primary is quiesced). *)
-  let t0 = Engine.now eng in
-  let (), orch =
-    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+  let (), entries =
+    Telemetry.Control.capture (fun () ->
         Tensor.Deploy.planned_migration dep svc;
         ignore
           (Engine.schedule_after eng (Time.ms 200) (fun () ->
@@ -44,8 +43,9 @@ let () =
   in
 
   Format.printf "upgrade finished in %a: now on %s/%s@." Time.pp
-    (Option.value ~default:0
-       (Tensor.Deploy.recovery_timeline ~t0 orch).tcp_synced)
+    (Time.of_sec_f
+       (Telemetry.Phase.seconds ~name:"planned_migration"
+          (Telemetry.Phase.of_entries entries)))
     (Orch.Container.host_name (Tensor.Deploy.service_container svc))
     (Orch.Container.id (Tensor.Deploy.service_container svc));
   Format.printf "peer session drops: %d@." !drops;

@@ -61,7 +61,7 @@ let () =
       (Orch.Controller.quarantined dep.Tensor.Deploy.ctrl)
   in
   let (), orch =
-    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+    Telemetry.Control.capture (fun () ->
         Tensor.Deploy.inject_failure dep svc Orch.Controller.Host_network_failure;
         let rec watch () =
           if Orch.Host.is_fenced h0 && !fence_at = None then

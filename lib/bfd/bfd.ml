@@ -121,10 +121,6 @@ let detect_expired ep s =
     Telemetry.Registry.incr m_detections;
     if Telemetry.Gate.on () then begin
       let now = Engine.now ep.eng in
-      if s.has_rx then
-        ignore
-          (Telemetry.Span.add ep.eng "bfd_detect" ~start_at:s.last_rx_at
-             ~stop_at:now);
       let silent_s =
         if s.has_rx then Time.to_sec_f (Time.diff now s.last_rx_at) else 0.0
       in

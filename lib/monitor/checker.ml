@@ -2,15 +2,13 @@
 
    A checker set subscribes to the firehose and folds every entry, in
    global-sequence order, into a small amount of per-invariant state.
-   Violations are recorded as they happen (with the ambient causal span
-   at emission time); [finalize] runs the end-of-run balance checks
-   (queue drain, RIB convergence), unsubscribes, and returns the
-   per-checker verdicts. *)
+   Violations are recorded as they happen; [finalize] runs the
+   end-of-run balance checks (queue drain, RIB convergence),
+   unsubscribes, and returns the per-checker verdicts. *)
 
 type violation = {
   checker : string;
   event_seq : int;
-  span : Telemetry.Span.id;
   at : Sim.Time.t;
   detail : string;
 }
@@ -85,14 +83,8 @@ type t = {
   mutable fl_inflight : int; (* upgrades currently draining *)
 }
 
-let violate t checker ~seq ~span ~at detail =
-  t.violations <-
-    { checker; event_seq = seq; span; at; detail } :: t.violations
-
-let ambient_span () =
-  match Telemetry.Span.ambient () with
-  | Some sid -> sid
-  | None -> Telemetry.Span.none
+let violate t checker ~seq ~at detail =
+  t.violations <- { checker; event_seq = seq; at; detail } :: t.violations
 
 let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
@@ -137,7 +129,7 @@ let on_entry t (e : Telemetry.Bus.entry) =
   t.last_seq <- e.seq;
   t.last_at <- e.at;
   let viol checker detail =
-    violate t checker ~seq:e.seq ~span:(ambient_span ()) ~at:e.at detail
+    violate t checker ~seq:e.seq ~at:e.at detail
   in
   (* [ack_deadline_s = 0.] leaves the deadline discipline unarmed (no
      degraded mode deployed); the 10% + 100 ms slack absorbs watchdog
@@ -369,7 +361,7 @@ let check_queue_drain t =
         violate t "queue_drain"
           ~seq:(Option.value (Hashtbl.find_opt t.conn_last_seq conn)
                   ~default:t.last_seq)
-          ~span:Telemetry.Span.none ~at:t.last_at
+          ~at:t.last_at
           (Printf.sprintf
              "%s: %d ACK(s) held but only %d released + %d dropped + %d \
               shed — %d vanished from the hold queue"
@@ -394,8 +386,7 @@ let check_rib_convergence t =
               rest
           then
             let seq = List.fold_left (fun a sn -> max a sn.sn_seq) 0 sns in
-            violate t "rib_convergence" ~seq ~span:Telemetry.Span.none
-              ~at:t.last_at
+            violate t "rib_convergence" ~seq ~at:t.last_at
               (Printf.sprintf "%s: RIB views disagree: %s" group
                  (String.concat "; "
                     (List.map
@@ -414,8 +405,7 @@ let check_fleet_rearm t =
       let region =
         Option.value (Hashtbl.find_opt t.fl_region_of instance) ~default:"?"
       in
-      violate t "fleet_slo" ~seq:t.last_seq ~span:Telemetry.Span.none
-        ~at:t.last_at
+      violate t "fleet_slo" ~seq:t.last_seq ~at:t.last_at
         (Printf.sprintf
            "instance %s (region %s) still degraded at end of run — never \
             re-armed after heal"

@@ -42,9 +42,6 @@
 type violation = {
   checker : string;
   event_seq : int;  (** Bus sequence number of the offending entry. *)
-  span : Telemetry.Span.id;
-      (** Ambient causal span when the entry was emitted;
-          {!Telemetry.Span.none} for end-of-run checks. *)
   at : Sim.Time.t;
   detail : string;
 }

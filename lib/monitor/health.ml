@@ -1,10 +1,10 @@
 (* Per-run health report: checker verdicts + SLO budgets over the
-   recorded causal spans, rendered as text or JSON. *)
+   run's recovery phases, rendered as text or JSON. *)
 
 type slo = {
   slo_name : string;
   budget_s : float;
-  actual_s : float option; (* worst (longest) instance; None if a span
+  actual_s : float option; (* worst (longest) instance; None if a phase
                               of that name never finished *)
   instances : int;
   slo_ok : bool;
@@ -40,8 +40,8 @@ type report = {
 
 (* Budgets are generous upper bounds, not the paper's means: Table 1's
    worst total is ~9.2 s (host failure, cold boot), so 15 s flags only a
-   real regression. Budgets apply per span name and are skipped when no
-   span of that name was recorded. *)
+   real regression. Budgets apply per phase name and are skipped when no
+   phase of that name occurred. *)
 let default_budgets =
   [
     ("failover", 15.0);
@@ -51,25 +51,30 @@ let default_budgets =
     ("bfd_detect", 1.0);
   ]
 
-let slos_of_spans ?(budgets = default_budgets) () =
+let slos_of_phases budgets phases =
   List.filter_map
     (fun (name, budget_s) ->
-      match Telemetry.Span.find ~name with
+      match
+        List.filter
+          (fun (p : Telemetry.Phase.t) -> String.equal p.name name)
+          phases
+      with
       | [] -> None
-      | spans ->
+      | named ->
           let unfinished =
-            List.exists (fun s -> s.Telemetry.Span.stop_at = None) spans
+            List.exists
+              (fun (p : Telemetry.Phase.t) -> p.stop_at = None)
+              named
           in
           let worst =
             List.fold_left
-              (fun acc s ->
-                match s.Telemetry.Span.stop_at with
+              (fun acc (p : Telemetry.Phase.t) ->
+                match p.stop_at with
                 | None -> acc
                 | Some stop ->
                     Float.max acc
-                      (Sim.Time.to_sec_f
-                         (Sim.Time.diff stop s.Telemetry.Span.start_at)))
-              0.0 spans
+                      (Sim.Time.to_sec_f (Sim.Time.diff stop p.start_at)))
+              0.0 named
           in
           let actual_s = if unfinished then None else Some worst in
           let slo_ok = (not unfinished) && worst <= budget_s in
@@ -78,38 +83,41 @@ let slos_of_spans ?(budgets = default_budgets) () =
               slo_name = name;
               budget_s;
               actual_s;
-              instances = List.length spans;
+              instances = List.length named;
               slo_ok;
             })
     budgets
 
 (* Critical-path section: only meaningful when the causal recorder is
    attached for the run. A detached recorder keeps an earlier run's DAG
-   readable, and that DAG must not be read against this run's spans.
-   The recovery roots are tried in order; scenarios without any of them
+   readable, and that DAG must not be read against this run's phases.
+   The recovery phases are tried in order; scenarios without either
    just omit the section. *)
-let critical_path_of_run () =
-  if Causal.Recorder.node_count () = 0 || not (Causal.Recorder.enabled ())
-  then None
-  else
-    List.find_map
-      (fun name ->
-        match Causal.Critical.of_span ~name with
-        | Ok cp -> Some cp
-        | Error _ -> None)
-      [ "failover"; "planned_migration" ]
+let critical_path_of_run phases =
+  List.find_map
+    (fun name -> Result.to_option (Causal.Critical.of_phases ~name phases))
+    [ "failover"; "planned_migration" ]
 
-let make ?budgets ~engine ~scenario checker =
+(* The phase fold reads the whole bus, so a run that neither budgets
+   phases nor traces (every chaos and fleet round) skips it. *)
+let make ?(budgets = default_budgets) ~engine ~scenario checker =
   let checkers = Checker.finalize checker in
+  let traced =
+    Causal.Recorder.node_count () > 0 && Causal.Recorder.enabled ()
+  in
+  let phases =
+    if budgets = [] && not traced then []
+    else Telemetry.Phase.of_entries (Telemetry.Bus.events ())
+  in
   {
     scenario;
     checkers;
-    slos = slos_of_spans ?budgets ();
+    slos = slos_of_phases budgets phases;
     events_seen = Checker.events_seen checker;
     queue_drops = Checker.queue_drop_events checker;
     bus_dropped = Telemetry.Bus.dropped_total ();
     engine;
-    critical_path = critical_path_of_run ();
+    critical_path = (if traced then critical_path_of_run phases else None);
     faults = Faults.active ();
   }
 
@@ -150,14 +158,11 @@ let to_text r =
           pf "    %-24s VIOLATED (%d)\n" name (List.length vs);
           List.iter
             (fun (v : Checker.violation) ->
-              pf "      [seq %d, t=%.3fs%s] %s\n" v.event_seq
-                (Sim.Time.to_sec_f v.at)
-                (if v.span = Telemetry.Span.none then ""
-                 else Printf.sprintf ", span %d" v.span)
-                v.detail)
+              pf "      [seq %d, t=%.3fs] %s\n" v.event_seq
+                (Sim.Time.to_sec_f v.at) v.detail)
             vs)
     r.checkers;
-  if r.slos = [] then pf "  SLOs: (no budgeted spans recorded)\n"
+  if r.slos = [] then pf "  SLOs: (no budgeted phases recorded)\n"
   else begin
     pf "  SLOs:\n";
     List.iter
@@ -217,11 +222,8 @@ let to_json r =
       List.iteri
         (fun j (v : Checker.violation) ->
           if j > 0 then pf ",";
-          pf "{\"event_seq\":%d,\"span\":%s,\"t_ns\":%d,\"detail\":\"%s\"}"
-            v.event_seq
-            (if v.span = Telemetry.Span.none then "null"
-             else string_of_int v.span)
-            v.at (esc v.detail))
+          pf "{\"event_seq\":%d,\"t_ns\":%d,\"detail\":\"%s\"}"
+            v.event_seq v.at (esc v.detail))
         vs;
       pf "]}")
     r.checkers;

@@ -1,13 +1,14 @@
 (** Per-run health reports: checker verdicts plus SLO budgets.
 
     A report couples the {!Checker} verdicts with budget checks over the
-    recorded {!Telemetry.Span}s (failover duration, planned-migration
-    duration, replica catch-up, TCP replay, BFD detection). Budgets are
-    only evaluated for span names that actually occur in the run, so the
+    run's recovery {!Telemetry.Phase}s (failover duration,
+    planned-migration duration, replica catch-up, TCP replay, BFD
+    detection), paired from the buffered bus entries. Budgets are only
+    evaluated for phase names that actually occur in the run, so the
     same report works for every scenario. *)
 
 type slo = {
-  slo_name : string;  (** Span name the budget applies to. *)
+  slo_name : string;  (** Phase name the budget applies to. *)
   budget_s : float;
   actual_s : float option;
       (** Longest instance, seconds; [None] if an instance never
@@ -46,7 +47,7 @@ type report = {
   critical_path : Causal.Critical.t option;
       (** Recovery critical path, present when the causal recorder
           ([Causal.Recorder]) is attached as the report is cut and a
-          recovery root span (["failover"], else ["planned_migration"])
+          recovery phase (["failover"], else ["planned_migration"])
           finished.
           Informational: never affects {!ok}. *)
   faults : string list;  (** Seeded faults active when the report was cut. *)
@@ -59,8 +60,10 @@ val make :
   Checker.t ->
   report
 (** Finalizes the checker set (see {!Checker.finalize}) and evaluates
-    the budgets against the current span table. [engine] is the
-    engine-cost section; bus drops are read from the live bus. *)
+    the budgets against the phases of {!Telemetry.Bus.events}. The
+    phases are folded only when [budgets] is non-empty (the default
+    budgets when omitted) or the causal recorder is attached. [engine]
+    is the engine-cost section; bus drops are read from the live bus. *)
 
 val ok : report -> bool
 (** No violations, every evaluated SLO within budget, and zero telemetry

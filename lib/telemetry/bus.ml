@@ -8,9 +8,8 @@ type ring = {
 }
 
 (* Live subscribers: invoked synchronously from [emit], after the ring
-   push, so callbacks observe entries in global-seq order. A [cat] of
-   [None] is a firehose subscription. *)
-type sub = { id : int; cat : Event.category option; fn : entry -> unit }
+   push, so callbacks observe entries in global-seq order. *)
+type sub = { id : int; fn : entry -> unit }
 
 let ncats = List.length Event.categories
 
@@ -62,10 +61,10 @@ let rec index_from c i = function
 
 let cat_index c = index_from c 0 Event.categories
 
-let subscribe ?category fn =
+let subscribe fn =
   let st = state () in
   st.sub_counter <- st.sub_counter + 1;
-  let s = { id = st.sub_counter; cat = category; fn } in
+  let s = { id = st.sub_counter; fn } in
   st.subs <- st.subs @ [ s ];
   s
 
@@ -115,18 +114,12 @@ let emit eng event =
   if Gate.on () then begin
     let st = state () in
     st.seq_counter <- st.seq_counter + 1;
-    let cat = Event.category event in
-    let ci = cat_index cat in
+    let ci = cat_index (Event.category event) in
     let e = { seq = st.seq_counter; at = Sim.Engine.now eng; event } in
     let r = st.rings.(ci) in
     if push r ~cap:st.capacity e then Registry.incr (dropped_counter st);
     Registry.set_max_int (hwm_gauges st).(ci) r.len;
-    List.iter
-      (fun s ->
-        match s.cat with
-        | None -> s.fn e
-        | Some c -> if c = cat then s.fn e)
-      st.subs
+    List.iter (fun s -> s.fn e) st.subs
   end
 
 let ring_entries r =

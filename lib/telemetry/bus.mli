@@ -26,9 +26,8 @@ val emit : Sim.Engine.t -> Event.t -> unit
 
 type sub
 
-val subscribe : ?category:Event.category -> (entry -> unit) -> sub
-(** [subscribe ~category f] calls [f] on every new entry of [category];
-    omitting [category] subscribes to the firehose (all categories). *)
+val subscribe : (entry -> unit) -> sub
+(** [subscribe f] calls [f] on every new entry, of every category. *)
 
 val unsubscribe : sub -> unit
 (** Idempotent. *)
@@ -46,11 +45,11 @@ val to_jsonl : Buffer.t -> unit
 (** Appends one JSON object per buffered entry:
     [{"seq":..,"t_ns":..,"cat":..,"ev":..,"f":{..}}]. *)
 
-(** {1 Test-only} *)
-
 val events : unit -> entry list
-(** Inspection: buffered entries, oldest first (globally ordered by
-    [seq]), as values; {!to_jsonl} exports the same entries as text. *)
+(** Buffered entries, oldest first (globally ordered by [seq]), as
+    values; {!to_jsonl} exports the same entries as text. *)
+
+(** {1 Test-only} *)
 
 val subscriber_count : unit -> int
 (** Inspection: number of live subscriptions, so tests check that

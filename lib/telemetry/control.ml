@@ -2,16 +2,15 @@ let set_enabled = Gate.set
 
 let reset () =
   Bus.clear ();
-  Span.clear ();
   Registry.reset_values ()
 
 (* Entries reach [capture] through a live subscription rather than a
    ring read, so a ring sized too small for the run cannot overwrite a
    milestone before the caller sees it. *)
-let capture ?category f =
+let capture f =
   let was_on = Gate.on () in
   let rev = ref [] in
-  let sub = Bus.subscribe ?category (fun e -> rev := e :: !rev) in
+  let sub = Bus.subscribe (fun e -> rev := e :: !rev) in
   Gate.set true;
   let result =
     Fun.protect

@@ -4,9 +4,12 @@
     the fields the paper's evaluation reads off (node, peer, sequence
     numbers, byte counts, durations) instead of a formatted string.
     Events are grouped into per-subsystem categories; the bus keeps one
-    ring buffer per category. Table 1's phase boundaries are the [Orch]
-    events [Failure_detected], [Migration_initiated], [Migration_done]
-    and [Tcp_synced]. *)
+    ring buffer per category. A recovery's phases (Table 1's columns and
+    the health budgets) are paired from milestones of several categories
+    by {!Phase.of_entries}: [Failure_injected], [Planned_migration],
+    [Failure_detected], [Migration_initiated], [Migration_done] and
+    [Tcp_synced] ([Orch]), [Catchup_start] and [Catchup_done]
+    ([Replicator]), and [Bfd_down] ([Bfd]). *)
 
 type category = Tcp | Bgp | Bfd | Netfilter | Replicator | Orch | Store | Fleet
 

@@ -313,7 +313,7 @@ let start_bfd t pv ?resume () =
 
 (* Poll until the resumed connection's send stream is fully acknowledged:
    the "TCP recovery" completion instant of Table 1. *)
-let watch_tcp_sync ?(span = Telemetry.Span.none) t pv =
+let watch_tcp_sync t pv =
   let eng = engine t in
   let rec poll () =
     if not t.crashed then
@@ -324,7 +324,6 @@ let watch_tcp_sync ?(span = Telemetry.Span.none) t pv =
             when Tcp.state c = Tcp.Established
                  && Tcp.snd_una c = Tcp.snd_nxt c
                  && Tcp.snd_nxt c > Tcp.iss c + 1 ->
-              Telemetry.Span.finish eng span;
               (* The stream is resynchronized; audit Adj-RIB-Out so any
                  UPDATE the failed primary generated but never made
                  durable (and therefore never sent) is regenerated from
@@ -693,8 +692,7 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
                           = Bgp.Session.Established
                         then Option.iter Tcp.abort (Bgp.Speaker.peer_conn peer)))
                end;
-               let span = Telemetry.Span.start (engine t) "tcp_replay" in
-               watch_tcp_sync ~span t pv
+               watch_tcp_sync t pv
              end));
       Ok ()
   | Ok _ -> Error "metadata OPEN is not an OPEN"
@@ -703,13 +701,11 @@ let resume_from_recovered t spk stack client pv (r : recovered_state) =
 let recover_vrf t spk stack client pv k =
   let eng = engine t in
   let t0 = Engine.now eng in
-  let span = Telemetry.Span.start eng "replica_catchup" in
   if Telemetry.Gate.on () then
     Telemetry.Bus.emit eng
       (Telemetry.Event.Catchup_start
          { service = t.cfg.service_id; vrf = pv.spec.vrf });
-  let finish_catchup result =
-    (match result with
+  let finish_catchup = function
     | Ok (msgs, bytes) ->
         Telemetry.Registry.add m_catchup_msgs msgs;
         Telemetry.Registry.add m_catchup_bytes bytes;
@@ -719,8 +715,7 @@ let recover_vrf t spk stack client pv k =
           Telemetry.Bus.emit eng
             (Telemetry.Event.Catchup_done
                { service = t.cfg.service_id; vrf = pv.spec.vrf; msgs; bytes })
-    | Error _ -> ());
-    Telemetry.Span.finish eng span
+    | Error _ -> ()
   in
   (* Two batched point-reads plus two scans: the state download of the
      migration path. The meta record is read first because it names the

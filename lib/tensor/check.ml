@@ -145,7 +145,6 @@ let observe ~dir =
       ([
          ("metrics.json", Telemetry.Registry.to_json ());
          ("events.jsonl", jsonl Telemetry.Bus.to_jsonl);
-         ("spans.jsonl", jsonl Telemetry.Span.to_jsonl);
          ("timeseries.jsonl", Causal.Series.to_jsonl series);
          ("engine_cost.txt", Prof.Profiler.cost_table ());
        ]

@@ -37,7 +37,8 @@ val observed : dir:string -> (unit -> 'a) -> 'a
     artifact set that every observed run writes, {!checked}'s [?out]
     included, one file per fact, from one function:
     - [metrics.json], the metrics registry, histogram buckets included;
-    - [events.jsonl] and [spans.jsonl], the bus and the causal spans;
+    - [events.jsonl], the bus, whose milestones are the recovery
+      phases ({!Telemetry.Phase});
     - [timeseries.jsonl], the metric series per simulated second;
     - [engine_cost.txt], {!Prof.Profiler.cost_table};
     - one CSV per table [f] printed. *)

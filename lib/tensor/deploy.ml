@@ -158,12 +158,7 @@ let migrate t svc ~(reason : Orch.Controller.failure_kind) ~done_ =
   App.on_tcp_synced app (fun ~vrf ->
       if Telemetry.Gate.on () then
         Telemetry.Bus.emit t.eng
-          (Telemetry.Event.Tcp_synced { service = svc.sid; vrf });
-      match Telemetry.Span.ambient () with
-      | Some root ->
-          Telemetry.Span.finish t.eng root;
-          Telemetry.Span.set_ambient None
-      | None -> ());
+          (Telemetry.Event.Tcp_synced { service = svc.sid; vrf }));
   App.on_recovered app (fun () ->
       if Telemetry.Gate.on () then
         Telemetry.Bus.emit t.eng
@@ -373,11 +368,6 @@ let wait_established t svc () =
 let service_routes svc ~vrf = App.routes svc.app ~vrf
 
 let planned_migration t ?done_ svc =
-  if Telemetry.Gate.on () then begin
-    Telemetry.Span.set_ambient None;
-    let sp = Telemetry.Span.start t.eng "planned_migration" in
-    Telemetry.Span.set_ambient (Some sp)
-  end;
   if Telemetry.Gate.on () then
     Telemetry.Bus.emit t.eng
       (Telemetry.Event.Planned_migration { service = svc.sid });
@@ -390,13 +380,6 @@ let planned_migration t ?done_ svc =
 
 (* --- Failure injection ----------------------------------------------------------------- *)
 
-let start_failover_span t =
-  if Telemetry.Gate.on () then begin
-    Telemetry.Span.set_ambient None;
-    let sp = Telemetry.Span.start t.eng "failover" in
-    Telemetry.Span.set_ambient (Some sp)
-  end
-
 let on_primary_host t svc f =
   let name = Orch.Container.host_name svc.primary in
   Array.iter (fun h -> if String.equal (Orch.Host.name h) name then f h) t.hosts
@@ -404,7 +387,6 @@ let on_primary_host t svc f =
 (* The [Failure_injected] kind strings are part of the telemetry stream,
    so replay digests pin them; they are not [pp_failure_kind]'s names. *)
 let inject_failure t svc (kind : Orch.Controller.failure_kind) =
-  start_failover_span t;
   if Telemetry.Gate.on () then
     Telemetry.Bus.emit t.eng
       (Telemetry.Event.Failure_injected
@@ -423,32 +405,3 @@ let inject_failure t svc (kind : Orch.Controller.failure_kind) =
   | Host_failure -> on_primary_host t svc Orch.Host.fail
   | Host_network_failure -> on_primary_host t svc Orch.Host.network_fail
 
-(* --- Table 1's recovery timeline ------------------------------------------------- *)
-
-type recovery = {
-  detected : Time.span option;
-  initiated : Time.span option;
-  migrated : Time.span option;
-  tcp_synced : Time.span option;
-}
-
-let recovery_timeline ~t0 (orch : Telemetry.Bus.entry list) =
-  let first milestone =
-    List.find_map
-      (fun (e : Telemetry.Bus.entry) ->
-        if e.at >= t0 && milestone e.event then Some (Time.diff e.at t0)
-        else None)
-      orch
-  in
-  {
-    detected =
-      first (function Telemetry.Event.Failure_detected _ -> true | _ -> false);
-    initiated =
-      first (function Telemetry.Event.Migration_initiated _ -> true | _ -> false);
-    migrated =
-      first (function Telemetry.Event.Migration_done _ -> true | _ -> false);
-    tcp_synced =
-      first (function Telemetry.Event.Tcp_synced _ -> true | _ -> false);
-  }
-
-let seconds = function Some d -> Time.to_sec_f d | None -> nan

@@ -48,7 +48,8 @@ val build :
     servers". Migration
     milestones ([Failure_injected], [Tcp_synced] per VRF, the
     controller's [Orch] events) go to the telemetry bus; read them with
-    {!Telemetry.Control.capture}. *)
+    {!Telemetry.Control.capture} and pair them with
+    {!Telemetry.Phase.of_entries}. *)
 
 val set_service_picker :
   t -> (service_id:string -> avoid:string list -> Orch.Host.t option) -> unit
@@ -189,29 +190,9 @@ val planned_migration :
 (** {1 Failure injection (Table 1 scenarios)} *)
 
 val inject_failure : t -> service -> Orch.Controller.failure_kind -> unit
-(** Opens a ["failover"] span, emits [Failure_injected], then fails the
-    service's current primary: its BGP app, its container, its host, or
-    its host's network (a partition that leaves the host running). *)
+(** Emits [Failure_injected], which opens the ["failover"]
+    {!Telemetry.Phase}, then fails the service's current primary: its
+    BGP app, its container, its host, or its host's network (a partition
+    that leaves the host running). *)
 
 val service_routes : service -> vrf:string -> int
-
-(** {1 Table 1's recovery timeline} *)
-
-type recovery = {
-  detected : Sim.Time.span option;  (** [Failure_detected]: localized. *)
-  initiated : Sim.Time.span option;  (** [Migration_initiated]. *)
-  migrated : Sim.Time.span option;  (** [Migration_done]: backup resumed. *)
-  tcp_synced : Sim.Time.span option;
-      (** [Tcp_synced]: the resumed connection fully re-synchronized. *)
-}
-(** Each milestone's first instant at or after [t0], as time since
-    [t0]; [None] when it never came. *)
-
-val recovery_timeline : t0:Sim.Time.t -> Telemetry.Bus.entry list -> recovery
-(** Reads the phases of Table 1 off the entries
-    [Telemetry.Control.capture ~category:Orch] returns for a failover or
-    planned migration. Later milestones of a kind (a second migration, a
-    second VRF) and entries of any other kind are ignored. *)
-
-val seconds : Sim.Time.span option -> float
-(** A phase in seconds, [nan] when absent. *)

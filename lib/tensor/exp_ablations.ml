@@ -8,13 +8,12 @@ type preheat_result = { cold_total_s : float; preheat_total_s : float }
 let one_migration ~backup_mode =
   let dep, _, svc = Exp_table1.episode ~backup_mode ~id:"ablate" () in
   let eng = dep.Deploy.eng in
-  let t0 = Engine.now eng in
-  let (), orch =
-    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+  let (), entries =
+    Telemetry.Control.capture (fun () ->
         Deploy.inject_failure dep svc Orch.Controller.Container_failure;
         Engine.run_for eng (Time.sec 30))
   in
-  Deploy.seconds (Deploy.recovery_timeline ~t0 orch).tcp_synced
+  Telemetry.Phase.seconds ~name:"failover" (Telemetry.Phase.of_entries entries)
 
 let run_preheat () =
   {

@@ -47,26 +47,22 @@ let scenario kind =
   let routes_before = Bgp.Rib.size peer_rib in
   let drops = ref 0 in
   Bgp.Speaker.on_peer_down session (fun _ -> incr drops);
-  let t0 = Engine.now eng in
-  let (), orch =
-    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+  let (), entries =
+    Telemetry.Control.capture (fun () ->
         Deploy.inject_failure dep svc kind;
         Engine.run_for eng (Time.sec 40))
   in
-  let r = Deploy.recovery_timeline ~t0 orch in
-  let detect = Deploy.seconds r.detected
-  and initiate = Deploy.seconds r.initiated
-  and migrate_done = Deploy.seconds r.migrated
-  and tcp_synced = Deploy.seconds r.tcp_synced in
+  let phases = Telemetry.Phase.of_entries entries in
+  let secs name = Telemetry.Phase.seconds ~name phases in
   let baseline = Baseline.recovery_for kind in
   {
     kind;
     frequency_pct = frequency_of kind;
-    detect_s = detect;
-    initiate_s = initiate -. detect;
-    migrate_s = migrate_done -. initiate;
-    tcp_s = Float.max 0.0 (tcp_synced -. migrate_done);
-    total_s = tcp_synced;
+    detect_s = secs "detect";
+    initiate_s = secs "initiate";
+    migrate_s = secs "migrate";
+    tcp_s = secs "tcp_replay";
+    total_s = secs "failover";
     peer_session_drops = !drops;
     peer_routes_lost = routes_before - Bgp.Rib.size peer_rib;
     baseline_total_s = Time.to_sec_f (Baseline.total baseline);

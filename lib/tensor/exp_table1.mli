@@ -2,13 +2,17 @@
 
     For each failure class (application, container, host machine, host
     network) a fresh full deployment is built, routes are exchanged, the
-    failure is injected, and the recovery timeline is read from the
-    controller's and deployment's traces:
+    failure is injected, and each column is a {!Telemetry.Phase} of the
+    captured bus entries:
 
-    - detection: injection → failure localized;
-    - initiation: localization → migration started;
-    - migration: start → backup resumed (boot + state download + resume);
-    - TCP recovery: resume → the resumed connection fully re-synchronized.
+    - detection ([detect]): injection → failure localized;
+    - initiation ([initiate]): localization → migration started;
+    - migration ([migrate]): start → backup resumed (boot + state
+      download + resume);
+    - TCP recovery ([tcp_replay]): state caught up → the resumed
+      connection fully re-synchronized, the phase the health report
+      budgets;
+    - total ([failover]): injection → re-synchronized.
 
     TENSOR's times are internal (the peer observes {e zero} link
     downtime, which the experiment asserts by monitoring the peer's

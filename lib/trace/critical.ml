@@ -13,21 +13,22 @@ type t = {
   events : int; (* chain length (recorded events on the path) *)
 }
 
-(* The last finished span with this name: recovery queries ask about the
-   run's final failover, and re-runs append. *)
-let target_span name =
-  let finished =
-    List.filter
-      (fun (s : Telemetry.Span.span) -> s.stop_at <> None)
-      (Telemetry.Span.find ~name)
-  in
-  match List.rev finished with s :: _ -> Some s | [] -> None
+(* The last finished phase with this name: recovery queries ask about
+   the run's final failover. *)
+let target_phase name phases =
+  List.fold_left
+    (fun acc (p : Telemetry.Phase.t) ->
+      match (p.stop_at, p.close_seq) with
+      | Some stop, Some seq when String.equal p.name name ->
+          Some (p.start_at, stop, seq)
+      | _ -> acc)
+    None phases
 
-(* Endpoint: the event whose execution closed the span (via the span
-   finish binding), or — when the span was closed from harness code or
-   the binding's event fell off the recorder cap — the last recorded
-   event executed within the span window. *)
-let endpoint ~t0 ~t1 (span : Telemetry.Span.span) =
+(* Endpoint: the event that emitted the phase's closing entry (via the
+   recorder's entry binding), or — when the entry came from harness code
+   or the binding's event fell off the recorder cap — the last recorded
+   event executed within the phase window. *)
+let endpoint ~t0 ~t1 close_seq =
   let in_window (n : Recorder.node) = n.exec_at >= t0 && n.exec_at <= t1 in
   let last_in_window () =
     let r = ref None in
@@ -39,7 +40,7 @@ let endpoint ~t0 ~t1 (span : Telemetry.Span.span) =
     done;
     !r
   in
-  match Recorder.span_finish_binding span.sid with
+  match Recorder.entry_binding close_seq with
   | Some (id, track) -> (
       match Recorder.find ~track ~id with
       | Some n when in_window n -> Some n
@@ -47,7 +48,7 @@ let endpoint ~t0 ~t1 (span : Telemetry.Span.span) =
   | None -> last_in_window ()
 
 (* Walk causal parents back from the endpoint, staying on the endpoint's
-   track, until the chain leaves the span window or reaches an external
+   track, until the chain leaves the phase window or reaches an external
    root. Oldest first. *)
 let chain_of ~t0 (endp : Recorder.node) =
   let rec up acc (n : Recorder.node) =
@@ -62,9 +63,9 @@ let chain_of ~t0 (endp : Recorder.node) =
 
 let segments_of ~t0 ~t1 chain =
   (* Each chain node contributes a hop: time from the previous node's
-     execution (or the span start, for the first) to its own. The hops
+     execution (or the phase start, for the first) to its own. The hops
      telescope, so together with the "(untraced)" tail they sum exactly
-     to the span duration. *)
+     to the phase duration. *)
   let hops =
     List.rev
       (snd
@@ -97,18 +98,16 @@ let segments_of ~t0 ~t1 chain =
   in
   List.rev merged
 
-let of_span ~name =
-  match target_span name with
-  | None -> Error (Printf.sprintf "no finished span named %S" name)
-  | Some span -> (
-      let t0 = span.start_at in
-      let t1 = match span.stop_at with Some t -> t | None -> assert false in
-      match endpoint ~t0 ~t1 span with
+let of_phases ~name phases =
+  match target_phase name phases with
+  | None -> Error (Printf.sprintf "no finished phase named %S" name)
+  | Some (t0, t1, close_seq) -> (
+      match endpoint ~t0 ~t1 close_seq with
       | None ->
           Error
             (Printf.sprintf
-               "no traced events inside span %S — was the recorder attached \
-                during the run?"
+               "no traced events inside phase %S — was the recorder \
+                attached during the run?"
                name)
       | Some endp ->
           let chain = chain_of ~t0 endp in

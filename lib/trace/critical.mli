@@ -1,18 +1,19 @@
 (** Critical-path extraction over the recorded event DAG.
 
-    Given a finished root span (e.g. [failover]), finds the causal chain
-    of events that closed it: starting from the event that finished the
-    span (known via the {!Recorder}'s span bindings), walk [caused_by]
-    parents back to the fault-injection edge of the span window. The
-    chain decomposes the span's duration into per-label {e segments} —
-    consecutive same-label hops merged — which by construction {b sum
-    exactly to the span duration}: each hop is the time from the
-    previous event's execution to this one's, the first hop starts at
-    the span start, and any gap between the last chain event and the
-    span end is reported as an explicit ["(untraced)"] segment.
+    Given a finished recovery {!Telemetry.Phase} (e.g. [failover]),
+    finds the causal chain of events that closed it: starting from the
+    event that emitted the phase's closing bus entry (known via the
+    {!Recorder}'s entry bindings), walk [caused_by] parents back to the
+    fault-injection edge of the phase window. The chain decomposes the
+    phase's duration into per-label {e segments} — consecutive
+    same-label hops merged — which by construction {b sum exactly to the
+    phase duration}: each hop is the time from the previous event's
+    execution to this one's, the first hop starts at the phase start,
+    and any gap between the last chain event and the phase end is
+    reported as an explicit ["(untraced)"] segment.
 
     This answers the Fig. 5a question precisely: not just how long BFD
-    detection / replica catchup / TCP replay took as spans, but which
+    detection / replica catchup / TCP replay took as phases, but which
     handler chain bounded recovery and where its time went. *)
 
 type segment = {
@@ -22,7 +23,7 @@ type segment = {
 }
 
 type t = {
-  span_name : string;
+  span_name : string;  (** the phase's name *)
   start_at : Sim.Time.t;
   stop_at : Sim.Time.t;
   total : Sim.Time.span;  (** [stop_at - start_at] *)
@@ -30,10 +31,10 @@ type t = {
   events : int;  (** recorded events on the critical path *)
 }
 
-val of_span : name:string -> (t, string) result
-(** [of_span ~name] extracts the critical path of the last finished span
-    named [name]. Errors when no finished span of that name exists or no
-    traced events fall inside its window. *)
+val of_phases : name:string -> Telemetry.Phase.t list -> (t, string) result
+(** [of_phases ~name phases] extracts the critical path of the last
+    finished phase named [name]. Errors when no finished phase of that
+    name exists or no traced events fall inside its window. *)
 
 val to_text : t -> string
 (** Human-readable table: label, duration, share, event count. *)

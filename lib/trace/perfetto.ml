@@ -8,10 +8,10 @@ let subsystem label =
   | Some i -> String.sub label 0 i
   | None -> label
 
-(* pid layout: engine tracks are pids 1..n (first-seen order), the span
+(* pid layout: engine tracks are pids 1..n (first-seen order), the phase
    overlay is pid n+1, the critical-path overlay pid n+2. Perfetto
    renders each pid as a process group, so every simulated node /
-   subsystem gets its own track and the spans sit alongside. *)
+   subsystem gets its own track and the phases sit alongside. *)
 let export ?critical () =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -28,7 +28,7 @@ let export ?critical () =
          "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"engine-%d\"}}"
          (track + 1) track)
   done;
-  let span_pid = ntracks + 1 in
+  let phase_pid = ntracks + 1 in
   let crit_pid = ntracks + 2 in
   (* Thread ids: one per (track, subsystem), assigned in first-seen
      execution order. The table is only ever point-looked-up; metadata
@@ -56,27 +56,26 @@ let export ?critical () =
            "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"s\":\"t\",\"args\":{\"id\":%d,\"parent\":%d,\"dwell_us\":%s}}"
            (esc n.label) (ts n.exec_at) (n.track + 1) tid n.id n.parent
            (ts (Sim.Time.diff n.exec_at n.sched_at))));
-  let any_span = ref false in
-  List.iter
-    (fun (s : Telemetry.Span.span) ->
-      any_span := true;
+  let phases = Telemetry.Phase.of_entries (Telemetry.Bus.events ()) in
+  List.iteri
+    (fun i (p : Telemetry.Phase.t) ->
       emit
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"b\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":1}"
-           (esc s.name) s.sid (ts s.start_at) span_pid);
-      match s.stop_at with
+           "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"b\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":1}"
+           (esc p.name) (i + 1) (ts p.start_at) phase_pid);
+      match p.stop_at with
       | Some stop ->
           emit
             (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":1}"
-               (esc s.name) s.sid (ts stop) span_pid)
+               "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":1}"
+               (esc p.name) (i + 1) (ts stop) phase_pid)
       | None -> ())
-    (Telemetry.Span.spans ());
-  if !any_span then
+    phases;
+  if phases <> [] then
     emit
       (Printf.sprintf
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"spans\"}}"
-         span_pid);
+         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"phases\"}}"
+         phase_pid);
   (match critical with
   | None -> ()
   | Some (c : Critical.t) ->

@@ -29,11 +29,15 @@ type state = {
   (* Engines seen so far, in first-seen order; list index = track id.
      Compared physically: engines have no identity beyond themselves. *)
   mutable engines : Sim.Engine.t list;
-  (* Span-finish bindings: span id -> (event id, track) of the event
-     executing when the span finished. [-1] event ids (spans finished
-     from harness code, outside dispatch) are recorded as absent: there
-     is no event to anchor to. *)
-  span_finishes : (Telemetry.Span.id, int * int) Hashtbl.t;
+  (* The track of the dispatch last recorded, [-1] before any or when
+     it fell past the node cap: the engine whose running event a bus
+     entry is bound to. *)
+  mutable last_track : int;
+  (* Entry bindings: bus [seq] -> (event id, track) of the event that
+     emitted the entry. Entries emitted from harness code, outside
+     dispatch, have no event to anchor to and are absent. *)
+  bindings : (int, int * int) Hashtbl.t;
+  mutable sub : Telemetry.Bus.sub option;
 }
 
 let key =
@@ -45,7 +49,9 @@ let key =
         dropped_count = 0;
         index = Hashtbl.create 4096;
         engines = [];
-        span_finishes = Hashtbl.create 64;
+        last_track = -1;
+        bindings = Hashtbl.create 64;
+        sub = None;
       })
 
 let state () = Domain.DLS.get key
@@ -68,7 +74,7 @@ let register_track eng =
       st.engines <- st.engines @ [ eng ];
       i
 
-let span_finish_binding sid = Hashtbl.find_opt (state ()).span_finishes sid
+let entry_binding seq = Hashtbl.find_opt (state ()).bindings seq
 
 let reset () =
   let st = state () in
@@ -76,8 +82,9 @@ let reset () =
   st.store.len <- 0;
   st.dropped_count <- 0;
   Hashtbl.reset st.index;
-  Hashtbl.reset st.span_finishes;
-  st.engines <- []
+  Hashtbl.reset st.bindings;
+  st.engines <- [];
+  st.last_track <- -1
 
 let push store n =
   if store.len = Array.length store.arr then begin
@@ -91,18 +98,28 @@ let push store n =
 
 let on_dispatch ~eng ~id ~parent ~label ~sched_at ~exec_at =
   let st = state () in
-  if st.store.len >= st.node_limit then
-    st.dropped_count <- st.dropped_count + 1
+  if st.store.len >= st.node_limit then begin
+    st.dropped_count <- st.dropped_count + 1;
+    st.last_track <- -1
+  end
   else begin
     let track = register_track eng in
+    st.last_track <- track;
     Hashtbl.replace st.index (track, id) st.store.len;
     push st.store { id; parent; track; label; sched_at; exec_at }
   end
 
-let span_hook sid eng =
-  let ev = Sim.Engine.current_event_id eng in
-  if ev >= 0 then
-    Hashtbl.replace (state ()).span_finishes sid (ev, register_track eng)
+(* Bus [seq] numbers restart with every [Telemetry.Control.reset], so an
+   entry outside dispatch also drops whatever an earlier run bound to
+   its [seq]. *)
+let bind (e : Telemetry.Bus.entry) =
+  let st = state () in
+  let ev =
+    if st.last_track < 0 then -1
+    else Sim.Engine.current_event_id (List.nth st.engines st.last_track)
+  in
+  if ev >= 0 then Hashtbl.replace st.bindings e.seq (ev, st.last_track)
+  else Hashtbl.remove st.bindings e.seq
 
 let observer = { Sim.Engine.before = on_dispatch; after = ignore }
 let enabled () = (state ()).active
@@ -111,14 +128,18 @@ let attach ?(limit = default_limit) () =
   if limit <= 0 then invalid_arg "Recorder.attach: limit must be positive";
   let st = state () in
   st.node_limit <- limit;
-  if not st.active then Sim.Engine.attach observer;
-  st.active <- true;
-  Telemetry.Span.set_hook (Some span_hook)
+  if not st.active then begin
+    Sim.Engine.attach observer;
+    st.sub <- Some (Telemetry.Bus.subscribe bind)
+  end;
+  st.active <- true
 
 let detach () =
-  (state ()).active <- false;
+  let st = state () in
+  st.active <- false;
   Sim.Engine.detach observer;
-  Telemetry.Span.set_hook None
+  Option.iter Telemetry.Bus.unsubscribe st.sub;
+  st.sub <- None
 
 let node_count () = (state ()).store.len
 let dropped () = (state ()).dropped_count

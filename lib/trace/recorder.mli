@@ -8,10 +8,10 @@
     {e track} numbers in first-seen order, so a multi-engine experiment
     keeps per-engine event ids unambiguous.
 
-    It simultaneously attaches to [Telemetry.Span.set_hook] to bind span
-    ends to the events that stamped them — the raw material for
-    {!Critical} path extraction ("which event chain closed the failover
-    span?").
+    It simultaneously subscribes to the telemetry bus to bind each entry
+    emitted inside a dispatch to the event that emitted it — the raw
+    material for {!Critical} path extraction ("which event chain emitted
+    the entry that closed the failover phase?").
 
     The recorder is strictly observation-only, like [Prof.Profiler]:
     attaching it must leave replay digests byte-identical. It never
@@ -27,7 +27,7 @@ type node = {
 }
 
 val attach : ?limit:int -> unit -> unit
-(** Attaches the engine observer and the span finish hook.
+(** Attaches the engine observer and the bus subscription.
     Recording stops (and {!dropped} counts) past [limit] nodes (default
     2M, a fig5a-scale run with room). [limit] is a test seam: product
     runs keep the default, and test_trace lowers it to reach the cap.
@@ -40,7 +40,7 @@ val enabled : unit -> bool
 (** [true] between {!attach} and {!detach}. *)
 
 val reset : unit -> unit
-(** Forgets all nodes, tracks, span bindings and the drop count. *)
+(** Forgets all nodes, tracks, entry bindings and the drop count. *)
 
 val node_count : unit -> int
 (** Recorded nodes (excludes dropped ones). *)
@@ -56,9 +56,10 @@ val find : track:int -> id:int -> node option
 
 val track_count : unit -> int
 
-val span_finish_binding : Telemetry.Span.id -> (int * int) option
-(** [(event id, track)] of the event executing when the span finished;
-    [None] when it finished outside event dispatch. *)
+val entry_binding : int -> (int * int) option
+(** [entry_binding seq] is the [(event id, track)] of the event that
+    emitted the bus entry numbered [seq]; [None] when it was emitted
+    outside event dispatch or before {!attach}. *)
 
 (** {1 Test-only} *)
 

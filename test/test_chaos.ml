@@ -824,7 +824,7 @@ let kill_digest = "cf180fe483ef17c90a72b20bcffc0ac3"
 
 (* With [?out] the causal recorder, the series sampler and the profiler
    watch the run: the outcome must be the bare run's, digest included,
-   and health.json's critical path must decompose the recovery span
+   and health.json's critical path must decompose the recovery phase
    exactly. *)
 let test_observed_run_matches_bare () =
   let d = descriptor kill_line in
@@ -849,7 +849,7 @@ let test_observed_run_matches_bare () =
       Option.bind (Option.bind cp (Monitor.Json.member "segments")) Monitor.Json.to_list )
   with
   | Some total, Some (_ :: _ as segments) ->
-      checki "segments sum to the recovery span" total
+      checki "segments sum to the recovery phase" total
         (List.fold_left
            (fun acc seg -> acc + Option.value ~default:0 (num "dur_ns" seg))
            0 segments)

@@ -134,6 +134,35 @@ let test_table1_other_rows () =
       (Orch.Controller.Host_network_failure, "3.58 0.20 4.40 1.00 9.18");
     ]
 
+(* Table 1's TCP column and the health report's [tcp_replay] budget are
+   one phase of the same bus entries: read both off one episode. *)
+let test_table1_tcp_is_tcp_replay () =
+  Telemetry.Control.reset ();
+  Telemetry.Control.set_enabled true;
+  let mon =
+    Monitor.Checker.install { Monitor.Checker.peers = []; ack_deadline_s = 0. }
+  in
+  let rows = Tensor.Exp_table1.run ~kinds:[ Orch.Controller.App_failure ] () in
+  let report =
+    Monitor.Health.make
+      ~engine:{ Monitor.Health.ev_processed = 0; profiled = [] }
+      ~scenario:"table1" mon
+  in
+  Telemetry.Control.set_enabled false;
+  match
+    ( rows,
+      List.find_opt
+        (fun (s : Monitor.Health.slo) -> s.slo_name = "tcp_replay")
+        report.Monitor.Health.slos )
+  with
+  | [ r ], Some slo ->
+      checki "one TCP replay" 1 slo.instances;
+      Alcotest.(check (option (float 0.)))
+        "TCP column = tcp_replay budget's actual" (Some r.Tensor.Exp_table1.tcp_s)
+        slo.actual_s
+  | _, None -> Alcotest.fail "no tcp_replay budget in the report"
+  | rows, _ -> Alcotest.failf "expected 1 row, got %d" (List.length rows)
+
 (* --- Multi-AS parallelism ------------------------------------------------------- *)
 
 let test_multias_speedup () =
@@ -233,6 +262,8 @@ let () =
         [
           Alcotest.test_case "app failure row" `Quick test_table1_app_failure_row;
           Alcotest.test_case "other failure rows" `Quick test_table1_other_rows;
+          Alcotest.test_case "TCP column is the tcp_replay budget" `Quick
+            test_table1_tcp_is_tcp_replay;
         ] );
       ( "multias",
         [ Alcotest.test_case "parallel speedup" `Slow test_multias_speedup ] );

@@ -217,7 +217,7 @@ let test_health_json_parses () =
     slos
 
 let test_health_json_violation_shape () =
-  (* A violating run's JSON must carry seq/span/detail per violation. *)
+  (* A violating run's JSON must carry seq/t_ns/detail per violation. *)
   let r =
     Monitor.Faults.with_fault Monitor.Faults.repair_gap (fun () ->
         run_scenario "failover")
@@ -242,6 +242,8 @@ let test_health_json_violation_shape () =
        (fun v ->
          Option.bind (Monitor.Json.member "event_seq" v) Monitor.Json.to_int
          <> None
+         && Option.bind (Monitor.Json.member "t_ns" v) Monitor.Json.to_int
+            <> None
          && Option.bind (Monitor.Json.member "detail" v) Monitor.Json.to_str
             <> None)
        viols

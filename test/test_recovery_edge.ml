@@ -163,15 +163,16 @@ let test_preheat_faster_than_cold () =
     Bgp.Speaker.originate peer.Tensor.Deploy.pa_speaker ~vrf:"v0"
       (Workload.Prefixes.distinct 200);
     Engine.run_for eng (Time.sec 10);
-    let t0 = Engine.now eng in
-    let (), orch =
-      Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+    let (), entries =
+      Telemetry.Control.capture (fun () ->
           Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
           Engine.run_for eng (Time.sec 30))
     in
-    match (Tensor.Deploy.recovery_timeline ~t0 orch).tcp_synced with
-    | Some d -> Time.to_sec_f d
-    | None -> Alcotest.fail "no recovery"
+    let total =
+      Telemetry.Phase.seconds ~name:"failover"
+        (Telemetry.Phase.of_entries entries)
+    in
+    if Float.is_nan total then Alcotest.fail "no recovery" else total
   in
   let cold = run `Cold in
   let preheat = run `Preheat in

@@ -592,8 +592,7 @@ let test_stop_releases_held () =
       traverse 99_999;
       checki (name ^ ": held") 1 (Tensor.Replicator.held_segments r.repl);
       let (), entries =
-        Telemetry.Control.capture ~category:Telemetry.Event.Replicator
-          (fun () -> flush r.repl)
+        Telemetry.Control.capture (fun () -> flush r.repl)
       in
       let dropped =
         List.filter_map
@@ -667,7 +666,7 @@ let shed_instant ~degrade_after ~hold_at =
   Tensor.Replicator.on_rx_message r.repl keepalive ~inferred_ack:1020;
   let released = ref None in
   let (), entries =
-    Telemetry.Control.capture ~category:Telemetry.Event.Replicator (fun () ->
+    Telemetry.Control.capture (fun () ->
         Netfilter.traverse chain
           (Packet.make ~src:local ~dst:remote ~size:40
              (Tcp.Segment.Tcp (held_seg 1020)))

@@ -1,6 +1,6 @@
-(* The structured telemetry layer: event bus ordering, span trees and
-   orphan handling, histogram export rows, milestone capture,
-   and the disabled-mode no-op guarantees. *)
+(* The structured telemetry layer: event bus ordering, the recovery
+   phases paired from bus milestones, histogram export rows, milestone
+   capture, and the disabled-mode no-op guarantees. *)
 
 open Sim
 
@@ -124,86 +124,116 @@ let test_jsonl_escaping_roundtrip () =
                   Monitor.Json.to_str))
       | _ -> Alcotest.fail "expected two parsed lines"))
 
-(* --- Spans ---------------------------------------------------------------- *)
+(* --- Phases --------------------------------------------------------------- *)
 
-let test_span_nesting () =
-  with_telemetry (fun () ->
-      let eng = Engine.create () in
-      let root = Telemetry.Span.start eng "failover" in
-      Telemetry.Span.set_ambient (Some root);
-      ignore
-        (Engine.schedule_after eng (Time.ms 30) (fun () ->
-             (* No explicit parent: attaches to the ambient root, as BFD
-                detection and replica catch-up do. *)
-             ignore
-               (Telemetry.Span.add eng "bfd_detect" ~start_at:(Time.ms 10)
-                  ~stop_at:(Time.ms 30))));
-      ignore
-        (Engine.schedule_after eng (Time.ms 40) (fun () ->
-             let c = Telemetry.Span.start eng "tcp_replay" in
-             ignore
-               (Engine.schedule_after eng (Time.ms 25) (fun () ->
-                    Telemetry.Span.finish eng c;
-                    Telemetry.Span.finish eng root;
-                    Telemetry.Span.set_ambient None))));
-      Engine.run_for eng (Time.ms 100);
-      let kids = Telemetry.Span.children root in
-      checki "two children under the root" 2 (List.length kids);
-      (match Telemetry.Span.find ~name:"bfd_detect" with
-      | [ s ] ->
-          checkb "retroactive start honoured" true (s.Telemetry.Span.start_at = Time.ms 10);
-          checkb "stops inside the root" true
-            (s.Telemetry.Span.stop_at = Some (Time.ms 30))
-      | l -> Alcotest.failf "bfd_detect spans: %d" (List.length l));
-      (match Telemetry.Span.find ~name:"failover" with
-      | [ s ] ->
-          checkb "root closed at child completion" true
-            (s.Telemetry.Span.stop_at = Some (Time.ms 65))
-      | _ -> Alcotest.fail "no failover span");
-      checki "one root" 1 (List.length (Telemetry.Span.roots ())))
+(* Entries built by hand, [seq] = the instant in ms. *)
+let entry ms event = { Telemetry.Bus.seq = ms; at = Time.ms ms; event }
+let injected service = Telemetry.Event.Failure_injected { service; kind = "app" }
+let synced service = Telemetry.Event.Tcp_synced { service; vrf = "v0" }
 
-let test_span_stop_unknown () =
-  with_telemetry (fun () ->
-      let eng = Engine.create () in
-      Telemetry.Span.finish eng 99;
-      let s = Telemetry.Span.start eng "once" in
-      Engine.run_for eng (Time.ms 10);
-      Telemetry.Span.finish eng s;
-      Engine.run_for eng (Time.ms 10);
-      (* A second finish must not move the recorded stop. *)
-      Telemetry.Span.finish eng s;
-      match Telemetry.Span.spans () with
-      | [ sp ] ->
-          checkb "stopped at the first finish" true
-            (sp.Telemetry.Span.stop_at = Some (Time.ms 10))
-      | l -> Alcotest.failf "expected 1 span, got %d" (List.length l))
+let named name =
+  List.filter (fun (p : Telemetry.Phase.t) -> String.equal p.name name)
 
-let test_span_orphans () =
-  with_telemetry (fun () ->
-      let eng = Engine.create () in
-      (* Finishing unknown / already-finished / none ids never raises. *)
-      Telemetry.Span.finish eng 12345;
-      Telemetry.Span.finish eng Telemetry.Span.none;
-      let s = Telemetry.Span.start eng "once" in
-      Telemetry.Span.finish eng s;
-      Telemetry.Span.finish eng s;
-      (* A span whose parent was never recorded is still a root. *)
-      Telemetry.Span.set_ambient (Some 777);
-      ignore (Telemetry.Span.start eng "orphan");
-      Telemetry.Span.set_ambient None;
-      checki "both spans recorded" 2 (List.length (Telemetry.Span.spans ()));
-      checki "orphan counts as a root" 2 (List.length (Telemetry.Span.roots ()));
-      (* Never-finished spans export with a null stop rather than
-         disappearing. *)
-      let buf = Buffer.create 256 in
-      Telemetry.Span.to_jsonl buf;
-      checkb "unfinished span exports null stop" true
-        (let s = Buffer.contents buf in
-         let rec contains i =
-           i + 12 <= String.length s
-           && (String.sub s i 12 = "\"stop_ns\":nu" || contains (i + 1))
-         in
-         contains 0))
+let test_phase_reinjection () =
+  (* A second injection before the first recovery synced: the first
+     failover is left unfinished, the second closes at the sync. *)
+  match
+    named "failover"
+      (Telemetry.Phase.of_entries
+         [ entry 10 (injected "s"); entry 20 (injected "s"); entry 50 (synced "s") ])
+  with
+  | [ first; second ] ->
+      checkb "first left unfinished" true
+        (first.stop_at = None && first.close_seq = None);
+      checkb "second opened by the second injection" true
+        (second.start_at = Time.ms 20 && second.open_seq = 20);
+      checkb "second closed by the sync" true
+        (second.stop_at = Some (Time.ms 50) && second.close_seq = Some 50)
+  | l -> Alcotest.failf "failover phases: %d" (List.length l)
+
+let test_phase_per_service () =
+  (* Overlapping recoveries: each [Tcp_synced] closes its own service's
+     failover, never the other one's. *)
+  let phases =
+    Telemetry.Phase.of_entries
+      [
+        entry 10 (injected "a");
+        entry 20 (injected "b");
+        entry 40 (synced "b");
+        entry 70 (synced "a");
+      ]
+  in
+  let stop key =
+    List.find_map
+      (fun (p : Telemetry.Phase.t) ->
+        if String.equal p.key key then Some p.stop_at else None)
+      (named "failover" phases)
+  in
+  checkb "b closed by its own sync" true (stop "b" = Some (Some (Time.ms 40)));
+  checkb "a still open at b's sync, closed by its own" true
+    (stop "a" = Some (Some (Time.ms 70)))
+
+let test_phase_bfd_detect () =
+  (* The start is the last packet heard, [at - silent_s], exact in ns;
+     a session that never heard a packet ([silent_s = 0]) has none. *)
+  let last_rx = 987_654_321 and at = 1_287_654_329 in
+  let down silent_s =
+    Telemetry.Event.Bfd_down
+      { node = "n"; peer = "p"; vrf = "v0"; silent_s; interval_s = 0.1; mult = 3 }
+  in
+  let phases =
+    Telemetry.Phase.of_entries
+      [
+        { Telemetry.Bus.seq = 1; at;
+          event = down (Time.to_sec_f (Time.diff at last_rx)) };
+        { Telemetry.Bus.seq = 2; at; event = down 0.0 };
+      ]
+  in
+  match named "bfd_detect" phases with
+  | [ p ] ->
+      checki "start exact" last_rx p.start_at;
+      checkb "stop at the entry" true (p.stop_at = Some at);
+      checkb "one entry opens and closes it" true
+        (p.open_seq = 1 && p.close_seq = Some 1);
+      checks "keyed by node, peer and vrf" "n|p|v0" p.key
+  | l -> Alcotest.failf "bfd_detect phases: %d" (List.length l)
+
+let test_phase_unmatched_catchup () =
+  let catchup_start vrf = Telemetry.Event.Catchup_start { service = "s"; vrf } in
+  let phases =
+    Telemetry.Phase.of_entries
+      [
+        entry 10 (catchup_start "v0");
+        entry 12 (catchup_start "v1");
+        entry 15
+          (Telemetry.Event.Catchup_done
+             { service = "s"; vrf = "v1"; msgs = 0; bytes = 0 });
+      ]
+  in
+  let stops name =
+    List.map
+      (fun (p : Telemetry.Phase.t) -> (p.key, p.stop_at))
+      (named name phases)
+  in
+  checkb "v0's catch-up stays open, v1's closes" true
+    (stops "replica_catchup"
+    = [ ("s|v0", None); ("s|v1", Some (Time.ms 15)) ]);
+  checkb "v1's TCP replay opens at its catch-up" true
+    (stops "tcp_replay" = [ ("s|v1", None) ])
+
+let test_phase_other_kinds_ignored () =
+  checki "no phase" 0
+    (List.length
+       (Telemetry.Phase.of_entries
+          [
+            entry 1 (ev_generic Telemetry.Event.Orch "tcp_synced" "");
+            entry 2 (Telemetry.Event.Store_crashed { node = "store" });
+            entry 3
+              (Telemetry.Event.Replica_promoted { service = "s"; container = "c" });
+            entry 4 (Telemetry.Event.Bfd_up { node = "n"; peer = "p"; vrf = "v0" });
+            entry 5 (synced "s");
+            entry 6 (Telemetry.Event.Migration_done { id = "s"; host = "h"; container = "c" });
+          ]))
 
 (* --- Histograms ----------------------------------------------------------- *)
 
@@ -333,11 +363,7 @@ let test_disabled_noop () =
       Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Tcp "quiet" "x");
       Telemetry.Bus.emit eng
         (Telemetry.Event.Planned_migration { service = "svc9" });
-      checki "no events buffered" 0 (List.length (Telemetry.Bus.events ()));
-      let s = Telemetry.Span.start eng "ghost" in
-      checkb "span id is none" true (s = Telemetry.Span.none);
-      Telemetry.Span.finish eng s;
-      checki "no spans recorded" 0 (List.length (Telemetry.Span.spans ())))
+      checki "no events buffered" 0 (List.length (Telemetry.Bus.events ())))
 
 (* --- Capture ---------------------------------------------------------------- *)
 
@@ -354,8 +380,8 @@ let test_capture_filters_in_order () =
       let eng = Engine.create () in
       let orch name = ev_generic Telemetry.Event.Orch name "" in
       Telemetry.Bus.emit eng (orch "before");
-      let (), got =
-        Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+      let (), all =
+        Telemetry.Control.capture (fun () ->
             Telemetry.Bus.emit eng (orch "a");
             Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Tcp "tcp" "");
             ignore
@@ -365,6 +391,13 @@ let test_capture_filters_in_order () =
             Engine.run_for eng (Time.ms 5))
       in
       Telemetry.Bus.emit eng (orch "after");
+      checki "every category captured" 4 (List.length all);
+      let got =
+        List.filter
+          (fun (e : Telemetry.Bus.entry) ->
+            Telemetry.Event.category e.event = Telemetry.Event.Orch)
+          all
+      in
       checks "orch events of the call, in emission order" "a,b,c"
         (String.concat ","
            (List.map generic_name got));
@@ -407,30 +440,20 @@ let test_mkdir_p_nested () =
     "write_file replaces" "two"
     (In_channel.with_open_bin file In_channel.input_all)
 
-(* --- End-to-end: failover scenario produces the span tree ----------------- *)
+(* --- End-to-end: a failover's phases ---------------------------------------- *)
 
-let test_failover_span_tree () =
+let test_failover_phases () =
   with_telemetry (fun () ->
       match Tensor.Exp_table1.run ~kinds:[ Orch.Controller.Host_failure ] () with
       | [ row ] ->
           checkb "scenario converged" true (row.Tensor.Exp_table1.total_s > 0.0);
-          let roots =
-            Telemetry.Span.roots ()
-            |> List.filter (fun s -> s.Telemetry.Span.name = "failover")
-          in
-          (match roots with
-          | [ root ] ->
-              checkb "root span closed" true
-                (root.Telemetry.Span.stop_at <> None);
-              let kid_names =
-                Telemetry.Span.children root.Telemetry.Span.sid
-                |> List.map (fun s -> s.Telemetry.Span.name)
-              in
-              checkb "bfd_detect child present" true
-                (List.mem "bfd_detect" kid_names);
-              checkb "replica_catchup child present" true
-                (List.mem "replica_catchup" kid_names)
-          | l -> Alcotest.failf "failover roots: %d" (List.length l));
+          let phases = Telemetry.Phase.of_entries (Telemetry.Bus.events ()) in
+          (match named "failover" phases with
+          | [ root ] -> checkb "failover closed" true (root.stop_at <> None)
+          | l -> Alcotest.failf "failover phases: %d" (List.length l));
+          checkb "bfd_detect present" true (named "bfd_detect" phases <> []);
+          checkb "replica_catchup present" true
+            (named "replica_catchup" phases <> []);
           checkb "catch-up metrics recorded" true
             (Telemetry.Registry.hist_count
                (Telemetry.Registry.histogram "replicator.catchup_s")
@@ -449,11 +472,18 @@ let () =
           Alcotest.test_case "jsonl-escaping-roundtrip" `Quick
             test_jsonl_escaping_roundtrip;
         ] );
-      ( "spans",
+      ( "phases",
         [
-          Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "orphans" `Quick test_span_orphans;
-          Alcotest.test_case "stop-unknown" `Quick test_span_stop_unknown;
+          Alcotest.test_case "second injection leaves the first open" `Quick
+            test_phase_reinjection;
+          Alcotest.test_case "tcp_synced closes only its service" `Quick
+            test_phase_per_service;
+          Alcotest.test_case "bfd_detect start exact" `Quick
+            test_phase_bfd_detect;
+          Alcotest.test_case "unmatched catchup_start stays open" `Quick
+            test_phase_unmatched_catchup;
+          Alcotest.test_case "other kinds ignored" `Quick
+            test_phase_other_kinds_ignored;
         ] );
       ( "registry",
         [
@@ -480,6 +510,6 @@ let () =
       ( "files",
         [ Alcotest.test_case "mkdir_p nested" `Quick test_mkdir_p_nested ] );
       ( "end-to-end",
-        [ Alcotest.test_case "failover-span-tree" `Quick test_failover_span_tree ]
+        [ Alcotest.test_case "failover-phases" `Quick test_failover_phases ]
       );
     ]

@@ -1220,7 +1220,7 @@ let test_rearm_rewrites_meta_and_cursors () =
   Telemetry.Control.reset ();
   Telemetry.Control.set_enabled true;
   let sub =
-    Telemetry.Bus.subscribe ~category:Telemetry.Event.Replicator (fun e ->
+    Telemetry.Bus.subscribe (fun e ->
         match e.Telemetry.Bus.event with
         | Telemetry.Event.Degraded_enter _ -> incr degrades
         | Telemetry.Event.Degraded_exit { epoch; _ } ->
@@ -1368,15 +1368,15 @@ let run_failure_scenario ~inject ?(post_failure_span = Time.sec 30) () =
   Engine.run_for (eng w) (Time.sec 10);
   let drops = watch_peer_continuity w in
   checki "peer has all routes pre-failure" 700 (Bgp.Rib.size (peer_rib w));
-  let t0 = Engine.now (eng w) in
-  let (), orch =
-    Telemetry.Control.capture ~category:Telemetry.Event.Orch (fun () ->
+  let (), entries =
+    Telemetry.Control.capture (fun () ->
         inject w;
         Engine.run_for (eng w) post_failure_span)
   in
   (* Injection to TCP re-synchronization: the whole migration. *)
   let total =
-    Tensor.Deploy.seconds (Tensor.Deploy.recovery_timeline ~t0 orch).tcp_synced
+    Telemetry.Phase.seconds ~name:"failover"
+      (Telemetry.Phase.of_entries entries)
   in
   (w, drops, total)
 
@@ -1534,22 +1534,28 @@ let test_two_vrf_container_migration () =
 
 (* --- Table 1's recovery timeline ------------------------------------------ *)
 
+(* Table 1's columns are phases of the captured entries. *)
 let entry ms event = { Telemetry.Bus.seq = ms; at = Time.ms ms; event }
+let injected = Telemetry.Event.Failure_injected { service = "s"; kind = "container" }
 let detected = Telemetry.Event.Failure_detected { id = "s"; kind = "container" }
 let initiated = Telemetry.Event.Migration_initiated { id = "s" }
 let migrated = Telemetry.Event.Migration_done { id = "s"; host = "h1"; container = "c" }
+let caught_up vrf = Telemetry.Event.Catchup_done { service = "s"; vrf; msgs = 0; bytes = 0 }
 let synced vrf = Telemetry.Event.Tcp_synced { service = "s"; vrf }
-let ms_opt = Alcotest.(check (option int))
+let secs = Alcotest.(check (float 1e-9))
 
 let test_timeline_first_milestone_wins () =
   (* A second migration (or a second VRF's resync) must not move a
-     phase's end; entries before [t0] belong to an earlier episode. *)
-  let r =
-    Tensor.Deploy.recovery_timeline ~t0:(Time.ms 1000)
+     phase's end; a stray milestone of an earlier episode, before the
+     injection, never closes. *)
+  let phases =
+    Telemetry.Phase.of_entries
       [
         entry 500 detected;
+        entry 1000 injected;
         entry 1300 detected;
         entry 1400 initiated;
+        entry 2500 (caught_up "v0");
         entry 2500 migrated;
         entry 3600 (synced "v0");
         entry 3700 (synced "v1");
@@ -1558,28 +1564,28 @@ let test_timeline_first_milestone_wins () =
         entry 9900 migrated;
       ]
   in
-  ms_opt "detected" (Some (Time.ms 300)) r.detected;
-  ms_opt "initiated" (Some (Time.ms 400)) r.initiated;
-  ms_opt "migrated" (Some (Time.ms 1500)) r.migrated;
-  ms_opt "tcp synced" (Some (Time.ms 2600)) r.tcp_synced;
-  Alcotest.(check (float 1e-9)) "seconds" 2.6 (Tensor.Deploy.seconds r.tcp_synced)
+  let sec name = Telemetry.Phase.seconds ~name phases in
+  secs "detect" 0.3 (sec "detect");
+  secs "initiate" 0.1 (sec "initiate");
+  secs "migrate" 1.1 (sec "migrate");
+  secs "tcp" 1.1 (sec "tcp_replay");
+  secs "total" 2.6 (sec "failover")
 
 let test_timeline_missing_milestone () =
-  let r =
-    Tensor.Deploy.recovery_timeline ~t0:0
-      [ entry 10 detected; entry 110 initiated ]
+  let phases =
+    Telemetry.Phase.of_entries
+      [ entry 0 injected; entry 10 detected; entry 110 initiated ]
   in
-  ms_opt "detected" (Some (Time.ms 10)) r.detected;
-  ms_opt "no migration" None r.migrated;
-  ms_opt "no resync" None r.tcp_synced;
-  checkb "absent reads as nan" true
-    (Float.is_nan (Tensor.Deploy.seconds r.tcp_synced));
-  ms_opt "empty capture" None
-    (Tensor.Deploy.recovery_timeline ~t0:0 []).detected
+  let sec name = Telemetry.Phase.seconds ~name phases in
+  secs "detect" 0.01 (sec "detect");
+  checkb "no migration" true (Float.is_nan (sec "migrate"));
+  checkb "no resync" true (Float.is_nan (sec "failover"));
+  checkb "empty capture" true
+    (Float.is_nan (Telemetry.Phase.seconds ~name:"detect" []))
 
 let test_timeline_ignores_other_entries () =
-  let r =
-    Tensor.Deploy.recovery_timeline ~t0:0
+  let phases =
+    Telemetry.Phase.of_entries
       [
         entry 1 (Telemetry.Event.Failure_injected { service = "s"; kind = "app" });
         entry 2 (Telemetry.Event.Store_crashed { node = "store" });
@@ -1588,12 +1594,13 @@ let test_timeline_ignores_other_entries () =
         entry 4
           (Telemetry.Event.Generic
              { cat = Telemetry.Event.Orch; name = "tcp_synced"; detail = "" });
-        entry 50 (synced "v0");
+        entry 51 (synced "v0");
       ]
   in
-  ms_opt "nothing detected" None r.detected;
-  ms_opt "nothing initiated" None r.initiated;
-  ms_opt "tcp synced" (Some (Time.ms 50)) r.tcp_synced
+  let sec name = Telemetry.Phase.seconds ~name phases in
+  checkb "nothing detected" true (Float.is_nan (sec "detect"));
+  checkb "nothing initiated" true (Float.is_nan (sec "initiate"));
+  secs "tcp synced" 0.05 (sec "failover")
 
 let () =
   Alcotest.run "tensor"

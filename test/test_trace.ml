@@ -1,6 +1,6 @@
 (* lib/trace: the causal event DAG must mirror scheduling causality
    (parent = the event executing at schedule time, -1 outside dispatch),
-   critical-path segments must sum exactly to the root span's duration
+   critical-path segments must sum exactly to the recovery phase's duration
    (the Fig. 5a decomposition is an identity, not an estimate), the
    Perfetto export must be valid trace_event JSON, the simulated-time
    series must window on boundaries, and — like the profiler — the whole
@@ -71,31 +71,40 @@ let test_recorder_limit () =
 
 (* --- critical path: the sum identity --------------------------------------- *)
 
-(* A synthetic recovery: fault event starts the span, a 3-hop chain
-   (fault -> bfd.detect -> tcp.replay) closes it. *)
+(* A synthetic recovery: the fault event emits [Failure_injected], which
+   opens the failover phase, and a 3-hop chain (fault -> bfd.detect ->
+   tcp.replay) emits the [Tcp_synced] that closes it. *)
 let synthetic_recovery () =
   fresh ();
   Causal.Recorder.attach ();
   let eng = Sim.Engine.create () in
-  let sp = ref Telemetry.Span.none in
   ignore
     (Sim.Engine.schedule_after eng ~label:"fault" (Sim.Time.ms 10) (fun () ->
-         sp := Telemetry.Span.start eng "recover";
+         Telemetry.Bus.emit eng
+           (Telemetry.Event.Failure_injected { service = "s"; kind = "app" });
          ignore
            (Sim.Engine.schedule_after eng ~label:"bfd.detect" (Sim.Time.ms 40)
               (fun () ->
                 ignore
                   (Sim.Engine.schedule_after eng ~label:"tcp.replay"
                      (Sim.Time.ms 50) (fun () ->
-                       Telemetry.Span.finish eng !sp))))));
+                       Telemetry.Bus.emit eng
+                         (Telemetry.Event.Tcp_synced
+                            { service = "s"; vrf = "v0" })))))));
   (* Noise off the critical path must not appear in it. *)
   ignore
     (Sim.Engine.schedule_after eng ~label:"noise" (Sim.Time.ms 60) (fun () -> ()));
   Sim.Engine.run eng;
+  (* Emitted from harness code: no event to bind it to. *)
+  Telemetry.Bus.emit eng
+    (Telemetry.Event.Generic
+       { cat = Telemetry.Event.Orch; name = "harness"; detail = "" });
   Causal.Recorder.detach ()
 
+let phases () = Telemetry.Phase.of_entries (Telemetry.Bus.events ())
+
 let extract () =
-  match Causal.Critical.of_span ~name:"recover" with
+  match Causal.Critical.of_phases ~name:"failover" (phases ()) with
   | Ok cp -> cp
   | Error e -> Alcotest.failf "critical path: %s" e
 
@@ -111,8 +120,8 @@ let seg_labels cp =
 let test_critical_path_sum () =
   synthetic_recovery ();
   let cp = extract () in
-  checki "span duration 90ms" (Sim.Time.ms 90) cp.Causal.Critical.total;
-  checki "segments sum exactly to the span duration" cp.Causal.Critical.total
+  checki "phase duration 90ms" (Sim.Time.ms 90) cp.Causal.Critical.total;
+  checki "segments sum exactly to the phase duration" cp.Causal.Critical.total
     (segment_sum cp);
   checki "three events on the path" 3 cp.Causal.Critical.events;
   Alcotest.(check (list string))
@@ -129,8 +138,15 @@ let test_critical_path_sum () =
   in
   checki "bfd segment 40ms" (Sim.Time.ms 40) (dur "bfd.detect");
   checki "tcp segment 50ms" (Sim.Time.ms 50) (dur "tcp.replay");
-  match Causal.Critical.of_span ~name:"no-such-span" with
-  | Ok _ -> Alcotest.fail "expected an error for an unknown span"
+  let bound (e : Telemetry.Bus.entry) =
+    Causal.Recorder.entry_binding e.seq <> None
+  in
+  Alcotest.(check (list bool))
+    "entries emitted inside a dispatch are bound, the harness's is not"
+    [ true; true; false ]
+    (List.map bound (Telemetry.Bus.events ()));
+  match Causal.Critical.of_phases ~name:"no-such-phase" (phases ()) with
+  | Ok _ -> Alcotest.fail "expected an error for an unknown phase"
   | Error _ -> ()
 
 (* --- the real thing: checked failover scenario ------------------------------ *)
@@ -153,10 +169,10 @@ let test_failover_critical_path () =
     | Some cp -> cp
     | None -> Alcotest.fail "health report has no critical_path section"
   in
-  checks "rooted at the failover span" "failover" cp.Causal.Critical.span_name;
+  checks "rooted at the failover phase" "failover" cp.Causal.Critical.span_name;
   checkb "recovery decomposed into multiple segments" true
     (List.length cp.Causal.Critical.segments >= 2);
-  checki "segment sum equals the failover span duration"
+  checki "segment sum equals the failover phase duration"
     cp.Causal.Critical.total
     (segment_sum cp);
   checkb "path has real depth" true (cp.Causal.Critical.events > 2);
@@ -196,7 +212,7 @@ let test_perfetto_export () =
             (List.length phases);
           let has p = List.mem p phases in
           checkb "instants for engine events" true (has "i");
-          checkb "async begin/end for spans" true (has "b" && has "e");
+          checkb "async begin/end for phases" true (has "b" && has "e");
           checkb "critical-path slices" true (has "X");
           checkb "track metadata" true (has "M"))
 
@@ -355,7 +371,7 @@ let test_observed_matches_bare () =
       | _, None -> Alcotest.failf "%s: no critical path" scenario
       | _, Some cp ->
           checki
-            (scenario ^ ": segments sum to the recovery span")
+            (scenario ^ ": segments sum to the recovery phase")
             cp.Causal.Critical.total
             (segment_sum cp))
     Tensor.Check.scenarios
@@ -375,7 +391,7 @@ let test_out_writes_artifacts () =
   let expected =
     [
       "engine_cost.txt"; "events.jsonl"; "health.json"; "metrics.json";
-      "spans.jsonl"; "timeseries.jsonl"; "trace.perfetto.json";
+      "timeseries.jsonl"; "trace.perfetto.json";
     ]
   in
   Alcotest.(check (list string))
@@ -412,8 +428,7 @@ let test_experiment_out_writes_artifacts () =
   checkb "profiler detached" false (Prof.Profiler.enabled ());
   let expected =
     [
-      "engine_cost.txt"; "events.jsonl"; "metrics.json"; "spans.jsonl";
-      "timeseries.jsonl";
+      "engine_cost.txt"; "events.jsonl"; "metrics.json"; "timeseries.jsonl";
     ]
   in
   let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
