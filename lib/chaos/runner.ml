@@ -41,7 +41,6 @@ let has_permanent_store_crash (d : Descriptor.t) =
    inside the peer's 90 s hold timer even when the blocked write is a
    keepalive at the 30 s mark (30 + 13.5 < 90). *)
 let degrade_frac = 0.15
-let hold_time_s = float_of_int Bgp.Session.default_hold_time
 
 let disabled_checkers (d : Descriptor.t) =
   let has p = List.exists p d.Descriptor.faults in
@@ -271,7 +270,8 @@ let run ?out (d : Descriptor.t) =
     {
       Monitor.Checker.peers = List.init d.Descriptor.peers peer_name;
       ack_deadline_s =
-        (if has_store_fault d then degrade_frac *. hold_time_s else 0.);
+        (if has_store_fault d then Tensor.Check.ack_deadline_s ~degrade_frac
+         else 0.);
     }
   in
   let r =

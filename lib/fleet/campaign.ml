@@ -182,10 +182,11 @@ let run ?out spec =
         (if has_store_outage spec then Topology.ack_deadline_s else 0.);
     }
   in
-  (* Bus subscribers survive the harness's telemetry reset. *)
-  let slo = Slo.install () in
   let convergence_s = ref 0. in
-  let r =
+  (* Captured rather than read off the rings, which a large fleet
+     overruns; the capture survives the harness's telemetry reset. *)
+  let r, entries =
+    Telemetry.Control.capture @@ fun () ->
     Tensor.Check.checked ?out ~budgets:[] ~cfg
       ~scenario:("fleet:" ^ string_of_int spec.seed)
     @@ fun mon ->
@@ -243,7 +244,7 @@ let run ?out spec =
                  else None) )
     end
   in
-  let slo = Slo.finish slo in
+  let slo = Slo.of_entries entries in
   Option.iter
     (fun dir ->
       Telemetry.Control.write_file (Filename.concat dir "slo.json")

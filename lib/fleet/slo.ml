@@ -1,146 +1,10 @@
 open Sim
 
-(* Fleet-wide SLO aggregation over the telemetry bus: per-region
-   availability (instance-up seconds over the observation horizon),
-   the failover-time distribution (Failure_detected → Migration_done),
-   degraded-instance accounting, upgrade progress, and deferred
-   migrations. A live subscriber, like the invariant checkers — no
-   polling, no second pass over the event log. *)
-
-type region_stat = {
-  mutable r_instances : int;
-  mutable r_up_s : float;  (* closed instance-up intervals *)
-  mutable r_degraded : int;
-  mutable r_degraded_peak : int;
-  mutable r_degraded_total : int;
-}
-
-type t = {
-  sub : Telemetry.Bus.sub;
-  regions : (string, region_stat) Hashtbl.t;
-  region_of : (string, string) Hashtbl.t;  (* instance -> region *)
-  container_of : (string, string) Hashtbl.t;  (* container -> instance *)
-  up_since : (string, Time.t) Hashtbl.t;
-  detect_at : (string, Time.t) Hashtbl.t;
-  mutable failovers_s : float list;
-  mutable upgrades_started : int;
-  mutable upgrades_done : int;
-  mutable upgrade_inflight : int;
-  mutable upgrade_inflight_peak : int;
-  mutable deferred : int;
-  mutable t0 : Time.t option;
-  mutable t_end : Time.t;
-}
-
-let region t inst =
-  match Hashtbl.find_opt t.region_of inst with
-  | Some r -> Hashtbl.find_opt t.regions r
-  | None -> None
-
-let mark_up t inst at =
-  if not (Hashtbl.mem t.up_since inst) then Hashtbl.replace t.up_since inst at
-
-let mark_down t inst at =
-  match Hashtbl.find_opt t.up_since inst with
-  | None -> ()
-  | Some since -> (
-      Hashtbl.remove t.up_since inst;
-      match region t inst with
-      | Some rs -> rs.r_up_s <- rs.r_up_s +. Time.to_sec_f (Time.diff at since)
-      | None -> ())
-
-let on_entry t (e : Telemetry.Bus.entry) =
-  let at = e.Telemetry.Bus.at in
-  if t.t0 = None then t.t0 <- Some at;
-  t.t_end <- at;
-  match e.Telemetry.Bus.event with
-  | Telemetry.Event.Fleet_placed { instance; region; container; _ } ->
-      let rs =
-        match Hashtbl.find_opt t.regions region with
-        | Some rs -> rs
-        | None ->
-            let rs =
-              {
-                r_instances = 0;
-                r_up_s = 0.;
-                r_degraded = 0;
-                r_degraded_peak = 0;
-                r_degraded_total = 0;
-              }
-            in
-            Hashtbl.replace t.regions region rs;
-            rs
-      in
-      rs.r_instances <- rs.r_instances + 1;
-      Hashtbl.replace t.region_of instance region;
-      Hashtbl.replace t.container_of container instance;
-      mark_up t instance at
-  | Telemetry.Event.Container_state { id; state; _ } -> (
-      match Hashtbl.find_opt t.container_of id with
-      | None -> ()
-      | Some inst ->
-          if String.equal state "running" then mark_up t inst at
-          else mark_down t inst at)
-  | Telemetry.Event.Failure_detected { id; _ } ->
-      if Hashtbl.mem t.region_of id then Hashtbl.replace t.detect_at id at
-  | Telemetry.Event.Migration_done { id; container; _ } ->
-      if Hashtbl.mem t.region_of id then begin
-        Hashtbl.replace t.container_of container id;
-        mark_up t id at;
-        match Hashtbl.find_opt t.detect_at id with
-        | Some d ->
-            Hashtbl.remove t.detect_at id;
-            t.failovers_s <- Time.to_sec_f (Time.diff at d) :: t.failovers_s
-        | None -> ()
-      end
-  | Telemetry.Event.Migration_deferred _ -> t.deferred <- t.deferred + 1
-  | Telemetry.Event.Upgrade_started _ ->
-      t.upgrades_started <- t.upgrades_started + 1;
-      t.upgrade_inflight <- t.upgrade_inflight + 1;
-      if t.upgrade_inflight > t.upgrade_inflight_peak then
-        t.upgrade_inflight_peak <- t.upgrade_inflight
-  | Telemetry.Event.Upgrade_done { instance; container; _ } ->
-      t.upgrade_inflight <- max 0 (t.upgrade_inflight - 1);
-      t.upgrades_done <- t.upgrades_done + 1;
-      Hashtbl.replace t.container_of container instance;
-      mark_up t instance at
-  | Telemetry.Event.Fleet_degraded { instance; _ } -> (
-      match region t instance with
-      | Some rs ->
-          rs.r_degraded <- rs.r_degraded + 1;
-          rs.r_degraded_total <- rs.r_degraded_total + 1;
-          if rs.r_degraded > rs.r_degraded_peak then
-            rs.r_degraded_peak <- rs.r_degraded
-      | None -> ())
-  | Telemetry.Event.Fleet_rearmed { instance; _ } -> (
-      match region t instance with
-      | Some rs -> rs.r_degraded <- max 0 (rs.r_degraded - 1)
-      | None -> ())
-  | _ -> ()
-
-let install () =
-  let rec t =
-    lazy
-      {
-        sub = Telemetry.Bus.subscribe (fun e -> on_entry (Lazy.force t) e);
-        regions = Hashtbl.create 8;
-        region_of = Hashtbl.create 64;
-        container_of = Hashtbl.create 64;
-        up_since = Hashtbl.create 64;
-        detect_at = Hashtbl.create 16;
-        failovers_s = [];
-        upgrades_started = 0;
-        upgrades_done = 0;
-        upgrade_inflight = 0;
-        upgrade_inflight_peak = 0;
-        deferred = 0;
-        t0 = None;
-        t_end = Time.zero;
-      }
-  in
-  Lazy.force t
-
-(* --- Report ---------------------------------------------------------------- *)
+(* Fleet-wide SLO report of one run, folded from its bus entries:
+   per-region availability (instance-up seconds over the observation
+   horizon), the failover-time distribution (controller detection to
+   migration done, from Telemetry.Phase), degraded-instance accounting,
+   upgrade progress, and deferred migrations. *)
 
 type region_report = {
   rr_name : string;
@@ -169,17 +33,125 @@ let percentile sorted p =
       let idx = min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1) in
       List.nth l (max 0 idx)
 
-let finish t =
-  Telemetry.Bus.unsubscribe t.sub;
-  let t_end = t.t_end in
-  (* Close every open up-interval at the horizon. *)
-  Det.iter_sorted ~compare:String.compare
-    (fun inst (_ : Time.t) -> mark_down t inst t_end)
-    t.up_since;
+type region_stat = {
+  mutable r_instances : int;
+  mutable r_up_s : float;  (* closed instance-up intervals *)
+  mutable r_degraded : int;
+  mutable r_degraded_peak : int;
+  mutable r_degraded_total : int;
+}
+
+(* One failover per finished [migrate] phase of a placed instance, from
+   the start of the [initiate] phase it continues: detection to
+   migration done. *)
+let failovers phases ~placed =
+  let initiated = Hashtbl.create 16 in
+  List.iter
+    (fun (p : Telemetry.Phase.t) ->
+      match (p.name, p.close_seq) with
+      | "initiate", Some seq -> Hashtbl.replace initiated seq p.start_at
+      | _ -> ())
+    phases;
+  List.filter_map
+    (fun (p : Telemetry.Phase.t) ->
+      match (p.name, p.stop_at) with
+      | "migrate", Some stop when placed p.key ->
+          Hashtbl.find_opt initiated p.open_seq
+          |> Option.map (fun start -> Time.to_sec_f (Time.diff stop start))
+      | _ -> None)
+    phases
+
+let of_entries entries =
+  let regions = Hashtbl.create 8 in
+  let region_of = Hashtbl.create 64 in  (* instance -> its region *)
+  let container_of = Hashtbl.create 64 in  (* container -> instance *)
+  let up_since = Hashtbl.create 64 in
+  let upgrades_started = ref 0 and upgrades_done = ref 0 in
+  let inflight = ref 0 and inflight_peak = ref 0 and deferred = ref 0 in
+  let mark_up inst at =
+    if not (Hashtbl.mem up_since inst) then Hashtbl.replace up_since inst at
+  in
+  let mark_down inst at =
+    match Hashtbl.find_opt up_since inst with
+    | None -> ()
+    | Some since -> (
+        Hashtbl.remove up_since inst;
+        match Hashtbl.find_opt region_of inst with
+        | Some rs ->
+            rs.r_up_s <- rs.r_up_s +. Time.to_sec_f (Time.diff at since)
+        | None -> ())
+  in
+  List.iter
+    (fun ({ at; event; _ } : Telemetry.Bus.entry) ->
+      match event with
+      | Telemetry.Event.Fleet_placed { instance; region; container; _ } ->
+          let rs =
+            match Hashtbl.find_opt regions region with
+            | Some rs -> rs
+            | None ->
+                let rs =
+                  {
+                    r_instances = 0;
+                    r_up_s = 0.;
+                    r_degraded = 0;
+                    r_degraded_peak = 0;
+                    r_degraded_total = 0;
+                  }
+                in
+                Hashtbl.replace regions region rs;
+                rs
+          in
+          rs.r_instances <- rs.r_instances + 1;
+          Hashtbl.replace region_of instance rs;
+          Hashtbl.replace container_of container instance;
+          mark_up instance at
+      | Container_state { id; state; _ } -> (
+          match Hashtbl.find_opt container_of id with
+          | None -> ()
+          | Some inst ->
+              if String.equal state "running" then mark_up inst at
+              else mark_down inst at)
+      | Migration_done { id; container; _ } ->
+          if Hashtbl.mem region_of id then begin
+            Hashtbl.replace container_of container id;
+            mark_up id at
+          end
+      | Migration_deferred _ -> incr deferred
+      | Upgrade_started _ ->
+          incr upgrades_started;
+          incr inflight;
+          inflight_peak := max !inflight_peak !inflight
+      | Upgrade_done { instance; container; _ } ->
+          inflight := max 0 (!inflight - 1);
+          incr upgrades_done;
+          Hashtbl.replace container_of container instance;
+          mark_up instance at
+      | Fleet_degraded { instance; _ } -> (
+          match Hashtbl.find_opt region_of instance with
+          | Some rs ->
+              rs.r_degraded <- rs.r_degraded + 1;
+              rs.r_degraded_total <- rs.r_degraded_total + 1;
+              rs.r_degraded_peak <- max rs.r_degraded_peak rs.r_degraded
+          | None -> ())
+      | Fleet_rearmed { instance; _ } -> (
+          match Hashtbl.find_opt region_of instance with
+          | Some rs -> rs.r_degraded <- max 0 (rs.r_degraded - 1)
+          | None -> ())
+      | _ -> ())
+    entries;
   let horizon_s =
-    match t.t0 with
-    | Some t0 -> Time.to_sec_f (Time.diff t_end t0)
-    | None -> 0.
+    match entries with
+    | [] -> 0.
+    | first :: _ ->
+        let t_end =
+          List.fold_left (fun _ (e : Telemetry.Bus.entry) -> e.at) first.at
+            entries
+        in
+        (* Close every open up-interval at the horizon. *)
+        Det.iter_sorted ~compare:String.compare
+          (fun inst (_ : Time.t) -> mark_down inst t_end)
+          up_since;
+        Time.to_sec_f (Time.diff t_end first.at)
   in
   let region_rows =
     Det.fold_sorted ~compare:String.compare
@@ -194,17 +166,20 @@ let finish t =
           rr_degraded_total = rs.r_degraded_total;
         }
         :: acc)
-      t.regions []
+      regions []
     |> List.rev
   in
   {
     horizon_s;
     region_rows;
-    failover_s = List.sort compare t.failovers_s;
-    upgrades_started = t.upgrades_started;
-    upgrades_done = t.upgrades_done;
-    upgrade_inflight_peak = t.upgrade_inflight_peak;
-    deferred = t.deferred;
+    failover_s =
+      List.sort compare
+        (failovers (Telemetry.Phase.of_entries entries)
+           ~placed:(Hashtbl.mem region_of));
+    upgrades_started = !upgrades_started;
+    upgrades_done = !upgrades_done;
+    upgrade_inflight_peak = !inflight_peak;
+    deferred = !deferred;
   }
 
 let to_text r =

@@ -1,18 +1,13 @@
-(** Fleet-wide SLO aggregation over the telemetry bus.
+(** Fleet-wide SLO report of one run, folded from its bus entries.
 
-    A live {!Telemetry.Bus} subscriber (like the invariant checkers)
-    that folds fleet events into: per-region availability (instance-up
-    seconds over the observation horizon), the failover-time
-    distribution ([Failure_detected] → [Migration_done] per instance),
+    {!of_entries} reads: per-region availability (instance-up seconds
+    over the observation horizon), the failover-time distribution,
     degraded-instance accounting ([Fleet_degraded]/[Fleet_rearmed]),
-    rolling-upgrade progress, and deferred-migration counts. Purely
-    observational: installing it changes no replay digest. *)
-
-type t
-
-val install : unit -> t
-(** Subscribes to the firehose; only entries emitted afterwards (and
-    while {!Telemetry.Gate} is on) are aggregated. *)
+    rolling-upgrade progress, and deferred-migration counts. A failover
+    runs from controller detection to migration done: the [initiate]
+    and [migrate] phases of {!Telemetry.Phase} together, per instance a
+    [Fleet_placed] entry named. That differs from [Phase]'s [failover],
+    which starts at [Failure_injected]. *)
 
 type region_report = {
   rr_name : string;
@@ -33,9 +28,11 @@ type report = {
   deferred : int;
 }
 
-val finish : t -> report
-(** Unsubscribes, closes open uptime intervals at the last observed
-    instant, and renders the aggregate. Call once per run. *)
+val of_entries : Telemetry.Bus.entry list -> report
+(** The report of [entries] (in [seq] order, as
+    {!Telemetry.Control.capture} returns them). The horizon runs from
+    the first entry to the last, and uptime intervals still open at the
+    last entry close there. *)
 
 val percentile : float list -> float -> float
 (** [percentile sorted p] with [p] in [0, 1]; 0. on the empty list. *)

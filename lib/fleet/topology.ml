@@ -21,8 +21,7 @@ let instance_vip i =
    hold time: 4.5 s, small enough that a multi-second regional store
    outage demonstrably sheds and re-arms within one campaign. *)
 let degrade_frac = 0.05
-let hold_time_s = float_of_int Bgp.Session.default_hold_time
-let ack_deadline_s = degrade_frac *. hold_time_s
+let ack_deadline_s = Tensor.Check.ack_deadline_s ~degrade_frac
 
 let normalize_instances n = if n <= 0 then replicas else (n + 1) / 2 * 2
 

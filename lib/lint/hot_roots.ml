@@ -85,13 +85,14 @@ let hot_paths =
       rt_fns = [ "Server.apply_set" ];
       rt_label = "replicator checkpoint codec";
     };
-    (* Fleet-scale per-event entry points: the SLO aggregator sees every
-       bus entry of a campaign, and the store probers tick per region
+    (* Fleet-scale per-event entry points: the capture a campaign runs
+       under sees every bus entry (its SLO report folds the captured
+       list once, afterwards), and the store probers tick per region
        every 500 ms across hundreds of instances. *)
     {
-      rt_file = "lib/fleet/slo.ml";
-      rt_fns = [ "on_entry" ];
-      rt_label = "fleet slo aggregation";
+      rt_file = "lib/telemetry/control.ml";
+      rt_fns = [ "capture" ];
+      rt_label = "bus capture";
     };
     {
       rt_file = "lib/fleet/topology.ml";

@@ -35,6 +35,7 @@ type report = {
   bus_dropped : int; (* telemetry ring overwrites during the run *)
   engine : engine_cost;
   critical_path : Causal.Critical.t option; (* when the recorder ran *)
+  phases : Telemetry.Phase.t list; (* [] when nothing read them *)
   faults : string list;
 }
 
@@ -118,6 +119,7 @@ let make ?(budgets = default_budgets) ~engine ~scenario checker =
     bus_dropped = Telemetry.Bus.dropped_total ();
     engine;
     critical_path = (if traced then critical_path_of_run phases else None);
+    phases;
     faults = Faults.active ();
   }
 

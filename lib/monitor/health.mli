@@ -50,6 +50,11 @@ type report = {
           recovery phase (["failover"], else ["planned_migration"])
           finished.
           Informational: never affects {!ok}. *)
+  phases : Telemetry.Phase.t list;
+      (** The run's recovery phases, folded once from the buffered bus
+          entries for the SLOs and the critical path, and read again by
+          the Perfetto trace of [--out]; [[]] when neither was
+          evaluated. *)
   faults : string list;  (** Seeded faults active when the report was cut. *)
 }
 

@@ -65,11 +65,13 @@ let subscribe fn =
   let st = state () in
   st.sub_counter <- st.sub_counter + 1;
   let s = { id = st.sub_counter; fn } in
+  (* lint: allow h1 — once per subscription, not per entry *)
   st.subs <- st.subs @ [ s ];
   s
 
 let unsubscribe s =
   let st = state () in
+  (* lint: allow h1 — once per subscription, not per entry *)
   st.subs <- List.filter (fun s' -> s'.id <> s.id) st.subs
 
 let subscriber_count () = List.length (state ()).subs

@@ -1,8 +1,5 @@
-(** Run-level control: one switch, one reset, one capture and two file
-    helpers. *)
-
-val set_enabled : bool -> unit
-(** Turns event recording on or off (see {!Gate}). *)
+(** Run-level control: one reset, one capture and two file helpers.
+    Recording is switched on and off with {!Gate.set}. *)
 
 val reset : unit -> unit
 (** Clears buffered events and zeroes all registered metric
@@ -14,7 +11,9 @@ val capture : (unit -> 'a) -> 'a * Bus.entry list
     The previous gate state is restored afterwards, even when [f]
     raises. Buffered rings and metric values are left alone, so an
     enclosing export sees the run as usual. Experiments use it to read
-    a recovery's milestones off the bus ({!Phase.of_entries}). *)
+    a recovery's milestones off the bus ({!Phase.of_entries}), and the
+    fleet campaign reads its SLO report through it, since a large fleet
+    overruns the rings. *)
 
 val mkdir_p : string -> unit
 (** Creates the directory and any missing parents ([mkdir -p]). *)

@@ -14,12 +14,12 @@ let peer_name = "peerAS"
 let vrf = "v0"
 let scenarios = [ "failover"; "planned"; "split-brain"; "degraded" ]
 
-(* The degraded scenario's deadline: fraction of the negotiated 90 s
-   hold time after which an unreachable store suspends NSR. Shared with
-   the checker config so [degraded_mode_exclusion] verifies the same
-   bound the replicator promised. *)
+let ack_deadline_s ~degrade_frac =
+  degrade_frac *. float_of_int Bgp.Session.default_hold_time
+
+(* The degraded scenario's fraction of the negotiated 90 s hold time
+   after which an unreachable store suspends NSR. *)
 let degrade_frac = 0.1
-let hold_time_s = float_of_int Bgp.Session.default_hold_time
 
 let kind_name k = Format.asprintf "%a" Orch.Controller.pp_failure_kind k
 
@@ -152,10 +152,10 @@ let observe ~dir =
 
 let observed ~dir f =
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   let finish = observe ~dir in
   let r = f () in
-  Telemetry.Control.set_enabled false;
+  Telemetry.Gate.set false;
   finish [];
   r
 
@@ -176,13 +176,14 @@ let observe_checked ~dir =
       [
         ("health.json", Monitor.Health.to_json report ^ "\n");
         ( "trace.perfetto.json",
-          Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path ()
+          Causal.Perfetto.export ?critical:report.Monitor.Health.critical_path
+            report.Monitor.Health.phases
         );
       ]
 
 let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   let mon = Monitor.Checker.install cfg in
   let finish = Option.map (fun dir -> observe_checked ~dir) out in
   let ev0 = Engine.global_processed_events () in
@@ -200,7 +201,7 @@ let checked ?out ?budgets ~cfg ~scenario body =
   let buf = Buffer.create 65_536 in
   Telemetry.Bus.to_jsonl buf;
   let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-  Telemetry.Control.set_enabled false;
+  Telemetry.Gate.set false;
   Option.iter (fun write_artifacts -> write_artifacts report) finish;
   { value; report; digest }
 
@@ -255,7 +256,7 @@ let split_brain ?out () =
 
 let degraded ?out () =
   checked_scenario ?out
-    ~ack_deadline_s:(degrade_frac *. hold_time_s)
+    ~ack_deadline_s:(ack_deadline_s ~degrade_frac)
     ~scenario:"degraded"
   @@ fun mon ->
   let dep, p, svc = setup ~store_resilient:true ~degrade_frac mon in

@@ -11,6 +11,13 @@
 val scenarios : string list
 (** ["failover"; "planned"; "split-brain"; "degraded"]. *)
 
+val ack_deadline_s : degrade_frac:float -> float
+(** The {!Monitor.Checker.config.ack_deadline_s} of a run whose
+    replicators shed held ACKs after [degrade_frac] of the negotiated
+    hold time ({!Bgp.Session.default_hold_time}), so the
+    [degraded_mode_exclusion] checker verifies the bound the replicator
+    promised. *)
+
 val snapshot_session :
   Sim.Engine.t ->
   vrf:string ->

@@ -12,7 +12,7 @@ let subsystem label =
    overlay is pid n+1, the critical-path overlay pid n+2. Perfetto
    renders each pid as a process group, so every simulated node /
    subsystem gets its own track and the phases sit alongside. *)
-let export ?critical () =
+let export ?critical phases =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   let first = ref true in
@@ -56,7 +56,6 @@ let export ?critical () =
            "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"s\":\"t\",\"args\":{\"id\":%d,\"parent\":%d,\"dwell_us\":%s}}"
            (esc n.label) (ts n.exec_at) (n.track + 1) tid n.id n.parent
            (ts (Sim.Time.diff n.exec_at n.sched_at))));
-  let phases = Telemetry.Phase.of_entries (Telemetry.Bus.events ()) in
   List.iteri
     (fun i (p : Telemetry.Phase.t) ->
       emit

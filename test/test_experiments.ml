@@ -138,7 +138,7 @@ let test_table1_other_rows () =
    one phase of the same bus entries: read both off one episode. *)
 let test_table1_tcp_is_tcp_replay () =
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   let mon =
     Monitor.Checker.install { Monitor.Checker.peers = []; ack_deadline_s = 0. }
   in
@@ -148,7 +148,7 @@ let test_table1_tcp_is_tcp_replay () =
       ~engine:{ Monitor.Health.ev_processed = 0; profiled = [] }
       ~scenario:"table1" mon
   in
-  Telemetry.Control.set_enabled false;
+  Telemetry.Gate.set false;
   match
     ( rows,
       List.find_opt

@@ -144,7 +144,7 @@ let test_late_degrade =
    pair instead: same checker, observed directly. *)
 let bfd_detect_report () =
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   let mon = Monitor.Checker.install { peers = []; ack_deadline_s = 0. } in
   let eng = Engine.create () in
   let net = Netsim.Network.create eng in
@@ -169,7 +169,7 @@ let bfd_detect_report () =
       ~engine:{ ev_processed = 0; profiled = [] }
       mon
   in
-  Telemetry.Control.set_enabled false;
+  Telemetry.Gate.set false;
   r
 
 let test_bfd_clean () =

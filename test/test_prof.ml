@@ -232,7 +232,7 @@ let test_cost_table () =
 let test_bus_drop_accounting () =
   Telemetry.Control.reset ();
   Telemetry.Bus.set_capacity 4;
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   let eng = Sim.Engine.create () in
   let dropped0 =
     Telemetry.Registry.value (Telemetry.Registry.counter "telemetry.bus_dropped")
@@ -260,7 +260,7 @@ let test_bus_drop_accounting () =
   in
   checki "report carries the drop count" 6 report.Monitor.Health.bus_dropped;
   checkb "drops fail the health report" false (Monitor.Health.ok report);
-  Telemetry.Control.set_enabled false;
+  Telemetry.Gate.set false;
   (* Restore the default capacity (clears the rings) for later suites. *)
   Telemetry.Bus.set_capacity 8192;
   Telemetry.Control.reset ();

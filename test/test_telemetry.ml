@@ -12,10 +12,10 @@ let checks = Alcotest.(check string)
    disabled for whoever runs next. *)
 let with_telemetry ?(enabled = true) f =
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled enabled;
+  Telemetry.Gate.set enabled;
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Control.set_enabled false;
+      Telemetry.Gate.set false;
       Telemetry.Control.reset ())
     f
 

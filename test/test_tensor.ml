@@ -1218,7 +1218,7 @@ let test_rearm_rewrites_meta_and_cursors () =
   let fresh = read_meta () in
   let degrades = ref 0 and rearms = ref 0 in
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   let sub =
     Telemetry.Bus.subscribe (fun e ->
         match e.Telemetry.Bus.event with
@@ -1243,7 +1243,7 @@ let test_rearm_rewrites_meta_and_cursors () =
   Fun.protect
     ~finally:(fun () ->
       Telemetry.Bus.unsubscribe sub;
-      Telemetry.Control.set_enabled false;
+      Telemetry.Gate.set false;
       Telemetry.Control.reset ())
     (fun () ->
       let store_node = Store.Server.node store in

@@ -13,7 +13,7 @@ let checks = Alcotest.(check string)
 
 let fresh () =
   Telemetry.Control.reset ();
-  Telemetry.Control.set_enabled true;
+  Telemetry.Gate.set true;
   Causal.Recorder.reset ()
 
 (* --- recorder: causality ---------------------------------------------------- *)
@@ -153,7 +153,7 @@ let test_critical_path_sum () =
 
 let test_failover_critical_path () =
   fresh ();
-  Telemetry.Control.set_enabled false;
+  Telemetry.Gate.set false;
   Causal.Recorder.attach ();
   let report =
     match Tensor.Check.run "failover" with
@@ -192,7 +192,10 @@ let json_mem name j =
 let test_perfetto_export () =
   synthetic_recovery ();
   let cp = extract () in
-  let out = Causal.Perfetto.export ~critical:cp () in
+  let out =
+    Causal.Perfetto.export ~critical:cp
+      (Telemetry.Phase.of_entries (Telemetry.Bus.events ()))
+  in
   match Monitor.Json.parse out with
   | Error e -> Alcotest.failf "perfetto output is not valid JSON: %s" e
   | Ok j -> (
