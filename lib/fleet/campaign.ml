@@ -183,10 +183,7 @@ let run ?out spec =
     }
   in
   let convergence_s = ref 0. in
-  (* Captured rather than read off the rings, which a large fleet
-     overruns; the capture survives the harness's telemetry reset. *)
-  let r, entries =
-    Telemetry.Control.capture @@ fun () ->
+  let r =
     Tensor.Check.checked ?out ~budgets:[] ~cfg
       ~scenario:("fleet:" ^ string_of_int spec.seed)
     @@ fun mon ->
@@ -244,7 +241,7 @@ let run ?out spec =
                  else None) )
     end
   in
-  let slo = Slo.of_entries entries in
+  let slo = Slo.of_entries r.entries in
   Option.iter
     (fun dir ->
       Telemetry.Control.write_file (Filename.concat dir "slo.json")

@@ -30,9 +30,9 @@ type report = {
 
 val of_entries : Telemetry.Bus.entry list -> report
 (** The report of [entries] (in [seq] order, as
-    {!Telemetry.Control.capture} returns them). The horizon runs from
-    the first entry to the last, and uptime intervals still open at the
-    last entry close there. *)
+    [Tensor.Check.checked] returns them). The horizon runs from the
+    first entry to the last, and uptime intervals still open at the last
+    entry close there. *)
 
 val percentile : float list -> float -> float
 (** [percentile sorted p] with [p] in [0, 1]; 0. on the empty list. *)

@@ -85,14 +85,14 @@ let hot_paths =
       rt_fns = [ "Server.apply_set" ];
       rt_label = "replicator checkpoint codec";
     };
-    (* Fleet-scale per-event entry points: the capture a campaign runs
-       under sees every bus entry (its SLO report folds the captured
-       list once, afterwards), and the store probers tick per region
-       every 500 ms across hundreds of instances. *)
+    (* Fleet-scale per-event entry points: every bus entry is one
+       append to the run's log (its SLO report folds the log once,
+       afterwards), and the store probers tick per region every 500 ms
+       across hundreds of instances. *)
     {
-      rt_file = "lib/telemetry/control.ml";
-      rt_fns = [ "capture" ];
-      rt_label = "bus capture";
+      rt_file = "lib/telemetry/bus.ml";
+      rt_fns = [ "emit" ];
+      rt_label = "bus append";
     };
     {
       rt_file = "lib/fleet/topology.ml";

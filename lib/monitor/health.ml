@@ -32,7 +32,6 @@ type report = {
   slos : slo list;
   events_seen : int;
   queue_drops : int;
-  bus_dropped : int; (* telemetry ring overwrites during the run *)
   engine : engine_cost;
   critical_path : Causal.Critical.t option; (* when the recorder ran *)
   phases : Telemetry.Phase.t list; (* [] when nothing read them *)
@@ -99,16 +98,16 @@ let critical_path_of_run phases =
     (fun name -> Result.to_option (Causal.Critical.of_phases ~name phases))
     [ "failover"; "planned_migration" ]
 
-(* The phase fold reads the whole bus, so a run that neither budgets
+(* The phase fold reads the whole run, so a run that neither budgets
    phases nor traces (every chaos and fleet round) skips it. *)
-let make ?(budgets = default_budgets) ~engine ~scenario checker =
+let make ?(budgets = default_budgets) ~engine ~scenario ~entries checker =
   let checkers = Checker.finalize checker in
   let traced =
     Causal.Recorder.node_count () > 0 && Causal.Recorder.enabled ()
   in
   let phases =
     if budgets = [] && not traced then []
-    else Telemetry.Phase.of_entries (Telemetry.Bus.events ())
+    else Telemetry.Phase.of_entries entries
   in
   {
     scenario;
@@ -116,7 +115,6 @@ let make ?(budgets = default_budgets) ~engine ~scenario checker =
     slos = slos_of_phases budgets phases;
     events_seen = Checker.events_seen checker;
     queue_drops = Checker.queue_drop_events checker;
-    bus_dropped = Telemetry.Bus.dropped_total ();
     engine;
     critical_path = (if traced then critical_path_of_run phases else None);
     phases;
@@ -129,13 +127,7 @@ let violations r =
       match res with Checker.Pass -> [] | Checker.Violations vs -> vs)
     r.checkers
 
-(* Bus overwrites count against health: a checker that never saw the
-   evicted events cannot vouch for them, so the check scenarios assert
-   zero drops (size the rings up rather than accept overwrite). *)
-let ok r =
-  violations r = []
-  && List.for_all (fun s -> s.slo_ok) r.slos
-  && r.bus_dropped = 0
+let ok r = violations r = [] && List.for_all (fun s -> s.slo_ok) r.slos
 
 let to_text r =
   let b = Buffer.create 1024 in
@@ -146,9 +138,6 @@ let to_text r =
   if r.queue_drops > 0 then
     pf " (%d informational queue drop(s))" r.queue_drops;
   pf "\n";
-  if r.bus_dropped > 0 then
-    pf "  !! telemetry bus dropped %d event(s) to ring overwrite\n"
-      r.bus_dropped;
   if r.faults <> [] then
     pf "  !! seeded faults active: %s\n" (String.concat ", " r.faults);
   pf "  invariants:\n";
@@ -197,8 +186,8 @@ let to_json r =
   let esc = Telemetry.Event.json_escape in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf
-    "{\"scenario\":\"%s\",\"ok\":%b,\"events_seen\":%d,\"queue_drops\":%d,\"bus_dropped\":%d,"
-    (esc r.scenario) (ok r) r.events_seen r.queue_drops r.bus_dropped;
+    "{\"scenario\":\"%s\",\"ok\":%b,\"events_seen\":%d,\"queue_drops\":%d,"
+    (esc r.scenario) (ok r) r.events_seen r.queue_drops;
   pf "\"engine\":{\"ev_processed\":%d,\"profiled\":[%s]},"
     r.engine.ev_processed
     (String.concat ","

@@ -3,7 +3,7 @@
     A report couples the {!Checker} verdicts with budget checks over the
     run's recovery {!Telemetry.Phase}s (failover duration,
     planned-migration duration, replica catch-up, TCP replay, BFD
-    detection), paired from the buffered bus entries. Budgets are only
+    detection), paired from the run's bus entries. Budgets are only
     evaluated for phase names that actually occur in the run, so the
     same report works for every scenario. *)
 
@@ -39,10 +39,6 @@ type report = {
   slos : slo list;
   events_seen : int;
   queue_drops : int;  (** Informational [Queue_dropped] count. *)
-  bus_dropped : int;
-      (** Telemetry ring-buffer overwrites ({!Telemetry.Bus.dropped_total})
-          at the moment the report was cut. Non-zero fails {!ok}: a
-          checker cannot vouch for events it never saw. *)
   engine : engine_cost;
   critical_path : Causal.Critical.t option;
       (** Recovery critical path, present when the causal recorder
@@ -51,7 +47,7 @@ type report = {
           finished.
           Informational: never affects {!ok}. *)
   phases : Telemetry.Phase.t list;
-      (** The run's recovery phases, folded once from the buffered bus
+      (** The run's recovery phases, folded once from the run's bus
           entries for the SLOs and the critical path, and read again by
           the Perfetto trace of [--out]; [[]] when neither was
           evaluated. *)
@@ -62,17 +58,17 @@ val make :
   ?budgets:(string * float) list ->
   engine:engine_cost ->
   scenario:string ->
+  entries:Telemetry.Bus.entry list ->
   Checker.t ->
   report
 (** Finalizes the checker set (see {!Checker.finalize}) and evaluates
-    the budgets against the phases of {!Telemetry.Bus.events}. The
+    the budgets against the phases of [entries], the run's bus log. The
     phases are folded only when [budgets] is non-empty (the default
     budgets when omitted) or the causal recorder is attached. [engine]
-    is the engine-cost section; bus drops are read from the live bus. *)
+    is the engine-cost section. *)
 
 val ok : report -> bool
-(** No violations, every evaluated SLO within budget, and zero telemetry
-    bus drops. *)
+(** No violations and every evaluated SLO within budget. *)
 
 val violations : report -> Checker.violation list
 

@@ -1,11 +1,11 @@
 (** The process-wide structured-event bus.
 
-    One bounded ring buffer per {!Event.category}: when a category's
-    buffer is full the oldest entry is overwritten (and counted in
-    {!dropped_total}), so a long run can keep telemetry on without unbounded
-    memory. A global sequence number totally orders entries across
-    categories, including events emitted at the same simulated instant
-    (emission order wins, matching the engine's FIFO tie-break).
+    One append-only log per run: every entry emitted since the last
+    {!clear} is kept, in [seq] order. A global sequence number totally
+    orders entries across categories, including events emitted at the
+    same simulated instant (emission order wins, matching the engine's
+    FIFO tie-break). {!events}, {!to_jsonl} and the run digest all read
+    this one log.
 
     Recording is gated on {!Gate}: with telemetry off, {!emit} is a
     no-op. Callers that need specific events regardless of the gate
@@ -14,15 +14,16 @@
 type entry = { seq : int; at : Sim.Time.t; event : Event.t }
 
 val emit : Sim.Engine.t -> Event.t -> unit
-(** Records [event] at the engine's current instant (when {!Gate.on}). *)
+(** Appends [event] at the engine's current instant (when {!Gate.on}). *)
 
 (** {1 Live subscribers}
 
-    Callbacks invoked synchronously from {!emit}, after the entry is
-    buffered, so a subscriber observes entries in global-sequence order
-    interleaved across categories. Subscribers only fire while
-    {!Gate.on}; they survive {!clear} (a new run re-observes from a
-    fresh [seq]). A callback must not raise. *)
+    For readers that must act during the run. Callbacks are invoked
+    synchronously from {!emit}, after the entry is appended, so a
+    subscriber observes entries in global-sequence order interleaved
+    across categories. Subscribers only fire while {!Gate.on}; they
+    survive {!clear} (a new run re-observes from a fresh [seq]). A
+    callback must not raise. *)
 
 type sub
 
@@ -32,29 +33,22 @@ val subscribe : (entry -> unit) -> sub
 val unsubscribe : sub -> unit
 (** Idempotent. *)
 
-val dropped_total : unit -> int
-(** Events lost to overwrite across all categories since the last
-    {!clear}. Overflow is also observable in the metrics registry: the
-    [telemetry.bus_dropped] counter (survives {!clear}) and per-category
-    [telemetry.ring_hwm.<cat>] high-water occupancy gauges. *)
-
 val clear : unit -> unit
-(** Drops all buffered entries and resets counters. *)
-
-val to_jsonl : Buffer.t -> unit
-(** Appends one JSON object per buffered entry:
-    [{"seq":..,"t_ns":..,"cat":..,"ev":..,"f":{..}}]. *)
+(** Empties the log and restarts [seq]; the dropped entries become
+    unreachable from the bus. *)
 
 val events : unit -> entry list
-(** Buffered entries, oldest first (globally ordered by [seq]), as
-    values; {!to_jsonl} exports the same entries as text. *)
+(** The log, oldest first (globally ordered by [seq]). *)
 
-(** {1 Test-only} *)
+type mark
 
-val subscriber_count : unit -> int
-(** Inspection: number of live subscriptions, so tests check that
-    {!Control.capture} releases its own. *)
+val mark : unit -> mark
+(** The log's current end. *)
 
-val set_capacity : int -> unit
-(** Kept: per-category ring capacity (default 8192); clears all buffers.
-    Tests shrink the rings to make overwrites happen. *)
+val since : mark -> entry list
+(** The entries appended after [mark] was taken, oldest first; every
+    entry since the last {!clear} when that clear came after [mark]. *)
+
+val to_jsonl : Buffer.t -> entry list -> unit
+(** Appends one JSON object per entry:
+    [{"seq":..,"t_ns":..,"cat":..,"ev":..,"f":{..}}]. *)

@@ -2,25 +2,12 @@ let reset () =
   Bus.clear ();
   Registry.reset_values ()
 
-(* Entries reach [capture] through a live subscription rather than a
-   ring read, so a ring sized too small for the run cannot overwrite a
-   milestone before the caller sees it. *)
 let capture f =
   let was_on = Gate.on () in
-  let rev = ref [] in
-  (* lint: allow h1 — the subscriber is built once per capture; its one cons per entry builds the capture's result *)
-  let sub = Bus.subscribe (fun e -> rev := e :: !rev) in
   Gate.set true;
-  let result =
-    Fun.protect
-      (* lint: allow h1 — once per capture *)
-      ~finally:(fun () ->
-        Bus.unsubscribe sub;
-        Gate.set was_on)
-      f
-  in
-  (* lint: allow h1 — the capture's result, built once *)
-  (result, List.rev !rev)
+  let mark = Bus.mark () in
+  let result = Fun.protect ~finally:(fun () -> Gate.set was_on) f in
+  (result, Bus.since mark)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin

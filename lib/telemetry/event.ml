@@ -1,10 +1,5 @@
 type category = Tcp | Bgp | Bfd | Netfilter | Replicator | Orch | Store | Fleet
 
-(* [Fleet] is appended so existing categories keep their ring indices;
-   an empty ring contributes nothing to [Bus.to_jsonl], which keeps
-   pre-fleet replay digests byte-identical. *)
-let categories = [ Tcp; Bgp; Bfd; Netfilter; Replicator; Orch; Store; Fleet ]
-
 let category_name = function
   | Tcp -> "tcp"
   | Bgp -> "bgp"

@@ -3,23 +3,14 @@
     Every notable occurrence in the NSR pipeline is a variant carrying
     the fields the paper's evaluation reads off (node, peer, sequence
     numbers, byte counts, durations) instead of a formatted string.
-    Events are grouped into per-subsystem categories; the bus keeps one
-    ring buffer per category. A recovery's phases (Table 1's columns and
-    the health budgets) are paired from milestones of several categories
-    by {!Phase.of_entries}: [Failure_injected], [Planned_migration],
+    Events are grouped into per-subsystem categories. A recovery's
+    phases (Table 1's columns and the health budgets) are paired from
+    milestones of several categories by {!Phase.of_entries}: [Failure_injected], [Planned_migration],
     [Failure_detected], [Migration_initiated], [Migration_done] and
     [Tcp_synced] ([Orch]), [Catchup_start] and [Catchup_done]
     ([Replicator]), and [Bfd_down] ([Bfd]). *)
 
 type category = Tcp | Bgp | Bfd | Netfilter | Replicator | Orch | Store | Fleet
-
-val categories : category list
-(** All categories, in a fixed order. [Fleet] is appended last so the
-    older categories keep their ring indices and pre-fleet replay
-    digests stay byte-identical. *)
-
-val category_name : category -> string
-(** Lower-case name, e.g. ["tcp"]. *)
 
 type t =
   (* tcp *)
@@ -118,8 +109,6 @@ type t =
   | Fleet_rearmed of { instance : string; region : string; degraded_s : float }
   (* escape hatch *)
   | Generic of { cat : category; name : string; detail : string }
-
-val category : t -> category
 
 val to_json : t -> string
 (** One JSON object: [{"cat":...,"ev":...,"f":{...}}]. *)

@@ -82,6 +82,7 @@ type 'a checked = {
   value : ('a, exn) result;
   report : Monitor.Health.report;
   digest : string;
+  entries : Telemetry.Bus.entry list;
 }
 
 (* End-of-run drain. An ACK held while its store write is still in
@@ -120,31 +121,32 @@ let engine_cost ev0 =
                 }));
   }
 
+let jsonl entries =
+  let buf = Buffer.create 65_536 in
+  Telemetry.Bus.to_jsonl buf entries;
+  Buffer.contents buf
+
 (* The one writer of every [--out] artifact (see [observed] and
    [checked] in the interface): it attaches the observers and returns
-   the step that detaches them and writes the common set plus [extra],
-   the caller's (file, contents) pairs. *)
+   the step that detaches them and writes the common set, [events]
+   being the run's bus log as JSONL, plus [extra], the caller's (file,
+   contents) pairs. *)
 let observe ~dir =
   Report.set_csv_dir (Some dir);
   (* The series sampler goes in after the profiler, so the profiler's
      samples leave its cost out. *)
   Prof.Profiler.attach ();
   let series = Causal.Series.attach () in
-  fun extra ->
+  fun events extra ->
     Causal.Series.detach series;
     Prof.Profiler.detach ();
     Report.set_csv_dir None;
-    let jsonl to_jsonl =
-      let buf = Buffer.create 4096 in
-      to_jsonl buf;
-      Buffer.contents buf
-    in
     List.iter
       (fun (file, contents) ->
         Telemetry.Control.write_file (Filename.concat dir file) contents)
       ([
          ("metrics.json", Telemetry.Registry.to_json ());
-         ("events.jsonl", jsonl Telemetry.Bus.to_jsonl);
+         ("events.jsonl", events);
          ("timeseries.jsonl", Causal.Series.to_jsonl series);
          ("engine_cost.txt", Prof.Profiler.cost_table ());
        ]
@@ -156,7 +158,7 @@ let observed ~dir f =
   let finish = observe ~dir in
   let r = f () in
   Telemetry.Gate.set false;
-  finish [];
+  finish (jsonl (Telemetry.Bus.events ())) [];
   r
 
 (* The observers of [?out]: {!observe}'s, then the causal recorder,
@@ -170,9 +172,9 @@ let observe_checked ~dir =
   let finish = observe ~dir in
   Causal.Recorder.reset ();
   Causal.Recorder.attach ();
-  fun report ->
+  fun events report ->
     Causal.Recorder.detach ();
-    finish
+    finish events
       [
         ("health.json", Monitor.Health.to_json report ^ "\n");
         ( "trace.perfetto.json",
@@ -194,16 +196,18 @@ let checked ?out ?budgets ~cfg ~scenario body =
       Ok (finish ())
     with e -> Error e
   in
-  (* [Health.make] finalizes the checker while telemetry is still on. *)
+  (* [Health.make] finalizes the checker while telemetry is still on;
+     finalizing emits nothing, so [entries] is the whole run. *)
+  let entries = Telemetry.Bus.events () in
   let report =
-    Monitor.Health.make ?budgets ~engine:(engine_cost ev0) ~scenario mon
+    Monitor.Health.make ?budgets ~engine:(engine_cost ev0) ~scenario ~entries
+      mon
   in
-  let buf = Buffer.create 65_536 in
-  Telemetry.Bus.to_jsonl buf;
-  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  let events = jsonl entries in
+  let digest = Digest.to_hex (Digest.string events) in
   Telemetry.Gate.set false;
-  Option.iter (fun write_artifacts -> write_artifacts report) finish;
-  { value; report; digest }
+  Option.iter (fun write_artifacts -> write_artifacts events report) finish;
+  { value; report; digest; entries }
 
 let verdict ~violations ~errors =
   if violations = [] && errors = [] then "result: PASS\n"

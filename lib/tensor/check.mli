@@ -44,7 +44,7 @@ val observed : dir:string -> (unit -> 'a) -> 'a
     artifact set that every observed run writes, {!checked}'s [?out]
     included, one file per fact, from one function:
     - [metrics.json], the metrics registry, histogram buckets included;
-    - [events.jsonl], the bus, whose milestones are the recovery
+    - [events.jsonl], the bus log, whose milestones are the recovery
       phases ({!Telemetry.Phase});
     - [timeseries.jsonl], the metric series per simulated second;
     - [engine_cost.txt], {!Prof.Profiler.cost_table};
@@ -53,7 +53,11 @@ val observed : dir:string -> (unit -> 'a) -> 'a
 type 'a checked = {
   value : ('a, exn) result;  (** The end-state step's value, or what raised. *)
   report : Monitor.Health.report;
-  digest : string;  (** MD5 (hex) of the run's telemetry JSONL. *)
+  digest : string;  (** MD5 (hex) of [entries] as telemetry JSONL. *)
+  entries : Telemetry.Bus.entry list;
+      (** The run's bus log in [seq] order: what [digest] hashes,
+          [report]'s phases fold and [events.jsonl] holds, as many as
+          the checker saw ([report.events_seen]). *)
 }
 
 val checked :
@@ -67,7 +71,7 @@ val checked :
     install a {!Monitor.Checker} with [cfg], run the body (it hands back
     its engine and its end-state step), quiesce, run the end-state step,
     cut the {!Monitor.Health} report (finalizing the checker), digest
-    the bus, disable telemetry. Quiescing runs the engine on in 1 ms
+    the bus log, disable telemetry. Quiescing runs the engine on in 1 ms
     slices, for at most 1 s of simulated time, while the checker's
     ledger shows held ACKs ({!Monitor.Checker.outstanding_acks}).
 

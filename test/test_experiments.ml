@@ -146,7 +146,7 @@ let test_table1_tcp_is_tcp_replay () =
   let report =
     Monitor.Health.make
       ~engine:{ Monitor.Health.ev_processed = 0; profiled = [] }
-      ~scenario:"table1" mon
+      ~scenario:"table1" ~entries:(Telemetry.Bus.events ()) mon
   in
   Telemetry.Gate.set false;
   match

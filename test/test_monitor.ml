@@ -76,6 +76,33 @@ let test_clean_split_brain () =
   assert_all_pass r;
   checkb "report ok" true (Monitor.Health.ok r)
 
+(* A checked run's [entries] are its whole record: the list its digest
+   hashes, one entry per event the checker saw. *)
+let test_checked_entries () =
+  let r =
+    Tensor.Check.checked
+      ~cfg:{ Monitor.Checker.peers = [ "peerAS" ]; ack_deadline_s = 0. }
+      ~scenario:"entries"
+    @@ fun _mon ->
+    let dep, _, svc = Tensor.Exp_table1.episode ~id:"chk" () in
+    Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
+    Engine.run_for dep.Tensor.Deploy.eng (Time.sec 40);
+    (dep.Tensor.Deploy.eng, Fun.id)
+  in
+  let buf = Buffer.create 65_536 in
+  Telemetry.Bus.to_jsonl buf r.entries;
+  checks "entries hash to the digest" r.digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  checki "one entry per event seen" r.report.Monitor.Health.events_seen
+    (List.length r.entries);
+  checkb "the failover is on record" true
+    (List.exists
+       (fun (e : Telemetry.Bus.entry) ->
+         match e.event with
+         | Telemetry.Event.Migration_done _ -> true
+         | _ -> false)
+       r.entries)
+
 (* --- Mutation tests: one fault, one checker ------------------------------- *)
 
 let mutation fault scenario checker () =
@@ -167,7 +194,7 @@ let bfd_detect_report () =
   let r =
     Monitor.Health.make ~scenario:"bfd"
       ~engine:{ ev_processed = 0; profiled = [] }
-      mon
+      ~entries:(Telemetry.Bus.events ()) mon
   in
   Telemetry.Gate.set false;
   r
@@ -298,6 +325,8 @@ let () =
           Alcotest.test_case "failover" `Quick test_clean_failover;
           Alcotest.test_case "planned" `Quick test_clean_planned;
           Alcotest.test_case "split-brain" `Quick test_clean_split_brain;
+          Alcotest.test_case "checked entries are the digest's" `Quick
+            test_checked_entries;
           Alcotest.test_case "bfd-detection" `Quick test_bfd_clean;
           Alcotest.test_case "degraded" `Quick test_clean_degraded;
         ] );

@@ -2,8 +2,7 @@
    inheritance, queue dwell), strictly observation-only (telemetry
    digests byte-identical with the profiler on or off), and carried
    whole by the cost table every --out writes (each label once, its
-   exact allocated bytes). Plus the bus-drop accounting the health
-   report now gates on. *)
+   exact allocated bytes). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -227,45 +226,6 @@ let test_cost_table () =
            ~suffix:(Printf.sprintf "%.1f MB allocated" (float_of_int total /. 1e6)))
   | _ -> Alcotest.fail "cost table has no column header"
 
-(* --- bus drop accounting ---------------------------------------------------- *)
-
-let test_bus_drop_accounting () =
-  Telemetry.Control.reset ();
-  Telemetry.Bus.set_capacity 4;
-  Telemetry.Gate.set true;
-  let eng = Sim.Engine.create () in
-  let dropped0 =
-    Telemetry.Registry.value (Telemetry.Registry.counter "telemetry.bus_dropped")
-  in
-  for i = 1 to 10 do
-    Telemetry.Bus.emit eng
-      (Telemetry.Event.Generic
-         { cat = Telemetry.Event.Tcp; name = "t"; detail = string_of_int i })
-  done;
-  checki "6 of 10 entries overwritten" 6 (Telemetry.Bus.dropped_total ());
-  checki "telemetry.bus_dropped counter tracks overwrites" 6
-    (Telemetry.Registry.value
-       (Telemetry.Registry.counter "telemetry.bus_dropped")
-    - dropped0);
-  Alcotest.(check (float 0.0))
-    "ring high-water gauge saturates at capacity" 4.0
-    (Telemetry.Registry.gauge_value
-       (Telemetry.Registry.gauge "telemetry.ring_hwm.tcp"));
-  (* Health gates on it: a report cut while drops happened is unhealthy. *)
-  let mon = Monitor.Checker.install { peers = []; ack_deadline_s = 0. } in
-  let report =
-    Monitor.Health.make ~scenario:"drop-test"
-      ~engine:{ ev_processed = 0; profiled = [] }
-      mon
-  in
-  checki "report carries the drop count" 6 report.Monitor.Health.bus_dropped;
-  checkb "drops fail the health report" false (Monitor.Health.ok report);
-  Telemetry.Gate.set false;
-  (* Restore the default capacity (clears the rings) for later suites. *)
-  Telemetry.Bus.set_capacity 8192;
-  Telemetry.Control.reset ();
-  checki "clear resets drop accounting" 0 (Telemetry.Bus.dropped_total ())
-
 let () =
   Alcotest.run "prof"
     [
@@ -285,10 +245,5 @@ let () =
         [
           Alcotest.test_case "corpus digests identical with profiler on" `Slow
             test_digests_identical_with_profiler;
-        ] );
-      ( "bus",
-        [
-          Alcotest.test_case "drop counter, hwm gauge, health gate" `Quick
-            test_bus_drop_accounting;
         ] );
     ]

@@ -53,32 +53,46 @@ let test_simultaneous_ordering () =
            (fun e -> e.Telemetry.Bus.at = Time.ms 5)
            entries))
 
-(* The buffered entries of one category's ring. *)
-let events_in category =
-  List.filter
-    (fun (e : Telemetry.Bus.entry) ->
-      Telemetry.Event.category e.event = category)
-    (Telemetry.Bus.events ())
-
-let test_category_filter_and_overflow () =
+let test_log_keeps_every_entry () =
   with_telemetry (fun () ->
       let eng = Engine.create () in
-      Telemetry.Bus.set_capacity 4;
-      for i = 1 to 10 do
+      let n = 20_000 in
+      for i = 1 to n do
         Telemetry.Bus.emit eng
-          (ev_generic Telemetry.Event.Tcp "tick" (string_of_int i))
+          (ev_generic Telemetry.Event.Replicator "tick" (string_of_int i))
       done;
-      Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Bgp "other" "x");
-      let tcp = events_in Telemetry.Event.Tcp in
-      checki "ring keeps the newest 4" 4 (List.length tcp);
-      checki "dropped = overwritten" 6 (Telemetry.Bus.dropped_total ());
-      (match tcp with
-      | { Telemetry.Bus.event = Telemetry.Event.Generic { detail; _ }; _ } :: _ ->
-          checks "oldest survivor" "7" detail
-      | _ -> Alcotest.fail "unexpected ring head");
-      checki "bgp unaffected" 1
-        (List.length (events_in Telemetry.Event.Bgp));
-      Telemetry.Bus.set_capacity 8192)
+      let all = Telemetry.Bus.events () in
+      checki "every entry kept" n (List.length all);
+      checkb "in seq order, 1 to n" true
+        (List.for_all2
+           (fun (e : Telemetry.Bus.entry) i -> e.seq = i)
+           all
+           (List.init n (fun i -> i + 1)));
+      let buf = Buffer.create 65_536 in
+      Telemetry.Bus.to_jsonl buf all;
+      checki "one jsonl line per entry" n
+        (List.length
+           (List.filter (( <> ) "")
+              (String.split_on_char '\n' (Buffer.contents buf))));
+      let (), inner =
+        Telemetry.Control.capture (fun () ->
+            Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Bgp "inner" ""))
+      in
+      checks "nested capture returns its own slice" "inner"
+        (String.concat "," (List.map generic_name inner));
+      checki "enclosing run keeps its entries" (n + 1)
+        (List.length (Telemetry.Bus.events ()));
+      (* A body that resets starts a new run: the slice is what the new
+         log holds. *)
+      let (), after_reset =
+        Telemetry.Control.capture (fun () ->
+            Telemetry.Control.reset ();
+            Telemetry.Bus.emit eng (ev_generic Telemetry.Event.Bgp "fresh" ""))
+      in
+      checks "capture across a reset" "fresh"
+        (String.concat "," (List.map generic_name after_reset));
+      Telemetry.Control.reset ();
+      checki "reset empties the log" 0 (List.length (Telemetry.Bus.events ())))
 
 (* Hostile strings (quotes, backslashes, control bytes, DEL) must
    survive JSONL export as parseable JSON and round-trip byte-for-byte
@@ -92,7 +106,7 @@ let test_jsonl_escaping_roundtrip () =
         (Telemetry.Event.Failure_detected
            { id = "svc\\1"; kind = "host\"machine" });
       let buf = Buffer.create 256 in
-      Telemetry.Bus.to_jsonl buf;
+      Telemetry.Bus.to_jsonl buf (Telemetry.Bus.events ());
       let lines =
         String.split_on_char '\n' (Buffer.contents buf)
         |> List.filter (fun l -> String.trim l <> "")
@@ -369,11 +383,9 @@ let test_disabled_noop () =
 
 let capture_is_transparent ~enabled () =
   with_telemetry ~enabled (fun () ->
-      let subs = Telemetry.Bus.subscriber_count () in
       let inside, _ = Telemetry.Control.capture Telemetry.Gate.on in
       checkb "recording on inside" true inside;
-      checkb "gate restored" enabled (Telemetry.Gate.on ());
-      checki "subscription released" subs (Telemetry.Bus.subscriber_count ()))
+      checkb "gate restored" enabled (Telemetry.Gate.on ()))
 
 let test_capture_filters_in_order () =
   with_telemetry (fun () ->
@@ -392,12 +404,12 @@ let test_capture_filters_in_order () =
       in
       Telemetry.Bus.emit eng (orch "after");
       checki "every category captured" 4 (List.length all);
-      let got =
-        List.filter
-          (fun (e : Telemetry.Bus.entry) ->
-            Telemetry.Event.category e.event = Telemetry.Event.Orch)
-          all
+      let is_orch (e : Telemetry.Bus.entry) =
+        match e.event with
+        | Telemetry.Event.Generic { cat = Telemetry.Event.Orch; _ } -> true
+        | _ -> false
       in
+      let got = List.filter is_orch all in
       checks "orch events of the call, in emission order" "a,b,c"
         (String.concat ","
            (List.map generic_name got));
@@ -407,21 +419,19 @@ let test_capture_filters_in_order () =
       checkb "timestamps kept" true
         (List.map (fun e -> e.Telemetry.Bus.at) got
         = [ Time.zero; Time.zero; Time.ms 3 ]);
-      (* Capture reads a subscription, not the rings, and never clears
-         them: the surrounding run keeps every event. *)
-      checki "rings untouched" 5
-        (List.length (events_in Telemetry.Event.Orch)))
+      (* Capture slices the log and never clears it: the surrounding run
+         keeps every event. *)
+      checki "log untouched" 5
+        (List.length (List.filter is_orch (Telemetry.Bus.events ()))))
 
 let test_capture_restores_on_raise () =
   with_telemetry ~enabled:false (fun () ->
-      let subs = Telemetry.Bus.subscriber_count () in
       (match
          Telemetry.Control.capture (fun () -> failwith "body failed")
        with
       | _ -> Alcotest.fail "exception swallowed"
       | exception Failure _ -> ());
-      checkb "gate restored" false (Telemetry.Gate.on ());
-      checki "subscription released" subs (Telemetry.Bus.subscriber_count ()))
+      checkb "gate restored" false (Telemetry.Gate.on ()))
 
 (* --- Files ---------------------------------------------------------------- *)
 
@@ -467,8 +477,8 @@ let () =
         [
           Alcotest.test_case "simultaneous-ordering" `Quick
             test_simultaneous_ordering;
-          Alcotest.test_case "category-filter-overflow" `Quick
-            test_category_filter_and_overflow;
+          Alcotest.test_case "log keeps every entry" `Quick
+            test_log_keeps_every_entry;
           Alcotest.test_case "jsonl-escaping-roundtrip" `Quick
             test_jsonl_escaping_roundtrip;
         ] );
