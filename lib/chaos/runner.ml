@@ -277,13 +277,14 @@ let run ?out (d : Descriptor.t) =
   let r =
     Tensor.Check.checked ?out ~budgets:[] ~cfg
       ~scenario:("chaos:" ^ string_of_int d.Descriptor.seed)
-    @@ fun mon ->
+    @@ fun () ->
     let ctx = build d in
     let eng = ctx.dep.Deploy.eng in
-    Monitor.Checker.note_primary mon ~service:service_id
-      ~container:(Orch.Container.id (Deploy.service_container ctx.svc));
+    let primaries =
+      [ (service_id, Orch.Container.id (Deploy.service_container ctx.svc)) ]
+    in
     if not (Deploy.wait_established ctx.dep ctx.svc ()) then
-      (eng, fun () -> [ "sessions did not establish within 30 s" ])
+      (eng, primaries, fun () -> [ "sessions did not establish within 30 s" ])
     else begin
       seed_routes d ctx;
       Engine.run_for eng (Time.sec 10);
@@ -292,7 +293,7 @@ let run ?out (d : Descriptor.t) =
       List.iter (schedule_fault ctx partitioned) d.Descriptor.faults;
       Engine.run_for eng
         (Time.ms (d.Descriptor.window_ms + d.Descriptor.settle_ms));
-      (eng, fun () -> end_state_check ctx)
+      (eng, primaries, fun () -> end_state_check ctx)
     end
   in
   (* A run that raised reports the exception alone: its checker verdicts

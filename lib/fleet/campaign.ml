@@ -186,7 +186,7 @@ let run ?out spec =
   let r =
     Tensor.Check.checked ?out ~budgets:[] ~cfg
       ~scenario:("fleet:" ^ string_of_int spec.seed)
-    @@ fun mon ->
+    @@ fun () ->
     Result.iter_error (fun e -> raise (Rejected e)) (check_faults spec.faults);
     let topo =
       Topology.build ~seed:spec.seed ~hosts:spec.hosts ~regions:spec.regions
@@ -201,15 +201,18 @@ let run ?out spec =
      with
     | Some l -> Netsim.Link.set_delay l (Time.us spec.ctrl_delay_us)
     | None -> ());
-    Array.iter
-      (fun inst ->
-        Monitor.Checker.note_primary mon ~service:inst.Topology.id
-          ~container:
-            (Orch.Container.id (Deploy.service_container inst.Topology.svc)))
-      topo.Topology.instances;
+    let primaries =
+      Array.to_list topo.Topology.instances
+      |> List.map (fun inst ->
+             ( inst.Topology.id,
+               Orch.Container.id (Deploy.service_container inst.Topology.svc)
+             ))
+    in
     Topology.arm_store_probers topo;
     if not (Topology.wait_all_established topo) then
-      (eng, fun () -> [ "fleet sessions did not establish within 120 s" ])
+      ( eng,
+        primaries,
+        fun () -> [ "fleet sessions did not establish within 120 s" ] )
     else begin
       convergence_s := Time.to_sec_f (Engine.now eng);
       Topology.seed_routes topo;
@@ -221,6 +224,7 @@ let run ?out spec =
          a silent dead instance is an error even when no checker
          names it. *)
       ( eng,
+        primaries,
         fun () ->
           Array.to_list topo.Topology.instances
           |> List.filter_map (fun inst ->

@@ -86,9 +86,10 @@ let hot_paths =
       rt_label = "replicator checkpoint codec";
     };
     (* Fleet-scale per-event entry points: every bus entry is one
-       append to the run's log (its SLO report folds the log once,
-       afterwards), and the store probers tick per region every 500 ms
-       across hundreds of instances. *)
+       append to the run's log, which the invariant checkers and the
+       SLO report each fold once after the run (the checkers' fleet
+       ledger runs per entry of that fold), and the store probers tick
+       per region every 500 ms across hundreds of instances. *)
     {
       rt_file = "lib/telemetry/bus.ml";
       rt_fns = [ "emit" ];

@@ -1,10 +1,10 @@
-(* Streaming NSR invariant checkers over the telemetry bus.
+(* NSR invariant checkers over a run's telemetry entries.
 
-   A checker set subscribes to the firehose and folds every entry, in
-   global-sequence order, into a small amount of per-invariant state.
-   Violations are recorded as they happen; [finalize] runs the
-   end-of-run balance checks (queue drain, RIB convergence),
-   unsubscribes, and returns the per-checker verdicts. *)
+   [check] folds every entry, in global-sequence order, into a small
+   amount of per-invariant state, recording violations as the fold
+   meets them; then it runs the end-of-run balance checks (queue drain,
+   RIB convergence, fleet re-arm) and returns the per-checker
+   verdicts. *)
 
 type violation = {
   checker : string;
@@ -38,9 +38,7 @@ type snapshot = { sn_group : string; sn_node : string; sn_size : int; sn_digest 
 
 type t = {
   cfg : config;
-  mutable sub : Telemetry.Bus.sub option;
   mutable violations : violation list; (* newest first *)
-  mutable events_seen : int;
   mutable last_seq : int;
   mutable last_at : Sim.Time.t;
   (* tcp_stream_continuity / held_ack_safety: durable replication
@@ -55,12 +53,10 @@ type t = {
   released : (string, int) Hashtbl.t;
   dropped : (string, int) Hashtbl.t;
   shed : (string, int) Hashtbl.t;
-  mutable outstanding_acks : int; (* held - released - dropped - shed, all conns *)
   conn_last_seq : (string, int) Hashtbl.t;
   (* degraded_mode_exclusion: connections currently in degraded
      pass-through. *)
   degraded : (string, unit) Hashtbl.t;
-  mutable queue_drop_events : int; (* informational (see netfilter.mli) *)
   (* split_brain_exclusion *)
   primaries : (string, string) Hashtbl.t; (* service -> container id *)
   fenced : (string, unit) Hashtbl.t; (* containers seen stopped/failed *)
@@ -89,8 +85,17 @@ let violate t checker ~seq ~at detail =
 let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
 
-let note_primary t ~service ~container =
-  Hashtbl.replace t.primaries service container
+(* One entry's move of the held-ACK balance: [queue_drain]'s ledger
+   (held = released + dropped + shed), summed over every connection. *)
+let held_delta : Telemetry.Event.t -> int = function
+  | Ack_held _ -> 1
+  | Ack_released _ | Ack_dropped _ | Ack_shed _ -> -1
+  | _ -> 0
+
+let held_acks entries =
+  List.fold_left
+    (fun n (e : Telemetry.Bus.entry) -> n + held_delta e.event)
+    0 entries
 
 (* fleet_slo replica accounting. Transitions are idempotent (an
    instance already up stays up) so replayed/duplicate state events
@@ -125,7 +130,6 @@ let fleet_mark_down t instance viol =
   end
 
 let on_entry t (e : Telemetry.Bus.entry) =
-  t.events_seen <- t.events_seen + 1;
   t.last_seq <- e.seq;
   t.last_at <- e.at;
   let viol checker detail =
@@ -170,7 +174,6 @@ let on_entry t (e : Telemetry.Bus.entry) =
              conn rcv_nxt (rcv_nxt - t.max_wm) t.max_wm)
   | Ack_held { conn; _ } ->
       bump t.held conn;
-      t.outstanding_acks <- t.outstanding_acks + 1;
       Hashtbl.replace t.conn_last_seq conn e.seq;
       if Hashtbl.mem t.degraded conn then
         viol "degraded_mode_exclusion"
@@ -180,7 +183,6 @@ let on_entry t (e : Telemetry.Bus.entry) =
              conn)
   | Ack_released { conn; ack; held_s } ->
       bump t.released conn;
-      t.outstanding_acks <- t.outstanding_acks - 1;
       Hashtbl.replace t.conn_last_seq conn e.seq;
       let wm = Option.value (Hashtbl.find_opt t.wm_by_conn conn) ~default:min_int in
       if ack > wm then
@@ -197,11 +199,9 @@ let on_entry t (e : Telemetry.Bus.entry) =
              conn ack held_s t.cfg.ack_deadline_s)
   | Ack_dropped { conn; _ } ->
       bump t.dropped conn;
-      t.outstanding_acks <- t.outstanding_acks - 1;
       Hashtbl.replace t.conn_last_seq conn e.seq
   | Ack_shed { conn; ack; held_s } ->
       bump t.shed conn;
-      t.outstanding_acks <- t.outstanding_acks - 1;
       Hashtbl.replace t.conn_last_seq conn e.seq;
       if over_deadline held_s then
         viol "degraded_mode_exclusion"
@@ -271,8 +271,7 @@ let on_entry t (e : Telemetry.Bus.entry) =
                   could talk"
                  container service prev)
       | _ -> ());
-      note_primary t ~service ~container
-  | Queue_dropped _ -> t.queue_drop_events <- t.queue_drop_events + 1
+      Hashtbl.replace t.primaries service container
   | Fleet_placed { service; instance; region; container; _ } ->
       Hashtbl.replace t.fl_service_of instance service;
       Hashtbl.replace t.fl_region_of instance region;
@@ -305,46 +304,33 @@ let on_entry t (e : Telemetry.Bus.entry) =
   | Fleet_rearmed { instance; _ } -> Hashtbl.remove t.fl_degraded instance
   | _ -> ()
 
-let install cfg =
-  let t =
-    {
-      cfg;
-      sub = None;
-      violations = [];
-      events_seen = 0;
-      last_seq = 0;
-      last_at = Sim.Time.zero;
-      max_wm = min_int;
-      wm_by_conn = Hashtbl.create 8;
-      held = Hashtbl.create 8;
-      released = Hashtbl.create 8;
-      dropped = Hashtbl.create 8;
-      shed = Hashtbl.create 8;
-      outstanding_acks = 0;
-      conn_last_seq = Hashtbl.create 8;
-      degraded = Hashtbl.create 8;
-      queue_drop_events = 0;
-      primaries = Hashtbl.create 8;
-      fenced = Hashtbl.create 8;
-      container_host = Hashtbl.create 8;
-      dead_hosts = Hashtbl.create 8;
-      snapshots = [];
-      fl_service_of = Hashtbl.create 64;
-      fl_region_of = Hashtbl.create 64;
-      fl_container_of = Hashtbl.create 64;
-      fl_up = Hashtbl.create 64;
-      fl_running = Hashtbl.create 64;
-      fl_degraded = Hashtbl.create 16;
-      fl_inflight = 0;
-    }
-  in
-  t.sub <- Some (Telemetry.Bus.subscribe (fun e -> on_entry t e));
-  t
-
-let violations t = List.rev t.violations
-let events_seen t = t.events_seen
-let queue_drop_events t = t.queue_drop_events
-let outstanding_acks t = t.outstanding_acks
+let create cfg =
+  {
+    cfg;
+    violations = [];
+    last_seq = 0;
+    last_at = Sim.Time.zero;
+    max_wm = min_int;
+    wm_by_conn = Hashtbl.create 8;
+    held = Hashtbl.create 8;
+    released = Hashtbl.create 8;
+    dropped = Hashtbl.create 8;
+    shed = Hashtbl.create 8;
+    conn_last_seq = Hashtbl.create 8;
+    degraded = Hashtbl.create 8;
+    primaries = Hashtbl.create 8;
+    fenced = Hashtbl.create 8;
+    container_host = Hashtbl.create 8;
+    dead_hosts = Hashtbl.create 8;
+    snapshots = [];
+    fl_service_of = Hashtbl.create 64;
+    fl_region_of = Hashtbl.create 64;
+    fl_container_of = Hashtbl.create 64;
+    fl_up = Hashtbl.create 64;
+    fl_running = Hashtbl.create 64;
+    fl_degraded = Hashtbl.create 16;
+    fl_inflight = 0;
+  }
 
 let check_queue_drain t =
   let keys tbl = Sim.Det.keys ~compare:String.compare tbl in
@@ -412,16 +398,16 @@ let check_fleet_rearm t =
            instance region))
     t.fl_degraded
 
-let finalize t =
-  (match t.sub with
-  | Some s ->
-      Telemetry.Bus.unsubscribe s;
-      t.sub <- None
-  | None -> ());
+let check cfg ~primaries entries =
+  let t = create cfg in
+  List.iter
+    (fun (service, container) -> Hashtbl.replace t.primaries service container)
+    primaries;
+  List.iter (on_entry t) entries;
   check_queue_drain t;
   check_rib_convergence t;
   check_fleet_rearm t;
-  let by_checker = violations t in
+  let by_checker = List.rev t.violations in
   List.map
     (fun name ->
       match List.filter (fun v -> String.equal v.checker name) by_checker with

@@ -1,9 +1,12 @@
-(** Streaming runtime verification of the NSR invariants.
+(** Runtime verification of the NSR invariants, as one pure function
+    of a run's record.
 
-    [install] subscribes a checker set to the telemetry firehose
-    ({!Telemetry.Bus.subscribe}); every entry is folded, synchronously
-    and in global-sequence order, into per-invariant state. The nine
-    checkers mirror the paper's correctness claims:
+    {!check} folds a run's telemetry entries, in global-sequence order,
+    into per-invariant state and returns a verdict per checker; like
+    every other reader of a run, it reads the bus log after the fact
+    ({!Telemetry.Bus.events}), so a verdict can be re-derived from the
+    entries alone. The ten checkers mirror the paper's correctness
+    claims:
 
     - [no_peer_visible_reset] — no [Session_down] at a configured peer
       node: the remote AS never sees the BGP session reset (§1, Table 1's
@@ -26,7 +29,7 @@
       node: migrations never flap routes on the wire (§4.4).
     - [queue_drain] — every [Ack_held] is eventually [Ack_released],
       accounted [Ack_dropped], or flushed as [Ack_shed] at degraded-mode
-      entry (checked at {!finalize}).
+      entry (checked once the fold reaches the last entry).
     - [degraded_mode_exclusion] — the degraded-store contract: no ACK is
       held past the configured deadline (an [Ack_released]/[Ack_shed]
       with [held_s] beyond [ack_deadline_s] plus slack, or a
@@ -34,6 +37,11 @@
       held while degraded, and no configured peer sees a [Session_down]
       while any connection is in degraded pass-through — suspending NSR
       must keep the session alive, or it bought nothing.
+    - [fleet_slo] — the fleet campaign's service-level objective: no
+      service placed by [Fleet_placed] loses its last running replica,
+      concurrent upgrade drains never exceed their wave's bound, and
+      every [Fleet_degraded] instance is [Fleet_rearmed] by the end of
+      the run.
 
     [Queue_dropped] events are informational only: the no-consumer drop
     of a dying instance's FIN/RST is load-bearing NSR behaviour (see
@@ -60,26 +68,19 @@ type config = {
           granularity. *)
 }
 
-type t
+val check :
+  config ->
+  primaries:(string * string) list ->
+  Telemetry.Bus.entry list ->
+  (string * result) list
+(** [check cfg ~primaries entries] is every checker's verdict on the run
+    whose bus log is [entries], in a fixed order. [primaries] seeds the
+    current primary container of each service ([(service, container)]),
+    as of before the first entry, so the first [Replica_promoted] has a
+    predecessor to check against. *)
 
-val install : config -> t
-(** Subscribes to the firehose. Entries emitted before [install] (or
-    while {!Telemetry.Gate} is off) are not observed. *)
-
-val note_primary : t -> service:string -> container:string -> unit
-(** Seeds (or updates) the current primary of [service], so the first
-    [Replica_promoted] has a predecessor to check against. *)
-
-val finalize : t -> (string * result) list
-(** Unsubscribes, runs the end-of-run checks (queue drain, RIB
-    convergence) and returns every checker's verdict, in a fixed
-    order. Idempotent state: call once per run. *)
-
-val events_seen : t -> int
-
-val queue_drop_events : t -> int
-(** Count of informational [Queue_dropped] entries observed. *)
-
-val outstanding_acks : t -> int
-(** The [queue_drain] ledger's open balance over every connection (held
-    minus released, dropped and shed), kept as a running count: O(1). *)
+val held_acks : Telemetry.Bus.entry list -> int
+(** The [queue_drain] ledger's balance over [entries], summed over every
+    connection: one per [Ack_held], minus one per [Ack_released],
+    [Ack_dropped] or [Ack_shed]. Additive, so a poller folds only the
+    entries appended since its last poll. *)

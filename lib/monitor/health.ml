@@ -100,8 +100,9 @@ let critical_path_of_run phases =
 
 (* The phase fold reads the whole run, so a run that neither budgets
    phases nor traces (every chaos and fleet round) skips it. *)
-let make ?(budgets = default_budgets) ~engine ~scenario ~entries checker =
-  let checkers = Checker.finalize checker in
+let make ?(budgets = default_budgets) ~engine ~scenario ~primaries ~entries cfg
+    =
+  let checkers = Checker.check cfg ~primaries entries in
   let traced =
     Causal.Recorder.node_count () > 0 && Causal.Recorder.enabled ()
   in
@@ -113,8 +114,12 @@ let make ?(budgets = default_budgets) ~engine ~scenario ~entries checker =
     scenario;
     checkers;
     slos = slos_of_phases budgets phases;
-    events_seen = Checker.events_seen checker;
-    queue_drops = Checker.queue_drop_events checker;
+    events_seen = List.length entries;
+    queue_drops =
+      List.fold_left
+        (fun n (e : Telemetry.Bus.entry) ->
+          match e.event with Queue_dropped _ -> n + 1 | _ -> n)
+        0 entries;
     engine;
     critical_path = (if traced then critical_path_of_run phases else None);
     phases;

@@ -37,7 +37,7 @@ type report = {
   scenario : string;
   checkers : (string * Checker.result) list;
   slos : slo list;
-  events_seen : int;
+  events_seen : int;  (** Entries in the run's bus log. *)
   queue_drops : int;  (** Informational [Queue_dropped] count. *)
   engine : engine_cost;
   critical_path : Causal.Critical.t option;
@@ -58,14 +58,16 @@ val make :
   ?budgets:(string * float) list ->
   engine:engine_cost ->
   scenario:string ->
+  primaries:(string * string) list ->
   entries:Telemetry.Bus.entry list ->
-  Checker.t ->
+  Checker.config ->
   report
-(** Finalizes the checker set (see {!Checker.finalize}) and evaluates
-    the budgets against the phases of [entries], the run's bus log. The
-    phases are folded only when [budgets] is non-empty (the default
-    budgets when omitted) or the causal recorder is attached. [engine]
-    is the engine-cost section. *)
+(** The report of the run whose bus log is [entries]: the checkers'
+    verdicts ({!Checker.check} with [primaries]), the entry counts, and
+    the budgets evaluated against the phases of [entries]. The phases
+    are folded only when [budgets] is non-empty (the default budgets
+    when omitted) or the causal recorder is attached. [engine] is the
+    engine-cost section. *)
 
 val ok : report -> bool
 (** No violations and every evaluated SLO within budget. *)

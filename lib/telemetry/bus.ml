@@ -1,46 +1,22 @@
 type entry = { seq : int; at : Sim.Time.t; event : Event.t }
 
-(* Live subscribers: invoked synchronously from [emit], after the
-   append, so callbacks observe entries in global-seq order. *)
-type sub = { id : int; fn : entry -> unit }
+(* The whole bus is domain-local: the log and the sequence counter.
+   Each domain of a parallel campaign records its runs into a private
+   bus whose [seq] starts at 0 exactly like a fresh process, which is
+   what keeps per-run telemetry digests independent of how runs are
+   spread across domains. The log is newest first, so an append is one
+   cons and a mark is the list itself. *)
+type state = { mutable seq_counter : int; mutable log : entry list }
 
-(* The whole bus is domain-local: the log, the sequence counter and the
-   subscriber list. Each domain of a parallel campaign records its runs
-   into a private bus whose [seq] starts at 0 exactly like a fresh
-   process, which is what keeps per-run telemetry digests independent
-   of how runs are spread across domains. The log is newest first, so
-   an append is one cons and a mark is the list itself. *)
-type state = {
-  mutable seq_counter : int;
-  mutable log : entry list;
-  mutable sub_counter : int;
-  mutable subs : sub list;
-}
-
-let key =
-  Domain.DLS.new_key (fun () ->
-      { seq_counter = 0; log = []; sub_counter = 0; subs = [] })
-
+let key = Domain.DLS.new_key (fun () -> { seq_counter = 0; log = [] })
 let state () = Domain.DLS.get key
-
-let subscribe fn =
-  let st = state () in
-  st.sub_counter <- st.sub_counter + 1;
-  let s = { id = st.sub_counter; fn } in
-  st.subs <- st.subs @ [ s ];
-  s
-
-let unsubscribe s =
-  let st = state () in
-  st.subs <- List.filter (fun s' -> s'.id <> s.id) st.subs
 
 let emit eng event =
   if Gate.on () then begin
     let st = state () in
     st.seq_counter <- st.seq_counter + 1;
     let e = { seq = st.seq_counter; at = Sim.Engine.now eng; event } in
-    st.log <- e :: st.log;
-    List.iter (fun s -> s.fn e) st.subs
+    st.log <- e :: st.log
   end
 
 let events () = List.rev (state ()).log
@@ -59,8 +35,6 @@ let since mark =
   in
   take [] (state ()).log
 
-(* [clear] drops the log but keeps subscribers: monitors installed
-   across a [Control.reset] keep observing the next run. *)
 let clear () =
   let st = state () in
   st.log <- [];

@@ -1,11 +1,14 @@
-(** The process-wide structured-event bus.
+(** The structured-event bus: an append-only log, one per domain.
 
-    One append-only log per run: every entry emitted since the last
-    {!clear} is kept, in [seq] order. A global sequence number totally
-    orders entries across categories, including events emitted at the
-    same simulated instant (emission order wins, matching the engine's
-    FIFO tie-break). {!events}, {!to_jsonl} and the run digest all read
-    this one log.
+    One log per run: every entry emitted since the last {!clear} is
+    kept, in [seq] order. A sequence number totally orders entries
+    across categories, including events emitted at the same simulated
+    instant (emission order wins, matching the engine's FIFO
+    tie-break). The log and its counter are domain-local, so each
+    worker domain of a parallel campaign records its runs as a fresh
+    process would. Nothing reacts to an entry as it is appended: every
+    reader of a run ({!events}, {!to_jsonl}, the run digest, the
+    invariant checkers) folds the log, or a {!since} slice of it.
 
     Recording is gated on {!Gate}: with telemetry off, {!emit} is a
     no-op. Callers that need specific events regardless of the gate
@@ -15,23 +18,6 @@ type entry = { seq : int; at : Sim.Time.t; event : Event.t }
 
 val emit : Sim.Engine.t -> Event.t -> unit
 (** Appends [event] at the engine's current instant (when {!Gate.on}). *)
-
-(** {1 Live subscribers}
-
-    For readers that must act during the run. Callbacks are invoked
-    synchronously from {!emit}, after the entry is appended, so a
-    subscriber observes entries in global-sequence order interleaved
-    across categories. Subscribers only fire while {!Gate.on}; they
-    survive {!clear} (a new run re-observes from a fresh [seq]). A
-    callback must not raise. *)
-
-type sub
-
-val subscribe : (entry -> unit) -> sub
-(** [subscribe f] calls [f] on every new entry, of every category. *)
-
-val unsubscribe : sub -> unit
-(** Idempotent. *)
 
 val clear : unit -> unit
 (** Empties the log and restarts [seq]; the dropped entries become

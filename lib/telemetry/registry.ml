@@ -2,8 +2,8 @@ type counter = { mutable c : int }
 
 (* The value lives in a one-slot float array, not a [mutable g : float]
    field: in a mixed string/float record the float field is boxed, so
-   every [set] on a hot path (netfilter queue depth, ring high-water
-   marks) allocated a fresh box. Float arrays store unboxed, and
+   every [set] on a hot path (netfilter queue depth and its
+   high-water mark) allocated a fresh box. Float arrays store unboxed, and
    storing [float_of_int v] into one compiles without boxing either. *)
 type gauge = { gcell : float array }
 

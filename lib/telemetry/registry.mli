@@ -2,7 +2,7 @@
 
     Named counters, gauges and log-bucketed histograms that register
     themselves on creation (typically as module toplevels next to the
-    code they instrument) and export en masse to CSV or JSON. Creation
+    code they instrument) and export en masse to JSON. Creation
     is idempotent by name — asking for an existing metric of the same
     kind returns it — so instrumented libraries can be (re)initialized
     freely; a name collision across kinds is a programming error and
@@ -11,7 +11,12 @@
     Updates are deliberately NOT gated on {!Gate}: bumping an [int ref]
     is as cheap as the gate check would be, so registered metrics are
     always live (like the per-connection stats that predate this
-    module). {!reset_values} zeroes everything between runs. *)
+    module). {!reset_values} zeroes everything between runs.
+
+    Registrations are domain-local. A metric created at module
+    initialisation is registered on the main domain only, so {!all} and
+    {!to_json} read it there; a worker domain's registry starts empty,
+    although its runs bump the same cells. *)
 
 (** {1 Counters} *)
 

@@ -1,9 +1,10 @@
-(* Checked scenarios: run a standard NSR episode with the runtime
-   verifier attached and return its health report.
+(* Checked scenarios: run a standard NSR episode with telemetry
+   recording and return its health report, whose verdicts
+   [Monitor.Checker] folds from the run's bus log.
 
-   Each scenario builds the Figure 3 deployment with telemetry on and a
-   [Monitor.Checker] subscribed *before* any container boots, runs the
-   episode, then emits paired [Rib_snapshot] events (what one side
+   Each scenario builds the Figure 3 deployment with telemetry on
+   *before* any container boots, so the log holds the whole episode,
+   runs it, then emits paired [Rib_snapshot] events (what one side
    advertised vs what the other side holds) so the convergence checker
    can compare digests. Faults seeded through [Monitor.Faults] are left
    untouched, which is how the mutation tests drive these scenarios. *)
@@ -67,14 +68,15 @@ let emit_rib_snapshots (dep : Deploy.t) { Deploy.peer; spec; _ } svc =
            ~vip:spec.App.vip spk)
 
 (* Shared episode skeleton: Table 1's episode up to the failure, with
-   the primary noted for the split-brain checker. *)
-let setup ?store_resilient ?degrade_frac mon =
+   the primary the split-brain checker starts from. *)
+let setup ?store_resilient ?degrade_frac () =
   let dep, p, svc =
     Exp_table1.episode ?store_resilient ?degrade_frac ~id:"chk" ()
   in
-  Monitor.Checker.note_primary mon ~service:"chk"
-    ~container:(Orch.Container.id (Deploy.service_container svc));
-  (dep, p, svc)
+  let primaries =
+    [ ("chk", Orch.Container.id (Deploy.service_container svc)) ]
+  in
+  (dep, p, svc, primaries)
 
 (* --- The checked-run harness ------------------------------------------- *)
 
@@ -87,19 +89,26 @@ type 'a checked = {
 
 (* End-of-run drain. An ACK held while its store write is still in
    flight at the horizon is not lost, only unfinished: run on in 1 ms
-   slices until the checker's ledger balances, for at most 1 s of
-   simulated time. A passing run holds nothing at the horizon and takes
+   slices until the held-ACK ledger balances, for at most 1 s of
+   simulated time. Each poll folds only the entries appended since the
+   previous one. A passing run holds nothing at the horizon and takes
    no extra step; an ACK still held after the bound stays a
    [queue_drain] violation. *)
 let drain_slice = Time.ms 1
 let drain_bound = Time.sec 1
 
-let quiesce mon eng =
-  if Monitor.Checker.outstanding_acks mon > 0 then
+let quiesce eng =
+  let held = ref (Monitor.Checker.held_acks (Telemetry.Bus.events ())) in
+  let polled = ref (Telemetry.Bus.mark ()) in
+  if !held > 0 then
     ignore
       (Engine.run_until_cond eng ~slice:drain_slice
          ~deadline:(Time.add (Engine.now eng) drain_bound)
-         (fun () -> Monitor.Checker.outstanding_acks mon <= 0))
+         (fun () ->
+           held :=
+             !held + Monitor.Checker.held_acks (Telemetry.Bus.since !polled);
+           polled := Telemetry.Bus.mark ();
+           !held <= 0))
 
 (* Engine-cost section: how many events the run dispatched, plus the
    eight costliest labels when the profiler is attached (by [?out], or
@@ -186,22 +195,23 @@ let observe_checked ~dir =
 let checked ?out ?budgets ~cfg ~scenario body =
   Telemetry.Control.reset ();
   Telemetry.Gate.set true;
-  let mon = Monitor.Checker.install cfg in
   let finish = Option.map (fun dir -> observe_checked ~dir) out in
   let ev0 = Engine.global_processed_events () in
+  (* A body that raises hands back no primaries: the checkers then
+     start from none. *)
+  let primaries = ref [] in
   let value =
     try
-      let eng, finish = body mon in
-      quiesce mon eng;
+      let eng, seeded, finish = body () in
+      primaries := seeded;
+      quiesce eng;
       Ok (finish ())
     with e -> Error e
   in
-  (* [Health.make] finalizes the checker while telemetry is still on;
-     finalizing emits nothing, so [entries] is the whole run. *)
   let entries = Telemetry.Bus.events () in
   let report =
-    Monitor.Health.make ?budgets ~engine:(engine_cost ev0) ~scenario ~entries
-      mon
+    Monitor.Health.make ?budgets ~engine:(engine_cost ev0) ~scenario
+      ~primaries:!primaries ~entries cfg
   in
   let events = jsonl entries in
   let digest = Digest.to_hex (Digest.string events) in
@@ -231,22 +241,22 @@ let checked_scenario ?out ?(ack_deadline_s = 0.) ~scenario body =
   match r.value with Ok () -> r.report | Error e -> raise e
 
 let failover ?out ?(kind = Orch.Controller.Container_failure) () =
-  checked_scenario ?out ~scenario:("failover/" ^ kind_name kind) @@ fun mon ->
-  let dep, p, svc = setup mon in
+  checked_scenario ?out ~scenario:("failover/" ^ kind_name kind) @@ fun () ->
+  let dep, p, svc, primaries = setup () in
   Deploy.inject_failure dep svc kind;
   Engine.run_for dep.Deploy.eng (Time.sec 40);
-  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep p svc)
+  (dep.Deploy.eng, primaries, fun () -> emit_rib_snapshots dep p svc)
 
 let planned ?out () =
-  checked_scenario ?out ~scenario:"planned" @@ fun mon ->
-  let dep, p, svc = setup mon in
+  checked_scenario ?out ~scenario:"planned" @@ fun () ->
+  let dep, p, svc, primaries = setup () in
   Deploy.planned_migration dep svc;
   Engine.run_for dep.Deploy.eng (Time.sec 30);
-  (dep.Deploy.eng, fun () -> emit_rib_snapshots dep p svc)
+  (dep.Deploy.eng, primaries, fun () -> emit_rib_snapshots dep p svc)
 
 let split_brain ?out () =
-  checked_scenario ?out ~scenario:"split-brain" @@ fun mon ->
-  let dep, p, svc = setup mon in
+  checked_scenario ?out ~scenario:"split-brain" @@ fun () ->
+  let dep, p, svc, primaries = setup () in
   let eng = dep.Deploy.eng in
   let h0 = dep.Deploy.hosts.(0) in
   Deploy.inject_failure dep svc Orch.Controller.Host_network_failure;
@@ -256,14 +266,14 @@ let split_brain ?out () =
      flap follows. *)
   Orch.Host.network_recover h0;
   Engine.run_for eng (Time.sec 20);
-  (eng, fun () -> emit_rib_snapshots dep p svc)
+  (eng, primaries, fun () -> emit_rib_snapshots dep p svc)
 
 let degraded ?out () =
   checked_scenario ?out
     ~ack_deadline_s:(ack_deadline_s ~degrade_frac)
     ~scenario:"degraded"
-  @@ fun mon ->
-  let dep, p, svc = setup ~store_resilient:true ~degrade_frac mon in
+  @@ fun () ->
+  let dep, p, svc, primaries = setup ~store_resilient:true ~degrade_frac () in
   let eng = dep.Deploy.eng in
   let store_node = Store.Server.node dep.Deploy.store_server in
   (* Partition the store (RAM intact), then keep routes arriving so the
@@ -279,7 +289,7 @@ let degraded ?out () =
     (Engine.schedule_after eng (Time.sec 20) (fun () ->
          Netsim.Node.set_up store_node true));
   Engine.run_for eng (Time.sec 60);
-  (eng, fun () -> emit_rib_snapshots dep p svc)
+  (eng, primaries, fun () -> emit_rib_snapshots dep p svc)
 
 let run ?kind ?out name =
   let out = Option.map (fun root -> Filename.concat root name) out in

@@ -56,8 +56,8 @@ type 'a checked = {
   digest : string;  (** MD5 (hex) of [entries] as telemetry JSONL. *)
   entries : Telemetry.Bus.entry list;
       (** The run's bus log in [seq] order: what [digest] hashes,
-          [report]'s phases fold and [events.jsonl] holds, as many as
-          the checker saw ([report.events_seen]). *)
+          [report]'s checkers and phases fold and [events.jsonl] holds,
+          [report.events_seen] of them. *)
 }
 
 val checked :
@@ -65,15 +65,17 @@ val checked :
   ?budgets:(string * float) list ->
   cfg:Monitor.Checker.config ->
   scenario:string ->
-  (Monitor.Checker.t -> Sim.Engine.t * (unit -> 'a)) ->
+  (unit -> Sim.Engine.t * (string * string) list * (unit -> 'a)) ->
   'a checked
-(** The lifecycle of every checked run: reset and enable telemetry,
-    install a {!Monitor.Checker} with [cfg], run the body (it hands back
-    its engine and its end-state step), quiesce, run the end-state step,
-    cut the {!Monitor.Health} report (finalizing the checker), digest
-    the bus log, disable telemetry. Quiescing runs the engine on in 1 ms
-    slices, for at most 1 s of simulated time, while the checker's
-    ledger shows held ACKs ({!Monitor.Checker.outstanding_acks}).
+(** The lifecycle of every checked run: reset and enable telemetry, run
+    the body (it hands back its engine, the [(service, container)]
+    primaries it started from and its end-state step), quiesce, run the
+    end-state step, cut the {!Monitor.Health} report (the checkers with
+    [cfg] fold the bus log from those primaries), digest the log,
+    disable telemetry. A body must hand back its primaries as they were
+    before any promotion; one that raises hands back none. Quiescing
+    runs the engine on in 1 ms slices, for at most 1 s of simulated
+    time, while the log shows held ACKs ({!Monitor.Checker.held_acks}).
 
     What the body or its end-state step raises lands in [value], and the
     report and digest are still made; only writing [?out] can raise

@@ -29,15 +29,15 @@ type state = {
   (* Engines seen so far, in first-seen order; list index = track id.
      Compared physically: engines have no identity beyond themselves. *)
   mutable engines : Sim.Engine.t list;
-  (* The track of the dispatch last recorded, [-1] before any or when
-     it fell past the node cap: the engine whose running event a bus
-     entry is bound to. *)
-  mutable last_track : int;
+  (* The dispatch in flight: its event id and track ([-1] when it fell
+     past the node cap), and the bus log's end when it began. *)
+  mutable cur_id : int;
+  mutable cur_track : int;
+  mutable cur_mark : Telemetry.Bus.mark;
   (* Entry bindings: bus [seq] -> (event id, track) of the event that
      emitted the entry. Entries emitted from harness code, outside
      dispatch, have no event to anchor to and are absent. *)
   bindings : (int, int * int) Hashtbl.t;
-  mutable sub : Telemetry.Bus.sub option;
 }
 
 let key =
@@ -49,9 +49,10 @@ let key =
         dropped_count = 0;
         index = Hashtbl.create 4096;
         engines = [];
-        last_track = -1;
+        cur_id = -1;
+        cur_track = -1;
+        cur_mark = Telemetry.Bus.mark ();
         bindings = Hashtbl.create 64;
-        sub = None;
       })
 
 let state () = Domain.DLS.get key
@@ -83,8 +84,7 @@ let reset () =
   st.dropped_count <- 0;
   Hashtbl.reset st.index;
   Hashtbl.reset st.bindings;
-  st.engines <- [];
-  st.last_track <- -1
+  st.engines <- []
 
 let push store n =
   if store.len = Array.length store.arr then begin
@@ -100,46 +100,41 @@ let on_dispatch ~eng ~id ~parent ~label ~sched_at ~exec_at =
   let st = state () in
   if st.store.len >= st.node_limit then begin
     st.dropped_count <- st.dropped_count + 1;
-    st.last_track <- -1
+    st.cur_track <- -1
   end
   else begin
     let track = register_track eng in
-    st.last_track <- track;
+    st.cur_id <- id;
+    st.cur_track <- track;
+    st.cur_mark <- Telemetry.Bus.mark ();
     Hashtbl.replace st.index (track, id) st.store.len;
     push st.store { id; parent; track; label; sched_at; exec_at }
   end
 
-(* Bus [seq] numbers restart with every [Telemetry.Control.reset], so an
-   entry outside dispatch also drops whatever an earlier run bound to
-   its [seq]. *)
-let bind (e : Telemetry.Bus.entry) =
+(* Dispatch does not nest, so every entry appended since the dispatch
+   began was emitted by its event. *)
+let on_return () =
   let st = state () in
-  let ev =
-    if st.last_track < 0 then -1
-    else Sim.Engine.current_event_id (List.nth st.engines st.last_track)
-  in
-  if ev >= 0 then Hashtbl.replace st.bindings e.seq (ev, st.last_track)
-  else Hashtbl.remove st.bindings e.seq
+  if st.cur_track >= 0 then
+    List.iter
+      (fun (e : Telemetry.Bus.entry) ->
+        Hashtbl.replace st.bindings e.seq (st.cur_id, st.cur_track))
+      (Telemetry.Bus.since st.cur_mark)
 
-let observer = { Sim.Engine.before = on_dispatch; after = ignore }
+let observer = { Sim.Engine.before = on_dispatch; after = on_return }
 let enabled () = (state ()).active
 
 let attach ?(limit = default_limit) () =
   if limit <= 0 then invalid_arg "Recorder.attach: limit must be positive";
   let st = state () in
   st.node_limit <- limit;
-  if not st.active then begin
-    Sim.Engine.attach observer;
-    st.sub <- Some (Telemetry.Bus.subscribe bind)
-  end;
+  if not st.active then Sim.Engine.attach observer;
   st.active <- true
 
 let detach () =
   let st = state () in
   st.active <- false;
-  Sim.Engine.detach observer;
-  Option.iter Telemetry.Bus.unsubscribe st.sub;
-  st.sub <- None
+  Sim.Engine.detach observer
 
 let node_count () = (state ()).store.len
 let dropped () = (state ()).dropped_count

@@ -8,10 +8,10 @@
     {e track} numbers in first-seen order, so a multi-engine experiment
     keeps per-engine event ids unambiguous.
 
-    It simultaneously subscribes to the telemetry bus to bind each entry
-    emitted inside a dispatch to the event that emitted it — the raw
-    material for {!Critical} path extraction ("which event chain emitted
-    the entry that closed the failover phase?").
+    When a dispatch returns, it binds each bus entry appended during
+    the dispatch to the event that emitted it — the raw material for
+    {!Critical} path extraction ("which event chain emitted the entry
+    that closed the failover phase?").
 
     The recorder is strictly observation-only, like [Prof.Profiler]:
     attaching it must leave replay digests byte-identical. It never
@@ -27,14 +27,14 @@ type node = {
 }
 
 val attach : ?limit:int -> unit -> unit
-(** Attaches the engine observer and the bus subscription.
-    Recording stops (and {!dropped} counts) past [limit] nodes (default
-    2M, a fig5a-scale run with room). [limit] is a test seam: product
-    runs keep the default, and test_trace lowers it to reach the cap.
-    Existing recorded state is kept — call {!reset} for a fresh DAG. *)
+(** Attaches the engine observer. Recording stops (and {!dropped}
+    counts) past [limit] nodes (default 2M, a fig5a-scale run with
+    room). [limit] is a test seam: product runs keep the default, and
+    test_trace lowers it to reach the cap. Existing recorded state is
+    kept — call {!reset} for a fresh DAG. *)
 
 val detach : unit -> unit
-(** Detaches both. Recorded state stays readable. *)
+(** Detaches it. Recorded state stays readable. *)
 
 val enabled : unit -> bool
 (** [true] between {!attach} and {!detach}. *)
@@ -59,7 +59,9 @@ val track_count : unit -> int
 val entry_binding : int -> (int * int) option
 (** [entry_binding seq] is the [(event id, track)] of the event that
     emitted the bus entry numbered [seq]; [None] when it was emitted
-    outside event dispatch or before {!attach}. *)
+    outside event dispatch, before {!attach} or past the node cap.
+    [seq] restarts with every [Telemetry.Control.reset], so {!reset}
+    the recorder with it. *)
 
 (** {1 Test-only} *)
 

@@ -139,14 +139,12 @@ let test_table1_other_rows () =
 let test_table1_tcp_is_tcp_replay () =
   Telemetry.Control.reset ();
   Telemetry.Gate.set true;
-  let mon =
-    Monitor.Checker.install { Monitor.Checker.peers = []; ack_deadline_s = 0. }
-  in
   let rows = Tensor.Exp_table1.run ~kinds:[ Orch.Controller.App_failure ] () in
   let report =
     Monitor.Health.make
       ~engine:{ Monitor.Health.ev_processed = 0; profiled = [] }
-      ~scenario:"table1" ~entries:(Telemetry.Bus.events ()) mon
+      ~scenario:"table1" ~primaries:[] ~entries:(Telemetry.Bus.events ())
+      { Monitor.Checker.peers = []; ack_deadline_s = 0. }
   in
   Telemetry.Gate.set false;
   match

@@ -141,8 +141,9 @@ let test_instances_normalized_to_pairs () =
 (* --- SLO fold ------------------------------------------------------------------ *)
 
 (* The live bus subscriber [Fleet.Slo] was before it became a fold over
-   captured entries, verbatim: the reference the property below holds
-   [Fleet.Slo.of_entries] to, fed one entry at a time. *)
+   captured entries, verbatim but for the subscription: the reference
+   the property below holds [Fleet.Slo.of_entries] to, fed one entry at
+   a time. *)
 module Ref_slo = struct
   open Sim
 
@@ -150,8 +151,7 @@ module Ref_slo = struct
      availability (instance-up seconds over the observation horizon),
      the failover-time distribution (Failure_detected → Migration_done),
      degraded-instance accounting, upgrade progress, and deferred
-     migrations. A live subscriber, like the invariant checkers — no
-     polling, no second pass over the event log. *)
+     migrations, one entry at a time. *)
 
   type region_stat = {
     mutable r_instances : int;
@@ -162,7 +162,6 @@ module Ref_slo = struct
   }
 
   type t = {
-    sub : Telemetry.Bus.sub;
     regions : (string, region_stat) Hashtbl.t;
     region_of : (string, string) Hashtbl.t;  (* instance -> region *)
     container_of : (string, string) Hashtbl.t;  (* container -> instance *)
@@ -264,27 +263,22 @@ module Ref_slo = struct
         | None -> ())
     | _ -> ()
 
-  let install () =
-    let rec t =
-      lazy
-        {
-          sub = Telemetry.Bus.subscribe (fun e -> on_entry (Lazy.force t) e);
-          regions = Hashtbl.create 8;
-          region_of = Hashtbl.create 64;
-          container_of = Hashtbl.create 64;
-          up_since = Hashtbl.create 64;
-          detect_at = Hashtbl.create 16;
-          failovers_s = [];
-          upgrades_started = 0;
-          upgrades_done = 0;
-          upgrade_inflight = 0;
-          upgrade_inflight_peak = 0;
-          deferred = 0;
-          t0 = None;
-          t_end = Time.zero;
-        }
-    in
-    Lazy.force t
+  let create () =
+    {
+      regions = Hashtbl.create 8;
+      region_of = Hashtbl.create 64;
+      container_of = Hashtbl.create 64;
+      up_since = Hashtbl.create 64;
+      detect_at = Hashtbl.create 16;
+      failovers_s = [];
+      upgrades_started = 0;
+      upgrades_done = 0;
+      upgrade_inflight = 0;
+      upgrade_inflight_peak = 0;
+      deferred = 0;
+      t0 = None;
+      t_end = Time.zero;
+    }
 
   (* --- Report ---------------------------------------------------------------- *)
 
@@ -316,7 +310,6 @@ module Ref_slo = struct
         List.nth l (max 0 idx)
 
   let finish t =
-    Telemetry.Bus.unsubscribe t.sub;
     let t_end = t.t_end in
     (* Close every open up-interval at the horizon. *)
     Det.iter_sorted ~compare:String.compare
@@ -408,7 +401,7 @@ module Ref_slo = struct
 end
 
 let ref_report entries =
-  let t = Ref_slo.install () in
+  let t = Ref_slo.create () in
   List.iter (Ref_slo.on_entry t) entries;
   Ref_slo.finish t
 

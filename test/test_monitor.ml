@@ -76,19 +76,27 @@ let test_clean_split_brain () =
   assert_all_pass r;
   checkb "report ok" true (Monitor.Health.ok r)
 
-(* A checked run's [entries] are its whole record: the list its digest
-   hashes, one entry per event the checker saw. *)
-let test_checked_entries () =
+(* One checked container failover, with the primaries its body handed
+   back. *)
+let checked_failover cfg =
+  let seeded = ref [] in
   let r =
-    Tensor.Check.checked
-      ~cfg:{ Monitor.Checker.peers = [ "peerAS" ]; ack_deadline_s = 0. }
-      ~scenario:"entries"
-    @@ fun _mon ->
+    Tensor.Check.checked ~cfg ~scenario:"entries" @@ fun () ->
     let dep, _, svc = Tensor.Exp_table1.episode ~id:"chk" () in
+    seeded :=
+      [ ("chk", Orch.Container.id (Tensor.Deploy.service_container svc)) ];
     Tensor.Deploy.inject_failure dep svc Orch.Controller.Container_failure;
     Engine.run_for dep.Tensor.Deploy.eng (Time.sec 40);
-    (dep.Tensor.Deploy.eng, Fun.id)
+    (dep.Tensor.Deploy.eng, !seeded, Fun.id)
   in
+  (r, !seeded)
+
+let chk_cfg = { Monitor.Checker.peers = [ "peerAS" ]; ack_deadline_s = 0. }
+
+(* A checked run's [entries] are its whole record: the list its digest
+   hashes, [events_seen] of them. *)
+let test_checked_entries () =
+  let r, _ = checked_failover chk_cfg in
   let buf = Buffer.create 65_536 in
   Telemetry.Bus.to_jsonl buf r.entries;
   checks "entries hash to the digest" r.digest
@@ -102,6 +110,58 @@ let test_checked_entries () =
          | Telemetry.Event.Migration_done _ -> true
          | _ -> false)
        r.entries)
+
+(* The verdicts are a function of the record: folding a checked run's
+   entries again, from the primaries its body handed back, gives the
+   report's checkers exactly. *)
+let test_verdicts_refold () =
+  let r, primaries = checked_failover chk_cfg in
+  checkb "the run promoted a replica" true
+    (List.exists
+       (fun (e : Telemetry.Bus.entry) ->
+         match e.event with
+         | Telemetry.Event.Replica_promoted _ -> true
+         | _ -> false)
+       r.entries);
+  checkb "re-folded verdicts = the report's" true
+    (Monitor.Checker.check chk_cfg ~primaries r.entries
+    = r.report.Monitor.Health.checkers)
+
+(* A hand-built record: the seeded primary [P] is replaced by [Q]. Only
+   a fence of [P] first makes the promotion legal. *)
+let test_split_brain_fold () =
+  let entries events =
+    List.mapi
+      (fun i event -> { Telemetry.Bus.seq = i + 1; at = Time.ms i; event })
+      events
+  in
+  let promote_q =
+    Telemetry.Event.Replica_promoted { service = "svc"; container = "Q" }
+  in
+  let verdicts events =
+    Monitor.Checker.check
+      { peers = []; ack_deadline_s = 0. }
+      ~primaries:[ ("svc", "P") ] (entries events)
+  in
+  let tripped events =
+    List.filter_map
+      (fun (name, res) ->
+        match res with
+        | Monitor.Checker.Pass -> None
+        | Monitor.Checker.Violations _ -> Some name)
+      (verdicts events)
+  in
+  Alcotest.(check (list string))
+    "unfenced promotion trips only split_brain_exclusion"
+    [ "split_brain_exclusion" ] (tripped [ promote_q ]);
+  Alcotest.(check (list string))
+    "fenced first: every checker passes" []
+    (tripped
+       [
+         Telemetry.Event.Container_state
+           { id = "P"; host = "h0"; state = "stopped" };
+         promote_q;
+       ])
 
 (* --- Mutation tests: one fault, one checker ------------------------------- *)
 
@@ -172,7 +232,6 @@ let test_late_degrade =
 let bfd_detect_report () =
   Telemetry.Control.reset ();
   Telemetry.Gate.set true;
-  let mon = Monitor.Checker.install { peers = []; ack_deadline_s = 0. } in
   let eng = Engine.create () in
   let net = Netsim.Network.create eng in
   let a = Netsim.Network.add_node net "a"
@@ -194,7 +253,8 @@ let bfd_detect_report () =
   let r =
     Monitor.Health.make ~scenario:"bfd"
       ~engine:{ ev_processed = 0; profiled = [] }
-      ~entries:(Telemetry.Bus.events ()) mon
+      ~primaries:[] ~entries:(Telemetry.Bus.events ())
+      { peers = []; ack_deadline_s = 0. }
   in
   Telemetry.Gate.set false;
   r
@@ -327,6 +387,10 @@ let () =
           Alcotest.test_case "split-brain" `Quick test_clean_split_brain;
           Alcotest.test_case "checked entries are the digest's" `Quick
             test_checked_entries;
+          Alcotest.test_case "verdicts re-fold from the entries" `Quick
+            test_verdicts_refold;
+          Alcotest.test_case "split-brain fold over a hand-built log" `Quick
+            test_split_brain_fold;
           Alcotest.test_case "bfd-detection" `Quick test_bfd_clean;
           Alcotest.test_case "degraded" `Quick test_clean_degraded;
         ] );

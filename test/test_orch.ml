@@ -250,7 +250,8 @@ let test_migrator_replacement_monitored () =
 
 let cluster_with_store () =
   (* Bus emission (Migration_deferred et al.) is behind the global
-     telemetry gate. *)
+     telemetry gate; each cluster starts a fresh log. *)
+  Telemetry.Control.reset ();
   Telemetry.Gate.set true;
   let c = cluster () in
   let snode = Network.add_node c.net "store" in
@@ -262,11 +263,14 @@ let cluster_with_store () =
   Engine.run_for c.eng (Time.sec 1);
   (c, snode)
 
-let count_deferred ~id hits =
-  Telemetry.Bus.subscribe (fun e ->
-      match e.Telemetry.Bus.event with
-      | Telemetry.Event.Migration_deferred d when d.id = id -> incr hits
-      | _ -> ())
+let count_deferred ~id =
+  List.length
+    (List.filter
+       (fun (e : Telemetry.Bus.entry) ->
+         match e.event with
+         | Telemetry.Event.Migration_deferred d -> d.id = id
+         | _ -> false)
+       (Telemetry.Bus.events ()))
 
 let test_store_outage_defers_single_migration () =
   (* Regression: a failure detected while the store is unreachable must
@@ -283,8 +287,6 @@ let test_store_outage_defers_single_migration () =
       Container.boot r;
       ignore
         (Engine.schedule_after c.eng (Time.sec 2) (fun () -> done_ r)));
-  let deferred = ref 0 in
-  let sub = count_deferred ~id:"c1" deferred in
   (* Store node down: the kv_health probe times out, sok flips. *)
   Node.set_up snode false;
   Engine.run_for c.eng (Time.sec 2);
@@ -292,7 +294,7 @@ let test_store_outage_defers_single_migration () =
   (* Many probe intervals pass with the container dead and the store
      unreachable: plenty of chances for a double-schedule. *)
   Engine.run_for c.eng (Time.sec 8);
-  checki "deferred exactly once" 1 !deferred;
+  checki "deferred exactly once" 1 (count_deferred ~id:"c1");
   checki "migrator held back while store down" 0 !migrations;
   checki "one failure migration in flight" 1
     (Controller.failure_migrations_active c.ctrl);
@@ -303,8 +305,7 @@ let test_store_outage_defers_single_migration () =
     (Controller.failure_migrations_active c.ctrl);
   (match Controller.managed_container c.ctrl ~id:"c1" with
   | Some r -> checkb "replacement installed" true (Container.id r = "c1-r1")
-  | None -> Alcotest.fail "lost management");
-  Telemetry.Bus.unsubscribe sub
+  | None -> Alcotest.fail "lost management")
 
 let test_planned_migration_supersedes_deferred () =
   (* A planned migration taking over the instance while a failure

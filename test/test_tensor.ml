@@ -1219,30 +1219,40 @@ let test_rearm_rewrites_meta_and_cursors () =
   let degrades = ref 0 and rearms = ref 0 in
   Telemetry.Control.reset ();
   Telemetry.Gate.set true;
-  let sub =
-    Telemetry.Bus.subscribe (fun e ->
-        match e.Telemetry.Bus.event with
-        | Telemetry.Event.Degraded_enter _ -> incr degrades
-        | Telemetry.Event.Degraded_exit { epoch; _ } ->
-            incr rearms;
-            let rearmed = read_meta () in
-            checki "meta names the re-armed epoch" epoch
-              rearmed.Tensor.Keys.epoch;
-            checkb "epoch advanced" true (epoch > fresh.Tensor.Keys.epoch);
-            checkb "meta otherwise the fresh record" true
-              (rearmed = { fresh with Tensor.Keys.epoch });
-            let c = conn () in
-            let ecid = Tensor.Keys.epoch_cid cid epoch in
-            checki "ack cursor = received position" (Tcp.rcv_nxt c)
-              (cursor (Tensor.Keys.ack_key ecid));
-            checki "outtrim cursor = sent position"
-              (Tcp.snd_nxt c - (Tcp.iss c + 1))
-              (cursor (Tensor.Keys.outtrim_key ecid))
-        | _ -> ())
+  (* Each entry is read at the end of the dispatch that emitted it. *)
+  let mark = ref (Telemetry.Bus.mark ()) in
+  let on_entry (e : Telemetry.Bus.entry) =
+    match e.event with
+    | Telemetry.Event.Degraded_enter _ -> incr degrades
+    | Telemetry.Event.Degraded_exit { epoch; _ } ->
+        incr rearms;
+        let rearmed = read_meta () in
+        checki "meta names the re-armed epoch" epoch
+          rearmed.Tensor.Keys.epoch;
+        checkb "epoch advanced" true (epoch > fresh.Tensor.Keys.epoch);
+        checkb "meta otherwise the fresh record" true
+          (rearmed = { fresh with Tensor.Keys.epoch });
+        let c = conn () in
+        let ecid = Tensor.Keys.epoch_cid cid epoch in
+        checki "ack cursor = received position" (Tcp.rcv_nxt c)
+          (cursor (Tensor.Keys.ack_key ecid));
+        checki "outtrim cursor = sent position"
+          (Tcp.snd_nxt c - (Tcp.iss c + 1))
+          (cursor (Tensor.Keys.outtrim_key ecid))
+    | _ -> ()
   in
+  let observer =
+    {
+      Engine.before =
+        (fun ~eng:_ ~id:_ ~parent:_ ~label:_ ~sched_at:_ ~exec_at:_ ->
+          mark := Telemetry.Bus.mark ());
+      after = (fun () -> List.iter on_entry (Telemetry.Bus.since !mark));
+    }
+  in
+  Engine.attach observer;
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Bus.unsubscribe sub;
+      Engine.detach observer;
       Telemetry.Gate.set false;
       Telemetry.Control.reset ())
     (fun () ->
