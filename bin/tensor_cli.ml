@@ -457,24 +457,23 @@ let fleet_spec ~hosts ~regions ~instances ~seed ~campaign ~window ~ctrl_delay =
             ctrl_delay_us = ctrl_delay;
           })
 
-(* [--out] observes one more run of [spec], on the calling domain once
-   the pool has drained: the metric cells of [metrics.json] and the
-   series belong to this domain's registry, which a worker domain's run
-   never fills. *)
-let fleet_observed out spec =
-  Option.map (fun dir -> Fleet.Campaign.run ~out:dir spec) out
+(* [--out] observes run 0, on whichever domain the pool gives it:
+   metric values are domain-local like the rest of telemetry. *)
+let observe out i = if i = 0 then out else None
 
 let fleet_replicated spec ~jobs ~json ~out =
   (* [--jobs N] runs N replicas of the same campaign across N domains
      and demands byte-identical replay digests — the determinism the
      nightly job asserts. Each replica is self-contained (domain-local
      telemetry), so a digest split is a real nondeterminism bug. With
-     [--out], the observed run is held to the same digest, so the check
-     also proves observation digest-neutral. *)
+     [--out], replica 0 is the observed one, so the check also proves
+     observation digest-neutral. *)
   let runs = max 1 jobs in
-  let results, _ = Par.Pool.run ~jobs runs (fun _ -> Fleet.Campaign.run spec) in
-  let observed = fleet_observed out spec in
-  let o = Option.value observed ~default:results.(0) in
+  let results, _ =
+    Par.Pool.run ~jobs runs (fun i ->
+        Fleet.Campaign.run ?out:(observe out i) spec)
+  in
+  let o = results.(0) in
   let split =
     Array.exists
       (fun (r : Fleet.Campaign.outcome) ->
@@ -484,18 +483,12 @@ let fleet_replicated spec ~jobs ~json ~out =
   Option.iter artifacts_written out;
   if json then print_endline (Fleet.Slo.to_json o.Fleet.Campaign.slo)
   else print_string (Fleet.Campaign.summary o);
-  if split then begin
+  if split then
     Array.iteri
       (fun i (r : Fleet.Campaign.outcome) ->
         Printf.printf "DIGEST MISMATCH: replica %d digest=%s\n" i
           r.Fleet.Campaign.digest)
-      results;
-    Option.iter
-      (fun (r : Fleet.Campaign.outcome) ->
-        Printf.printf "DIGEST MISMATCH: observed digest=%s\n"
-          r.Fleet.Campaign.digest)
-      observed
-  end
+      results
   else if runs > 1 then
     Printf.printf "%d replicas on %d domains: digests identical\n" runs jobs;
   if split || not (Fleet.Campaign.ok o) then exit 1
@@ -510,9 +503,8 @@ let fleet_sweep spec ~jobs ~json ~out =
   let variant i = { spec with Fleet.Campaign.ctrl_delay_us = snd variants.(i) } in
   let results, _ =
     Par.Pool.run ~jobs (Array.length variants) (fun i ->
-        Fleet.Campaign.run (variant i))
+        Fleet.Campaign.run ?out:(observe out i) (variant i))
   in
-  Option.iter (fun o -> results.(0) <- o) (fleet_observed out (variant 0));
   Option.iter artifacts_written out;
   if json then begin
     print_string "[";
@@ -614,12 +606,12 @@ let fleet_cmd =
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"DIR"
           ~doc:
-            "Run the campaign (with $(b,--sweep): the first variant) once \
-             more, observed, after the other runs, and write its artifacts \
-             to $(i,DIR): slo.json, events.jsonl and the rest of the set \
-             $(b,check --out) writes. Without $(b,--sweep), the replica \
-             digest check also holds the observed run's digest, so it \
-             proves observation digest-neutral.")
+            "Observe the first replica (with $(b,--sweep): the first \
+             variant) and write its artifacts to $(i,DIR): slo.json, \
+             events.jsonl and the rest of the set $(b,check --out) writes. \
+             Without $(b,--sweep), the replica digest check holds the \
+             observed replica to the bare ones, so with $(b,--jobs) above 1 \
+             it proves observation digest-neutral.")
   in
   let run hosts regions instances seed campaign window jobs sweep ctrl_delay
       json out =

@@ -21,7 +21,6 @@ type payload += Raw of string
 (** An opaque payload for tests and simple tools. *)
 
 type t = {
-  id : int;  (** Globally unique, for tracing. *)
   src : Addr.t;
   dst : Addr.t;
   size : int;  (** Total wire bytes, headers included. *)
@@ -30,11 +29,11 @@ type t = {
 }
 
 val make : ?ttl:int -> src:Addr.t -> dst:Addr.t -> size:int -> payload -> t
-(** [make ~src ~dst ~size payload] is a fresh packet with a new id and a
-    default TTL of 64. [size] must be positive. *)
+(** [make ~src ~dst ~size payload] is a fresh packet with a default TTL
+    of 64. [size] must be positive. *)
 
 val dummy : t
-(** A packet that is never sent (id [-1]): it fills the free slots of
+(** A packet that is never sent: it fills the free slots of
     packet queues, so a delivered packet is not kept alive by them. *)
 
 val decrement_ttl : t -> bool

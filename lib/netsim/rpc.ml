@@ -28,6 +28,7 @@ type endpoint = {
   pending : (int, pending) Hashtbl.t;
   unknown_hits : (string, int) Hashtbl.t;
   mutable next_client : int;
+  mutable next_call_id : int;  (* its calls' ids, matched in [pending] *)
   (* Backoff-jitter stream, split from the engine RNG lazily at the
      first actual backoff computation: endpoints that never retry (the
      default) leave the engine's stream untouched, so existing replay
@@ -37,13 +38,11 @@ type endpoint = {
 
 (* One endpoint per node, keyed physically: nodes are unique mutable
    records so physical identity is the right notion. Domain-local, like
-   the nodes themselves: a simulation never spans domains, and call ids
-   restart per domain so they stay replay-stable under --jobs N. *)
+   the nodes themselves: a simulation never spans domains. *)
 let registry_key : (string, endpoint) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let registry () = Domain.DLS.get registry_key
-let next_call_id = Domain.DLS.new_key (fun () -> ref 0)
 
 let source_addr node =
   match Node.addresses node with
@@ -102,6 +101,7 @@ let endpoint node =
           pending = Hashtbl.create 16;
           unknown_hits = Hashtbl.create 4;
           next_client = 0;
+          next_call_id = 0;
           retry_rng = None;
         }
       in
@@ -141,9 +141,8 @@ let backoff_span ep ~failed =
   Time.of_sec_f (capped *. factor)
 
 let send_attempt ep ~timeout ~size ~dst ~service body k =
-  let next_call_id = Domain.DLS.get next_call_id in
-  incr next_call_id;
-  let call_id = !next_call_id in
+  ep.next_call_id <- ep.next_call_id + 1;
+  let call_id = ep.next_call_id in
   let eng = Node.engine ep.ep_node in
   let timeout_handle =
     Engine.schedule_after eng ~label:"rpc.timeout" timeout (fun () ->

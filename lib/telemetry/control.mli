@@ -2,8 +2,9 @@
     Recording is switched on and off with {!Gate.set}. *)
 
 val reset : unit -> unit
-(** Empties the bus log and zeroes all registered metric
-    values. Registrations survive. Call between independent runs. *)
+(** Empties the calling domain's bus log and zeroes its values of every
+    registered metric. Registrations survive. Call between independent
+    runs. *)
 
 val capture : (unit -> 'a) -> 'a * Bus.entry list
 (** [capture f] runs [f] with recording switched on and returns its

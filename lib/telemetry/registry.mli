@@ -13,10 +13,12 @@
     always live (like the per-connection stats that predate this
     module). {!reset_values} zeroes everything between runs.
 
-    Registrations are domain-local. A metric created at module
-    initialisation is registered on the main domain only, so {!all} and
-    {!to_json} read it there; a worker domain's registry starts empty,
-    although its runs bump the same cells. *)
+    Names are process-wide and values are domain-local. A metric
+    registered on any domain, at module initialisation or later, is
+    known to every domain, and each domain bumps and reads its own
+    value: {!all}, {!to_json} and {!reset_values} act on the calling
+    domain's values, so a run on a [Par.Pool] worker is observed
+    exactly as on the main domain. *)
 
 (** {1 Counters} *)
 
@@ -74,4 +76,5 @@ val to_json : unit -> string
     buckets included; a non-finite value is [null]. *)
 
 val reset_values : unit -> unit
-(** Zeroes every metric, keeping registrations. *)
+(** Zeroes the calling domain's value of every metric, keeping
+    registrations. *)

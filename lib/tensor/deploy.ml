@@ -6,28 +6,6 @@ open Netsim
    in the host's warm container boot (1 s). *)
 let cold_boot = Time.of_ms_f 4400.
 
-type t = {
-  eng : Engine.t;
-  net : Network.t;
-  fabric : Node.t;
-  hosts : Orch.Host.t array;
-  agent : Orch.Agent.t;
-  ctrl : Orch.Controller.t;
-  store_server : Store.Server.t;
-  store_addr : Addr.t;
-  store_replica_server : Store.Server.t option;
-  mutable picker :
-    (service_id:string -> avoid:string list -> Orch.Host.t option) option;
-}
-
-type peer_as = {
-  pa_name : string;
-  pa_node : Node.t;
-  pa_addr : Addr.t;
-  pa_speaker : Bgp.Speaker.t;
-  pa_asn : int;
-}
-
 type service = {
   sid : string;
   scfg : App.config;
@@ -39,13 +17,28 @@ type service = {
   mutable generation : int;
 }
 
-(* Service lookup is domain-local: a deployment lives entirely inside
-   one simulation, so each campaign worker resolves ids against its own
-   table instead of racing on a shared one. *)
-let services_key : (string, service) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+type t = {
+  eng : Engine.t;
+  net : Network.t;
+  fabric : Node.t;
+  hosts : Orch.Host.t array;
+  agent : Orch.Agent.t;
+  ctrl : Orch.Controller.t;
+  store_server : Store.Server.t;
+  store_addr : Addr.t;
+  store_replica_server : Store.Server.t option;
+  services : (string, service) Hashtbl.t;
+  mutable picker :
+    (service_id:string -> avoid:string list -> Orch.Host.t option) option;
+}
 
-let services () = Domain.DLS.get services_key
+type peer_as = {
+  pa_name : string;
+  pa_node : Node.t;
+  pa_addr : Addr.t;
+  pa_speaker : Bgp.Speaker.t;
+  pa_asn : int;
+}
 
 let set_service_picker t pick = t.picker <- Some pick
 
@@ -253,11 +246,12 @@ let build ?(seed = 42) ?(hosts = 3) ?(store_delay = Time.us 100)
       store_server;
       store_addr = Store.Server.addr store_server;
       store_replica_server;
+      services = Hashtbl.create 16;
       picker = None;
     }
   in
   Orch.Controller.set_migrator ctrl (fun ~reason ~id ~failed:_ ~done_ ->
-      match Hashtbl.find_opt (services ()) id with
+      match Hashtbl.find_opt t.services id with
       | Some svc -> migrate t svc ~reason ~done_
       | None -> ());
   t
@@ -339,7 +333,7 @@ let deploy_service t ?(primary_host = 0) ?(backup_host = 1)
       generation = 0;
     }
   in
-  Hashtbl.replace (services ()) id svc;
+  Hashtbl.replace t.services id svc;
   if backup_mode = `Preheat then provision_standby t svc;
   relay_bfd t svc app;
   reroute_vips t svc host;

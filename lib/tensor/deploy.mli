@@ -13,6 +13,9 @@
     addresses → resume — all while the agent's BFD relay keeps the remote
     AS convinced nothing happened. *)
 
+type service
+(** A deployed TENSOR service: its primary, backup and generation. *)
+
 type t = {
   eng : Sim.Engine.t;
   net : Netsim.Network.t;
@@ -25,6 +28,9 @@ type t = {
   store_replica_server : Store.Server.t option;
       (** Present when [build ~store_replica:true]: the synchronous
           replica, exposed so chaos scenarios can crash/promote it. *)
+  services : (string, service) Hashtbl.t;
+      (** This deployment's services by id, filled by {!deploy_service}
+          and read by the migrator. *)
   mutable picker :
     (service_id:string -> avoid:string list -> Orch.Host.t option) option;
       (** Placement hook; install via {!set_service_picker}. *)
@@ -129,8 +135,6 @@ val standard_peering : t -> peering
     ["v0"] of the standard service VIP. *)
 
 (** {1 TENSOR services} *)
-
-type service
 
 val deploy_service :
   t ->

@@ -855,6 +855,33 @@ let test_observed_run_matches_bare () =
            0 segments)
   | _ -> Alcotest.fail "health.json has no critical path"
 
+(* Metric values are domain-local and names process-wide, so an observed
+   run on a pool worker writes the metrics and series of the same run on
+   the main domain, byte for byte. *)
+let test_observed_on_worker_matches_main () =
+  let d =
+    descriptor
+      "chaos1 seed=5 peers=1 hosts=3 ppfx=5 spfx=5 churn=0 delay=500 \
+       window=9000 settle=20000 faults=kill.app@2000"
+  in
+  let root = Filename.temp_dir "chaos-worker" "" in
+  let observe i =
+    let dir = Filename.concat root (string_of_int i) in
+    ignore (Chaos.Runner.run ~out:dir d);
+    dir
+  in
+  let main = observe 0 in
+  let worker, _ = Par.Pool.run ~jobs:2 2 (fun i -> observe (i + 1)) in
+  let read dir file =
+    In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all
+  in
+  Array.iter
+    (fun dir ->
+      List.iter
+        (fun file -> checks (file ^ " on a worker") (read main file) (read dir file))
+        [ "metrics.json"; "timeseries.jsonl" ])
+    worker
+
 (* The two shrunk queue_drain repros: a KEEPALIVE's ACK still held at
    the horizon, released by the harness's bounded end-of-run drain. *)
 let test_horizon_acks_drained () =
@@ -976,6 +1003,8 @@ let () =
         [
           Alcotest.test_case "observed run matches bare" `Quick
             test_observed_run_matches_bare;
+          Alcotest.test_case "observed on a worker matches main" `Quick
+            test_observed_on_worker_matches_main;
           Alcotest.test_case "horizon ACKs drained" `Quick
             test_horizon_acks_drained;
           Alcotest.test_case "leaked ACK still reported" `Quick

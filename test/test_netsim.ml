@@ -820,12 +820,13 @@ let link_script =
   list_size (1 -- 80) (pair (int_bound 400) op)
 
 (* Runs a script on a fresh engine. Deliveries and tap calls are logged
-   as (instant, arriving side, packet id). [pkts.(i)] is what op [i]
-   transmits, shared by both runs so packet ids compare. *)
+   as (instant, arriving side, op index). [pkts.(i)] is what op [i]
+   transmits, shared by both runs so op indices compare. *)
 let run_link_script make script pkts =
   let eng = Engine.create ~seed:7 () in
   let delivered = ref [] and tapped = ref [] in
-  let log r side p = r := (Engine.now eng, side, p.Packet.id) :: !r in
+  let rec op_index p i = if pkts.(i) == p then i else op_index p (i + 1) in
+  let log r side p = r := (Engine.now eng, side, op_index p 0) :: !r in
   let l = make eng ~receive:(log delivered) ~tap:(log tapped) in
   let at = ref Time.zero in
   List.iteri

@@ -369,6 +369,51 @@ let test_registry_idempotent () =
            false
          with Invalid_argument _ -> true))
 
+(* Names are process-wide and values domain-local: two pool tasks, held
+   until both run, each reset and bump one counter a different number of
+   times. Each reads exactly its own count and exports every registered
+   metric; the main domain's value is untouched. *)
+let test_values_domain_local () =
+  with_telemetry (fun () ->
+      let c = Telemetry.Registry.counter "test.domain_local" in
+      Telemetry.Registry.add c 7;
+      let names () =
+        List.map
+          (function
+            | Telemetry.Registry.Counter (n, _)
+            | Telemetry.Registry.Gauge (n, _)
+            | Telemetry.Registry.Histogram (n, _) -> n)
+          (Telemetry.Registry.all ())
+      in
+      let started = Atomic.make 0 in
+      let results, _ =
+        Par.Pool.run ~jobs:2 2 (fun i ->
+            Atomic.incr started;
+            while Atomic.get started < 2 do
+              Domain.cpu_relax ()
+            done;
+            Telemetry.Control.reset ();
+            let n = (i + 1) * 200_000 in
+            for _ = 1 to n do
+              Telemetry.Registry.incr c
+            done;
+            (n, Telemetry.Registry.value c, names (), json_row "test.domain_local",
+             json_row "tcp.segments_out"))
+      in
+      Array.iter
+        (fun (n, seen, worker_names, row, tcp_row) ->
+          checki "own count" n seen;
+          Alcotest.(check (list string)) "every metric registered" (names ())
+            worker_names;
+          checks "exported"
+            (Printf.sprintf
+               {|{"name":"test.domain_local","kind":"counter","value":%d}|} n)
+            row;
+          checks "module-init metric exported, reset"
+            {|{"name":"tcp.segments_out","kind":"counter","value":0}|} tcp_row)
+        results;
+      checki "main domain untouched" 7 (Telemetry.Registry.value c))
+
 (* --- Disabled mode -------------------------------------------------------- *)
 
 let test_disabled_noop () =
@@ -503,6 +548,8 @@ let () =
           Alcotest.test_case "observe allocates nothing" `Quick
             test_observe_allocates_nothing;
           Alcotest.test_case "idempotent" `Quick test_registry_idempotent;
+          Alcotest.test_case "values are domain-local" `Quick
+            test_values_domain_local;
         ] );
       ( "capture",
         [
